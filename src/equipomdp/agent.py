@@ -4,9 +4,11 @@ The policy runs a feature extractor (convolutions for image observations),
 a recurrent cell, and separate actor/critic heads. The ``equi`` variant
 assembles every stage from constrained layers so the actor permutes and the
 critic is unchanged under the domain symmetry no matter what the parameter
-values are; ``plain`` uses unconstrained twins of the same sizes. Collection
-uses a tape-free numpy path; updates rebuild the graph over the segment and
-backpropagate through time.
+values are; ``plain`` uses unconstrained twins of the same sizes. Every
+forward pass goes through the same ``RecurrentPolicy.step_t``: collection,
+evaluation and the equivariance checks realize the weights once, run it step
+by step and keep only the values, while updates rebuild the graph over the
+segment and backpropagate through time.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .nn import (
     equi_actor_head,
     equi_critic_head,
     equi_lstm_cell,
-    initial_state_np,
+    initial_state,
 )
 from .groups import direct_sum, regular_rep, sign_rep
 
@@ -211,10 +213,6 @@ class RecurrentPolicy:
     def named_parameters(self) -> dict[str, Tensor]:
         return {p.name: p for p in self.parameters()}
 
-    def sync(self):
-        for m in self._modules:
-            m.sync()
-
     def load_state(self, state: dict[str, np.ndarray]):
         params = self.named_parameters()
         if set(state) != set(params):
@@ -225,14 +223,13 @@ class RecurrentPolicy:
             if params[name].value.shape != value.shape:
                 raise AgentError(f"checkpoint shape mismatch on {name}")
             params[name].value = value.astype(np.float64).copy()
-        self.sync()
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self.named_parameters().items()}
 
     # -- forward ------------------------------------------------------------
     def initial_state(self, batch: int, rng: np.random.Generator | None = None):
-        return initial_state_np(self.cell, batch, self.lstm_init, rng)
+        return initial_state(self.cell, batch, self.lstm_init, rng)
 
     def _encode(self, obs: np.ndarray) -> np.ndarray:
         return obs * self._scale if self._scale is not None else obs
@@ -246,24 +243,6 @@ class RecurrentPolicy:
         live = prev >= 0
         out[np.nonzero(live)[0], prev[live]] = 1.0
         return out
-
-    def _features_np(self, obs: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
-        x = self._encode(obs)
-        if self.extractor is not None:
-            x = self.extractor.fwd_np(x)
-            x = x.reshape(x.shape[0], -1)
-        if self.feed_prev_action:
-            x = np.concatenate([x, self.encode_prev_action(prev)], axis=-1)
-        return x
-
-    def step_np(self, obs: np.ndarray, h: np.ndarray, c: np.ndarray,
-                prev: np.ndarray | None = None):
-        """One recurrent step without a tape: (logits, values, h', c')."""
-        x = self._features_np(obs, prev)
-        h2, c2 = self.cell.step_np(x, h, c)
-        logits = self.actor.fwd_np(h2)
-        values = self.critic.fwd_np(h2)[:, 0]
-        return logits, values, h2, c2
 
     def realize(self):
         out = {"cell": self.cell.realize_t(),
@@ -286,6 +265,13 @@ class RecurrentPolicy:
         values = ad.reshape(self.critic.forward_t(h2, realized["critic"]),
                             (h2.value.shape[0],))
         return logits, values, h2, c2
+
+    def step_values(self, obs: np.ndarray, h: np.ndarray, c: np.ndarray, realized,
+                    prev: np.ndarray | None = None):
+        """``step_t`` on plain arrays, keeping only the values:
+        (logits, values, h', c')."""
+        out = self.step_t(obs, ad.constant(h), ad.constant(c), realized, prev)
+        return tuple(t.value for t in out)
 
 
 def sample_categorical(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -358,10 +344,11 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
         start_c=c.copy(),
         bootstrap_value=np.zeros(b),
     )
+    realized = policy.realize()
     for t in range(n_steps):
         batch.obs[t] = obs
         batch.prev_actions[t] = prev
-        logits, values, h, c = policy.step_np(obs, h, c, prev)
+        logits, values, h, c = policy.step_values(obs, h, c, realized, prev)
         actions = sample_categorical(logits, rng)
         batch.actions[t] = actions
         batch.values[t] = values
@@ -383,8 +370,9 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
         trunc_rows = [i for i in done_rows if batch.truncated[t, i]]
         if trunc_rows:
             # bootstrap value of the final observation under the post-step state
-            _, v_fin, _, _ = policy.step_np(next_obs[trunc_rows], h[trunc_rows],
-                                            c[trunc_rows], next_prev[trunc_rows])
+            _, v_fin, _, _ = policy.step_values(next_obs[trunc_rows], h[trunc_rows],
+                                                c[trunc_rows], realized,
+                                                next_prev[trunc_rows])
             batch.trunc_bootstrap[t, trunc_rows] = v_fin
         for i in done_rows:
             next_obs[i] = venv.reset_one(i)
@@ -394,11 +382,10 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
             batch.reset_mask[t, i] = 1.0
             batch.reset_h[t, i] = nh[0]
             batch.reset_c[t, i] = nc[0]
-            assert np.array_equal(h[i], batch.reset_h[t, i])  # boundary hygiene
         batch.episodes_finished += len(done_rows)
         obs = next_obs
         prev = next_prev
-    _, v_boot, _, _ = policy.step_np(obs, h, c, prev)
+    _, v_boot, _, _ = policy.step_values(obs, h, c, realized, prev)
     batch.bootstrap_value = v_boot
     carry.update(obs=obs, h=h, c=c, prev=prev)
     return batch
@@ -471,7 +458,6 @@ def a2c_update(policy: RecurrentPolicy, opt: Adam, batch: RolloutBatch,
     ad.backward(loss)
     stats["grad_norm"] = clip_grad_norm(policy.parameters(), config.grad_clip)
     opt.step()
-    policy.sync()
     return stats
 
 
@@ -480,11 +466,14 @@ def a2c_update(policy: RecurrentPolicy, opt: Adam, batch: RolloutBatch,
 # ---------------------------------------------------------------------------
 
 class PolicyRunner:
-    """Episode-level wrapper: fresh recurrent state per episode."""
+    """Episode-level wrapper: fresh recurrent state per episode. The weights
+    are realized once, when the runner is built, so build a new runner after
+    the parameters change."""
 
     def __init__(self, policy: RecurrentPolicy, greedy: bool = False,
                  state_rng: np.random.Generator | None = None):
         self.policy = policy
+        self.realized = policy.realize()
         self.greedy = greedy
         self.state_rng = state_rng
         self.h = None
@@ -496,8 +485,8 @@ class PolicyRunner:
         self.prev = np.full(1, -1, dtype=np.int64)
 
     def act(self, obs: np.ndarray, rng: np.random.Generator) -> int:
-        logits, _, self.h, self.c = self.policy.step_np(obs[None], self.h, self.c,
-                                                        self.prev)
+        logits, _, self.h, self.c = self.policy.step_values(obs[None], self.h, self.c,
+                                                            self.realized, self.prev)
         if self.greedy:
             action = int(np.argmax(logits[0]))
         else:
@@ -572,6 +561,7 @@ def equivariance_residuals(policy: RecurrentPolicy, histories: int, max_len: int
     sym = policy.sym
     group = sym.group
     worst_actor, worst_critic = 0.0, 0.0
+    realized = policy.realize()
     for _ in range(histories):
         length = int(rng.integers(1, max_len + 1))
         seq = [rng.normal(size=policy.obs_shape) for _ in range(length)]
@@ -583,7 +573,8 @@ def equivariance_residuals(policy: RecurrentPolicy, histories: int, max_len: int
             for obs, prev in zip(seq, prev_seq):
                 gobs = sym.act_on_obs(g, obs)
                 gprev = np.array([-1 if prev < 0 else sym.act_on_action(g, int(prev))])
-                logits, values, h, c = policy.step_np(gobs[None], h, c, gprev)
+                logits, values, h, c = policy.step_values(gobs[None], h, c, realized,
+                                                          gprev)
             outs[g] = (logits[0], values[0])
         base_logits, base_value = outs[0]
         for g in group.elements:
@@ -703,10 +694,8 @@ def train(env_config, config: AgentConfig, out_dir=None) -> TrainResult:
             run_eval(steps_done)
     finally:
         if out_dir is not None:
-            with open(curve_path, "w") as f:
-                f.write(CURVE_HEADER + "\n")
-                for row in rows:
-                    f.write(_curve_line(row) + "\n")
+            ad.write_atomic(curve_path,
+                            "\n".join([CURVE_HEADER, *map(_curve_line, rows)]) + "\n")
             ad.save_checkpoint(final_path, policy.state_dict())
     return TrainResult(rows, None if curve_path is None else str(curve_path),
                        None if best_path is None else str(best_path),

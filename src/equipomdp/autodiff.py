@@ -7,6 +7,8 @@ Everything runs in float64.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -26,11 +28,17 @@ class NonFiniteGradientError(AutodiffError):
     pass
 
 
+_F64 = np.dtype(np.float64)
+
+
 class Tensor:
     __slots__ = ("value", "grad", "parents", "bwd", "name")
 
     def __init__(self, value, parents=(), bwd=None, name=None):
-        self.value = np.asarray(value, dtype=np.float64)
+        # primitives hand over fresh float64 arrays; skip the conversion call
+        if type(value) is not np.ndarray or value.dtype is not _F64:
+            value = np.asarray(value, dtype=np.float64)
+        self.value = value
         self.grad = None
         self.parents = parents
         self.bwd = bwd
@@ -160,8 +168,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.value
-    val = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    val = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bwd(g):
         a.grad += g * val * (1.0 - val)
@@ -238,10 +246,9 @@ def take(a: Tensor, flat_idx: np.ndarray) -> Tensor:
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = list(tensors)
     val = np.concatenate([t.value for t in tensors], axis=axis)
-    sizes = [t.value.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
+        splits = np.cumsum([t.value.shape[axis] for t in tensors])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             t.grad += piece
 
@@ -300,33 +307,26 @@ def mean(a: Tensor) -> Tensor:
     return Tensor(a.value.mean(), (a,), bwd)
 
 
-def conv2d_np(x: np.ndarray, k: np.ndarray, padding: str) -> np.ndarray:
-    """Cross-correlation of (B,C,H,W) with kernels (F,C,kh,kw) -> (B,F,H',W')."""
-    kh, kw = k.shape[-2], k.shape[-1]
-    if padding == "same":
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ShapeError("same padding needs odd kernel sizes")
-        x = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    elif padding != "valid":
-        raise ShapeError(f"unknown padding {padding!r}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    return np.einsum("bchwuv,fcuv->bfhw", windows, k, optimize=True)
-
-
 def conv2d(x: Tensor, k: Tensor, padding: str = "valid") -> Tensor:
+    """Cross-correlation of (B,C,H,W) with kernels (F,C,kh,kw) -> (B,F,H',W')."""
     xv, kv = x.value, k.value
     if xv.ndim != 4 or kv.ndim != 4 or xv.shape[1] != kv.shape[1]:
         raise ShapeError(f"conv2d: input {xv.shape}, kernel {kv.shape}")
     kh, kw = kv.shape[-2], kv.shape[-1]
-    if padding == "valid" and (xv.shape[2] < kh or xv.shape[3] < kw):
-        raise ShapeError(f"conv2d: input {xv.shape} smaller than kernel {kv.shape}")
-    val = conv2d_np(xv, kv, padding)
+    if padding == "same":
+        if kh % 2 == 0 or kw % 2 == 0:
+            raise ShapeError("same padding needs odd kernel sizes")
+        xp = np.pad(xv, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    elif padding == "valid":
+        if xv.shape[2] < kh or xv.shape[3] < kw:
+            raise ShapeError(f"conv2d: input {xv.shape} smaller than kernel {kv.shape}")
+        xp = xv
+    else:
+        raise ShapeError(f"unknown padding {padding!r}")
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    val = np.einsum("bchwuv,fcuv->bfhw", windows, kv, optimize=True)
 
     def bwd(g):
-        xp = xv
-        if padding == "same":
-            xp = np.pad(xv, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
         k.grad += np.einsum("bchwuv,bfhw->fcuv", windows, g, optimize=True)
         gx = np.zeros_like(xp)
         hh, ww = g.shape[2], g.shape[3]
@@ -443,14 +443,23 @@ class Adam:
 CHECKPOINT_MAGIC = "equipomdp-params 1"
 
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``: a process that dies mid-write leaves the old file whole."""
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w") as f:
+        f.write(text)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(path, named_params: dict[str, np.ndarray]) -> None:
-    with open(path, "w") as f:
-        f.write(CHECKPOINT_MAGIC + "\n")
-        for name, value in named_params.items():
-            value = np.asarray(value, dtype=np.float64)
-            dims = " ".join(str(d) for d in value.shape)
-            f.write(f"param {name} {value.ndim} {dims}".rstrip() + "\n")
-            f.write(" ".join("%.17g" % v for v in value.reshape(-1)) + "\n")
+    lines = [CHECKPOINT_MAGIC]
+    for name, value in named_params.items():
+        value = np.asarray(value, dtype=np.float64)
+        dims = " ".join(str(d) for d in value.shape)
+        lines.append(f"param {name} {value.ndim} {dims}".rstrip())
+        lines.append(" ".join("%.17g" % v for v in value.reshape(-1)))
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
@@ -464,12 +473,22 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             if not line:
                 break
             fields = line.split()
-            if fields[0] != "param":
+            if len(fields) < 3 or fields[0] != "param":
                 raise AutodiffError(f"malformed checkpoint line: {line!r}")
-            name, ndim = fields[1], int(fields[2])
-            shape = tuple(int(d) for d in fields[3 : 3 + ndim])
-            row = f.readline().split()
-            values = np.array(row, dtype=np.float64) if row else np.zeros(0)
+            name = fields[1]
+            try:
+                ndim = int(fields[2])
+                shape = tuple(int(d) for d in fields[3:])
+                values = np.array(f.readline().split(), dtype=np.float64)
+            except ValueError as e:
+                raise AutodiffError(f"checkpoint parameter {name!r}: {e}") from e
+            if len(shape) != ndim or min(shape, default=0) < 0:
+                raise AutodiffError(
+                    f"checkpoint parameter {name!r}: malformed dims {fields[2:]}")
+            if values.size != int(np.prod(shape)):
+                raise AutodiffError(
+                    f"checkpoint parameter {name!r}: expected {int(np.prod(shape))} "
+                    f"values for shape {shape}, found {values.size} (truncated file?)")
             out[name] = values.reshape(shape)
     return out
 

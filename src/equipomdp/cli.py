@@ -222,14 +222,7 @@ def write_manifest(path, env_cfg, agent_cfg: AgentConfig, run: dict,
 
 
 def read_manifest(path):
-    cfg = load_config_file(path)
-
-    class _Args:
-        pass
-
-    args = _Args()
-    args.config = str(path)
-    return build_configs(args)
+    return build_configs(argparse.Namespace(config=str(path)))
 
 
 # ---------------------------------------------------------------------------

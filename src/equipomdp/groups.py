@@ -62,10 +62,6 @@ class Group:
         self.check_element(a)
         return (-a) % self.order
 
-    def composition_table(self) -> np.ndarray:
-        n = self.order
-        return np.add.outer(np.arange(n), np.arange(n)) % n
-
 
 def make_group(kind: str, n: int | None = None) -> Group:
     """Construct a finite group: ``cyclic`` of order n or the order-2 ``reflection``."""

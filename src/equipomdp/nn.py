@@ -6,6 +6,13 @@ exactly equivariant. The recurrent cell fuses all four gate pre-activations
 into one such constrained map and keeps every gated signal on permutation
 (regular) channels, where pointwise sigmoid/tanh and Hadamard products are
 safe.
+
+Every layer has one forward path, on ``autodiff`` tensors. ``realize_t``
+builds the layer's dense weights from its parameters as graph tensors, and
+``forward_t`` (``step_t`` for the cell) applies them; a caller that runs many
+steps under fixed parameters realizes once and passes the result in. Callers
+that only need values (rollout collection, evaluation, equivariance checks)
+read ``.value`` off the output and drop the graph.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from .autodiff import Tensor
 from .groups import (
     CYCLIC,
     GROUP_SAFE_POINTWISE_KINDS,
-    FeatureField,
     Group,
     GroupError,
     GroupMismatchError,
@@ -169,7 +175,6 @@ class EquiLinear:
                 row.append((no, ni, leaf, coeff, co.dim, ci.dim))
             self._blocks.append(row)
         self._bias_blocks = []
-        self.has_bias = bias
         for oi, (co, no) in enumerate(runs_out):
             inv = invariant_vectors(co)
             m = inv.shape[0]
@@ -177,9 +182,6 @@ class EquiLinear:
             if bias and m:
                 coeff = ad.parameter(np.zeros(no * m), f"{name}.b{oi}")
             self._bias_blocks.append((no, m, inv, coeff, co.dim))
-        self.w_np = None
-        self.b_np = None
-        self.sync()
 
     # -- parameter plumbing ------------------------------------------------
     def parameters(self) -> list[Tensor]:
@@ -188,31 +190,6 @@ class EquiLinear:
         return out
 
     # -- realization -------------------------------------------------------
-    def _weight_block_np(self, no, ni, leaf, coeff, bo, bi):
-        if coeff is None:
-            return np.zeros((no * bo, ni * bi))
-        k = leaf.shape[0]
-        flat = coeff.value.reshape(no * ni, k) @ leaf.reshape(k, bo * bi)
-        return flat.reshape(no, ni, bo, bi).transpose(0, 2, 1, 3).reshape(no * bo, ni * bi)
-
-    def realized_weight(self) -> np.ndarray:
-        rows = [np.concatenate([self._weight_block_np(*blk) for blk in row], axis=1)
-                for row in self._blocks]
-        return np.concatenate(rows, axis=0)
-
-    def realized_bias(self) -> np.ndarray:
-        parts = []
-        for no, m, inv, coeff, bo in self._bias_blocks:
-            if coeff is None:
-                parts.append(np.zeros(no * bo))
-            else:
-                parts.append((coeff.value.reshape(no, m) @ inv).reshape(no * bo))
-        return np.concatenate(parts)
-
-    def sync(self):
-        self.w_np = self.realized_weight()
-        self.b_np = self.realized_bias()
-
     def realize_t(self):
         """Weight (transposed) and bias as graph tensors, built from coefficients."""
         rows = []
@@ -241,11 +218,12 @@ class EquiLinear:
 
     # -- forward -----------------------------------------------------------
     def forward_t(self, x: Tensor, realized=None) -> Tensor:
+        if x.value.shape[-1] != self.in_dim:
+            raise RepresentationMismatchError(
+                f"{self.name}: input has {x.value.shape[-1]} channels, "
+                f"rho_in {self.rho_in.kind}/{self.in_dim} expected")
         wt, b = realized if realized is not None else self.realize_t()
         return ad.add(ad.matmul(x, wt), b)
-
-    def fwd_np(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.w_np.T + self.b_np
 
     def project_dense(self, target: np.ndarray) -> float:
         """Set coefficients to the basis projection of ``target``; returns the
@@ -258,8 +236,7 @@ class EquiLinear:
                     b4 = block.reshape(no, bo, ni, bi).transpose(0, 2, 1, 3)
                     coeff.value = np.einsum("oiuv,kuv->oik", b4, leaf).reshape(-1)
                 off_in += ni * bi
-        self.sync()
-        return float(np.max(np.abs(self.w_np - target)))
+        return float(np.max(np.abs(self.realize_t()[0].value.T - target)))
 
     def _row_offsets(self):
         offs, at = [], 0
@@ -282,22 +259,10 @@ class DenseLinear:
         self.name = name
         self.weight = ad.parameter(
             rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(out_dim, in_dim)), f"{name}.w")
-        self.has_bias = bias
         self.bias = ad.parameter(np.zeros(out_dim), f"{name}.b") if bias else None
-        self.sync()
 
     def parameters(self):
         return [self.weight] + ([self.bias] if self.bias is not None else [])
-
-    def realized_weight(self):
-        return self.weight.value.copy()
-
-    def realized_bias(self):
-        return self.bias.value.copy() if self.bias is not None else np.zeros(self.out_dim)
-
-    def sync(self):
-        self.w_np = self.weight.value
-        self.b_np = self.bias.value if self.bias is not None else np.zeros(self.out_dim)
 
     def realize_t(self):
         b = self.bias if self.bias is not None else ad.constant(np.zeros(self.out_dim))
@@ -306,21 +271,6 @@ class DenseLinear:
     def forward_t(self, x: Tensor, realized=None) -> Tensor:
         wt, b = realized if realized is not None else self.realize_t()
         return ad.add(ad.matmul(x, wt), b)
-
-    def fwd_np(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.w_np.T + self.b_np
-
-
-def equi_linear_forward(layer: EquiLinear, field: FeatureField) -> FeatureField:
-    """Apply a constrained linear layer to a vector feature field."""
-    if field.spatial is not None:
-        raise RepresentationMismatchError("linear layers take vector fields; use a conv on grids")
-    if field.rep != layer.rho_in:
-        raise RepresentationMismatchError(
-            f"field carries {field.rep.kind}/{field.rep.dim}, layer expects "
-            f"{layer.rho_in.kind}/{layer.rho_in.dim}")
-    layer.sync()
-    return FeatureField(layer.rho_out, layer.fwd_np(field.values))
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +317,11 @@ class EquiConv2d:
                         plane = src[f, c, (m - k) % d_in]
                         idx[f * n + k, c * d_in + m] = spatial_transform(group, k, plane)
         self._idx = idx
-        self.has_bias = bias
         self.bias = ad.parameter(np.zeros(out_fields), f"{name}.b") if bias else None
         self._bias_idx = np.repeat(np.arange(out_fields), n)
-        self.sync()
 
     def parameters(self):
         return [self.kernel] + ([self.bias] if self.bias is not None else [])
-
-    def realized_kernel(self) -> np.ndarray:
-        return self.kernel.value.reshape(-1)[self._idx]
-
-    def realized_bias(self) -> np.ndarray:
-        if self.bias is None:
-            return np.zeros(self.out_channels)
-        return self.bias.value[self._bias_idx]
-
-    def sync(self):
-        self.k_np = self.realized_kernel()
-        self.b_np = self.realized_bias()
 
     def realize_t(self):
         k = ad.reshape(ad.take(self.kernel, self._idx.ravel()), self._idx.shape)
@@ -400,11 +336,6 @@ class EquiConv2d:
         self._check_square(x.value)
         y = ad.conv2d(x, k, self.padding)
         return ad.add(y, ad.reshape(b, (self.out_channels, 1, 1)))
-
-    def fwd_np(self, x: np.ndarray) -> np.ndarray:
-        self._check_square(x)
-        y = ad.conv2d_np(x, self.k_np, self.padding)
-        return y + self.b_np[None, :, None, None]
 
     def _check_square(self, x):
         if self.group.kind == CYCLIC and self.group.order > 1 and x.shape[-2] != x.shape[-1]:
@@ -427,14 +358,9 @@ class DenseConv2d:
             rng.normal(0.0, 1.0 / np.sqrt(fan_in),
                        size=(out_channels, in_channels, ksize, ksize)), f"{name}.k")
         self.bias = ad.parameter(np.zeros(out_channels), f"{name}.b")
-        self.sync()
 
     def parameters(self):
         return [self.kernel, self.bias]
-
-    def sync(self):
-        self.k_np = self.kernel.value
-        self.b_np = self.bias.value
 
     def realize_t(self):
         return self.kernel, self.bias
@@ -444,35 +370,10 @@ class DenseConv2d:
         y = ad.conv2d(x, k, self.padding)
         return ad.add(y, ad.reshape(b, (self.out_channels, 1, 1)))
 
-    def fwd_np(self, x: np.ndarray) -> np.ndarray:
-        return ad.conv2d_np(x, self.k_np, self.padding) + self.b_np[None, :, None, None]
-
-
-def equi_conv2d_forward(layer: EquiConv2d, field: FeatureField) -> FeatureField:
-    """Apply a group convolution to a grid feature field."""
-    if field.spatial is None:
-        raise RepresentationMismatchError("conv layers take grid fields")
-    if field.rep != layer.rho_in:
-        raise RepresentationMismatchError("field representation does not match conv input")
-    layer.sync()
-    out = layer.fwd_np(field.values[None])[0]
-    return FeatureField(layer.rho_out, out, spatial=out.shape[-2:])
-
 
 # ---------------------------------------------------------------------------
 # Recurrent cell.
 # ---------------------------------------------------------------------------
-
-def _sigmoid_np(x):
-    ax = np.abs(x)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-ax)), np.exp(-ax) / (1.0 + np.exp(-ax)))
-
-
-@dataclass
-class LstmState:
-    h: FeatureField
-    c: FeatureField
-
 
 class LstmCell:
     """One-step LSTM whose fused gate map is a single linear layer.
@@ -494,34 +395,20 @@ class LstmCell:
     def parameters(self):
         return self.linear.parameters()
 
-    def sync(self):
-        self.linear.sync()
-
     def realize_t(self):
         return self.linear.realize_t()
 
     def step_t(self, x: Tensor, h: Tensor, c: Tensor, realized=None):
         gates = self.linear.forward_t(ad.concat([x, h], axis=-1), realized)
         H = self.hidden_dim
-        i = ad.sigmoid(ad.slice_last(gates, 0, H))
-        f = ad.sigmoid(ad.slice_last(gates, H, 2 * H))
-        o = ad.sigmoid(ad.slice_last(gates, 2 * H, 3 * H))
+        ifo = ad.sigmoid(ad.slice_last(gates, 0, 3 * H))
+        i = ad.slice_last(ifo, 0, H)
+        f = ad.slice_last(ifo, H, 2 * H)
+        o = ad.slice_last(ifo, 2 * H, 3 * H)
         g = ad.tanh(ad.slice_last(gates, 3 * H, 4 * H))
         cand = g if self.single_candidate_tanh else ad.tanh(g)
         c2 = ad.add(ad.hadamard(f, c), ad.hadamard(i, cand))
         h2 = ad.hadamard(o, ad.tanh(c2))
-        return h2, c2
-
-    def step_np(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-        gates = self.linear.fwd_np(np.concatenate([x, h], axis=-1))
-        H = self.hidden_dim
-        i = _sigmoid_np(gates[..., 0:H])
-        f = _sigmoid_np(gates[..., H : 2 * H])
-        o = _sigmoid_np(gates[..., 2 * H : 3 * H])
-        g = np.tanh(gates[..., 3 * H : 4 * H])
-        cand = g if self.single_candidate_tanh else np.tanh(g)
-        c2 = f * c + i * cand
-        h2 = o * np.tanh(c2)
         return h2, c2
 
 
@@ -543,18 +430,11 @@ def dense_lstm_cell(input_dim: int, hidden_dim: int, rng: np.random.Generator,
     return LstmCell(linear, hidden_dim, single_candidate_tanh=single_candidate_tanh)
 
 
-def initial_state(cell: LstmCell, mode: str = "zero",
-                  rng: np.random.Generator | None = None) -> LstmState:
-    """Fresh recurrent state. ``zero`` is invariant under every group element;
-    ``random`` draws Gaussians and deliberately breaks that invariance."""
-    h, c = initial_state_np(cell, batch=None, mode=mode, rng=rng)
-    if cell.rho_h is None:
-        raise RepresentationMismatchError("field-level state needs an equivariant cell")
-    return LstmState(h=FeatureField(cell.rho_h, h), c=FeatureField(cell.rho_h, c))
-
-
-def initial_state_np(cell: LstmCell, batch: int | None, mode: str = "zero",
-                     rng: np.random.Generator | None = None):
+def initial_state(cell: LstmCell, batch: int | None = None, mode: str = "zero",
+                  rng: np.random.Generator | None = None):
+    """Fresh (h, c) rows, shaped (batch, H) or (H,) without a batch. ``zero`` is
+    invariant under every group element; ``random`` draws Gaussians and
+    deliberately breaks that invariance."""
     shape = (cell.hidden_dim,) if batch is None else (batch, cell.hidden_dim)
     if mode == "zero":
         return np.zeros(shape), np.zeros(shape)
@@ -563,18 +443,6 @@ def initial_state_np(cell: LstmCell, batch: int | None, mode: str = "zero",
             raise ValueError("random initial state needs an rng")
         return rng.standard_normal(shape), rng.standard_normal(shape)
     raise ValueError(f"unknown initial-state mode {mode!r}")
-
-
-def lstm_step(cell: LstmCell, x: FeatureField, state: LstmState):
-    """Field-level recurrent step with representation checks."""
-    if cell.rho_x is None or x.rep != cell.rho_x:
-        raise RepresentationMismatchError("input field does not carry the cell's input representation")
-    if state.h.rep != cell.rho_h or state.c.rep != cell.rho_h:
-        raise RepresentationMismatchError("state fields do not carry the cell's state representation")
-    cell.sync()
-    h2, c2 = cell.step_np(x.values, state.h.values, state.c.values)
-    new = LstmState(h=FeatureField(cell.rho_h, h2), c=FeatureField(cell.rho_h, c2))
-    return new.h, new
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +460,6 @@ class Mlp:
     def parameters(self):
         return [p for l in self.layers for p in l.parameters()]
 
-    def sync(self):
-        for l in self.layers:
-            l.sync()
-
     def realize_t(self):
         return [l.realize_t() for l in self.layers]
 
@@ -605,13 +469,6 @@ class Mlp:
             x = l.forward_t(x, r)
             if i < len(self.layers) - 1:
                 x = ad.relu(x)
-        return x
-
-    def fwd_np(self, x: np.ndarray) -> np.ndarray:
-        for i, l in enumerate(self.layers):
-            x = l.fwd_np(x)
-            if i < len(self.layers) - 1:
-                x = np.maximum(x, 0.0)
         return x
 
 
@@ -646,22 +503,6 @@ def dense_head(in_dim: int, hidden_dim: int, out_dim: int,
     ])
 
 
-def actor_outputter(head: Mlp, field: FeatureField) -> FeatureField:
-    """Action logits as a regular-representation field."""
-    if head.rho_in is None or field.rep != head.rho_in:
-        raise RepresentationMismatchError("field does not match the actor head input")
-    head.sync()
-    return FeatureField(head.rho_out, head.fwd_np(field.values))
-
-
-def critic_outputter(head: Mlp, field: FeatureField) -> float:
-    """Invariant scalar value estimate."""
-    if head.rho_in is None or field.rep != head.rho_in:
-        raise RepresentationMismatchError("field does not match the critic head input")
-    head.sync()
-    return float(head.fwd_np(field.values)[0])
-
-
 class Conv2dStack:
     """Convolutions with relu after every layer; shrinks the grid to 1x1."""
 
@@ -671,10 +512,6 @@ class Conv2dStack:
     def parameters(self):
         return [p for l in self.layers for p in l.parameters()]
 
-    def sync(self):
-        for l in self.layers:
-            l.sync()
-
     def realize_t(self):
         return [l.realize_t() for l in self.layers]
 
@@ -682,9 +519,4 @@ class Conv2dStack:
         realized = realized or [None] * len(self.layers)
         for l, r in zip(self.layers, realized):
             x = ad.relu(l.forward_t(x, r))
-        return x
-
-    def fwd_np(self, x: np.ndarray) -> np.ndarray:
-        for l in self.layers:
-            x = np.maximum(l.fwd_np(x), 0.0)
         return x

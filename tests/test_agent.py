@@ -189,12 +189,43 @@ def test_collect_equivariant_policy_on_transformed_script():
     sym = policy.sym
     rng = np.random.default_rng(8)
     seq = [rng.normal(size=2) for _ in range(12)]
+    realized = policy.realize()
     h, c = policy.initial_state(1)
     gh, gc = policy.initial_state(1)
     for obs in seq:
-        logits, _, h, c = policy.step_np(obs[None], h, c)
-        glogits, _, gh, gc = policy.step_np(sym.act_on_obs(1, obs)[None], gh, gc)
+        logits, _, h, c = policy.step_values(obs[None], h, c, realized)
+        glogits, _, gh, gc = policy.step_values(sym.act_on_obs(1, obs)[None], gh, gc,
+                                                realized)
         assert np.max(np.abs(glogits[0][sym.action_map[1]] - logits[0])) < 1e-10
+
+
+@pytest.mark.parametrize("env_cfg,kw", [
+    (CarFlag1dConfig(half_size=2), dict(variant="equi")),
+    (CarFlag1dConfig(half_size=2), dict(variant="plain")),
+    (CarFlag2dConfig(grid_size=5, max_steps=6), dict(variant="equi")),
+    (CarFlag1dConfig(half_size=2), dict(variant="equi", lstm_init="random")),
+], ids=["1d-equi", "1d-plain", "2d-5x5", "1d-random-init"])
+def test_collection_matches_update_forward_exactly(env_cfg, kw):
+    """The update's graph replays the collected segment: its value loss and
+    entropy equal the ones the collected batch implies, bit for bit, across
+    several segments with episode resets inside them."""
+    cfg = small_agent_config(**kw)
+    policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
+    venv = VectorEnv(env_cfg, cfg.n_envs, np.random.SeedSequence(1))
+    state_rng = np.random.default_rng(2) if cfg.lstm_init == "random" else None
+    carry = start_carry(policy, venv, state_rng)
+    opt = Adam(policy.parameters(), cfg.learning_rate)
+    rng = np.random.default_rng(3)
+    resets = 0
+    for _ in range(4):
+        batch = collect_rollouts(policy, venv, 8, rng, carry)
+        resets += int(batch.reset_mask[:-1].sum())
+        returns, advantages = compute_returns(batch, cfg.discount)
+        _, stats = segment_loss(policy, batch, cfg, returns, advantages)
+        assert stats["value_loss"] == ((returns - batch.values) ** 2).mean()
+        assert stats["entropy"] == batch.entropies.mean()
+        a2c_update(policy, opt, batch, cfg)
+    assert resets > 0
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +483,7 @@ def test_checkpoint_roundtrip_through_policy(tmp_path):
     other.load_state(ad.load_checkpoint(path))
     obs = np.random.default_rng(20).normal(size=(3, 2))
     h, c = policy.initial_state(3)
-    l1, v1, *_ = policy.step_np(obs, h, c)
-    l2, v2, *_ = other.step_np(obs, h, c)
+    l1, v1, *_ = policy.step_values(obs, h, c, policy.realize())
+    l2, v2, *_ = other.step_values(obs, h, c, other.realize())
     assert np.array_equal(l1, l2)
     assert np.array_equal(v1, v2)

@@ -222,6 +222,26 @@ def test_checkpoint_rejects_other_files(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_truncated_or_malformed_names_the_parameter(tmp_path):
+    params = {"first": np.arange(4.0), "layer/w": np.random.default_rng(4).normal(size=(3, 5))}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params)
+    text = path.read_text()
+    assert not (tmp_path / "model.ckpt.tmp").exists()
+    # cut the file in the middle of the last parameter's values
+    path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2])
+    with pytest.raises(ad.AutodiffError, match="layer/w"):
+        load_checkpoint(path)
+    # the values row is missing altogether
+    path.write_text("\n".join(text.splitlines()[:4]) + "\n")
+    with pytest.raises(ad.AutodiffError, match="layer/w"):
+        load_checkpoint(path)
+    for bad_dims in ("2 3", "2 3 x", "1 -4"):
+        path.write_text(text.replace("param layer/w 2 3 5", f"param layer/w {bad_dims}"))
+        with pytest.raises(ad.AutodiffError, match="layer/w"):
+            load_checkpoint(path)
+
+
 def test_finite_difference_helper_quadratic():
     p = parameter(np.array([2.0, -1.0]), "p")
     g = finite_difference_grad(lambda: ad.tsum(ad.hadamard(p, p)), p)
