@@ -85,6 +85,11 @@ class AgentConfig:
             raise AgentError("loss coefficients must be nonnegative")
         if self.lstm_init not in ("zero", "random"):
             raise AgentError("lstm_init must be 'zero' or 'random'")
+        for name in ("n_envs", "n_steps", "eval_interval", "eval_episodes"):
+            if getattr(self, name) < 1:
+                raise AgentError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.total_steps < 0:
+            raise AgentError(f"total_steps must be nonnegative, got {self.total_steps}")
 
 
 # ---------------------------------------------------------------------------

@@ -440,7 +440,7 @@ class Adam:
 # Checkpoints: versioned plain-text parameter listing.
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = "equipomdp-params 1"
+CHECKPOINT_MAGIC = "equipomdp-params 2"
 
 
 def write_atomic(path, text: str) -> None:
@@ -466,7 +466,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path) as f:
         header = f.readline().rstrip("\n")
         if header != CHECKPOINT_MAGIC:
-            raise AutodiffError(f"not a checkpoint file (header {header!r})")
+            raise AutodiffError(f"not a checkpoint file of this version: header {header!r}, "
+                                f"expected {CHECKPOINT_MAGIC!r}")
         out: dict[str, np.ndarray] = {}
         while True:
             line = f.readline()

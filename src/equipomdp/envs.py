@@ -130,8 +130,8 @@ class CarFlag1d:
         if action not in (0, 1):
             raise InvalidActionError(f"1D action must be 0 (left) or 1 (right), got {action}")
         c = self.config
-        self.pos = int(np.clip(self.pos + (1 if action == 1 else -1),
-                               -c.half_size, c.half_size))
+        self.pos = int(min(max(self.pos + (1 if action == 1 else -1), -c.half_size),
+                           c.half_size))
         self.steps += 1
         goal_pos = c.half_size * self.goal_side
         terminated, truncated = False, False

@@ -1,11 +1,14 @@
 """Symmetry-constrained network layers.
 
-Linear maps are parameterized inside the subspace of matrices commuting with
-the input/output representations, so any coefficient setting keeps the layer
-exactly equivariant. The recurrent cell fuses all four gate pre-activations
-into one such constrained map and keeps every gated signal on permutation
-(regular) channels, where pointwise sigmoid/tanh and Hadamard products are
-safe.
+Every constrained weight and bias shares parameters over the orbits of the
+group on its index pairs (Ravanbakhsh, Schneider & Poczos 2017): with
+signed-permutation representations, W commutes with the group exactly when
+it is ``sign * theta[idx]``, one parameter per orbit, so any theta keeps a
+layer equivariant. A group convolution ties its kernel as a map from
+``rho_in`` tensor the kernel grid (the G-CNN kernel tying of Cohen & Welling
+2016). The recurrent cell fuses all four gate pre-activations into one such
+map and keeps every gated signal on permutation (regular) channels, where
+pointwise sigmoid/tanh and Hadamard products are safe.
 
 Every layer has one forward path, on ``autodiff`` tensors. ``realize_t``
 builds the layer's dense weights from its parameters as graph tensors, and
@@ -13,14 +16,17 @@ builds the layer's dense weights from its parameters as graph tensors, and
 steps under fixed parameters realizes once and passes the result in. Callers
 that only need values (rollout collection, evaluation, equivariance checks)
 read ``.value`` off the output and drop the graph.
+
+``solve_intertwiner_basis`` spans the same spaces by a null-space solve; it
+is the independent reference and no layer uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -33,8 +39,8 @@ from .groups import (
     Representation,
     UnsupportedSpatialActionError,
     direct_sum,
+    grid_rep,
     regular_rep,
-    spatial_transform,
     trivial_rep,
 )
 
@@ -44,17 +50,14 @@ class RepresentationMismatchError(GroupError):
 
 
 # ---------------------------------------------------------------------------
-# Intertwiner bases.
+# Reference intertwiner bases (null-space solve).
 # ---------------------------------------------------------------------------
 
-_leaf_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _leaf_intertwiner(rin: Representation, rout: Representation) -> np.ndarray:
     """Orthonormal basis (k, dout, din) of maps B with rout(g) B = B rin(g)."""
-    key = (rin, rout)
-    if key in _leaf_cache:
-        return _leaf_cache[key]
+    from scipy.linalg import null_space
+
     din, dout = rin.dim, rout.dim
     rows = []
     for g in rin.group.elements:
@@ -70,19 +73,7 @@ def _leaf_intertwiner(rin: Representation, rout: Representation) -> np.ndarray:
     else:  # order-1 group: unconstrained
         mats = np.eye(dout * din).reshape(dout * din, dout, din)
     mats.setflags(write=False)
-    _leaf_cache[key] = mats
     return mats
-
-
-def component_runs(rep: Representation) -> list[tuple[Representation, int]]:
-    """Collapse consecutive identical direct-sum components into (rep, count) runs."""
-    runs: list[list] = []
-    for comp in rep.components:
-        if runs and runs[-1][0] == comp:
-            runs[-1][1] += 1
-        else:
-            runs.append([comp, 1])
-    return [(c, n) for c, n in runs]
 
 
 @dataclass(frozen=True)
@@ -123,10 +114,78 @@ def solve_intertwiner_basis(rho_in: Representation, rho_out: Representation) -> 
     return IntertwinerBasis(rho_in, rho_out, arr)
 
 
-def invariant_vectors(rep: Representation) -> np.ndarray:
-    """Orthonormal rows spanning {v : rep(g) v = v for all g}; shape (m, dim)."""
-    basis = solve_intertwiner_basis(trivial_rep(rep.group), rep)
-    return basis.mats.reshape(basis.count, rep.dim)
+# ---------------------------------------------------------------------------
+# Weight tying over group orbits.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _component_permutation(comp: Representation, g: int):
+    """(perm, sign) with comp(g) e_j = sign[j] e_perm[j], read-only."""
+    m = comp.matrix(g)
+    perm = np.argmax(m != 0, axis=0)
+    sign = m[perm, np.arange(comp.dim)]
+    if np.count_nonzero(m) != comp.dim or np.any(np.abs(sign) != 1.0):
+        raise RepresentationMismatchError(
+            f"the {comp.kind!r} representation is not a signed permutation, "
+            "so its equivariant maps cannot be tied over orbits")
+    perm.setflags(write=False)
+    sign.setflags(write=False)
+    return perm, sign
+
+
+def _signed_permutation(rep: Representation, g: int):
+    """(perm, sign) of a direct sum, assembled from its components so that no
+    dense matrix of the whole sum is built."""
+    perms, signs, at = [], [], 0
+    for comp in rep.components:
+        p, s = _component_permutation(comp, g)
+        perms.append(p + at)
+        signs.append(s)
+        at += comp.dim
+    return np.concatenate(perms), np.concatenate(signs)
+
+
+def tied_weight_indices(rho_in, rho_out: Representation):
+    """Orbit tying of the maps from ``rho_in`` to ``rho_out`` that commute with G.
+
+    ``rho_in`` is a representation or a list of them, combined as a tensor
+    product (first factor slowest). Returns ``(idx, sign, count)``, ``idx`` and
+    ``sign`` shaped (rho_out.dim, din): ``W = sign * theta[idx]`` is equivariant
+    for every ``theta`` of length ``count``. Parameters are numbered by their
+    orbit's smallest flat index; an orbit whose stabiliser flips the sign has
+    sign 0 and no parameter.
+    """
+    factors = [rho_out, *(rho_in if isinstance(rho_in, (list, tuple)) else [rho_in])]
+    group = rho_out.group
+    if any(r.group != group for r in factors):
+        raise GroupMismatchError("input/output representations on different groups")
+    n = int(np.prod([r.dim for r in factors]))
+    least, sign, clash = np.arange(n), np.ones(n), np.zeros(n, dtype=bool)
+    for g in group.elements:
+        # W[g.j] = s_g(j) W[j]: the action of rho_out tensor rho_in on flat indices
+        perm, s = np.zeros(1, dtype=np.int64), np.ones(1)
+        for r in factors:
+            p, sr = _signed_permutation(r, g)
+            perm = (perm[:, None] * r.dim + p).ravel()
+            s = np.outer(s, sr).ravel()
+        lower = perm < least
+        clash = ~lower & (clash | ((perm == least) & (s != sign)))
+        least = np.where(lower, perm, least)
+        sign = np.where(lower, s, sign)
+    reps, ids = np.unique(least[~clash], return_inverse=True)
+    idx = np.zeros(n, dtype=np.int64)
+    idx[~clash] = ids
+    sign[clash] = 0.0
+    shape = (rho_out.dim, n // rho_out.dim)
+    return idx.reshape(shape), sign.reshape(shape), len(reps)
+
+
+def tied(theta: Tensor, idx: np.ndarray, sign: np.ndarray) -> Tensor:
+    """The tied weight ``sign * theta[idx]``, shaped like ``idx``."""
+    if theta.value.size == 0:
+        return ad.constant(np.zeros(idx.shape))
+    w = ad.take(theta, idx)
+    return w if np.all(sign == 1.0) else ad.hadamard(w, ad.constant(sign))
 
 
 def _assert_pointwise_safe(rep: Representation):
@@ -142,81 +201,32 @@ def _assert_pointwise_safe(rep: Representation):
 # ---------------------------------------------------------------------------
 
 class EquiLinear:
-    """Linear map constrained to the intertwiner subspace of (rho_in -> rho_out).
-
-    Weights are stored as coefficients over per-block orthonormal bases; the
-    bias lives in the invariant subspace of rho_out. The realized dense matrix
-    is therefore equivariant for every coefficient setting.
-    """
+    """Linear map rho_in -> rho_out with one parameter per orbit: the weight is
+    ``sign * w[idx]`` and the bias, tied the same way, lies in the invariant
+    subspace of rho_out. Equivariant for every parameter setting."""
 
     def __init__(self, rho_in: Representation, rho_out: Representation,
-                 rng: np.random.Generator, name: str = "equi_linear", bias: bool = True):
-        if rho_in.group != rho_out.group:
-            raise GroupMismatchError("input/output representations on different groups")
+                 rng: np.random.Generator, name: str = "equi_linear"):
         self.rho_in = rho_in
         self.rho_out = rho_out
         self.name = name
         self.in_dim = rho_in.dim
         self.out_dim = rho_out.dim
-        self._blocks = []  # rows (per out run) of (n_o, n_i, leaf, coeff, bo, bi)
-        runs_in = component_runs(rho_in)
-        runs_out = component_runs(rho_out)
-        for oi, (co, no) in enumerate(runs_out):
-            row = []
-            for ii, (ci, ni) in enumerate(runs_in):
-                leaf = _leaf_intertwiner(ci, co)
-                k = leaf.shape[0]
-                coeff = None
-                if k:
-                    std = np.sqrt(co.dim * ci.dim / (k * rho_in.dim))
-                    coeff = ad.parameter(
-                        rng.normal(0.0, std, size=no * ni * k), f"{name}.w{oi}_{ii}"
-                    )
-                row.append((no, ni, leaf, coeff, co.dim, ci.dim))
-            self._blocks.append(row)
-        self._bias_blocks = []
-        for oi, (co, no) in enumerate(runs_out):
-            inv = invariant_vectors(co)
-            m = inv.shape[0]
-            coeff = None
-            if bias and m:
-                coeff = ad.parameter(np.zeros(no * m), f"{name}.b{oi}")
-            self._bias_blocks.append((no, m, inv, coeff, co.dim))
+        idx, sign, count = tied_weight_indices(rho_in, rho_out)
+        self._w_tie = (idx.T.copy(), sign.T.copy())  # the forward computes x @ W^T
+        b_idx, b_sign, b_count = tied_weight_indices(trivial_rep(rho_out.group), rho_out)
+        self._b_tie = (b_idx[:, 0], b_sign[:, 0])  # the invariant vectors of rho_out
+        self.weight = ad.parameter(
+            rng.normal(0.0, 1.0 / np.sqrt(rho_in.dim), size=count), f"{name}.w")
+        self.bias = ad.parameter(np.zeros(b_count), f"{name}.b")
 
-    # -- parameter plumbing ------------------------------------------------
     def parameters(self) -> list[Tensor]:
-        out = [c for row in self._blocks for (_, _, _, c, _, _) in row if c is not None]
-        out.extend(c for (_, _, _, c, _) in self._bias_blocks if c is not None)
-        return out
+        return [self.weight, self.bias]
 
-    # -- realization -------------------------------------------------------
     def realize_t(self):
-        """Weight (transposed) and bias as graph tensors, built from coefficients."""
-        rows = []
-        for row in self._blocks:
-            pieces = []
-            for no, ni, leaf, coeff, bo, bi in row:
-                if coeff is None:
-                    pieces.append(ad.constant(np.zeros((no * bo, ni * bi))))
-                    continue
-                k = leaf.shape[0]
-                flat = ad.matmul(ad.reshape(coeff, (no * ni, k)),
-                                 ad.constant(leaf.reshape(k, bo * bi)))
-                w4 = ad.reshape(flat, (no, ni, bo, bi))
-                pieces.append(ad.reshape(ad.transpose(w4, (0, 2, 1, 3)), (no * bo, ni * bi)))
-            rows.append(pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=1))
-        w = rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
-        bias_parts = []
-        for no, m, inv, coeff, bo in self._bias_blocks:
-            if coeff is None:
-                bias_parts.append(ad.constant(np.zeros(no * bo)))
-            else:
-                bias_parts.append(ad.reshape(
-                    ad.matmul(ad.reshape(coeff, (no, m)), ad.constant(inv)), (no * bo,)))
-        b = bias_parts[0] if len(bias_parts) == 1 else ad.concat(bias_parts, axis=-1)
-        return ad.transpose(w, (1, 0)), b
+        """Weight (transposed) and bias as graph tensors, gathered from the parameters."""
+        return tied(self.weight, *self._w_tie), tied(self.bias, *self._b_tie)
 
-    # -- forward -----------------------------------------------------------
     def forward_t(self, x: Tensor, realized=None) -> Tensor:
         if x.value.shape[-1] != self.in_dim:
             raise RepresentationMismatchError(
@@ -225,33 +235,12 @@ class EquiLinear:
         wt, b = realized if realized is not None else self.realize_t()
         return ad.add(ad.matmul(x, wt), b)
 
-    def project_dense(self, target: np.ndarray) -> float:
-        """Set coefficients to the basis projection of ``target``; returns the
-        max absolute residual (0 iff target is exactly equivariant)."""
-        for row, off_out in zip(self._blocks, self._row_offsets()):
-            off_in = 0
-            for no, ni, leaf, coeff, bo, bi in row:
-                block = target[off_out : off_out + no * bo, off_in : off_in + ni * bi]
-                if coeff is not None:
-                    b4 = block.reshape(no, bo, ni, bi).transpose(0, 2, 1, 3)
-                    coeff.value = np.einsum("oiuv,kuv->oik", b4, leaf).reshape(-1)
-                off_in += ni * bi
-        return float(np.max(np.abs(self.realize_t()[0].value.T - target)))
-
-    def _row_offsets(self):
-        offs, at = [], 0
-        for row in self._blocks:
-            offs.append(at)
-            no, _, _, _, bo, _ = row[0]
-            at += no * bo
-        return offs
-
 
 class DenseLinear:
     """Unconstrained linear layer with the same interface as EquiLinear."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 name: str = "linear", bias: bool = True):
+                 name: str = "linear"):
         self.rho_in = None
         self.rho_out = None
         self.in_dim = in_dim
@@ -259,14 +248,13 @@ class DenseLinear:
         self.name = name
         self.weight = ad.parameter(
             rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(out_dim, in_dim)), f"{name}.w")
-        self.bias = ad.parameter(np.zeros(out_dim), f"{name}.b") if bias else None
+        self.bias = ad.parameter(np.zeros(out_dim), f"{name}.b")
 
     def parameters(self):
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
+        return [self.weight, self.bias]
 
     def realize_t(self):
-        b = self.bias if self.bias is not None else ad.constant(np.zeros(self.out_dim))
-        return ad.transpose(self.weight, (1, 0)), b
+        return ad.transpose(self.weight, (1, 0)), self.bias
 
     def forward_t(self, x: Tensor, realized=None) -> Tensor:
         wt, b = realized if realized is not None else self.realize_t()
@@ -278,69 +266,50 @@ class DenseLinear:
 # ---------------------------------------------------------------------------
 
 class EquiConv2d:
-    """Group convolution: one shared kernel set, realized by rotating kernels
-    and cyclically shifting group-index channel blocks.
-
+    """Group convolution whose kernel is an equivariant map from ``rho_in``
+    tensor ``grid_rep(group, k, k)`` to ``rho_out``, tied as in EquiLinear.
     Input channels are ``in_fields`` copies of the trivial or regular
     representation; output channels always carry regular fields.
     """
 
     def __init__(self, group: Group, in_fields: int, in_kind: str, out_fields: int,
                  ksize: int, rng: np.random.Generator, name: str = "equi_conv",
-                 padding: str = "valid", bias: bool = True):
+                 padding: str = "valid"):
         if in_kind not in ("trivial", "regular"):
             raise RepresentationMismatchError(f"unsupported conv input kind {in_kind!r}")
-        if group.kind == CYCLIC and group.order not in (1, 2, 4):
-            raise UnsupportedSpatialActionError(
-                f"no exact grid action for cyclic order {group.order}")
         self.group = group
         self.name = name
         self.padding = padding
-        n = group.order
-        d_in = 1 if in_kind == "trivial" else n
-        self.in_fields, self.out_fields, self.ksize = in_fields, out_fields, ksize
-        self.in_channels = in_fields * d_in
-        self.out_channels = out_fields * n
         comp_in = trivial_rep(group) if in_kind == "trivial" else regular_rep(group)
         self.rho_in = direct_sum([comp_in] * in_fields)
         self.rho_out = direct_sum([regular_rep(group)] * out_fields)
+        self.in_channels = self.rho_in.dim
+        self.out_channels = self.rho_out.dim
+        idx, sign, count = tied_weight_indices(
+            [self.rho_in, grid_rep(group, ksize, ksize)], self.rho_out)
+        shape = (self.out_channels, self.in_channels, ksize, ksize)
+        self._k_tie = (idx.reshape(shape), sign.reshape(shape))
+        b_idx, b_sign, b_count = tied_weight_indices(trivial_rep(group), self.rho_out)
+        self._b_tie = (b_idx[:, 0], b_sign[:, 0])
         fan_in = self.in_channels * ksize * ksize
         self.kernel = ad.parameter(
-            rng.normal(0.0, 1.0 / np.sqrt(fan_in),
-                       size=(out_fields, in_fields, d_in, ksize, ksize)), f"{name}.k")
-        src = np.arange(self.kernel.size).reshape(self.kernel.shape)
-        idx = np.zeros((self.out_channels, self.in_channels, ksize, ksize), dtype=np.int64)
-        for f in range(out_fields):
-            for k in range(n):
-                for c in range(in_fields):
-                    for m in range(d_in):
-                        plane = src[f, c, (m - k) % d_in]
-                        idx[f * n + k, c * d_in + m] = spatial_transform(group, k, plane)
-        self._idx = idx
-        self.bias = ad.parameter(np.zeros(out_fields), f"{name}.b") if bias else None
-        self._bias_idx = np.repeat(np.arange(out_fields), n)
+            rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=count), f"{name}.k")
+        self.bias = ad.parameter(np.zeros(b_count), f"{name}.b")
 
     def parameters(self):
-        return [self.kernel] + ([self.bias] if self.bias is not None else [])
+        return [self.kernel, self.bias]
 
     def realize_t(self):
-        k = ad.reshape(ad.take(self.kernel, self._idx.ravel()), self._idx.shape)
-        if self.bias is None:
-            b = ad.constant(np.zeros(self.out_channels))
-        else:
-            b = ad.take(self.bias, self._bias_idx)
-        return k, b
+        return tied(self.kernel, *self._k_tie), tied(self.bias, *self._b_tie)
 
     def forward_t(self, x: Tensor, realized=None) -> Tensor:
+        h, w = x.value.shape[-2:]
+        if self.group.kind == CYCLIC and self.group.order > 1 and h != w:
+            raise UnsupportedSpatialActionError(
+                f"rotation-equivariant conv needs square input, got {h}x{w}")
         k, b = realized if realized is not None else self.realize_t()
-        self._check_square(x.value)
         y = ad.conv2d(x, k, self.padding)
         return ad.add(y, ad.reshape(b, (self.out_channels, 1, 1)))
-
-    def _check_square(self, x):
-        if self.group.kind == CYCLIC and self.group.order > 1 and x.shape[-2] != x.shape[-1]:
-            raise UnsupportedSpatialActionError(
-                f"rotation-equivariant conv needs square input, got {x.shape[-2]}x{x.shape[-1]}")
 
 
 class DenseConv2d:
@@ -350,7 +319,7 @@ class DenseConv2d:
                  rng: np.random.Generator, name: str = "conv", padding: str = "valid"):
         self.rho_in = None
         self.rho_out = None
-        self.in_channels, self.out_channels, self.ksize = in_channels, out_channels, ksize
+        self.in_channels, self.out_channels = in_channels, out_channels
         self.padding = padding
         self.name = name
         fan_in = in_channels * ksize * ksize

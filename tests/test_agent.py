@@ -13,6 +13,7 @@ from equipomdp.agent import (
     collect_rollouts,
     compute_returns,
     a2c_update,
+    benchmark_agent_config,
     equivariance_residuals,
     evaluate,
     run_episodes,
@@ -343,6 +344,27 @@ def test_agent_config_validation():
         AgentConfig(entropy_coef=-0.1)
     with pytest.raises(AgentError):
         AgentConfig(lstm_init="gaussian")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_envs", 0), ("n_steps", 0), ("eval_interval", 0), ("eval_interval", -5),
+    ("eval_episodes", 0), ("total_steps", -1),
+])
+def test_agent_config_rejects_empty_loops(field, value):
+    # each of these used to hang train, or fail deep inside it without naming the field
+    with pytest.raises(AgentError, match=field):
+        AgentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("env_cfg,cfg,count", [
+    (CFG_1D, benchmark_agent_config("equi", 0), 7418),
+    (CFG_1D, benchmark_agent_config("plain", 0), 6819),
+    (CarFlag2dConfig(grid_size=7), AgentConfig(variant="equi"), 11918),
+], ids=["1d-equi", "1d-plain", "2d-equi"])
+def test_parameter_counts_stay_matched(env_cfg, cfg, count):
+    # the sample-efficiency benchmark compares parameter-matched networks
+    policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
+    assert sum(p.value.size for p in policy.parameters()) == count
 
 
 # ---------------------------------------------------------------------------

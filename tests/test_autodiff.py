@@ -222,6 +222,15 @@ def test_checkpoint_rejects_other_files(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_of_an_older_version_names_both_headers(tmp_path):
+    path = tmp_path / "old.ckpt"
+    path.write_text("equipomdp-params 1\nparam actor.0.w0_0 1 2\n0.5 -0.5\n")
+    with pytest.raises(ad.AutodiffError) as err:
+        load_checkpoint(path)
+    assert "'equipomdp-params 1'" in str(err.value)
+    assert "'equipomdp-params 2'" in str(err.value)
+
+
 def test_checkpoint_truncated_or_malformed_names_the_parameter(tmp_path):
     params = {"first": np.arange(4.0), "layer/w": np.random.default_rng(4).normal(size=(3, 5))}
     path = tmp_path / "model.ckpt"

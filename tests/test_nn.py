@@ -1,19 +1,26 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from equipomdp import autodiff as ad
 from equipomdp import nn
+from equipomdp.agent import AgentConfig, RecurrentPolicy
 from equipomdp.autodiff import Tensor
+from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig
 from equipomdp.groups import (
     CYCLIC,
     REFLECTION,
     FeatureField,
+    Representation,
     act_on_field,
     direct_sum,
+    grid_rep,
     make_group,
     regular_rep,
     rep_matrix,
     sign_rep,
+    standard_rep,
     trivial_rep,
 )
 from equipomdp.nn import (
@@ -62,6 +69,29 @@ def constraint_matrix(rin, rout):
         rows.append(np.kron(rout.matrix(g), np.eye(rin.dim))
                     - np.kron(np.eye(rout.dim), rin.matrix(g).T))
     return np.vstack(rows) if rows else np.zeros((1, rin.dim * rout.dim))
+
+
+@dataclass(frozen=True)
+class KronRep:
+    """The tensor product a x b as one block, for the reference solver."""
+    a: Representation
+    b: Representation
+    kind = "kron"
+
+    @property
+    def group(self):
+        return self.a.group
+
+    @property
+    def dim(self):
+        return self.a.dim * self.b.dim
+
+    @property
+    def components(self):
+        return (self,)
+
+    def matrix(self, g):
+        return np.kron(self.a.matrix(g), self.b.matrix(g))
 
 
 def field_forward(layer, field):
@@ -130,9 +160,12 @@ def test_basis_orthonormal_and_residuals():
 
 
 def test_invariant_vectors_of_regular_rep():
-    vecs = nn.invariant_vectors(regular_rep(C4))
-    assert vecs.shape == (1, 4)
-    assert np.allclose(np.abs(vecs[0]), 0.5, atol=1e-12)
+    # the invariant vectors of the regular rep (the bias space) are the constants
+    idx, sign, count = nn.tied_weight_indices(trivial_rep(C4), regular_rep(C4))
+    assert count == 1
+    assert idx.shape == sign.shape == (4, 1)
+    assert np.array_equal(idx[:, 0], np.zeros(4))
+    assert np.array_equal(sign[:, 0], np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +210,8 @@ def test_equi_linear_zero_coeff_invariant_bias_is_constant_output():
     layer = EquiLinear(regular_rep(C4), regular_rep(C4), rng)
     for p in layer.parameters():
         p.value[:] = 0.0
-    layer._bias_blocks[0][3].value[:] = 2.0  # only the invariant bias coefficient
+    assert layer.bias.value.shape == (1,)
+    layer.bias.value[:] = 2.0  # only the invariant bias parameter
     for _ in range(3):
         x = FeatureField(regular_rep(C4), rng.normal(size=4))
         out = field_forward(layer, x)
@@ -204,14 +238,66 @@ def test_equi_linear_matches_dense_with_realized_weight():
         assert np.array_equal(layer.forward_t(Tensor(x)).value, w @ x + b)
 
 
-def test_project_dense_roundtrip():
-    rng = np.random.default_rng(6)
-    layer = rand_layer(rng, regular_rep(C4), regular_rep(C4))
-    target = dense_weight(layer)[0]
-    other = EquiLinear(regular_rep(C4), regular_rep(C4), rng)
-    resid = other.project_dense(target)
-    assert resid < 1e-12
-    assert np.allclose(dense_weight(other)[0], target, atol=1e-12)
+@pytest.mark.parametrize("feed_prev_action", [False, True])
+@pytest.mark.parametrize("env_cfg", [CarFlag1dConfig(half_size=4), CarFlag2dConfig(grid_size=7)],
+                         ids=["1d", "2d"])
+def test_tied_layers_match_the_reference_solver(env_cfg, feed_prev_action):
+    """Every constrained layer a policy builds (cell, heads, convolutions as
+    rho_in x grid) spans the reference null-space basis: as many parameters as
+    basis elements, unit parameters realize linearly independent maps, and
+    each one commutes with the group. Widths are small so that the dense
+    reference basis stays small; the component kinds are those of the full
+    networks."""
+    cfg = AgentConfig(variant="equi", lstm_fields=2, head_fields=2, conv_fields=(2, 3),
+                      feed_prev_action=feed_prev_action)
+    policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
+    layers = [policy.cell.linear, *policy.actor.layers, *policy.critic.layers]
+    if policy.extractor is not None:
+        layers += policy.extractor.layers
+    for layer in layers:
+        conv = isinstance(layer, EquiConv2d)
+        weight = layer.kernel if conv else layer.weight
+        rho_in = layer.rho_in
+        if conv:
+            rho_in = KronRep(rho_in, grid_rep(rho_in.group, 3, 3))
+        for theta, rin in ((weight, rho_in), (layer.bias, trivial_rep(rho_in.group))):
+            basis = solve_intertwiner_basis(rin, layer.rho_out)
+            assert theta.value.size == basis.count > 0
+            mats = []
+            for k in range(theta.value.size):
+                for p in layer.parameters():
+                    p.value[:] = 0.0
+                theta.value[k] = 1.0
+                w, b = (t.value for t in layer.realize_t())
+                if theta is layer.bias:
+                    mats.append(b[:, None])
+                else:
+                    mats.append(w.reshape(w.shape[0], -1) if conv else w.T)
+            mats = np.array(mats)
+            flat = mats.reshape(len(mats), -1)
+            assert np.linalg.matrix_rank(flat) == basis.count
+            worst = max(float(np.max(np.abs(
+                np.einsum("uv,kvw->kuw", layer.rho_out.matrix(g), mats)
+                - mats @ rin.matrix(g)))) for g in rin.group.elements)
+            assert worst < 1e-12
+
+
+def test_stabiliser_sign_flip_leaves_no_parameter():
+    # the mirror fixes the single index pair of sign -> trivial but flips its sign
+    idx, sign, count = nn.tied_weight_indices(sign_rep(FLIP), trivial_rep(FLIP))
+    assert count == 0 and np.array_equal(sign, np.zeros((1, 1)))
+    layer = EquiLinear(sign_rep(FLIP), trivial_rep(FLIP), np.random.default_rng(5))
+    assert layer.weight.value.shape == (0,)
+    assert np.array_equal(layer.forward_t(Tensor(np.array([3.0]))).value, np.zeros(1))
+
+
+def test_non_monomial_rep_is_rejected():
+    c3 = make_group(CYCLIC, 3)
+    with pytest.raises(RepresentationMismatchError, match="standard"):
+        nn.tied_weight_indices(standard_rep(c3), regular_rep(c3))
+    with pytest.raises(RepresentationMismatchError, match="standard"):
+        EquiLinear(regular_rep(c3), direct_sum([trivial_rep(c3), standard_rep(c3)]),
+                   np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +307,7 @@ def test_project_dense_roundtrip():
 def rand_conv(rng, group, in_fields, in_kind, out_fields, ksize, padding="same"):
     conv = EquiConv2d(group, in_fields, in_kind, out_fields, ksize, rng, padding=padding)
     conv.kernel.value = rng.normal(size=conv.kernel.value.shape)
-    if conv.bias is not None:
-        conv.bias.value = rng.normal(size=conv.bias.value.shape)
+    conv.bias.value = rng.normal(size=conv.bias.value.shape)
     return conv
 
 
@@ -259,18 +344,18 @@ def test_conv_1x1_reduces_to_equi_linear_per_pixel():
     rng = np.random.default_rng(9)
     conv = rand_conv(rng, C4, 2, "regular", 2, 1, padding="valid")
     linear = EquiLinear(conv.rho_in, conv.rho_out, rng)
+    # a 1x1 grid adds nothing to rho_in, so the two layers tie the same orbits
+    linear.weight.value = conv.kernel.value.copy()
+    linear.bias.value = conv.bias.value.copy()
     kernel, bias = conv.realize_t()
-    resid = linear.project_dense(kernel.value[:, :, 0, 0])
-    assert resid < 1e-12
-    # move the conv's tied bias over as well
-    bias_target = bias.value
+    w, b = dense_weight(linear)
+    assert np.array_equal(kernel.value[:, :, 0, 0], w)
+    assert np.array_equal(bias.value, b)
     x = rng.normal(size=(conv.in_channels, 4, 4))
     y = conv.forward_t(Tensor(x[None])).value[0]
-    linear_bias = dense_weight(linear)[1]
-    for r in range(4):
-        for c in range(4):
-            expect = linear.forward_t(Tensor(x[:, r, c])).value - linear_bias + bias_target
-            assert np.allclose(y[:, r, c], expect, atol=1e-12)
+    pixels = x.reshape(conv.in_channels, -1).T  # one row per pixel
+    per_pixel = linear.forward_t(Tensor(pixels)).value
+    assert np.array_equal(y.reshape(conv.out_channels, -1).T, per_pixel)
 
 
 def test_conv_rejects_nonsquare_rotation_input():
@@ -279,6 +364,8 @@ def test_conv_rejects_nonsquare_rotation_input():
     from equipomdp.groups import UnsupportedSpatialActionError
     with pytest.raises(UnsupportedSpatialActionError):
         conv.forward_t(Tensor(np.zeros((1, 1, 4, 5))))
+    with pytest.raises(UnsupportedSpatialActionError):  # no exact grid rotation
+        EquiConv2d(make_group(CYCLIC, 3), 1, "trivial", 1, 3, rng)
 
 
 # ---------------------------------------------------------------------------
