@@ -5,10 +5,11 @@ a recurrent cell, and separate actor/critic heads. The ``equi`` variant
 assembles every stage from constrained layers so the actor permutes and the
 critic is unchanged under the domain symmetry no matter what the parameter
 values are; ``plain`` uses unconstrained twins of the same sizes. Every
-forward pass goes through the same ``RecurrentPolicy.step_t``: collection,
-evaluation and the equivariance checks realize the weights once, run it step
-by step and keep only the values, while updates rebuild the graph over the
-segment and backpropagate through time.
+forward pass goes through the same ``RecurrentPolicy.step_t``, which advances
+the recurrent state, and each caller applies only the heads it needs:
+collection, evaluation and the equivariance checks realize the weights once,
+run it step by step and keep only the values, while updates rebuild the graph
+over the segment and backpropagate through time.
 """
 
 from __future__ import annotations
@@ -265,18 +266,20 @@ class RecurrentPolicy:
             x = ad.reshape(x, (x.value.shape[0], -1))
         if self.feed_prev_action:
             x = ad.concat([x, ad.constant(self.encode_prev_action(prev))], axis=-1)
-        h2, c2 = self.cell.step_t(x, h, c, realized["cell"])
-        logits = self.actor.forward_t(h2, realized["actor"])
-        values = ad.reshape(self.critic.forward_t(h2, realized["critic"]),
-                            (h2.value.shape[0],))
-        return logits, values, h2, c2
+        return self.cell.step_t(x, h, c, realized["cell"])
+
+    def logits_t(self, h: Tensor, realized) -> Tensor:
+        return self.actor.forward_t(h, realized["actor"])
+
+    def values_t(self, h: Tensor, realized) -> Tensor:
+        return ad.reshape(self.critic.forward_t(h, realized["critic"]), (h.value.shape[0],))
 
     def step_values(self, obs: np.ndarray, h: np.ndarray, c: np.ndarray, realized,
                     prev: np.ndarray | None = None):
-        """``step_t`` on plain arrays, keeping only the values:
-        (logits, values, h', c')."""
-        out = self.step_t(obs, ad.constant(h), ad.constant(c), realized, prev)
-        return tuple(t.value for t in out)
+        """``step_t`` on plain arrays: the new state (h', c') as tensors whose
+        graph nobody differentiates. Pass h' to ``logits_t``/``values_t`` for
+        the heads the caller needs and read ``.value``."""
+        return self.step_t(obs, ad.constant(h), ad.constant(c), realized, prev)
 
 
 def sample_categorical(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -353,7 +356,10 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
     for t in range(n_steps):
         batch.obs[t] = obs
         batch.prev_actions[t] = prev
-        logits, values, h, c = policy.step_values(obs, h, c, realized, prev)
+        h_t, c_t = policy.step_values(obs, h, c, realized, prev)
+        logits = policy.logits_t(h_t, realized).value
+        values = policy.values_t(h_t, realized).value
+        h, c = h_t.value, c_t.value
         actions = sample_categorical(logits, rng)
         batch.actions[t] = actions
         batch.values[t] = values
@@ -375,10 +381,9 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
         trunc_rows = [i for i in done_rows if batch.truncated[t, i]]
         if trunc_rows:
             # bootstrap value of the final observation under the post-step state
-            _, v_fin, _, _ = policy.step_values(next_obs[trunc_rows], h[trunc_rows],
-                                                c[trunc_rows], realized,
-                                                next_prev[trunc_rows])
-            batch.trunc_bootstrap[t, trunc_rows] = v_fin
+            h_fin, _ = policy.step_values(next_obs[trunc_rows], h[trunc_rows],
+                                          c[trunc_rows], realized, next_prev[trunc_rows])
+            batch.trunc_bootstrap[t, trunc_rows] = policy.values_t(h_fin, realized).value
         for i in done_rows:
             next_obs[i] = venv.reset_one(i)
             next_prev[i] = -1
@@ -390,8 +395,8 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
         batch.episodes_finished += len(done_rows)
         obs = next_obs
         prev = next_prev
-    _, v_boot, _, _ = policy.step_values(obs, h, c, realized, prev)
-    batch.bootstrap_value = v_boot
+    h_boot, _ = policy.step_values(obs, h, c, realized, prev)
+    batch.bootstrap_value = policy.values_t(h_boot, realized).value
     carry.update(obs=obs, h=h, c=c, prev=prev)
     return batch
 
@@ -423,8 +428,8 @@ def segment_loss(policy: RecurrentPolicy, batch: RolloutBatch, config: AgentConf
     pol_terms, ent_terms, val_terms = [], [], []
     n_steps = batch.rewards.shape[0]
     for t in range(n_steps):
-        logits, values, h, c = policy.step_t(batch.obs[t], h, c, realized,
-                                             batch.prev_actions[t])
+        h, c = policy.step_t(batch.obs[t], h, c, realized, batch.prev_actions[t])
+        logits, values = policy.logits_t(h, realized), policy.values_t(h, realized)
         logp = ad.log_softmax(logits)
         lp_taken = ad.gather_rows(logp, batch.actions[t])
         pol_terms.append(ad.hadamard(ad.constant(advantages[t]), lp_taken))
@@ -490,8 +495,9 @@ class PolicyRunner:
         self.prev = np.full(1, -1, dtype=np.int64)
 
     def act(self, obs: np.ndarray, rng: np.random.Generator) -> int:
-        logits, _, self.h, self.c = self.policy.step_values(obs[None], self.h, self.c,
-                                                            self.realized, self.prev)
+        h, c = self.policy.step_values(obs[None], self.h, self.c, self.realized, self.prev)
+        logits = self.policy.logits_t(h, self.realized).value
+        self.h, self.c = h.value, c.value
         if self.greedy:
             action = int(np.argmax(logits[0]))
         else:
@@ -578,9 +584,10 @@ def equivariance_residuals(policy: RecurrentPolicy, histories: int, max_len: int
             for obs, prev in zip(seq, prev_seq):
                 gobs = sym.act_on_obs(g, obs)
                 gprev = np.array([-1 if prev < 0 else sym.act_on_action(g, int(prev))])
-                logits, values, h, c = policy.step_values(gobs[None], h, c, realized,
-                                                          gprev)
-            outs[g] = (logits[0], values[0])
+                h_t, c_t = policy.step_values(gobs[None], h, c, realized, gprev)
+                h, c = h_t.value, c_t.value
+            outs[g] = (policy.logits_t(h_t, realized).value[0],
+                       policy.values_t(h_t, realized).value[0])
         base_logits, base_value = outs[0]
         for g in group.elements:
             if g == 0:

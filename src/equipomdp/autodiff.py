@@ -225,7 +225,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     val = a.value[rows, idx]
 
     def bwd(g):
-        np.add.at(a.grad, (rows, idx), g)
+        a.grad[rows, idx] += g  # one entry per row, so no index repeats
 
     return Tensor(val, (a,), bwd)
 
@@ -236,9 +236,8 @@ def take(a: Tensor, flat_idx: np.ndarray) -> Tensor:
     val = a.value.reshape(-1)[flat_idx]
 
     def bwd(g):
-        flat = np.zeros(a.value.size)
-        np.add.at(flat, flat_idx.ravel(), g.ravel())
-        a.grad += flat.reshape(a.value.shape)
+        a.grad += np.bincount(flat_idx.ravel(), weights=g.ravel(),
+                              minlength=a.value.size).reshape(a.value.shape)
 
     return Tensor(val, (a,), bwd)
 

@@ -6,6 +6,11 @@ CarFlag-2D: an agent on an NxN grid must reach a goal cell whose position is
 visible only from inside a central information region. Setting a nonzero
 ``info_offset`` shifts the information cell away from the center, which breaks
 the domain symmetry.
+
+Each simulator is the only definition of its domain: it exposes its state
+(``state``, ``states``, ``start_states``, ``terminal``) and the observation
+with the hidden goal shown (``revealed``), and ``export_pomdp`` builds the
+exact oracle's tables and group maps by driving it through every state.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import CYCLIC, REFLECTION, Group, Representation, direct_sum, make_group, sign_rep
+from .groups import (CYCLIC, REFLECTION, Group, Representation, direct_sum, make_group,
+                     sign_rep, spatial_transform)
 from .pomdp import GroupActionBinding, Pomdp
 
 
@@ -84,7 +90,6 @@ class CarFlag2dConfig:
 # index by one: Right -> Up -> Left -> Down.
 ACTIONS_2D = ("right", "up", "left", "down")
 DELTAS_2D = ((0, 1), (-1, 0), (0, -1), (1, 0))
-ACTIONS_1D = ("left", "right")
 
 
 # ---------------------------------------------------------------------------
@@ -102,26 +107,44 @@ class CarFlag1d:
         self.steps = 0
         self.done = True
 
+    @property
+    def state(self) -> tuple[int, int]:
+        return (self.pos, self.goal_side)
+
+    @state.setter
+    def state(self, value: tuple[int, int]) -> None:
+        """Place the car: a fresh step count, episode not finished."""
+        self.pos, self.goal_side = value
+        self.steps = 0
+        self.done = False
+
+    def states(self) -> list[tuple[int, int]]:
+        h = self.config.half_size
+        return [(p, side) for p in range(-h, h + 1) for side in (-1, 1)]
+
     def valid_start_positions(self) -> list[int]:
         c = self.config
         # interior cells only: starting on a flag would terminate before any action
         return [p for p in range(-c.half_size + 1, c.half_size)
                 if p != c.info_offset]
 
+    def start_states(self) -> list[tuple[int, int]]:
+        return [(p, side) for p in self.valid_start_positions() for side in (-1, 1)]
+
+    def terminal(self) -> bool:
+        return abs(self.pos) == self.config.half_size
+
     def observe(self) -> np.ndarray:
-        side = 0
-        if self.pos == self.config.info_offset:
-            side = self.goal_side
+        side = self.goal_side if self.pos == self.config.info_offset else 0
         return np.array([float(self.pos), float(side)])
 
+    def revealed(self) -> np.ndarray:
+        """The observation with the goal side shown wherever the car stands."""
+        return np.array([float(self.pos), float(self.goal_side)])
+
     def reset(self) -> np.ndarray:
-        starts = self.valid_start_positions()
-        if not starts:
-            raise PlacementError("no valid start cell")
-        self.pos = int(self.rng.choice(starts))
-        self.goal_side = 1 if self.rng.random() < 0.5 else -1
-        self.steps = 0
-        self.done = False
+        self.state = (int(self.rng.choice(self.valid_start_positions())),
+                      1 if self.rng.random() < 0.5 else -1)
         return self.observe()
 
     def step(self, action: int):
@@ -133,15 +156,14 @@ class CarFlag1d:
         self.pos = int(min(max(self.pos + (1 if action == 1 else -1), -c.half_size),
                            c.half_size))
         self.steps += 1
-        goal_pos = c.half_size * self.goal_side
-        terminated, truncated = False, False
-        if self.pos == goal_pos:
-            reward, terminated = c.goal_reward, True
-        elif self.pos == -goal_pos:
-            reward, terminated = c.red_reward, True
-        else:
+        terminated = self.terminal()
+        if not terminated:
             reward = c.step_reward
-            truncated = self.steps >= c.max_steps
+        elif self.pos == c.half_size * self.goal_side:
+            reward = c.goal_reward
+        else:
+            reward = c.red_reward
+        truncated = not terminated and self.steps >= c.max_steps
         self.done = terminated or truncated
         return self.observe(), reward, terminated, truncated
 
@@ -157,35 +179,59 @@ class CarFlag2d:
         self.steps = 0
         self.done = True
         self._info = config.info_cells()
-        self._starts = self._valid_start_pairs()
+        self._starts = self.start_states()
 
-    def _valid_start_pairs(self):
-        c = self.config
-        n = c.grid_size
-        info = c.info_cells()
-        cells = [(r, col) for r in range(n) for col in range(n)]
+    @property
+    def state(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return (self.agent, self.goal)
+
+    @state.setter
+    def state(self, value) -> None:
+        """Place agent and goal: a fresh step count, episode not finished."""
+        self.agent, self.goal = value
+        self.steps = 0
+        self.done = False
+
+    def _cells(self) -> list[tuple[int, int]]:
+        n = self.config.grid_size
+        return [(r, col) for r in range(n) for col in range(n)]
+
+    def states(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        cells = self._cells()
+        return [(a, g) for a in cells for g in cells]
+
+    def start_states(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        cells = self._cells()
         pairs = [
             (a, g)
-            for a in cells if a not in info
-            for g in cells if g not in info
-            if abs(a[0] - g[0]) + abs(a[1] - g[1]) >= c.min_start_distance
+            for a in cells if a not in self._info
+            for g in cells if g not in self._info
+            if abs(a[0] - g[0]) + abs(a[1] - g[1]) >= self.config.min_start_distance
         ]
         if not pairs:
             raise PlacementError("no valid (agent, goal) start pair")
         return pairs
 
-    def observe(self) -> np.ndarray:
+    def terminal(self) -> bool:
+        return self.agent == self.goal
+
+    def _image(self, show_goal: bool) -> np.ndarray:
         n = self.config.grid_size
         out = np.zeros((2, n, n))
         out[0][self.agent] = 1.0
-        if self.agent in self._info:
+        if show_goal:
             out[1][self.goal] = 1.0
         return out
 
+    def observe(self) -> np.ndarray:
+        return self._image(self.agent in self._info)
+
+    def revealed(self) -> np.ndarray:
+        """The observation with the goal shown wherever the agent stands."""
+        return self._image(True)
+
     def reset(self) -> np.ndarray:
-        self.agent, self.goal = self._starts[int(self.rng.integers(len(self._starts)))]
-        self.steps = 0
-        self.done = False
+        self.state = self._starts[int(self.rng.integers(len(self._starts)))]
         return self.observe()
 
     def step(self, action: int):
@@ -199,7 +245,7 @@ class CarFlag2d:
         col = min(max(self.agent[1] + dc, 0), n - 1)
         self.agent = (r, col)  # position unchanged when stepping out of the world
         self.steps += 1
-        terminated = self.agent == self.goal
+        terminated = self.terminal()
         reward = self.config.goal_reward if terminated else 0.0
         truncated = not terminated and self.steps >= self.config.max_steps
         self.done = terminated or truncated
@@ -248,9 +294,7 @@ class EnvSymmetry:
     def act_on_obs(self, g: int, obs: np.ndarray) -> np.ndarray:
         g = self.group.check_element(g)
         if self.image_fields is not None:
-            if self.group.kind == CYCLIC:
-                return np.rot90(obs, g, axes=(-2, -1)).copy()
-            return np.flip(obs, axis=-1).copy() if g else obs.copy()
+            return spatial_transform(self.group, g, obs).copy()
         sign = (-1.0) ** g
         return obs * sign
 
@@ -276,227 +320,102 @@ def env_group_binding(config) -> EnvSymmetry:
 # Explicit-table exports.
 # ---------------------------------------------------------------------------
 
+def _obs_keys(stack: np.ndarray) -> list[bytes]:
+    """Dict keys of a stack of observations. Adding 0.0 turns -0.0 into 0.0,
+    so the mirror image of position 0 is the same observation."""
+    return [row.tobytes() for row in np.asarray(stack, dtype=np.float64) + 0.0]
+
+
 @dataclass
 class ExportMaps:
-    """Index helpers tying simulator states/observations to table ids."""
+    """The ids an export gave to simulator states and observations."""
 
-    config: object
-    state_of: callable = None
-    obs_of_state: callable = None
-    obs_id_of_array: callable = None
-    obs_array_of_id: callable = None
-    is_terminal: callable = None
-    n_states: int = 0
-    n_obs: int = 0
+    state_ids: dict             # simulator state tuple -> state id
+    obs_ids: dict               # observation key -> observation id
+    obs_arrays: list            # observation id -> observation array
+    state_obs: np.ndarray       # state id -> id of the state's observation
+    terminal: np.ndarray        # state id -> whether the state is absorbing
+
+    def state_of(self, env_state) -> int:
+        return self.state_ids[tuple(env_state)]
+
+    def obs_of_state(self, s: int) -> int:
+        return int(self.state_obs[s])
+
+    def obs_id_of_array(self, obs: np.ndarray) -> int:
+        o = self.obs_ids.get(_obs_keys([obs])[0])
+        if o is None:
+            raise EnvError(f"observation {np.ravel(obs)} is not one the simulator emits")
+        return o
+
+    def is_terminal(self, s: int) -> bool:
+        return bool(self.terminal[s])
 
 
 def export_pomdp(config, discount: float = 0.99, max_states: int = 200_000):
-    """Explicit (tables, symmetry binding, index maps) matching the simulator.
+    """Explicit (tables, symmetry binding, index maps) of a simulator.
 
-    States reaching the goal (2D) or either flag (1D) become absorbing with
-    zero reward, so finite-horizon sweeps see exactly the episodic semantics.
+    Every table entry comes from placing the simulator in a state and calling
+    its own ``step`` and ``observe``, and every group map from
+    ``EnvSymmetry``, so the tables and the simulator are one definition of
+    the domain. Terminal states become absorbing with zero reward, so
+    finite-horizon sweeps see exactly the episodic semantics. Observation ids
+    are interned in order of first appearance, each together with its group
+    images, so they cover what ``observe`` emits and stay closed under the
+    group even where the information region breaks the symmetry.
     """
-    if isinstance(config, CarFlag2dConfig):
-        return _export_2d(config, discount, max_states)
-    if isinstance(config, CarFlag1dConfig):
-        return _export_1d(config, discount, max_states)
-    raise EnvError(f"unknown env config {type(config).__name__}")
-
-
-def _export_2d(config: CarFlag2dConfig, discount: float, max_states: int):
-    n = config.grid_size
-    cells = n * n
-    n_states = cells * cells
+    env = make_env(config, np.random.default_rng(0))
+    sym = env_group_binding(config)
+    states = env.states()
+    n_states, n_actions = len(states), env.n_actions
     if n_states > max_states:
         raise EnvError(f"export needs {n_states} states, over the budget {max_states}")
-    n_obs = cells * (cells + 1)
-    info = config.info_cells()
-    info_ids = {r * n + c for (r, c) in info}
-
-    def state_of(agent, goal):
-        return (agent[0] * n + agent[1]) * cells + goal[0] * n + goal[1]
-
-    def cell_id(rc):
-        return rc[0] * n + rc[1]
-
-    def obs_id(agent_id, reveal_id):
-        return agent_id * (cells + 1) + (reveal_id + 1)
-
-    def obs_of_state(s):
-        agent_id, goal_id = divmod(s, cells)
-        reveal = goal_id if agent_id in info_ids else -1
-        return obs_id(agent_id, reveal)
-
-    trans = np.zeros((n_states, 4, n_states))
-    reward = np.zeros((n_states, 4))
-    obs = np.zeros((4, n_states, n_obs))
-    obs0 = np.zeros((n_states, n_obs))
-    for s in range(n_states):
-        agent_id, goal_id = divmod(s, cells)
-        obs0[s, obs_of_state(s)] = 1.0
-        if agent_id == goal_id:  # absorbing once the goal is reached
+    state_ids = {st: s for s, st in enumerate(states)}
+    trans = np.zeros((n_states, n_actions, n_states))
+    reward = np.zeros((n_states, n_actions))
+    terminal = np.zeros(n_states, dtype=bool)
+    observed, revealed = [], []
+    for s, st in enumerate(states):
+        env.state = st
+        observed.append(env.observe())
+        revealed.append(env.revealed())
+        terminal[s] = env.terminal()
+        if terminal[s]:
             trans[s, :, s] = 1.0
             continue
-        r, c = divmod(agent_id, n)
-        for a, (dr, dc) in enumerate(DELTAS_2D):
-            r2 = min(max(r + dr, 0), n - 1)
-            c2 = min(max(c + dc, 0), n - 1)
-            s2 = (r2 * n + c2) * cells + goal_id
-            trans[s, a, s2] = 1.0
-            if r2 * n + c2 == goal_id:
-                reward[s, a] = config.goal_reward
+        for a in range(n_actions):
+            env.state = st
+            reward[s, a] = env.step(a)[1]
+            trans[s, a, state_ids[env.state]] = 1.0
+    observed, revealed = np.stack(observed), np.stack(revealed)
+
+    orbits = [sym.act_on_obs(g, observed) + 0.0 for g in sym.group.elements]
+    images: dict[bytes, np.ndarray] = {}    # interned observations, in id order
     for s in range(n_states):
-        obs[:, s, obs_of_state(s)] = 1.0
-
+        for orbit in orbits:
+            images.setdefault(orbit[s].tobytes(), orbit[s])
+    obs_ids = {key: o for o, key in enumerate(images)}
+    obs_arrays = list(images.values())
+    state_obs = np.array([obs_ids[key] for key in _obs_keys(observed)])
+    obs0 = np.zeros((n_states, len(obs_arrays)))
+    obs0[np.arange(n_states), state_obs] = 1.0
+    obs = np.repeat(obs0[None], n_actions, axis=0)
     start = np.zeros(n_states)
-    env = CarFlag2d(config, np.random.default_rng(0))
-    for agent, goal in env._starts:
-        start[state_of(agent, goal)] = 1.0
+    start[[state_ids[st] for st in env.start_states()]] = 1.0
     start /= start.sum()
-
     pomdp = Pomdp(start, trans, reward, obs, obs0, discount)
     pomdp.validate()
 
-    group = make_group(CYCLIC, 4)
-    cell_rot = np.zeros((4, cells), dtype=np.int64)
-    for cid in range(cells):
-        r, c = divmod(cid, n)
-        cur = (r, c)
-        for g in range(4):
-            cell_rot[g, cid] = cur[0] * n + cur[1]
-            cur = (n - 1 - cur[1], cur[0])  # one quarter turn counterclockwise
-    state_maps = np.zeros((4, n_states), dtype=np.int64)
-    obs_maps = np.zeros((4, n_obs), dtype=np.int64)
-    for g in range(4):
-        for s in range(n_states):
-            agent_id, goal_id = divmod(s, cells)
-            state_maps[g, s] = cell_rot[g, agent_id] * cells + cell_rot[g, goal_id]
-        for o in range(n_obs):
-            agent_id, reveal = divmod(o, cells + 1)
-            reveal -= 1
-            mapped_reveal = -1 if reveal < 0 else int(cell_rot[g, reveal])
-            obs_maps[g, o] = obs_id(int(cell_rot[g, agent_id]), mapped_reveal)
-    action_maps = env_group_binding(config).action_map
-    binding = GroupActionBinding(group, state_maps, action_maps, obs_maps)
+    def ids_of_images(ids, stack):  # (|G|, len(stack)): the id of each group image
+        return np.array([[ids[key] for key in _obs_keys(sym.act_on_obs(g, stack))]
+                         for g in sym.group.elements])
+
+    # a state maps to the state whose revealed observation is its image
+    revealed_ids = {key: s for s, key in enumerate(_obs_keys(revealed))}
+    binding = GroupActionBinding(sym.group, ids_of_images(revealed_ids, revealed),
+                                 sym.action_map, ids_of_images(obs_ids, np.stack(obs_arrays)))
     binding.validate()
-
-    def obs_array_of_id(o):
-        agent_id, reveal = divmod(o, cells + 1)
-        reveal -= 1
-        img = np.zeros((2, n, n))
-        img[0, agent_id // n, agent_id % n] = 1.0
-        if reveal >= 0:
-            img[1, reveal // n, reveal % n] = 1.0
-        return img
-
-    def obs_id_of_array(img):
-        agent_id = int(np.argmax(img[0]))
-        reveal = int(np.argmax(img[1])) if img[1].any() else -1
-        return obs_id(agent_id, reveal)
-
-    maps = ExportMaps(
-        config=config,
-        state_of=lambda env_state: state_of(*env_state),
-        obs_of_state=obs_of_state,
-        obs_id_of_array=obs_id_of_array,
-        obs_array_of_id=obs_array_of_id,
-        is_terminal=lambda s: s // cells == s % cells,
-        n_states=n_states,
-        n_obs=n_obs,
-    )
-    return pomdp, binding, maps
-
-
-def _export_1d(config: CarFlag1dConfig, discount: float, max_states: int):
-    half = config.half_size
-    width = 2 * half + 1
-    n_states = width * 2
-    if n_states > max_states:
-        raise EnvError(f"export needs {n_states} states, over the budget {max_states}")
-    n_obs = width * 3
-
-    def pos_id(pos):
-        return pos + half
-
-    def state_of(pos, goal_side):
-        return pos_id(pos) * 2 + (1 if goal_side > 0 else 0)
-
-    def obs_id(pos, side):
-        return pos_id(pos) * 3 + (side + 1)
-
-    def obs_of_state(s):
-        p, bit = divmod(s, 2)
-        pos = p - half
-        side = (1 if bit else -1) if pos == config.info_offset else 0
-        return obs_id(pos, side)
-
-    trans = np.zeros((n_states, 2, n_states))
-    reward = np.zeros((n_states, 2))
-    obs = np.zeros((2, n_states, n_obs))
-    obs0 = np.zeros((n_states, n_obs))
-    for s in range(n_states):
-        p, bit = divmod(s, 2)
-        pos = p - half
-        goal_pos = half if bit else -half
-        obs0[s, obs_of_state(s)] = 1.0
-        if abs(pos) == half:  # standing on a flag: absorbing
-            trans[s, :, s] = 1.0
-            continue
-        for a, delta in enumerate((-1, 1)):
-            pos2 = pos + delta
-            trans[s, a, state_of(pos2, 1 if bit else -1)] = 1.0
-            if pos2 == goal_pos:
-                reward[s, a] = config.goal_reward
-            elif pos2 == -goal_pos:
-                reward[s, a] = config.red_reward
-            else:
-                reward[s, a] = config.step_reward
-    for s in range(n_states):
-        obs[:, s, obs_of_state(s)] = 1.0
-
-    start = np.zeros(n_states)
-    probe = CarFlag1d(config, np.random.default_rng(0))
-    for pos in probe.valid_start_positions():
-        for side in (-1, 1):
-            start[state_of(pos, side)] = 1.0
-    start /= start.sum()
-
-    pomdp = Pomdp(start, trans, reward, obs, obs0, discount)
-    pomdp.validate()
-
-    group = make_group(REFLECTION)
-    state_maps = np.zeros((2, n_states), dtype=np.int64)
-    obs_maps = np.zeros((2, n_obs), dtype=np.int64)
-    state_maps[0] = np.arange(n_states)
-    obs_maps[0] = np.arange(n_obs)
-    for s in range(n_states):
-        p, bit = divmod(s, 2)
-        state_maps[1, s] = state_of(-(p - half), -1 if bit else 1)
-    for o in range(n_obs):
-        p, side = divmod(o, 3)
-        obs_maps[1, o] = obs_id(-(p - half), -(side - 1))
-    binding = GroupActionBinding(group, state_maps, env_group_binding(config).action_map,
-                                 obs_maps)
-    binding.validate()
-
-    def obs_array_of_id(o):
-        p, side = divmod(o, 3)
-        return np.array([float(p - half), float(side - 1)])
-
-    def obs_id_of_array(arr):
-        return obs_id(int(arr[0]), int(arr[1]))
-
-    maps = ExportMaps(
-        config=config,
-        state_of=lambda env_state: state_of(*env_state),
-        obs_of_state=obs_of_state,
-        obs_id_of_array=obs_id_of_array,
-        obs_array_of_id=obs_array_of_id,
-        is_terminal=lambda s: abs(s // 2 - half) == half,
-        n_states=n_states,
-        n_obs=n_obs,
-    )
-    return pomdp, binding, maps
+    return pomdp, binding, ExportMaps(state_ids, obs_ids, obs_arrays, state_obs, terminal)
 
 
 # ---------------------------------------------------------------------------

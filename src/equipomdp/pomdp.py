@@ -504,20 +504,24 @@ def load_tables(path) -> Pomdp:
         pomdp = Pomdp(
             start=np.zeros(s), trans=np.zeros((s, a, s)), reward=np.zeros((s, a)),
             obs=np.zeros((a, s, o)), obs0=np.zeros((s, o)), discount=discount)
-        for line in f:
+        tables = {"b0": pomdp.start, "O0": pomdp.obs0, "T": pomdp.trans,
+                  "R": pomdp.reward, "O": pomdp.obs}
+        for lineno, line in enumerate(f, start=4):
             fields = line.split()
-            tag, idx, v = fields[0], [int(x) for x in fields[1:-1]], float(fields[-1])
-            if tag == "b0":
-                pomdp.start[idx[0]] = v
-            elif tag == "O0":
-                pomdp.obs0[tuple(idx)] = v
-            elif tag == "T":
-                pomdp.trans[tuple(idx)] = v
-            elif tag == "R":
-                pomdp.reward[tuple(idx)] = v
-            elif tag == "O":
-                pomdp.obs[tuple(idx)] = v
-            else:
-                raise PomdpError(f"unknown table line tag {tag!r}")
+            tag = fields[0] if fields else ""
+            table = tables.get(tag)
+            if table is None:
+                raise PomdpError(f"line {lineno}: unknown table line tag {tag!r}")
+            if len(fields) != table.ndim + 2:
+                raise PomdpError(f"line {lineno}: {tag} needs {table.ndim} indices and a "
+                                 f"value, got {len(fields) - 1} fields")
+            try:
+                idx, value = tuple(int(x) for x in fields[1:-1]), float(fields[-1])
+            except ValueError:
+                raise PomdpError(f"line {lineno}: {tag} has a malformed number") from None
+            if not all(0 <= i < n for i, n in zip(idx, table.shape)):
+                raise PomdpError(f"line {lineno}: {tag} index {idx} outside the table "
+                                 f"shape {table.shape}")
+            table[idx] = value
     pomdp.validate(atol=1e-9)
     return pomdp

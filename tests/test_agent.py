@@ -194,9 +194,11 @@ def test_collect_equivariant_policy_on_transformed_script():
     h, c = policy.initial_state(1)
     gh, gc = policy.initial_state(1)
     for obs in seq:
-        logits, _, h, c = policy.step_values(obs[None], h, c, realized)
-        glogits, _, gh, gc = policy.step_values(sym.act_on_obs(1, obs)[None], gh, gc,
-                                                realized)
+        h_t, c_t = policy.step_values(obs[None], h, c, realized)
+        gh_t, gc_t = policy.step_values(sym.act_on_obs(1, obs)[None], gh, gc, realized)
+        logits = policy.logits_t(h_t, realized).value
+        glogits = policy.logits_t(gh_t, realized).value
+        h, c, gh, gc = h_t.value, c_t.value, gh_t.value, gc_t.value
         assert np.max(np.abs(glogits[0][sym.action_map[1]] - logits[0])) < 1e-10
 
 
@@ -505,7 +507,11 @@ def test_checkpoint_roundtrip_through_policy(tmp_path):
     other.load_state(ad.load_checkpoint(path))
     obs = np.random.default_rng(20).normal(size=(3, 2))
     h, c = policy.initial_state(3)
-    l1, v1, *_ = policy.step_values(obs, h, c, policy.realize())
-    l2, v2, *_ = other.step_values(obs, h, c, other.realize())
+    outs = []
+    for pol in (policy, other):
+        realized = pol.realize()
+        h2, _ = pol.step_values(obs, h, c, realized)
+        outs.append((pol.logits_t(h2, realized).value, pol.values_t(h2, realized).value))
+    (l1, v1), (l2, v2) = outs
     assert np.array_equal(l1, l2)
     assert np.array_equal(v1, v2)

@@ -111,6 +111,26 @@ def test_primitive_gradients_match_finite_differences(name):
     assert gradcheck(lambda: build(p), [p]) < 1e-4
 
 
+def test_gather_backward_matches_unbuffered_scatter():
+    """``take`` and ``gather_rows`` scatter their gradient exactly as the
+    reference ``np.add.at`` loop would, repeated indices included."""
+    rng = np.random.default_rng(3)
+    flat_idx = rng.integers(0, 12, size=(40, 5))
+    g = rng.normal(size=(40, 5))
+    x = parameter(np.zeros((3, 4)), "x")
+    backward(ad.tsum(ad.hadamard(ad.take(x, flat_idx), Tensor(g))))
+    ref = np.zeros(12)
+    np.add.at(ref, flat_idx.ravel(), g.ravel())
+    assert np.array_equal(x.grad, ref.reshape(3, 4))
+    rows = rng.integers(0, 4, size=3)
+    gr = rng.normal(size=3)
+    y = parameter(np.zeros((3, 4)), "y")
+    backward(ad.tsum(ad.hadamard(ad.gather_rows(y, rows), Tensor(gr))))
+    ref = np.zeros((3, 4))
+    np.add.at(ref, (np.arange(3), rows), gr)
+    assert np.array_equal(y.grad, ref)
+
+
 def test_relu_gradient_away_from_kink():
     p = parameter(np.array([-2.0, -0.7, 0.4, 1.9]), "p")
     assert gradcheck(lambda: ad.tsum(ad.relu(p)), [p]) < 1e-4

@@ -315,13 +315,64 @@ def test_export_2d_invariance_pass_and_offset_fail():
 def test_export_1d_invariance_pass_and_offset_fail():
     pomdp, binding, _ = export_pomdp(CarFlag1dConfig(half_size=5))
     assert check_invariance(pomdp, binding).passed
-    pomdp_off, binding_off, _ = export_pomdp(CarFlag1dConfig(half_size=5, info_offset=2))
+    pomdp_off, binding_off, maps_off = export_pomdp(CarFlag1dConfig(half_size=5, info_offset=2))
     report = check_invariance(pomdp_off, binding_off)
     assert not report.passed
     # the observation table breaks exactly at the shifted information cell
-    cells = {idx[2] // 3 - 5 for (idx, _, __) in
-             [(v[0][1:], v[1], v[2]) for v in report.violations["obs"]]}
-    assert cells <= {2, -2}
+    cells = {maps_off.obs_arrays[o][0] for (_, _, _, o), _, _ in report.violations["obs"]}
+    assert cells and cells <= {2, -2}
+
+
+EXHAUSTIVE_EXPORTS = [
+    CarFlag1dConfig(half_size=5),
+    CarFlag1dConfig(half_size=5, info_offset=2),
+    CarFlag2dConfig(grid_size=3),
+    CarFlag2dConfig(grid_size=3, info_offset=1),
+    CarFlag2dConfig(grid_size=5, info_region_size=3),
+]
+
+
+@pytest.mark.parametrize("cfg", EXHAUSTIVE_EXPORTS,
+                         ids=["1d-h5", "1d-h5-offset2", "3x3", "3x3-offset1", "5x5-region3"])
+def test_export_tables_match_simulator_exhaustively(cfg):
+    """Every (state, action) entry agrees with one simulator step from that
+    state, and every group map agrees with ``act_on_obs``."""
+    pomdp, binding, maps = export_pomdp(cfg)
+    sym = env_group_binding(cfg)
+    env = make_env(cfg, np.random.default_rng(0))
+    states = env.states()
+    assert [maps.state_of(st) for st in states] == list(range(pomdp.n_states))
+    starts = {maps.state_of(st) for st in env.start_states()}
+    assert set(np.flatnonzero(pomdp.start)) == starts
+    for s, st in enumerate(states):
+        o = maps.obs_of_state(s)
+        env.state = st
+        assert np.array_equal(maps.obs_arrays[o], env.observe())
+        assert pomdp.obs0[s, o] == 1.0 and np.all(pomdp.obs[:, s, o] == 1.0)
+        assert maps.is_terminal(s) == env.terminal()
+        for a in range(pomdp.n_actions):
+            s2 = int(np.argmax(pomdp.trans[s, a]))
+            assert pomdp.trans[s, a, s2] == 1.0
+            if maps.is_terminal(s):  # absorbing with zero reward
+                assert s2 == s and pomdp.reward[s, a] == 0.0
+                continue
+            env.state = st
+            obs, reward, term, _ = env.step(a)
+            assert s2 == maps.state_of(env.state)
+            assert reward == pomdp.reward[s, a]
+            assert maps.obs_id_of_array(obs) == maps.obs_of_state(s2)
+            assert term == maps.is_terminal(s2)
+    other = make_env(cfg, np.random.default_rng(0))
+    for g in binding.group.elements:
+        for o, arr in enumerate(maps.obs_arrays):
+            assert np.array_equal(maps.obs_arrays[binding.obs_maps[g, o]],
+                                  sym.act_on_obs(g, arr))
+        for s, st in enumerate(states):
+            env.state, other.state = st, states[binding.state_maps[g, s]]
+            assert np.array_equal(other.revealed(), sym.act_on_obs(g, env.revealed()))
+    assert np.array_equal(binding.action_maps, sym.action_map)
+    with pytest.raises(EnvError, match="not one the simulator emits"):
+        maps.obs_id_of_array(np.full_like(maps.obs_arrays[0], 7.0))
 
 
 def test_export_matches_simulator_traces():
@@ -392,7 +443,7 @@ def test_belief_collapses_after_visiting_info_cell():
     pomdp, binding, maps = export_pomdp(cfg)
     hm = HistoryMdp(pomdp)
     env = CarFlag2d(cfg, np.random.default_rng(4))
-    env.agent, env.goal, env.done, env.steps = (1, 0), (2, 2), False, 0
+    env.state = ((1, 0), (2, 2))
     h = (maps.obs_id_of_array(env.observe()),)
     assert len(np.flatnonzero(hm.belief(h) > 0)) > 1  # goal still uncertain
     obs, *_ = env.step(RIGHT)  # onto the central info cell
@@ -411,7 +462,7 @@ def test_history_transform_matches_rotated_scenario():
 
     def history(agent, goal, actions):
         env = CarFlag2d(cfg, np.random.default_rng(0))
-        env.agent, env.goal, env.done, env.steps = agent, goal, False, 0
+        env.state = (agent, goal)
         h = (maps.obs_id_of_array(env.observe()),)
         for a in actions:
             obs, *_ = env.step(a)

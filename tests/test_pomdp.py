@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,27 @@ def test_table_roundtrip(tmp_path):
     assert np.array_equal(loaded.obs, pomdp.obs)
     assert np.array_equal(loaded.obs0, pomdp.obs0)
     assert loaded.discount == pomdp.discount
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    pytest.param("R -1 0 1.0", "R index (-1, 0) outside", id="negative-index"),
+    pytest.param("T 0 0 5 1.0", "T index (0, 0, 5) outside", id="index-past-end"),
+    pytest.param("O0 2 4 1.0", "O0 index (2, 4) outside", id="obs-index-past-end"),
+    pytest.param("R 0", "R needs 2 indices and a value, got 1 fields", id="missing-value"),
+    pytest.param("b0 0 0 0.5", "b0 needs 1 indices and a value, got 3 fields",
+                 id="extra-field"),
+    pytest.param("X 0 1.0", "unknown table line tag 'X'", id="unknown-tag"),
+    pytest.param("R 0 x 1.0", "R has a malformed number", id="malformed-number"),
+])
+def test_load_tables_names_the_bad_line(tmp_path, bad_line, message):
+    pomdp = random_pomdp(np.random.default_rng(11), 3, 2, 4)
+    path = tmp_path / "model.tables"
+    save_tables(path, pomdp)
+    lines = path.read_text().splitlines()
+    lines.insert(5, bad_line)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PomdpError, match=re.escape(f"line 6: {message}")):
+        load_tables(path)
 
 
 def test_validate_rejects_bad_tables():
