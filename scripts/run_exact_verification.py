@@ -52,6 +52,7 @@ def main() -> int:
     print(f"belief invariance (depth {args.depth}): passed={belief.passed} "
           f"max_dev={belief.max_dev:.3e} checked={belief.checked} "
           f"[{time.perf_counter() - t0:.1f}s]")
+    print("  " + belief.summary())
     ok &= belief.passed
 
     t0 = time.perf_counter()
@@ -60,6 +61,7 @@ def main() -> int:
           f"max_dev={value.max_dev:.3e} checked={value.checked} "
           f"policy_equivariant={value.policy_consistent} "
           f"[{time.perf_counter() - t0:.1f}s]")
+    print("  " + value.summary())
     ok &= value.passed and bool(value.policy_consistent)
 
     off_cfg = CarFlag2dConfig(grid_size=args.grid_size, info_offset=1)
@@ -67,7 +69,7 @@ def main() -> int:
     off = verify_value_invariance(off_pomdp, off_binding, horizon=args.horizon)
     witnessed = (not off.passed) and (off.witness is not None or bool(off.missing))
     print(f"offset variant: passed={off.passed} (violation witnessed: {witnessed})")
-    for line in off.lines()[:4]:
+    for line in off.lines()[:5]:
         print("  " + line)
     ok &= witnessed
 

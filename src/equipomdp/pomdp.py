@@ -3,12 +3,14 @@
 Histories are flat tuples ``(o0, a0, o1, ..., ot)`` of integer ids. The
 history-level view of a POMDP supplies exact beliefs, expected rewards, and
 observation probabilities; a finite-horizon sweep over the reachable history
-tree yields optimal action values against which the symmetry claims (belief
-invariance, value invariance, policy equivariance) are checked exhaustively.
+tree, solved once per belief class, yields optimal action values against which
+the symmetry claims (belief invariance, value invariance, policy equivariance)
+are checked exhaustively, for every history.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -225,8 +227,31 @@ class HistoryMdp:
 
 
 # ---------------------------------------------------------------------------
-# Exact finite-horizon solving over the reachable history tree.
+# Exact finite-horizon solving over belief classes.
 # ---------------------------------------------------------------------------
+
+CLASS_DECIMALS = 12        # beliefs are keyed by support and values rounded to 1e-12
+CLASS_SPREAD_TOL = 1e-13   # largest distance allowed between beliefs merged into a class
+
+
+@dataclass
+class BeliefClass:
+    """The histories of one depth that share a belief: the solver's unit of work.
+
+    ``children`` lists ``(a, o, p, child)``: an action, an observation id, its
+    probability and the index of the extension's class one depth deeper.
+    ``belief`` and ``q`` are read-only and shared by every member history.
+    """
+
+    belief: np.ndarray
+    children: list[tuple[int, int, float, int]] = field(default_factory=list)
+    q: np.ndarray | None = None    # None at the horizon
+    value: float = 0.0
+
+
+def greedy_actions(row: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
+    return tuple(int(a) for a in np.flatnonzero(row >= row.max() - tol))
+
 
 @dataclass
 class QSolution:
@@ -237,77 +262,118 @@ class QSolution:
     values: dict[tuple, float]
     root_probs: dict[tuple, float]
     node_count: int
+    # per depth: every reachable history, in expansion order, to its class index
+    histories: list[dict[tuple, int]] = field(default_factory=list)
+    classes: list[list[BeliefClass]] = field(default_factory=list)  # per depth
+
+    @property
+    def class_count(self) -> int:
+        return sum(len(level) for level in self.classes)
 
     def value(self, h: tuple) -> float:
         return self.values[h]
 
     def greedy_set(self, h: tuple, tol: float = 1e-9) -> tuple[int, ...]:
-        row = self.q[h]
-        return tuple(int(a) for a in np.flatnonzero(row >= row.max() - tol))
+        return greedy_actions(self.q[h], tol)
 
     def greedy_action(self, h: tuple) -> int:
         return int(np.argmax(self.q[h]))
+
+
+def _intern(level: list[BeliefClass], keys: dict, belief: np.ndarray, depth: int) -> int:
+    """Index of the class of ``belief`` in ``level``, opening a new class if none
+    matches; a merge whose beliefs differ by more than the spread bound raises."""
+    nz = np.flatnonzero(belief)
+    key = (nz.tobytes(), np.round(belief[nz], CLASS_DECIMALS).tobytes())
+    c = keys.get(key)
+    if c is None:
+        c = keys[key] = len(level)
+        belief.flags.writeable = False
+        level.append(BeliefClass(belief))
+        return c
+    spread = float(np.max(np.abs(level[c].belief[nz] - belief[nz])))
+    if spread > CLASS_SPREAD_TOL:
+        raise PomdpError(f"belief class at depth {depth} spreads by {spread:.3e}, "
+                         f"over {CLASS_SPREAD_TOL:.0e}")
+    return c
 
 
 def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
             obs_tol: float = 1e-15) -> QSolution:
     """Optimal action values for every reachable history shorter than the horizon.
 
+    Q*(h) depends on h only through its belief and the remaining horizon, so
+    the tree is expanded and backed up once per belief class: the histories of
+    one depth whose beliefs share a support and agree to 1e-12. Histories are
+    still enumerated, and ``node_budget`` counts them; each history's entry in
+    ``q``, ``values`` and ``beliefs`` is its class's shared, read-only row.
     Values at the horizon are zero; each earlier level is the expected
     immediate reward plus the discounted, observation-weighted optimum of its
-    extension histories.
+    extension classes.
     """
-    s_count = pomdp.n_states
-    roots: list[tuple] = []
+    n_states, n_actions = pomdp.n_states, pomdp.n_actions
+    trans = pomdp.trans.reshape(n_states, -1)
+    classes: list[list[BeliefClass]] = [[]]
+    keys: dict = {}
+    roots: dict[tuple, int] = {}
     root_probs: dict[tuple, float] = {}
-    beliefs: dict[tuple, np.ndarray] = {}
     p0 = pomdp.start @ pomdp.obs0
     for o in np.flatnonzero(p0 > obs_tol):
         h = (int(o),)
-        roots.append(h)
         root_probs[h] = float(p0[o])
-        beliefs[h] = initial_belief(pomdp, int(o))
+        roots[h] = _intern(classes[0], keys, initial_belief(pomdp, int(o)), 0)
 
-    levels: list[list[tuple]] = [roots]
-    children: dict[tuple, list] = {}
+    histories = [roots]
     node_count = len(roots)
     for depth in range(horizon):
-        level = levels[-1]
-        nxt: list[tuple] = []
-        for h in level:
-            b = beliefs[h]
-            pushed = np.einsum("s,sat->at", b, pomdp.trans)
-            obs_p = np.einsum("at,ato->ao", pushed, pomdp.obs)
-            per_action = []
-            for a in range(pomdp.n_actions):
-                ids = np.flatnonzero(obs_p[a] > obs_tol)
-                probs = obs_p[a, ids]
-                per_action.append((ids, probs))
-                for o, p in zip(ids, probs):
-                    h2 = h + (a, int(o))
-                    beliefs[h2] = pushed[a] * pomdp.obs[a, :, o] / p
-                    nxt.append(h2)
-            children[h] = per_action
-            node_count += sum(len(ids) for ids, _ in per_action)
+        level: list[BeliefClass] = []
+        keys = {}
+        for cls in classes[depth]:
+            nz = np.flatnonzero(cls.belief)
+            pushed = (cls.belief[nz] @ trans[nz]).reshape(n_actions, n_states)
+            reach = np.flatnonzero(pushed.any(axis=0))
+            obs_p = np.einsum("at,ato->ao", pushed[:, reach], pomdp.obs[:, reach])
+            for a in range(n_actions):
+                for o in np.flatnonzero(obs_p[a] > obs_tol):
+                    p = obs_p[a, o]
+                    child = _intern(level, keys, pushed[a] * pomdp.obs[a, :, o] / p, depth + 1)
+                    cls.children.append((a, int(o), float(p), child))
+        classes.append(level)
+        nxt: dict[tuple, int] = {}
+        for h, c in histories[depth].items():
+            kids = classes[depth][c].children
+            for a, o, _, child in kids:
+                nxt[h + (a, o)] = child
+            node_count += len(kids)
             if node_count > node_budget:
                 raise NodeBudgetError(
                     f"history tree exceeded the node budget ({node_budget}) "
                     f"at depth {depth + 1} with {node_count} nodes")
-        levels.append(nxt)
+        histories.append(nxt)
 
-    q: dict[tuple, np.ndarray] = {}
-    values: dict[tuple, float] = {h: 0.0 for h in levels[horizon]}
     for depth in range(horizon - 1, -1, -1):
-        for h in levels[depth]:
-            b = beliefs[h]
-            row = b @ pomdp.reward
-            for a, (ids, probs) in enumerate(children[h]):
-                row[a] += pomdp.discount * sum(
-                    p * values[h + (a, int(o))] for o, p in zip(ids, probs))
-            q[h] = row
-            values[h] = float(row.max())
+        below = classes[depth + 1]
+        for cls in classes[depth]:
+            nz = np.flatnonzero(cls.belief)
+            ahead = [0.0] * n_actions
+            for a, _, p, child in cls.children:
+                ahead[a] += p * below[child].value
+            cls.q = cls.belief[nz] @ pomdp.reward[nz] + pomdp.discount * np.array(ahead)
+            cls.q.flags.writeable = False
+            cls.value = float(cls.q.max())
+
+    beliefs = {h: classes[depth][c].belief
+               for depth, level in enumerate(histories) for h, c in level.items()}
     # histories at the horizon keep value 0 and no action row
-    return QSolution(pomdp, horizon, q, beliefs, values, root_probs, node_count)
+    values: dict[tuple, float] = {h: 0.0 for h in histories[horizon]}
+    q: dict[tuple, np.ndarray] = {}
+    for depth in range(horizon - 1, -1, -1):
+        for h, c in histories[depth].items():
+            cls = classes[depth][c]
+            q[h] = cls.q
+            values[h] = cls.value
+    return QSolution(pomdp, horizon, q, beliefs, values, root_probs, node_count,
+                     histories, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +391,18 @@ class SymmetryCheckReport:
     witness: tuple | None = None
     policy_consistent: bool | None = None
     policy_witness: tuple | None = None
+    histories: int = 0
+    belief_classes: int = 0
+    solve_s: float = 0.0
+    check_s: float = 0.0
+
+    def summary(self) -> str:
+        return (f"solved {self.histories} histories in {self.belief_classes} belief "
+                f"classes: solve {self.solve_s:.2f}s, check {self.check_s:.2f}s")
 
     def lines(self) -> list[str]:
         out = [f"RESULT {self.name} passed={self.passed} max_dev={self.max_dev:.3e} "
-               f"tolerance={self.tolerance:.1e} checked={self.checked}"]
+               f"tolerance={self.tolerance:.1e} checked={self.checked}", self.summary()]
         if self.witness is not None:
             g, h, detail = self.witness
             out.append(f"worst case: element g={g} history [{format_history(h)}] {detail}")
@@ -344,29 +418,70 @@ class SymmetryCheckReport:
         return out
 
 
+def _image_checks(sol: QSolution, binding: GroupActionBinding, depths, compare):
+    """Yield ``(g, h, result)`` once per (history, non-identity element), for
+    the histories of ``depths`` in that order and each depth in expansion order.
+
+    The image of a history is built one step at a time,
+    g·(h, a, o) = g·h + (g·a, g·o), and looked up among the histories of its
+    depth; ``result`` is None when the image is not reachable. Otherwise it
+    is ``compare(cls, image_cls, g)``, run once per distinct
+    (depth, class, image class, g).
+    """
+    gs = [g for g in binding.group.elements if g != 0]
+    om = [m.tolist() for m in binding.obs_maps]
+    am = [m.tolist() for m in binding.action_maps]
+    level = [[(om[g][h[0]],) for h in sol.histories[0]] for g in gs]
+    images = [level]
+    for depth in range(max(depths, default=0)):
+        kids = [sol.classes[depth][c].children for c in sol.histories[depth].values()]
+        level = [[gh + (am[g][a], om[g][o]) for gh, ks in zip(level[i], kids)
+                  for a, o, _, _ in ks]
+                 for i, g in enumerate(gs)]
+        images.append(level)
+
+    cache: dict[tuple, object] = {}
+    for depth in depths:
+        index, classes = sol.histories[depth], sol.classes[depth]
+        for (h, c), imgs in zip(index.items(), zip(*images[depth])):
+            for g, gh in zip(gs, imgs):
+                image = index.get(gh)
+                if image is None:
+                    yield g, h, None
+                    continue
+                key = (depth, c, image, g)
+                result = cache.get(key)
+                if result is None:
+                    result = cache[key] = compare(classes[c], classes[image], g)
+                yield g, h, result
+
+
 def verify_belief_invariance(pomdp: Pomdp, binding: GroupActionBinding, depth: int,
                              tolerance: float = 1e-12,
                              node_budget: int = 2_000_000) -> SymmetryCheckReport:
     """Check Pr(gs | gh) = Pr(s | h) for every reachable history up to ``depth``."""
     binding.validate()
+    t0 = time.perf_counter()
     sol = exact_q(pomdp, depth, node_budget=node_budget)
+    t1 = time.perf_counter()
+    sm = binding.state_maps
+
+    def compare(cls, image, g):
+        return float(np.max(np.abs(image.belief[sm[g]] - cls.belief)))
+
     max_dev, witness, missing, checked = 0.0, None, [], 0
-    for h, b in sol.beliefs.items():
-        for g in binding.group.elements:
-            if g == 0:
-                continue
-            gh = act_on_history(binding, g, h)
-            checked += 1
-            gb = sol.beliefs.get(gh)
-            if gb is None:
-                missing.append((g, h))
-                continue
-            dev = float(np.max(np.abs(gb[binding.state_maps[g]] - b)))
-            if dev > max_dev:
-                max_dev, witness = dev, (g, h, f"belief deviation {dev:.3e}")
+    for g, h, dev in _image_checks(sol, binding, range(depth + 1), compare):
+        checked += 1
+        if dev is None:
+            missing.append((g, h))
+            continue
+        if dev > max_dev:
+            max_dev, witness = dev, (g, h, f"belief deviation {dev:.3e}")
     passed = max_dev < tolerance and not missing
     return SymmetryCheckReport("belief-invariance", passed, max_dev, tolerance,
-                               checked, missing, witness)
+                               checked, missing, witness, histories=sol.node_count,
+                               belief_classes=sol.class_count, solve_s=t1 - t0,
+                               check_s=time.perf_counter() - t1)
 
 
 def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding, horizon: int,
@@ -375,32 +490,36 @@ def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding, horizon: 
     """Check optimal values satisfy Q(gh, ga) = Q(h, a) and V(gh) = V(h) over the
     whole reachable tree, and that greedy argmax sets correspond under the group."""
     binding.validate()
+    t0 = time.perf_counter()
     sol = exact_q(pomdp, horizon, node_budget=node_budget)
+    t1 = time.perf_counter()
+    am = binding.action_maps
+
+    def compare(cls, image, g):
+        qdev = float(np.max(np.abs(image.q[am[g]] - cls.q)))
+        vdev = abs(image.value - cls.value)
+        mapped = {int(am[g][a]) for a in greedy_actions(cls.q, policy_tol)}
+        return qdev, vdev, mapped, set(greedy_actions(image.q, policy_tol))
+
     max_dev, witness, missing, checked = 0.0, None, [], 0
     policy_ok, policy_witness = True, None
-    for h, row in sol.q.items():
-        for g in binding.group.elements:
-            if g == 0:
-                continue
-            gh = act_on_history(binding, g, h)
-            checked += 1
-            grow = sol.q.get(gh)
-            if grow is None:
-                missing.append((g, h))
-                continue
-            qdev = float(np.max(np.abs(grow[binding.action_maps[g]] - row)))
-            vdev = abs(sol.values[gh] - sol.values[h])
-            dev = max(qdev, vdev)
-            if dev > max_dev:
-                max_dev, witness = dev, (
-                    g, h, f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
-            mapped = {int(binding.action_maps[g][a]) for a in sol.greedy_set(h, policy_tol)}
-            direct = set(sol.greedy_set(gh, policy_tol))
-            if mapped != direct and policy_ok:
-                policy_ok, policy_witness = False, (g, h, sorted(mapped), sorted(direct))
+    for g, h, result in _image_checks(sol, binding, range(horizon - 1, -1, -1), compare):
+        checked += 1
+        if result is None:
+            missing.append((g, h))
+            continue
+        qdev, vdev, mapped, direct = result
+        dev = max(qdev, vdev)
+        if dev > max_dev:
+            max_dev, witness = dev, (
+                g, h, f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
+        if mapped != direct and policy_ok:
+            policy_ok, policy_witness = False, (g, h, sorted(mapped), sorted(direct))
     passed = max_dev < tolerance and policy_ok and not missing
     return SymmetryCheckReport("value-invariance", passed, max_dev, tolerance, checked,
-                               missing, witness, policy_ok, policy_witness)
+                               missing, witness, policy_ok, policy_witness,
+                               histories=sol.node_count, belief_classes=sol.class_count,
+                               solve_s=t1 - t0, check_s=time.perf_counter() - t1)
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +613,30 @@ def save_tables(path, pomdp: Pomdp) -> None:
                 f.write("O %d %d %d %.17g\n" % (a, s2, o, v))
 
 
+def _header_fields(line: str, lineno: int, tag: str, count: int) -> list[str]:
+    fields = line.split()
+    if not fields or fields[0] != tag or len(fields) != count + 1:
+        raise PomdpError(f"line {lineno}: expected {tag!r} and {count} value(s), "
+                         f"got {line.strip()!r}")
+    return fields[1:]
+
+
 def load_tables(path) -> Pomdp:
     with open(path) as f:
         if f.readline().rstrip("\n") != TABLE_MAGIC:
             raise PomdpError("not a pomdp table file")
-        _, s, a, o = f.readline().split()
-        s, a, o = int(s), int(a), int(o)
-        discount = float(f.readline().split()[1])
+        sizes = _header_fields(f.readline(), 2, "sizes", 3)
+        try:
+            s, a, o = (int(x) for x in sizes)
+        except ValueError:
+            raise PomdpError("line 2: sizes has a malformed number") from None
+        if min(s, a, o) <= 0:
+            raise PomdpError(f"line 2: sizes must be positive, got {s} {a} {o}")
+        (discount,) = _header_fields(f.readline(), 3, "discount", 1)
+        try:
+            discount = float(discount)
+        except ValueError:
+            raise PomdpError("line 3: discount has a malformed number") from None
         pomdp = Pomdp(
             start=np.zeros(s), trans=np.zeros((s, a, s)), reward=np.zeros((s, a)),
             obs=np.zeros((a, s, o)), obs0=np.zeros((s, o)), discount=discount)

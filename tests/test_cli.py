@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from equipomdp.cli import (
@@ -203,6 +205,8 @@ def test_verify_belief_suite(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "belief-invariance" in out and "passed=True" in out
+    assert re.search(r"solved \d+ histories in \d+ belief classes: solve [\d.]+s, "
+                     r"check [\d.]+s", out)
 
 
 def test_verify_value_suite_and_offset_witness(capsys):
@@ -211,6 +215,7 @@ def test_verify_value_suite_and_offset_witness(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "value-invariance" in out and "passed=True" in out
+    assert "belief classes" in out
 
     code = run_cli("verify", "theorem1", "--env", "carflag2d", "--grid-size", "3",
                    "--horizon", "4", "--offset", "1")

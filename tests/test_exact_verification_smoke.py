@@ -14,3 +14,4 @@ def test_exact_verification_script_holds_at_short_horizon():
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "VERDICT: all exact checks hold" in proc.stdout
+    assert "histories in" in proc.stdout and "belief classes" in proc.stdout

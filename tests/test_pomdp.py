@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, export_pomdp
 from equipomdp.groups import CYCLIC, REFLECTION, make_group
 from equipomdp.pomdp import (
     GroupActionBinding,
@@ -13,6 +14,8 @@ from equipomdp.pomdp import (
     NodeBudgetError,
     Pomdp,
     PomdpError,
+    QSolution,
+    SymmetryCheckReport,
     act_on_history,
     belief_update,
     check_invariance,
@@ -252,6 +255,7 @@ def test_invariant_pomdp_has_invariant_beliefs_and_values(seed):
     assert belief_report.passed, belief_report.lines()
     value_report = verify_value_invariance(averaged, binding, horizon=2, tolerance=1e-9)
     assert value_report.passed, value_report.lines()
+    assert_matches_reference(averaged, binding, horizon=2)
 
 
 def test_identity_group_value_check_is_exact():
@@ -278,6 +282,189 @@ def test_asymmetric_pomdp_is_reported_with_witness():
 
 
 # ---------------------------------------------------------------------------
+# Reference solver: the per-history sweep that ``exact_q`` and the verify
+# functions replaced with per-belief-class work. Every reachable history is
+# expanded, backed up and checked on its own.
+# ---------------------------------------------------------------------------
+
+def reference_exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
+                      obs_tol: float = 1e-15) -> QSolution:
+    roots: list[tuple] = []
+    root_probs: dict[tuple, float] = {}
+    beliefs: dict[tuple, np.ndarray] = {}
+    p0 = pomdp.start @ pomdp.obs0
+    for o in np.flatnonzero(p0 > obs_tol):
+        h = (int(o),)
+        roots.append(h)
+        root_probs[h] = float(p0[o])
+        beliefs[h] = initial_belief(pomdp, int(o))
+
+    levels: list[list[tuple]] = [roots]
+    children: dict[tuple, list] = {}
+    node_count = len(roots)
+    for depth in range(horizon):
+        level = levels[-1]
+        nxt: list[tuple] = []
+        for h in level:
+            b = beliefs[h]
+            pushed = np.einsum("s,sat->at", b, pomdp.trans)
+            obs_p = np.einsum("at,ato->ao", pushed, pomdp.obs)
+            per_action = []
+            for a in range(pomdp.n_actions):
+                ids = np.flatnonzero(obs_p[a] > obs_tol)
+                probs = obs_p[a, ids]
+                per_action.append((ids, probs))
+                for o, p in zip(ids, probs):
+                    h2 = h + (a, int(o))
+                    beliefs[h2] = pushed[a] * pomdp.obs[a, :, o] / p
+                    nxt.append(h2)
+            children[h] = per_action
+            node_count += sum(len(ids) for ids, _ in per_action)
+            if node_count > node_budget:
+                raise NodeBudgetError(
+                    f"history tree exceeded the node budget ({node_budget}) "
+                    f"at depth {depth + 1} with {node_count} nodes")
+        levels.append(nxt)
+
+    q: dict[tuple, np.ndarray] = {}
+    values: dict[tuple, float] = {h: 0.0 for h in levels[horizon]}
+    for depth in range(horizon - 1, -1, -1):
+        for h in levels[depth]:
+            b = beliefs[h]
+            row = b @ pomdp.reward
+            for a, (ids, probs) in enumerate(children[h]):
+                row[a] += pomdp.discount * sum(
+                    p * values[h + (a, int(o))] for o, p in zip(ids, probs))
+            q[h] = row
+            values[h] = float(row.max())
+    # histories at the horizon keep value 0 and no action row
+    return QSolution(pomdp, horizon, q, beliefs, values, root_probs, node_count)
+
+
+def reference_verify_belief_invariance(sol: QSolution, binding: GroupActionBinding,
+                                       tolerance: float = 1e-12) -> SymmetryCheckReport:
+    binding.validate()
+    max_dev, witness, missing, checked = 0.0, None, [], 0
+    for h, b in sol.beliefs.items():
+        for g in binding.group.elements:
+            if g == 0:
+                continue
+            gh = act_on_history(binding, g, h)
+            checked += 1
+            gb = sol.beliefs.get(gh)
+            if gb is None:
+                missing.append((g, h))
+                continue
+            dev = float(np.max(np.abs(gb[binding.state_maps[g]] - b)))
+            if dev > max_dev:
+                max_dev, witness = dev, (g, h, f"belief deviation {dev:.3e}")
+    passed = max_dev < tolerance and not missing
+    return SymmetryCheckReport("belief-invariance", passed, max_dev, tolerance,
+                               checked, missing, witness)
+
+
+def reference_verify_value_invariance(sol: QSolution, binding: GroupActionBinding,
+                                      tolerance: float = 1e-9,
+                                      policy_tol: float = 1e-9) -> SymmetryCheckReport:
+    binding.validate()
+    max_dev, witness, missing, checked = 0.0, None, [], 0
+    policy_ok, policy_witness = True, None
+    for h, row in sol.q.items():
+        for g in binding.group.elements:
+            if g == 0:
+                continue
+            gh = act_on_history(binding, g, h)
+            checked += 1
+            grow = sol.q.get(gh)
+            if grow is None:
+                missing.append((g, h))
+                continue
+            qdev = float(np.max(np.abs(grow[binding.action_maps[g]] - row)))
+            vdev = abs(sol.values[gh] - sol.values[h])
+            dev = max(qdev, vdev)
+            if dev > max_dev:
+                max_dev, witness = dev, (
+                    g, h, f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
+            mapped = {int(binding.action_maps[g][a]) for a in sol.greedy_set(h, policy_tol)}
+            direct = set(sol.greedy_set(gh, policy_tol))
+            if mapped != direct and policy_ok:
+                policy_ok, policy_witness = False, (g, h, sorted(mapped), sorted(direct))
+    passed = max_dev < tolerance and policy_ok and not missing
+    return SymmetryCheckReport("value-invariance", passed, max_dev, tolerance, checked,
+                               missing, witness, policy_ok, policy_witness)
+
+
+def report_fields(report):
+    return (report.passed, report.checked, report.missing, report.witness,
+            report.policy_witness, report.max_dev)
+
+
+def assert_matches_reference(pomdp, binding, horizon, roundoff=1e-12):
+    """``exact_q`` and both verify functions agree with the per-history sweep:
+    the same histories, Q/V within 1e-12, the same greedy sets, and the same
+    reports except that a deviation at roundoff level may differ in value and
+    in the history that witnesses it. Returns (report, reference) pairs."""
+    ref = reference_exact_q(pomdp, horizon)
+    sol = exact_q(pomdp, horizon)
+    assert list(sol.q) == list(ref.q)
+    assert list(sol.values) == list(ref.values)
+    assert list(sol.beliefs) == list(ref.beliefs)
+    assert sol.root_probs == ref.root_probs
+    assert sol.node_count == ref.node_count
+    for h, row in ref.q.items():
+        assert np.max(np.abs(sol.q[h] - row)) <= 1e-12, h
+        assert sol.greedy_set(h) == ref.greedy_set(h), h
+    for h, v in ref.values.items():
+        assert abs(sol.values[h] - v) <= 1e-12, h
+
+    pairs = [(verify_value_invariance(pomdp, binding, horizon),
+              reference_verify_value_invariance(ref, binding)),
+             (verify_belief_invariance(pomdp, binding, horizon),
+              reference_verify_belief_invariance(ref, binding))]
+    for report, expect in pairs:
+        assert (report.passed, report.checked, report.missing, report.policy_witness) == (
+            expect.passed, expect.checked, expect.missing, expect.policy_witness)
+        assert abs(report.max_dev - expect.max_dev) <= roundoff
+        if expect.max_dev > roundoff:
+            assert report.witness == expect.witness
+        assert report.histories == sol.node_count
+        assert report.belief_classes == sol.class_count
+    return pairs
+
+
+@pytest.mark.parametrize("config, horizon", [
+    pytest.param(CarFlag2dConfig(grid_size=3), 6, id="3x3-h6"),
+    pytest.param(CarFlag2dConfig(grid_size=3, info_offset=1), 6, id="3x3-h6-offset"),
+    pytest.param(CarFlag1dConfig(half_size=5), 10, id="1d-h10"),
+    pytest.param(CarFlag1dConfig(half_size=5, info_offset=2), 8, id="1d-h8-offset"),
+])
+def test_belief_class_solver_matches_reference_on_carflag(config, horizon):
+    pomdp, binding, _ = export_pomdp(config)
+    pairs = assert_matches_reference(pomdp, binding, horizon)
+    for report, expect in pairs:
+        assert report_fields(report) == report_fields(expect)
+        assert report.passed == (config.info_offset == 0)
+        assert report.belief_classes < report.histories
+
+
+def test_merged_belief_class_with_spread_is_refused():
+    # the two first observations give beliefs 0.5 -+ 2e-13: one class key
+    # (values rounded to 1e-12) but 4e-13 apart, over the 1e-13 spread bound
+    delta = 4e-13
+    pomdp = Pomdp(
+        start=np.array([0.5, 0.5]),
+        trans=np.tile(np.eye(2)[:, None, :], (1, 1, 1)),
+        reward=np.zeros((2, 1)),
+        obs=np.full((1, 2, 2), 0.5),
+        obs0=np.array([[0.5, 0.5], [0.5 + delta, 0.5 - delta]]),
+        discount=0.9,
+    )
+    pomdp.validate()
+    with pytest.raises(PomdpError, match="belief class at depth 0 spreads by"):
+        exact_q(pomdp, horizon=2)
+
+
+# ---------------------------------------------------------------------------
 # Table files.
 # ---------------------------------------------------------------------------
 
@@ -294,24 +481,40 @@ def test_table_roundtrip(tmp_path):
     assert loaded.discount == pomdp.discount
 
 
-@pytest.mark.parametrize("bad_line, message", [
-    pytest.param("R -1 0 1.0", "R index (-1, 0) outside", id="negative-index"),
-    pytest.param("T 0 0 5 1.0", "T index (0, 0, 5) outside", id="index-past-end"),
-    pytest.param("O0 2 4 1.0", "O0 index (2, 4) outside", id="obs-index-past-end"),
-    pytest.param("R 0", "R needs 2 indices and a value, got 1 fields", id="missing-value"),
-    pytest.param("b0 0 0 0.5", "b0 needs 1 indices and a value, got 3 fields",
+@pytest.mark.parametrize("lineno, bad_line, replace, message", [
+    pytest.param(6, "R -1 0 1.0", False, "R index (-1, 0) outside", id="negative-index"),
+    pytest.param(6, "T 0 0 5 1.0", False, "T index (0, 0, 5) outside", id="index-past-end"),
+    pytest.param(6, "O0 2 4 1.0", False, "O0 index (2, 4) outside", id="obs-index-past-end"),
+    pytest.param(6, "R 0", False, "R needs 2 indices and a value, got 1 fields",
+                 id="missing-value"),
+    pytest.param(6, "b0 0 0 0.5", False, "b0 needs 1 indices and a value, got 3 fields",
                  id="extra-field"),
-    pytest.param("X 0 1.0", "unknown table line tag 'X'", id="unknown-tag"),
-    pytest.param("R 0 x 1.0", "R has a malformed number", id="malformed-number"),
+    pytest.param(6, "X 0 1.0", False, "unknown table line tag 'X'", id="unknown-tag"),
+    pytest.param(6, "R 0 x 1.0", False, "R has a malformed number", id="malformed-number"),
+    pytest.param(2, "sizes 3 2", True, "expected 'sizes' and 3 value(s), got 'sizes 3 2'",
+                 id="sizes-field-count"),
+    pytest.param(2, "sizes 3 2.5 4", True, "sizes has a malformed number",
+                 id="sizes-non-integer"),
+    pytest.param(2, "sizes 3 0 4", True, "sizes must be positive, got 3 0 4",
+                 id="sizes-zero"),
+    pytest.param(2, "sizes -3 2 4", True, "sizes must be positive, got -3 2 4",
+                 id="sizes-negative"),
+    pytest.param(3, "discount", True, "expected 'discount' and 1 value(s), got 'discount'",
+                 id="discount-missing"),
+    pytest.param(3, "discount 0.9x", True, "discount has a malformed number",
+                 id="discount-malformed"),
 ])
-def test_load_tables_names_the_bad_line(tmp_path, bad_line, message):
+def test_load_tables_names_the_bad_line(tmp_path, lineno, bad_line, replace, message):
     pomdp = random_pomdp(np.random.default_rng(11), 3, 2, 4)
     path = tmp_path / "model.tables"
     save_tables(path, pomdp)
     lines = path.read_text().splitlines()
-    lines.insert(5, bad_line)
+    if replace:
+        lines[lineno - 1] = bad_line
+    else:
+        lines.insert(lineno - 1, bad_line)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(PomdpError, match=re.escape(f"line 6: {message}")):
+    with pytest.raises(PomdpError, match=re.escape(f"line {lineno}: {message}")):
         load_tables(path)
 
 
