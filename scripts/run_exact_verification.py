@@ -4,7 +4,9 @@
 Exports the explicit tables, checks model invariance, belief invariance to
 depth 5, and optimal-value invariance to horizon 6 against the symmetric
 binding, then repeats the value check on the offset (asymmetric) variant to
-show the reported violation. Finishes by rolling out the exact greedy policy.
+show the reported violation. Checks value invariance on the 1D sample-
+efficiency domain (half-size 10) at its full 50-step episode horizon, and
+finishes by rolling out the exact greedy policy.
 
 Usage:
     python3 scripts/run_exact_verification.py [--grid-size 3] [--horizon 6]
@@ -20,7 +22,12 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from equipomdp.agent import OracleQPolicy, run_episodes  # noqa: E402
-from equipomdp.envs import CarFlag2dConfig, export_pomdp, make_env  # noqa: E402
+from equipomdp.envs import (  # noqa: E402
+    CarFlag1dConfig,
+    CarFlag2dConfig,
+    export_pomdp,
+    make_env,
+)
 from equipomdp.pomdp import (  # noqa: E402
     check_invariance,
     exact_q,
@@ -73,12 +80,24 @@ def main() -> int:
         print("  " + line)
     ok &= witnessed
 
+    line_cfg = CarFlag1dConfig(half_size=10)
+    line_pomdp, line_binding, _ = export_pomdp(line_cfg, discount=args.gamma)
+    t0 = time.perf_counter()
+    line = verify_value_invariance(line_pomdp, line_binding, horizon=line_cfg.max_steps)
+    print(f"value invariance, 1D half-size {line_cfg.half_size} (horizon "
+          f"{line_cfg.max_steps}): passed={line.passed} max_dev={line.max_dev:.3e} "
+          f"checked={line.checked} policy_equivariant={line.policy_consistent} "
+          f"[{time.perf_counter() - t0:.1f}s]")
+    print("  " + line.summary())
+    ok &= line.passed and bool(line.policy_consistent)
+
     solution = exact_q(pomdp, horizon=args.horizon)
     env = make_env(cfg, np.random.default_rng(7))
     success, mean_return = run_episodes(OracleQPolicy(solution, maps), env, 200,
                                         np.random.default_rng(8))
     print(f"exact greedy policy: success={success:.3f} mean_return={mean_return:.3f} "
-          f"over 200 episodes ({solution.node_count} histories solved)")
+          f"over 200 episodes ({solution.node_count} histories in "
+          f"{solution.class_count} classes solved)")
     ok &= success == 1.0
 
     print("VERDICT:", "all exact checks hold" if ok else "a check failed")

@@ -534,25 +534,30 @@ def evaluate(policy: RecurrentPolicy, env_config, episodes: int,
 
 
 class OracleQPolicy:
-    """Greedy play from an exact finite-horizon solution over histories."""
+    """Greedy play from an exact finite-horizon solution, walking its belief
+    classes by (action, observation)."""
 
     def __init__(self, solution, maps):
         self.solution = solution
         self.maps = maps
-        self.history = None
+        self.node = None    # (depth, class index, action taken) after the last step
 
     def reset(self):
-        self.history = None
+        self.node = None
 
     def act(self, obs: np.ndarray, rng=None) -> int:
         o = self.maps.obs_id_of_array(obs)
-        self.history = (o,) if self.history is None else self.history + (o,)
-        row = self.solution.q.get(self.history)
-        if row is None:
-            raise AgentError(
-                f"history of length {len(self.history) // 2} exceeds the solved horizon")
-        a = int(np.argmax(row))
-        self.history = self.history + (a,)
+        sol = self.solution
+        if self.node is None:
+            depth, c = 0, sol.roots.get((o,))
+        else:
+            depth, c, a = self.node
+            depth, c = depth + 1, sol.classes[depth][c].children.get((a, o), (0.0, None))[1]
+        if c is None or depth >= sol.horizon:
+            raise AgentError(f"observation {o} at step {depth} is outside the tree "
+                             f"solved to horizon {sol.horizon}")
+        a = int(np.argmax(sol.classes[depth][c].q))
+        self.node = (depth, c, a)
         return a
 
 

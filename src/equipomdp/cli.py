@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import os
 import sys
 import time
@@ -23,7 +24,7 @@ from . import autodiff as ad
 from .agent import AgentConfig, OracleQPolicy, RecurrentPolicy, run_equivariance_suite
 from .envs import CarFlag1dConfig, CarFlag2dConfig, export_pomdp, make_env
 from .pomdp import (
-    HistoryMdp,
+    belief_update,
     check_invariance,
     exact_q,
     save_tables,
@@ -217,8 +218,9 @@ def write_manifest(path, env_cfg, agent_cfg: AgentConfig, run: dict,
     if architecture:
         parser["architecture"] = {f"layer{i}": line
                                   for i, line in enumerate(architecture)}
-    with open(path, "w") as f:
-        parser.write(f)
+    text = io.StringIO()
+    parser.write(text)
+    ad.write_atomic(path, text.getvalue())
 
 
 def read_manifest(path):
@@ -279,14 +281,9 @@ def cmd_eval(args) -> int:
             if term or trunc:
                 break
         lines = episode_trace(make_env(env_cfg, np.random.default_rng((seed, 57))), actions)
-        Path(args.dump_trace).write_text("\n".join(lines) + "\n")
+        ad.write_atomic(args.dump_trace, "\n".join(lines) + "\n")
         print(f"trace written to {args.dump_trace}")
     return 0
-
-
-def _verify_env_tables(args):
-    env_cfg, _, _ = build_configs(args)
-    return export_pomdp(env_cfg, discount=args.gamma)
 
 
 def cmd_verify(args) -> int:
@@ -305,24 +302,18 @@ def cmd_verify(args) -> int:
         passed = worst["max"] < EQUIVARIANCE_TOL
         print(f"RESULT equivariance passed={passed} actor={worst['actor']:.3e} "
               f"critic={worst['critic']:.3e} tolerance={EQUIVARIANCE_TOL:.1e}")
-    elif suite == "invariance":
-        pomdp, binding, _ = _verify_env_tables(args)
-        report = check_invariance(pomdp, binding)
-        for line in report.lines()[:40]:
-            print(line)
-        passed = report.passed
-    elif suite == "belief":
-        pomdp, binding, _ = _verify_env_tables(args)
-        report = verify_belief_invariance(pomdp, binding, depth=args.depth,
-                                          tolerance=BELIEF_TOL)
-        for line in report.lines():
-            print(line)
-        passed = report.passed
-    elif suite == "value":
-        pomdp, binding, _ = _verify_env_tables(args)
-        report = verify_value_invariance(pomdp, binding, horizon=args.horizon,
-                                         tolerance=VALUE_TOL)
-        for line in report.lines():
+    elif suite in ("invariance", "belief", "value"):
+        env_cfg, _, _ = build_configs(args)
+        pomdp, binding, _ = export_pomdp(env_cfg, discount=args.gamma)
+        if suite == "invariance":
+            report = check_invariance(pomdp, binding)
+        elif suite == "belief":
+            report = verify_belief_invariance(pomdp, binding, depth=args.depth,
+                                              tolerance=BELIEF_TOL)
+        else:
+            report = verify_value_invariance(pomdp, binding, horizon=args.horizon,
+                                             tolerance=VALUE_TOL)
+        for line in report.lines()[:40]:   # symmetry reports list at most 20 witnesses
             print(line)
         passed = report.passed
     else:  # gradcheck
@@ -341,45 +332,56 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     env_cfg, _, _ = build_configs(args)
-    out_dir = Path(args.out or "oracle-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.horizon < 1:
+        raise UsageError(f"--horizon must be at least 1 for the greedy oracle to act, "
+                         f"got {args.horizon}")
     pomdp, binding, maps = export_pomdp(env_cfg, discount=args.gamma)
     solution = exact_q(pomdp, horizon=args.horizon, node_budget=args.node_budget)
+    out_dir = Path(args.out or "oracle-out")
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_tables(out_dir / "model.tables", pomdp)
-    with open(out_dir / "qtable.txt", "w") as f:
-        f.write(f"# optimal action values, horizon {args.horizon}, "
-                f"discount %.17g\n" % pomdp.discount)
-        for h in sorted(solution.q, key=lambda h: (len(h), h)):
-            hs = ",".join(str(x) for x in h)
-            qs = " ".join("%.12g" % v for v in solution.q[h])
-            f.write(f"{hs}|{qs}\n")
+    lines = ["equipomdp-qtable 2", f"horizon {args.horizon}", "discount %.17g" % pomdp.discount]
+    for depth, level in enumerate(solution.classes):
+        for c, cls in enumerate(level):
+            q = "" if cls.q is None else " ".join("%.12g" % v for v in cls.q)
+            lines.append(f"class {depth} {c} {','.join(map(str, cls.first))}|{q}")
+            lines.extend("edge %d %d %d %d %.17g %d" % (depth, c, a, o, p, child)
+                         for (a, o), (p, child) in cls.children.items())
+    ad.write_atomic(out_dir / "qtable.txt", "\n".join(lines) + "\n")
 
-    # spot-check: each stored value must satisfy the one-step recursion
-    hm = HistoryMdp(pomdp)
+    # spot-check sampled classes: each child recomputed with belief_update must
+    # match its stored class, and each Q entry the one-step recursion
     rng = np.random.default_rng(0)
-    keys = list(solution.q)
+    solved = [(d, cls) for d, level in enumerate(solution.classes[:-1]) for cls in level]
     worst = 0.0
-    for i in rng.choice(len(keys), size=min(50, len(keys)), replace=False):
-        h = keys[int(i)]
+    for i in rng.choice(len(solved), size=min(50, len(solved)), replace=False):
+        depth, cls = solved[int(i)]
         for a in range(pomdp.n_actions):
-            probs = hm.obs_probs(h, a)
-            expect = hm.expected_reward(h, a) + pomdp.discount * sum(
-                probs[o] * solution.values.get(h + (a, int(o)), 0.0)
-                for o in np.flatnonzero(probs > 1e-15))
-            worst = max(worst, abs(expect - solution.q[h][a]))
+            probs = (cls.belief @ pomdp.trans[:, a, :]) @ pomdp.obs[a]
+            ahead = 0.0
+            for o in np.flatnonzero(probs > 1e-15):
+                _, c = cls.children.get((a, int(o)), (0.0, None))
+                if c is not None:   # a dropped observation shows as a residual
+                    child = solution.classes[depth + 1][c]
+                    b = belief_update(pomdp, cls.belief, a, int(o))
+                    worst = max(worst, float(np.max(np.abs(b - child.belief))))
+                    ahead += probs[o] * child.value
+            expect = float(cls.belief @ pomdp.reward[:, a]) + pomdp.discount * ahead
+            worst = max(worst, abs(expect - cls.q[a]))
     print(f"bellman spot-check max residual: {worst:.3e}")
 
     env = make_env(env_cfg, np.random.default_rng(np.random.SeedSequence((args.seed or 0, 77))))
     oracle = OracleQPolicy(solution, maps)
     success, mean_return = agent_mod.run_episodes(
         oracle, env, args.episodes, np.random.default_rng((args.seed or 0, 78)))
-    with open(out_dir / "oracle_report.txt", "w") as f:
-        f.write(f"nodes={solution.node_count} horizon={args.horizon}\n")
-        f.write(f"bellman_spot_check={worst:.6e}\n")
-        f.write(f"greedy_success_rate={success:.6f} episodes={args.episodes}\n")
-        f.write(f"greedy_mean_return={mean_return:.6f}\n")
-    print(f"solved {solution.node_count} histories; greedy success over "
-          f"{args.episodes} episodes: {success:.3f}")
+    ad.write_atomic(out_dir / "oracle_report.txt",
+                    f"nodes={solution.node_count} classes={solution.class_count} "
+                    f"horizon={args.horizon}\n"
+                    f"bellman_spot_check={worst:.6e}\n"
+                    f"greedy_success_rate={success:.6f} episodes={args.episodes}\n"
+                    f"greedy_mean_return={mean_return:.6f}\n")
+    print(f"solved {solution.node_count} histories in {solution.class_count} belief "
+          f"classes; greedy success over {args.episodes} episodes: {success:.3f}")
     print(f"written: {out_dir / 'model.tables'}, {out_dir / 'qtable.txt'}, "
           f"{out_dir / 'oracle_report.txt'}")
     return 0
@@ -394,23 +396,29 @@ def cmd_plotdata(args) -> int:
         if not path.exists():
             raise UsageError(f"no curve file at {path}")
         rows = path.read_text().strip().splitlines()
-        if rows[0] != agent_mod.CURVE_HEADER:
-            raise UsageError(f"{path} does not look like a curve file")
-        data = [line.split(",") for line in rows[1:]]
-        curves.append([(int(r[0]), float(r[2])) for r in data])
+        if not rows or rows[0] != agent_mod.CURVE_HEADER:
+            raise UsageError(f"{path}: line 1 is not the curve file header")
+        curve = []
+        for lineno, line in enumerate(rows[1:], start=2):
+            fields = line.split(",")
+            try:
+                curve.append((int(fields[0]), float(fields[2])))
+            except (IndexError, ValueError):
+                raise UsageError(f"{path}: line {lineno}: expected a step and a success "
+                                 f"rate in fields 1 and 3, got {line!r}") from None
+        curves.append(curve)
     if not curves:
         raise UsageError("no input curves")
     steps = [tuple(s for s, _ in c) for c in curves]
     if len(set(steps)) != 1:
         raise UsageError("curve files have mismatched evaluation steps; "
                          "aggregate only runs with identical eval grids")
-    out_path = Path(args.out)
-    with open(out_path, "w") as f:
-        f.write("step,success_rate_mean,success_rate_std,n_seeds\n")
-        for i, step in enumerate(steps[0]):
-            vals = np.array([c[i][1] for c in curves])
-            f.write("%d,%.10g,%.10g,%d\n" % (step, vals.mean(), vals.std(), len(vals)))
-    print(f"aggregated {len(curves)} curves into {out_path}")
+    lines = ["step,success_rate_mean,success_rate_std,n_seeds"]
+    for i, step in enumerate(steps[0]):
+        vals = np.array([c[i][1] for c in curves])
+        lines.append("%d,%.10g,%.10g,%d" % (step, vals.mean(), vals.std(), len(vals)))
+    ad.write_atomic(args.out, "\n".join(lines) + "\n")
+    print(f"aggregated {len(curves)} curves into {args.out}")
     return 0
 
 
@@ -498,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_env_flags(p)
     p.add_argument("--horizon", type=int, default=6)
     p.add_argument("--episodes", type=int, default=200)
-    p.add_argument("--node-budget", dest="node_budget", type=int, default=2_000_000)
+    p.add_argument("--node-budget", dest="node_budget", type=int, default=2_000_000,
+                   help="most belief classes to solve before giving up")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
 

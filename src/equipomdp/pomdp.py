@@ -1,11 +1,11 @@
 """Explicit finite POMDPs, symmetry bindings, and exact verification oracles.
 
-Histories are flat tuples ``(o0, a0, o1, ..., ot)`` of integer ids. The
-history-level view of a POMDP supplies exact beliefs, expected rewards, and
-observation probabilities; a finite-horizon sweep over the reachable history
-tree, solved once per belief class, yields optimal action values against which
-the symmetry claims (belief invariance, value invariance, policy equivariance)
-are checked exhaustively, for every history.
+Histories are flat tuples ``(o0, a0, o1, ..., ot)`` of integer ids. A
+finite-horizon solve folds the reachable history tree into a DAG of belief
+classes and yields optimal action values against which the symmetry claims
+(belief invariance, value invariance, policy equivariance) are checked
+exhaustively, for every history, by walking classes and their images in
+lockstep and counting the histories each pair stands for.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import write_atomic
 from .groups import Group
 
 
@@ -111,13 +112,6 @@ def identity_binding(group: Group, n_states: int, n_actions: int, n_obs: int) ->
     return GroupActionBinding(group, rows(n_states), rows(n_actions), rows(n_obs))
 
 
-def act_on_history(binding: GroupActionBinding, g: int, h: tuple) -> tuple:
-    """Map every observation and action in the history by the binding."""
-    g = binding.group.check_element(g)
-    om, am = binding.obs_maps[g], binding.action_maps[g]
-    return tuple(int(om[x]) if i % 2 == 0 else int(am[x]) for i, x in enumerate(h))
-
-
 def format_history(h: tuple) -> str:
     bits = [f"o{x}" if i % 2 == 0 else f"a{x}" for i, x in enumerate(h)]
     return " ".join(bits)
@@ -172,7 +166,7 @@ def check_invariance(pomdp: Pomdp, binding: GroupActionBinding, atol: float = 1e
 
 
 # ---------------------------------------------------------------------------
-# Beliefs and the history-level MDP view.
+# Beliefs.
 # ---------------------------------------------------------------------------
 
 def initial_belief(pomdp: Pomdp, o0: int) -> np.ndarray:
@@ -194,57 +188,31 @@ def belief_update(pomdp: Pomdp, belief: np.ndarray, a: int, o: int) -> np.ndarra
     return raw / total
 
 
-class HistoryMdp:
-    """Fully observable view over histories: expected reward per history and
-    transition probabilities that are nonzero only onto one-step extensions."""
-
-    def __init__(self, pomdp: Pomdp):
-        self.pomdp = pomdp
-        self._beliefs: dict[tuple, np.ndarray] = {}
-
-    def belief(self, h: tuple) -> np.ndarray:
-        cached = self._beliefs.get(h)
-        if cached is not None:
-            return cached
-        if len(h) == 1:
-            b = initial_belief(self.pomdp, h[0])
-        else:
-            b = belief_update(self.pomdp, self.belief(h[:-2]), h[-2], h[-1])
-        self._beliefs[h] = b
-        return b
-
-    def expected_reward(self, h: tuple, a: int) -> float:
-        return float(self.belief(h) @ self.pomdp.reward[:, a])
-
-    def obs_probs(self, h: tuple, a: int) -> np.ndarray:
-        pushed = self.belief(h) @ self.pomdp.trans[:, a, :]
-        return pushed @ self.pomdp.obs[a]
-
-    def transition(self, h: tuple, a: int, h2: tuple) -> float:
-        if len(h2) != len(h) + 2 or h2[: len(h)] != h or h2[-2] != a:
-            return 0.0
-        return float(self.obs_probs(h, a)[h2[-1]])
-
-
 # ---------------------------------------------------------------------------
-# Exact finite-horizon solving over belief classes.
+# Exact finite-horizon solving over the belief-class DAG.
 # ---------------------------------------------------------------------------
 
 CLASS_DECIMALS = 12        # beliefs are keyed by support and values rounded to 1e-12
 CLASS_SPREAD_TOL = 1e-13   # largest distance allowed between beliefs merged into a class
+MISSING_WITNESSES = 20     # unreachable images a report lists, shallowest first
 
 
 @dataclass
 class BeliefClass:
     """The histories of one depth that share a belief: the solver's unit of work.
 
-    ``children`` lists ``(a, o, p, child)``: an action, an observation id, its
-    probability and the index of the extension's class one depth deeper.
-    ``belief`` and ``q`` are read-only and shared by every member history.
+    ``children`` maps an action and an observation id ``(a, o)`` to
+    ``(p, child)``: the observation's probability and the index of the
+    extension's class one depth deeper, in expansion order. ``count`` is the
+    number of reachable histories in the class and ``first`` the first of
+    them in expansion order, which is lexicographic order of histories.
+    ``belief`` and ``q`` are read-only.
     """
 
     belief: np.ndarray
-    children: list[tuple[int, int, float, int]] = field(default_factory=list)
+    first: tuple
+    count: int = 0
+    children: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
     q: np.ndarray | None = None    # None at the horizon
     value: float = 0.0
 
@@ -255,41 +223,42 @@ def greedy_actions(row: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
 
 @dataclass
 class QSolution:
-    pomdp: Pomdp
+    """Optimal action values on the per-depth belief classes of the reachable
+    history tree, linked by their children; histories are only counted."""
+
     horizon: int
-    q: dict[tuple, np.ndarray]
-    beliefs: dict[tuple, np.ndarray]
-    values: dict[tuple, float]
+    classes: list[list[BeliefClass]]   # per depth
+    roots: dict[tuple, int]            # each first observation's history to its class
     root_probs: dict[tuple, float]
-    node_count: int
-    # per depth: every reachable history, in expansion order, to its class index
-    histories: list[dict[tuple, int]] = field(default_factory=list)
-    classes: list[list[BeliefClass]] = field(default_factory=list)  # per depth
+    node_count: int                    # reachable histories, summed from class counts
 
     @property
     def class_count(self) -> int:
         return sum(len(level) for level in self.classes)
 
-    def value(self, h: tuple) -> float:
-        return self.values[h]
+    @property
+    def values(self) -> dict[tuple, float]:
+        """V* of every root history."""
+        return {h: self.classes[0][c].value for h, c in self.roots.items()}
 
-    def greedy_set(self, h: tuple, tol: float = 1e-9) -> tuple[int, ...]:
-        return greedy_actions(self.q[h], tol)
+    @property
+    def beliefs(self) -> dict[tuple, np.ndarray]:
+        """Each class's belief, keyed by the class's first history."""
+        return {cls.first: cls.belief for level in self.classes for cls in level}
 
-    def greedy_action(self, h: tuple) -> int:
-        return int(np.argmax(self.q[h]))
 
-
-def _intern(level: list[BeliefClass], keys: dict, belief: np.ndarray, depth: int) -> int:
-    """Index of the class of ``belief`` in ``level``, opening a new class if none
-    matches; a merge whose beliefs differ by more than the spread bound raises."""
+def _intern(level: list[BeliefClass], keys: dict, belief: np.ndarray, depth: int,
+            first: tuple) -> int:
+    """Index of the class of ``belief`` in ``level``, opening a new class with
+    ``first`` as its first history if none matches; a merge whose beliefs
+    differ by more than the spread bound raises."""
     nz = np.flatnonzero(belief)
     key = (nz.tobytes(), np.round(belief[nz], CLASS_DECIMALS).tobytes())
     c = keys.get(key)
     if c is None:
         c = keys[key] = len(level)
         belief.flags.writeable = False
-        level.append(BeliefClass(belief))
+        level.append(BeliefClass(belief, first))
         return c
     spread = float(np.max(np.abs(level[c].belief[nz] - belief[nz])))
     if spread > CLASS_SPREAD_TOL:
@@ -303,14 +272,18 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
     """Optimal action values for every reachable history shorter than the horizon.
 
     Q*(h) depends on h only through its belief and the remaining horizon, so
-    the tree is expanded and backed up once per belief class: the histories of
-    one depth whose beliefs share a support and agree to 1e-12. Histories are
-    still enumerated, and ``node_budget`` counts them; each history's entry in
-    ``q``, ``values`` and ``beliefs`` is its class's shared, read-only row.
-    Values at the horizon are zero; each earlier level is the expected
-    immediate reward plus the discounted, observation-weighted optimum of its
-    extension classes.
+    the history tree is folded into a DAG of belief classes: the histories of
+    one depth whose beliefs share a support and agree to 1e-12. Each class is
+    expanded and backed up once, and ``node_budget`` counts classes. No
+    history is enumerated: a class's history count is the sum, over the edges
+    that reach it, of its parents' counts. Values at the horizon are zero;
+    each earlier level is the expected immediate reward plus the discounted,
+    observation-weighted optimum of its children.
     """
+    if horizon < 0:
+        raise PomdpError(f"horizon must be at least 0, got {horizon}")
+    if node_budget < 1:
+        raise PomdpError(f"node_budget must be at least 1, got {node_budget}")
     n_states, n_actions = pomdp.n_states, pomdp.n_actions
     trans = pomdp.trans.reshape(n_states, -1)
     classes: list[list[BeliefClass]] = [[]]
@@ -321,10 +294,9 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
     for o in np.flatnonzero(p0 > obs_tol):
         h = (int(o),)
         root_probs[h] = float(p0[o])
-        roots[h] = _intern(classes[0], keys, initial_belief(pomdp, int(o)), 0)
+        roots[h] = c = _intern(classes[0], keys, initial_belief(pomdp, int(o)), 0, h)
+        classes[0][c].count += 1
 
-    histories = [roots]
-    node_count = len(roots)
     for depth in range(horizon):
         level: list[BeliefClass] = []
         keys = {}
@@ -334,46 +306,31 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
             reach = np.flatnonzero(pushed.any(axis=0))
             obs_p = np.einsum("at,ato->ao", pushed[:, reach], pomdp.obs[:, reach])
             for a in range(n_actions):
-                for o in np.flatnonzero(obs_p[a] > obs_tol):
+                for o in map(int, np.flatnonzero(obs_p[a] > obs_tol)):
                     p = obs_p[a, o]
-                    child = _intern(level, keys, pushed[a] * pomdp.obs[a, :, o] / p, depth + 1)
-                    cls.children.append((a, int(o), float(p), child))
-        classes.append(level)
-        nxt: dict[tuple, int] = {}
-        for h, c in histories[depth].items():
-            kids = classes[depth][c].children
-            for a, o, _, child in kids:
-                nxt[h + (a, o)] = child
-            node_count += len(kids)
-            if node_count > node_budget:
+                    child = _intern(level, keys, pushed[a] * pomdp.obs[a, :, o] / p,
+                                    depth + 1, cls.first + (a, o))
+                    level[child].count += cls.count
+                    cls.children[a, o] = (float(p), child)
+            n_classes = sum(map(len, classes)) + len(level)
+            if n_classes > node_budget:
                 raise NodeBudgetError(
-                    f"history tree exceeded the node budget ({node_budget}) "
-                    f"at depth {depth + 1} with {node_count} nodes")
-        histories.append(nxt)
+                    f"belief-class DAG exceeded the node budget ({node_budget} classes) "
+                    f"at depth {depth + 1} with {n_classes} classes")
+        classes.append(level)
 
     for depth in range(horizon - 1, -1, -1):
         below = classes[depth + 1]
         for cls in classes[depth]:
             nz = np.flatnonzero(cls.belief)
             ahead = [0.0] * n_actions
-            for a, _, p, child in cls.children:
+            for (a, _), (p, child) in cls.children.items():
                 ahead[a] += p * below[child].value
             cls.q = cls.belief[nz] @ pomdp.reward[nz] + pomdp.discount * np.array(ahead)
             cls.q.flags.writeable = False
             cls.value = float(cls.q.max())
-
-    beliefs = {h: classes[depth][c].belief
-               for depth, level in enumerate(histories) for h, c in level.items()}
-    # histories at the horizon keep value 0 and no action row
-    values: dict[tuple, float] = {h: 0.0 for h in histories[horizon]}
-    q: dict[tuple, np.ndarray] = {}
-    for depth in range(horizon - 1, -1, -1):
-        for h, c in histories[depth].items():
-            cls = classes[depth][c]
-            q[h] = cls.q
-            values[h] = cls.value
-    return QSolution(pomdp, horizon, q, beliefs, values, root_probs, node_count,
-                     histories, classes)
+    node_count = sum(cls.count for level in classes for cls in level)
+    return QSolution(horizon, classes, roots, root_probs, node_count)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +344,8 @@ class SymmetryCheckReport:
     max_dev: float
     tolerance: float
     checked: int
-    missing: list = field(default_factory=list)
+    missing: int = 0       # (history, g) whose image history is unreachable
+    missing_witnesses: list = field(default_factory=list)
     witness: tuple | None = None
     policy_consistent: bool | None = None
     policy_witness: tuple | None = None
@@ -406,7 +364,9 @@ class SymmetryCheckReport:
         if self.witness is not None:
             g, h, detail = self.witness
             out.append(f"worst case: element g={g} history [{format_history(h)}] {detail}")
-        for g, h in self.missing[:20]:
+        if self.missing:
+            out.append(f"{self.missing} transformed histories unreachable, shallowest first:")
+        for g, h in self.missing_witnesses:
             out.append(f"missing transformed history for g={g}: [{format_history(h)}]")
         if self.policy_consistent is not None:
             out.append(f"greedy policy equivariant: {self.policy_consistent}")
@@ -418,106 +378,112 @@ class SymmetryCheckReport:
         return out
 
 
-def _image_checks(sol: QSolution, binding: GroupActionBinding, depths, compare):
-    """Yield ``(g, h, result)`` once per (history, non-identity element), for
-    the histories of ``depths`` in that order and each depth in expansion order.
+def _image_pairs(sol: QSolution, binding: GroupActionBinding, max_depth: int):
+    """Pair the classes of histories and of their images, in lockstep from the
+    roots through ``max_depth``, for every non-identity element g.
 
-    The image of a history is built one step at a time,
-    g·(h, a, o) = g·h + (g·a, g·o), and looked up among the histories of its
-    depth; ``result`` is None when the image is not reachable. Otherwise it
-    is ``compare(cls, image_cls, g)``, run once per distinct
-    (depth, class, image class, g).
+    A pair (class, image class, g) holds the n histories h of the class whose
+    image gh lies in the image class, or is unreachable (image class None).
+    As g·(h, a, o) = (gh, g·a, g·o), a pair's children are its class's
+    children, each with the image class's child under (g·a, g·o).
+
+    Returns ``(levels, checked, missing, witnesses)``. ``levels[d]`` lists
+    ``(g, h, cls, image)`` for the pairs of depth d with reachable images,
+    h being a pair's first history, in order of h and then g: the order in
+    which a sweep over every (history, g) first meets each pair. ``checked``
+    counts (history, g) comparisons and ``missing`` those without an image;
+    ``witnesses`` lists the first ``MISSING_WITNESSES`` pairs without an image
+    as (g, h), shallowest first.
     """
     gs = [g for g in binding.group.elements if g != 0]
     om = [m.tolist() for m in binding.obs_maps]
     am = [m.tolist() for m in binding.action_maps]
-    level = [[(om[g][h[0]],) for h in sol.histories[0]] for g in gs]
-    images = [level]
-    for depth in range(max(depths, default=0)):
-        kids = [sol.classes[depth][c].children for c in sol.histories[depth].values()]
-        level = [[gh + (am[g][a], om[g][o]) for gh, ks in zip(level[i], kids)
-                  for a, o, _, _ in ks]
-                 for i, g in enumerate(gs)]
-        images.append(level)
-
-    cache: dict[tuple, object] = {}
-    for depth in depths:
-        index, classes = sol.histories[depth], sol.classes[depth]
-        for (h, c), imgs in zip(index.items(), zip(*images[depth])):
-            for g, gh in zip(gs, imgs):
-                image = index.get(gh)
-                if image is None:
-                    yield g, h, None
-                    continue
-                key = (depth, c, image, g)
-                result = cache.get(key)
-                if result is None:
-                    result = cache[key] = compare(classes[c], classes[image], g)
-                yield g, h, result
+    classes = sol.classes[:max_depth + 1]
+    checked = len(gs) * sum(cls.count for level in classes for cls in level)
+    # (class, image class, g) -> [histories, first history]. Expansion order
+    # is lexicographic, and parents are extended in order of their first
+    # history, so the first history to reach a pair is its first.
+    reached: dict[tuple, list] = {}
+    for h, c in sol.roots.items():
+        for g in gs:
+            reached.setdefault((c, sol.roots.get((om[g][h[0]],)), g), [0, h])[0] += 1
+    levels, matched, witnesses = [], 0, []
+    for depth, level in enumerate(classes):
+        pairs, below = [], {}
+        for (c, image, g), (n, h) in sorted(reached.items(),
+                                            key=lambda item: (item[1][1], item[0][2])):
+            if image is None:
+                if len(witnesses) < MISSING_WITNESSES:
+                    witnesses.append((g, h))
+                continue
+            pairs.append((g, h, level[c], level[image]))
+            matched += n
+            if depth < max_depth:
+                kids = level[image].children
+                for (a, o), (_, child) in level[c].children.items():
+                    image_child = kids.get((am[g][a], om[g][o]), (0.0, None))[1]
+                    below.setdefault((child, image_child, g), [0, h + (a, o)])[0] += n
+        levels.append(pairs)
+        reached = below
+    return levels, checked, checked - matched, witnesses
 
 
 def verify_belief_invariance(pomdp: Pomdp, binding: GroupActionBinding, depth: int,
                              tolerance: float = 1e-12,
                              node_budget: int = 2_000_000) -> SymmetryCheckReport:
     """Check Pr(gs | gh) = Pr(s | h) for every reachable history up to ``depth``."""
+    if depth < 0:
+        raise PomdpError(f"depth must be at least 0, got {depth}")
     binding.validate()
     t0 = time.perf_counter()
     sol = exact_q(pomdp, depth, node_budget=node_budget)
     t1 = time.perf_counter()
     sm = binding.state_maps
-
-    def compare(cls, image, g):
-        return float(np.max(np.abs(image.belief[sm[g]] - cls.belief)))
-
-    max_dev, witness, missing, checked = 0.0, None, [], 0
-    for g, h, dev in _image_checks(sol, binding, range(depth + 1), compare):
-        checked += 1
-        if dev is None:
-            missing.append((g, h))
-            continue
-        if dev > max_dev:
-            max_dev, witness = dev, (g, h, f"belief deviation {dev:.3e}")
+    levels, checked, missing, witnesses = _image_pairs(sol, binding, depth)
+    max_dev, witness = 0.0, None
+    for pairs in levels:
+        for g, h, cls, image in pairs:
+            dev = float(np.max(np.abs(image.belief[sm[g]] - cls.belief)))
+            if dev > max_dev:
+                max_dev, witness = dev, (g, h, f"belief deviation {dev:.3e}")
     passed = max_dev < tolerance and not missing
     return SymmetryCheckReport("belief-invariance", passed, max_dev, tolerance,
-                               checked, missing, witness, histories=sol.node_count,
-                               belief_classes=sol.class_count, solve_s=t1 - t0,
-                               check_s=time.perf_counter() - t1)
+                               checked, missing, witnesses, witness,
+                               histories=sol.node_count, belief_classes=sol.class_count,
+                               solve_s=t1 - t0, check_s=time.perf_counter() - t1)
 
 
 def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding, horizon: int,
                             tolerance: float = 1e-9, policy_tol: float = 1e-9,
                             node_budget: int = 2_000_000) -> SymmetryCheckReport:
     """Check optimal values satisfy Q(gh, ga) = Q(h, a) and V(gh) = V(h) over the
-    whole reachable tree, and that greedy argmax sets correspond under the group."""
+    whole reachable tree, and that greedy argmax sets correspond under the group.
+    Depths are checked deepest first."""
+    if horizon < 1:
+        raise PomdpError(f"horizon must be at least 1, got {horizon}")
     binding.validate()
     t0 = time.perf_counter()
     sol = exact_q(pomdp, horizon, node_budget=node_budget)
     t1 = time.perf_counter()
     am = binding.action_maps
-
-    def compare(cls, image, g):
-        qdev = float(np.max(np.abs(image.q[am[g]] - cls.q)))
-        vdev = abs(image.value - cls.value)
-        mapped = {int(am[g][a]) for a in greedy_actions(cls.q, policy_tol)}
-        return qdev, vdev, mapped, set(greedy_actions(image.q, policy_tol))
-
-    max_dev, witness, missing, checked = 0.0, None, [], 0
+    levels, checked, missing, witnesses = _image_pairs(sol, binding, horizon - 1)
+    max_dev, witness = 0.0, None
     policy_ok, policy_witness = True, None
-    for g, h, result in _image_checks(sol, binding, range(horizon - 1, -1, -1), compare):
-        checked += 1
-        if result is None:
-            missing.append((g, h))
-            continue
-        qdev, vdev, mapped, direct = result
-        dev = max(qdev, vdev)
-        if dev > max_dev:
-            max_dev, witness = dev, (
-                g, h, f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
-        if mapped != direct and policy_ok:
-            policy_ok, policy_witness = False, (g, h, sorted(mapped), sorted(direct))
+    for pairs in reversed(levels):
+        for g, h, cls, image in pairs:
+            qdev = float(np.max(np.abs(image.q[am[g]] - cls.q)))
+            vdev = abs(image.value - cls.value)
+            dev = max(qdev, vdev)
+            if dev > max_dev:
+                max_dev, witness = dev, (
+                    g, h, f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
+            mapped = {int(am[g][a]) for a in greedy_actions(cls.q, policy_tol)}
+            direct = set(greedy_actions(image.q, policy_tol))
+            if mapped != direct and policy_ok:
+                policy_ok, policy_witness = False, (g, h, sorted(mapped), sorted(direct))
     passed = max_dev < tolerance and policy_ok and not missing
     return SymmetryCheckReport("value-invariance", passed, max_dev, tolerance, checked,
-                               missing, witness, policy_ok, policy_witness,
+                               missing, witnesses, witness, policy_ok, policy_witness,
                                histories=sol.node_count, belief_classes=sol.class_count,
                                solve_s=t1 - t0, check_s=time.perf_counter() - t1)
 
@@ -592,25 +558,13 @@ TABLE_MAGIC = "pomdp-tables 1"
 
 def save_tables(path, pomdp: Pomdp) -> None:
     """One line per nonzero table entry, preceded by sizes and discount."""
-    with open(path, "w") as f:
-        f.write(TABLE_MAGIC + "\n")
-        f.write(f"sizes {pomdp.n_states} {pomdp.n_actions} {pomdp.n_obs}\n")
-        f.write(f"discount %.17g\n" % pomdp.discount)
-        for s in range(pomdp.n_states):
-            if pomdp.start[s]:
-                f.write("b0 %d %.17g\n" % (s, pomdp.start[s]))
-        for (s, o), v in np.ndenumerate(pomdp.obs0):
-            if v:
-                f.write("O0 %d %d %.17g\n" % (s, o, v))
-        for (s, a, s2), v in np.ndenumerate(pomdp.trans):
-            if v:
-                f.write("T %d %d %d %.17g\n" % (s, a, s2, v))
-        for (s, a), v in np.ndenumerate(pomdp.reward):
-            if v:
-                f.write("R %d %d %.17g\n" % (s, a, v))
-        for (a, s2, o), v in np.ndenumerate(pomdp.obs):
-            if v:
-                f.write("O %d %d %d %.17g\n" % (a, s2, o, v))
+    lines = [TABLE_MAGIC, f"sizes {pomdp.n_states} {pomdp.n_actions} {pomdp.n_obs}",
+             "discount %.17g" % pomdp.discount]
+    for tag, table in (("b0", pomdp.start), ("O0", pomdp.obs0), ("T", pomdp.trans),
+                       ("R", pomdp.reward), ("O", pomdp.obs)):
+        lines.extend(" ".join([tag, *map(str, idx), "%.17g" % v])
+                     for idx, v in np.ndenumerate(table) if v)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _header_fields(line: str, lineno: int, tag: str, count: int) -> list[str]:

@@ -1,0 +1,195 @@
+"""Per-history reference for the belief-class oracle in ``equipomdp.pomdp``.
+
+Every reachable history is expanded, backed up and checked on its own; the
+tests compare ``exact_q`` and the verify functions against this sweep.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from equipomdp.pomdp import (
+    GroupActionBinding,
+    NodeBudgetError,
+    Pomdp,
+    SymmetryCheckReport,
+    belief_update,
+    greedy_actions,
+    initial_belief,
+)
+
+
+def act_on_history(binding: GroupActionBinding, g: int, h: tuple) -> tuple:
+    """Map every observation and action in the history by the binding."""
+    g = binding.group.check_element(g)
+    om, am = binding.obs_maps[g], binding.action_maps[g]
+    return tuple(int(om[x]) if i % 2 == 0 else int(am[x]) for i, x in enumerate(h))
+
+
+class HistoryMdp:
+    """Fully observable view over histories: expected reward per history and
+    transition probabilities that are nonzero only onto one-step extensions."""
+
+    def __init__(self, pomdp: Pomdp):
+        self.pomdp = pomdp
+        self._beliefs: dict[tuple, np.ndarray] = {}
+
+    def belief(self, h: tuple) -> np.ndarray:
+        cached = self._beliefs.get(h)
+        if cached is not None:
+            return cached
+        if len(h) == 1:
+            b = initial_belief(self.pomdp, h[0])
+        else:
+            b = belief_update(self.pomdp, self.belief(h[:-2]), h[-2], h[-1])
+        self._beliefs[h] = b
+        return b
+
+    def expected_reward(self, h: tuple, a: int) -> float:
+        return float(self.belief(h) @ self.pomdp.reward[:, a])
+
+    def obs_probs(self, h: tuple, a: int) -> np.ndarray:
+        pushed = self.belief(h) @ self.pomdp.trans[:, a, :]
+        return pushed @ self.pomdp.obs[a]
+
+    def transition(self, h: tuple, a: int, h2: tuple) -> float:
+        if len(h2) != len(h) + 2 or h2[: len(h)] != h or h2[-2] != a:
+            return 0.0
+        return float(self.obs_probs(h, a)[h2[-1]])
+
+
+def class_of(sol, h: tuple):
+    """The belief class of history ``h`` in an ``exact_q`` solution, found by
+    walking the class DAG by (a, o); None when ``h`` is unreachable."""
+    c = sol.roots.get(h[:1])
+    for depth in range(len(h) // 2):
+        if c is None:
+            return None
+        edge = sol.classes[depth][c].children.get(h[2 * depth + 1: 2 * depth + 3])
+        c = None if edge is None else edge[1]
+    return None if c is None else sol.classes[len(h) // 2][c]
+
+
+@dataclass
+class ReferenceSolution:
+    q: dict[tuple, np.ndarray]       # every history shorter than the horizon
+    beliefs: dict[tuple, np.ndarray]  # every reachable history, in expansion order
+    values: dict[tuple, float]
+    root_probs: dict[tuple, float]
+    node_count: int
+
+    def greedy_set(self, h: tuple, tol: float = 1e-9) -> tuple[int, ...]:
+        return greedy_actions(self.q[h], tol)
+
+
+def reference_exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
+                      obs_tol: float = 1e-15) -> ReferenceSolution:
+    roots: list[tuple] = []
+    root_probs: dict[tuple, float] = {}
+    beliefs: dict[tuple, np.ndarray] = {}
+    p0 = pomdp.start @ pomdp.obs0
+    for o in np.flatnonzero(p0 > obs_tol):
+        h = (int(o),)
+        roots.append(h)
+        root_probs[h] = float(p0[o])
+        beliefs[h] = initial_belief(pomdp, int(o))
+
+    levels: list[list[tuple]] = [roots]
+    children: dict[tuple, list] = {}
+    node_count = len(roots)
+    for depth in range(horizon):
+        level = levels[-1]
+        nxt: list[tuple] = []
+        for h in level:
+            b = beliefs[h]
+            pushed = np.einsum("s,sat->at", b, pomdp.trans)
+            obs_p = np.einsum("at,ato->ao", pushed, pomdp.obs)
+            per_action = []
+            for a in range(pomdp.n_actions):
+                ids = np.flatnonzero(obs_p[a] > obs_tol)
+                probs = obs_p[a, ids]
+                per_action.append((ids, probs))
+                for o, p in zip(ids, probs):
+                    h2 = h + (a, int(o))
+                    beliefs[h2] = pushed[a] * pomdp.obs[a, :, o] / p
+                    nxt.append(h2)
+            children[h] = per_action
+            node_count += sum(len(ids) for ids, _ in per_action)
+            if node_count > node_budget:
+                raise NodeBudgetError(
+                    f"history tree exceeded the node budget ({node_budget}) "
+                    f"at depth {depth + 1} with {node_count} nodes")
+        levels.append(nxt)
+
+    q: dict[tuple, np.ndarray] = {}
+    values: dict[tuple, float] = {h: 0.0 for h in levels[horizon]}
+    for depth in range(horizon - 1, -1, -1):
+        for h in levels[depth]:
+            b = beliefs[h]
+            row = b @ pomdp.reward
+            for a, (ids, probs) in enumerate(children[h]):
+                row[a] += pomdp.discount * sum(
+                    p * values[h + (a, int(o))] for o, p in zip(ids, probs))
+            q[h] = row
+            values[h] = float(row.max())
+    # histories at the horizon keep value 0 and no action row
+    return ReferenceSolution(q, beliefs, values, root_probs, node_count)
+
+
+def reference_verify_belief_invariance(sol: ReferenceSolution, binding: GroupActionBinding,
+                                       tolerance: float = 1e-12) -> SymmetryCheckReport:
+    """Every (history, g) in expansion order; ``missing_witnesses`` lists
+    every (g, h) whose image is unreachable."""
+    binding.validate()
+    max_dev, witness, missing, checked = 0.0, None, [], 0
+    for h, b in sol.beliefs.items():
+        for g in binding.group.elements:
+            if g == 0:
+                continue
+            gh = act_on_history(binding, g, h)
+            checked += 1
+            gb = sol.beliefs.get(gh)
+            if gb is None:
+                missing.append((g, h))
+                continue
+            dev = float(np.max(np.abs(gb[binding.state_maps[g]] - b)))
+            if dev > max_dev:
+                max_dev, witness = dev, (g, h, f"belief deviation {dev:.3e}")
+    passed = max_dev < tolerance and not missing
+    return SymmetryCheckReport("belief-invariance", passed, max_dev, tolerance,
+                               checked, len(missing), missing, witness)
+
+
+def reference_verify_value_invariance(sol: ReferenceSolution, binding: GroupActionBinding,
+                                      tolerance: float = 1e-9,
+                                      policy_tol: float = 1e-9) -> SymmetryCheckReport:
+    """Every (history, g), deepest first as the backup stored them;
+    ``missing_witnesses`` lists every (g, h) whose image is unreachable."""
+    binding.validate()
+    max_dev, witness, missing, checked = 0.0, None, [], 0
+    policy_ok, policy_witness = True, None
+    for h, row in sol.q.items():
+        for g in binding.group.elements:
+            if g == 0:
+                continue
+            gh = act_on_history(binding, g, h)
+            checked += 1
+            grow = sol.q.get(gh)
+            if grow is None:
+                missing.append((g, h))
+                continue
+            qdev = float(np.max(np.abs(grow[binding.action_maps[g]] - row)))
+            vdev = abs(sol.values[gh] - sol.values[h])
+            dev = max(qdev, vdev)
+            if dev > max_dev:
+                max_dev, witness = dev, (
+                    g, h, f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
+            mapped = {int(binding.action_maps[g][a]) for a in sol.greedy_set(h, policy_tol)}
+            direct = set(sol.greedy_set(gh, policy_tol))
+            if mapped != direct and policy_ok:
+                policy_ok, policy_witness = False, (g, h, sorted(mapped), sorted(direct))
+    passed = max_dev < tolerance and policy_ok and not missing
+    return SymmetryCheckReport("value-invariance", passed, max_dev, tolerance, checked,
+                               len(missing), missing, witness, policy_ok, policy_witness)

@@ -413,6 +413,16 @@ def test_oracle_greedy_policy_is_perfect_on_3x3():
     assert mean_return == 1.0
 
 
+def test_oracle_policy_refuses_steps_past_its_horizon():
+    pomdp, _, maps = export_pomdp(CFG_2D)
+    oracle = OracleQPolicy(exact_q(pomdp, horizon=1), maps)
+    env = make_env(CFG_2D, np.random.default_rng(42))
+    oracle.reset()
+    obs, *_ = env.step(oracle.act(env.reset()))   # starts are 2+ steps from the goal
+    with pytest.raises(AgentError, match="at step 1 is outside the tree solved to horizon 1"):
+        oracle.act(obs)
+
+
 def test_greedy_play_mirrors_exactly():
     """Paired episodes: starting from the mirrored state, a greedy equivariant
     policy must produce the mirrored action sequence and the same outcome."""

@@ -1,5 +1,7 @@
+import os
 import re
 
+import numpy as np
 import pytest
 
 from equipomdp.cli import (
@@ -9,8 +11,17 @@ from equipomdp.cli import (
     load_config_file,
     main,
     read_manifest,
+    write_manifest,
 )
-from equipomdp.envs import CarFlag1dConfig
+from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, export_pomdp
+from equipomdp.pomdp import (
+    PomdpError,
+    exact_q,
+    random_pomdp,
+    save_tables,
+    verify_belief_invariance,
+    verify_value_invariance,
+)
 
 
 def run_cli(*argv):
@@ -182,6 +193,43 @@ def test_plotdata_mismatched_grids_fails(tmp_path, capsys):
     assert "mismatched" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, message", [
+    pytest.param("", "line 1 is not the curve file header", id="empty"),
+    pytest.param("step,success\n", "line 1 is not the curve file header", id="bad-header"),
+    pytest.param("{header}\n100,1,0.25,0,0,0,0,0\n200,2\n", "line 3: expected a step",
+                 id="short-row"),
+    pytest.param("{header}\n100,1,x,0,0,0,0,0\n", "line 2: expected a step",
+                 id="malformed-number"),
+])
+def test_plotdata_malformed_curve_file_fails(tmp_path, capsys, body, message):
+    from equipomdp.agent import CURVE_HEADER
+    curve = tmp_path / "a.csv"
+    curve.write_text(body.format(header=CURVE_HEADER))
+    assert run_cli("plotdata", str(curve), "--out", str(tmp_path / "agg.csv")) == 2
+    err = capsys.readouterr().err
+    assert f"{curve}: {message}" in err
+    assert not (tmp_path / "agg.csv").exists()
+
+
+def test_failed_rewrite_leaves_tables_and_manifest_whole(tmp_path, monkeypatch):
+    tables, manifest = tmp_path / "model.tables", tmp_path / "manifest.ini"
+    save_tables(tables, random_pomdp(np.random.default_rng(0), 3, 2, 2))
+    args = build_parser().parse_args(["train", "--env", "carflag1d", "--half-size", "5"])
+    env_cfg, agent_cfg, run = build_configs(args)
+    write_manifest(manifest, env_cfg, agent_cfg, run)
+    before = tables.read_bytes(), manifest.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="simulated crash"):
+        save_tables(tables, random_pomdp(np.random.default_rng(1), 4, 2, 3))
+    with pytest.raises(OSError, match="simulated crash"):
+        write_manifest(manifest, CarFlag1dConfig(half_size=7), agent_cfg, run)
+    assert (tables.read_bytes(), manifest.read_bytes()) == before
+
+
 # ---------------------------------------------------------------------------
 # verify / oracle.
 # ---------------------------------------------------------------------------
@@ -249,14 +297,49 @@ def test_verify_unknown_suite(capsys):
     assert run_cli("verify", "banana") == 2
 
 
+@pytest.mark.parametrize("call, argv, code, message", [
+    pytest.param(lambda m, b: exact_q(m, -1), ("oracle", "--horizon", "-1"), 2,
+                 "horizon must be at least", id="oracle-horizon-negative"),
+    pytest.param(None, ("oracle", "--horizon", "0"), 2, "horizon must be at least 1",
+                 id="oracle-horizon-zero"),
+    pytest.param(lambda m, b: exact_q(m, 2, node_budget=0),
+                 ("oracle", "--node-budget", "0"), 1,
+                 "node_budget must be at least 1, got 0", id="oracle-budget-zero"),
+    pytest.param(lambda m, b: verify_value_invariance(m, b, 0),
+                 ("verify", "theorem1", "--horizon", "0"), 1,
+                 "horizon must be at least 1, got 0", id="theorem1-horizon-zero"),
+    pytest.param(lambda m, b: verify_value_invariance(m, b, -1),
+                 ("verify", "theorem1", "--horizon", "-1"), 1,
+                 "horizon must be at least 1, got -1", id="theorem1-horizon-negative"),
+    pytest.param(lambda m, b: verify_belief_invariance(m, b, -1),
+                 ("verify", "lemma1", "--depth", "-1"), 1,
+                 "depth must be at least 0, got -1", id="lemma1-depth-negative"),
+])
+def test_invalid_oracle_inputs_are_refused(tmp_path, monkeypatch, capsys,
+                                           call, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    if call is not None:
+        pomdp, binding, _ = export_pomdp(CarFlag2dConfig(grid_size=3))
+        with pytest.raises(PomdpError, match=re.escape(message)):
+            call(pomdp, binding)
+    assert run_cli(*argv, "--env", "carflag2d", "--grid-size", "3") == code
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []   # a refused oracle writes nothing
+
+
 def test_oracle_smoke(tmp_path, capsys):
     code = run_cli("oracle", "--env", "carflag2d", "--grid-size", "3",
                    "--horizon", "6", "--episodes", "50", "--out", str(tmp_path / "o"))
     assert code == 0
     out = capsys.readouterr().out
     assert "greedy success" in out and "1.000" in out
-    assert (tmp_path / "o" / "qtable.txt").exists()
     assert (tmp_path / "o" / "model.tables").exists()
+    qtable = (tmp_path / "o" / "qtable.txt").read_text().splitlines()
+    assert qtable[:2] == ["equipomdp-qtable 2", "horizon 6"]
+    rows = [line for line in qtable if line.startswith("class ")]
+    assert rows[0].startswith("class 0 0 ") and len(rows) == int(re.search(
+        r"in (\d+) belief classes", out).group(1))
+    assert all(len(line.split()) == 7 for line in qtable if line.startswith("edge "))
     report = (tmp_path / "o" / "oracle_report.txt").read_text()
     assert "greedy_success_rate=1.0" in report
 

@@ -17,12 +17,11 @@ from equipomdp.envs import (
     make_env,
 )
 from equipomdp.pomdp import (
-    HistoryMdp,
-    act_on_history,
     check_invariance,
     verify_belief_invariance,
     verify_value_invariance,
 )
+from reference_oracle import HistoryMdp, act_on_history
 
 RIGHT, UP, LEFT, DOWN = range(4)
 A_LEFT, A_RIGHT = 0, 1
@@ -493,6 +492,22 @@ def test_value_invariance_detects_offset_asymmetry():
     assert not report.passed
     assert report.max_dev > 1e-9 or report.missing
     assert report.witness is not None or report.missing
+
+
+@pytest.mark.parametrize("offset", [0, 2])
+def test_value_invariance_on_1d_at_full_episode_horizon(offset):
+    """Theorem 1 on the criterion-08 domain at its 50-step horizon: about
+    6e16 histories, checked through about 2.9k belief classes."""
+    cfg = CarFlag1dConfig(half_size=10, info_offset=offset)
+    pomdp, binding, _ = export_pomdp(cfg)
+    report = verify_value_invariance(pomdp, binding, horizon=cfg.max_steps, tolerance=1e-9)
+    assert report.histories > 10**16 and report.belief_classes < 3000
+    if offset == 0:
+        assert report.passed and report.policy_consistent, report.lines()
+        assert report.max_dev == 0.0 and report.missing == 0
+    else:
+        assert not report.passed
+        assert report.witness is not None or report.missing
 
 
 def test_placement_errors():

@@ -9,17 +9,14 @@ from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, export_pomdp
 from equipomdp.groups import CYCLIC, REFLECTION, make_group
 from equipomdp.pomdp import (
     GroupActionBinding,
-    HistoryMdp,
     ImpossibleObservationError,
     NodeBudgetError,
     Pomdp,
     PomdpError,
-    QSolution,
-    SymmetryCheckReport,
-    act_on_history,
     belief_update,
     check_invariance,
     exact_q,
+    greedy_actions,
     group_average,
     identity_binding,
     initial_belief,
@@ -29,6 +26,14 @@ from equipomdp.pomdp import (
     save_tables,
     verify_belief_invariance,
     verify_value_invariance,
+)
+from reference_oracle import (
+    HistoryMdp,
+    act_on_history,
+    class_of,
+    reference_exact_q,
+    reference_verify_belief_invariance,
+    reference_verify_value_invariance,
 )
 
 C4 = make_group(CYCLIC, 4)
@@ -206,14 +211,14 @@ def test_history_reward_fully_observable_uses_last_state():
 
 def test_exact_q_zero_horizon():
     sol = exact_q(single_state_pomdp(), horizon=0)
-    assert sol.q == {}
+    assert all(cls.q is None for level in sol.classes for cls in level)
     assert all(v == 0.0 for v in sol.values.values())
 
 
 def test_exact_q_geometric_sum():
     sol = exact_q(single_state_pomdp(discount=0.5), horizon=3)
     root = (0,)
-    assert sol.q[root][0] == pytest.approx(1.75, abs=1e-12)
+    assert class_of(sol, root).q[0] == pytest.approx(1.75, abs=1e-12)
 
 
 def test_exact_q_bellman_spot_check():
@@ -221,15 +226,15 @@ def test_exact_q_bellman_spot_check():
     pomdp = random_pomdp(rng, 4, 2, 3)
     sol = exact_q(pomdp, horizon=3)
     hm = HistoryMdp(pomdp)
-    histories = [h for h in sol.q if len(h) // 2 < 2]
+    histories = [h for h in reference_exact_q(pomdp, horizon=3).q if len(h) // 2 < 2]
     for h in rng.choice(len(histories), size=min(10, len(histories)), replace=False):
         h = histories[int(h)]
         for a in range(pomdp.n_actions):
             probs = hm.obs_probs(h, a)
             expect = hm.expected_reward(h, a) + pomdp.discount * sum(
-                probs[o] * sol.values[h + (a, int(o))]
+                probs[o] * class_of(sol, h + (a, int(o))).value
                 for o in np.flatnonzero(probs > 1e-15))
-            assert sol.q[h][a] == pytest.approx(expect, abs=1e-10)
+            assert class_of(sol, h).q[a] == pytest.approx(expect, abs=1e-10)
 
 
 def test_exact_q_node_budget():
@@ -282,117 +287,8 @@ def test_asymmetric_pomdp_is_reported_with_witness():
 
 
 # ---------------------------------------------------------------------------
-# Reference solver: the per-history sweep that ``exact_q`` and the verify
-# functions replaced with per-belief-class work. Every reachable history is
-# expanded, backed up and checked on its own.
+# Cross-check against the per-history reference in ``reference_oracle``.
 # ---------------------------------------------------------------------------
-
-def reference_exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
-                      obs_tol: float = 1e-15) -> QSolution:
-    roots: list[tuple] = []
-    root_probs: dict[tuple, float] = {}
-    beliefs: dict[tuple, np.ndarray] = {}
-    p0 = pomdp.start @ pomdp.obs0
-    for o in np.flatnonzero(p0 > obs_tol):
-        h = (int(o),)
-        roots.append(h)
-        root_probs[h] = float(p0[o])
-        beliefs[h] = initial_belief(pomdp, int(o))
-
-    levels: list[list[tuple]] = [roots]
-    children: dict[tuple, list] = {}
-    node_count = len(roots)
-    for depth in range(horizon):
-        level = levels[-1]
-        nxt: list[tuple] = []
-        for h in level:
-            b = beliefs[h]
-            pushed = np.einsum("s,sat->at", b, pomdp.trans)
-            obs_p = np.einsum("at,ato->ao", pushed, pomdp.obs)
-            per_action = []
-            for a in range(pomdp.n_actions):
-                ids = np.flatnonzero(obs_p[a] > obs_tol)
-                probs = obs_p[a, ids]
-                per_action.append((ids, probs))
-                for o, p in zip(ids, probs):
-                    h2 = h + (a, int(o))
-                    beliefs[h2] = pushed[a] * pomdp.obs[a, :, o] / p
-                    nxt.append(h2)
-            children[h] = per_action
-            node_count += sum(len(ids) for ids, _ in per_action)
-            if node_count > node_budget:
-                raise NodeBudgetError(
-                    f"history tree exceeded the node budget ({node_budget}) "
-                    f"at depth {depth + 1} with {node_count} nodes")
-        levels.append(nxt)
-
-    q: dict[tuple, np.ndarray] = {}
-    values: dict[tuple, float] = {h: 0.0 for h in levels[horizon]}
-    for depth in range(horizon - 1, -1, -1):
-        for h in levels[depth]:
-            b = beliefs[h]
-            row = b @ pomdp.reward
-            for a, (ids, probs) in enumerate(children[h]):
-                row[a] += pomdp.discount * sum(
-                    p * values[h + (a, int(o))] for o, p in zip(ids, probs))
-            q[h] = row
-            values[h] = float(row.max())
-    # histories at the horizon keep value 0 and no action row
-    return QSolution(pomdp, horizon, q, beliefs, values, root_probs, node_count)
-
-
-def reference_verify_belief_invariance(sol: QSolution, binding: GroupActionBinding,
-                                       tolerance: float = 1e-12) -> SymmetryCheckReport:
-    binding.validate()
-    max_dev, witness, missing, checked = 0.0, None, [], 0
-    for h, b in sol.beliefs.items():
-        for g in binding.group.elements:
-            if g == 0:
-                continue
-            gh = act_on_history(binding, g, h)
-            checked += 1
-            gb = sol.beliefs.get(gh)
-            if gb is None:
-                missing.append((g, h))
-                continue
-            dev = float(np.max(np.abs(gb[binding.state_maps[g]] - b)))
-            if dev > max_dev:
-                max_dev, witness = dev, (g, h, f"belief deviation {dev:.3e}")
-    passed = max_dev < tolerance and not missing
-    return SymmetryCheckReport("belief-invariance", passed, max_dev, tolerance,
-                               checked, missing, witness)
-
-
-def reference_verify_value_invariance(sol: QSolution, binding: GroupActionBinding,
-                                      tolerance: float = 1e-9,
-                                      policy_tol: float = 1e-9) -> SymmetryCheckReport:
-    binding.validate()
-    max_dev, witness, missing, checked = 0.0, None, [], 0
-    policy_ok, policy_witness = True, None
-    for h, row in sol.q.items():
-        for g in binding.group.elements:
-            if g == 0:
-                continue
-            gh = act_on_history(binding, g, h)
-            checked += 1
-            grow = sol.q.get(gh)
-            if grow is None:
-                missing.append((g, h))
-                continue
-            qdev = float(np.max(np.abs(grow[binding.action_maps[g]] - row)))
-            vdev = abs(sol.values[gh] - sol.values[h])
-            dev = max(qdev, vdev)
-            if dev > max_dev:
-                max_dev, witness = dev, (
-                    g, h, f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
-            mapped = {int(binding.action_maps[g][a]) for a in sol.greedy_set(h, policy_tol)}
-            direct = set(sol.greedy_set(gh, policy_tol))
-            if mapped != direct and policy_ok:
-                policy_ok, policy_witness = False, (g, h, sorted(mapped), sorted(direct))
-    passed = max_dev < tolerance and policy_ok and not missing
-    return SymmetryCheckReport("value-invariance", passed, max_dev, tolerance, checked,
-                               missing, witness, policy_ok, policy_witness)
-
 
 def report_fields(report):
     return (report.passed, report.checked, report.missing, report.witness,
@@ -401,21 +297,35 @@ def report_fields(report):
 
 def assert_matches_reference(pomdp, binding, horizon, roundoff=1e-12):
     """``exact_q`` and both verify functions agree with the per-history sweep:
-    the same histories, Q/V within 1e-12, the same greedy sets, and the same
-    reports except that a deviation at roundoff level may differ in value and
-    in the history that witnesses it. Returns (report, reference) pairs."""
+    every reference history walks down the class DAG to a class with its Q/V
+    within 1e-12 and its greedy set, each class counts exactly the histories
+    that reach it and starts with the first of them, and the reports agree
+    except that a deviation at roundoff level may differ in value and in the
+    history that witnesses it. Missing images agree in number, and each
+    listed one is a shallowest missing (g, h) of the reference, listed
+    shallowest first. Returns (report, reference) pairs."""
     ref = reference_exact_q(pomdp, horizon)
     sol = exact_q(pomdp, horizon)
-    assert list(sol.q) == list(ref.q)
-    assert list(sol.values) == list(ref.values)
-    assert list(sol.beliefs) == list(ref.beliefs)
     assert sol.root_probs == ref.root_probs
     assert sol.node_count == ref.node_count
+    located = {h: class_of(sol, h) for h in ref.beliefs}
+    members: dict[int, list] = {}
+    for h, cls in located.items():
+        assert cls is not None, h
+        members.setdefault(id(cls), []).append(h)
+        if len(h) // 2 == horizon:
+            assert cls.q is None and cls.value == 0.0, h
+    classes = [cls for level in sol.classes for cls in level]
+    assert len(members) == len(classes)
+    for cls in classes:
+        assert (cls.count, cls.first) == (len(members[id(cls)]), members[id(cls)][0])
     for h, row in ref.q.items():
-        assert np.max(np.abs(sol.q[h] - row)) <= 1e-12, h
-        assert sol.greedy_set(h) == ref.greedy_set(h), h
+        cls = located[h]
+        assert np.max(np.abs(cls.q - row)) <= 1e-12, h
+        assert greedy_actions(cls.q) == ref.greedy_set(h), h
     for h, v in ref.values.items():
-        assert abs(sol.values[h] - v) <= 1e-12, h
+        assert abs(located[h].value - v) <= 1e-12, h
+    assert sol.values == {h: located[h].value for h in ref.root_probs}
 
     pairs = [(verify_value_invariance(pomdp, binding, horizon),
               reference_verify_value_invariance(ref, binding)),
@@ -429,6 +339,13 @@ def assert_matches_reference(pomdp, binding, horizon, roundoff=1e-12):
             assert report.witness == expect.witness
         assert report.histories == sol.node_count
         assert report.belief_classes == sol.class_count
+        missing = set(expect.missing_witnesses)
+        listed = report.missing_witnesses
+        assert len(listed) == len(set(listed)) <= 20
+        assert bool(listed) == bool(missing)
+        assert [len(h) for _, h in listed] == sorted(len(h) for _, h in listed)
+        for g, h in listed:
+            assert (g, h) in missing and (g, h[:-2]) not in missing, (g, h)
     return pairs
 
 
