@@ -9,7 +9,9 @@ forward pass goes through the same ``RecurrentPolicy.step_t``, which advances
 the recurrent state, and each caller applies only the heads it needs:
 collection, evaluation and the equivariance checks realize the weights once,
 run it step by step and keep only the values, while updates rebuild the graph
-over the segment and backpropagate through time.
+over the segment, apply the heads once to all of its steps, and backpropagate
+through time. Every time step is one batched call over all rows: the envs in
+collection, the still-running episodes in evaluation.
 """
 
 from __future__ import annotations
@@ -260,12 +262,15 @@ class RecurrentPolicy:
 
     def step_t(self, obs: np.ndarray, h: Tensor, c: Tensor, realized,
                prev: np.ndarray | None = None):
-        x = ad.constant(self._encode(obs))
-        if self.extractor is not None:
-            x = self.extractor.forward_t(x, realized["extract"])
+        x = self._encode(obs)
+        extra = [self.encode_prev_action(prev)] if self.feed_prev_action else []
+        if self.extractor is None:  # a constant input: join it before it enters the graph
+            x = ad.constant(np.concatenate([x, *extra], axis=-1))
+        else:
+            x = self.extractor.forward_t(ad.constant(x), realized["extract"])
             x = ad.reshape(x, (x.value.shape[0], -1))
-        if self.feed_prev_action:
-            x = ad.concat([x, ad.constant(self.encode_prev_action(prev))], axis=-1)
+            if extra:
+                x = ad.concat([x, ad.constant(extra[0])], axis=-1)
         return self.cell.step_t(x, h, c, realized["cell"])
 
     def logits_t(self, h: Tensor, realized) -> Tensor:
@@ -282,12 +287,17 @@ class RecurrentPolicy:
         return self.step_t(obs, ad.constant(h), ad.constant(c), realized, prev)
 
 
-def sample_categorical(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def categorical_from_uniform(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row of ``logits``, given one uniform per row in ``u``
+    (shaped (rows, 1))."""
     z = logits - logits.max(axis=-1, keepdims=True)
     p = np.exp(z)
     p /= p.sum(axis=-1, keepdims=True)
-    u = rng.random((logits.shape[0], 1))
     return np.minimum((np.cumsum(p, axis=-1) < u).sum(axis=-1), logits.shape[-1] - 1)
+
+
+def sample_categorical(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return categorical_from_uniform(logits, rng.random((logits.shape[0], 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +431,18 @@ def compute_returns(batch: RolloutBatch, discount: float):
 
 def segment_loss(policy: RecurrentPolicy, batch: RolloutBatch, config: AgentConfig,
                  returns: np.ndarray, advantages: np.ndarray):
-    """Build the A2C loss graph over one collected segment (backprop through time)."""
+    """Build the A2C loss graph over one collected segment (backprop through time).
+
+    Only the recurrent cell runs step by step; the heads and every loss term
+    then run once, on the (T*B, H) stack of the cell's outputs."""
     realized = policy.realize()
     h = ad.constant(batch.start_h)
     c = ad.constant(batch.start_c)
-    pol_terms, ent_terms, val_terms = [], [], []
+    hs = []
     n_steps = batch.rewards.shape[0]
     for t in range(n_steps):
         h, c = policy.step_t(batch.obs[t], h, c, realized, batch.prev_actions[t])
-        logits, values = policy.logits_t(h, realized), policy.values_t(h, realized)
-        logp = ad.log_softmax(logits)
-        lp_taken = ad.gather_rows(logp, batch.actions[t])
-        pol_terms.append(ad.hadamard(ad.constant(advantages[t]), lp_taken))
-        ent_terms.append(ad.scale(ad.sum_axis(ad.hadamard(ad.exp(logp), logp), -1), -1.0))
-        diff = ad.add(ad.constant(returns[t]), ad.scale(values, -1.0))
-        val_terms.append(ad.hadamard(diff, diff))
+        hs.append(h)
         if batch.reset_mask[t].any():
             keep = ad.constant(np.repeat(1.0 - batch.reset_mask[t, :, None],
                                          policy.hidden_dim, axis=1))
@@ -443,9 +450,15 @@ def segment_loss(policy: RecurrentPolicy, batch: RolloutBatch, config: AgentConf
                        ad.constant(batch.reset_h[t] * batch.reset_mask[t, :, None]))
             c = ad.add(ad.hadamard(c, keep),
                        ad.constant(batch.reset_c[t] * batch.reset_mask[t, :, None]))
-    policy_loss = ad.scale(ad.mean(ad.concat(pol_terms, axis=-1)), -1.0)
-    value_loss = ad.mean(ad.concat(val_terms, axis=-1))
-    entropy = ad.mean(ad.concat(ent_terms, axis=-1))
+    rows = ad.concat(hs, axis=0)  # row t*B + i is env i at step t
+    logp = ad.log_softmax(policy.logits_t(rows, realized))
+    lp_taken = ad.gather_rows(logp, batch.actions.reshape(-1))
+    policy_loss = ad.scale(ad.mean(ad.hadamard(ad.constant(advantages.reshape(-1)),
+                                               lp_taken)), -1.0)
+    values = policy.values_t(rows, realized)
+    diff = ad.add(ad.constant(returns.reshape(-1)), ad.scale(values, -1.0))
+    value_loss = ad.mean(ad.hadamard(diff, diff))
+    entropy = ad.mean(ad.scale(ad.sum_axis(ad.hadamard(ad.exp(logp), logp), -1), -1.0))
     loss = ad.add(policy_loss,
                   ad.add(ad.scale(value_loss, config.value_coef),
                          ad.scale(entropy, -config.entropy_coef)))
@@ -525,12 +538,58 @@ def run_episodes(agent_like, env, episodes: int, rng: np.random.Generator):
     return successes / episodes, float(np.mean(returns))
 
 
+def episode_streams(rng: np.random.Generator, episodes: int):
+    """One (env, action, state) generator triple per episode, spawned from
+    ``rng``'s seed sequence: episode i's streams depend on i alone."""
+    return [ep.spawn(3) for ep in rng.spawn(episodes)]
+
+
+def play_episodes(policy: RecurrentPolicy, env_config, streams, greedy: bool = False):
+    """Play one episode per (env, action, state) stream triple, side by side:
+    one forward step and one actor call per time step over the episodes still
+    running. Returns per-episode success flags (terminal with positive reward)
+    and undiscounted returns. Each episode draws only from its own streams, so
+    its outcome does not depend on which episodes run beside it."""
+    realized = policy.realize()
+    envs = [make_env(env_config, env_rng) for env_rng, _, _ in streams]
+    obs = np.stack([env.reset() for env in envs])
+    states = [policy.initial_state(1, state_rng) for _, _, state_rng in streams]
+    h = np.concatenate([s[0] for s in states])
+    c = np.concatenate([s[1] for s in states])
+    prev = np.full(len(envs), -1, dtype=np.int64)
+    live = np.arange(len(envs))
+    successes = np.zeros(len(envs), dtype=bool)
+    returns = np.zeros(len(envs))
+    while live.size:
+        h_t, c_t = policy.step_values(obs, h, c, realized, prev)
+        logits = policy.logits_t(h_t, realized).value
+        if greedy:
+            actions = np.argmax(logits, axis=-1)
+        else:
+            u = np.array([streams[i][1].random() for i in live])[:, None]
+            actions = categorical_from_uniform(logits, u)
+        running = []
+        for row, i in enumerate(live):
+            obs[row], reward, term, trunc = envs[i].step(int(actions[row]))
+            returns[i] += reward
+            if term or trunc:
+                successes[i] = term and reward > 0
+            else:
+                running.append(row)
+        live, obs, prev = live[running], obs[running], actions[running]
+        h, c = h_t.value[running], c_t.value[running]
+    return successes, returns
+
+
 def evaluate(policy: RecurrentPolicy, env_config, episodes: int,
-             rng: np.random.Generator, greedy: bool = False,
-             state_rng: np.random.Generator | None = None):
-    env = make_env(env_config, rng)
-    runner = PolicyRunner(policy, greedy=greedy, state_rng=state_rng)
-    return run_episodes(runner, env, episodes, rng)
+             rng: np.random.Generator, greedy: bool = False):
+    """Success rate and mean undiscounted return over ``episodes`` episodes,
+    played as one batch on per-episode streams spawned from ``rng``."""
+    if episodes < 1:
+        raise AgentError(f"evaluation needs at least 1 episode, got {episodes}")
+    successes, returns = play_episodes(policy, env_config,
+                                       episode_streams(rng, episodes), greedy)
+    return float(successes.mean()), float(returns.mean())
 
 
 class OracleQPolicy:
@@ -684,12 +743,9 @@ def train(env_config, config: AgentConfig, out_dir=None) -> TrainResult:
     def run_eval(step):
         nonlocal eval_idx, best_success
         eval_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 101, eval_idx)))
-        eval_state_rng = (np.random.default_rng(np.random.SeedSequence((config.seed, 103, eval_idx)))
-                          if config.lstm_init == "random" else None)
         eval_idx += 1
         success, mean_return = evaluate(policy, env_config, config.eval_episodes,
-                                        eval_rng, greedy=config.eval_greedy,
-                                        state_rng=eval_state_rng)
+                                        eval_rng, greedy=config.eval_greedy)
         rows.append((step, episodes, success, mean_return,
                      stats.get("policy_loss", 0.0), stats.get("value_loss", 0.0),
                      stats.get("entropy", 0.0), config.seed))

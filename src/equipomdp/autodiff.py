@@ -166,10 +166,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(val, (a, b), bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.value
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
-    val = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    val = _sigmoid(a.value)
 
     def bwd(g):
         a.grad += g * val * (1.0 - val)
@@ -306,6 +309,11 @@ def mean(a: Tensor) -> Tensor:
     return Tensor(a.value.mean(), (a,), bwd)
 
 
+# Every conv2d einsum contracts two operands, so its contraction path is fixed;
+# passing it skips ``optimize=True``'s path search on every call.
+_PAIR_PATH = ["einsum_path", (0, 1)]
+
+
 def conv2d(x: Tensor, k: Tensor, padding: str = "valid") -> Tensor:
     """Cross-correlation of (B,C,H,W) with kernels (F,C,kh,kw) -> (B,F,H',W')."""
     xv, kv = x.value, k.value
@@ -323,22 +331,70 @@ def conv2d(x: Tensor, k: Tensor, padding: str = "valid") -> Tensor:
     else:
         raise ShapeError(f"unknown padding {padding!r}")
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    val = np.einsum("bchwuv,fcuv->bfhw", windows, kv, optimize=True)
+    val = np.einsum("bchwuv,fcuv->bfhw", windows, kv, optimize=_PAIR_PATH)
 
     def bwd(g):
-        k.grad += np.einsum("bchwuv,bfhw->fcuv", windows, g, optimize=True)
+        k.grad += np.einsum("bchwuv,bfhw->fcuv", windows, g, optimize=_PAIR_PATH)
         gx = np.zeros_like(xp)
         hh, ww = g.shape[2], g.shape[3]
         for u in range(kh):
             for v in range(kw):
                 gx[:, :, u : u + hh, v : v + ww] += np.einsum(
-                    "bfhw,fc->bchw", g, kv[:, :, u, v], optimize=True
+                    "bfhw,fc->bchw", g, kv[:, :, u, v], optimize=_PAIR_PATH
                 )
         if padding == "same":
             gx = gx[:, :, kh // 2 : kh // 2 + xv.shape[2], kw // 2 : kw // 2 + xv.shape[3]]
         x.grad += gx
 
     return Tensor(val, (x, k), bwd)
+
+
+def lstm_step(x: Tensor, h: Tensor, c: Tensor, wt: Tensor, b: Tensor,
+              single_candidate_tanh: bool = False) -> Tensor:
+    """One LSTM step as a single node: returns ``[h' | c']`` on the last axis.
+
+    ``x`` (dx), ``h`` and ``c`` (H) carry an optional leading batch axis; ``wt``
+    (dx + H, 4H) and ``b`` (4H) map ``[x | h]`` to the gate pre-activations,
+    stacked [input; forget; output; candidate]. The candidate passes tanh at the
+    gate and, unless ``single_candidate_tanh``, again inside the cell update.
+    """
+    xv, hv, cv, wv = x.value, h.value, c.value, wt.value
+    H = hv.shape[-1]
+    if (xv.ndim not in (1, 2) or hv.shape != cv.shape or xv.shape[:-1] != hv.shape[:-1]
+            or wv.shape != (xv.shape[-1] + H, 4 * H) or b.value.shape != (4 * H,)):
+        raise ShapeError(f"lstm_step: x {xv.shape}, h {hv.shape}, c {cv.shape}, "
+                         f"weight {wv.shape}, bias {b.value.shape}")
+    dx = xv.shape[-1]
+    xh = np.concatenate([xv, hv], axis=-1)
+    z = xh @ wv + b.value
+    ifo = _sigmoid(z[..., : 3 * H])
+    i, f, o = ifo[..., :H], ifo[..., H : 2 * H], ifo[..., 2 * H :]
+    gate = np.tanh(z[..., 3 * H :])
+    cand = gate if single_candidate_tanh else np.tanh(gate)
+    c2 = f * cv + i * cand
+    tc = np.tanh(c2)
+    h2 = o * tc
+
+    def bwd(g):
+        gh = g[..., :H]
+        gc = g[..., H:] + gh * o * (1.0 - tc * tc)
+        dcand = gc * i
+        if not single_candidate_tanh:
+            dcand = dcand * (1.0 - cand * cand)
+        dz = np.concatenate([gc * cand * i * (1.0 - i), gc * cv * f * (1.0 - f),
+                             gh * tc * o * (1.0 - o), dcand * (1.0 - gate * gate)], axis=-1)
+        dxh = dz @ wv.T
+        x.grad += dxh[..., :dx]
+        h.grad += dxh[..., dx:]
+        c.grad += gc * f
+        if xv.ndim == 1:
+            wt.grad += np.outer(xh, dz)
+            b.grad += dz
+        else:
+            wt.grad += xh.T @ dz
+            b.grad += dz.sum(axis=0)
+
+    return Tensor(np.concatenate([h2, c2], axis=-1), (x, h, c, wt, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -567,4 +623,9 @@ def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
         # offsets keep relu inputs away from the kink
         p = parameter(rng.normal(size=shape) * 0.5 + 0.3, "p")
         out[name] = gradcheck(lambda: build(p), [p])
+    shapes = {"x": (2, 3), "h": (2, 4), "c": (2, 4), "wt": (7, 16), "b": (16,)}
+    for name, single in (("lstm_step", False), ("lstm_step_single_tanh", True)):
+        ins = [parameter(rng.normal(size=s), n) for n, s in shapes.items()]
+        weights = Tensor(rng.normal(size=(2, 8)))  # h' and c' enter the loss unequally
+        out[name] = gradcheck(lambda: tsum(hadamard(lstm_step(*ins, single), weights)), ins)
     return out

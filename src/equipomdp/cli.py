@@ -263,8 +263,8 @@ def cmd_eval(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 55)))
     state_rng = (np.random.default_rng(np.random.SeedSequence((seed, 56)))
                  if agent_cfg.lstm_init == "random" else None)
-    success, mean_return = agent_mod.evaluate(
-        policy, env_cfg, args.episodes, rng, greedy=args.greedy, state_rng=state_rng)
+    success, mean_return = agent_mod.evaluate(policy, env_cfg, args.episodes, rng,
+                                              greedy=args.greedy)
     print(f"episodes={args.episodes} success_rate={success:.4f} "
           f"mean_return={mean_return:.4f}")
     if args.dump_trace:

@@ -16,6 +16,7 @@ exact oracle's tables and group maps by driving it through every state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,6 +169,26 @@ class CarFlag1d:
         return self.observe(), reward, terminated, truncated
 
 
+def _cells(n: int) -> list[tuple[int, int]]:
+    return [(r, col) for r in range(n) for col in range(n)]
+
+
+@lru_cache(maxsize=None)
+def _start_pairs(config: CarFlag2dConfig) -> tuple:
+    """The (agent, goal) start pairs of a config, built once and shared by
+    every env of that config (about 200 KB on 7x7)."""
+    cells, info = _cells(config.grid_size), config.info_cells()
+    pairs = tuple(
+        (a, g)
+        for a in cells if a not in info
+        for g in cells if g not in info
+        if abs(a[0] - g[0]) + abs(a[1] - g[1]) >= config.min_start_distance
+    )
+    if not pairs:
+        raise PlacementError("no valid (agent, goal) start pair")
+    return pairs
+
+
 class CarFlag2d:
     n_actions = 4
 
@@ -179,7 +200,7 @@ class CarFlag2d:
         self.steps = 0
         self.done = True
         self._info = config.info_cells()
-        self._starts = self.start_states()
+        self._starts = _start_pairs(config)
 
     @property
     def state(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -192,25 +213,12 @@ class CarFlag2d:
         self.steps = 0
         self.done = False
 
-    def _cells(self) -> list[tuple[int, int]]:
-        n = self.config.grid_size
-        return [(r, col) for r in range(n) for col in range(n)]
-
     def states(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        cells = self._cells()
+        cells = _cells(self.config.grid_size)
         return [(a, g) for a in cells for g in cells]
 
     def start_states(self) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        cells = self._cells()
-        pairs = [
-            (a, g)
-            for a in cells if a not in self._info
-            for g in cells if g not in self._info
-            if abs(a[0] - g[0]) + abs(a[1] - g[1]) >= self.config.min_start_distance
-        ]
-        if not pairs:
-            raise PlacementError("no valid (agent, goal) start pair")
-        return pairs
+        return list(self._starts)
 
     def terminal(self) -> bool:
         return self.agent == self.goal

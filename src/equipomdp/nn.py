@@ -345,7 +345,8 @@ class DenseConv2d:
 # ---------------------------------------------------------------------------
 
 class LstmCell:
-    """One-step LSTM whose fused gate map is a single linear layer.
+    """One-step LSTM whose fused gate map is a single linear layer, applied
+    with the rest of the step as one ``autodiff.lstm_step`` node.
 
     Gate pre-activations are stacked as [input; forget; output; candidate].
     By default the candidate passes tanh both at the gate and again inside the
@@ -368,17 +369,17 @@ class LstmCell:
         return self.linear.realize_t()
 
     def step_t(self, x: Tensor, h: Tensor, c: Tensor, realized=None):
-        gates = self.linear.forward_t(ad.concat([x, h], axis=-1), realized)
+        """(h', c') from input rows ``x`` and state rows ``h``, ``c``, through
+        the fused ``autodiff.lstm_step``."""
         H = self.hidden_dim
-        ifo = ad.sigmoid(ad.slice_last(gates, 0, 3 * H))
-        i = ad.slice_last(ifo, 0, H)
-        f = ad.slice_last(ifo, H, 2 * H)
-        o = ad.slice_last(ifo, 2 * H, 3 * H)
-        g = ad.tanh(ad.slice_last(gates, 3 * H, 4 * H))
-        cand = g if self.single_candidate_tanh else ad.tanh(g)
-        c2 = ad.add(ad.hadamard(f, c), ad.hadamard(i, cand))
-        h2 = ad.hadamard(o, ad.tanh(c2))
-        return h2, c2
+        if x.value.shape[-1] + H != self.linear.in_dim:
+            expected = "" if self.rho_x is None else f" (rho_x {self.rho_x.kind})"
+            raise RepresentationMismatchError(
+                f"{self.linear.name}: input has {x.value.shape[-1]} channels, "
+                f"{self.linear.in_dim - H} expected{expected}")
+        wt, b = realized if realized is not None else self.linear.realize_t()
+        hc = ad.lstm_step(x, h, c, wt, b, self.single_candidate_tanh)
+        return ad.slice_last(hc, 0, H), ad.slice_last(hc, H, 2 * H)
 
 
 def equi_lstm_cell(group: Group, rho_x: Representation, hidden_fields: int,

@@ -14,8 +14,10 @@ from equipomdp.agent import (
     compute_returns,
     a2c_update,
     benchmark_agent_config,
+    episode_streams,
     equivariance_residuals,
     evaluate,
+    play_episodes,
     run_episodes,
     run_equivariance_suite,
     sample_categorical,
@@ -462,6 +464,39 @@ def test_evaluate_network_policy_runs():
     success, ret = evaluate(policy, CFG_1D, 5, np.random.default_rng(16))
     assert 0.0 <= success <= 1.0
     assert np.isfinite(ret)
+    with pytest.raises(AgentError, match="at least 1 episode, got 0"):
+        evaluate(policy, CFG_1D, 0, np.random.default_rng(16))
+
+
+@pytest.mark.parametrize("env_cfg,greedy,lstm_init", [
+    (CFG_1D, False, "zero"),
+    (CFG_1D, True, "zero"),
+    (CFG_1D, False, "random"),
+    (CFG_2D, False, "zero"),
+    (CFG_2D, True, "random"),
+], ids=["1d-sampled", "1d-greedy", "1d-random-init", "2d-sampled", "2d-greedy-random-init"])
+def test_batched_evaluation_matches_each_episode_run_alone(env_cfg, greedy, lstm_init):
+    """Each episode of a batched evaluation ends exactly as it does when played
+    alone, one step at a time, on its own env, action and state streams."""
+    policy = make_policy(env_cfg, seed=2, lstm_init=lstm_init)
+    n = 12
+    successes, returns = play_episodes(policy, env_cfg,
+                                       episode_streams(np.random.default_rng(24), n), greedy)
+    lengths = []
+    for i, (env_rng, act_rng, state_rng) in enumerate(
+            episode_streams(np.random.default_rng(24), n)):
+        env = make_env(env_cfg, env_rng)
+        runner = PolicyRunner(policy, greedy=greedy, state_rng=state_rng)
+        obs, total, steps, done = env.reset(), 0.0, 0, False
+        runner.reset()
+        while not done:
+            obs, reward, term, trunc = env.step(runner.act(obs, act_rng))
+            total, steps, done = total + reward, steps + 1, term or trunc
+        assert (bool(successes[i]), float(returns[i])) == (term and reward > 0, total), i
+        lengths.append(steps)
+    assert len(set(lengths)) > 1   # rows drop out of the batch at different steps
+    assert evaluate(policy, env_cfg, n, np.random.default_rng(24), greedy=greedy) == (
+        successes.mean(), returns.mean())
 
 
 def test_sample_categorical_distribution():

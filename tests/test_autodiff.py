@@ -152,6 +152,79 @@ def test_three_layer_network_gradcheck():
     assert gradcheck(loss, [w1, w2, w3, b1]) < 1e-4
 
 
+def unfused_lstm_step(x, h, c, wt, b, single_candidate_tanh):
+    """The LSTM step as a composition of primitives: the reference for
+    ``ad.lstm_step``."""
+    H = h.value.shape[-1]
+    gates = ad.add(ad.matmul(ad.concat([x, h], axis=-1), wt), b)
+    ifo = ad.sigmoid(ad.slice_last(gates, 0, 3 * H))
+    i = ad.slice_last(ifo, 0, H)
+    f = ad.slice_last(ifo, H, 2 * H)
+    o = ad.slice_last(ifo, 2 * H, 3 * H)
+    g = ad.tanh(ad.slice_last(gates, 3 * H, 4 * H))
+    cand = g if single_candidate_tanh else ad.tanh(g)
+    c2 = ad.add(ad.hadamard(f, c), ad.hadamard(i, cand))
+    h2 = ad.hadamard(o, ad.tanh(c2))
+    return ad.concat([h2, c2], axis=-1)
+
+
+@pytest.mark.parametrize("single", [False, True], ids=["double-tanh", "single-tanh"])
+@pytest.mark.parametrize("batch", [None, 5], ids=["unbatched", "batched"])
+def test_lstm_step_matches_unfused_reference(single, batch):
+    rng = np.random.default_rng(21)
+    lead = () if batch is None else (batch,)
+    shapes = {"x": (*lead, 3), "h": (*lead, 4), "c": (*lead, 4), "wt": (7, 16), "b": (16,)}
+    values = {n: rng.normal(size=s) for n, s in shapes.items()}
+    weights = Tensor(rng.normal(size=(*lead, 8)))
+    results = []
+    for step in (ad.lstm_step, unfused_lstm_step):
+        ins = [parameter(v, n) for n, v in values.items()]
+        out = step(*ins, single)
+        backward(ad.tsum(ad.hadamard(out, weights)))
+        results.append((out.value, [p.grad for p in ins]))
+    (fused, fused_grads), (ref, ref_grads) = results
+    assert fused.shape == ref.shape == (*lead, 8)
+    assert np.max(np.abs(fused - ref)) <= 1e-12
+    for name, g, g_ref in zip(shapes, fused_grads, ref_grads):
+        assert np.max(np.abs(g - g_ref)) <= 1e-12, name
+
+
+def test_lstm_step_is_in_the_gradcheck_battery():
+    battery = ad.primitive_gradcheck_battery(seed=0)
+    for name in ("lstm_step", "lstm_step_single_tanh"):
+        assert battery[name] < 1e-4
+
+
+@pytest.mark.parametrize("padding,x_shape,k_shape", [
+    ("valid", (16, 16, 5, 5), (32, 16, 3, 3)),   # the middle 7x7-agent layer
+    ("same", (3, 4, 6, 6), (5, 4, 3, 3)),
+])
+def test_conv2d_fixed_path_is_bitwise_the_searched_path(padding, x_shape, k_shape):
+    """conv2d's precomputed two-operand path gives the output and both
+    gradients bit for bit as ``np.einsum(..., optimize=True)`` does."""
+    rng = np.random.default_rng(23)
+    x, k = parameter(rng.normal(size=x_shape), "x"), parameter(rng.normal(size=k_shape), "k")
+    out = ad.conv2d(x, k, padding)
+    g = rng.normal(size=out.shape)
+    backward(ad.tsum(ad.hadamard(out, Tensor(g))))
+    kh, kw = k_shape[2:]
+    pad = ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2))
+    xp = np.pad(x.value, pad) if padding == "same" else x.value
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    ref = np.einsum("bchwuv,fcuv->bfhw", windows, k.value, optimize=True)
+    ref_gk = np.einsum("bchwuv,bfhw->fcuv", windows, g, optimize=True)
+    ref_gx = np.zeros_like(xp)
+    for u in range(kh):
+        for v in range(kw):
+            ref_gx[:, :, u : u + g.shape[2], v : v + g.shape[3]] += np.einsum(
+                "bfhw,fc->bchw", g, k.value[:, :, u, v], optimize=True)
+    if padding == "same":
+        ref_gx = ref_gx[:, :, kh // 2 : kh // 2 + x_shape[2], kw // 2 : kw // 2 + x_shape[3]]
+    assert np.array_equal(out.value, ref)
+    assert np.array_equal(k.grad, ref_gk)
+    assert np.array_equal(x.grad, ref_gx)
+
+
 def test_shape_errors():
     with pytest.raises(ad.ShapeError):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
@@ -159,6 +232,9 @@ def test_shape_errors():
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
     with pytest.raises(ad.ShapeError):
         ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 5, 3, 3))))
+    with pytest.raises(ad.ShapeError):  # weight rows must match [x | h]
+        ad.lstm_step(Tensor(np.ones(3)), Tensor(np.ones(4)), Tensor(np.ones(4)),
+                     Tensor(np.ones((8, 16))), Tensor(np.ones(16)))
 
 
 def test_sgd_single_step():
