@@ -1,10 +1,13 @@
 """Recurrent advantage actor-critic over parallel CarFlag environments.
 
 The policy runs a feature extractor (convolutions for image observations),
-a recurrent cell, and separate actor/critic heads. The ``equi`` variant
-assembles every stage from constrained layers so the actor permutes and the
-critic is unchanged under the domain symmetry no matter what the parameter
-values are; ``plain`` uses unconstrained twins of the same sizes. Every
+a recurrent cell, and separate actor/critic heads. Every stage is built from
+the same tied layers. The ``equi`` variant ties them over the domain
+symmetry, so the actor permutes and the critic is unchanged under it no
+matter what the parameter values are. ``plain`` builds the same network
+over the trivial group, whose tying leaves every weight free; each of its
+widths is a field count times the group order, in trivial channels. The
+partial variants build one head that way. Every
 forward pass goes through the same ``RecurrentPolicy.step_t``, which advances
 the recurrent state, and each caller applies only the heads it needs:
 collection, evaluation and the equivariance checks realize the weights once,
@@ -32,18 +35,8 @@ from .envs import (
     env_group_binding,
     make_env,
 )
-from .nn import (
-    Conv2dStack,
-    DenseConv2d,
-    EquiConv2d,
-    dense_head,
-    dense_lstm_cell,
-    equi_actor_head,
-    equi_critic_head,
-    equi_lstm_cell,
-    initial_state,
-)
-from .groups import direct_sum, regular_rep, sign_rep
+from .nn import Conv2dStack, EquiConv2d, equi_lstm_cell, initial_state, mlp_head
+from .groups import CYCLIC, direct_sum, make_group, regular_rep, sign_rep, trivial_rep
 
 
 class AgentError(ValueError):
@@ -106,8 +99,16 @@ class RecurrentPolicy:
         self.sym = env_group_binding(env_config)
         group = self.sym.group
         variant = agent_config.variant
-        trunk_equi = variant != "plain"
         self.lstm_init = agent_config.lstm_init
+        # An unconstrained stage is the same layers over the trivial group, on as
+        # many trivial channels as the constrained stage's representation has.
+        trivial_group = make_group(CYCLIC, 1)
+
+        def plain(rep):
+            return trivial_rep(trivial_group, rep.dim)
+
+        trunk_equi = variant != "plain"
+        trunk_group, widen = (group, 1) if trunk_equi else (trivial_group, group.order)
 
         self.feed_prev_action = agent_config.feed_prev_action
         if isinstance(env_config, CarFlag1dConfig):
@@ -115,13 +116,11 @@ class RecurrentPolicy:
             self.obs_shape = (2,)
             self._scale = np.array([1.0 / env_config.half_size, 1.0])
             self.extractor = None
-            feat_dim = 2
             rho_x = self.sym.obs_rep
             if self.feed_prev_action:
                 # the previous action enters as one signed component: the mirror
                 # swaps left/right, so the encoding must flip sign with it
-                feat_dim += 1
-                rho_x = direct_sum([*rho_x.components, sign_rep(group)])
+                rho_x = direct_sum([rho_x, sign_rep(group)])
         elif isinstance(env_config, CarFlag2dConfig):
             self.n_actions = 4
             n = env_config.grid_size
@@ -132,35 +131,23 @@ class RecurrentPolicy:
             while len(widths) < depth:
                 widths.append(widths[-1])
             widths = widths[:depth]
-            layers = []
-            for i, w in enumerate(widths):
-                if trunk_equi:
-                    in_fields = 2 if i == 0 else widths[i - 1]
-                    in_kind = "trivial" if i == 0 else "regular"
-                    layers.append(EquiConv2d(group, in_fields, in_kind, w, 3, rng,
-                                             name=f"extract{i}", padding="valid"))
-                else:
-                    in_ch = 2 if i == 0 else widths[i - 1] * group.order
-                    layers.append(DenseConv2d(in_ch, w * group.order, 3, rng,
-                                              name=f"extract{i}", padding="valid"))
-            self.extractor = Conv2dStack(layers)
-            feat_dim = widths[-1] * group.order
+            self.extractor = Conv2dStack([
+                EquiConv2d(trunk_group, 2 if i == 0 else widths[i - 1] * widen,
+                           "trivial" if i == 0 else "regular", w * widen, 3, rng,
+                           name=f"extract{i}", padding="valid")
+                for i, w in enumerate(widths)])
             rho_x = direct_sum([regular_rep(group)] * widths[-1])
             if self.feed_prev_action:
                 # one-hot previous action permutes with the rotation: regular field
-                feat_dim += group.order
-                rho_x = direct_sum([*rho_x.components, regular_rep(group)])
+                rho_x = direct_sum([rho_x, regular_rep(group)])
         else:
             raise EnvError(f"unknown env config {type(env_config).__name__}")
 
-        if trunk_equi:
-            self.cell = equi_lstm_cell(group, rho_x, agent_config.lstm_fields, rng,
-                                       name="lstm",
-                                       single_candidate_tanh=agent_config.lstm_single_tanh)
-        else:
-            self.cell = dense_lstm_cell(feat_dim, agent_config.lstm_fields * group.order,
-                                        rng, name="lstm",
-                                        single_candidate_tanh=agent_config.lstm_single_tanh)
+        rho_h = direct_sum([regular_rep(group)] * agent_config.lstm_fields)
+        if not trunk_equi:
+            rho_x, rho_h = plain(rho_x), plain(rho_h)
+        self.cell = equi_lstm_cell(rho_x, rho_h, rng, name="lstm",
+                                   single_candidate_tanh=agent_config.lstm_single_tanh)
         self.hidden_dim = self.cell.hidden_dim
 
         actor_equi = variant in ("equi", "equi-actor-only")
@@ -169,18 +156,17 @@ class RecurrentPolicy:
             raise AgentError(
                 f"equivariant actor needs one action per group element "
                 f"({group.order}), env has {self.n_actions}")
-        head_hidden = agent_config.head_fields * group.order
-        if actor_equi:
-            self.actor = equi_actor_head(group, self.cell.rho_h,
-                                         agent_config.head_fields, rng, name="actor")
+        rho_hidden = direct_sum([regular_rep(group)] * agent_config.head_fields)
+        if actor_equi:  # logits permute with the actions: the regular representation
+            actor = (self.cell.rho_h, rho_hidden, regular_rep(group))
         else:
-            self.actor = dense_head(self.hidden_dim, head_hidden, self.n_actions,
-                                    rng, name="actor")
-        if critic_equi:
-            self.critic = equi_critic_head(group, self.cell.rho_h,
-                                           agent_config.head_fields, rng, name="critic")
-        else:
-            self.critic = dense_head(self.hidden_dim, head_hidden, 1, rng, name="critic")
+            actor = (plain(self.cell.rho_h), plain(rho_hidden),
+                     trivial_rep(trivial_group, self.n_actions))
+        critic = (self.cell.rho_h, rho_hidden, trivial_rep(group))
+        if not critic_equi:
+            critic = tuple(map(plain, critic))
+        self.actor = mlp_head(*actor, rng, name="actor")
+        self.critic = mlp_head(*critic, rng, name="critic")
         self._modules = ([] if self.extractor is None else [self.extractor]) + [
             self.cell, self.actor, self.critic]
         names = [p.name for m in self._modules for p in m.parameters()]
@@ -188,11 +174,12 @@ class RecurrentPolicy:
             raise AgentError("duplicate parameter names in the policy")
 
     def describe(self) -> list[str]:
-        """Ordered layer list with representation annotations."""
+        """Ordered layer list with representation annotations; a layer over the
+        trivial group reads as plain units."""
 
-        def rep_name(rep, dim):
-            if rep is None:
-                return f"{dim} units"
+        def rep_name(rep):
+            if rep.group.order == 1:
+                return f"{rep.dim} units"
             counts = {}
             for comp in rep.components:
                 counts[comp.kind] = counts.get(comp.kind, 0) + 1
@@ -201,16 +188,11 @@ class RecurrentPolicy:
         lines = []
         if self.extractor is not None:
             for layer in self.extractor.layers:
-                lines.append(
-                    f"conv3x3 {rep_name(layer.rho_in, layer.in_channels)} -> "
-                    f"{rep_name(layer.rho_out, layer.out_channels)} (relu)")
-        cell_in = rep_name(self.cell.rho_x,
-                           self.cell.linear.in_dim - self.hidden_dim)
-        lines.append(f"lstm {cell_in} -> {rep_name(self.cell.rho_h, self.hidden_dim)}")
-        for name, head, out_dim in (("actor", self.actor, self.n_actions),
-                                    ("critic", self.critic, 1)):
-            parts = [rep_name(l.rho_in, l.in_dim) for l in head.layers]
-            parts.append(rep_name(head.rho_out, out_dim))
+                lines.append(f"conv3x3 {rep_name(layer.rho_in)} -> "
+                             f"{rep_name(layer.rho_out)} (relu)")
+        lines.append(f"lstm {rep_name(self.cell.rho_x)} -> {rep_name(self.cell.rho_h)}")
+        for name, head in (("actor", self.actor), ("critic", self.critic)):
+            parts = [rep_name(l.rho_in) for l in head.layers] + [rep_name(head.rho_out)]
             lines.append(f"{name} " + " -> ".join(parts))
         return lines
 
@@ -229,7 +211,8 @@ class RecurrentPolicy:
             raise AgentError(f"checkpoint mismatch: missing {missing}, extra {extra}")
         for name, value in state.items():
             if params[name].value.shape != value.shape:
-                raise AgentError(f"checkpoint shape mismatch on {name}")
+                raise AgentError(f"checkpoint shape mismatch on {name}: expected "
+                                 f"{params[name].value.shape}, found {value.shape}")
             params[name].value = value.astype(np.float64).copy()
 
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -438,7 +438,9 @@ def _add_env_flags(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--group", default=None,
                    help="symmetry group override (auto, reflection2, c4)")
-    p.add_argument("--gamma", type=float, default=0.99)
+    p.add_argument("--gamma", type=float, default=None,
+                   help="discount (train: overrides [agent] discount; verify and "
+                        "oracle: default 0.99)")
 
 
 def _add_agent_flags(p):
@@ -499,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", dest="max_len", type=int, default=50)
     p.add_argument("--lstm-init", dest="lstm_init", choices=["zero", "random"],
                    default=None)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, gamma=0.99)
 
     p = sub.add_parser("oracle", help="solve an exported instance exactly and "
                                       "evaluate the greedy policy")
@@ -509,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-budget", dest="node_budget", type=int, default=2_000_000,
                    help="most belief classes to solve before giving up")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_oracle, gamma=0.99)
 
     p = sub.add_parser("plotdata", help="aggregate curve files into mean/std per step")
     p.add_argument("runs", nargs="+", help="run directories or curve.csv paths")

@@ -179,8 +179,9 @@ def _rep_matrix_cached(rep: Representation, g: int) -> np.ndarray:
     return m
 
 
-def trivial_rep(group: Group) -> Representation:
-    return Representation(group, TRIVIAL, 1)
+def trivial_rep(group: Group, dim: int = 1) -> Representation:
+    """``dim`` invariant channels: every group element acts as the identity."""
+    return Representation(group, TRIVIAL, dim)
 
 
 def standard_rep(group: Group) -> Representation:

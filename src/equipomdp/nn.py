@@ -7,8 +7,13 @@ it is ``sign * theta[idx]``, one parameter per orbit, so any theta keeps a
 layer equivariant. A group convolution ties its kernel as a map from
 ``rho_in`` tensor the kernel grid (the G-CNN kernel tying of Cohen & Welling
 2016). The recurrent cell fuses all four gate pre-activations into one such
-map and keeps every gated signal on permutation (regular) channels, where
+map and keeps every gated signal on permutation channels, where
 pointwise sigmoid/tanh and Hadamard products are safe.
+
+There is no separate unconstrained layer: over the order-1 group every orbit
+is a single entry, so the tying is the identity and every weight entry is a
+free parameter. Unconstrained networks are these same layers over
+``make_group(CYCLIC, 1)`` on trivial channels.
 
 Every layer has one forward path, on ``autodiff`` tensors. ``realize_t``
 builds the layer's dense weights from its parameters as graph tensors, and
@@ -236,31 +241,6 @@ class EquiLinear:
         return ad.add(ad.matmul(x, wt), b)
 
 
-class DenseLinear:
-    """Unconstrained linear layer with the same interface as EquiLinear."""
-
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 name: str = "linear"):
-        self.rho_in = None
-        self.rho_out = None
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.name = name
-        self.weight = ad.parameter(
-            rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(out_dim, in_dim)), f"{name}.w")
-        self.bias = ad.parameter(np.zeros(out_dim), f"{name}.b")
-
-    def parameters(self):
-        return [self.weight, self.bias]
-
-    def realize_t(self):
-        return ad.transpose(self.weight, (1, 0)), self.bias
-
-    def forward_t(self, x: Tensor, realized=None) -> Tensor:
-        wt, b = realized if realized is not None else self.realize_t()
-        return ad.add(ad.matmul(x, wt), b)
-
-
 # ---------------------------------------------------------------------------
 # Convolutions on square grids.
 # ---------------------------------------------------------------------------
@@ -312,34 +292,6 @@ class EquiConv2d:
         return ad.add(y, ad.reshape(b, (self.out_channels, 1, 1)))
 
 
-class DenseConv2d:
-    """Plain convolution with the EquiConv2d interface."""
-
-    def __init__(self, in_channels: int, out_channels: int, ksize: int,
-                 rng: np.random.Generator, name: str = "conv", padding: str = "valid"):
-        self.rho_in = None
-        self.rho_out = None
-        self.in_channels, self.out_channels = in_channels, out_channels
-        self.padding = padding
-        self.name = name
-        fan_in = in_channels * ksize * ksize
-        self.kernel = ad.parameter(
-            rng.normal(0.0, 1.0 / np.sqrt(fan_in),
-                       size=(out_channels, in_channels, ksize, ksize)), f"{name}.k")
-        self.bias = ad.parameter(np.zeros(out_channels), f"{name}.b")
-
-    def parameters(self):
-        return [self.kernel, self.bias]
-
-    def realize_t(self):
-        return self.kernel, self.bias
-
-    def forward_t(self, x: Tensor, realized=None) -> Tensor:
-        k, b = realized if realized is not None else self.realize_t()
-        y = ad.conv2d(x, k, self.padding)
-        return ad.add(y, ad.reshape(b, (self.out_channels, 1, 1)))
-
-
 # ---------------------------------------------------------------------------
 # Recurrent cell.
 # ---------------------------------------------------------------------------
@@ -354,13 +306,13 @@ class LstmCell:
     application.
     """
 
-    def __init__(self, linear, hidden_dim: int, single_candidate_tanh: bool = False,
-                 rho_x: Representation | None = None, rho_h: Representation | None = None):
+    def __init__(self, linear: EquiLinear, rho_x: Representation, rho_h: Representation,
+                 single_candidate_tanh: bool = False):
         self.linear = linear
-        self.hidden_dim = hidden_dim
-        self.single_candidate_tanh = single_candidate_tanh
         self.rho_x = rho_x
         self.rho_h = rho_h
+        self.hidden_dim = rho_h.dim
+        self.single_candidate_tanh = single_candidate_tanh
 
     def parameters(self):
         return self.linear.parameters()
@@ -372,32 +324,23 @@ class LstmCell:
         """(h', c') from input rows ``x`` and state rows ``h``, ``c``, through
         the fused ``autodiff.lstm_step``."""
         H = self.hidden_dim
-        if x.value.shape[-1] + H != self.linear.in_dim:
-            expected = "" if self.rho_x is None else f" (rho_x {self.rho_x.kind})"
+        if x.value.shape[-1] != self.rho_x.dim:
             raise RepresentationMismatchError(
                 f"{self.linear.name}: input has {x.value.shape[-1]} channels, "
-                f"{self.linear.in_dim - H} expected{expected}")
+                f"{self.rho_x.dim} expected (rho_x {self.rho_x.kind})")
         wt, b = realized if realized is not None else self.linear.realize_t()
         hc = ad.lstm_step(x, h, c, wt, b, self.single_candidate_tanh)
         return ad.slice_last(hc, 0, H), ad.slice_last(hc, H, 2 * H)
 
 
-def equi_lstm_cell(group: Group, rho_x: Representation, hidden_fields: int,
+def equi_lstm_cell(rho_x: Representation, rho_h: Representation,
                    rng: np.random.Generator, name: str = "lstm",
                    single_candidate_tanh: bool = False) -> LstmCell:
-    """Equivariant cell: regular-representation state, fused constrained gate map."""
-    rho_h = direct_sum([regular_rep(group)] * hidden_fields)
-    rho_in = direct_sum([*rho_x.components, *rho_h.components])
-    rho_gates = direct_sum([regular_rep(group)] * (4 * hidden_fields))
-    linear = EquiLinear(rho_in, rho_gates, rng, name=name)
-    return LstmCell(linear, hidden_fields * group.order,
-                    single_candidate_tanh=single_candidate_tanh, rho_x=rho_x, rho_h=rho_h)
-
-
-def dense_lstm_cell(input_dim: int, hidden_dim: int, rng: np.random.Generator,
-                    name: str = "lstm", single_candidate_tanh: bool = False) -> LstmCell:
-    linear = DenseLinear(input_dim + hidden_dim, 4 * hidden_dim, rng, name=name)
-    return LstmCell(linear, hidden_dim, single_candidate_tanh=single_candidate_tanh)
+    """Equivariant cell: permutation-type state ``rho_h`` (regular fields, or
+    plain units over the trivial group), fused constrained gate map."""
+    _assert_pointwise_safe(rho_h)
+    linear = EquiLinear(direct_sum([rho_x, rho_h]), direct_sum([rho_h] * 4), rng, name=name)
+    return LstmCell(linear, rho_x, rho_h, single_candidate_tanh=single_candidate_tanh)
 
 
 def initial_state(cell: LstmCell, batch: int | None = None, mode: str = "zero",
@@ -442,34 +385,16 @@ class Mlp:
         return x
 
 
-def equi_actor_head(group: Group, rho_in: Representation, hidden_fields: int,
-                    rng: np.random.Generator, name: str = "actor") -> Mlp:
-    """Logit head whose output carries the action set's regular representation,
-    so a group element permutes the induced categorical distribution."""
-    rho_hidden = direct_sum([regular_rep(group)] * hidden_fields)
+def mlp_head(rho_in: Representation, rho_hidden: Representation,
+             rho_out: Representation, rng: np.random.Generator, name: str) -> Mlp:
+    """Two tied linear layers with relu between them. The actor ends in the
+    regular representation of its actions, so a group element permutes the
+    induced categorical distribution; the critic ends in the trivial one, so
+    its value is invariant."""
     _assert_pointwise_safe(rho_hidden)
     return Mlp([
         EquiLinear(rho_in, rho_hidden, rng, name=f"{name}.0"),
-        EquiLinear(rho_hidden, regular_rep(group), rng, name=f"{name}.1"),
-    ])
-
-
-def equi_critic_head(group: Group, rho_in: Representation, hidden_fields: int,
-                     rng: np.random.Generator, name: str = "critic") -> Mlp:
-    """Scalar head ending in the trivial representation: output is invariant."""
-    rho_hidden = direct_sum([regular_rep(group)] * hidden_fields)
-    _assert_pointwise_safe(rho_hidden)
-    return Mlp([
-        EquiLinear(rho_in, rho_hidden, rng, name=f"{name}.0"),
-        EquiLinear(rho_hidden, trivial_rep(group), rng, name=f"{name}.1"),
-    ])
-
-
-def dense_head(in_dim: int, hidden_dim: int, out_dim: int,
-               rng: np.random.Generator, name: str) -> Mlp:
-    return Mlp([
-        DenseLinear(in_dim, hidden_dim, rng, name=f"{name}.0"),
-        DenseLinear(hidden_dim, out_dim, rng, name=f"{name}.1"),
+        EquiLinear(rho_hidden, rho_out, rng, name=f"{name}.1"),
     ])
 
 

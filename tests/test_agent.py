@@ -560,3 +560,52 @@ def test_checkpoint_roundtrip_through_policy(tmp_path):
     (l1, v1), (l2, v2) = outs
     assert np.array_equal(l1, l2)
     assert np.array_equal(v1, v2)
+
+
+def test_checkpoint_shape_mismatch_names_both_shapes(tmp_path):
+    # plain layers used to hold (out, in) matrices; their tied parameters are flat now
+    policy = make_policy(CFG_1D, seed=21, variant="plain")
+    old = policy.state_dict()
+    for layer in [policy.cell.linear, *policy.actor.layers, *policy.critic.layers]:
+        old[layer.weight.name] = layer.weight.value.reshape(layer.out_dim, layer.in_dim)
+    path = tmp_path / "old.ckpt"
+    ad.save_checkpoint(path, old)
+    rows, cols = 4 * policy.hidden_dim, policy.cell.rho_x.dim + policy.hidden_dim
+    with pytest.raises(AgentError, match=r"lstm\.w: expected \(%d,\), found \(%d, %d\)"
+                       % (rows * cols, rows, cols)):
+        policy.load_state(ad.load_checkpoint(path))
+
+
+# ---------------------------------------------------------------------------
+# Architecture.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("env_cfg,cfg,lines", [
+    (CFG_1D, benchmark_agent_config("equi", 0), [
+        "lstm 3*sign -> 24*regular",
+        "actor 24*regular -> 24*regular -> 1*regular",
+        "critic 24*regular -> 24*regular -> 1*trivial"]),
+    (CFG_1D, benchmark_agent_config("plain", 0), [
+        "lstm 3 units -> 32 units",
+        "actor 32 units -> 32 units -> 2 units",
+        "critic 32 units -> 32 units -> 1 units"]),
+    (CFG_1D, benchmark_agent_config("equi-actor-only", 0), [
+        "lstm 3*sign -> 24*regular",
+        "actor 24*regular -> 24*regular -> 1*regular",
+        "critic 48 units -> 48 units -> 1 units"]),
+    (CFG_1D, benchmark_agent_config("equi-critic-only", 0), [
+        "lstm 3*sign -> 24*regular",
+        "actor 48 units -> 48 units -> 2 units",
+        "critic 24*regular -> 24*regular -> 1*trivial"]),
+    (CarFlag2dConfig(grid_size=7), AgentConfig(variant="plain"), [
+        "conv3x3 2 units -> 16 units (relu)",
+        "conv3x3 16 units -> 32 units (relu)",
+        "conv3x3 32 units -> 32 units (relu)",
+        "lstm 32 units -> 64 units",
+        "actor 64 units -> 64 units -> 4 units",
+        "critic 64 units -> 64 units -> 1 units"]),
+], ids=["1d-equi", "1d-plain", "1d-equi-actor-only", "1d-equi-critic-only", "2d-plain"])
+def test_describe_names_each_layer(env_cfg, cfg, lines):
+    # the manifest's [architecture] text: layers over the trivial group read as units
+    policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
+    assert policy.describe() == lines

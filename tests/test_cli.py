@@ -60,6 +60,20 @@ def test_flags_override_config_file(tmp_path):
     assert agent_cfg.variant == "equi"
 
 
+def test_config_file_discount_reaches_training_and_manifest(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[env]\nkind = carflag1d\nhalf_size = 5\n[agent]\ndiscount = 0.9\n")
+    args = build_parser().parse_args(["train", "--config", str(cfg)])
+    assert build_configs(args)[1].discount == 0.9
+    args = build_parser().parse_args(["train", "--config", str(cfg), "--gamma", "0.5"])
+    assert build_configs(args)[1].discount == 0.5  # the flag still wins
+    assert run_cli("train", "--config", str(cfg), "--steps", "0",
+                   "--out", str(tmp_path / "run")) == 0
+    assert read_manifest(tmp_path / "run" / "manifest.ini")[1].discount == 0.9
+    for argv in (["verify", "invariance"], ["oracle"]):
+        assert build_parser().parse_args(argv).gamma == 0.99
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[env]\nkind = carflag1d\nwormholes = 3\n")

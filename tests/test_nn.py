@@ -24,17 +24,16 @@ from equipomdp.groups import (
     trivial_rep,
 )
 from equipomdp.nn import (
-    DenseLinear,
     EquiConv2d,
     EquiLinear,
     RepresentationMismatchError,
-    equi_actor_head,
-    equi_critic_head,
     equi_lstm_cell,
     initial_state,
+    mlp_head,
     solve_intertwiner_basis,
 )
 
+C1 = make_group(CYCLIC, 1)
 C4 = make_group(CYCLIC, 4)
 C2 = make_group(CYCLIC, 2)
 FLIP = make_group(REFLECTION)
@@ -166,6 +165,18 @@ def test_invariant_vectors_of_regular_rep():
     assert idx.shape == sign.shape == (4, 1)
     assert np.array_equal(idx[:, 0], np.zeros(4))
     assert np.array_equal(sign[:, 0], np.ones(4))
+
+
+def test_trivial_group_tying_is_the_identity():
+    # over C1 every orbit is one entry: each weight is its own free parameter
+    for rho_in, dout, din in [
+        (trivial_rep(C1, 35), 128, 35),
+        ([trivial_rep(C1, 8), grid_rep(C1, 3, 3)], 32, 8 * 9),  # a 3x3 conv kernel
+    ]:
+        idx, sign, count = nn.tied_weight_indices(rho_in, trivial_rep(C1, dout))
+        assert np.array_equal(idx, np.arange(dout * din).reshape(dout, din))
+        assert np.array_equal(sign, np.ones((dout, din)))
+        assert count == dout * din
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +384,7 @@ def test_conv_rejects_nonsquare_rotation_input():
 # ---------------------------------------------------------------------------
 
 def rand_cell(rng, group, rho_x, hidden_fields, **kw):
-    cell = equi_lstm_cell(group, rho_x, hidden_fields, rng, **kw)
+    cell = equi_lstm_cell(rho_x, direct_sum([regular_rep(group)] * hidden_fields), rng, **kw)
     for p in cell.parameters():
         p.value = rng.normal(size=p.value.shape)
     return cell
@@ -381,7 +392,7 @@ def rand_cell(rng, group, rho_x, hidden_fields, **kw):
 
 def test_lstm_zero_input_zero_state_zero_bias_gives_zero():
     rng = np.random.default_rng(12)
-    cell = equi_lstm_cell(C4, regular_rep(C4), 2, rng)
+    cell = equi_lstm_cell(regular_rep(C4), direct_sum([regular_rep(C4)] * 2), rng)
     for p in cell.parameters():
         p.value[:] = 0.0
     h, c = initial_state(cell, mode="zero")
@@ -490,7 +501,7 @@ def test_actor_head_quarter_turn_moves_right_to_up():
     # send the Right logit to the Up slot
     rng = np.random.default_rng(21)
     rho_in = direct_sum([regular_rep(C4)] * 2)
-    head = equi_actor_head(C4, rho_in, 2, rng)
+    head = mlp_head(rho_in, rho_in, regular_rep(C4), rng, "actor")
     for p in head.parameters():
         p.value = rng.normal(size=p.value.shape)
     feats = FeatureField(rho_in, rng.normal(size=8))
@@ -505,7 +516,7 @@ def test_actor_head_quarter_turn_moves_right_to_up():
 def test_critic_head_is_invariant():
     rng = np.random.default_rng(22)
     rho_in = direct_sum([regular_rep(C4)] * 2)
-    head = equi_critic_head(C4, rho_in, 2, rng)
+    head = mlp_head(rho_in, rho_in, trivial_rep(C4), rng, "critic")
     for p in head.parameters():
         p.value = rng.normal(size=p.value.shape)
     feats = FeatureField(rho_in, rng.normal(size=8))
@@ -524,17 +535,10 @@ def test_uniform_logits_fixed_under_every_permutation():
 
 def test_head_rejects_wrong_rep():
     rng = np.random.default_rng(23)
-    head = equi_actor_head(C4, regular_rep(C4), 2, rng)
+    head = mlp_head(regular_rep(C4), direct_sum([regular_rep(C4)] * 2), regular_rep(C4),
+                    rng, "actor")
     with pytest.raises(RepresentationMismatchError):
         field_forward(head, FeatureField(trivial_rep(C4), np.zeros(1)))
-
-
-def test_dense_linear_interface():
-    rng = np.random.default_rng(24)
-    layer = DenseLinear(3, 5, rng)
-    x = rng.normal(size=(4, 3))
-    assert np.array_equal(layer.forward_t(Tensor(x)).value,
-                          x @ layer.weight.value.T + layer.bias.value)
 
 
 def test_layer_equivariance_battery():
