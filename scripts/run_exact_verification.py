@@ -21,13 +21,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from equipomdp.agent import OracleQPolicy, run_episodes  # noqa: E402
-from equipomdp.envs import (  # noqa: E402
-    CarFlag1dConfig,
-    CarFlag2dConfig,
-    export_pomdp,
-    make_env,
-)
+from equipomdp.agent import OracleQPolicy, evaluate  # noqa: E402
+from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, export_pomdp  # noqa: E402
 from equipomdp.pomdp import (  # noqa: E402
     check_invariance,
     exact_q,
@@ -92,9 +87,8 @@ def main() -> int:
     ok &= line.passed and bool(line.policy_consistent)
 
     solution = exact_q(pomdp, horizon=args.horizon)
-    env = make_env(cfg, np.random.default_rng(7))
-    success, mean_return = run_episodes(OracleQPolicy(solution, maps), env, 200,
-                                        np.random.default_rng(8))
+    success, mean_return = evaluate(OracleQPolicy(solution, maps), cfg, 200,
+                                    np.random.default_rng(7), greedy=True)
     print(f"exact greedy policy: success={success:.3f} mean_return={mean_return:.3f} "
           f"over 200 episodes ({solution.node_count} histories in "
           f"{solution.class_count} classes solved)")

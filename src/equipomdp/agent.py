@@ -93,6 +93,8 @@ class AgentConfig:
 # ---------------------------------------------------------------------------
 
 class RecurrentPolicy:
+    scores = "logits"   # what ``player``'s step returns per row
+
     def __init__(self, env_config, agent_config: AgentConfig, rng: np.random.Generator):
         self.env_config = env_config
         self.config = agent_config
@@ -269,6 +271,19 @@ class RecurrentPolicy:
         the heads the caller needs and read ``.value``."""
         return self.step_t(obs, ad.constant(h), ad.constant(c), realized, prev)
 
+    def player(self, streams):
+        """``(step, memory)`` for ``play_episodes``: the weights realized once,
+        each episode's initial state drawn from its own state stream, and
+        ``step(obs, prev, (h, c))`` returning the actor logits and (h', c')."""
+        realized = self.realize()
+        states = [self.initial_state(1, state_rng) for _, _, state_rng in streams]
+
+        def step(obs, prev, memory):
+            h, c = self.step_values(obs, *memory, realized, prev)
+            return self.logits_t(h, realized).value, (h.value, c.value)
+
+        return step, tuple(np.concatenate(rows) for rows in zip(*states))
+
 
 def categorical_from_uniform(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per row of ``logits``, given one uniform per row in ``u``
@@ -296,7 +311,6 @@ class RolloutBatch:
     terminated: np.ndarray      # (T, B) bool
     truncated: np.ndarray       # (T, B) bool
     values: np.ndarray          # (T, B) collection-time critic estimates
-    logps: np.ndarray           # (T, B) log-prob of the sampled action
     entropies: np.ndarray       # (T, B) policy entropy at collection time
     trunc_bootstrap: np.ndarray  # (T, B) V(final obs) where truncated, else 0
     reset_mask: np.ndarray      # (T, B) 1.0 where the recurrent state was reinitialized
@@ -335,7 +349,6 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
         terminated=np.zeros((n_steps, b), dtype=bool),
         truncated=np.zeros((n_steps, b), dtype=bool),
         values=np.zeros((n_steps, b)),
-        logps=np.zeros((n_steps, b)),
         entropies=np.zeros((n_steps, b)),
         trunc_bootstrap=np.zeros((n_steps, b)),
         reset_mask=np.zeros((n_steps, b)),
@@ -358,7 +371,6 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
         batch.values[t] = values
         logp = logits - logits.max(axis=-1, keepdims=True)
         logp = logp - np.log(np.exp(logp).sum(axis=-1, keepdims=True))
-        batch.logps[t] = logp[np.arange(b), actions]
         batch.entropies[t] = -(np.exp(logp) * logp).sum(axis=-1)
         next_obs = np.array(obs)
         next_prev = actions.copy()
@@ -471,107 +483,62 @@ def a2c_update(policy: RecurrentPolicy, opt: Adam, batch: RolloutBatch,
 # Evaluation.
 # ---------------------------------------------------------------------------
 
-class PolicyRunner:
-    """Episode-level wrapper: fresh recurrent state per episode. The weights
-    are realized once, when the runner is built, so build a new runner after
-    the parameters change."""
-
-    def __init__(self, policy: RecurrentPolicy, greedy: bool = False,
-                 state_rng: np.random.Generator | None = None):
-        self.policy = policy
-        self.realized = policy.realize()
-        self.greedy = greedy
-        self.state_rng = state_rng
-        self.h = None
-        self.c = None
-        self.prev = None
-
-    def reset(self):
-        self.h, self.c = self.policy.initial_state(1, self.state_rng)
-        self.prev = np.full(1, -1, dtype=np.int64)
-
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> int:
-        h, c = self.policy.step_values(obs[None], self.h, self.c, self.realized, self.prev)
-        logits = self.policy.logits_t(h, self.realized).value
-        self.h, self.c = h.value, c.value
-        if self.greedy:
-            action = int(np.argmax(logits[0]))
-        else:
-            action = int(sample_categorical(logits, rng)[0])
-        self.prev[0] = action
-        return action
-
-
-def run_episodes(agent_like, env, episodes: int, rng: np.random.Generator):
-    """Success rate (terminal with positive reward) and mean undiscounted return."""
-    successes, returns = 0, []
-    for _ in range(episodes):
-        obs = env.reset()
-        agent_like.reset()
-        total = 0.0
-        while True:
-            a = agent_like.act(obs, rng)
-            obs, reward, term, trunc = env.step(a)
-            total += reward
-            if term or trunc:
-                if term and reward > 0:
-                    successes += 1
-                break
-        returns.append(total)
-    return successes / episodes, float(np.mean(returns))
-
-
 def episode_streams(rng: np.random.Generator, episodes: int):
     """One (env, action, state) generator triple per episode, spawned from
     ``rng``'s seed sequence: episode i's streams depend on i alone."""
     return [ep.spawn(3) for ep in rng.spawn(episodes)]
 
 
-def play_episodes(policy: RecurrentPolicy, env_config, streams, greedy: bool = False):
-    """Play one episode per (env, action, state) stream triple, side by side:
-    one forward step and one actor call per time step over the episodes still
-    running. Returns per-episode success flags (terminal with positive reward)
-    and undiscounted returns. Each episode draws only from its own streams, so
-    its outcome does not depend on which episodes run beside it."""
-    realized = policy.realize()
+def play_episodes(actor, env_config, streams, greedy: bool = False):
+    """Play one episode per (env, action, state) stream triple, side by side.
+
+    ``actor.player(streams)`` returns ``(step, memory)``: ``memory`` is a tuple
+    of arrays with one row per episode, and each time step is one
+    ``step(obs, prev, memory) -> (scores, memory)`` call over the episodes
+    still running, whose rows drop out as they end. Returns per-episode success
+    flags (terminal with positive reward), undiscounted returns and actions.
+    Each episode draws only from its own streams, so its outcome does not
+    depend on which episodes run beside it."""
+    if not greedy and actor.scores != "logits":
+        raise AgentError(f"cannot sample actions from {actor.scores}; "
+                         f"play {type(actor).__name__} with greedy=True")
+    step, memory = actor.player(streams)
     envs = [make_env(env_config, env_rng) for env_rng, _, _ in streams]
     obs = np.stack([env.reset() for env in envs])
-    states = [policy.initial_state(1, state_rng) for _, _, state_rng in streams]
-    h = np.concatenate([s[0] for s in states])
-    c = np.concatenate([s[1] for s in states])
     prev = np.full(len(envs), -1, dtype=np.int64)
     live = np.arange(len(envs))
     successes = np.zeros(len(envs), dtype=bool)
     returns = np.zeros(len(envs))
+    actions_taken = [[] for _ in envs]
     while live.size:
-        h_t, c_t = policy.step_values(obs, h, c, realized, prev)
-        logits = policy.logits_t(h_t, realized).value
+        scores, memory = step(obs, prev, memory)
         if greedy:
-            actions = np.argmax(logits, axis=-1)
+            actions = np.argmax(scores, axis=-1)
         else:
             u = np.array([streams[i][1].random() for i in live])[:, None]
-            actions = categorical_from_uniform(logits, u)
+            actions = categorical_from_uniform(scores, u)
         running = []
         for row, i in enumerate(live):
-            obs[row], reward, term, trunc = envs[i].step(int(actions[row]))
+            actions_taken[i].append(int(actions[row]))
+            obs[row], reward, term, trunc = envs[i].step(actions_taken[i][-1])
             returns[i] += reward
             if term or trunc:
                 successes[i] = term and reward > 0
             else:
                 running.append(row)
         live, obs, prev = live[running], obs[running], actions[running]
-        h, c = h_t.value[running], c_t.value[running]
-    return successes, returns
+        memory = tuple(rows[running] for rows in memory)
+    return successes, returns, actions_taken
 
 
-def evaluate(policy: RecurrentPolicy, env_config, episodes: int,
-             rng: np.random.Generator, greedy: bool = False):
+def evaluate(actor, env_config, episodes: int, rng: np.random.Generator,
+             greedy: bool = False):
     """Success rate and mean undiscounted return over ``episodes`` episodes,
     played as one batch on per-episode streams spawned from ``rng``."""
     if episodes < 1:
         raise AgentError(f"evaluation needs at least 1 episode, got {episodes}")
-    successes, returns = play_episodes(policy, env_config,
-                                       episode_streams(rng, episodes), greedy)
+    successes, returns, _ = play_episodes(actor, env_config,
+                                          episode_streams(rng, episodes), greedy)
     return float(successes.mean()), float(returns.mean())
 
 
@@ -579,28 +546,38 @@ class OracleQPolicy:
     """Greedy play from an exact finite-horizon solution, walking its belief
     classes by (action, observation)."""
 
+    scores = "Q-values"   # what ``player``'s step returns per row
+
     def __init__(self, solution, maps):
         self.solution = solution
         self.maps = maps
-        self.node = None    # (depth, class index, action taken) after the last step
 
-    def reset(self):
-        self.node = None
-
-    def act(self, obs: np.ndarray, rng=None) -> int:
-        o = self.maps.obs_id_of_array(obs)
+    def player(self, streams):
+        """``(step, memory)`` for ``play_episodes``. The memory is each
+        episode's (depth, class) after its last step, depth -1 before the
+        first; ``step`` follows each row's observation to its class, from the
+        roots at depth 0 and by (previous action, observation) after that, and
+        returns the classes' Q-value rows."""
         sol = self.solution
-        if self.node is None:
-            depth, c = 0, sol.roots.get((o,))
-        else:
-            depth, c, a = self.node
-            depth, c = depth + 1, sol.classes[depth][c].children.get((a, o), (0.0, None))[1]
-        if c is None or depth >= sol.horizon:
-            raise AgentError(f"observation {o} at step {depth} is outside the tree "
-                             f"solved to horizon {sol.horizon}")
-        a = int(np.argmax(sol.classes[depth][c].q))
-        self.node = (depth, c, a)
-        return a
+
+        def step(obs, prev, memory):
+            depths, classes = memory[0] + 1, memory[1].copy()
+            for row, depth in enumerate(depths):
+                o = self.maps.obs_id_of_array(obs[row])
+                if depth == 0:
+                    c = sol.roots.get((o,))
+                else:
+                    parent = sol.classes[depth - 1][classes[row]]
+                    c = parent.children.get((int(prev[row]), o), (0.0, None))[1]
+                if c is None or depth >= sol.horizon:
+                    raise AgentError(f"observation {o} at step {depth} is outside the "
+                                     f"tree solved to horizon {sol.horizon}")
+                classes[row] = c
+            q = np.stack([sol.classes[d][c].q for d, c in zip(depths, classes)])
+            return q, (depths, classes)
+
+        n = len(streams)
+        return step, (np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

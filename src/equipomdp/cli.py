@@ -22,7 +22,7 @@ import numpy as np
 from . import agent as agent_mod
 from . import autodiff as ad
 from .agent import AgentConfig, OracleQPolicy, RecurrentPolicy, run_equivariance_suite
-from .envs import CarFlag1dConfig, CarFlag2dConfig, export_pomdp, make_env
+from .envs import CarFlag1dConfig, CarFlag2dConfig, episode_trace, export_pomdp, make_env
 from .pomdp import (
     belief_update,
     check_invariance,
@@ -261,26 +261,16 @@ def cmd_eval(args) -> int:
     policy.load_state(ad.load_checkpoint(checkpoint))
     seed = args.seed if args.seed is not None else agent_cfg.seed
     rng = np.random.default_rng(np.random.SeedSequence((seed, 55)))
-    state_rng = (np.random.default_rng(np.random.SeedSequence((seed, 56)))
-                 if agent_cfg.lstm_init == "random" else None)
     success, mean_return = agent_mod.evaluate(policy, env_cfg, args.episodes, rng,
                                               greedy=args.greedy)
     print(f"episodes={args.episodes} success_rate={success:.4f} "
           f"mean_return={mean_return:.4f}")
     if args.dump_trace:
-        from .envs import episode_trace
-        env = make_env(env_cfg, np.random.default_rng((seed, 57)))
-        actions = []
-        runner = agent_mod.PolicyRunner(policy, greedy=args.greedy, state_rng=state_rng)
-        obs = env.reset()
-        runner.reset()
-        while True:
-            a = runner.act(obs, rng)
-            actions.append(a)
-            obs, _, term, trunc = env.step(a)
-            if term or trunc:
-                break
-        lines = episode_trace(make_env(env_cfg, np.random.default_rng((seed, 57))), actions)
+        streams = agent_mod.episode_streams(np.random.default_rng((seed, 57)), 1)
+        _, _, (actions,) = agent_mod.play_episodes(policy, env_cfg, streams, args.greedy)
+        # replay the actions on a fresh env drawn from the same env stream
+        env_rng, _, _ = agent_mod.episode_streams(np.random.default_rng((seed, 57)), 1)[0]
+        lines = episode_trace(make_env(env_cfg, env_rng), actions)
         ad.write_atomic(args.dump_trace, "\n".join(lines) + "\n")
         print(f"trace written to {args.dump_trace}")
     return 0
@@ -303,8 +293,8 @@ def cmd_verify(args) -> int:
         print(f"RESULT equivariance passed={passed} actor={worst['actor']:.3e} "
               f"critic={worst['critic']:.3e} tolerance={EQUIVARIANCE_TOL:.1e}")
     elif suite in ("invariance", "belief", "value"):
-        env_cfg, _, _ = build_configs(args)
-        pomdp, binding, _ = export_pomdp(env_cfg, discount=args.gamma)
+        env_cfg, agent_cfg, _ = build_configs(args)
+        pomdp, binding, _ = export_pomdp(env_cfg, discount=agent_cfg.discount)
         if suite == "invariance":
             report = check_invariance(pomdp, binding)
         elif suite == "belief":
@@ -331,11 +321,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    env_cfg, _, _ = build_configs(args)
+    env_cfg, agent_cfg, _ = build_configs(args)
     if args.horizon < 1:
         raise UsageError(f"--horizon must be at least 1 for the greedy oracle to act, "
                          f"got {args.horizon}")
-    pomdp, binding, maps = export_pomdp(env_cfg, discount=args.gamma)
+    if args.episodes < 1:
+        raise UsageError(f"--episodes must be at least 1, got {args.episodes}")
+    pomdp, binding, maps = export_pomdp(env_cfg, discount=agent_cfg.discount)
     solution = exact_q(pomdp, horizon=args.horizon, node_budget=args.node_budget)
     out_dir = Path(args.out or "oracle-out")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -370,10 +362,9 @@ def cmd_oracle(args) -> int:
             worst = max(worst, abs(expect - cls.q[a]))
     print(f"bellman spot-check max residual: {worst:.3e}")
 
-    env = make_env(env_cfg, np.random.default_rng(np.random.SeedSequence((args.seed or 0, 77))))
-    oracle = OracleQPolicy(solution, maps)
-    success, mean_return = agent_mod.run_episodes(
-        oracle, env, args.episodes, np.random.default_rng((args.seed or 0, 78)))
+    success, mean_return = agent_mod.evaluate(
+        OracleQPolicy(solution, maps), env_cfg, args.episodes,
+        np.random.default_rng((args.seed or 0, 77)), greedy=True)
     ad.write_atomic(out_dir / "oracle_report.txt",
                     f"nodes={solution.node_count} classes={solution.class_count} "
                     f"horizon={args.horizon}\n"
@@ -439,8 +430,7 @@ def _add_env_flags(p):
     p.add_argument("--group", default=None,
                    help="symmetry group override (auto, reflection2, c4)")
     p.add_argument("--gamma", type=float, default=None,
-                   help="discount (train: overrides [agent] discount; verify and "
-                        "oracle: default 0.99)")
+                   help="discount; overrides [agent] discount (default 0.99)")
 
 
 def _add_agent_flags(p):
@@ -501,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", dest="max_len", type=int, default=50)
     p.add_argument("--lstm-init", dest="lstm_init", choices=["zero", "random"],
                    default=None)
-    p.set_defaults(func=cmd_verify, gamma=0.99)
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="solve an exported instance exactly and "
                                       "evaluate the greedy policy")
@@ -511,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-budget", dest="node_budget", type=int, default=2_000_000,
                    help="most belief classes to solve before giving up")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_oracle, gamma=0.99)
+    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("plotdata", help="aggregate curve files into mean/std per step")
     p.add_argument("runs", nargs="+", help="run directories or curve.csv paths")

@@ -21,13 +21,13 @@ from equipomdp.agent import (
     benchmark_env_config,
     collect_rollouts,
     equivariance_residuals,
-    run_episodes,
+    evaluate,
     run_equivariance_suite,
     start_carry,
     steps_to_threshold,
     train,
 )
-from equipomdp.envs import CarFlag2d, CarFlag2dConfig, export_pomdp, make_env
+from equipomdp.envs import CarFlag2d, CarFlag2dConfig, export_pomdp
 from equipomdp.groups import (
     CYCLIC,
     REFLECTION,
@@ -39,8 +39,8 @@ from equipomdp.groups import (
     standard_rep,
     trivial_rep,
 )
-from equipomdp.nn import solve_intertwiner_basis
 from equipomdp.pomdp import exact_q, verify_belief_invariance, verify_value_invariance
+from reference_basis import solve_intertwiner_basis
 
 C4 = make_group(CYCLIC, 4)
 FLIP = make_group(REFLECTION)
@@ -218,9 +218,8 @@ def test_criterion_07_oracle_vs_simulator():
             if term or trunc:
                 break
     solution = exact_q(pomdp, horizon=6)
-    env = make_env(cfg, np.random.default_rng(999))
-    success, _ = run_episodes(OracleQPolicy(solution, maps), env, 200,
-                              np.random.default_rng(998))
+    success, _ = evaluate(OracleQPolicy(solution, maps), cfg, 200,
+                          np.random.default_rng(999), greedy=True)
     ok = mismatches == 0 and success == 1.0
     announce(7, "oracle-vs-simulator", ok,
              f"{mismatches} trace mismatches in 1000 episodes, greedy success "

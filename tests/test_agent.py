@@ -6,7 +6,6 @@ from equipomdp.agent import (
     AgentConfig,
     AgentError,
     OracleQPolicy,
-    PolicyRunner,
     RecurrentPolicy,
     RolloutBatch,
     VectorEnv,
@@ -18,7 +17,6 @@ from equipomdp.agent import (
     equivariance_residuals,
     evaluate,
     play_episodes,
-    run_episodes,
     run_equivariance_suite,
     sample_categorical,
     segment_loss,
@@ -66,7 +64,7 @@ def blank_batch(n_steps, b, hidden=1):
         actions=np.zeros((n_steps, b), dtype=np.int64),
         rewards=zeros(n_steps, b), terminated=np.zeros((n_steps, b), dtype=bool),
         truncated=np.zeros((n_steps, b), dtype=bool), values=zeros(n_steps, b),
-        logps=zeros(n_steps, b), entropies=zeros(n_steps, b),
+        entropies=zeros(n_steps, b),
         trunc_bootstrap=zeros(n_steps, b), reset_mask=zeros(n_steps, b),
         reset_h=zeros(n_steps, b, hidden), reset_c=zeros(n_steps, b, hidden),
         start_h=zeros(b, hidden), start_c=zeros(b, hidden), bootstrap_value=zeros(b))
@@ -386,6 +384,68 @@ class AlwaysAction:
         return self.action
 
 
+class PolicyRunner:
+    """Sequential reference for ``play_episodes``: one episode at a time, with
+    a fresh recurrent state per episode. The weights are realized once, when
+    the runner is built."""
+
+    def __init__(self, policy, greedy=False, state_rng=None):
+        self.policy = policy
+        self.realized = policy.realize()
+        self.greedy = greedy
+        self.state_rng = state_rng
+
+    def reset(self):
+        self.h, self.c = self.policy.initial_state(1, self.state_rng)
+        self.prev = np.full(1, -1, dtype=np.int64)
+
+    def act(self, obs, rng):
+        h, c = self.policy.step_values(obs[None], self.h, self.c, self.realized, self.prev)
+        logits = self.policy.logits_t(h, self.realized).value
+        self.h, self.c = h.value, c.value
+        if self.greedy:
+            action = int(np.argmax(logits[0]))
+        else:
+            action = int(sample_categorical(logits, rng)[0])
+        self.prev[0] = action
+        return action
+
+
+class OracleRunner:
+    """Sequential reference for ``OracleQPolicy``: walks the solution's belief
+    classes one episode at a time and acts greedily."""
+
+    def __init__(self, solution, maps):
+        self.solution = solution
+        self.maps = maps
+
+    def reset(self):
+        self.node = None    # (depth, class, action taken) after the last step
+
+    def act(self, obs, rng=None):
+        sol, o = self.solution, self.maps.obs_id_of_array(obs)
+        if self.node is None:
+            depth, c = 0, sol.roots[(o,)]
+        else:
+            depth, c, a = self.node
+            depth, c = depth + 1, sol.classes[depth][c].children[(a, o)][1]
+        a = int(np.argmax(sol.classes[depth][c].q))
+        self.node = (depth, c, a)
+        return a
+
+
+def play_alone(runner, env_cfg, env_rng, act_rng):
+    """(success, return, actions) of one episode played one step at a time."""
+    env = make_env(env_cfg, env_rng)
+    obs, total, actions, done = env.reset(), 0.0, [], False
+    runner.reset()
+    while not done:
+        actions.append(runner.act(obs, act_rng))
+        obs, reward, term, trunc = env.step(actions[-1])
+        total, done = total + reward, term or trunc
+    return term and reward > 0, total, actions
+
+
 def test_always_left_never_finds_right_goal():
     cfg = CarFlag1dConfig(half_size=5)
     env = make_env(cfg, np.random.default_rng(30))
@@ -407,10 +467,8 @@ def test_always_left_never_finds_right_goal():
 
 def test_oracle_greedy_policy_is_perfect_on_3x3():
     pomdp, binding, maps = export_pomdp(CFG_2D)
-    solution = exact_q(pomdp, horizon=6)
-    env = make_env(CFG_2D, np.random.default_rng(40))
-    oracle = OracleQPolicy(solution, maps)
-    success, mean_return = run_episodes(oracle, env, 50, np.random.default_rng(41))
+    oracle = OracleQPolicy(exact_q(pomdp, horizon=6), maps)
+    success, mean_return = evaluate(oracle, CFG_2D, 50, np.random.default_rng(40), greedy=True)
     assert success == 1.0
     assert mean_return == 1.0
 
@@ -418,11 +476,35 @@ def test_oracle_greedy_policy_is_perfect_on_3x3():
 def test_oracle_policy_refuses_steps_past_its_horizon():
     pomdp, _, maps = export_pomdp(CFG_2D)
     oracle = OracleQPolicy(exact_q(pomdp, horizon=1), maps)
-    env = make_env(CFG_2D, np.random.default_rng(42))
-    oracle.reset()
-    obs, *_ = env.step(oracle.act(env.reset()))   # starts are 2+ steps from the goal
+    # every start is 2+ steps from the goal, so each episode reaches step 1
     with pytest.raises(AgentError, match="at step 1 is outside the tree solved to horizon 1"):
-        oracle.act(obs)
+        evaluate(oracle, CFG_2D, 3, np.random.default_rng(42), greedy=True)
+
+
+def test_oracle_refuses_sampled_play():
+    pomdp, _, maps = export_pomdp(CFG_2D)
+    oracle = OracleQPolicy(exact_q(pomdp, horizon=2), maps)
+    with pytest.raises(AgentError, match="cannot sample actions from Q-values"):
+        evaluate(oracle, CFG_2D, 3, np.random.default_rng(43), greedy=False)
+
+
+@pytest.mark.parametrize("env_cfg,horizon", [
+    (CFG_2D, 6),
+    (CarFlag1dConfig(half_size=4), 50),
+], ids=["3x3-h6", "1d-half4-h50"])
+def test_batched_oracle_matches_each_episode_run_alone(env_cfg, horizon):
+    """Each episode of a batched oracle evaluation ends exactly as it does when
+    the solution's classes are walked alone, on its own env stream."""
+    pomdp, _, maps = export_pomdp(env_cfg)
+    solution = exact_q(pomdp, horizon=horizon)
+    n = 12
+    successes, returns, actions = play_episodes(
+        OracleQPolicy(solution, maps), env_cfg,
+        episode_streams(np.random.default_rng(25), n), greedy=True)
+    for i, (env_rng, act_rng, _) in enumerate(episode_streams(np.random.default_rng(25), n)):
+        alone = play_alone(OracleRunner(solution, maps), env_cfg, env_rng, act_rng)
+        assert (bool(successes[i]), float(returns[i]), actions[i]) == alone, i
+    assert len(set(map(len, actions))) > 1   # rows drop out of the batch at different steps
 
 
 def test_greedy_play_mirrors_exactly():
@@ -480,21 +562,14 @@ def test_batched_evaluation_matches_each_episode_run_alone(env_cfg, greedy, lstm
     alone, one step at a time, on its own env, action and state streams."""
     policy = make_policy(env_cfg, seed=2, lstm_init=lstm_init)
     n = 12
-    successes, returns = play_episodes(policy, env_cfg,
-                                       episode_streams(np.random.default_rng(24), n), greedy)
-    lengths = []
+    successes, returns, actions = play_episodes(
+        policy, env_cfg, episode_streams(np.random.default_rng(24), n), greedy)
     for i, (env_rng, act_rng, state_rng) in enumerate(
             episode_streams(np.random.default_rng(24), n)):
-        env = make_env(env_cfg, env_rng)
         runner = PolicyRunner(policy, greedy=greedy, state_rng=state_rng)
-        obs, total, steps, done = env.reset(), 0.0, 0, False
-        runner.reset()
-        while not done:
-            obs, reward, term, trunc = env.step(runner.act(obs, act_rng))
-            total, steps, done = total + reward, steps + 1, term or trunc
-        assert (bool(successes[i]), float(returns[i])) == (term and reward > 0, total), i
-        lengths.append(steps)
-    assert len(set(lengths)) > 1   # rows drop out of the batch at different steps
+        alone = play_alone(runner, env_cfg, env_rng, act_rng)
+        assert (bool(successes[i]), float(returns[i]), actions[i]) == alone, i
+    assert len(set(map(len, actions))) > 1   # rows drop out of the batch at different steps
     assert evaluate(policy, env_cfg, n, np.random.default_rng(24), greedy=greedy) == (
         successes.mean(), returns.mean())
 

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from equipomdp import cli
 from equipomdp.cli import (
     UsageError,
     build_configs,
@@ -17,6 +18,7 @@ from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, export_pomdp
 from equipomdp.pomdp import (
     PomdpError,
     exact_q,
+    load_tables,
     random_pomdp,
     save_tables,
     verify_belief_invariance,
@@ -70,8 +72,36 @@ def test_config_file_discount_reaches_training_and_manifest(tmp_path):
     assert run_cli("train", "--config", str(cfg), "--steps", "0",
                    "--out", str(tmp_path / "run")) == 0
     assert read_manifest(tmp_path / "run" / "manifest.ini")[1].discount == 0.9
-    for argv in (["verify", "invariance"], ["oracle"]):
-        assert build_parser().parse_args(argv).gamma == 0.99
+    for argv in (["verify", "invariance"], ["oracle"]):   # they read the same key
+        assert build_configs(build_parser().parse_args(
+            [*argv, "--config", str(cfg)]))[1].discount == 0.9
+
+
+@pytest.mark.parametrize("ini, flags, discount", [
+    ("[agent]\ndiscount = 0.9\n", (), 0.9),
+    ("[agent]\ndiscount = 0.9\n", ("--gamma", "0.95"), 0.95),
+    ("", (), 0.99),
+], ids=["config-file", "flag-wins", "default"])
+def test_discount_reaches_oracle_and_verify_tables(tmp_path, monkeypatch, capsys,
+                                                   ini, flags, discount):
+    cfg = tmp_path / "f.ini"
+    cfg.write_text("[env]\nkind = carflag1d\nhalf_size = 3\n" + ini)
+    out = tmp_path / "o"
+    assert run_cli("oracle", "--config", str(cfg), "--horizon", "20", "--episodes", "5",
+                   "--out", str(out), *flags) == 0
+    assert load_tables(out / "model.tables").discount == discount
+    assert (out / "qtable.txt").read_text().splitlines()[2] == "discount %.17g" % discount
+    seen = []
+
+    def recording_export(env_cfg, discount):
+        seen.append(discount)
+        return export_pomdp(env_cfg, discount=discount)
+
+    monkeypatch.setattr(cli, "export_pomdp", recording_export)
+    for suite in ("invariance", "lemma1", "theorem1"):
+        assert run_cli("verify", suite, "--config", str(cfg), "--depth", "2",
+                       "--horizon", "2", *flags) == 0
+    assert seen == [discount] * 3
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -148,6 +178,22 @@ def test_eval_from_manifest(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "success_rate=" in out
+
+
+def test_eval_dump_trace_is_one_whole_reproducible_episode(tmp_path, capsys):
+    run_cli(*train_args(tmp_path, 4))
+    traces = []
+    for name in ("a.txt", "b.txt"):
+        assert run_cli("eval", "--run", str(tmp_path / "run4"), "--episodes", "2",
+                       "--seed", "6", "--dump-trace", str(tmp_path / name)) == 0
+        assert f"trace written to {tmp_path / name}" in capsys.readouterr().out
+        traces.append((tmp_path / name).read_bytes())
+    assert traces[0] == traces[1]
+    lines = traces[0].decode().splitlines()
+    assert lines[0].startswith("reset obs=")
+    assert all(line.startswith(f"t={t} ") for t, line in enumerate(lines[1:]))
+    assert "term=True" in lines[-1] or "trunc=True" in lines[-1]
+    assert not any("term=True" in line or "trunc=True" in line for line in lines[1:-1])
 
 
 def test_plotdata_single_and_multiple(tmp_path, capsys):
@@ -316,6 +362,8 @@ def test_verify_unknown_suite(capsys):
                  "horizon must be at least", id="oracle-horizon-negative"),
     pytest.param(None, ("oracle", "--horizon", "0"), 2, "horizon must be at least 1",
                  id="oracle-horizon-zero"),
+    pytest.param(None, ("oracle", "--episodes", "0"), 2, "episodes must be at least 1, got 0",
+                 id="oracle-episodes-zero"),
     pytest.param(lambda m, b: exact_q(m, 2, node_budget=0),
                  ("oracle", "--node-budget", "0"), 1,
                  "node_budget must be at least 1, got 0", id="oracle-budget-zero"),

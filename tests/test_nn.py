@@ -30,8 +30,8 @@ from equipomdp.nn import (
     equi_lstm_cell,
     initial_state,
     mlp_head,
-    solve_intertwiner_basis,
 )
+from reference_basis import solve_intertwiner_basis
 
 C1 = make_group(CYCLIC, 1)
 C4 = make_group(CYCLIC, 4)
