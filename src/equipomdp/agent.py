@@ -8,13 +8,15 @@ matter what the parameter values are. ``plain`` builds the same network
 over the trivial group, whose tying leaves every weight free; each of its
 widths is a field count times the group order, in trivial channels. The
 partial variants build one head that way. Every
-forward pass goes through the same ``RecurrentPolicy.step_t``, which advances
-the recurrent state, and each caller applies only the heads it needs:
-collection, evaluation and the equivariance checks realize the weights once,
-run it step by step and keep only the values, while updates rebuild the graph
-over the segment, apply the heads once to all of its steps, and backpropagate
-through time. Every time step is one batched call over all rows: the envs in
-collection, the still-running episodes in evaluation.
+forward pass goes through the same ``RecurrentPolicy.features_t`` (the
+trunk, which takes no recurrent state) and ``cell_t`` (which advances it), and
+each caller applies only the heads it needs: collection, evaluation and the
+equivariance checks realize the weights once, run both step by step through
+``step_t`` and keep only the values, while updates rebuild the graph over the
+segment, run the trunk once on all of its steps, step only the cell, apply the
+heads once to all of its steps, and backpropagate through time. Every time
+step is one batched call over all rows: the envs in collection, the
+still-running episodes in evaluation.
 """
 
 from __future__ import annotations
@@ -81,9 +83,13 @@ class AgentConfig:
             raise AgentError("loss coefficients must be nonnegative")
         if self.lstm_init not in ("zero", "random"):
             raise AgentError("lstm_init must be 'zero' or 'random'")
-        for name in ("n_envs", "n_steps", "eval_interval", "eval_episodes"):
+        for name in ("n_envs", "n_steps", "eval_interval", "eval_episodes",
+                     "lstm_fields", "head_fields"):
             if getattr(self, name) < 1:
                 raise AgentError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.conv_fields or min(self.conv_fields) < 1:
+            raise AgentError(f"conv_fields must be one or more widths of at least 1, "
+                             f"got {self.conv_fields!r}")
         if self.total_steps < 0:
             raise AgentError(f"total_steps must be nonnegative, got {self.total_steps}")
 
@@ -245,18 +251,29 @@ class RecurrentPolicy:
             out["extract"] = self.extractor.realize_t()
         return out
 
-    def step_t(self, obs: np.ndarray, h: Tensor, c: Tensor, realized,
-               prev: np.ndarray | None = None):
+    def features_t(self, obs: np.ndarray, realized, prev: np.ndarray | None = None):
+        """The cell's input rows for observation rows ``obs``: the conv trunk's
+        output as a graph tensor, or, without a trunk, a plain array (a
+        constant, joined before it enters the graph)."""
         x = self._encode(obs)
         extra = [self.encode_prev_action(prev)] if self.feed_prev_action else []
-        if self.extractor is None:  # a constant input: join it before it enters the graph
-            x = ad.constant(np.concatenate([x, *extra], axis=-1))
-        else:
-            x = self.extractor.forward_t(ad.constant(x), realized["extract"])
-            x = ad.reshape(x, (x.value.shape[0], -1))
-            if extra:
-                x = ad.concat([x, ad.constant(extra[0])], axis=-1)
+        if self.extractor is None:
+            return np.concatenate([x, *extra], axis=-1)
+        x = self.extractor.forward_t(ad.constant(x), realized["extract"])
+        x = ad.reshape(x, (x.value.shape[0], -1))
+        if extra:
+            x = ad.concat([x, ad.constant(extra[0])], axis=-1)
+        return x
+
+    def cell_t(self, x, h: Tensor, c: Tensor, realized):
+        """One cell step from ``features_t`` rows ``x``: (h', c')."""
+        if not isinstance(x, Tensor):
+            x = ad.constant(x)
         return self.cell.step_t(x, h, c, realized["cell"])
+
+    def step_t(self, obs: np.ndarray, h: Tensor, c: Tensor, realized,
+               prev: np.ndarray | None = None):
+        return self.cell_t(self.features_t(obs, realized, prev), h, c, realized)
 
     def logits_t(self, h: Tensor, realized) -> Tensor:
         return self.actor.forward_t(h, realized["actor"])
@@ -428,15 +445,23 @@ def segment_loss(policy: RecurrentPolicy, batch: RolloutBatch, config: AgentConf
                  returns: np.ndarray, advantages: np.ndarray):
     """Build the A2C loss graph over one collected segment (backprop through time).
 
-    Only the recurrent cell runs step by step; the heads and every loss term
-    then run once, on the (T*B, H) stack of the cell's outputs."""
+    The cell's inputs take no recurrent state, so the feature extractor runs
+    once, on the segment's (T*B) stacked observations; only the recurrent cell
+    then runs step by step, on row block t. The heads and every loss term run
+    once, on the (T*B, H) stack of the cell's outputs."""
     realized = policy.realize()
+    n_steps, b = batch.rewards.shape
+    feats = policy.features_t(batch.obs.reshape(n_steps * b, *policy.obs_shape), realized,
+                              batch.prev_actions.reshape(-1))
     h = ad.constant(batch.start_h)
     c = ad.constant(batch.start_c)
     hs = []
-    n_steps = batch.rewards.shape[0]
     for t in range(n_steps):
-        h, c = policy.step_t(batch.obs[t], h, c, realized, batch.prev_actions[t])
+        if isinstance(feats, Tensor):
+            x = ad.slice_rows(feats, t * b, (t + 1) * b)
+        else:  # a constant: slice it before it enters the graph
+            x = feats[t * b : (t + 1) * b]
+        h, c = policy.cell_t(x, h, c, realized)
         hs.append(h)
         if batch.reset_mask[t].any():
             keep = ad.constant(np.repeat(1.0 - batch.reset_mask[t, :, None],

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -207,11 +209,14 @@ def test_collect_equivariant_policy_on_transformed_script():
     (CarFlag1dConfig(half_size=2), dict(variant="plain")),
     (CarFlag2dConfig(grid_size=5, max_steps=6), dict(variant="equi")),
     (CarFlag1dConfig(half_size=2), dict(variant="equi", lstm_init="random")),
-], ids=["1d-equi", "1d-plain", "2d-5x5", "1d-random-init"])
+    (CarFlag2dConfig(grid_size=7, max_steps=6), dict(variant="equi", conv_fields=(4, 8))),
+], ids=["1d-equi", "1d-plain", "2d-5x5", "1d-random-init", "2d-7x7"])
 def test_collection_matches_update_forward_exactly(env_cfg, kw):
     """The update's graph replays the collected segment: its value loss and
     entropy equal the ones the collected batch implies, bit for bit, across
-    several segments with episode resets inside them."""
+    several segments with episode resets inside them. On 2D this compares the
+    update's trunk, run once on the whole segment, with collection's, run
+    once per step."""
     cfg = small_agent_config(**kw)
     policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
     venv = VectorEnv(env_cfg, cfg.n_envs, np.random.SeedSequence(1))
@@ -350,11 +355,12 @@ def test_agent_config_validation():
 
 @pytest.mark.parametrize("field,value", [
     ("n_envs", 0), ("n_steps", 0), ("eval_interval", 0), ("eval_interval", -5),
-    ("eval_episodes", 0), ("total_steps", -1),
+    ("eval_episodes", 0), ("total_steps", -1), ("lstm_fields", 0), ("head_fields", 0),
+    ("head_fields", -2), ("conv_fields", ()), ("conv_fields", (0,)), ("conv_fields", (4, 0)),
 ])
 def test_agent_config_rejects_empty_loops(field, value):
     # each of these used to hang train, or fail deep inside it without naming the field
-    with pytest.raises(AgentError, match=field):
+    with pytest.raises(AgentError, match=f"{field} .*{re.escape(str(value))}"):
         AgentConfig(**{field: value})
 
 
@@ -608,6 +614,16 @@ def test_train_is_bit_deterministic(tmp_path):
     cfg = small_agent_config(total_steps=300, eval_interval=150, eval_episodes=3, seed=5)
     train(CFG_1D, cfg, tmp_path / "a")
     train(CFG_1D, cfg, tmp_path / "b")
+    assert (tmp_path / "a" / "curve.csv").read_bytes() == (tmp_path / "b" / "curve.csv").read_bytes()
+    assert (tmp_path / "a" / "final.ckpt").read_bytes() == (tmp_path / "b" / "final.ckpt").read_bytes()
+
+
+def test_train_2d_is_bit_deterministic(tmp_path):
+    cfg = small_agent_config(conv_fields=(4, 8), total_steps=800, eval_interval=800,
+                             eval_episodes=3, seed=5)
+    env_cfg = CarFlag2dConfig(grid_size=7)
+    train(env_cfg, cfg, tmp_path / "a")
+    train(env_cfg, cfg, tmp_path / "b")
     assert (tmp_path / "a" / "curve.csv").read_bytes() == (tmp_path / "b" / "curve.csv").read_bytes()
     assert (tmp_path / "a" / "final.ckpt").read_bytes() == (tmp_path / "b" / "final.ckpt").read_bytes()
 

@@ -91,6 +91,7 @@ def _primitive_cases():
         "take": (lambda p: ad.tsum(ad.take(p, flat_idx)), (3, 4)),
         "concat": (lambda p: ad.tsum(ad.concat([p, ad.tanh(p)], axis=-1)), (3, 4)),
         "slice_last": (lambda p: ad.tsum(ad.slice_last(p, 1, 3)), (3, 4)),
+        "slice_rows": (lambda p: ad.tsum(ad.tanh(ad.slice_rows(p, 1, 3))), (4, 3)),
         "reshape": (lambda p: ad.tsum(ad.hadamard(ad.reshape(p, (2, 6)), Tensor(np.ones((2, 6))) )), (3, 4)),
         "transpose": (lambda p: ad.tsum(ad.matmul(ad.transpose(p, (1, 0)), Tensor(v3))), (3, 4)),
         "sum_axis": (lambda p: ad.tsum(ad.tanh(ad.sum_axis(p, -1))), (3, 4)),
@@ -195,34 +196,55 @@ def test_lstm_step_is_in_the_gradcheck_battery():
         assert battery[name] < 1e-4
 
 
+def test_slice_rows_and_conv2d_are_in_the_gradcheck_battery():
+    battery = ad.primitive_gradcheck_battery(seed=0)
+    for name in ("slice_rows", "conv2d", "conv2d_kernel"):
+        assert battery[name] < 1e-4
+
+
+def einsum_conv2d(x, k, padding, g):
+    """The einsum formulation of conv2d: output, kernel gradient and input
+    gradient (one contraction per kernel offset) for output cotangent ``g``.
+    The reference for ``ad.conv2d``."""
+    kh, kw = k.shape[2:]
+    pad = ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2))
+    xp = np.pad(x, pad) if padding == "same" else x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    out = np.einsum("bchwuv,fcuv->bfhw", windows, k, optimize=True)
+    gk = np.einsum("bchwuv,bfhw->fcuv", windows, g, optimize=True)
+    gx = np.zeros_like(xp)
+    for u in range(kh):
+        for v in range(kw):
+            gx[:, :, u : u + g.shape[2], v : v + g.shape[3]] += np.einsum(
+                "bfhw,fc->bchw", g, k[:, :, u, v], optimize=True)
+    if padding == "same":
+        gx = gx[:, :, kh // 2 : kh // 2 + x.shape[2], kw // 2 : kw // 2 + x.shape[3]]
+    return out, gk, gx
+
+
+# the three layers of the 7x7 agent's trunk, on one step's 16 rows and on one
+# T=5 segment's 80 rows, and a "same"-padded layer
+_SEVEN_BY_SEVEN = [((2, 7, 7), (16, 2, 3, 3)), ((16, 5, 5), (32, 16, 3, 3)),
+                   ((32, 3, 3), (32, 32, 3, 3))]
+
+
 @pytest.mark.parametrize("padding,x_shape,k_shape", [
-    ("valid", (16, 16, 5, 5), (32, 16, 3, 3)),   # the middle 7x7-agent layer
+    *(("valid", (rows, *x), k) for rows in (16, 80) for x, k in _SEVEN_BY_SEVEN),
     ("same", (3, 4, 6, 6), (5, 4, 3, 3)),
-])
-def test_conv2d_fixed_path_is_bitwise_the_searched_path(padding, x_shape, k_shape):
-    """conv2d's precomputed two-operand path gives the output and both
-    gradients bit for bit as ``np.einsum(..., optimize=True)`` does."""
+], ids=[*(f"7x7-layer{i}-{rows}rows" for rows in (16, 80) for i in range(3)), "same"])
+def test_conv2d_matches_einsum_reference(padding, x_shape, k_shape):
+    """The im2col conv2d gives the einsum formulation's output and both
+    gradients to 1e-12."""
     rng = np.random.default_rng(23)
     x, k = parameter(rng.normal(size=x_shape), "x"), parameter(rng.normal(size=k_shape), "k")
     out = ad.conv2d(x, k, padding)
     g = rng.normal(size=out.shape)
     backward(ad.tsum(ad.hadamard(out, Tensor(g))))
-    kh, kw = k_shape[2:]
-    pad = ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2))
-    xp = np.pad(x.value, pad) if padding == "same" else x.value
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    ref = np.einsum("bchwuv,fcuv->bfhw", windows, k.value, optimize=True)
-    ref_gk = np.einsum("bchwuv,bfhw->fcuv", windows, g, optimize=True)
-    ref_gx = np.zeros_like(xp)
-    for u in range(kh):
-        for v in range(kw):
-            ref_gx[:, :, u : u + g.shape[2], v : v + g.shape[3]] += np.einsum(
-                "bfhw,fc->bchw", g, k.value[:, :, u, v], optimize=True)
-    if padding == "same":
-        ref_gx = ref_gx[:, :, kh // 2 : kh // 2 + x_shape[2], kw // 2 : kw // 2 + x_shape[3]]
-    assert np.array_equal(out.value, ref)
-    assert np.array_equal(k.grad, ref_gk)
-    assert np.array_equal(x.grad, ref_gx)
+    ref, ref_gk, ref_gx = einsum_conv2d(x.value, k.value, padding, g)
+    assert out.shape == ref.shape and x.grad.shape == x_shape
+    assert np.max(np.abs(out.value - ref)) <= 1e-12
+    assert np.max(np.abs(k.grad - ref_gk)) <= 1e-12
+    assert np.max(np.abs(x.grad - ref_gx)) <= 1e-12
 
 
 def test_shape_errors():

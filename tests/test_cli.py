@@ -132,6 +132,16 @@ def test_bad_env_parameter_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--conv-fields", ""), ("--conv-fields", "4,0"), ("--lstm-fields", "0"),
+    ("--head-fields", "0"),
+])
+def test_empty_width_exits_2_naming_the_field(capsys, flag, value):
+    code = run_cli("train", "--env", "carflag2d", flag, value, "--steps", "1")
+    assert code == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train / eval / plotdata.
 # ---------------------------------------------------------------------------
