@@ -7,20 +7,24 @@ symmetry, so the actor permutes and the critic is unchanged under it no
 matter what the parameter values are. ``plain`` builds the same network
 over the trivial group, whose tying leaves every weight free; each of its
 widths is a field count times the group order, in trivial channels. The
-partial variants build one head that way. Every
-forward pass goes through the same ``RecurrentPolicy.features_t`` (the
-trunk, which takes no recurrent state) and ``cell_t`` (which advances it), and
-each caller applies only the heads it needs: collection, evaluation and the
-equivariance checks realize the weights once, run both step by step through
-``step_t`` and keep only the values, while updates rebuild the graph over the
-segment, run the trunk once on all of its steps, step only the cell, apply the
-heads once to all of its steps, and backpropagate through time. Every time
-step is one batched call over all rows: the envs in collection, the
-still-running episodes in evaluation.
+partial variants build one head that way.
+
+Every forward pass goes through ``RecurrentPolicy.step_t`` (trunk and cell),
+and each caller applies only the heads it needs. A segment is run forward
+once. Collection realizes the weights, chains ``step_t`` from step to step on
+graph tensors (episode resets are keep-mask and injected-row ops in the same
+graph), stacks the cell outputs of all T steps into (T*B, H) rows and runs
+the critic on them once. The update takes that graph as it stands: it applies
+the actor head to the stacked rows, builds the three loss terms and
+backpropagates through time into the weights collection used, with no second
+forward. Evaluation and the equivariance checks run ``step_t`` on constants
+and keep only the values. Every time step is one batched call over all rows:
+the envs in collection, the still-running episodes in evaluation.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,6 +83,13 @@ class AgentConfig:
             raise AgentError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         if not 0.0 <= self.discount < 1.0:
             raise AgentError("discount must be in [0, 1)")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            # zero never moves a weight, and a negative rate runs gradient ascent
+            raise AgentError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
+        for name in ("value_coef", "entropy_coef", "grad_clip"):
+            if not math.isfinite(getattr(self, name)):
+                raise AgentError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.value_coef, self.entropy_coef, self.grad_clip) < 0:
             raise AgentError("loss coefficients must be nonnegative")
         if self.lstm_init not in ("zero", "random"):
@@ -251,29 +262,21 @@ class RecurrentPolicy:
             out["extract"] = self.extractor.realize_t()
         return out
 
-    def features_t(self, obs: np.ndarray, realized, prev: np.ndarray | None = None):
-        """The cell's input rows for observation rows ``obs``: the conv trunk's
-        output as a graph tensor, or, without a trunk, a plain array (a
-        constant, joined before it enters the graph)."""
-        x = self._encode(obs)
-        extra = [self.encode_prev_action(prev)] if self.feed_prev_action else []
-        if self.extractor is None:
-            return np.concatenate([x, *extra], axis=-1)
-        x = self.extractor.forward_t(ad.constant(x), realized["extract"])
-        x = ad.reshape(x, (x.value.shape[0], -1))
-        if extra:
-            x = ad.concat([x, ad.constant(extra[0])], axis=-1)
-        return x
-
-    def cell_t(self, x, h: Tensor, c: Tensor, realized):
-        """One cell step from ``features_t`` rows ``x``: (h', c')."""
-        if not isinstance(x, Tensor):
-            x = ad.constant(x)
-        return self.cell.step_t(x, h, c, realized["cell"])
-
     def step_t(self, obs: np.ndarray, h: Tensor, c: Tensor, realized,
                prev: np.ndarray | None = None):
-        return self.cell_t(self.features_t(obs, realized, prev), h, c, realized)
+        """One recurrent step on observation rows ``obs`` (previous actions
+        ``prev``) from state tensors ``h``, ``c``: the trunk, if any, then the
+        cell. Returns (h', c')."""
+        x = self._encode(obs)
+        extra = [self.encode_prev_action(prev)] if self.feed_prev_action else []
+        if self.extractor is None:  # a constant: join it before it enters the graph
+            x = ad.constant(np.concatenate([x, *extra], axis=-1))
+        else:
+            x = self.extractor.forward_t(ad.constant(x), realized["extract"])
+            x = ad.reshape(x, (x.value.shape[0], -1))
+            if extra:
+                x = ad.concat([x, ad.constant(extra[0])], axis=-1)
+        return self.cell.step_t(x, h, c, realized["cell"])
 
     def logits_t(self, h: Tensor, realized) -> Tensor:
         return self.actor.forward_t(h, realized["actor"])
@@ -322,21 +325,18 @@ def sample_categorical(logits: np.ndarray, rng: np.random.Generator) -> np.ndarr
 @dataclass
 class RolloutBatch:
     obs: np.ndarray             # (T, B, *obs_shape)
-    prev_actions: np.ndarray    # (T, B) int; -1 marks an episode start
     actions: np.ndarray         # (T, B) int
     rewards: np.ndarray         # (T, B)
     terminated: np.ndarray      # (T, B) bool
     truncated: np.ndarray       # (T, B) bool
     values: np.ndarray          # (T, B) collection-time critic estimates
-    entropies: np.ndarray       # (T, B) policy entropy at collection time
     trunc_bootstrap: np.ndarray  # (T, B) V(final obs) where truncated, else 0
-    reset_mask: np.ndarray      # (T, B) 1.0 where the recurrent state was reinitialized
-    reset_h: np.ndarray         # (T, B, H) injected state rows
-    reset_c: np.ndarray         # (T, B, H)
-    start_h: np.ndarray         # (B, H)
-    start_c: np.ndarray         # (B, H)
     bootstrap_value: np.ndarray  # (B,)
     episodes_finished: int = 0
+    # Collection's graph, until an update differentiates it and drops it:
+    hidden: Tensor | None = None    # (T*B, H) cell outputs; row t*B + i is env i at step t
+    values_t: Tensor | None = None  # (T*B,) the critic on ``hidden``; ``values`` is its value
+    realized: dict | None = None    # the weights ``hidden`` was computed with
 
     @property
     def n_transitions(self) -> int:
@@ -353,42 +353,30 @@ def start_carry(policy: RecurrentPolicy, venv: VectorEnv,
 
 def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
                      rng: np.random.Generator, carry: dict) -> RolloutBatch:
-    """Advance every env ``n_steps`` steps, sampling from the actor."""
+    """Advance every env ``n_steps`` steps, sampling from the actor, and keep
+    the graph of the recurrent state across the segment for the update."""
     b = len(venv)
-    h, c, obs, prev = carry["h"], carry["c"], carry["obs"], carry["prev"]
+    obs, prev = carry["obs"], carry["prev"]
     state_rng = carry.get("state_rng")
-    shape = policy.obs_shape
     batch = RolloutBatch(
-        obs=np.zeros((n_steps, b, *shape)),
-        prev_actions=np.zeros((n_steps, b), dtype=np.int64),
+        obs=np.zeros((n_steps, b, *policy.obs_shape)),
         actions=np.zeros((n_steps, b), dtype=np.int64),
         rewards=np.zeros((n_steps, b)),
         terminated=np.zeros((n_steps, b), dtype=bool),
         truncated=np.zeros((n_steps, b), dtype=bool),
         values=np.zeros((n_steps, b)),
-        entropies=np.zeros((n_steps, b)),
         trunc_bootstrap=np.zeros((n_steps, b)),
-        reset_mask=np.zeros((n_steps, b)),
-        reset_h=np.zeros((n_steps, b, policy.hidden_dim)),
-        reset_c=np.zeros((n_steps, b, policy.hidden_dim)),
-        start_h=h.copy(),
-        start_c=c.copy(),
         bootstrap_value=np.zeros(b),
     )
     realized = policy.realize()
+    h, c = ad.constant(carry["h"]), ad.constant(carry["c"])
+    hs = []
     for t in range(n_steps):
         batch.obs[t] = obs
-        batch.prev_actions[t] = prev
-        h_t, c_t = policy.step_values(obs, h, c, realized, prev)
-        logits = policy.logits_t(h_t, realized).value
-        values = policy.values_t(h_t, realized).value
-        h, c = h_t.value, c_t.value
-        actions = sample_categorical(logits, rng)
+        h, c = policy.step_t(obs, h, c, realized, prev)
+        hs.append(h)
+        actions = sample_categorical(policy.logits_t(h, realized).value, rng)
         batch.actions[t] = actions
-        batch.values[t] = values
-        logp = logits - logits.max(axis=-1, keepdims=True)
-        logp = logp - np.log(np.exp(logp).sum(axis=-1, keepdims=True))
-        batch.entropies[t] = -(np.exp(logp) * logp).sum(axis=-1)
         next_obs = np.array(obs)
         next_prev = actions.copy()
         done_rows = []
@@ -403,23 +391,31 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
         trunc_rows = [i for i in done_rows if batch.truncated[t, i]]
         if trunc_rows:
             # bootstrap value of the final observation under the post-step state
-            h_fin, _ = policy.step_values(next_obs[trunc_rows], h[trunc_rows],
-                                          c[trunc_rows], realized, next_prev[trunc_rows])
+            h_fin, _ = policy.step_values(next_obs[trunc_rows], h.value[trunc_rows],
+                                          c.value[trunc_rows], realized, next_prev[trunc_rows])
             batch.trunc_bootstrap[t, trunc_rows] = policy.values_t(h_fin, realized).value
-        for i in done_rows:
-            next_obs[i] = venv.reset_one(i)
-            next_prev[i] = -1
-            nh, nc = policy.initial_state(1, state_rng)
-            h[i], c[i] = nh[0], nc[0]
-            batch.reset_mask[t, i] = 1.0
-            batch.reset_h[t, i] = nh[0]
-            batch.reset_c[t, i] = nc[0]
+        if done_rows:
+            # finished rows restart from a fresh state: keep the others, inject theirs
+            keep = np.ones((b, policy.hidden_dim))
+            new_h, new_c = np.zeros_like(keep), np.zeros_like(keep)
+            for i in done_rows:
+                next_obs[i] = venv.reset_one(i)
+                next_prev[i] = -1
+                nh, nc = policy.initial_state(1, state_rng)
+                keep[i], new_h[i], new_c[i] = 0.0, nh[0], nc[0]
+            keep = ad.constant(keep)
+            h = ad.add(ad.hadamard(h, keep), ad.constant(new_h))
+            c = ad.add(ad.hadamard(c, keep), ad.constant(new_c))
         batch.episodes_finished += len(done_rows)
         obs = next_obs
         prev = next_prev
-    h_boot, _ = policy.step_values(obs, h, c, realized, prev)
+    batch.hidden = ad.concat(hs, axis=0)
+    batch.values_t = policy.values_t(batch.hidden, realized)
+    batch.values = batch.values_t.value.reshape(n_steps, b)
+    batch.realized = realized
+    h_boot, _ = policy.step_values(obs, h.value, c.value, realized, prev)
     batch.bootstrap_value = policy.values_t(h_boot, realized).value
-    carry.update(obs=obs, h=h, c=c, prev=prev)
+    carry.update(obs=obs, h=h.value, c=c.value, prev=prev)
     return batch
 
 
@@ -443,40 +439,19 @@ def compute_returns(batch: RolloutBatch, discount: float):
 
 def segment_loss(policy: RecurrentPolicy, batch: RolloutBatch, config: AgentConfig,
                  returns: np.ndarray, advantages: np.ndarray):
-    """Build the A2C loss graph over one collected segment (backprop through time).
+    """Build the A2C loss on collection's graph (backprop through time).
 
-    The cell's inputs take no recurrent state, so the feature extractor runs
-    once, on the segment's (T*B) stacked observations; only the recurrent cell
-    then runs step by step, on row block t. The heads and every loss term run
-    once, on the (T*B, H) stack of the cell's outputs."""
-    realized = policy.realize()
-    n_steps, b = batch.rewards.shape
-    feats = policy.features_t(batch.obs.reshape(n_steps * b, *policy.obs_shape), realized,
-                              batch.prev_actions.reshape(-1))
-    h = ad.constant(batch.start_h)
-    c = ad.constant(batch.start_c)
-    hs = []
-    for t in range(n_steps):
-        if isinstance(feats, Tensor):
-            x = ad.slice_rows(feats, t * b, (t + 1) * b)
-        else:  # a constant: slice it before it enters the graph
-            x = feats[t * b : (t + 1) * b]
-        h, c = policy.cell_t(x, h, c, realized)
-        hs.append(h)
-        if batch.reset_mask[t].any():
-            keep = ad.constant(np.repeat(1.0 - batch.reset_mask[t, :, None],
-                                         policy.hidden_dim, axis=1))
-            h = ad.add(ad.hadamard(h, keep),
-                       ad.constant(batch.reset_h[t] * batch.reset_mask[t, :, None]))
-            c = ad.add(ad.hadamard(c, keep),
-                       ad.constant(batch.reset_c[t] * batch.reset_mask[t, :, None]))
-    rows = ad.concat(hs, axis=0)  # row t*B + i is env i at step t
-    logp = ad.log_softmax(policy.logits_t(rows, realized))
+    Only the actor head and the loss terms are new nodes: they run once, on
+    the (T*B, H) stack of the cell's outputs, with the weights collection
+    realized, and the value loss reads the critic collection ran on them."""
+    if batch.hidden is None:
+        raise AgentError("this batch has no graph to differentiate: an update already "
+                         "used it and freed it, so collect a new segment")
+    logp = ad.log_softmax(policy.logits_t(batch.hidden, batch.realized))
     lp_taken = ad.gather_rows(logp, batch.actions.reshape(-1))
     policy_loss = ad.scale(ad.mean(ad.hadamard(ad.constant(advantages.reshape(-1)),
                                                lp_taken)), -1.0)
-    values = policy.values_t(rows, realized)
-    diff = ad.add(ad.constant(returns.reshape(-1)), ad.scale(values, -1.0))
+    diff = ad.add(ad.constant(returns.reshape(-1)), ad.scale(batch.values_t, -1.0))
     value_loss = ad.mean(ad.hadamard(diff, diff))
     entropy = ad.mean(ad.scale(ad.sum_axis(ad.hadamard(ad.exp(logp), logp), -1), -1.0))
     loss = ad.add(policy_loss,
@@ -493,12 +468,14 @@ def segment_loss(policy: RecurrentPolicy, batch: RolloutBatch, config: AgentConf
 
 def a2c_update(policy: RecurrentPolicy, opt: Adam, batch: RolloutBatch,
                config: AgentConfig):
-    """One gradient step on policy, value, and entropy losses over the segment."""
+    """One gradient step on policy, value, and entropy losses over the segment.
+    Frees the batch's graph, so a batch serves one update."""
     returns, advantages = compute_returns(batch, config.discount)
     loss, stats = segment_loss(policy, batch, config, returns, advantages)
     if not np.isfinite(loss.value):
         raise NonFiniteLossError(f"non-finite loss; diagnostics snapshot: {stats}")
     ad.backward(loss)
+    batch.hidden = batch.values_t = batch.realized = None
     stats["grad_norm"] = clip_grad_norm(policy.parameters(), config.grad_clip)
     opt.step()
     return stats
@@ -785,18 +762,38 @@ def benchmark_agent_config(variant: str, seed: int,
                        feed_prev_action=True)
 
 
+def segment_loss_gradcheck(policy: RecurrentPolicy, env_config, config: AgentConfig,
+                           env_seed: int, sample_seed: int) -> float:
+    """Finite-difference check of ``segment_loss`` on collection's own graph.
+
+    Each loss evaluation collects the segment afresh (new envs, sampling rng
+    and carry from the same seeds), so the checked graph is the one training
+    differentiates. The returns and advantages of the first collection stay
+    fixed: the loss takes them as constants. Raises ``AgentError`` if a
+    perturbed collection samples other actions than the first."""
+
+    def collect():
+        venv = VectorEnv(env_config, config.n_envs, np.random.SeedSequence(env_seed))
+        return collect_rollouts(policy, venv, config.n_steps,
+                                np.random.default_rng(sample_seed), start_carry(policy, venv))
+
+    first = collect()
+    returns, advantages = compute_returns(first, config.discount)
+
+    def build():
+        batch = collect()
+        if not np.array_equal(batch.actions, first.actions):
+            raise AgentError("a perturbed collection sampled other actions than the "
+                             "first; the finite differences would cross a sampling boundary")
+        return segment_loss(policy, batch, config, returns, advantages)[0]
+
+    return ad.gradcheck(build, policy.parameters())
+
+
 def a2c_loss_gradcheck(seed: int = 0) -> float:
-    """Finite-difference check of the full recurrent loss on a toy batch."""
+    """Finite-difference check of the full recurrent loss on a toy segment."""
     env_cfg = CarFlag1dConfig(half_size=5)
     cfg = AgentConfig(variant="equi", n_envs=2, n_steps=2, lstm_fields=2,
                       head_fields=2, seed=seed)
     policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(seed))
-    venv = VectorEnv(env_cfg, 2, np.random.SeedSequence(seed + 1))
-    carry = start_carry(policy, venv)
-    batch = collect_rollouts(policy, venv, 2, np.random.default_rng(seed + 2), carry)
-    returns, advantages = compute_returns(batch, cfg.discount)
-
-    def build():
-        return segment_loss(policy, batch, cfg, returns, advantages)[0]
-
-    return ad.gradcheck(build, policy.parameters())
+    return segment_loss_gradcheck(policy, env_cfg, cfg, seed + 1, seed + 2)

@@ -267,16 +267,6 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     return Tensor(val, (a,), bwd)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along the first axis."""
-    val = a.value[start:stop]
-
-    def bwd(g):
-        a.grad[start:stop] += g
-
-    return Tensor(val, (a,), bwd)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     val = a.value.reshape(shape)
 
@@ -335,16 +325,9 @@ def conv2d(x: Tensor, k: Tensor, padding: str = "valid") -> Tensor:
     Lowered to one matmul each way over the (kh*kw*C, H'*W'*B) patch matrix
     (im2col); the input gradient folds the patch gradient back with one
     slice-add per kernel offset (col2im). The batch axis is innermost in both,
-    so each slice-add runs over contiguous runs of W'*B entries.
-
-    The forward product takes (H'*W'*B, kh*kw*C) patch rows to (H'*W'*B, F)
-    rows through a C-ordered weight matrix, and the output is a (B,F,H',W')
-    view of it. In that layout OpenBLAS (measured on 0.3.31 with its AVX-512
-    kernels) gives each output row bit for bit the same however many rows
-    share the call, so a trunk run once on a segment's stacked rows matches
-    the same trunk run step by step. With the row axis last, or with a
-    transposed weight view, it picks kernels by size and the sums differ in
-    the last bit."""
+    so each slice-add runs over contiguous runs of W'*B entries. The forward
+    product takes (H'*W'*B, kh*kw*C) patch rows to (H'*W'*B, F) rows, and the
+    output is a (B,F,H',W') view of it."""
     xv, kv = x.value, k.value
     if xv.ndim != 4 or kv.ndim != 4 or xv.shape[1] != kv.shape[1]:
         raise ShapeError(f"conv2d: input {xv.shape}, kernel {kv.shape}")
@@ -483,19 +466,6 @@ def clip_grad_norm(params, max_norm: float) -> float:
             if p.grad is not None:
                 p.grad *= factor
     return norm
-
-
-class Sgd:
-    def __init__(self, params, lr: float):
-        self.params = list(params)
-        self.lr = lr
-
-    def step(self):
-        for p in self.params:
-            if p.grad is None:
-                continue
-            _check_finite(p)
-            p.value -= self.lr * p.grad
 
 
 class Adam:
@@ -643,7 +613,6 @@ def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
         "take": (lambda p: tsum(take(p, flat_idx)), (3, 4)),
         "concat": (lambda p: tsum(concat([p, tanh(p)], axis=-1)), (3, 4)),
         "slice_last": (lambda p: tsum(slice_last(p, 1, 3)), (3, 4)),
-        "slice_rows": (lambda p: tsum(tanh(slice_rows(p, 1, 3))), (4, 3)),
         "reshape": (lambda p: tsum(tanh(reshape(p, (2, 6)))), (3, 4)),
         "transpose": (lambda p: tsum(matmul(transpose(p, (1, 0)), Tensor(v3))), (3, 4)),
         "sum": (lambda p: tsum(tanh(p)), (3, 4)),

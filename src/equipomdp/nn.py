@@ -19,8 +19,8 @@ Every layer has one forward path, on ``autodiff`` tensors. ``realize_t``
 builds the layer's dense weights from its parameters as graph tensors, and
 ``forward_t`` (``step_t`` for the cell) applies them; a caller that runs many
 steps under fixed parameters realizes once and passes the result in. Callers
-that only need values (rollout collection, evaluation, equivariance checks)
-read ``.value`` off the output and drop the graph.
+that only need values (evaluation, equivariance checks) read ``.value`` off
+the output and drop the graph; rollout collection keeps it for the update.
 
 ``tests/reference_basis.py`` spans the same spaces by a null-space solve; it
 is the independent reference the tests check the tying against.

@@ -22,6 +22,7 @@ from equipomdp.agent import (
     run_equivariance_suite,
     sample_categorical,
     segment_loss,
+    segment_loss_gradcheck,
     start_carry,
     steps_to_threshold,
     train,
@@ -58,18 +59,13 @@ def collect_once(env_cfg=CFG_1D, seed=0, n_steps=5, **kw):
 # Returns.
 # ---------------------------------------------------------------------------
 
-def blank_batch(n_steps, b, hidden=1):
+def blank_batch(n_steps, b):
     zeros = lambda *s: np.zeros(s)
     return RolloutBatch(
-        obs=zeros(n_steps, b, 2),
-        prev_actions=np.full((n_steps, b), -1, dtype=np.int64),
-        actions=np.zeros((n_steps, b), dtype=np.int64),
+        obs=zeros(n_steps, b, 2), actions=np.zeros((n_steps, b), dtype=np.int64),
         rewards=zeros(n_steps, b), terminated=np.zeros((n_steps, b), dtype=bool),
         truncated=np.zeros((n_steps, b), dtype=bool), values=zeros(n_steps, b),
-        entropies=zeros(n_steps, b),
-        trunc_bootstrap=zeros(n_steps, b), reset_mask=zeros(n_steps, b),
-        reset_h=zeros(n_steps, b, hidden), reset_c=zeros(n_steps, b, hidden),
-        start_h=zeros(b, hidden), start_c=zeros(b, hidden), bootstrap_value=zeros(b))
+        trunc_bootstrap=zeros(n_steps, b), bootstrap_value=zeros(b))
 
 
 def test_returns_terminal_ignores_bootstrap():
@@ -173,16 +169,28 @@ def test_collect_is_deterministic():
 
 
 def test_collect_resets_state_rows_at_episode_end():
-    env_cfg = CarFlag1dConfig(half_size=2)  # tiny world: episodes end fast
-    cfg = small_agent_config(n_envs=4)
-    policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
-    venv = VectorEnv(env_cfg, 4, np.random.SeedSequence(2))
-    carry = start_carry(policy, venv)
-    batch = collect_rollouts(policy, venv, 20, np.random.default_rng(3), carry)
-    assert batch.terminated.any()
-    ts, bs = np.nonzero(batch.reset_mask)
-    assert len(ts) > 0
-    assert np.all(batch.reset_h[ts, bs] == 0.0)  # zero-init mode
+    """When env i's episode ends at step t < T-1, its row at step t+1 is one
+    step from the fresh (zero) state on the new episode's first observation,
+    with no previous action: the reset ops in collection's graph inject the
+    fresh state exactly."""
+    # tiny worlds: episodes end fast
+    for env_cfg in (CarFlag1dConfig(half_size=2), CarFlag2dConfig(grid_size=5, max_steps=4)):
+        cfg = small_agent_config(n_envs=4, feed_prev_action=True)
+        policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
+        venv = VectorEnv(env_cfg, 4, np.random.SeedSequence(2))
+        carry = start_carry(policy, venv)
+        batch = collect_rollouts(policy, venv, 20, np.random.default_rng(3), carry)
+        n_steps, b = batch.actions.shape
+        hidden = batch.hidden.value.reshape(n_steps, b, -1)
+        ts, bs = np.nonzero((batch.terminated | batch.truncated)[:-1])
+        assert batch.terminated[:-1].any()
+        realized = policy.realize()
+        h0, c0 = policy.initial_state(b)
+        for t, i in zip(ts, bs):
+            # every row fresh, so the call has collection's row count
+            fresh, _ = policy.step_values(batch.obs[t + 1], h0, c0, realized,
+                                          np.full(b, -1))
+            assert np.array_equal(hidden[t + 1, i], fresh.value[i]), (env_cfg, t, i)
 
 
 def test_collect_equivariant_policy_on_transformed_script():
@@ -212,11 +220,11 @@ def test_collect_equivariant_policy_on_transformed_script():
     (CarFlag2dConfig(grid_size=7, max_steps=6), dict(variant="equi", conv_fields=(4, 8))),
 ], ids=["1d-equi", "1d-plain", "2d-5x5", "1d-random-init", "2d-7x7"])
 def test_collection_matches_update_forward_exactly(env_cfg, kw):
-    """The update's graph replays the collected segment: its value loss and
-    entropy equal the ones the collected batch implies, bit for bit, across
-    several segments with episode resets inside them. On 2D this compares the
-    update's trunk, run once on the whole segment, with collection's, run
-    once per step."""
+    """The update's loss reads collection's segment: its value loss equals
+    the one the collected values imply, and its entropy, from the actor head
+    run once on all T*B stacked rows, equals the entropy of the actor run step
+    by step on each step's rows, bit for bit, across several segments with
+    episode resets inside them."""
     cfg = small_agent_config(**kw)
     policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
     venv = VectorEnv(env_cfg, cfg.n_envs, np.random.SeedSequence(1))
@@ -227,11 +235,18 @@ def test_collection_matches_update_forward_exactly(env_cfg, kw):
     resets = 0
     for _ in range(4):
         batch = collect_rollouts(policy, venv, 8, rng, carry)
-        resets += int(batch.reset_mask[:-1].sum())
+        resets += int((batch.terminated | batch.truncated)[:-1].sum())
         returns, advantages = compute_returns(batch, cfg.discount)
         _, stats = segment_loss(policy, batch, cfg, returns, advantages)
         assert stats["value_loss"] == ((returns - batch.values) ** 2).mean()
-        assert stats["entropy"] == batch.entropies.mean()
+        realized = policy.realize()
+        entropies = []
+        for rows in np.split(batch.hidden.value, 8):
+            logits = policy.logits_t(ad.constant(rows), realized).value
+            logp = logits - logits.max(axis=-1, keepdims=True)
+            logp = logp - np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+            entropies.append(-(np.exp(logp) * logp).sum(axis=-1))
+        assert stats["entropy"] == np.mean(entropies)
         a2c_update(policy, opt, batch, cfg)
     assert resets > 0
 
@@ -244,8 +259,7 @@ def test_zero_advantage_zero_value_error_leaves_only_entropy_gradient():
     policy, batch, cfg = collect_once(seed=5)
     returns, advantages = compute_returns(batch, cfg.discount)
     advantages[:] = 0.0
-    returns[:] = batch.values  # zero value error needs returns == predictions
-    # recompute values under current params equal batch.values by construction
+    returns[:] = batch.values  # zero value error: the loss reads these same predictions
     loss, _ = segment_loss(policy, batch, cfg, returns, advantages)
     ad.backward(loss)
     grads = {p.name: p.grad.copy() for p in policy.parameters() if p.grad is not None}
@@ -267,17 +281,60 @@ def test_zero_advantage_zero_value_error_leaves_only_entropy_gradient():
 @pytest.mark.parametrize("env_cfg", [CFG_1D, CFG_2D], ids=["carflag1d", "carflag2d"])
 @pytest.mark.parametrize("variant", ["equi", "plain"])
 def test_a2c_loss_matches_finite_differences(env_cfg, variant):
-    cfg = small_agent_config(variant=variant, n_envs=2, lstm_fields=2, head_fields=2)
+    # every loss evaluation collects the segment again, through the graph
+    # training differentiates
+    cfg = small_agent_config(variant=variant, n_envs=2, n_steps=2, lstm_fields=2,
+                             head_fields=2)
     policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(11))
-    venv = VectorEnv(env_cfg, 2, np.random.SeedSequence(12))
-    carry = start_carry(policy, venv)
-    batch = collect_rollouts(policy, venv, 2, np.random.default_rng(13), carry)
+    assert segment_loss_gradcheck(policy, env_cfg, cfg, 12, 13) < 1e-4
+
+
+def graph_nodes(loss):
+    """Every node the loss graph reaches."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("env_cfg,conv_layers", [
+    (CFG_1D, 0), (CarFlag2dConfig(grid_size=5), 2),
+], ids=["1d", "2d-5x5"])
+def test_update_differentiates_collections_graph(env_cfg, conv_layers, monkeypatch):
+    """The loss reaches one ``lstm_step`` node per collected step and, on 2D,
+    one ``conv2d`` node per step and layer, all built during collection: the
+    update runs no second forward."""
+    built = {"lstm_step": [], "conv2d": []}
+    for name, nodes in built.items():
+        def recording(*args, _prim=getattr(ad, name), _nodes=nodes):
+            _nodes.append(_prim(*args))
+            return _nodes[-1]
+        monkeypatch.setattr(ad, name, recording)
+    n_steps = 6
+    policy, batch, cfg = collect_once(env_cfg, seed=3, n_steps=n_steps)
+    collected = {name: {id(n) for n in nodes} for name, nodes in built.items()}
     returns, advantages = compute_returns(batch, cfg.discount)
+    loss, _ = segment_loss(policy, batch, cfg, returns, advantages)
+    assert {name: len(nodes) for name, nodes in built.items()} == {
+        name: len(ids) for name, ids in collected.items()}   # none built in the update
+    nodes = graph_nodes(loss)
+    for name, count in (("lstm_step", n_steps), ("conv2d", n_steps * conv_layers)):
+        hit = {id(n) for n in nodes
+               if n.bwd is not None and n.bwd.__qualname__.startswith(f"{name}.")}
+        assert len(hit) == count, name
+        assert hit <= collected[name], name
 
-    def build():
-        return segment_loss(policy, batch, cfg, returns, advantages)[0]
 
-    assert ad.gradcheck(build, policy.parameters()) < 1e-4
+def test_update_refuses_a_batch_it_already_used():
+    policy, batch, cfg = collect_once(seed=6)
+    opt = Adam(policy.parameters(), cfg.learning_rate)
+    a2c_update(policy, opt, batch, cfg)
+    assert batch.hidden is None   # the graph is freed with the update
+    with pytest.raises(AgentError, match="an update already used it"):
+        a2c_update(policy, opt, batch, cfg)
 
 
 def test_update_runs_and_keeps_parameters_finite():
@@ -340,6 +397,17 @@ def test_partial_variants_break_only_one_head():
     a, c = equivariance_residuals(critic_only, histories=6, max_len=10,
                                   rng=np.random.default_rng(14))
     assert c < 1e-8 and a > 1e-6
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", 0.0), ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")), ("entropy_coef", float("nan")),
+    ("value_coef", float("inf")), ("grad_clip", float("nan")),
+])
+def test_agent_config_rejects_bad_floats(field, value):
+    # a negative rate used to run gradient ascent without a word
+    with pytest.raises(AgentError, match=f"{field} must be finite.*{re.escape(str(value))}"):
+        AgentConfig(**{field: value})
 
 
 def test_agent_config_validation():

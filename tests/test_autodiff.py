@@ -6,7 +6,6 @@ from equipomdp.autodiff import (
     Adam,
     NonFiniteGradientError,
     RankError,
-    Sgd,
     Tensor,
     backward,
     clip_grad_norm,
@@ -47,9 +46,9 @@ def test_disconnected_parameter_gets_zero_gradient():
     loss = ad.hadamard(x, x)
     backward(loss)
     assert unused.grad is None  # untouched by this graph
-    opt = Sgd([x, unused], lr=0.1)
+    opt = Adam([x, unused], lr=0.1)
     opt.step()  # must tolerate the missing gradient
-    assert unused.value == 1.0
+    assert unused.value == 1.0 and x.value != 3.0
 
 
 def test_non_scalar_loss_raises():
@@ -91,7 +90,6 @@ def _primitive_cases():
         "take": (lambda p: ad.tsum(ad.take(p, flat_idx)), (3, 4)),
         "concat": (lambda p: ad.tsum(ad.concat([p, ad.tanh(p)], axis=-1)), (3, 4)),
         "slice_last": (lambda p: ad.tsum(ad.slice_last(p, 1, 3)), (3, 4)),
-        "slice_rows": (lambda p: ad.tsum(ad.tanh(ad.slice_rows(p, 1, 3))), (4, 3)),
         "reshape": (lambda p: ad.tsum(ad.hadamard(ad.reshape(p, (2, 6)), Tensor(np.ones((2, 6))) )), (3, 4)),
         "transpose": (lambda p: ad.tsum(ad.matmul(ad.transpose(p, (1, 0)), Tensor(v3))), (3, 4)),
         "sum_axis": (lambda p: ad.tsum(ad.tanh(ad.sum_axis(p, -1))), (3, 4)),
@@ -196,9 +194,9 @@ def test_lstm_step_is_in_the_gradcheck_battery():
         assert battery[name] < 1e-4
 
 
-def test_slice_rows_and_conv2d_are_in_the_gradcheck_battery():
+def test_conv2d_is_in_the_gradcheck_battery():
     battery = ad.primitive_gradcheck_battery(seed=0)
-    for name in ("slice_rows", "conv2d", "conv2d_kernel"):
+    for name in ("conv2d", "conv2d_kernel"):
         assert battery[name] < 1e-4
 
 
@@ -257,23 +255,6 @@ def test_shape_errors():
     with pytest.raises(ad.ShapeError):  # weight rows must match [x | h]
         ad.lstm_step(Tensor(np.ones(3)), Tensor(np.ones(4)), Tensor(np.ones(4)),
                      Tensor(np.ones((8, 16))), Tensor(np.ones(16)))
-
-
-def test_sgd_single_step():
-    p = parameter(0.0, "p")
-    loss = p  # dloss/dp = 1
-    backward(loss)
-    Sgd([p], lr=0.1).step()
-    assert p.value == pytest.approx(-0.1)
-
-
-def test_sgd_zero_gradient_fixed_point():
-    p = parameter(1.5, "p")
-    q = parameter(2.0, "q")
-    loss = ad.hadamard(q, q)
-    backward(loss)
-    Sgd([p, q], lr=0.1).step()
-    assert p.value == pytest.approx(1.5)  # p.grad stays None
 
 
 def test_adam_first_step_matches_hand_computation():

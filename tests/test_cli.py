@@ -142,6 +142,16 @@ def test_empty_width_exits_2_naming_the_field(capsys, flag, value):
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--lr", "0", "learning_rate"), ("--lr", "-1e-3", "learning_rate"),
+    ("--entropy-coef", "nan", "entropy_coef"),
+])
+def test_bad_float_setting_exits_2_naming_the_field(capsys, flag, value, field):
+    code = run_cli("train", "--env", "carflag1d", f"{flag}={value}", "--steps", "1")
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train / eval / plotdata.
 # ---------------------------------------------------------------------------

@@ -19,3 +19,24 @@ def test_perfbench_train_2d_traced_run_reports_valid_json():
     assert result["attempted"] > 0
     assert result["failed"] == 0
     assert isinstance(result["metrics"], dict) and result["metrics"]
+
+
+# Patch points whose functions left the package with the numpy forward twin and
+# the null-space solver. The traced metrics they fed read 0; re-pointing or
+# dropping them is left for the next change to the benchmark.
+KNOWN_DEAD_POINTS = {"RecurrentPolicy.step_np", "LstmCell.step_np", "Mlp.fwd_np",
+                     "Conv2dStack.fwd_np", "nn.null_space"}
+
+
+def test_benchmark_patch_points_exist_in_the_package(monkeypatch):
+    """Every traced layer point and every workload tap names a function the
+    package has, so a refactor cannot zero a benchmark metric silently."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    points = list(workloads.LAYER_POINTS)
+    for name in ("train-1d", "train-2d", "oracle"):
+        points += workloads.make(name, 0).taps
+    missing = {f"{p.owner.__name__.rsplit('.', 1)[-1]}.{p.attr}"
+               for p in points if not hasattr(p.owner, p.attr)}
+    assert missing <= KNOWN_DEAD_POINTS, sorted(missing - KNOWN_DEAD_POINTS)
