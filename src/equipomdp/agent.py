@@ -9,17 +9,20 @@ over the trivial group, whose tying leaves every weight free; each of its
 widths is a field count times the group order, in trivial channels. The
 partial variants build one head that way.
 
-Every forward pass goes through ``RecurrentPolicy.step_t`` (trunk and cell),
-and each caller applies only the heads it needs. A segment is run forward
-once. Collection realizes the weights, chains ``step_t`` from step to step on
-graph tensors (episode resets are keep-mask and injected-row ops in the same
-graph), stacks the cell outputs of all T steps into (T*B, H) rows and runs
-the critic on them once. The update takes that graph as it stands: it applies
-the actor head to the stacked rows, builds the three loss terms and
-backpropagates through time into the weights collection used, with no second
-forward. Evaluation and the equivariance checks run ``step_t`` on constants
-and keep only the values. Every time step is one batched call over all rows:
-the envs in collection, the still-running episodes in evaluation.
+Every forward pass goes through ``RecurrentPolicy.input_t`` (the trunk, if
+any) and the cell, and each caller applies only the heads it needs. A segment
+is run forward once. Collection realizes the weights and steps the cell on
+arrays, recording each step's input tensor and what backpropagation through
+time needs; episode resets replace state rows between steps. At segment end
+the T steps become one ``autodiff.LstmSegment`` node whose value stacks the
+cell outputs into (T*B, H) rows, and the critic runs on them once. The update
+takes that graph as it stands: it applies the actor head to the stacked rows,
+builds the three loss terms and backpropagates through time into the weights
+collection used, with no second forward. Evaluation, the bootstrap values and
+the equivariance checks step the same cell arithmetic on arrays
+(``step_values``) and keep only values. Every time step is one batched call
+over all rows: the envs in collection, the still-running episodes in
+evaluation.
 """
 
 from __future__ import annotations
@@ -262,21 +265,16 @@ class RecurrentPolicy:
             out["extract"] = self.extractor.realize_t()
         return out
 
-    def step_t(self, obs: np.ndarray, h: Tensor, c: Tensor, realized,
-               prev: np.ndarray | None = None):
-        """One recurrent step on observation rows ``obs`` (previous actions
-        ``prev``) from state tensors ``h``, ``c``: the trunk, if any, then the
-        cell. Returns (h', c')."""
+    def input_t(self, obs: np.ndarray, realized, prev: np.ndarray | None = None) -> Tensor:
+        """The cell's input rows for observation rows ``obs`` and previous
+        actions ``prev``: a constant on 1D, the conv trunk's graph on 2D."""
         x = self._encode(obs)
         extra = [self.encode_prev_action(prev)] if self.feed_prev_action else []
         if self.extractor is None:  # a constant: join it before it enters the graph
-            x = ad.constant(np.concatenate([x, *extra], axis=-1))
-        else:
-            x = self.extractor.forward_t(ad.constant(x), realized["extract"])
-            x = ad.reshape(x, (x.value.shape[0], -1))
-            if extra:
-                x = ad.concat([x, ad.constant(extra[0])], axis=-1)
-        return self.cell.step_t(x, h, c, realized["cell"])
+            return ad.constant(np.concatenate([x, *extra], axis=-1))
+        x = self.extractor.forward_t(ad.constant(x), realized["extract"])
+        x = ad.reshape(x, (x.value.shape[0], -1))
+        return ad.concat([x, ad.constant(extra[0])], axis=-1) if extra else x
 
     def logits_t(self, h: Tensor, realized) -> Tensor:
         return self.actor.forward_t(h, realized["actor"])
@@ -286,10 +284,12 @@ class RecurrentPolicy:
 
     def step_values(self, obs: np.ndarray, h: np.ndarray, c: np.ndarray, realized,
                     prev: np.ndarray | None = None):
-        """``step_t`` on plain arrays: the new state (h', c') as tensors whose
-        graph nobody differentiates. Pass h' to ``logits_t``/``values_t`` for
-        the heads the caller needs and read ``.value``."""
-        return self.step_t(obs, ad.constant(h), ad.constant(c), realized, prev)
+        """One recurrent step on arrays, for callers that only need values: the
+        trunk, if any, then the cell from state rows ``h``, ``c``. Returns the
+        new state (h', c'); pass ``ad.constant(h')`` to ``logits_t`` or
+        ``values_t`` for the heads the caller needs."""
+        x = self.input_t(obs, realized, prev).value
+        return self.cell.step(x, h, c, realized["cell"])
 
     def player(self, streams):
         """``(step, memory)`` for ``play_episodes``: the weights realized once,
@@ -300,7 +300,7 @@ class RecurrentPolicy:
 
         def step(obs, prev, memory):
             h, c = self.step_values(obs, *memory, realized, prev)
-            return self.logits_t(h, realized).value, (h.value, c.value)
+            return self.logits_t(ad.constant(h), realized).value, (h, c)
 
         return step, tuple(np.concatenate(rows) for rows in zip(*states))
 
@@ -354,7 +354,9 @@ def start_carry(policy: RecurrentPolicy, venv: VectorEnv,
 def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
                      rng: np.random.Generator, carry: dict) -> RolloutBatch:
     """Advance every env ``n_steps`` steps, sampling from the actor, and keep
-    the graph of the recurrent state across the segment for the update."""
+    the segment's graph for the update: each step's input tensor (the trunk's
+    graph on 2D) and the cell's T steps as one ``autodiff.LstmSegment`` node,
+    whose stacked outputs are ``batch.hidden``, with the critic run on them."""
     b = len(venv)
     obs, prev = carry["obs"], carry["prev"]
     state_rng = carry.get("state_rng")
@@ -369,13 +371,12 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
         bootstrap_value=np.zeros(b),
     )
     realized = policy.realize()
-    h, c = ad.constant(carry["h"]), ad.constant(carry["c"])
-    hs = []
+    segment = policy.cell.segment(realized["cell"])
+    h, c = carry["h"], carry["c"]
     for t in range(n_steps):
         batch.obs[t] = obs
-        h, c = policy.step_t(obs, h, c, realized, prev)
-        hs.append(h)
-        actions = sample_categorical(policy.logits_t(h, realized).value, rng)
+        h, c = segment.step(policy.input_t(obs, realized, prev), h, c)
+        actions = sample_categorical(policy.logits_t(ad.constant(h), realized).value, rng)
         batch.actions[t] = actions
         next_obs = np.array(obs)
         next_prev = actions.copy()
@@ -391,31 +392,30 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
         trunc_rows = [i for i in done_rows if batch.truncated[t, i]]
         if trunc_rows:
             # bootstrap value of the final observation under the post-step state
-            h_fin, _ = policy.step_values(next_obs[trunc_rows], h.value[trunc_rows],
-                                          c.value[trunc_rows], realized, next_prev[trunc_rows])
-            batch.trunc_bootstrap[t, trunc_rows] = policy.values_t(h_fin, realized).value
+            h_fin, _ = policy.step_values(next_obs[trunc_rows], h[trunc_rows], c[trunc_rows],
+                                          realized, next_prev[trunc_rows])
+            batch.trunc_bootstrap[t, trunc_rows] = policy.values_t(ad.constant(h_fin),
+                                                                   realized).value
         if done_rows:
-            # finished rows restart from a fresh state: keep the others, inject theirs
-            keep = np.ones((b, policy.hidden_dim))
-            new_h, new_c = np.zeros_like(keep), np.zeros_like(keep)
+            # finished rows restart from a fresh state
+            fresh_h, fresh_c = [], []
             for i in done_rows:
                 next_obs[i] = venv.reset_one(i)
                 next_prev[i] = -1
                 nh, nc = policy.initial_state(1, state_rng)
-                keep[i], new_h[i], new_c[i] = 0.0, nh[0], nc[0]
-            keep = ad.constant(keep)
-            h = ad.add(ad.hadamard(h, keep), ad.constant(new_h))
-            c = ad.add(ad.hadamard(c, keep), ad.constant(new_c))
+                fresh_h.append(nh)
+                fresh_c.append(nc)
+            h, c = segment.reset(done_rows, np.concatenate(fresh_h), np.concatenate(fresh_c))
         batch.episodes_finished += len(done_rows)
         obs = next_obs
         prev = next_prev
-    batch.hidden = ad.concat(hs, axis=0)
+    batch.hidden = segment.node()
     batch.values_t = policy.values_t(batch.hidden, realized)
     batch.values = batch.values_t.value.reshape(n_steps, b)
     batch.realized = realized
-    h_boot, _ = policy.step_values(obs, h.value, c.value, realized, prev)
-    batch.bootstrap_value = policy.values_t(h_boot, realized).value
-    carry.update(obs=obs, h=h.value, c=c.value, prev=prev)
+    h_boot, _ = policy.step_values(obs, h, c, realized, prev)
+    batch.bootstrap_value = policy.values_t(ad.constant(h_boot), realized).value
+    carry.update(obs=obs, h=h, c=c, prev=prev)
     return batch
 
 
@@ -606,12 +606,12 @@ def equivariance_residuals(policy: RecurrentPolicy, histories: int, max_len: int
         h0, c0 = policy.initial_state(1, state_rng)
         outs = {}
         for g in group.elements:
-            h, c = h0.copy(), c0.copy()
+            h, c = h0, c0
             for obs, prev in zip(seq, prev_seq):
                 gobs = sym.act_on_obs(g, obs)
                 gprev = np.array([-1 if prev < 0 else sym.act_on_action(g, int(prev))])
-                h_t, c_t = policy.step_values(gobs[None], h, c, realized, gprev)
-                h, c = h_t.value, c_t.value
+                h, c = policy.step_values(gobs[None], h, c, realized, gprev)
+            h_t = ad.constant(h)
             outs[g] = (policy.logits_t(h_t, realized).value[0],
                        policy.values_t(h_t, realized).value[0])
         base_logits, base_value = outs[0]

@@ -1,8 +1,12 @@
 """Dense reverse-mode automatic differentiation on numpy arrays.
 
-Define-by-run: every primitive records its parents and a backward closure on
-the produced node; ``backward`` replays the graph in reverse topological order.
-Everything runs in float64.
+Define-by-run: a ``parameter`` is a leaf that requires a gradient, and every
+primitive's output requires one when some parent does. Such a node records
+its parents and a backward closure; a node that requires none (a constant,
+or anything computed from constants alone) keeps neither. ``backward`` replays
+the nodes that require a gradient in reverse topological order, so gradients
+reach only the nodes that lead to a parameter, and each closure computes only
+the gradients of the parents that require one. Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -32,17 +36,23 @@ _F64 = np.dtype(np.float64)
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "parents", "bwd", "name")
+    """A value and, if it requires a gradient, how to pass one to its parents:
+    ``bwd(g)`` maps the node's gradient ``g`` to one gradient per parent, None
+    for each parent that requires none."""
 
-    def __init__(self, value, parents=(), bwd=None, name=None):
+    __slots__ = ("value", "grad", "parents", "bwd", "name", "requires_grad")
+
+    def __init__(self, value, parents=(), bwd=None, name=None, requires_grad=False):
         # primitives hand over fresh float64 arrays; skip the conversion call
         if type(value) is not np.ndarray or value.dtype is not _F64:
             value = np.asarray(value, dtype=np.float64)
         self.value = value
         self.grad = None
-        self.parents = parents
-        self.bwd = bwd
         self.name = name
+        if any(p.requires_grad for p in parents):
+            self.requires_grad, self.parents, self.bwd = True, parents, bwd
+        else:
+            self.requires_grad, self.parents, self.bwd = requires_grad, (), None
 
     @property
     def shape(self):
@@ -82,7 +92,7 @@ class Tensor:
 
 
 def parameter(value, name: str) -> Tensor:
-    return Tensor(np.array(value, dtype=np.float64), name=name)
+    return Tensor(np.array(value, dtype=np.float64), name=name, requires_grad=True)
 
 
 def constant(value) -> Tensor:
@@ -115,15 +125,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: {a.shape} vs {b.shape}") from e
 
     def bwd(g):
-        a.grad += _unbroadcast(g, a.value.shape)
-        b.grad += _unbroadcast(g, b.value.shape)
+        return (_unbroadcast(g, a.value.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.value.shape) if b.requires_grad else None)
 
     return Tensor(val, (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     def bwd(g):
-        a.grad += s * g
+        return (s * g,)
 
     return Tensor(a.value * s, (a,), bwd)
 
@@ -135,8 +145,8 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"hadamard: {a.shape} vs {b.shape}") from e
 
     def bwd(g):
-        a.grad += _unbroadcast(g * b.value, a.value.shape)
-        b.grad += _unbroadcast(g * a.value, b.value.shape)
+        return (_unbroadcast(g * b.value, a.value.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.value, b.value.shape) if b.requires_grad else None)
 
     return Tensor(val, (a, b), bwd)
 
@@ -150,18 +160,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     val = av @ bv
 
     def bwd(g):
+        ga = gb = None
         if av.ndim == 1 and bv.ndim == 1:  # dot product
-            a.grad += g * bv
-            b.grad += g * av
+            if a.requires_grad:
+                ga = g * bv
+            if b.requires_grad:
+                gb = g * av
         elif av.ndim == 1:  # (k,) @ (k,n) -> (n,)
-            a.grad += bv @ g
-            b.grad += np.outer(av, g)
+            if a.requires_grad:
+                ga = bv @ g
+            if b.requires_grad:
+                gb = np.outer(av, g)
         elif bv.ndim == 1:  # (m,k) @ (k,) -> (m,)
-            a.grad += np.outer(g, bv)
-            b.grad += av.T @ g
+            if a.requires_grad:
+                ga = np.outer(g, bv)
+            if b.requires_grad:
+                gb = av.T @ g
         else:
-            a.grad += g @ bv.T
-            b.grad += av.T @ g
+            if a.requires_grad:
+                ga = g @ bv.T
+            if b.requires_grad:
+                gb = av.T @ g
+        return ga, gb
 
     return Tensor(val, (a, b), bwd)
 
@@ -175,7 +195,7 @@ def sigmoid(a: Tensor) -> Tensor:
     val = _sigmoid(a.value)
 
     def bwd(g):
-        a.grad += g * val * (1.0 - val)
+        return (g * val * (1.0 - val),)
 
     return Tensor(val, (a,), bwd)
 
@@ -184,7 +204,7 @@ def tanh(a: Tensor) -> Tensor:
     val = np.tanh(a.value)
 
     def bwd(g):
-        a.grad += g * (1.0 - val * val)
+        return (g * (1.0 - val * val),)
 
     return Tensor(val, (a,), bwd)
 
@@ -193,7 +213,7 @@ def relu(a: Tensor) -> Tensor:
     val = np.maximum(a.value, 0.0)
 
     def bwd(g):
-        a.grad += g * (a.value > 0)
+        return (g * (a.value > 0),)
 
     return Tensor(val, (a,), bwd)
 
@@ -202,7 +222,7 @@ def exp(a: Tensor) -> Tensor:
     val = np.exp(a.value)
 
     def bwd(g):
-        a.grad += g * val
+        return (g * val,)
 
     return Tensor(val, (a,), bwd)
 
@@ -214,7 +234,7 @@ def log_softmax(a: Tensor) -> Tensor:
     val = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def bwd(g):
-        a.grad += g - np.exp(val) * g.sum(axis=-1, keepdims=True)
+        return (g - np.exp(val) * g.sum(axis=-1, keepdims=True),)
 
     return Tensor(val, (a,), bwd)
 
@@ -228,7 +248,9 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     val = a.value[rows, idx]
 
     def bwd(g):
-        a.grad[rows, idx] += g  # one entry per row, so no index repeats
+        ga = np.zeros_like(a.value)
+        ga[rows, idx] = g  # one entry per row, so no index repeats
+        return (ga,)
 
     return Tensor(val, (a,), bwd)
 
@@ -239,22 +261,22 @@ def take(a: Tensor, flat_idx: np.ndarray) -> Tensor:
     val = a.value.reshape(-1)[flat_idx]
 
     def bwd(g):
-        a.grad += np.bincount(flat_idx.ravel(), weights=g.ravel(),
-                              minlength=a.value.size).reshape(a.value.shape)
+        return (np.bincount(flat_idx.ravel(), weights=g.ravel(),
+                            minlength=a.value.size).reshape(a.value.shape),)
 
     return Tensor(val, (a,), bwd)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = list(tensors)
+    tensors = tuple(tensors)
     val = np.concatenate([t.value for t in tensors], axis=axis)
 
     def bwd(g):
         splits = np.cumsum([t.value.shape[axis] for t in tensors])[:-1]
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t.grad += piece
+        return tuple(piece if t.requires_grad else None
+                     for t, piece in zip(tensors, np.split(g, splits, axis=axis)))
 
-    return Tensor(val, tuple(tensors), bwd)
+    return Tensor(val, tensors, bwd)
 
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
@@ -262,7 +284,9 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     val = a.value[..., start:stop]
 
     def bwd(g):
-        a.grad[..., start:stop] += g
+        ga = np.zeros_like(a.value)
+        ga[..., start:stop] = g
+        return (ga,)
 
     return Tensor(val, (a,), bwd)
 
@@ -271,7 +295,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     val = a.value.reshape(shape)
 
     def bwd(g):
-        a.grad += g.reshape(a.value.shape)
+        return (g.reshape(a.value.shape),)
 
     return Tensor(val, (a,), bwd)
 
@@ -281,21 +305,21 @@ def transpose(a: Tensor, axes) -> Tensor:
     inv = tuple(np.argsort(axes))
 
     def bwd(g):
-        a.grad += g.transpose(inv)
+        return (g.transpose(inv),)
 
     return Tensor(a.value.transpose(axes), (a,), bwd)
 
 
 def tsum(a: Tensor) -> Tensor:
     def bwd(g):
-        a.grad += g * np.ones_like(a.value)
+        return (g * np.ones_like(a.value),)
 
     return Tensor(a.value.sum(), (a,), bwd)
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
     def bwd(g):
-        a.grad += np.expand_dims(g, axis)
+        return (np.expand_dims(g, axis),)
 
     return Tensor(a.value.sum(axis=axis), (a,), bwd)
 
@@ -304,7 +328,7 @@ def mean(a: Tensor) -> Tensor:
     n = a.value.size
 
     def bwd(g):
-        a.grad += g * np.ones_like(a.value) / n
+        return (g * np.ones_like(a.value) / n,)
 
     return Tensor(a.value.mean(), (a,), bwd)
 
@@ -349,68 +373,146 @@ def conv2d(x: Tensor, k: Tensor, padding: str = "valid") -> Tensor:
 
     def bwd(g):
         g2 = g.transpose(2, 3, 0, 1).reshape(-1, n_out)
-        # rebuilt, not kept from the forward pass: holding every layer's patch
-        # matrix until backward raises the update's peak memory
-        gk = _im2col(xp, kh, kw) @ g2
-        k.grad += gk.reshape(kh, kw, n_in, n_out).transpose(3, 2, 0, 1)
-        gcols = (kmat_t @ g2.T).reshape(kh, kw, n_in, ho, wo, b)
-        gx = np.zeros((n_in, hp, wp, b))
-        for u in range(kh):
-            for v in range(kw):
-                gx[:, u : u + ho, v : v + wo] += gcols[u, v]
-        if padding == "same":
-            gx = gx[:, kh // 2 : kh // 2 + xv.shape[2], kw // 2 : kw // 2 + xv.shape[3]]
-        x.grad += gx.transpose(3, 0, 1, 2)
+        gk = gx = None
+        if k.requires_grad:
+            # rebuilt, not kept from the forward pass: holding every layer's patch
+            # matrix until backward raises the update's peak memory
+            gk = (_im2col(xp, kh, kw) @ g2).reshape(kh, kw, n_in, n_out).transpose(3, 2, 0, 1)
+        if x.requires_grad:
+            gcols = (kmat_t @ g2.T).reshape(kh, kw, n_in, ho, wo, b)
+            gx = np.zeros((n_in, hp, wp, b))
+            for u in range(kh):
+                for v in range(kw):
+                    gx[:, u : u + ho, v : v + wo] += gcols[u, v]
+            if padding == "same":
+                gx = gx[:, kh // 2 : kh // 2 + xv.shape[2], kw // 2 : kw // 2 + xv.shape[3]]
+            gx = gx.transpose(3, 0, 1, 2)
+        return gx, gk
 
     return Tensor(val, (x, k), bwd)
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, wt: Tensor, b: Tensor,
-              single_candidate_tanh: bool = False) -> Tensor:
-    """One LSTM step as a single node: returns ``[h' | c']`` on the last axis.
+def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, wt: np.ndarray, b: np.ndarray,
+              single_candidate_tanh: bool = False):
+    """One LSTM step on arrays: returns h', c' and the step's intermediates,
+    which ``LstmSegment`` keeps for its backward pass.
 
     ``x`` (dx), ``h`` and ``c`` (H) carry an optional leading batch axis; ``wt``
     (dx + H, 4H) and ``b`` (4H) map ``[x | h]`` to the gate pre-activations,
     stacked [input; forget; output; candidate]. The candidate passes tanh at the
     gate and, unless ``single_candidate_tanh``, again inside the cell update.
     """
-    xv, hv, cv, wv = x.value, h.value, c.value, wt.value
-    H = hv.shape[-1]
-    if (xv.ndim not in (1, 2) or hv.shape != cv.shape or xv.shape[:-1] != hv.shape[:-1]
-            or wv.shape != (xv.shape[-1] + H, 4 * H) or b.value.shape != (4 * H,)):
-        raise ShapeError(f"lstm_step: x {xv.shape}, h {hv.shape}, c {cv.shape}, "
-                         f"weight {wv.shape}, bias {b.value.shape}")
-    dx = xv.shape[-1]
-    xh = np.concatenate([xv, hv], axis=-1)
-    z = xh @ wv + b.value
+    H = h.shape[-1]
+    if (x.ndim not in (1, 2) or h.shape != c.shape or x.shape[:-1] != h.shape[:-1]
+            or wt.shape != (x.shape[-1] + H, 4 * H) or b.shape != (4 * H,)):
+        raise ShapeError(f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape}, "
+                         f"weight {wt.shape}, bias {b.shape}")
+    xh = np.concatenate([x, h], axis=-1)
+    z = xh @ wt + b
     ifo = _sigmoid(z[..., : 3 * H])
     i, f, o = ifo[..., :H], ifo[..., H : 2 * H], ifo[..., 2 * H :]
     gate = np.tanh(z[..., 3 * H :])
     cand = gate if single_candidate_tanh else np.tanh(gate)
-    c2 = f * cv + i * cand
+    c2 = f * c + i * cand
     tc = np.tanh(c2)
-    h2 = o * tc
+    return o * tc, c2, (xh, c, i, f, o, gate, cand, tc)
 
-    def bwd(g):
-        gh = g[..., :H]
-        gc = g[..., H:] + gh * o * (1.0 - tc * tc)
-        dcand = gc * i
-        if not single_candidate_tanh:
-            dcand = dcand * (1.0 - cand * cand)
-        dz = np.concatenate([gc * cand * i * (1.0 - i), gc * cv * f * (1.0 - f),
-                             gh * tc * o * (1.0 - o), dcand * (1.0 - gate * gate)], axis=-1)
-        dxh = dz @ wv.T
-        x.grad += dxh[..., :dx]
-        h.grad += dxh[..., dx:]
-        c.grad += gc * f
-        if xv.ndim == 1:
-            wt.grad += np.outer(xh, dz)
-            b.grad += dz
-        else:
-            wt.grad += xh.T @ dz
-            b.grad += dz.sum(axis=0)
 
-    return Tensor(np.concatenate([h2, c2], axis=-1), (x, h, c, wt, b), bwd)
+class LstmSegment:
+    """A run of LSTM steps on batched arrays that becomes one graph node.
+
+    ``step`` applies ``lstm_cell`` with the weights ``wt`` and bias ``b`` to an
+    input tensor's value and the carried state, and records what
+    backpropagation through time reads. ``reset`` restarts some rows after the
+    latest step from a fresh state, which also stops the gradient carried back
+    through those rows. ``node`` returns the recorded steps as one tensor: its
+    value stacks the T steps' outputs h' into (T*B, H) rows, row t*B + i being
+    row i at step t, and its parents are the T inputs (last step first),
+    ``wt`` and ``b``."""
+
+    def __init__(self, wt: Tensor, b: Tensor, single_candidate_tanh: bool = False):
+        self.wt, self.b = wt, b
+        self.single_candidate_tanh = single_candidate_tanh
+        self.inputs: list[Tensor] = []
+        self.outputs: list[np.ndarray] = []
+        self.caches: list[tuple] = []
+        self.resets: list = []
+        self._last = None
+
+    def step(self, x: Tensor, h: np.ndarray, c: np.ndarray):
+        """(h', c') from input rows ``x`` (a tensor) and state rows ``h``, ``c``.
+        The caller must not write into the returned arrays; ``reset`` gives the
+        state to carry on with when rows restart."""
+        if x.value.ndim != 2:
+            raise ShapeError(f"an LSTM segment steps (B, dx) input rows, got {x.shape}")
+        h2, c2, cache = lstm_cell(x.value, h, c, self.wt.value, self.b.value,
+                                  self.single_candidate_tanh)
+        self.inputs.append(x)
+        self.outputs.append(h2)
+        self.caches.append(cache)
+        self.resets.append(None)
+        self._last = (h2, c2)
+        return h2, c2
+
+    def reset(self, rows, h: np.ndarray, c: np.ndarray):
+        """The state after the latest step with ``rows`` replaced by the state
+        rows ``h``, ``c``; no gradient flows back through the replaced rows."""
+        h2, c2 = (s.copy() for s in self._last)
+        h2[rows], c2[rows] = h, c
+        self.resets[-1] = rows
+        return h2, c2
+
+    def node(self) -> Tensor:
+        inputs, caches, resets = tuple(self.inputs), self.caches, self.resets
+        wt, b, single = self.wt, self.b, self.single_candidate_tanh
+        n_steps, H = len(caches), self.outputs[0].shape[-1]
+        dx = wt.value.shape[0] - H
+
+        def bwd(g):
+            g = g.reshape(n_steps, -1, H)
+            wv = wt.value
+            gxs = [None] * n_steps
+            gw = gb = None
+            dh = dc = None  # the gradient step t+1 passes back to step t's state
+            for t in range(n_steps - 1, -1, -1):
+                xh, cv, i, f, o, gate, cand, tc = caches[t]
+                if dh is not None and resets[t] is not None:
+                    dh[resets[t]] = 0.0
+                    dc[resets[t]] = 0.0
+                gh = g[t] if dh is None else g[t] + dh
+                gc = gh * o * (1.0 - tc * tc)
+                if dc is not None:
+                    gc = dc + gc
+                dcand = gc * i
+                if not single:
+                    dcand = dcand * (1.0 - cand * cand)
+                dz = np.concatenate([gc * cand * i * (1.0 - i), gc * cv * f * (1.0 - f),
+                                     gh * tc * o * (1.0 - o), dcand * (1.0 - gate * gate)],
+                                    axis=-1)
+                # the first step's state is a constant: it needs no gradient
+                if t > 0 or inputs[t].requires_grad:
+                    dxh = dz @ wv.T
+                    if inputs[t].requires_grad:
+                        gxs[t] = dxh[:, :dx]
+                    dh, dc = dxh[:, dx:], gc * f
+                # summed from the last step back, in the order a per-step tape
+                # would accumulate them
+                if wt.requires_grad:
+                    if gw is None:
+                        gw = xh.T @ dz
+                    else:
+                        gw += xh.T @ dz
+                if b.requires_grad:
+                    if gb is None:
+                        gb = dz.sum(axis=0)
+                    else:
+                        gb += dz.sum(axis=0)
+            return (*gxs[::-1], gw, gb)
+
+        # the inputs enter last step first, so that backward reaches their
+        # graphs (the 2D trunk) from the last step back, as a per-step tape did:
+        # the trunk's kernel gradients then sum in the same order
+        return Tensor(np.concatenate(self.outputs), (*inputs[::-1], wt, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +520,18 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, wt: Tensor, b: Tensor,
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Accumulate gradients of ``loss`` (a scalar) into every reachable node."""
+    """Set ``.grad`` on every node between ``loss`` (a scalar) and the
+    parameters it depends on to the gradient of ``loss``.
+
+    Only nodes that require a gradient get one: a constant keeps ``.grad``
+    None, and so does a parameter the loss does not depend on. A node's
+    gradient is allocated at its first contribution, with the node value's
+    memory layout, and later contributions are added to it."""
     if loss.value.size != 1:
         raise RankError(f"loss must be scalar, got shape {loss.value.shape}")
     topo: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor, bool]] = [(loss, False)] if loss.requires_grad else []
     while stack:
         node, done = stack.pop()
         if done:
@@ -434,14 +542,24 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     for node in topo:
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     loss.grad = np.ones_like(loss.value)
     for node in reversed(topo):
-        if node.bwd is not None:
-            node.bwd(node.grad)
+        if node.bwd is None:
+            continue
+        for p, g in zip(node.parents, node.bwd(node.grad)):
+            if g is None:
+                continue
+            if p.grad is None:
+                # empty_like keeps the value's layout, as zeros_like did: numpy
+                # reductions over the gradient sum in layout order
+                p.grad = np.empty_like(p.value)
+                p.grad[...] = g
+            else:
+                p.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +744,21 @@ def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
         # offsets keep relu inputs away from the kink
         p = parameter(rng.normal(size=shape) * 0.5 + 0.3, "p")
         out[name] = gradcheck(lambda: build(p), [p])
-    shapes = {"x": (2, 3), "h": (2, 4), "c": (2, 4), "wt": (7, 16), "b": (16,)}
-    for name, single in (("lstm_step", False), ("lstm_step_single_tanh", True)):
-        ins = [parameter(rng.normal(size=s), n) for n, s in shapes.items()]
-        weights = Tensor(rng.normal(size=(2, 8)))  # h' and c' enter the loss unequally
-        out[name] = gradcheck(lambda: tsum(hadamard(lstm_step(*ins, single), weights)), ins)
+    # three steps of a batch of two, row 0 restarting after the second step
+    h0, c0, fresh = (rng.normal(size=(2, 4)) for _ in range(3))
+    weights = Tensor(rng.normal(size=(6, 4)))
+    for name, single in (("lstm_segment", False), ("lstm_segment_single_tanh", True)):
+        xs = [parameter(rng.normal(size=(2, 3)), f"x{t}") for t in range(3)]
+        wt, b = parameter(rng.normal(size=(7, 16)), "wt"), parameter(rng.normal(size=16), "b")
+
+        def build():
+            seg = LstmSegment(wt, b, single)
+            h, c = h0, c0
+            for t, x in enumerate(xs):
+                h, c = seg.step(x, h, c)
+                if t == 1:
+                    h, c = seg.reset([0], fresh[:1], fresh[1:])
+            return tsum(hadamard(seg.node(), weights))
+
+        out[name] = gradcheck(build, [*xs, wt, b])
     return out

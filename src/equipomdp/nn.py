@@ -15,12 +15,14 @@ is a single entry, so the tying is the identity and every weight entry is a
 free parameter. Unconstrained networks are these same layers over
 ``make_group(CYCLIC, 1)`` on trivial channels.
 
-Every layer has one forward path, on ``autodiff`` tensors. ``realize_t``
-builds the layer's dense weights from its parameters as graph tensors, and
-``forward_t`` (``step_t`` for the cell) applies them; a caller that runs many
-steps under fixed parameters realizes once and passes the result in. Callers
-that only need values (evaluation, equivariance checks) read ``.value`` off
-the output and drop the graph; rollout collection keeps it for the update.
+Every layer has one forward path. ``realize_t`` builds the layer's dense
+weights from its parameters as graph tensors, and ``forward_t`` applies them
+on ``autodiff`` tensors; a caller that runs many steps under fixed parameters
+realizes once and passes the result in. Callers that only need values
+(evaluation, equivariance checks) read ``.value`` off the output and drop the
+graph; rollout collection keeps it for the update. The recurrent cell steps on
+arrays instead, and a collected segment of its steps enters the graph as one
+``autodiff.LstmSegment`` node.
 
 ``tests/reference_basis.py`` spans the same spaces by a null-space solve; it
 is the independent reference the tests check the tying against.
@@ -92,15 +94,29 @@ def tied_weight_indices(rho_in, rho_out: Representation):
     ``sign`` shaped (rho_out.dim, din): ``W = sign * theta[idx]`` is equivariant
     for every ``theta`` of length ``count``. Parameters are numbered by their
     orbit's smallest flat index; an orbit whose stabiliser flips the sign has
-    sign 0 and no parameter.
+    sign 0 and no parameter. Over the order-1 group every orbit is one entry,
+    so the tying is the identity, returned without working out the orbits.
     """
+    if rho_out.group.order > 1:
+        return orbit_tying(rho_in, rho_out)
+    n = int(np.prod([r.dim for r in _tensor_factors(rho_in, rho_out)]))
+    shape = (rho_out.dim, n // rho_out.dim)
+    return np.arange(n).reshape(shape), np.ones(shape), n
+
+
+def _tensor_factors(rho_in, rho_out: Representation):
     factors = [rho_out, *(rho_in if isinstance(rho_in, (list, tuple)) else [rho_in])]
-    group = rho_out.group
-    if any(r.group != group for r in factors):
+    if any(r.group != rho_out.group for r in factors):
         raise GroupMismatchError("input/output representations on different groups")
+    return factors
+
+
+def orbit_tying(rho_in, rho_out: Representation):
+    """``tied_weight_indices`` worked out orbit by orbit, for any group."""
+    factors = _tensor_factors(rho_in, rho_out)
     n = int(np.prod([r.dim for r in factors]))
     least, sign, clash = np.arange(n), np.ones(n), np.zeros(n, dtype=bool)
-    for g in group.elements:
+    for g in rho_out.group.elements:
         # W[g.j] = s_g(j) W[j]: the action of rho_out tensor rho_in on flat indices
         perm, s = np.zeros(1, dtype=np.int64), np.ones(1)
         for r in factors:
@@ -231,8 +247,12 @@ class EquiConv2d:
 # ---------------------------------------------------------------------------
 
 class LstmCell:
-    """One-step LSTM whose fused gate map is a single linear layer, applied
-    with the rest of the step as one ``autodiff.lstm_step`` node.
+    """One-step LSTM whose fused gate map is a single linear layer.
+
+    The cell runs on arrays (``autodiff.lstm_cell``): ``step`` applies it
+    once, and ``segment`` starts an ``autodiff.LstmSegment``, which steps it
+    the same way and turns a run of steps into one graph node for
+    backpropagation through time.
 
     Gate pre-activations are stacked as [input; forget; output; candidate].
     By default the candidate passes tanh both at the gate and again inside the
@@ -254,17 +274,19 @@ class LstmCell:
     def realize_t(self):
         return self.linear.realize_t()
 
-    def step_t(self, x: Tensor, h: Tensor, c: Tensor, realized=None):
-        """(h', c') from input rows ``x`` and state rows ``h``, ``c``, through
-        the fused ``autodiff.lstm_step``."""
-        H = self.hidden_dim
-        if x.value.shape[-1] != self.rho_x.dim:
+    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray, realized=None):
+        """(h', c') arrays from input rows ``x`` and state rows ``h``, ``c``."""
+        if x.shape[-1] != self.rho_x.dim:
             raise RepresentationMismatchError(
-                f"{self.linear.name}: input has {x.value.shape[-1]} channels, "
+                f"{self.linear.name}: input has {x.shape[-1]} channels, "
                 f"{self.rho_x.dim} expected (rho_x {self.rho_x.kind})")
         wt, b = realized if realized is not None else self.linear.realize_t()
-        hc = ad.lstm_step(x, h, c, wt, b, self.single_candidate_tanh)
-        return ad.slice_last(hc, 0, H), ad.slice_last(hc, H, 2 * H)
+        return ad.lstm_cell(x, h, c, wt.value, b.value, self.single_candidate_tanh)[:2]
+
+    def segment(self, realized=None) -> ad.LstmSegment:
+        """A run of steps under the realized weights, to become one graph node."""
+        wt, b = realized if realized is not None else self.linear.realize_t()
+        return ad.LstmSegment(wt, b, self.single_candidate_tanh)
 
 
 def equi_lstm_cell(rho_x: Representation, rho_h: Representation,

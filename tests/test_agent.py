@@ -171,8 +171,8 @@ def test_collect_is_deterministic():
 def test_collect_resets_state_rows_at_episode_end():
     """When env i's episode ends at step t < T-1, its row at step t+1 is one
     step from the fresh (zero) state on the new episode's first observation,
-    with no previous action: the reset ops in collection's graph inject the
-    fresh state exactly."""
+    with no previous action: collection's reset injects the fresh state
+    exactly."""
     # tiny worlds: episodes end fast
     for env_cfg in (CarFlag1dConfig(half_size=2), CarFlag2dConfig(grid_size=5, max_steps=4)):
         cfg = small_agent_config(n_envs=4, feed_prev_action=True)
@@ -190,7 +190,7 @@ def test_collect_resets_state_rows_at_episode_end():
             # every row fresh, so the call has collection's row count
             fresh, _ = policy.step_values(batch.obs[t + 1], h0, c0, realized,
                                           np.full(b, -1))
-            assert np.array_equal(hidden[t + 1, i], fresh.value[i]), (env_cfg, t, i)
+            assert np.array_equal(hidden[t + 1, i], fresh[i]), (env_cfg, t, i)
 
 
 def test_collect_equivariant_policy_on_transformed_script():
@@ -204,11 +204,10 @@ def test_collect_equivariant_policy_on_transformed_script():
     h, c = policy.initial_state(1)
     gh, gc = policy.initial_state(1)
     for obs in seq:
-        h_t, c_t = policy.step_values(obs[None], h, c, realized)
-        gh_t, gc_t = policy.step_values(sym.act_on_obs(1, obs)[None], gh, gc, realized)
-        logits = policy.logits_t(h_t, realized).value
-        glogits = policy.logits_t(gh_t, realized).value
-        h, c, gh, gc = h_t.value, c_t.value, gh_t.value, gc_t.value
+        h, c = policy.step_values(obs[None], h, c, realized)
+        gh, gc = policy.step_values(sym.act_on_obs(1, obs)[None], gh, gc, realized)
+        logits = policy.logits_t(ad.constant(h), realized).value
+        glogits = policy.logits_t(ad.constant(gh), realized).value
         assert np.max(np.abs(glogits[0][sym.action_map[1]] - logits[0])) < 1e-10
 
 
@@ -263,19 +262,16 @@ def test_zero_advantage_zero_value_error_leaves_only_entropy_gradient():
     loss, _ = segment_loss(policy, batch, cfg, returns, advantages)
     ad.backward(loss)
     grads = {p.name: p.grad.copy() for p in policy.parameters() if p.grad is not None}
+    if not any(np.max(np.abs(g)) > 0 for g in grads.values()):
+        pytest.fail("entropy term produced no gradient at all")
 
     cfg_no_ent = small_agent_config(entropy_coef=0.0)
     loss2, _ = segment_loss(policy, batch, cfg_no_ent, returns, advantages)
     ad.backward(loss2)
     for p in policy.parameters():
-        if p.grad is None:
-            continue
         # with the entropy term removed, every gradient vanishes
-        assert np.max(np.abs(p.grad)) < 1e-12
-        if p.name in grads and np.max(np.abs(grads[p.name])) > 0:
-            break
-    else:
-        pytest.fail("entropy term produced no gradient at all")
+        assert p.grad is not None, p.name
+        assert np.max(np.abs(p.grad)) < 1e-12, p.name
 
 
 @pytest.mark.parametrize("env_cfg", [CFG_1D, CFG_2D], ids=["carflag1d", "carflag2d"])
@@ -304,15 +300,19 @@ def graph_nodes(loss):
     (CFG_1D, 0), (CarFlag2dConfig(grid_size=5), 2),
 ], ids=["1d", "2d-5x5"])
 def test_update_differentiates_collections_graph(env_cfg, conv_layers, monkeypatch):
-    """The loss reaches one ``lstm_step`` node per collected step and, on 2D,
-    one ``conv2d`` node per step and layer, all built during collection: the
-    update runs no second forward."""
-    built = {"lstm_step": [], "conv2d": []}
-    for name, nodes in built.items():
-        def recording(*args, _prim=getattr(ad, name), _nodes=nodes):
-            _nodes.append(_prim(*args))
-            return _nodes[-1]
-        monkeypatch.setattr(ad, name, recording)
+    """The loss reaches exactly one LSTM segment node, with one input per
+    collected step, and on 2D one ``conv2d`` node per step and layer, all
+    built during collection: the update runs no second forward."""
+    built = {"segment": [], "conv2d": []}
+
+    def recorded(make, nodes):
+        def recording(*args):
+            nodes.append(make(*args))
+            return nodes[-1]
+        return recording
+
+    monkeypatch.setattr(ad.LstmSegment, "node", recorded(ad.LstmSegment.node, built["segment"]))
+    monkeypatch.setattr(ad, "conv2d", recorded(ad.conv2d, built["conv2d"]))
     n_steps = 6
     policy, batch, cfg = collect_once(env_cfg, seed=3, n_steps=n_steps)
     collected = {name: {id(n) for n in nodes} for name, nodes in built.items()}
@@ -321,11 +321,46 @@ def test_update_differentiates_collections_graph(env_cfg, conv_layers, monkeypat
     assert {name: len(nodes) for name, nodes in built.items()} == {
         name: len(ids) for name, ids in collected.items()}   # none built in the update
     nodes = graph_nodes(loss)
-    for name, count in (("lstm_step", n_steps), ("conv2d", n_steps * conv_layers)):
-        hit = {id(n) for n in nodes
-               if n.bwd is not None and n.bwd.__qualname__.startswith(f"{name}.")}
+    for name, prefix, count in (("segment", "LstmSegment.node.", 1),
+                                ("conv2d", "conv2d.", n_steps * conv_layers)):
+        hit = [n for n in nodes if n.bwd is not None and n.bwd.__qualname__.startswith(prefix)]
         assert len(hit) == count, name
-        assert hit <= collected[name], name
+        assert {id(n) for n in hit} <= collected[name], name
+        if name == "segment":   # the step inputs, then the weight and the bias
+            assert len(hit[0].parents) == n_steps + 2
+
+
+def test_backward_prunes_constants_without_changing_parameter_gradients(monkeypatch):
+    """On a 2D 5x5 segment loss, every parameter's gradient equals, bit for
+    bit, its gradient when every constant is made a parameter. The constants
+    keep ``.grad`` None, so the first convolution's observation input gets no
+    gradient, though it lies on the loss's graph."""
+    make_constant = ad.constant
+
+    def run(promote):
+        made = []
+
+        def constant(value):
+            made.append(ad.parameter(value, "promoted") if promote else make_constant(value))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "constant", constant)
+        policy, batch, cfg = collect_once(CarFlag2dConfig(grid_size=5), seed=4,
+                                          feed_prev_action=True)
+        returns, advantages = compute_returns(batch, cfg.discount)
+        loss, _ = segment_loss(policy, batch, cfg, returns, advantages)
+        ad.backward(loss)
+        return {p.name: p.grad for p in policy.parameters()}, made, batch.obs.shape[0]
+
+    grads, constants, n_steps = run(promote=False)
+    promoted_grads, promoted, _ = run(promote=True)
+    assert grads.keys() == promoted_grads.keys()
+    for name, g in grads.items():
+        assert np.array_equal(g, promoted_grads[name]), name
+    assert all(t.grad is None for t in constants)
+    observations = [i for i, t in enumerate(promoted) if t.value.shape[1:] == (2, 5, 5)]
+    # the per-step trunk inputs lie on the loss's graph; the bootstrap calls' do not
+    assert sum(promoted[i].grad is not None for i in observations) == n_steps
 
 
 def test_update_refuses_a_batch_it_already_used():
@@ -474,9 +509,9 @@ class PolicyRunner:
         self.prev = np.full(1, -1, dtype=np.int64)
 
     def act(self, obs, rng):
-        h, c = self.policy.step_values(obs[None], self.h, self.c, self.realized, self.prev)
-        logits = self.policy.logits_t(h, self.realized).value
-        self.h, self.c = h.value, c.value
+        self.h, self.c = self.policy.step_values(obs[None], self.h, self.c, self.realized,
+                                                 self.prev)
+        logits = self.policy.logits_t(ad.constant(self.h), self.realized).value
         if self.greedy:
             action = int(np.argmax(logits[0]))
         else:
@@ -714,7 +749,7 @@ def test_checkpoint_roundtrip_through_policy(tmp_path):
     outs = []
     for pol in (policy, other):
         realized = pol.realize()
-        h2, _ = pol.step_values(obs, h, c, realized)
+        h2 = ad.constant(pol.step_values(obs, h, c, realized)[0])
         outs.append((pol.logits_t(h2, realized).value, pol.values_t(h2, realized).value))
     (l1, v1), (l2, v2) = outs
     assert np.array_equal(l1, l2)

@@ -51,6 +51,21 @@ def test_disconnected_parameter_gets_zero_gradient():
     assert unused.value == 1.0 and x.value != 3.0
 
 
+def test_constants_get_no_gradient():
+    """A node computed from constants alone keeps no parents and no backward
+    closure; backward gives gradients to the nodes between the loss and the
+    parameters and leaves every constant's ``.grad`` None."""
+    c = Tensor(np.array([0.5, -1.0, 2.0]))
+    d = ad.tanh(c)
+    assert not d.requires_grad and d.parents == () and d.bwd is None
+    x = parameter(np.arange(3.0), "x")
+    y = ad.hadamard(x, d)
+    backward(ad.tsum(y))
+    assert y.requires_grad and np.array_equal(y.grad, np.ones(3))
+    assert c.grad is None and d.grad is None
+    assert np.array_equal(x.grad, d.value)
+
+
 def test_non_scalar_loss_raises():
     x = parameter(np.ones(3), "x")
     with pytest.raises(RankError):
@@ -152,8 +167,8 @@ def test_three_layer_network_gradcheck():
 
 
 def unfused_lstm_step(x, h, c, wt, b, single_candidate_tanh):
-    """The LSTM step as a composition of primitives: the reference for
-    ``ad.lstm_step``."""
+    """The LSTM step as a composition of primitives: the reference for the
+    steps of ``ad.LstmSegment``."""
     H = h.value.shape[-1]
     gates = ad.add(ad.matmul(ad.concat([x, h], axis=-1), wt), b)
     ifo = ad.sigmoid(ad.slice_last(gates, 0, 3 * H))
@@ -168,29 +183,58 @@ def unfused_lstm_step(x, h, c, wt, b, single_candidate_tanh):
 
 
 @pytest.mark.parametrize("single", [False, True], ids=["double-tanh", "single-tanh"])
-@pytest.mark.parametrize("batch", [None, 5], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("batch", [1, 5], ids=["one-row", "batched"])
 def test_lstm_step_matches_unfused_reference(single, batch):
+    """A three-step ``LstmSegment`` node, row 0 restarting after the second
+    step, matches the unfused per-step composition whose restart is
+    keep-mask and injected-row ops, in value and in every gradient."""
     rng = np.random.default_rng(21)
-    lead = () if batch is None else (batch,)
-    shapes = {"x": (*lead, 3), "h": (*lead, 4), "c": (*lead, 4), "wt": (7, 16), "b": (16,)}
-    values = {n: rng.normal(size=s) for n, s in shapes.items()}
-    weights = Tensor(rng.normal(size=(*lead, 8)))
+    n_steps, H = 3, 4
+    x_values = [rng.normal(size=(batch, 3)) for _ in range(n_steps)]
+    wt_value, b_value = rng.normal(size=(7, 4 * H)), rng.normal(size=4 * H)
+    h0, c0, fresh_h, fresh_c = (rng.normal(size=(batch, H)) for _ in range(4))
+    keep = np.ones((batch, H))
+    keep[0] = 0.0
+    weights = Tensor(rng.normal(size=(n_steps * batch, H)))
+
+    def fused(xs, wt, b):
+        seg = ad.LstmSegment(wt, b, single)
+        h, c = h0, c0
+        for t, x in enumerate(xs):
+            h, c = seg.step(x, h, c)
+            if t == 1:
+                h, c = seg.reset([0], fresh_h[:1], fresh_c[:1])
+        return seg.node()
+
+    def unfused(xs, wt, b):
+        h, c = Tensor(h0), Tensor(c0)
+        hs = []
+        for t, x in enumerate(xs):
+            hc = unfused_lstm_step(x, h, c, wt, b, single)
+            h, c = ad.slice_last(hc, 0, H), ad.slice_last(hc, H, 2 * H)
+            hs.append(h)
+            if t == 1:
+                h = ad.add(ad.hadamard(h, Tensor(keep)), Tensor((1.0 - keep) * fresh_h))
+                c = ad.add(ad.hadamard(c, Tensor(keep)), Tensor((1.0 - keep) * fresh_c))
+        return ad.concat(hs, axis=0)
+
     results = []
-    for step in (ad.lstm_step, unfused_lstm_step):
-        ins = [parameter(v, n) for n, v in values.items()]
-        out = step(*ins, single)
+    for build in (fused, unfused):
+        ins = [parameter(v, f"x{t}") for t, v in enumerate(x_values)]
+        ins += [parameter(wt_value, "wt"), parameter(b_value, "b")]
+        out = build(ins[:n_steps], *ins[n_steps:])
         backward(ad.tsum(ad.hadamard(out, weights)))
         results.append((out.value, [p.grad for p in ins]))
-    (fused, fused_grads), (ref, ref_grads) = results
-    assert fused.shape == ref.shape == (*lead, 8)
-    assert np.max(np.abs(fused - ref)) <= 1e-12
-    for name, g, g_ref in zip(shapes, fused_grads, ref_grads):
-        assert np.max(np.abs(g - g_ref)) <= 1e-12, name
+    (fused_value, fused_grads), (ref, ref_grads) = results
+    assert fused_value.shape == ref.shape == (n_steps * batch, H)
+    assert np.max(np.abs(fused_value - ref)) <= 1e-12
+    for p, g, g_ref in zip(ins, fused_grads, ref_grads):
+        assert np.max(np.abs(g - g_ref)) <= 1e-12, p.name
 
 
-def test_lstm_step_is_in_the_gradcheck_battery():
+def test_lstm_segment_is_in_the_gradcheck_battery():
     battery = ad.primitive_gradcheck_battery(seed=0)
-    for name in ("lstm_step", "lstm_step_single_tanh"):
+    for name in ("lstm_segment", "lstm_segment_single_tanh"):
         assert battery[name] < 1e-4
 
 
@@ -253,8 +297,10 @@ def test_shape_errors():
     with pytest.raises(ad.ShapeError):
         ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 5, 3, 3))))
     with pytest.raises(ad.ShapeError):  # weight rows must match [x | h]
-        ad.lstm_step(Tensor(np.ones(3)), Tensor(np.ones(4)), Tensor(np.ones(4)),
-                     Tensor(np.ones((8, 16))), Tensor(np.ones(16)))
+        ad.lstm_cell(np.ones(3), np.ones(4), np.ones(4), np.ones((8, 16)), np.ones(16))
+    with pytest.raises(ad.ShapeError):  # a segment steps batched rows
+        ad.LstmSegment(Tensor(np.ones((7, 16))), Tensor(np.ones(16))).step(
+            Tensor(np.ones(3)), np.ones(4), np.ones(4))
 
 
 def test_adam_first_step_matches_hand_computation():

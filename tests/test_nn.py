@@ -102,9 +102,9 @@ def field_forward(layer, field):
 
 
 def cell_step(cell, x, h, c):
-    """One recurrent step on fields through step_t; returns the new (h, c) fields."""
-    h2, c2 = cell.step_t(Tensor(x.values), Tensor(h.values), Tensor(c.values))
-    return FeatureField(cell.rho_h, h2.value), FeatureField(cell.rho_h, c2.value)
+    """One recurrent step on fields; returns the new (h, c) fields."""
+    h2, c2 = cell.step(x.values, h.values, c.values)
+    return FeatureField(cell.rho_h, h2), FeatureField(cell.rho_h, c2)
 
 
 def dense_weight(layer):
@@ -168,15 +168,19 @@ def test_invariant_vectors_of_regular_rep():
 
 
 def test_trivial_group_tying_is_the_identity():
-    # over C1 every orbit is one entry: each weight is its own free parameter
+    # over C1 every orbit is one entry: each weight is its own free parameter.
+    # tied_weight_indices returns that identity directly; the general orbit
+    # path must work it out to the same arrays
     for rho_in, dout, din in [
         (trivial_rep(C1, 35), 128, 35),
         ([trivial_rep(C1, 8), grid_rep(C1, 3, 3)], 32, 8 * 9),  # a 3x3 conv kernel
     ]:
-        idx, sign, count = nn.tied_weight_indices(rho_in, trivial_rep(C1, dout))
-        assert np.array_equal(idx, np.arange(dout * din).reshape(dout, din))
-        assert np.array_equal(sign, np.ones((dout, din)))
-        assert count == dout * din
+        identity = (np.arange(dout * din).reshape(dout, din), np.ones((dout, din)), dout * din)
+        for tying in (nn.orbit_tying, nn.tied_weight_indices):
+            idx, sign, count = tying(rho_in, trivial_rep(C1, dout))
+            assert idx.dtype == identity[0].dtype and np.array_equal(idx, identity[0])
+            assert np.array_equal(sign, identity[1])
+            assert count == identity[2]
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +438,9 @@ def test_lstm_matches_plain_reference_with_realized_weights():
     g = np.tanh(gates[24:32])
     c2 = f * c + i * np.tanh(g)  # candidate gate goes through tanh twice
     h2 = o * np.tanh(c2)
-    got_h, got_c = cell.step_t(Tensor(x), Tensor(h), Tensor(c))
-    assert np.allclose(got_h.value, h2, atol=1e-12)
-    assert np.allclose(got_c.value, c2, atol=1e-12)
+    got_h, got_c = cell.step(x, h, c)
+    assert np.allclose(got_h, h2, atol=1e-12)
+    assert np.allclose(got_c, c2, atol=1e-12)
 
 
 def test_lstm_single_tanh_toggle():
@@ -447,8 +451,8 @@ def test_lstm_single_tanh_toggle():
     gates = w @ np.concatenate([x, h]) + b
     sig = lambda z: 1.0 / (1.0 + np.exp(-z))
     c2 = sig(gates[8:16]) * c + sig(gates[0:8]) * np.tanh(gates[24:32])
-    _, got_c = cell.step_t(Tensor(x), Tensor(h), Tensor(c))
-    assert np.allclose(got_c.value, c2, atol=1e-12)
+    _, got_c = cell.step(x, h, c)
+    assert np.allclose(got_c, c2, atol=1e-12)
 
 
 def test_lstm_rep_mismatch():
