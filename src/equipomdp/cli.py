@@ -341,24 +341,26 @@ def cmd_oracle(args) -> int:
                          for (a, o), (p, child) in cls.children.items())
     ad.write_atomic(out_dir / "qtable.txt", "\n".join(lines) + "\n")
 
-    # spot-check sampled classes: each child recomputed with belief_update must
-    # match its stored class, and each Q entry the one-step recursion
+    # spot-check sampled classes, their beliefs made dense: each child
+    # recomputed with belief_update must match its stored class, and each Q
+    # entry the one-step recursion
     rng = np.random.default_rng(0)
     solved = [(d, cls) for d, level in enumerate(solution.classes[:-1]) for cls in level]
     worst = 0.0
     for i in rng.choice(len(solved), size=min(50, len(solved)), replace=False):
         depth, cls = solved[int(i)]
+        belief = cls.dense(pomdp.n_states)
         for a in range(pomdp.n_actions):
-            probs = (cls.belief @ pomdp.trans[:, a, :]) @ pomdp.obs[a]
+            probs = (belief @ pomdp.trans[:, a, :]) @ pomdp.obs[a]
             ahead = 0.0
             for o in np.flatnonzero(probs > 1e-15):
                 _, c = cls.children.get((a, int(o)), (0.0, None))
                 if c is not None:   # a dropped observation shows as a residual
                     child = solution.classes[depth + 1][c]
-                    b = belief_update(pomdp, cls.belief, a, int(o))
-                    worst = max(worst, float(np.max(np.abs(b - child.belief))))
+                    b = belief_update(pomdp, belief, a, int(o))
+                    worst = max(worst, float(np.max(np.abs(b - child.dense(pomdp.n_states)))))
                     ahead += probs[o] * child.value
-            expect = float(cls.belief @ pomdp.reward[:, a]) + pomdp.discount * ahead
+            expect = float(belief @ pomdp.reward[:, a]) + pomdp.discount * ahead
             worst = max(worst, abs(expect - cls.q[a]))
     print(f"bellman spot-check max residual: {worst:.3e}")
 

@@ -105,13 +105,6 @@ class GroupActionBinding:
                             f"{name} maps break composition at ({g}, {h})")
 
 
-def identity_binding(group: Group, n_states: int, n_actions: int, n_obs: int) -> GroupActionBinding:
-    def rows(n):
-        return np.tile(np.arange(n), (group.order, 1))
-
-    return GroupActionBinding(group, rows(n_states), rows(n_actions), rows(n_obs))
-
-
 def format_history(h: tuple) -> str:
     bits = [f"o{x}" if i % 2 == 0 else f"a{x}" for i, x in enumerate(h)]
     return " ".join(bits)
@@ -201,20 +194,30 @@ MISSING_WITNESSES = 20     # unreachable images a report lists, shallowest first
 class BeliefClass:
     """The histories of one depth that share a belief: the solver's unit of work.
 
+    The belief is stored sparse: ``support`` lists the states of nonzero
+    probability in ascending order and ``probs`` their probabilities.
     ``children`` maps an action and an observation id ``(a, o)`` to
     ``(p, child)``: the observation's probability and the index of the
     extension's class one depth deeper, in expansion order. ``count`` is the
     number of reachable histories in the class and ``first`` the first of
     them in expansion order, which is lexicographic order of histories.
-    ``belief`` and ``q`` are read-only.
+    ``support``, ``probs`` and ``q`` are read-only.
     """
 
-    belief: np.ndarray
+    support: np.ndarray   # (k,) int64, ascending
+    probs: np.ndarray     # (k,)
     first: tuple
     count: int = 0
     children: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
     q: np.ndarray | None = None    # None at the horizon
     value: float = 0.0
+
+    def dense(self, n_states: int) -> np.ndarray:
+        """The belief as a read-only vector over all ``n_states`` states."""
+        belief = np.zeros(n_states)
+        belief[self.support] = self.probs
+        belief.flags.writeable = False
+        return belief
 
 
 def greedy_actions(row: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
@@ -227,6 +230,7 @@ class QSolution:
     history tree, linked by their children; histories are only counted."""
 
     horizon: int
+    n_states: int
     classes: list[list[BeliefClass]]   # per depth
     roots: dict[tuple, int]            # each first observation's history to its class
     root_probs: dict[tuple, float]
@@ -243,24 +247,31 @@ class QSolution:
 
     @property
     def beliefs(self) -> dict[tuple, np.ndarray]:
-        """Each class's belief, keyed by the class's first history."""
-        return {cls.first: cls.belief for level in self.classes for cls in level}
+        """Each class's belief as a dense vector, keyed by the class's first
+        history; built on each call."""
+        return {cls.first: cls.dense(self.n_states) for level in self.classes
+                for cls in level}
 
 
-def _intern(level: list[BeliefClass], keys: dict, belief: np.ndarray, depth: int,
-            first: tuple) -> int:
-    """Index of the class of ``belief`` in ``level``, opening a new class with
-    ``first`` as its first history if none matches; a merge whose beliefs
-    differ by more than the spread bound raises."""
-    nz = np.flatnonzero(belief)
-    key = (nz.tobytes(), np.round(belief[nz], CLASS_DECIMALS).tobytes())
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
+def _intern(level: list[BeliefClass], keys: dict, support: np.ndarray, probs: np.ndarray,
+            rounded: np.ndarray, depth: int, first: tuple) -> int:
+    """Index of the class of the belief ``probs`` on ``support`` in ``level``,
+    keyed by the support and ``rounded`` (the probabilities rounded to
+    1e-12), opening a new class with ``first`` as its first history if none
+    matches; a merge whose beliefs differ by more than the spread bound raises."""
+    key = (support.tobytes(), rounded.tobytes())
     c = keys.get(key)
     if c is None:
         c = keys[key] = len(level)
-        belief.flags.writeable = False
-        level.append(BeliefClass(belief, first))
+        level.append(BeliefClass(_readonly(support), _readonly(probs), first))
         return c
-    spread = float(np.max(np.abs(level[c].belief[nz] - belief[nz])))
+    spread = float(np.abs(level[c].probs - probs).max())
     if spread > CLASS_SPREAD_TOL:
         raise PomdpError(f"belief class at depth {depth} spreads by {spread:.3e}, "
                          f"over {CLASS_SPREAD_TOL:.0e}")
@@ -294,24 +305,37 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
     for o in np.flatnonzero(p0 > obs_tol):
         h = (int(o),)
         root_probs[h] = float(p0[o])
-        roots[h] = c = _intern(classes[0], keys, initial_belief(pomdp, int(o)), 0, h)
+        belief = initial_belief(pomdp, int(o))
+        support = np.flatnonzero(belief)
+        probs = belief[support]
+        roots[h] = c = _intern(classes[0], keys, support, probs,
+                               np.round(probs, CLASS_DECIMALS), 0, h)
         classes[0][c].count += 1
 
     for depth in range(horizon):
         level: list[BeliefClass] = []
         keys = {}
         for cls in classes[depth]:
-            nz = np.flatnonzero(cls.belief)
-            pushed = (cls.belief[nz] @ trans[nz]).reshape(n_actions, n_states)
-            reach = np.flatnonzero(pushed.any(axis=0))
-            obs_p = np.einsum("at,ato->ao", pushed[:, reach], pomdp.obs[:, reach])
-            for a in range(n_actions):
-                for o in map(int, np.flatnonzero(obs_p[a] > obs_tol)):
-                    p = obs_p[a, o]
-                    child = _intern(level, keys, pushed[a] * pomdp.obs[a, :, o] / p,
-                                    depth + 1, cls.first + (a, o))
-                    level[child].count += cls.count
-                    cls.children[a, o] = (float(p), child)
+            pushed = (cls.probs @ trans[cls.support]).reshape(n_actions, n_states)
+            reach = pushed.any(axis=0).nonzero()[0]
+            pushed, emit = pushed[:, reach], pomdp.obs[:, reach]
+            obs_p = np.einsum("at,ato->ao", pushed, emit)
+            # every child (a, o) at once, one row each over the reachable states
+            va, vo = np.nonzero(obs_p > obs_tol)
+            p = obs_p[va, vo]
+            posts = pushed[va] * emit[va, :, vo] / p[:, None]
+            kept = posts != 0
+            support = reach[kept.nonzero()[1]]
+            probs = posts[kept]
+            rounded = np.round(probs, CLASS_DECIMALS)
+            ends = np.cumsum(kept.sum(axis=1)).tolist()
+            start = 0
+            for a, o, p_ao, end in zip(va.tolist(), vo.tolist(), p.tolist(), ends):
+                child = _intern(level, keys, support[start:end], probs[start:end],
+                                rounded[start:end], depth + 1, cls.first + (a, o))
+                level[child].count += cls.count
+                cls.children[a, o] = (p_ao, child)
+                start = end
             n_classes = sum(map(len, classes)) + len(level)
             if n_classes > node_budget:
                 raise NodeBudgetError(
@@ -322,15 +346,15 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
     for depth in range(horizon - 1, -1, -1):
         below = classes[depth + 1]
         for cls in classes[depth]:
-            nz = np.flatnonzero(cls.belief)
             ahead = [0.0] * n_actions
             for (a, _), (p, child) in cls.children.items():
                 ahead[a] += p * below[child].value
-            cls.q = cls.belief[nz] @ pomdp.reward[nz] + pomdp.discount * np.array(ahead)
+            cls.q = (cls.probs @ pomdp.reward[cls.support]
+                     + pomdp.discount * np.array(ahead))
             cls.q.flags.writeable = False
             cls.value = float(cls.q.max())
     node_count = sum(cls.count for level in classes for cls in level)
-    return QSolution(horizon, classes, roots, root_probs, node_count)
+    return QSolution(horizon, n_states, classes, roots, root_probs, node_count)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +462,21 @@ def verify_belief_invariance(pomdp: Pomdp, binding: GroupActionBinding, depth: i
     t0 = time.perf_counter()
     sol = exact_q(pomdp, depth, node_budget=node_budget)
     t1 = time.perf_counter()
-    sm = binding.state_maps
+    # state g^-1 s' for each image state s' = g s, so that the image belief
+    # compares in the class's states; the entries missing from one support
+    # are zeros, added to and cleared from a scratch vector per pair
+    unmap = np.argsort(binding.state_maps, axis=1)
+    diff = np.zeros(pomdp.n_states)
     levels, checked, missing, witnesses = _image_pairs(sol, binding, depth)
     max_dev, witness = 0.0, None
     for pairs in levels:
         for g, h, cls, image in pairs:
-            dev = float(np.max(np.abs(image.belief[sm[g]] - cls.belief)))
+            mapped = unmap[g][image.support]
+            diff[cls.support] = cls.probs
+            diff[mapped] -= image.probs
+            union = np.concatenate((cls.support, mapped))
+            dev = float(np.abs(diff[union]).max())
+            diff[union] = 0.0
             if dev > max_dev:
                 max_dev, witness = dev, (g, h, f"belief deviation {dev:.3e}")
     passed = max_dev < tolerance and not missing
@@ -466,19 +499,28 @@ def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding, horizon: 
     sol = exact_q(pomdp, horizon, node_budget=node_budget)
     t1 = time.perf_counter()
     am = binding.action_maps
+    am_rows = am.tolist()
     levels, checked, missing, witnesses = _image_pairs(sol, binding, horizon - 1)
     max_dev, witness = 0.0, None
     policy_ok, policy_witness = True, None
+    greedy: dict[int, tuple[int, ...]] = {}   # id(class) -> its greedy set
+
+    def greedy_set(cls: BeliefClass) -> tuple[int, ...]:
+        got = greedy.get(id(cls))
+        if got is None:
+            got = greedy[id(cls)] = greedy_actions(cls.q, policy_tol)
+        return got
+
     for pairs in reversed(levels):
         for g, h, cls, image in pairs:
-            qdev = float(np.max(np.abs(image.q[am[g]] - cls.q)))
+            qdev = float(np.abs(image.q[am[g]] - cls.q).max())
             vdev = abs(image.value - cls.value)
             dev = max(qdev, vdev)
             if dev > max_dev:
                 max_dev, witness = dev, (
                     g, h, f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
-            mapped = {int(am[g][a]) for a in greedy_actions(cls.q, policy_tol)}
-            direct = set(greedy_actions(image.q, policy_tol))
+            mapped = {am_rows[g][a] for a in greedy_set(cls)}
+            direct = set(greedy_set(image))
             if mapped != direct and policy_ok:
                 policy_ok, policy_witness = False, (g, h, sorted(mapped), sorted(direct))
     passed = max_dev < tolerance and policy_ok and not missing
@@ -486,67 +528,6 @@ def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding, horizon: 
                                missing, witnesses, witness, policy_ok, policy_witness,
                                histories=sol.node_count, belief_classes=sol.class_count,
                                solve_s=t1 - t0, check_s=time.perf_counter() - t1)
-
-
-# ---------------------------------------------------------------------------
-# Random symmetric instances (for property tests).
-# ---------------------------------------------------------------------------
-
-def random_pomdp(rng: np.random.Generator, n_states: int, n_actions: int, n_obs: int,
-                 discount: float = 0.95) -> Pomdp:
-    def stochastic(shape):
-        raw = rng.random(shape) + 1e-3
-        return raw / raw.sum(axis=-1, keepdims=True)
-
-    return Pomdp(
-        start=stochastic((n_states,)),
-        trans=stochastic((n_states, n_actions, n_states)),
-        reward=rng.normal(size=(n_states, n_actions)),
-        obs=stochastic((n_actions, n_states, n_obs)),
-        obs0=stochastic((n_states, n_obs)),
-        discount=discount,
-    )
-
-
-def random_binding(group: Group, rng: np.random.Generator, n_states: int,
-                   n_actions: int, n_obs: int) -> GroupActionBinding:
-    """Random permutations whose order divides the group order, powered per element."""
-
-    def maps_for(n):
-        order = group.order
-        perm = np.arange(n)
-        shuffled = rng.permutation(n)
-        for at in range(0, n - order + 1, order):
-            cycle = shuffled[at : at + order]
-            perm[cycle] = np.roll(cycle, -1)
-        maps = np.zeros((order, n), dtype=np.int64)
-        maps[0] = np.arange(n)
-        for g in range(1, order):
-            maps[g] = perm[maps[g - 1]]
-        return maps
-
-    return GroupActionBinding(group, maps_for(n_states), maps_for(n_actions), maps_for(n_obs))
-
-
-def group_average(pomdp: Pomdp, binding: GroupActionBinding) -> Pomdp:
-    """Average every table over the group orbit; the result is exactly invariant."""
-    binding.validate()
-    n = binding.group.order
-    trans = np.zeros_like(pomdp.trans)
-    reward = np.zeros_like(pomdp.reward)
-    obs = np.zeros_like(pomdp.obs)
-    obs0 = np.zeros_like(pomdp.obs0)
-    start = np.zeros_like(pomdp.start)
-    for g in binding.group.elements:
-        sm, am, om = binding.state_maps[g], binding.action_maps[g], binding.obs_maps[g]
-        trans += pomdp.trans[np.ix_(sm, am, sm)]
-        reward += pomdp.reward[np.ix_(sm, am)]
-        obs += pomdp.obs[np.ix_(am, sm, om)]
-        obs0 += pomdp.obs0[np.ix_(sm, om)]
-        start += pomdp.start[sm]
-    out = Pomdp(start / n, trans / n, reward / n, obs / n, obs0 / n, pomdp.discount)
-    out.validate(atol=1e-9)
-    return out
 
 
 # ---------------------------------------------------------------------------

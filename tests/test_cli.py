@@ -19,11 +19,11 @@ from equipomdp.pomdp import (
     PomdpError,
     exact_q,
     load_tables,
-    random_pomdp,
     save_tables,
     verify_belief_invariance,
     verify_value_invariance,
 )
+from pomdp_builders import random_pomdp
 
 
 def run_cli(*argv):

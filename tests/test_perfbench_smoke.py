@@ -40,3 +40,17 @@ def test_benchmark_patch_points_exist_in_the_package(monkeypatch):
     missing = {f"{p.owner.__name__.rsplit('.', 1)[-1]}.{p.attr}"
                for p in points if not hasattr(p.owner, p.attr)}
     assert missing <= KNOWN_DEAD_POINTS, sorted(missing - KNOWN_DEAD_POINTS)
+
+
+def test_traced_oracle_counts_the_solver_classes(monkeypatch):
+    """The traced oracle set-up counts belief classes from the dense beliefs
+    that ``QSolution.beliefs`` builds; the count equals the solver's own."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    from equipomdp.envs import CarFlag2dConfig, export_pomdp
+    from equipomdp.pomdp import exact_q
+
+    model, _, _ = export_pomdp(CarFlag2dConfig(grid_size=3))
+    sol = exact_q(model, 6)
+    assert workloads.belief_classes(sol) == sol.class_count == 984

@@ -17,16 +17,13 @@ from equipomdp.pomdp import (
     check_invariance,
     exact_q,
     greedy_actions,
-    group_average,
-    identity_binding,
     initial_belief,
     load_tables,
-    random_binding,
-    random_pomdp,
     save_tables,
     verify_belief_invariance,
     verify_value_invariance,
 )
+from pomdp_builders import group_average, identity_binding, random_binding, random_pomdp
 from reference_oracle import (
     HistoryMdp,
     act_on_history,
@@ -379,6 +376,105 @@ def test_merged_belief_class_with_spread_is_refused():
     pomdp.validate()
     with pytest.raises(PomdpError, match="belief class at depth 0 spreads by"):
         exact_q(pomdp, horizon=2)
+
+
+@pytest.mark.parametrize("config, horizon", [
+    pytest.param(CarFlag2dConfig(grid_size=3), 6, id="3x3-h6"),
+    pytest.param(CarFlag2dConfig(grid_size=5), 4, id="5x5-h4"),
+])
+def test_belief_classes_store_sparse_read_only_beliefs(config, horizon):
+    """Every class holds a sparse belief, and every child formed in bulk is
+    bitwise the belief a per-child update of its parent's dense belief gives,
+    in the order that loop meets the children."""
+    pomdp, _, _ = export_pomdp(config)
+    sol = exact_q(pomdp, horizon)
+    n_states, n_actions = pomdp.n_states, pomdp.n_actions
+    trans = pomdp.trans.reshape(n_states, -1)
+    for depth, level in enumerate(sol.classes):
+        for cls in level:
+            if cls.q is not None:
+                belief = cls.dense(n_states)
+                nz = np.flatnonzero(belief)
+                pushed = (belief[nz] @ trans[nz]).reshape(n_actions, n_states)
+                reach = np.flatnonzero(pushed.any(axis=0))
+                obs_p = np.einsum("at,ato->ao", pushed[:, reach], pomdp.obs[:, reach])
+                order = [(a, int(o)) for a in range(n_actions)
+                         for o in np.flatnonzero(obs_p[a] > 1e-15)]
+                assert list(cls.children) == order
+                for (a, o), (p, c) in cls.children.items():
+                    assert p == obs_p[a, o]
+                    child = sol.classes[depth + 1][c]
+                    if child.first == cls.first + (a, o):
+                        b = pushed[a] * pomdp.obs[a, :, o] / obs_p[a, o]
+                        assert np.array_equal(np.flatnonzero(b), child.support)
+                        assert b[child.support].tobytes() == child.probs.tobytes()
+            assert cls.support.dtype == np.int64
+            assert np.all(np.diff(cls.support) > 0)
+            assert cls.support.shape == cls.probs.shape
+            assert len(cls.support) < pomdp.n_states
+            assert not cls.support.flags.writeable and not cls.probs.flags.writeable
+            assert np.all(cls.probs > 0.0)
+            assert abs(cls.probs.sum() - 1.0) <= 1e-12
+            held = [v for v in vars(cls).values() if isinstance(v, np.ndarray)]
+            assert all(v.size < pomdp.n_states for v in held)
+
+
+@pytest.mark.parametrize("config, horizon", [
+    pytest.param(CarFlag2dConfig(grid_size=3), 4, id="3x3-h4"),
+    pytest.param(CarFlag1dConfig(half_size=5, info_offset=2), 8, id="1d-h8-offset"),
+])
+def test_dense_beliefs_scatter_back_to_the_reference(config, horizon):
+    pomdp, _, _ = export_pomdp(config)
+    sol = exact_q(pomdp, horizon)
+    ref = reference_exact_q(pomdp, horizon)
+    beliefs = sol.beliefs
+    assert len(beliefs) == sol.class_count
+    for b in beliefs.values():
+        assert b.shape == (pomdp.n_states,) and not b.flags.writeable
+    for h, expect in ref.beliefs.items():
+        cls = class_of(sol, h)
+        b = beliefs[cls.first]
+        assert np.array_equal(np.flatnonzero(b), cls.support), h
+        assert np.max(np.abs(b - expect)) <= 1e-12, h
+        if h == cls.first:
+            assert np.array_equal(b[cls.support], cls.probs), h
+
+
+@pytest.mark.parametrize("swap", [
+    pytest.param(False, id="largest-on-class-side"),
+    pytest.param(True, id="largest-on-image-side"),
+])
+def test_belief_check_over_different_supports_reports_the_dense_deviation(swap):
+    # the flip swaps states 0 <-> 1 and 2 <-> 3 and observations 0 <-> 1; the
+    # table is not flip-invariant, so the first observations' beliefs
+    # [.3, 0, .7, 0] and [.15, .85, 0, 0] compare, in the states of each
+    # other, over supports that differ. Each side has an entry the
+    # other lacks, and the largest deviation, witnessed at history (0,), lies
+    # on the class's side, or on the image's once the two observations swap.
+    obs0 = np.array([[0.3, 0.15, 0.55], [0.0, 0.85, 0.15], [0.7, 0.0, 0.3],
+                     [0.0, 0.0, 1.0]])
+    pomdp = Pomdp(
+        start=np.full(4, 0.25),
+        trans=np.eye(4)[:, None, :],
+        reward=np.zeros((4, 1)),
+        obs=np.full((1, 4, 3), 1.0 / 3.0),
+        obs0=obs0[:, [1, 0, 2]] if swap else obs0,
+        discount=0.9,
+    )
+    pomdp.validate()
+    binding = GroupActionBinding(FLIP, np.array([[0, 1, 2, 3], [1, 0, 3, 2]]),
+                                 np.zeros((2, 1), dtype=np.int64),
+                                 np.array([[0, 1, 2], [1, 0, 2]]))
+    sol = exact_q(pomdp, horizon=1)
+    first, image = (sol.classes[0][sol.roots[(o,)]] for o in (0, 1))
+    supports = [first.support.tolist(), sorted(binding.state_maps[1][image.support].tolist())]
+    assert supports == ([[0, 1], [1, 3]] if swap else [[0, 2], [0, 1]])
+    for depth in (0, 1):
+        report = verify_belief_invariance(pomdp, binding, depth)
+        expect = reference_verify_belief_invariance(reference_exact_q(pomdp, depth), binding)
+        assert report_fields(report) == report_fields(expect)
+        assert report.max_dev == pytest.approx(0.7, abs=1e-12)
+        assert report.witness[:2] == (1, (0,))
 
 
 # ---------------------------------------------------------------------------
