@@ -4,7 +4,7 @@ gridworlds, with exact finite-horizon oracles that verify the symmetry claims.
 
 from .agent import AgentConfig, RecurrentPolicy, evaluate, train
 from .envs import CarFlag1dConfig, CarFlag2dConfig, env_group_binding, export_pomdp, make_env
-from .groups import FeatureField, Group, Representation, act_on_field, make_group
+from .groups import Group, Representation, make_group
 from .pomdp import (
     GroupActionBinding,
     Pomdp,
@@ -18,13 +18,11 @@ __all__ = [
     "AgentConfig",
     "CarFlag1dConfig",
     "CarFlag2dConfig",
-    "FeatureField",
     "Group",
     "GroupActionBinding",
     "Pomdp",
     "RecurrentPolicy",
     "Representation",
-    "act_on_field",
     "check_invariance",
     "env_group_binding",
     "evaluate",

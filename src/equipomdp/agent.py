@@ -324,7 +324,6 @@ def sample_categorical(logits: np.ndarray, rng: np.random.Generator) -> np.ndarr
 
 @dataclass
 class RolloutBatch:
-    obs: np.ndarray             # (T, B, *obs_shape)
     actions: np.ndarray         # (T, B) int
     rewards: np.ndarray         # (T, B)
     terminated: np.ndarray      # (T, B) bool
@@ -361,7 +360,6 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
     obs, prev = carry["obs"], carry["prev"]
     state_rng = carry.get("state_rng")
     batch = RolloutBatch(
-        obs=np.zeros((n_steps, b, *policy.obs_shape)),
         actions=np.zeros((n_steps, b), dtype=np.int64),
         rewards=np.zeros((n_steps, b)),
         terminated=np.zeros((n_steps, b), dtype=bool),
@@ -374,7 +372,6 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
     segment = policy.cell.segment(realized["cell"])
     h, c = carry["h"], carry["c"]
     for t in range(n_steps):
-        batch.obs[t] = obs
         h, c = segment.step(policy.input_t(obs, realized, prev), h, c)
         actions = sample_categorical(policy.logits_t(ad.constant(h), realized).value, rng)
         batch.actions[t] = actions

@@ -58,37 +58,9 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def size(self):
-        return self.value.size
-
     def __repr__(self):
         tag = f" {self.name}" if self.name else ""
         return f"Tensor{tag}(shape={self.value.shape})"
-
-    # Small operator sugar; everything routes through the module primitives.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return add(self, scale(_lift(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_lift(other), scale(self, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return hadamard(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def parameter(value, name: str) -> Tensor:
@@ -97,10 +69,6 @@ def parameter(value, name: str) -> Tensor:
 
 def constant(value) -> Tensor:
     return Tensor(value)
-
-
-def _lift(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -153,34 +121,18 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.value, b.value
-    if av.ndim > 2 or bv.ndim > 2 or av.ndim == 0 or bv.ndim == 0:
-        raise ShapeError(f"matmul supports 1D/2D operands, got {av.shape}@{bv.shape}")
+    if av.ndim != 2 or bv.ndim != 2:
+        raise ShapeError(f"matmul supports 2D operands, got {av.shape}@{bv.shape}")
     if av.shape[-1] != bv.shape[0]:
         raise ShapeError(f"matmul: {av.shape} @ {bv.shape}")
     val = av @ bv
 
     def bwd(g):
         ga = gb = None
-        if av.ndim == 1 and bv.ndim == 1:  # dot product
-            if a.requires_grad:
-                ga = g * bv
-            if b.requires_grad:
-                gb = g * av
-        elif av.ndim == 1:  # (k,) @ (k,n) -> (n,)
-            if a.requires_grad:
-                ga = bv @ g
-            if b.requires_grad:
-                gb = np.outer(av, g)
-        elif bv.ndim == 1:  # (m,k) @ (k,) -> (m,)
-            if a.requires_grad:
-                ga = np.outer(g, bv)
-            if b.requires_grad:
-                gb = av.T @ g
-        else:
-            if a.requires_grad:
-                ga = g @ bv.T
-            if b.requires_grad:
-                gb = av.T @ g
+        if a.requires_grad:
+            ga = g @ bv.T
+        if b.requires_grad:
+            gb = av.T @ g
         return ga, gb
 
     return Tensor(val, (a, b), bwd)
@@ -189,24 +141,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    val = _sigmoid(a.value)
-
-    def bwd(g):
-        return (g * val * (1.0 - val),)
-
-    return Tensor(val, (a,), bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    val = np.tanh(a.value)
-
-    def bwd(g):
-        return (g * (1.0 - val * val),)
-
-    return Tensor(val, (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -279,18 +213,6 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return Tensor(val, tensors, bwd)
 
 
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along the last axis."""
-    val = a.value[..., start:stop]
-
-    def bwd(g):
-        ga = np.zeros_like(a.value)
-        ga[..., start:stop] = g
-        return (ga,)
-
-    return Tensor(val, (a,), bwd)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     val = a.value.reshape(shape)
 
@@ -298,16 +220,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(a.value.shape),)
 
     return Tensor(val, (a,), bwd)
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def bwd(g):
-        return (g.transpose(inv),)
-
-    return Tensor(a.value.transpose(axes), (a,), bwd)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -711,7 +623,6 @@ def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(3, 4))
     v4 = rng.normal(size=4)
-    v3 = rng.normal(size=3)
     img = rng.normal(size=(2, 3, 5, 5))
     ker = rng.normal(size=(4, 3, 3, 3))
     idx = np.array([2, 0, 3])
@@ -721,21 +632,16 @@ def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
         "scale": (lambda p: tsum(scale(p, -2.5)), (3, 4)),
         "hadamard": (lambda p: tsum(hadamard(p, Tensor(np.abs(v4) + 0.5))), (3, 4)),
         "matmul": (lambda p: tsum(matmul(p, Tensor(m))), (2, 3)),
-        "matmul_vec": (lambda p: tsum(matmul(p, Tensor(v4))), (3, 4)),
-        "sigmoid": (lambda p: tsum(sigmoid(p)), (3, 4)),
-        "tanh": (lambda p: tsum(tanh(p)), (3, 4)),
         "relu": (lambda p: tsum(relu(p)), (3, 4)),
         "exp": (lambda p: tsum(exp(p)), (3, 4)),
         "log_softmax": (lambda p: tsum(hadamard(log_softmax(p), Tensor(m))), (3, 4)),
         "gather_rows": (lambda p: tsum(gather_rows(p, idx)), (3, 4)),
         "take": (lambda p: tsum(take(p, flat_idx)), (3, 4)),
-        "concat": (lambda p: tsum(concat([p, tanh(p)], axis=-1)), (3, 4)),
-        "slice_last": (lambda p: tsum(slice_last(p, 1, 3)), (3, 4)),
-        "reshape": (lambda p: tsum(tanh(reshape(p, (2, 6)))), (3, 4)),
-        "transpose": (lambda p: tsum(matmul(transpose(p, (1, 0)), Tensor(v3))), (3, 4)),
-        "sum": (lambda p: tsum(tanh(p)), (3, 4)),
-        "sum_axis": (lambda p: tsum(tanh(sum_axis(p, -1))), (3, 4)),
-        "mean": (lambda p: mean(tanh(p)), (3, 4)),
+        "concat": (lambda p: tsum(concat([p, exp(p)], axis=-1)), (3, 4)),
+        "reshape": (lambda p: tsum(exp(reshape(p, (2, 6)))), (3, 4)),
+        "sum": (lambda p: tsum(hadamard(p, p)), (3, 4)),
+        "sum_axis": (lambda p: tsum(exp(sum_axis(p, -1))), (3, 4)),
+        "mean": (lambda p: mean(exp(p)), (3, 4)),
         "conv2d": (lambda p: tsum(conv2d(p, Tensor(ker), "same")), (2, 3, 5, 5)),
         "conv2d_kernel": (lambda p: tsum(conv2d(Tensor(img), p, "valid")), (4, 3, 3, 3)),
     }

@@ -66,6 +66,9 @@ AGENT_KEYS = {
     "lstm_single_tanh": bool, "feed_prev_action": bool,
 }
 RUN_KEYS = {"seed": int, "out": str, "group": str}
+# [env] keys of one domain that the other refuses, by env kind
+OTHER_DOMAIN_KEYS = {"carflag1d": ("grid_size", "info_region_size"),
+                     "carflag2d": ("half_size",)}
 # [architecture] is informational output in manifests: layer list with
 # representation annotations; its keys are not read back.
 SECTIONS = {"env": ENV_KEYS, "agent": AGENT_KEYS, "run": RUN_KEYS,
@@ -115,59 +118,31 @@ def _parse_conv_fields(raw) -> tuple:
 
 
 def build_configs(args) -> tuple[object, AgentConfig, dict]:
-    """Merge defaults, config file, and flags (flags win) into typed configs."""
+    """Merge defaults, config file, and flags (flags win) into typed configs.
+    Each flag's ``dest`` is its config key."""
     file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {
         "env": {}, "agent": {}, "run": {}}
+    env_over, agent_over, run_over = (dict(file_cfg[s]) for s in ("env", "agent", "run"))
+    for over, keys in ((env_over, ENV_KEYS), (agent_over, AGENT_KEYS), (run_over, RUN_KEYS)):
+        for key in keys:
+            value = getattr(args, key, None)
+            if value is not None:
+                over[key] = value
 
-    env_over = dict(file_cfg["env"])
-    for flag, key in (("env", "kind"), ("half_size", "half_size"),
-                      ("grid_size", "grid_size"), ("offset", "offset"),
-                      ("info_region_size", "info_region_size"),
-                      ("max_steps", "max_steps")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            env_over[key] = value
     kind = env_over.pop("kind", None)
     if kind is None:
         raise UsageError("no environment selected; pass --env or set [env] kind")
+    if kind not in OTHER_DOMAIN_KEYS:
+        raise UsageError(f"unknown env kind {kind!r} (carflag1d or carflag2d)")
+    for key in OTHER_DOMAIN_KEYS[kind]:
+        if key in env_over:
+            raise UsageError(f"[env] {key} is not a setting of {kind}")
+    env_over = {("info_offset" if k == "offset" else k): v for k, v in env_over.items()}
     try:
-        if kind == "carflag1d":
-            env_over.pop("grid_size", None)
-            env_over.pop("info_region_size", None)
-            env_over = {("info_offset" if k == "offset" else k): v
-                        for k, v in env_over.items()}
-            env_cfg = CarFlag1dConfig(**env_over)
-        elif kind == "carflag2d":
-            env_over.pop("half_size", None)
-            env_over = {("info_offset" if k == "offset" else k): v
-                        for k, v in env_over.items()}
-            env_cfg = CarFlag2dConfig(**env_over)
-        else:
-            raise UsageError(f"unknown env kind {kind!r} (carflag1d or carflag2d)")
+        env_cfg = (CarFlag1dConfig if kind == "carflag1d" else CarFlag2dConfig)(**env_over)
     except ValueError as e:
         raise UsageError(str(e)) from e
 
-    agent_over = dict(file_cfg["agent"])
-    for flag, key in (("agent", "variant"), ("lstm_init", "lstm_init"),
-                      ("n_envs", "n_envs"), ("n_steps", "n_steps"),
-                      ("gamma", "discount"), ("lr", "learning_rate"),
-                      ("value_coef", "value_coef"), ("entropy_coef", "entropy_coef"),
-                      ("grad_clip", "grad_clip"), ("steps", "total_steps"),
-                      ("eval_interval", "eval_interval"),
-                      ("eval_episodes", "eval_episodes"),
-                      ("eval_greedy", "eval_greedy"),
-                      ("lstm_fields", "lstm_fields"), ("head_fields", "head_fields"),
-                      ("conv_fields", "conv_fields"),
-                      ("lstm_single_tanh", "lstm_single_tanh"),
-                      ("feed_prev_action", "feed_prev_action")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            agent_over[key] = value
-    run_over = dict(file_cfg["run"])
-    for flag in ("seed", "out", "group"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            run_over[flag] = value
     seed = run_over.get("seed", 0)
     if "conv_fields" in agent_over:
         agent_over["conv_fields"] = _parse_conv_fields(agent_over["conv_fields"])
@@ -420,7 +395,7 @@ def cmd_plotdata(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_env_flags(p):
-    p.add_argument("--env", choices=["carflag1d", "carflag2d"], default=None)
+    p.add_argument("--env", dest="kind", choices=["carflag1d", "carflag2d"], default=None)
     p.add_argument("--config", default=None, help="INI config file")
     p.add_argument("--half-size", dest="half_size", type=int, default=None)
     p.add_argument("--grid-size", dest="grid_size", type=int, default=None)
@@ -431,18 +406,19 @@ def _add_env_flags(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--group", default=None,
                    help="symmetry group override (auto, reflection2, c4)")
-    p.add_argument("--gamma", type=float, default=None,
+    p.add_argument("--gamma", dest="discount", metavar="GAMMA", type=float, default=None,
                    help="discount; overrides [agent] discount (default 0.99)")
 
 
 def _add_agent_flags(p):
-    p.add_argument("--agent", choices=list(agent_mod.VARIANTS), default=None)
+    p.add_argument("--agent", dest="variant", choices=list(agent_mod.VARIANTS), default=None)
     p.add_argument("--lstm-init", dest="lstm_init", choices=["zero", "random"],
                    default=None)
-    p.add_argument("--steps", type=int, default=None, help="total env steps")
+    p.add_argument("--steps", dest="total_steps", metavar="STEPS", type=int, default=None,
+                   help="total env steps")
     p.add_argument("--n-envs", dest="n_envs", type=int, default=None)
     p.add_argument("--n-steps", dest="n_steps", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None)
     p.add_argument("--value-coef", dest="value_coef", type=float, default=None)
     p.add_argument("--entropy-coef", dest="entropy_coef", type=float, default=None)
     p.add_argument("--grad-clip", dest="grad_clip", type=float, default=None)

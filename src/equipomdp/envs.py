@@ -89,7 +89,6 @@ class CarFlag2dConfig:
 
 # CarFlag-2D actions, ordered so a quarter turn counterclockwise advances the
 # index by one: Right -> Up -> Left -> Down.
-ACTIONS_2D = ("right", "up", "left", "down")
 DELTAS_2D = ((0, 1), (-1, 0), (0, -1), (1, 0))
 
 
@@ -344,20 +343,11 @@ class ExportMaps:
     state_obs: np.ndarray       # state id -> id of the state's observation
     terminal: np.ndarray        # state id -> whether the state is absorbing
 
-    def state_of(self, env_state) -> int:
-        return self.state_ids[tuple(env_state)]
-
-    def obs_of_state(self, s: int) -> int:
-        return int(self.state_obs[s])
-
     def obs_id_of_array(self, obs: np.ndarray) -> int:
         o = self.obs_ids.get(_obs_keys([obs])[0])
         if o is None:
             raise EnvError(f"observation {np.ravel(obs)} is not one the simulator emits")
         return o
-
-    def is_terminal(self, s: int) -> bool:
-        return bool(self.terminal[s])
 
 
 def export_pomdp(config, discount: float = 0.99, max_states: int = 200_000):

@@ -1,4 +1,4 @@
-"""Finite symmetry groups, their matrix representations, and actions on feature fields.
+"""Finite symmetry groups, their matrix representations, and their pixel actions on grids.
 
 Two group families are supported: planar rotations by multiples of 2*pi/n
 (``cyclic``, order n) and the left-right mirror flip (``reflection``, order 2).
@@ -57,10 +57,6 @@ class Group:
         self.check_element(a)
         self.check_element(b)
         return (a + b) % self.order
-
-    def inverse(self, a: int) -> int:
-        self.check_element(a)
-        return (-a) % self.order
 
 
 def make_group(kind: str, n: int | None = None) -> Group:
@@ -222,73 +218,3 @@ def direct_sum(reps) -> Representation:
     if len(parts) == 1:
         return parts[0]
     return Representation(group, SUM, sum(p.dim for p in parts), parts=tuple(parts))
-
-
-def rep_matrix(rep: Representation, g: int) -> np.ndarray:
-    """Matrix of ``g`` under ``rep`` (copy; raises for elements outside the group)."""
-    return rep.matrix(g).copy()
-
-
-_NAMED_REPS = {
-    TRIVIAL: trivial_rep,
-    STANDARD: standard_rep,
-    SIGN: sign_rep,
-    REGULAR: regular_rep,
-}
-
-
-def rep_from_spec(group: Group, spec) -> Representation:
-    """Parse a config-style representation spec.
-
-    Accepts a name (``"regular"``), a ``"count*name"`` multiplicity form, or a
-    list of either, which becomes a direct sum in the given order.
-    """
-    if isinstance(spec, str):
-        spec = [spec]
-    parts = []
-    for item in spec:
-        item = item.strip()
-        count = 1
-        if "*" in item:
-            head, _, item = item.partition("*")
-            count = int(head)
-            item = item.strip()
-        if item not in _NAMED_REPS:
-            raise GroupError(f"unknown representation name {item!r}")
-        parts.extend(_NAMED_REPS[item](group) for _ in range(count))
-    return direct_sum(parts)
-
-
-# ---------------------------------------------------------------------------
-# Feature fields and the combined pixel/channel group action.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FeatureField:
-    """Values carrying a representation, optionally spread over an HxW grid."""
-
-    rep: Representation
-    values: np.ndarray
-    spatial: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        want = (self.rep.dim,) if self.spatial is None else (self.rep.dim, *self.spatial)
-        if self.values.shape != want:
-            raise GroupError(
-                f"field values shape {self.values.shape} != expected {want}"
-            )
-
-
-def act_on_field(g: int, field: FeatureField) -> FeatureField:
-    """Transform a field: pixel permutation first, then the channel matrix."""
-    group = field.rep.group
-    g = group.check_element(g)
-    vals = field.values
-    if field.spatial is not None:
-        vals = spatial_transform(group, g, vals)
-    rho = field.rep.matrix(g)
-    if field.spatial is None:
-        out = rho @ vals
-    else:
-        out = (rho @ vals.reshape(field.rep.dim, -1)).reshape(vals.shape)
-    return FeatureField(field.rep, out, field.spatial)

@@ -17,8 +17,8 @@ free parameter. Unconstrained networks are these same layers over
 
 Every layer has one forward path. ``realize_t`` builds the layer's dense
 weights from its parameters as graph tensors, and ``forward_t`` applies them
-on ``autodiff`` tensors; a caller that runs many steps under fixed parameters
-realizes once and passes the result in. Callers that only need values
+on ``autodiff`` tensors; every caller realizes once and passes the result in,
+so one realization serves all the steps run under fixed parameters. Callers that only need values
 (evaluation, equivariance checks) read ``.value`` off the output and drop the
 graph; rollout collection keeps it for the update. The recurrent cell steps on
 arrays instead, and a collected segment of its steps enters the graph as one
@@ -182,12 +182,12 @@ class EquiLinear:
         """Weight (transposed) and bias as graph tensors, gathered from the parameters."""
         return tied(self.weight, *self._w_tie), tied(self.bias, *self._b_tie)
 
-    def forward_t(self, x: Tensor, realized=None) -> Tensor:
+    def forward_t(self, x: Tensor, realized) -> Tensor:
         if x.value.shape[-1] != self.in_dim:
             raise RepresentationMismatchError(
                 f"{self.name}: input has {x.value.shape[-1]} channels, "
                 f"rho_in {self.rho_in.kind}/{self.in_dim} expected")
-        wt, b = realized if realized is not None else self.realize_t()
+        wt, b = realized
         return ad.add(ad.matmul(x, wt), b)
 
 
@@ -232,12 +232,12 @@ class EquiConv2d:
     def realize_t(self):
         return tied(self.kernel, *self._k_tie), tied(self.bias, *self._b_tie)
 
-    def forward_t(self, x: Tensor, realized=None) -> Tensor:
+    def forward_t(self, x: Tensor, realized) -> Tensor:
         h, w = x.value.shape[-2:]
         if self.group.kind == CYCLIC and self.group.order > 1 and h != w:
             raise UnsupportedSpatialActionError(
                 f"rotation-equivariant conv needs square input, got {h}x{w}")
-        k, b = realized if realized is not None else self.realize_t()
+        k, b = realized
         y = ad.conv2d(x, k, self.padding)
         return ad.add(y, ad.reshape(b, (self.out_channels, 1, 1)))
 
@@ -274,18 +274,18 @@ class LstmCell:
     def realize_t(self):
         return self.linear.realize_t()
 
-    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray, realized=None):
+    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray, realized):
         """(h', c') arrays from input rows ``x`` and state rows ``h``, ``c``."""
         if x.shape[-1] != self.rho_x.dim:
             raise RepresentationMismatchError(
                 f"{self.linear.name}: input has {x.shape[-1]} channels, "
                 f"{self.rho_x.dim} expected (rho_x {self.rho_x.kind})")
-        wt, b = realized if realized is not None else self.linear.realize_t()
+        wt, b = realized
         return ad.lstm_cell(x, h, c, wt.value, b.value, self.single_candidate_tanh)[:2]
 
-    def segment(self, realized=None) -> ad.LstmSegment:
+    def segment(self, realized) -> ad.LstmSegment:
         """A run of steps under the realized weights, to become one graph node."""
-        wt, b = realized if realized is not None else self.linear.realize_t()
+        wt, b = realized
         return ad.LstmSegment(wt, b, self.single_candidate_tanh)
 
 
@@ -332,8 +332,7 @@ class Mlp:
     def realize_t(self):
         return [l.realize_t() for l in self.layers]
 
-    def forward_t(self, x: Tensor, realized=None) -> Tensor:
-        realized = realized or [None] * len(self.layers)
+    def forward_t(self, x: Tensor, realized) -> Tensor:
         for i, (l, r) in enumerate(zip(self.layers, realized)):
             x = l.forward_t(x, r)
             if i < len(self.layers) - 1:
@@ -366,8 +365,7 @@ class Conv2dStack:
     def realize_t(self):
         return [l.realize_t() for l in self.layers]
 
-    def forward_t(self, x: Tensor, realized=None) -> Tensor:
-        realized = realized or [None] * len(self.layers)
+    def forward_t(self, x: Tensor, realized) -> Tensor:
         for l, r in zip(self.layers, realized):
             x = ad.relu(l.forward_t(x, r))
         return x

@@ -83,7 +83,7 @@ def test_criterion_01_representation_algebra():
             worst = max(worst, float(np.max(np.abs(rep.matrix(0) - eye))))
             for a in group.elements:
                 ma = rep.matrix(a)
-                inv = rep.matrix(group.inverse(a))
+                inv = rep.matrix((-a) % group.order)  # elements compose additively
                 worst = max(worst, float(np.max(np.abs(ma @ inv - eye))))
                 for b in group.elements:
                     prod = rep.matrix(group.compose(a, b))
@@ -199,8 +199,8 @@ def test_criterion_07_oracle_vs_simulator():
     for episode in range(1000):
         env = CarFlag2d(cfg, np.random.default_rng(episode))
         obs = env.reset()
-        s = maps.state_of((env.agent, env.goal))
-        if pomdp.start[s] <= 0 or maps.obs_id_of_array(obs) != maps.obs_of_state(s):
+        s = maps.state_ids[(env.agent, env.goal)]
+        if pomdp.start[s] <= 0 or maps.obs_id_of_array(obs) != maps.state_obs[s]:
             mismatches += 1
             continue
         for _ in range(50):
@@ -209,8 +209,8 @@ def test_criterion_07_oracle_vs_simulator():
             s2 = int(np.argmax(pomdp.trans[s, a]))
             same = (pomdp.trans[s, a, s2] == 1.0
                     and reward == pomdp.reward[s, a]
-                    and maps.obs_id_of_array(obs) == maps.obs_of_state(s2)
-                    and term == maps.is_terminal(s2))
+                    and maps.obs_id_of_array(obs) == maps.state_obs[s2]
+                    and term == maps.terminal[s2])
             if not same:
                 mismatches += 1
                 break

@@ -46,9 +46,35 @@ def make_policy(env_cfg=CFG_1D, seed=0, **kw):
     return RecurrentPolicy(env_cfg, small_agent_config(**kw), np.random.default_rng(seed))
 
 
-def collect_once(env_cfg=CFG_1D, seed=0, n_steps=5, **kw):
+def record_step_observations(policy, steps: list):
+    """Append to ``steps`` a copy of each collection step's observation rows,
+    as ``collect_rollouts`` hands them to ``policy.input_t``. The bootstrap
+    calls, which reach ``input_t`` through ``step_values``, are left out."""
+    input_t, step_values = policy.input_t, policy.step_values
+    in_step_values = []
+
+    def recording_input_t(obs, *args):
+        if not in_step_values:
+            steps.append(np.array(obs))
+        return input_t(obs, *args)
+
+    def marked_step_values(*args):
+        in_step_values.append(True)
+        try:
+            return step_values(*args)
+        finally:
+            in_step_values.pop()
+
+    policy.input_t, policy.step_values = recording_input_t, marked_step_values
+
+
+def collect_once(env_cfg=CFG_1D, seed=0, n_steps=5, observations=None, **kw):
+    """Collect one segment; ``observations``, if a list, receives each step's
+    observation rows."""
     cfg = small_agent_config(**kw)
     policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(seed))
+    if observations is not None:
+        record_step_observations(policy, observations)
     venv = VectorEnv(env_cfg, cfg.n_envs, np.random.SeedSequence(seed))
     carry = start_carry(policy, venv)
     batch = collect_rollouts(policy, venv, n_steps, np.random.default_rng(seed + 1), carry)
@@ -62,7 +88,7 @@ def collect_once(env_cfg=CFG_1D, seed=0, n_steps=5, **kw):
 def blank_batch(n_steps, b):
     zeros = lambda *s: np.zeros(s)
     return RolloutBatch(
-        obs=zeros(n_steps, b, 2), actions=np.zeros((n_steps, b), dtype=np.int64),
+        actions=np.zeros((n_steps, b), dtype=np.int64),
         rewards=zeros(n_steps, b), terminated=np.zeros((n_steps, b), dtype=bool),
         truncated=np.zeros((n_steps, b), dtype=bool), values=zeros(n_steps, b),
         trunc_bootstrap=zeros(n_steps, b), bootstrap_value=zeros(b))
@@ -153,17 +179,21 @@ def test_returns_do_not_leak_across_episode_boundaries():
 def test_collect_batch_shape():
     cfg = small_agent_config(n_envs=16)
     policy = RecurrentPolicy(CFG_1D, cfg, np.random.default_rng(0))
+    observations = []
+    record_step_observations(policy, observations)
     venv = VectorEnv(CFG_1D, 16, np.random.SeedSequence(0))
     carry = start_carry(policy, venv)
     batch = collect_rollouts(policy, venv, 5, np.random.default_rng(1), carry)
     assert batch.n_transitions == 80
-    assert batch.obs.shape == (5, 16, 2)
+    assert batch.actions.shape == (5, 16)
+    assert np.array(observations).shape == (5, 16, 2)
 
 
 def test_collect_is_deterministic():
-    _, b1, _ = collect_once(seed=4)
-    _, b2, _ = collect_once(seed=4)
-    assert np.array_equal(b1.obs, b2.obs)
+    obs1, obs2 = [], []
+    _, b1, _ = collect_once(seed=4, observations=obs1)
+    _, b2, _ = collect_once(seed=4, observations=obs2)
+    assert len(obs1) == 5 and np.array_equal(obs1, obs2)
     assert np.array_equal(b1.actions, b2.actions)
     assert np.array_equal(b1.rewards, b2.rewards)
 
@@ -177,6 +207,8 @@ def test_collect_resets_state_rows_at_episode_end():
     for env_cfg in (CarFlag1dConfig(half_size=2), CarFlag2dConfig(grid_size=5, max_steps=4)):
         cfg = small_agent_config(n_envs=4, feed_prev_action=True)
         policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
+        observations = []
+        record_step_observations(policy, observations)
         venv = VectorEnv(env_cfg, 4, np.random.SeedSequence(2))
         carry = start_carry(policy, venv)
         batch = collect_rollouts(policy, venv, 20, np.random.default_rng(3), carry)
@@ -188,7 +220,7 @@ def test_collect_resets_state_rows_at_episode_end():
         h0, c0 = policy.initial_state(b)
         for t, i in zip(ts, bs):
             # every row fresh, so the call has collection's row count
-            fresh, _ = policy.step_values(batch.obs[t + 1], h0, c0, realized,
+            fresh, _ = policy.step_values(observations[t + 1], h0, c0, realized,
                                           np.full(b, -1))
             assert np.array_equal(hidden[t + 1, i], fresh[i]), (env_cfg, t, i)
 
@@ -350,7 +382,7 @@ def test_backward_prunes_constants_without_changing_parameter_gradients(monkeypa
         returns, advantages = compute_returns(batch, cfg.discount)
         loss, _ = segment_loss(policy, batch, cfg, returns, advantages)
         ad.backward(loss)
-        return {p.name: p.grad for p in policy.parameters()}, made, batch.obs.shape[0]
+        return {p.name: p.grad for p in policy.parameters()}, made, batch.actions.shape[0]
 
     grads, constants, n_steps = run(promote=False)
     promoted_grads, promoted, _ = run(promote=True)

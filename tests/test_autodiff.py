@@ -17,18 +17,61 @@ from equipomdp.autodiff import (
 )
 
 
+# Primitives that only the tests compose: the unfused LSTM reference below,
+# and the smooth losses of a few gradient checks.
+
+def sigmoid(a: Tensor) -> Tensor:
+    val = ad._sigmoid(a.value)
+
+    def bwd(g):
+        return (g * val * (1.0 - val),)
+
+    return Tensor(val, (a,), bwd)
+
+
+def tanh(a: Tensor) -> Tensor:
+    val = np.tanh(a.value)
+
+    def bwd(g):
+        return (g * (1.0 - val * val),)
+
+    return Tensor(val, (a,), bwd)
+
+
+def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
+    """Contiguous slice along the last axis."""
+    val = a.value[..., start:stop]
+
+    def bwd(g):
+        ga = np.zeros_like(a.value)
+        ga[..., start:stop] = g
+        return (ga,)
+
+    return Tensor(val, (a,), bwd)
+
+
+def transpose(a: Tensor, axes) -> Tensor:
+    axes = tuple(axes)
+    inv = tuple(np.argsort(axes))
+
+    def bwd(g):
+        return (g.transpose(inv),)
+
+    return Tensor(a.value.transpose(axes), (a,), bwd)
+
+
 def test_hadamard_values():
     out = ad.hadamard(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
     assert np.array_equal(out.value, [3.0, 8.0])
 
 
 def test_sigmoid_at_zero():
-    assert ad.sigmoid(Tensor(0.0)).value == 0.5
+    assert sigmoid(Tensor(0.0)).value == 0.5
 
 
 def test_tanh_gradient_at_zero():
     x = parameter(np.zeros(4), "x")
-    loss = ad.tsum(ad.tanh(x))
+    loss = ad.tsum(tanh(x))
     backward(loss)
     assert np.array_equal(x.grad, np.ones(4))
 
@@ -56,7 +99,7 @@ def test_constants_get_no_gradient():
     closure; backward gives gradients to the nodes between the loss and the
     parameters and leaves every constant's ``.grad`` None."""
     c = Tensor(np.array([0.5, -1.0, 2.0]))
-    d = ad.tanh(c)
+    d = tanh(c)
     assert not d.requires_grad and d.parents == () and d.bwd is None
     x = parameter(np.arange(3.0), "x")
     y = ad.hadamard(x, d)
@@ -69,7 +112,7 @@ def test_constants_get_no_gradient():
 def test_non_scalar_loss_raises():
     x = parameter(np.ones(3), "x")
     with pytest.raises(RankError):
-        backward(ad.tanh(x))
+        backward(tanh(x))
 
 
 def test_reused_node_accumulates_gradient():
@@ -94,21 +137,23 @@ def _primitive_cases():
         "scale": (lambda p: ad.tsum(ad.scale(p, -2.5)), (3, 4)),
         "hadamard_broadcast": (lambda p: ad.tsum(ad.hadamard(p, Tensor(np.abs(v4) + 0.5))), (3, 4)),
         "matmul_mm": (lambda p: ad.tsum(ad.matmul(p, Tensor(m))), (2, 3)),
-        "matmul_mv": (lambda p: ad.tsum(ad.matmul(p, Tensor(v4))), (3, 4)),
-        "matmul_vm": (lambda p: ad.tsum(ad.matmul(p, Tensor(m))), (3,)),
-        "matmul_dot": (lambda p: ad.matmul(p, Tensor(v3)), (3,)),
-        "sigmoid": (lambda p: ad.tsum(ad.sigmoid(p)), (3, 4)),
-        "tanh": (lambda p: ad.tsum(ad.tanh(p)), (3, 4)),
+        # vectors enter matmul as one-column or one-row matrices
+        "matmul_mv": (lambda p: ad.tsum(ad.matmul(p, Tensor(v4[:, None]))), (3, 4)),
+        "matmul_vm": (lambda p: ad.tsum(ad.matmul(p, Tensor(m))), (1, 3)),
+        "matmul_dot": (lambda p: ad.tsum(ad.matmul(p, Tensor(v3[:, None]))), (1, 3)),
+        "sigmoid": (lambda p: ad.tsum(sigmoid(p)), (3, 4)),
+        "tanh": (lambda p: ad.tsum(tanh(p)), (3, 4)),
         "exp": (lambda p: ad.tsum(ad.exp(p)), (3, 4)),
         "log_softmax": (lambda p: ad.tsum(ad.hadamard(ad.log_softmax(p), Tensor(m))), (3, 4)),
         "gather_rows": (lambda p: ad.tsum(ad.gather_rows(p, idx)), (3, 4)),
         "take": (lambda p: ad.tsum(ad.take(p, flat_idx)), (3, 4)),
-        "concat": (lambda p: ad.tsum(ad.concat([p, ad.tanh(p)], axis=-1)), (3, 4)),
-        "slice_last": (lambda p: ad.tsum(ad.slice_last(p, 1, 3)), (3, 4)),
+        "concat": (lambda p: ad.tsum(ad.concat([p, tanh(p)], axis=-1)), (3, 4)),
+        "slice_last": (lambda p: ad.tsum(slice_last(p, 1, 3)), (3, 4)),
         "reshape": (lambda p: ad.tsum(ad.hadamard(ad.reshape(p, (2, 6)), Tensor(np.ones((2, 6))) )), (3, 4)),
-        "transpose": (lambda p: ad.tsum(ad.matmul(ad.transpose(p, (1, 0)), Tensor(v3))), (3, 4)),
-        "sum_axis": (lambda p: ad.tsum(ad.tanh(ad.sum_axis(p, -1))), (3, 4)),
-        "mean": (lambda p: ad.mean(ad.tanh(p)), (3, 4)),
+        "transpose": (lambda p: ad.tsum(ad.matmul(transpose(p, (1, 0)), Tensor(v3[:, None]))),
+                      (3, 4)),
+        "sum_axis": (lambda p: ad.tsum(tanh(ad.sum_axis(p, -1))), (3, 4)),
+        "mean": (lambda p: ad.mean(tanh(p)), (3, 4)),
         "conv2d_valid": (lambda p: ad.tsum(ad.conv2d(p, Tensor(ker), "valid")), (2, 3, 5, 5)),
         "conv2d_same": (lambda p: ad.tsum(ad.conv2d(p, Tensor(ker), "same")), (2, 3, 5, 5)),
         "conv2d_kernel": (lambda p: ad.tsum(ad.conv2d(Tensor(img), p, "same")), (4, 3, 3, 3)),
@@ -159,8 +204,8 @@ def test_three_layer_network_gradcheck():
     x = Tensor(rng.normal(size=(7, 5)))
 
     def loss():
-        h1 = ad.tanh(ad.add(ad.matmul(x, w1), b1))
-        h2 = ad.sigmoid(ad.matmul(h1, w2))
+        h1 = tanh(ad.add(ad.matmul(x, w1), b1))
+        h2 = sigmoid(ad.matmul(h1, w2))
         return ad.mean(ad.matmul(h2, w3))
 
     assert gradcheck(loss, [w1, w2, w3, b1]) < 1e-4
@@ -171,14 +216,14 @@ def unfused_lstm_step(x, h, c, wt, b, single_candidate_tanh):
     steps of ``ad.LstmSegment``."""
     H = h.value.shape[-1]
     gates = ad.add(ad.matmul(ad.concat([x, h], axis=-1), wt), b)
-    ifo = ad.sigmoid(ad.slice_last(gates, 0, 3 * H))
-    i = ad.slice_last(ifo, 0, H)
-    f = ad.slice_last(ifo, H, 2 * H)
-    o = ad.slice_last(ifo, 2 * H, 3 * H)
-    g = ad.tanh(ad.slice_last(gates, 3 * H, 4 * H))
-    cand = g if single_candidate_tanh else ad.tanh(g)
+    ifo = sigmoid(slice_last(gates, 0, 3 * H))
+    i = slice_last(ifo, 0, H)
+    f = slice_last(ifo, H, 2 * H)
+    o = slice_last(ifo, 2 * H, 3 * H)
+    g = tanh(slice_last(gates, 3 * H, 4 * H))
+    cand = g if single_candidate_tanh else tanh(g)
     c2 = ad.add(ad.hadamard(f, c), ad.hadamard(i, cand))
-    h2 = ad.hadamard(o, ad.tanh(c2))
+    h2 = ad.hadamard(o, tanh(c2))
     return ad.concat([h2, c2], axis=-1)
 
 
@@ -211,7 +256,7 @@ def test_lstm_step_matches_unfused_reference(single, batch):
         hs = []
         for t, x in enumerate(xs):
             hc = unfused_lstm_step(x, h, c, wt, b, single)
-            h, c = ad.slice_last(hc, 0, H), ad.slice_last(hc, H, 2 * H)
+            h, c = slice_last(hc, 0, H), slice_last(hc, H, 2 * H)
             hs.append(h)
             if t == 1:
                 h = ad.add(ad.hadamard(h, Tensor(keep)), Tensor((1.0 - keep) * fresh_h))
@@ -292,6 +337,9 @@ def test_conv2d_matches_einsum_reference(padding, x_shape, k_shape):
 def test_shape_errors():
     with pytest.raises(ad.ShapeError):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    for a, b in (((2, 3), (3,)), ((3,), (3, 2)), ((3,), (3,))):  # operands are 2D
+        with pytest.raises(ad.ShapeError):
+            ad.matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
     with pytest.raises(ad.ShapeError):
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
     with pytest.raises(ad.ShapeError):
@@ -337,7 +385,7 @@ def test_determinism_bitwise():
         rng = np.random.default_rng(42)
         w = parameter(rng.normal(size=(4, 4)), "w")
         x = Tensor(rng.normal(size=(2, 4)))
-        loss = ad.mean(ad.tanh(ad.matmul(x, w)))
+        loss = ad.mean(tanh(ad.matmul(x, w)))
         backward(loss)
         return loss.value.copy(), w.grad.copy()
 

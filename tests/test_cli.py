@@ -132,6 +132,30 @@ def test_bad_env_parameter_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind, key, flag", [
+    ("carflag1d", "grid_size", "--grid-size"),
+    ("carflag1d", "info_region_size", "--info-region-size"),
+    ("carflag2d", "half_size", "--half-size"),
+], ids=["1d-grid_size", "1d-info_region_size", "2d-half_size"])
+@pytest.mark.parametrize("source", ["flag", "config-file"])
+def test_setting_of_the_other_domain_exits_2_naming_the_key(tmp_path, capsys, kind, key,
+                                                            flag, source):
+    """A key of the other domain is refused, not dropped, whether it comes
+    from a flag or from the config file."""
+    if source == "flag":
+        argv = ["--env", kind, flag, "3"]
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[env]\nkind = {kind}\n{key} = 3\n")
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "run"
+    assert run_cli("train", *argv, "--steps", "0", "--out", str(out)) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("verify", "invariance", *argv) == 2
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--conv-fields", ""), ("--conv-fields", "4,0"), ("--lstm-fields", "0"),
     ("--head-fields", "0"),

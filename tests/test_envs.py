@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from equipomdp.envs import (
-    ACTIONS_2D,
     CarFlag1d,
     CarFlag1dConfig,
     CarFlag2d,
@@ -198,7 +197,7 @@ def test_1d_binding_negates_components():
 
 def test_2d_binding_quarter_turn_right_becomes_up():
     sym = env_group_binding(CarFlag2dConfig(grid_size=3))
-    assert ACTIONS_2D[sym.act_on_action(1, RIGHT)] == "up"
+    assert sym.act_on_action(1, RIGHT) == UP
     obs = np.zeros((2, 3, 3))
     obs[0, 1, 0] = 1.0
     rotated = sym.act_on_obs(1, obs)
@@ -340,27 +339,27 @@ def test_export_tables_match_simulator_exhaustively(cfg):
     sym = env_group_binding(cfg)
     env = make_env(cfg, np.random.default_rng(0))
     states = env.states()
-    assert [maps.state_of(st) for st in states] == list(range(pomdp.n_states))
-    starts = {maps.state_of(st) for st in env.start_states()}
+    assert [maps.state_ids[st] for st in states] == list(range(pomdp.n_states))
+    starts = {maps.state_ids[st] for st in env.start_states()}
     assert set(np.flatnonzero(pomdp.start)) == starts
     for s, st in enumerate(states):
-        o = maps.obs_of_state(s)
+        o = maps.state_obs[s]
         env.state = st
         assert np.array_equal(maps.obs_arrays[o], env.observe())
         assert pomdp.obs0[s, o] == 1.0 and np.all(pomdp.obs[:, s, o] == 1.0)
-        assert maps.is_terminal(s) == env.terminal()
+        assert maps.terminal[s] == env.terminal()
         for a in range(pomdp.n_actions):
             s2 = int(np.argmax(pomdp.trans[s, a]))
             assert pomdp.trans[s, a, s2] == 1.0
-            if maps.is_terminal(s):  # absorbing with zero reward
+            if maps.terminal[s]:  # absorbing with zero reward
                 assert s2 == s and pomdp.reward[s, a] == 0.0
                 continue
             env.state = st
             obs, reward, term, _ = env.step(a)
-            assert s2 == maps.state_of(env.state)
+            assert s2 == maps.state_ids[env.state]
             assert reward == pomdp.reward[s, a]
-            assert maps.obs_id_of_array(obs) == maps.obs_of_state(s2)
-            assert term == maps.is_terminal(s2)
+            assert maps.obs_id_of_array(obs) == maps.state_obs[s2]
+            assert term == maps.terminal[s2]
     other = make_env(cfg, np.random.default_rng(0))
     for g in binding.group.elements:
         for o, arr in enumerate(maps.obs_arrays):
@@ -381,17 +380,17 @@ def test_export_matches_simulator_traces():
     for episode in range(300):
         env = CarFlag2d(cfg, np.random.default_rng(1000 + episode))
         obs = env.reset()
-        s = maps.state_of((env.agent, env.goal))
+        s = maps.state_ids[(env.agent, env.goal)]
         assert pomdp.start[s] > 0.0
-        assert maps.obs_id_of_array(obs) == maps.obs_of_state(s)
+        assert maps.obs_id_of_array(obs) == maps.state_obs[s]
         for _ in range(20):
             a = int(rng.integers(4))
             obs, reward, term, trunc = env.step(a)
             s2 = int(np.argmax(pomdp.trans[s, a]))
             assert pomdp.trans[s, a, s2] == 1.0
             assert reward == pomdp.reward[s, a]
-            assert maps.obs_id_of_array(obs) == maps.obs_of_state(s2)
-            assert term == maps.is_terminal(s2)
+            assert maps.obs_id_of_array(obs) == maps.state_obs[s2]
+            assert term == maps.terminal[s2]
             s = s2
             if term or trunc:
                 break
@@ -404,16 +403,16 @@ def test_export_1d_matches_simulator_traces():
     for episode in range(200):
         env = CarFlag1d(cfg, np.random.default_rng(500 + episode))
         obs = env.reset()
-        s = maps.state_of((env.pos, env.goal_side))
+        s = maps.state_ids[(env.pos, env.goal_side)]
         assert pomdp.start[s] > 0.0
-        assert maps.obs_id_of_array(obs) == maps.obs_of_state(s)
+        assert maps.obs_id_of_array(obs) == maps.state_obs[s]
         for _ in range(30):
             a = int(rng.integers(2))
             obs, reward, term, trunc = env.step(a)
             s2 = int(np.argmax(pomdp.trans[s, a]))
             assert reward == pomdp.reward[s, a]
-            assert maps.obs_id_of_array(obs) == maps.obs_of_state(s2)
-            assert term == maps.is_terminal(s2)
+            assert maps.obs_id_of_array(obs) == maps.state_obs[s2]
+            assert term == maps.terminal[s2]
             s = s2
             if term or trunc:
                 break
@@ -427,7 +426,7 @@ def test_start_distribution_matches_reset_frequencies():
     trials = 20_000
     for _ in range(trials):
         env.reset()
-        counts[maps.state_of((env.agent, env.goal))] += 1
+        counts[maps.state_ids[(env.agent, env.goal)]] += 1
     support = pomdp.start > 0
     assert np.all(counts[~support] == 0)
     assert np.max(np.abs(counts[support] / trials - pomdp.start[support])) < 0.01
@@ -450,7 +449,7 @@ def test_belief_collapses_after_visiting_info_cell():
     b = hm.belief(h)
     nz = np.flatnonzero(b > 0)
     assert len(nz) == 1 and b[nz[0]] == pytest.approx(1.0, abs=1e-12)
-    assert nz[0] == maps.state_of(((1, 1), (2, 2)))
+    assert nz[0] == maps.state_ids[((1, 1), (2, 2))]
 
 
 def test_history_transform_matches_rotated_scenario():

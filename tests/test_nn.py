@@ -11,14 +11,11 @@ from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig
 from equipomdp.groups import (
     CYCLIC,
     REFLECTION,
-    FeatureField,
     Representation,
-    act_on_field,
     direct_sum,
     grid_rep,
     make_group,
     regular_rep,
-    rep_matrix,
     sign_rep,
     standard_rep,
     trivial_rep,
@@ -31,6 +28,7 @@ from equipomdp.nn import (
     initial_state,
     mlp_head,
 )
+from feature_fields import FeatureField, act_on_field
 from reference_basis import solve_intertwiner_basis
 
 C1 = make_group(CYCLIC, 1)
@@ -94,16 +92,15 @@ class KronRep:
 
 
 def field_forward(layer, field):
-    """A layer, head or group convolution applied to one field through forward_t."""
-    if field.spatial is None:
-        return FeatureField(layer.rho_out, layer.forward_t(Tensor(field.values)).value)
-    out = layer.forward_t(Tensor(field.values[None])).value[0]
-    return FeatureField(layer.rho_out, out, spatial=out.shape[-2:])
+    """A layer, head or group convolution applied to one field through forward_t,
+    as a batch of one row."""
+    out = layer.forward_t(Tensor(field.values[None]), layer.realize_t()).value[0]
+    return FeatureField(layer.rho_out, out, None if field.spatial is None else out.shape[-2:])
 
 
 def cell_step(cell, x, h, c):
     """One recurrent step on fields; returns the new (h, c) fields."""
-    h2, c2 = cell.step(x.values, h.values, c.values)
+    h2, c2 = cell.step(x.values, h.values, c.values, cell.realize_t())
     return FeatureField(cell.rho_h, h2), FeatureField(cell.rho_h, c2)
 
 
@@ -250,7 +247,8 @@ def test_equi_linear_matches_dense_with_realized_weight():
     w, b = dense_weight(layer)
     for _ in range(5):
         x = rng.normal(size=rin.dim)
-        assert np.array_equal(layer.forward_t(Tensor(x)).value, w @ x + b)
+        assert np.array_equal(layer.forward_t(Tensor(x[None]), layer.realize_t()).value[0],
+                              w @ x + b)
 
 
 @pytest.mark.parametrize("feed_prev_action", [False, True])
@@ -303,7 +301,8 @@ def test_stabiliser_sign_flip_leaves_no_parameter():
     assert count == 0 and np.array_equal(sign, np.zeros((1, 1)))
     layer = EquiLinear(sign_rep(FLIP), trivial_rep(FLIP), np.random.default_rng(5))
     assert layer.weight.value.shape == (0,)
-    assert np.array_equal(layer.forward_t(Tensor(np.array([3.0]))).value, np.zeros(1))
+    assert np.array_equal(layer.forward_t(Tensor(np.array([[3.0]])), layer.realize_t()).value,
+                          np.zeros((1, 1)))
 
 
 def test_non_monomial_rep_is_rejected():
@@ -331,7 +330,7 @@ def test_conv_constant_input_gives_constant_interior():
     conv = rand_conv(rng, C4, 1, "trivial", 2, 3, padding="valid")
     conv.bias.value[:] = 0.0
     x = np.full((1, 1, 6, 6), 1.7)
-    y = conv.forward_t(Tensor(x)).value
+    y = conv.forward_t(Tensor(x), conv.realize_t()).value
     for ch in range(y.shape[1]):
         assert np.allclose(y[0, ch], y[0, ch, 0, 0], atol=1e-12)
 
@@ -367,9 +366,9 @@ def test_conv_1x1_reduces_to_equi_linear_per_pixel():
     assert np.array_equal(kernel.value[:, :, 0, 0], w)
     assert np.array_equal(bias.value, b)
     x = rng.normal(size=(conv.in_channels, 4, 4))
-    y = conv.forward_t(Tensor(x[None])).value[0]
+    y = conv.forward_t(Tensor(x[None]), (kernel, bias)).value[0]
     pixels = x.reshape(conv.in_channels, -1).T  # one row per pixel
-    per_pixel = linear.forward_t(Tensor(pixels)).value
+    per_pixel = linear.forward_t(Tensor(pixels), linear.realize_t()).value
     assert np.array_equal(y.reshape(conv.out_channels, -1).T, per_pixel)
 
 
@@ -378,7 +377,7 @@ def test_conv_rejects_nonsquare_rotation_input():
     conv = rand_conv(rng, C4, 1, "trivial", 1, 3)
     from equipomdp.groups import UnsupportedSpatialActionError
     with pytest.raises(UnsupportedSpatialActionError):
-        conv.forward_t(Tensor(np.zeros((1, 1, 4, 5))))
+        conv.forward_t(Tensor(np.zeros((1, 1, 4, 5))), conv.realize_t())
     with pytest.raises(UnsupportedSpatialActionError):  # no exact grid rotation
         EquiConv2d(make_group(CYCLIC, 3), 1, "trivial", 1, 3, rng)
 
@@ -438,7 +437,7 @@ def test_lstm_matches_plain_reference_with_realized_weights():
     g = np.tanh(gates[24:32])
     c2 = f * c + i * np.tanh(g)  # candidate gate goes through tanh twice
     h2 = o * np.tanh(c2)
-    got_h, got_c = cell.step(x, h, c)
+    got_h, got_c = cell.step(x, h, c, cell.realize_t())
     assert np.allclose(got_h, h2, atol=1e-12)
     assert np.allclose(got_c, c2, atol=1e-12)
 
@@ -451,7 +450,7 @@ def test_lstm_single_tanh_toggle():
     gates = w @ np.concatenate([x, h]) + b
     sig = lambda z: 1.0 / (1.0 + np.exp(-z))
     c2 = sig(gates[8:16]) * c + sig(gates[0:8]) * np.tanh(gates[24:32])
-    _, got_c = cell.step(x, h, c)
+    _, got_c = cell.step(x, h, c, cell.realize_t())
     assert np.allclose(got_c, c2, atol=1e-12)
 
 
@@ -534,7 +533,7 @@ def test_uniform_logits_fixed_under_every_permutation():
     logits = np.full(4, 0.37)
     rep = regular_rep(C4)
     for g in C4.elements:
-        assert np.array_equal(rep_matrix(rep, g) @ logits, logits)
+        assert np.array_equal(rep.matrix(g) @ logits, logits)
 
 
 def test_head_rejects_wrong_rep():
@@ -583,7 +582,7 @@ def test_gradients_flow_through_equi_linear():
     x = Tensor(rng.normal(size=(3, 4)))
 
     def loss():
-        return ad.mean(ad.tanh(layer.forward_t(x)))
+        return ad.mean(ad.exp(layer.forward_t(x, layer.realize_t())))
 
     assert ad.gradcheck(loss, layer.parameters()) < 1e-4
 
@@ -594,6 +593,6 @@ def test_gradients_flow_through_equi_conv():
     x = Tensor(rng.normal(size=(2, 1, 4, 4)))
 
     def loss():
-        return ad.mean(ad.tanh(conv.forward_t(x)))
+        return ad.mean(ad.exp(conv.forward_t(x, conv.realize_t())))
 
     assert ad.gradcheck(loss, conv.parameters()) < 1e-4

@@ -1,0 +1,117 @@
+"""Guard: ``src/equipomdp`` holds only what the program runs.
+
+Every module-level definition (function, class or assigned name) and every
+method must be used by name somewhere the program reaches: in ``src``
+outside the definition itself, in ``scripts/`` or in ``perfbench/``. A use
+is a name, an attribute or a string naming it (the benchmark patches
+functions by name); an import or an ``__all__`` entry is not a use. A use
+from inside another definition counts only if that definition is used in
+turn, so a group of definitions that only reach each other is found whole.
+Test-only helpers belong under ``tests/``; ``EXEMPT`` names the few kept in
+``src`` on purpose.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "equipomdp"
+
+# Dunder methods that Python calls itself. An operator overload is not among
+# them: ``a + b`` reads the same on arrays and tensors, so an overload must be
+# named where it is used, or go.
+IMPLICIT = {"__init__", "__post_init__", "__repr__", "__len__"}
+
+EXEMPT = {
+    "autodiff.primitive_gradcheck_battery":
+        "the finite-difference battery behind `verify gradcheck`",
+    "autodiff.tsum": "the battery's scalar loss",
+    "pomdp.load_tables": "validates the model.tables file that `oracle` writes",
+    "groups.standard_rep": "the only representation that is not a signed permutation; "
+                           "tests reach the tying's refusal of it through it",
+}
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(key, name, node) of each module-level definition and each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{module}.{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id != "__all__":
+                    yield f"{module}.{t.id}", t.id, node
+
+
+def _names_used(node: ast.AST):
+    """Names that ``node`` reads, as names, attributes or identifier strings."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            yield sub.value
+
+
+def _scan():
+    """Every src definition, and each use of a name as (name, user): the user
+    is the key of the src definition the use sits in, or None for a use
+    outside every definition (module-level code, scripts, the benchmark)."""
+    defs, uses = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owned = set()
+        for key, name, node in _definitions(tree, path.stem):
+            defs[key] = name
+            if isinstance(node, ast.ClassDef):  # the class body outside its methods
+                body = [n for n in node.body if not isinstance(n, ast.FunctionDef)]
+                parts = [*node.bases, *node.decorator_list, *body]
+            else:
+                parts = [node]
+            for part in parts:
+                uses.extend((n, key) for n in _names_used(part))
+            owned.add(id(node))
+        for node in tree.body:
+            exports = isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            if id(node) in owned or exports or isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            uses.extend((n, None) for n in _names_used(node))
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            uses.extend((n, None) for n in _names_used(ast.parse(path.read_text())))
+    return defs, uses
+
+
+def unused_definitions() -> list[str]:
+    defs, uses = _scan()
+    live = {key for key, name in defs.items() if name in IMPLICIT or key in EXEMPT}
+    grew = True
+    while grew:
+        users = {}
+        for name, user in uses:
+            if user is None or user in live:
+                users.setdefault(name, set()).add(user)
+        grew = False
+        for key, name in defs.items():
+            if key not in live and users.get(name, set()) - {key}:
+                live.add(key)
+                grew = True
+    return sorted(set(defs) - live)
+
+
+def test_every_src_definition_is_used_by_the_program():
+    unused = unused_definitions()
+    assert not unused, f"{len(unused)} src definitions the program never uses: {unused}"
+
+
+def test_every_exemption_names_a_src_definition():
+    defs, _ = _scan()
+    assert set(EXEMPT) <= set(defs), sorted(set(EXEMPT) - set(defs))
