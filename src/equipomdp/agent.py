@@ -22,7 +22,9 @@ collection used, with no second forward. Evaluation, the bootstrap values and
 the equivariance checks step the same cell arithmetic on arrays
 (``step_values``) and keep only values. Every time step is one batched call
 over all rows: the envs in collection, the still-running episodes in
-evaluation.
+evaluation, a history's group images in the equivariance checks. Collection
+and evaluation step their envs through ``envs.step_envs`` and write its
+rewards and flags as whole rows.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .envs import (
     VectorEnv,
     env_group_binding,
     make_env,
+    step_envs,
 )
 from .nn import Conv2dStack, EquiConv2d, equi_lstm_cell, initial_state, mlp_head
 from .groups import CYCLIC, direct_sum, make_group, regular_rep, sign_rep, trivial_rep
@@ -156,7 +159,7 @@ class RecurrentPolicy:
             self.extractor = Conv2dStack([
                 EquiConv2d(trunk_group, 2 if i == 0 else widths[i - 1] * widen,
                            "trivial" if i == 0 else "regular", w * widen, 3, rng,
-                           name=f"extract{i}", padding="valid")
+                           name=f"extract{i}")
                 for i, w in enumerate(widths)])
             rho_x = direct_sum([regular_rep(group)] * widths[-1])
             if self.feed_prev_action:
@@ -374,38 +377,25 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
     for t in range(n_steps):
         h, c = segment.step(policy.input_t(obs, realized, prev), h, c)
         actions = sample_categorical(policy.logits_t(ad.constant(h), realized).value, rng)
-        batch.actions[t] = actions
-        next_obs = np.array(obs)
-        next_prev = actions.copy()
-        done_rows = []
-        for i in range(b):
-            o, r, term, trunc = venv.step_one(i, int(actions[i]))
-            next_obs[i] = o
-            batch.rewards[t, i] = r
-            batch.terminated[t, i] = term
-            batch.truncated[t, i] = trunc
-            if term or trunc:
-                done_rows.append(i)
-        trunc_rows = [i for i in done_rows if batch.truncated[t, i]]
-        if trunc_rows:
-            # bootstrap value of the final observation under the post-step state
-            h_fin, _ = policy.step_values(next_obs[trunc_rows], h[trunc_rows], c[trunc_rows],
-                                          realized, next_prev[trunc_rows])
-            batch.trunc_bootstrap[t, trunc_rows] = policy.values_t(ad.constant(h_fin),
-                                                                   realized).value
-        if done_rows:
+        batch.actions[t] = prev = actions
+        obs, batch.rewards[t], batch.terminated[t], batch.truncated[t] = step_envs(
+            venv.envs, actions)
+        done_rows = np.flatnonzero(batch.terminated[t] | batch.truncated[t])
+        if done_rows.size:
+            trunc_rows = np.flatnonzero(batch.truncated[t])
+            if trunc_rows.size:
+                # bootstrap value of the final observation under the post-step state
+                h_fin, _ = policy.step_values(obs[trunc_rows], h[trunc_rows], c[trunc_rows],
+                                              realized, prev[trunc_rows])
+                batch.trunc_bootstrap[t, trunc_rows] = policy.values_t(ad.constant(h_fin),
+                                                                       realized).value
             # finished rows restart from a fresh state
-            fresh_h, fresh_c = [], []
+            fresh = [policy.initial_state(1, state_rng) for _ in done_rows]
             for i in done_rows:
-                next_obs[i] = venv.reset_one(i)
-                next_prev[i] = -1
-                nh, nc = policy.initial_state(1, state_rng)
-                fresh_h.append(nh)
-                fresh_c.append(nc)
-            h, c = segment.reset(done_rows, np.concatenate(fresh_h), np.concatenate(fresh_c))
-        batch.episodes_finished += len(done_rows)
-        obs = next_obs
-        prev = next_prev
+                obs[i] = venv.envs[i].reset()
+            prev[done_rows] = -1
+            h, c = segment.reset(done_rows, *(np.concatenate(rows) for rows in zip(*fresh)))
+        batch.episodes_finished += done_rows.size
     batch.hidden = segment.node()
     batch.values_t = policy.values_t(batch.hidden, realized)
     batch.values = batch.values_t.value.reshape(n_steps, b)
@@ -516,15 +506,13 @@ def play_episodes(actor, env_config, streams, greedy: bool = False):
         else:
             u = np.array([streams[i][1].random() for i in live])[:, None]
             actions = categorical_from_uniform(scores, u)
-        running = []
-        for row, i in enumerate(live):
-            actions_taken[i].append(int(actions[row]))
-            obs[row], reward, term, trunc = envs[i].step(actions_taken[i][-1])
-            returns[i] += reward
-            if term or trunc:
-                successes[i] = term and reward > 0
-            else:
-                running.append(row)
+        for i, a in zip(live, actions):
+            actions_taken[i].append(int(a))
+        obs, rewards, terminated, truncated = step_envs([envs[i] for i in live], actions)
+        returns[live] += rewards
+        done = terminated | truncated
+        successes[live[done]] = terminated[done] & (rewards[done] > 0)
+        running = ~done
         live, obs, prev = live[running], obs[running], actions[running]
         memory = tuple(rows[running] for rows in memory)
     return successes, returns, actions_taken
@@ -589,37 +577,30 @@ def equivariance_residuals(policy: RecurrentPolicy, histories: int, max_len: int
     """Worst actor/critic equivariance violation over random histories.
 
     Feeds each random observation sequence and all its group transforms
-    through the network from the same initial state; the actor logits must
+    through the network from the same initial state, as the |G| rows of one
+    batch (row g is the image under element g); the actor logits must
     permute by the action map and the critic must not move at all.
     """
     sym = policy.sym
-    group = sym.group
+    elements = sym.group.elements
     worst_actor, worst_critic = 0.0, 0.0
     realized = policy.realize()
     for _ in range(histories):
         length = int(rng.integers(1, max_len + 1))
         seq = [rng.normal(size=policy.obs_shape) for _ in range(length)]
         prev_seq = np.concatenate([[-1], rng.integers(0, policy.n_actions, length - 1)])
-        h0, c0 = policy.initial_state(1, state_rng)
-        outs = {}
-        for g in group.elements:
-            h, c = h0, c0
-            for obs, prev in zip(seq, prev_seq):
-                gobs = sym.act_on_obs(g, obs)
-                gprev = np.array([-1 if prev < 0 else sym.act_on_action(g, int(prev))])
-                h, c = policy.step_values(gobs[None], h, c, realized, gprev)
-            h_t = ad.constant(h)
-            outs[g] = (policy.logits_t(h_t, realized).value[0],
-                       policy.values_t(h_t, realized).value[0])
-        base_logits, base_value = outs[0]
-        for g in group.elements:
-            if g == 0:
-                continue
-            logits_g, value_g = outs[g]
-            perm = sym.action_map[g]
-            worst_actor = max(worst_actor,
-                              float(np.max(np.abs(logits_g[perm] - base_logits))))
-            worst_critic = max(worst_critic, abs(value_g - base_value))
+        h, c = (np.repeat(s, len(elements), axis=0)
+                for s in policy.initial_state(1, state_rng))
+        for obs, prev in zip(seq, prev_seq):
+            gobs = np.array([sym.act_on_obs(g, obs) for g in elements])
+            gprev = np.full(len(elements), -1) if prev < 0 else sym.action_map[:, prev]
+            h, c = policy.step_values(gobs, h, c, realized, gprev)
+        h_t = ad.constant(h)
+        logits = policy.logits_t(h_t, realized).value
+        values = policy.values_t(h_t, realized).value
+        permuted = np.take_along_axis(logits, sym.action_map, axis=1)
+        worst_actor = max(worst_actor, float(np.max(np.abs(permuted[1:] - logits[0]))))
+        worst_critic = max(worst_critic, float(np.max(np.abs(values[1:] - values[0]))))
     return worst_actor, worst_critic
 
 

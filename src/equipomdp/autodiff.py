@@ -54,10 +54,6 @@ class Tensor:
         else:
             self.requires_grad, self.parents, self.bwd = requires_grad, (), None
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         tag = f" {self.name}" if self.name else ""
         return f"Tensor{tag}(shape={self.value.shape})"
@@ -90,7 +86,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         val = a.value + b.value
     except ValueError as e:
-        raise ShapeError(f"add: {a.shape} vs {b.shape}") from e
+        raise ShapeError(f"add: {a.value.shape} vs {b.value.shape}") from e
 
     def bwd(g):
         return (_unbroadcast(g, a.value.shape) if a.requires_grad else None,
@@ -110,7 +106,7 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     try:
         val = a.value * b.value
     except ValueError as e:
-        raise ShapeError(f"hadamard: {a.shape} vs {b.shape}") from e
+        raise ShapeError(f"hadamard: {a.value.shape} vs {b.value.shape}") from e
 
     def bwd(g):
         return (_unbroadcast(g * b.value, a.value.shape) if a.requires_grad else None,
@@ -177,7 +173,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     """Pick one entry per row of a 2D tensor: out[i] = a[i, idx[i]]."""
     idx = np.asarray(idx, dtype=np.int64)
     if a.value.ndim != 2 or idx.ndim != 1 or idx.shape[0] != a.value.shape[0]:
-        raise ShapeError(f"gather_rows: {a.shape} with index {idx.shape}")
+        raise ShapeError(f"gather_rows: {a.value.shape} with index {idx.shape}")
     rows = np.arange(a.value.shape[0])
     val = a.value[rows, idx]
 
@@ -245,18 +241,19 @@ def mean(a: Tensor) -> Tensor:
     return Tensor(a.value.mean(), (a,), bwd)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Patch matrix of padded input (B,C,Hp,Wp): row (u,v,c), column (h,w,b)
-    holds xp[b, c, h+u, w+v]; one copy from a read-only window view."""
-    b, c, hp, wp = xp.shape
-    sb, sc, sh, sw = xp.strides
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Patch matrix of input (B,C,H,W): row (u,v,c), column (h,w,b) holds
+    x[b, c, h+u, w+v]; one copy from a read-only window view."""
+    b, c, hi, wi = x.shape
+    sb, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp, (kh, kw, c, hp - kh + 1, wp - kw + 1, b), (sh, sw, sc, sh, sw, sb), writeable=False)
+        x, (kh, kw, c, hi - kh + 1, wi - kw + 1, b), (sh, sw, sc, sh, sw, sb), writeable=False)
     return windows.reshape(kh * kw * c, -1)
 
 
-def conv2d(x: Tensor, k: Tensor, padding: str = "valid") -> Tensor:
-    """Cross-correlation of (B,C,H,W) with kernels (F,C,kh,kw) -> (B,F,H',W').
+def conv2d(x: Tensor, k: Tensor) -> Tensor:
+    """Unpadded cross-correlation of (B,C,H,W) with kernels (F,C,kh,kw) ->
+    (B,F,H-kh+1,W-kw+1).
 
     Lowered to one matmul each way over the (kh*kw*C, H'*W'*B) patch matrix
     (im2col); the input gradient folds the patch gradient back with one
@@ -268,20 +265,12 @@ def conv2d(x: Tensor, k: Tensor, padding: str = "valid") -> Tensor:
     if xv.ndim != 4 or kv.ndim != 4 or xv.shape[1] != kv.shape[1]:
         raise ShapeError(f"conv2d: input {xv.shape}, kernel {kv.shape}")
     n_out, n_in, kh, kw = kv.shape
-    if padding == "same":
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ShapeError("same padding needs odd kernel sizes")
-        xp = np.pad(xv, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    elif padding == "valid":
-        if xv.shape[2] < kh or xv.shape[3] < kw:
-            raise ShapeError(f"conv2d: input {xv.shape} smaller than kernel {kv.shape}")
-        xp = xv
-    else:
-        raise ShapeError(f"unknown padding {padding!r}")
-    b, _, hp, wp = xp.shape
-    ho, wo = hp - kh + 1, wp - kw + 1
+    if xv.shape[2] < kh or xv.shape[3] < kw:
+        raise ShapeError(f"conv2d: input {xv.shape} smaller than kernel {kv.shape}")
+    b, _, hi, wi = xv.shape
+    ho, wo = hi - kh + 1, wi - kw + 1
     kmat_t = np.ascontiguousarray(kv.transpose(2, 3, 1, 0).reshape(-1, n_out))
-    val = (_im2col(xp, kh, kw).T @ kmat_t).reshape(ho, wo, b, n_out).transpose(2, 3, 0, 1)
+    val = (_im2col(xv, kh, kw).T @ kmat_t).reshape(ho, wo, b, n_out).transpose(2, 3, 0, 1)
 
     def bwd(g):
         g2 = g.transpose(2, 3, 0, 1).reshape(-1, n_out)
@@ -289,15 +278,13 @@ def conv2d(x: Tensor, k: Tensor, padding: str = "valid") -> Tensor:
         if k.requires_grad:
             # rebuilt, not kept from the forward pass: holding every layer's patch
             # matrix until backward raises the update's peak memory
-            gk = (_im2col(xp, kh, kw) @ g2).reshape(kh, kw, n_in, n_out).transpose(3, 2, 0, 1)
+            gk = (_im2col(xv, kh, kw) @ g2).reshape(kh, kw, n_in, n_out).transpose(3, 2, 0, 1)
         if x.requires_grad:
             gcols = (kmat_t @ g2.T).reshape(kh, kw, n_in, ho, wo, b)
-            gx = np.zeros((n_in, hp, wp, b))
+            gx = np.zeros((n_in, hi, wi, b))
             for u in range(kh):
                 for v in range(kw):
                     gx[:, u : u + ho, v : v + wo] += gcols[u, v]
-            if padding == "same":
-                gx = gx[:, kh // 2 : kh // 2 + xv.shape[2], kw // 2 : kw // 2 + xv.shape[3]]
             gx = gx.transpose(3, 0, 1, 2)
         return gx, gk
 
@@ -356,7 +343,7 @@ class LstmSegment:
         The caller must not write into the returned arrays; ``reset`` gives the
         state to carry on with when rows restart."""
         if x.value.ndim != 2:
-            raise ShapeError(f"an LSTM segment steps (B, dx) input rows, got {x.shape}")
+            raise ShapeError(f"an LSTM segment steps (B, dx) input rows, got {x.value.shape}")
         h2, c2, cache = lstm_cell(x.value, h, c, self.wt.value, self.b.value,
                                   self.single_candidate_tanh)
         self.inputs.append(x)
@@ -642,8 +629,8 @@ def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
         "sum": (lambda p: tsum(hadamard(p, p)), (3, 4)),
         "sum_axis": (lambda p: tsum(exp(sum_axis(p, -1))), (3, 4)),
         "mean": (lambda p: mean(exp(p)), (3, 4)),
-        "conv2d": (lambda p: tsum(conv2d(p, Tensor(ker), "same")), (2, 3, 5, 5)),
-        "conv2d_kernel": (lambda p: tsum(conv2d(Tensor(img), p, "valid")), (4, 3, 3, 3)),
+        "conv2d": (lambda p: tsum(conv2d(p, Tensor(ker))), (2, 3, 5, 5)),
+        "conv2d_kernel": (lambda p: tsum(conv2d(Tensor(img), p)), (4, 3, 3, 3)),
     }
     out = {}
     for name, (build, shape) in cases.items():

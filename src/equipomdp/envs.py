@@ -55,6 +55,8 @@ class CarFlag1dConfig:
             raise PlacementError("half_size must be at least 2")
         if abs(self.info_offset) >= self.half_size:
             raise PlacementError("information cell must lie strictly between the flags")
+        if self.max_steps < 1:
+            raise PlacementError(f"max_steps must be at least 1, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,8 @@ class CarFlag2dConfig:
         center = n // 2
         if not (half_region <= center + self.info_offset <= n - 1 - half_region):
             raise PlacementError("information region leaves the grid after the offset")
+        if self.max_steps < 1:
+            raise PlacementError(f"max_steps must be at least 1, got {self.max_steps}")
 
     def info_cells(self) -> frozenset[tuple[int, int]]:
         c = self.grid_size // 2
@@ -280,11 +284,14 @@ class VectorEnv:
     def reset_all(self) -> np.ndarray:
         return np.stack([e.reset() for e in self.envs])
 
-    def step_one(self, i: int, action: int):
-        return self.envs[i].step(action)
 
-    def reset_one(self, i: int) -> np.ndarray:
-        return self.envs[i].reset()
+def step_envs(envs, actions):
+    """Step each env once with its action, through the env's own ``step``.
+    Returns the stacked observations, rewards, terminated and truncated flags."""
+    obs, rewards, terminated, truncated = zip(*(env.step(int(a))
+                                                for env, a in zip(envs, actions)))
+    return (np.array(obs), np.array(rewards), np.array(terminated, dtype=bool),
+            np.array(truncated, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +311,6 @@ class EnvSymmetry:
             return spatial_transform(self.group, g, obs).copy()
         sign = (-1.0) ** g
         return obs * sign
-
-    def act_on_action(self, g: int, action: int) -> int:
-        return int(self.action_map[self.group.check_element(g)][action])
 
 
 def env_group_binding(config) -> EnvSymmetry:

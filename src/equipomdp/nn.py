@@ -196,20 +196,18 @@ class EquiLinear:
 # ---------------------------------------------------------------------------
 
 class EquiConv2d:
-    """Group convolution whose kernel is an equivariant map from ``rho_in``
-    tensor ``grid_rep(group, k, k)`` to ``rho_out``, tied as in EquiLinear.
-    Input channels are ``in_fields`` copies of the trivial or regular
-    representation; output channels always carry regular fields.
+    """Unpadded group convolution whose kernel is an equivariant map from
+    ``rho_in`` tensor ``grid_rep(group, k, k)`` to ``rho_out``, tied as in
+    EquiLinear. Input channels are ``in_fields`` copies of the trivial or
+    regular representation; output channels always carry regular fields.
     """
 
     def __init__(self, group: Group, in_fields: int, in_kind: str, out_fields: int,
-                 ksize: int, rng: np.random.Generator, name: str = "equi_conv",
-                 padding: str = "valid"):
+                 ksize: int, rng: np.random.Generator, name: str = "equi_conv"):
         if in_kind not in ("trivial", "regular"):
             raise RepresentationMismatchError(f"unsupported conv input kind {in_kind!r}")
         self.group = group
         self.name = name
-        self.padding = padding
         comp_in = trivial_rep(group) if in_kind == "trivial" else regular_rep(group)
         self.rho_in = direct_sum([comp_in] * in_fields)
         self.rho_out = direct_sum([regular_rep(group)] * out_fields)
@@ -238,7 +236,7 @@ class EquiConv2d:
             raise UnsupportedSpatialActionError(
                 f"rotation-equivariant conv needs square input, got {h}x{w}")
         k, b = realized
-        y = ad.conv2d(x, k, self.padding)
+        y = ad.conv2d(x, k)
         return ad.add(y, ad.reshape(b, (self.out_channels, 1, 1)))
 
 

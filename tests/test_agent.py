@@ -225,6 +225,29 @@ def test_collect_resets_state_rows_at_episode_end():
             assert np.array_equal(hidden[t + 1, i], fresh[i]), (env_cfg, t, i)
 
 
+@pytest.mark.parametrize("env_cfg", [CarFlag1dConfig(half_size=5, max_steps=3),
+                                     CarFlag2dConfig(grid_size=5, max_steps=3)],
+                         ids=["1d", "2d"])
+def test_collect_bookkeeping_at_truncations_and_segment_end(env_cfg):
+    """Episodes truncate inside the segment: the truncation bootstrap is set
+    exactly where a row truncated, every finished episode is counted, and the
+    segment-end bootstrap is the critic one step past the returned carry."""
+    cfg = small_agent_config(n_envs=4, feed_prev_action=True)
+    policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
+    venv = VectorEnv(env_cfg, 4, np.random.SeedSequence(5))
+    carry = start_carry(policy, venv)
+    batch = collect_rollouts(policy, venv, 10, np.random.default_rng(6), carry)
+    trunc = batch.truncated
+    assert trunc.any() and not trunc.all()
+    assert np.all(batch.trunc_bootstrap[~trunc] == 0.0)
+    assert np.all(batch.trunc_bootstrap[trunc] != 0.0)
+    assert batch.episodes_finished == (batch.terminated | trunc).sum()
+    realized = policy.realize()
+    h, _ = policy.step_values(carry["obs"], carry["h"], carry["c"], realized, carry["prev"])
+    assert np.array_equal(batch.bootstrap_value,
+                          policy.values_t(ad.constant(h), realized).value)
+
+
 def test_collect_equivariant_policy_on_transformed_script():
     """Replaying a g-transformed observation script must permute every
     per-step action distribution by g."""
@@ -677,7 +700,7 @@ def test_greedy_play_mirrors_exactly():
                         outcome = (term and r > 0, term, round(r, 6))
                         break
                 runs[g] = (actions, outcome)
-            mirrored = [sym.act_on_action(1, a) for a in runs[0][0]]
+            mirrored = [int(sym.action_map[1][a]) for a in runs[0][0]]
             assert runs[1][0] == mirrored
             assert runs[1][1] == runs[0][1]
 

@@ -154,9 +154,8 @@ def _primitive_cases():
                       (3, 4)),
         "sum_axis": (lambda p: ad.tsum(tanh(ad.sum_axis(p, -1))), (3, 4)),
         "mean": (lambda p: ad.mean(tanh(p)), (3, 4)),
-        "conv2d_valid": (lambda p: ad.tsum(ad.conv2d(p, Tensor(ker), "valid")), (2, 3, 5, 5)),
-        "conv2d_same": (lambda p: ad.tsum(ad.conv2d(p, Tensor(ker), "same")), (2, 3, 5, 5)),
-        "conv2d_kernel": (lambda p: ad.tsum(ad.conv2d(Tensor(img), p, "same")), (4, 3, 3, 3)),
+        "conv2d_valid": (lambda p: ad.tsum(ad.conv2d(p, Tensor(ker))), (2, 3, 5, 5)),
+        "conv2d_kernel": (lambda p: ad.tsum(ad.conv2d(Tensor(img), p)), (4, 3, 3, 3)),
     }
     return cases
 
@@ -289,46 +288,41 @@ def test_conv2d_is_in_the_gradcheck_battery():
         assert battery[name] < 1e-4
 
 
-def einsum_conv2d(x, k, padding, g):
+def einsum_conv2d(x, k, g):
     """The einsum formulation of conv2d: output, kernel gradient and input
     gradient (one contraction per kernel offset) for output cotangent ``g``.
     The reference for ``ad.conv2d``."""
     kh, kw = k.shape[2:]
-    pad = ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2))
-    xp = np.pad(x, pad) if padding == "same" else x
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     out = np.einsum("bchwuv,fcuv->bfhw", windows, k, optimize=True)
     gk = np.einsum("bchwuv,bfhw->fcuv", windows, g, optimize=True)
-    gx = np.zeros_like(xp)
+    gx = np.zeros_like(x)
     for u in range(kh):
         for v in range(kw):
             gx[:, :, u : u + g.shape[2], v : v + g.shape[3]] += np.einsum(
                 "bfhw,fc->bchw", g, k[:, :, u, v], optimize=True)
-    if padding == "same":
-        gx = gx[:, :, kh // 2 : kh // 2 + x.shape[2], kw // 2 : kw // 2 + x.shape[3]]
     return out, gk, gx
 
 
 # the three layers of the 7x7 agent's trunk, on one step's 16 rows and on one
-# T=5 segment's 80 rows, and a "same"-padded layer
+# T=5 segment's 80 rows
 _SEVEN_BY_SEVEN = [((2, 7, 7), (16, 2, 3, 3)), ((16, 5, 5), (32, 16, 3, 3)),
                    ((32, 3, 3), (32, 32, 3, 3))]
 
 
-@pytest.mark.parametrize("padding,x_shape,k_shape", [
-    *(("valid", (rows, *x), k) for rows in (16, 80) for x, k in _SEVEN_BY_SEVEN),
-    ("same", (3, 4, 6, 6), (5, 4, 3, 3)),
-], ids=[*(f"7x7-layer{i}-{rows}rows" for rows in (16, 80) for i in range(3)), "same"])
-def test_conv2d_matches_einsum_reference(padding, x_shape, k_shape):
+@pytest.mark.parametrize("x_shape,k_shape", [
+    ((rows, *x), k) for rows in (16, 80) for x, k in _SEVEN_BY_SEVEN
+], ids=[f"7x7-layer{i}-{rows}rows" for rows in (16, 80) for i in range(3)])
+def test_conv2d_matches_einsum_reference(x_shape, k_shape):
     """The im2col conv2d gives the einsum formulation's output and both
     gradients to 1e-12."""
     rng = np.random.default_rng(23)
     x, k = parameter(rng.normal(size=x_shape), "x"), parameter(rng.normal(size=k_shape), "k")
-    out = ad.conv2d(x, k, padding)
-    g = rng.normal(size=out.shape)
+    out = ad.conv2d(x, k)
+    g = rng.normal(size=out.value.shape)
     backward(ad.tsum(ad.hadamard(out, Tensor(g))))
-    ref, ref_gk, ref_gx = einsum_conv2d(x.value, k.value, padding, g)
-    assert out.shape == ref.shape and x.grad.shape == x_shape
+    ref, ref_gk, ref_gx = einsum_conv2d(x.value, k.value, g)
+    assert out.value.shape == ref.shape and x.grad.shape == x_shape
     assert np.max(np.abs(out.value - ref)) <= 1e-12
     assert np.max(np.abs(k.grad - ref_gk)) <= 1e-12
     assert np.max(np.abs(x.grad - ref_gx)) <= 1e-12

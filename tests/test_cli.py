@@ -130,6 +130,11 @@ def test_conflicting_group_flag_is_usage_error(capsys):
 def test_bad_env_parameter_exits_2(capsys):
     code = run_cli("train", "--env", "carflag2d", "--grid-size", "4", "--steps", "1")
     assert code == 2
+    for env in ("carflag1d", "carflag2d"):
+        capsys.readouterr()
+        code = run_cli("train", "--env", env, "--max-steps", "0", "--steps", "1")
+        assert code == 2
+        assert "max_steps must be at least 1, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, key, flag", [

@@ -14,6 +14,7 @@ from equipomdp.envs import (
     episode_trace,
     export_pomdp,
     make_env,
+    step_envs,
 )
 from equipomdp.pomdp import (
     check_invariance,
@@ -177,11 +178,20 @@ def test_episode_determinism_given_seed_and_actions():
 
 def test_vector_env_streams_are_independent_and_reproducible():
     cfg = CarFlag1dConfig(half_size=10)
-    v1 = VectorEnv(cfg, 4, np.random.SeedSequence(7))
-    v2 = VectorEnv(cfg, 4, np.random.SeedSequence(7))
-    assert np.array_equal(v1.reset_all(), v2.reset_all())
+    v1, v2, alone = (VectorEnv(cfg, 4, np.random.SeedSequence(7)) for _ in range(3))
     obs = v1.reset_all()
-    assert len({tuple(row) for row in obs}) > 1 or True  # streams differ per index
+    assert np.array_equal(obs, v2.reset_all())
+    alone.reset_all()
+    assert len({tuple(row) for row in obs}) > 1  # streams differ per index
+    for actions in ([0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]):
+        stepped = step_envs(v1.envs, actions)
+        # the same as a second copy, and as each env stepped on its own
+        for got, want in zip(stepped, step_envs(v2.envs, actions)):
+            assert np.array_equal(got, want)
+        one_by_one = [env.step(a) for env, a in zip(alone.envs, actions)]
+        for got, want in zip(stepped, zip(*one_by_one)):
+            assert np.array_equal(got, np.array(want))
+        assert stepped[1].dtype == np.float64 and stepped[2].dtype == bool
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +201,13 @@ def test_vector_env_streams_are_independent_and_reproducible():
 def test_1d_binding_negates_components():
     sym = env_group_binding(CarFlag1dConfig())
     assert np.array_equal(sym.act_on_obs(1, np.array([7.0, 1.0])), [-7.0, -1.0])
-    assert sym.act_on_action(1, A_LEFT) == A_RIGHT
-    assert sym.act_on_action(0, A_LEFT) == A_LEFT
+    assert sym.action_map[1][A_LEFT] == A_RIGHT
+    assert sym.action_map[0][A_LEFT] == A_LEFT
 
 
 def test_2d_binding_quarter_turn_right_becomes_up():
     sym = env_group_binding(CarFlag2dConfig(grid_size=3))
-    assert sym.act_on_action(1, RIGHT) == UP
+    assert sym.action_map[1][RIGHT] == UP
     obs = np.zeros((2, 3, 3))
     obs[0, 1, 0] = 1.0
     rotated = sym.act_on_obs(1, obs)
@@ -227,7 +237,7 @@ def test_simulator_symmetry_exhaustive_3x3():
                         ta, tg = rot(ta), rot(tg)
                     other = CarFlag2d(cfg, np.random.default_rng(0))
                     other.agent, other.goal, other.done, other.steps = ta, tg, False, 0
-                    obs2, reward2, term2, trunc2 = other.step(sym.act_on_action(g, action))
+                    obs2, reward2, term2, trunc2 = other.step(sym.action_map[g][action])
                     assert reward2 == reward and term2 == term and trunc2 == trunc
                     assert np.array_equal(obs2, sym.act_on_obs(g, obs))
 
@@ -253,7 +263,7 @@ def test_simulator_symmetry_randomized_7x7():
             ta, tg = rot(ta), rot(tg)
         other = CarFlag2d(cfg, np.random.default_rng(0))
         other.agent, other.goal, other.done, other.steps = ta, tg, False, 0
-        obs2, reward2, term2, trunc2 = other.step(sym.act_on_action(g, action))
+        obs2, reward2, term2, trunc2 = other.step(sym.action_map[g][action])
         assert (reward2, term2, trunc2) == (reward, term, trunc)
         assert np.array_equal(obs2, sym.act_on_obs(g, obs))
 
@@ -266,7 +276,7 @@ def test_1d_simulator_symmetry_and_where_offset_breaks_it():
         obs, reward, term, trunc = a.step(action)
         b = CarFlag1d(cfg, np.random.default_rng(0))
         b.pos, b.goal_side, b.done, b.steps = -pos, -side, False, 0
-        obs2, reward2, term2, trunc2 = b.step(sym.act_on_action(1, action))
+        obs2, reward2, term2, trunc2 = b.step(sym.action_map[1][action])
         return ((reward2, term2, trunc2) == (reward, term, trunc)
                 and np.array_equal(obs2, sym.act_on_obs(1, obs)))
 
@@ -516,6 +526,12 @@ def test_placement_errors():
         CarFlag2dConfig(grid_size=3, info_offset=5)
     with pytest.raises(PlacementError):
         CarFlag1dConfig(half_size=5, info_offset=7)
+    for config in (CarFlag1dConfig, CarFlag2dConfig):
+        for max_steps in (0, -3):
+            with pytest.raises(PlacementError, match=f"max_steps must be at least 1, "
+                                                     f"got {max_steps}"):
+                config(max_steps=max_steps)
+        assert config(max_steps=1).max_steps == 1
 
 
 def test_make_env_dispatch():

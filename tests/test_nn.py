@@ -318,8 +318,8 @@ def test_non_monomial_rep_is_rejected():
 # EquiConv2d.
 # ---------------------------------------------------------------------------
 
-def rand_conv(rng, group, in_fields, in_kind, out_fields, ksize, padding="same"):
-    conv = EquiConv2d(group, in_fields, in_kind, out_fields, ksize, rng, padding=padding)
+def rand_conv(rng, group, in_fields, in_kind, out_fields, ksize):
+    conv = EquiConv2d(group, in_fields, in_kind, out_fields, ksize, rng)
     conv.kernel.value = rng.normal(size=conv.kernel.value.shape)
     conv.bias.value = rng.normal(size=conv.bias.value.shape)
     return conv
@@ -327,7 +327,7 @@ def rand_conv(rng, group, in_fields, in_kind, out_fields, ksize, padding="same")
 
 def test_conv_constant_input_gives_constant_interior():
     rng = np.random.default_rng(7)
-    conv = rand_conv(rng, C4, 1, "trivial", 2, 3, padding="valid")
+    conv = rand_conv(rng, C4, 1, "trivial", 2, 3)
     conv.bias.value[:] = 0.0
     x = np.full((1, 1, 6, 6), 1.7)
     y = conv.forward_t(Tensor(x), conv.realize_t()).value
@@ -335,19 +335,18 @@ def test_conv_constant_input_gives_constant_interior():
         assert np.allclose(y[0, ch], y[0, ch, 0, 0], atol=1e-12)
 
 
-@pytest.mark.parametrize("group,in_kind,padding", [
-    (C4, "trivial", "same"),
-    (C4, "regular", "same"),
-    (C4, "regular", "valid"),
-    (FLIP, "trivial", "same"),
-    (FLIP, "regular", "valid"),
-    (C2, "trivial", "same"),
-])
-def test_conv_equivariance_exhaustive(group, in_kind, padding):
+# (group, input kind, input side): a 3x3 kernel leaves a 5x5 or 3x3 output
+_CONV_CASES = [(C4, "trivial", 7), (C4, "regular", 7), (C4, "regular", 5),
+               (FLIP, "trivial", 7), (FLIP, "regular", 5), (C2, "trivial", 7)]
+
+
+@pytest.mark.parametrize("group,in_kind,size", _CONV_CASES, ids=[
+    f"group{i}-{kind}-valid" for i, (_, kind, _) in enumerate(_CONV_CASES)])
+def test_conv_equivariance_exhaustive(group, in_kind, size):
     rng = np.random.default_rng(8)
-    conv = rand_conv(rng, group, 2, in_kind, 2, 3, padding=padding)
-    x = rng.normal(size=(conv.in_channels, 5, 5))
-    field = FeatureField(conv.rho_in, x, spatial=(5, 5))
+    conv = rand_conv(rng, group, 2, in_kind, 2, 3)
+    x = rng.normal(size=(conv.in_channels, size, size))
+    field = FeatureField(conv.rho_in, x, spatial=(size, size))
     for g in group.elements:
         lhs = field_forward(conv, act_on_field(g, field))
         rhs = act_on_field(g, field_forward(conv, field))
@@ -356,7 +355,7 @@ def test_conv_equivariance_exhaustive(group, in_kind, padding):
 
 def test_conv_1x1_reduces_to_equi_linear_per_pixel():
     rng = np.random.default_rng(9)
-    conv = rand_conv(rng, C4, 2, "regular", 2, 1, padding="valid")
+    conv = rand_conv(rng, C4, 2, "regular", 2, 1)
     linear = EquiLinear(conv.rho_in, conv.rho_out, rng)
     # a 1x1 grid adds nothing to rho_in, so the two layers tie the same orbits
     linear.weight.value = conv.kernel.value.copy()
@@ -557,9 +556,9 @@ def test_layer_equivariance_battery():
             apply = lambda f: field_forward(layer, f)
             rep_in, spatial = rin, None
         elif trial % 3 == 1:
-            conv = rand_conv(rng, C4, 1, "regular", 1, 3, padding="same")
+            conv = rand_conv(rng, C4, 1, "regular", 1, 3)
             apply = lambda f: field_forward(conv, f)
-            rep_in, spatial = conv.rho_in, (4, 4)
+            rep_in, spatial = conv.rho_in, (6, 6)
         else:
             cell = rand_cell(rng, C4, regular_rep(C4), 2)
             h, c = (FeatureField(cell.rho_h, v) for v in initial_state(cell, mode="zero"))
@@ -589,7 +588,7 @@ def test_gradients_flow_through_equi_linear():
 
 def test_gradients_flow_through_equi_conv():
     rng = np.random.default_rng(26)
-    conv = EquiConv2d(C4, 1, "trivial", 1, 3, rng, padding="valid")
+    conv = EquiConv2d(C4, 1, "trivial", 1, 3, rng)
     x = Tensor(rng.normal(size=(2, 1, 4, 4)))
 
     def loss():
