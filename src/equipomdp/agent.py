@@ -560,7 +560,7 @@ class OracleQPolicy:
                     raise AgentError(f"observation {o} at step {depth} is outside the "
                                      f"tree solved to horizon {sol.horizon}")
                 classes[row] = c
-            q = np.stack([sol.classes[d][c].q for d, c in zip(depths, classes)])
+            q = np.array([sol.classes[d][c].q for d, c in zip(depths, classes)])
             return q, (depths, classes)
 
         n = len(streams)

@@ -2,10 +2,12 @@
 
 Histories are flat tuples ``(o0, a0, o1, ..., ot)`` of integer ids. A
 finite-horizon solve folds the reachable history tree into a DAG of belief
-classes and yields optimal action values against which the symmetry claims
-(belief invariance, value invariance, policy equivariance) are checked
-exhaustively, for every history, by walking classes and their images in
-lockstep and counting the histories each pair stands for.
+classes, built and backed up one depth at a time by array passes over the
+nonzeros of the transition and emission tables, and yields optimal action
+values against which the symmetry claims (belief invariance, value
+invariance, policy equivariance) are checked exhaustively, for every
+history, by walking classes and their images in lockstep and counting the
+histories each pair stands for.
 """
 
 from __future__ import annotations
@@ -201,7 +203,8 @@ class BeliefClass:
     extension's class one depth deeper, in expansion order. ``count`` is the
     number of reachable histories in the class and ``first`` the first of
     them in expansion order, which is lexicographic order of histories.
-    ``support``, ``probs`` and ``q`` are read-only.
+    ``support``, ``probs`` and ``q`` are read-only views of arrays that the
+    classes of one depth share.
     """
 
     support: np.ndarray   # (k,) int64, ascending
@@ -253,29 +256,166 @@ class QSolution:
                 for cls in level}
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array = array.copy()
-    array.flags.writeable = False
-    return array
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index of the ranges ``starts[i] : starts[i] + lengths[i]``, in
+    order, and the range ``i`` that each belongs to."""
+    owner = np.repeat(np.arange(len(starts)), lengths)
+    ends = np.cumsum(lengths)
+    return starts[owner] + np.arange(len(owner)) - (ends - lengths)[owner], owner
 
 
-def _intern(level: list[BeliefClass], keys: dict, support: np.ndarray, probs: np.ndarray,
-            rounded: np.ndarray, depth: int, first: tuple) -> int:
-    """Index of the class of the belief ``probs`` on ``support`` in ``level``,
-    keyed by the support and ``rounded`` (the probabilities rounded to
-    1e-12), opening a new class with ``first`` as its first history if none
-    matches; a merge whose beliefs differ by more than the spread bound raises."""
-    key = (support.tobytes(), rounded.tobytes())
-    c = keys.get(key)
-    if c is None:
-        c = keys[key] = len(level)
-        level.append(BeliefClass(_readonly(support), _readonly(probs), first))
-        return c
-    spread = float(np.abs(level[c].probs - probs).max())
-    if spread > CLASS_SPREAD_TOL:
-        raise PomdpError(f"belief class at depth {depth} spreads by {spread:.3e}, "
-                         f"over {CLASS_SPREAD_TOL:.0e}")
-    return c
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable order that sorts ``keys``, the group of equal keys that
+    each sorted element falls in, and each group's key."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    opens = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=opens[1:])
+    return order, np.cumsum(opens) - 1, keys[opens]
+
+
+class _Tables:
+    """The nonzeros of a POMDP's transition and emission tables, by row.
+
+    Row s of ``trans`` runs over the columns a * S + s' (a push entry), and
+    row a * S + s' of ``obs`` over observations; row r's columns and values
+    are ``cols[at[r]:at[r + 1]]`` and ``vals[at[r]:at[r + 1]]``, ascending.
+    """
+
+    def __init__(self, pomdp: Pomdp):
+        self.shape = pomdp.n_states, pomdp.n_actions, pomdp.n_obs
+        self.reward = pomdp.reward
+        n_pushed = pomdp.n_actions * pomdp.n_states
+        self.trans = self._rows(pomdp.trans.reshape(pomdp.n_states, n_pushed))
+        self.obs = self._rows(pomdp.obs.reshape(n_pushed, pomdp.n_obs))
+
+    @staticmethod
+    def _rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows, cols = np.nonzero(table)
+        return np.searchsorted(rows, np.arange(len(table) + 1)), cols, table[rows, cols]
+
+    def expand(self, owner: np.ndarray, states: np.ndarray, probs: np.ndarray,
+               obs_tol: float):
+        """The children of the beliefs whose entries are ``(states, probs)``,
+        entry i belonging to belief ``owner[i]``, ascending.
+
+        Every (belief, a, s') mass, (belief, a, o) probability and posterior
+        is formed at once. ``np.bincount`` adds in input order and the stable
+        sort keeps each group's states ascending, so every sum runs in the
+        order of the states, as a push of one belief at a time sums. Returns
+        each child's key (belief * A + a) * O + o and probability, children
+        in key order, and the children's posteriors as their nonzero
+        ``states`` (ascending within a child) with their ``probs`` and each
+        child's ``lengths``.
+        """
+        n_states, n_actions, n_obs = self.shape
+        at, cols, vals = self.trans
+        idx, entry = _spans(at[states], at[states + 1] - at[states])
+        order, group, pushed = _groups(owner[entry] * (n_actions * n_states) + cols[idx])
+        mass = np.bincount(group, weights=(probs[entry] * vals[idx])[order])
+        at, cols, vals = self.obs
+        row = pushed % (n_actions * n_states)
+        idx, entry = _spans(at[row], at[row + 1] - at[row])
+        order, group, kids = _groups(pushed[entry] // n_states * n_obs + cols[idx])
+        joint = (mass[entry] * vals[idx])[order]
+        obs_p = np.bincount(group, weights=joint)
+        kept = obs_p > obs_tol
+        on = kept[group]
+        post = joint[on] / obs_p[group[on]]
+        nz = post != 0
+        child = (np.cumsum(kept) - 1)[group[on][nz]]
+        states = (pushed[entry] % n_states)[order][on][nz]
+        return (kids[kept], obs_p[kept], states, post[nz],
+                np.bincount(child, minlength=int(kept.sum())))
+
+    def split(self, kids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The belief, action and observation of each child key."""
+        n_actions, n_obs = self.shape[1:]
+        return kids // (n_actions * n_obs), kids // n_obs % n_actions, kids % n_obs
+
+    def rewards(self, owner: np.ndarray, states: np.ndarray, probs: np.ndarray,
+                n: int) -> np.ndarray:
+        """Each of ``n`` beliefs' expected immediate reward per action, summed
+        in order of the states."""
+        n_actions = self.shape[1]
+        slots = owner[:, None] * n_actions + np.arange(n_actions)
+        return np.bincount(slots.ravel(), weights=(probs[:, None] * self.reward[states]).ravel(),
+                           minlength=n * n_actions).reshape(n, n_actions)
+
+
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    """``array``, or a copy of it at least twice as long when ``size`` exceeds it."""
+    if size <= len(array):
+        return array
+    grown = np.empty(max(size, 2 * len(array)), dtype=array.dtype)
+    grown[:len(array)] = array
+    return grown
+
+
+class _Level:
+    """The belief classes of one depth while they are interned: each class's
+    key, and every class's belief, concatenated in class order in arrays
+    that grow by doubling (class c is ``states[starts[c]:starts[c + 1]]``,
+    ``probs`` alike). Once compacted, the depth's classes view these arrays,
+    and the next depth expands from them."""
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.keys: dict[bytes, int] = {}
+        self.states = np.empty(0, dtype=np.int64)
+        self.probs = np.empty(0)
+        self.starts = np.zeros(1, dtype=np.int64)
+
+    def intern(self, states: np.ndarray, probs: np.ndarray,
+               lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Class ids of the beliefs given as consecutive runs of ``lengths``
+        entries, each keyed by its states and its probabilities rounded to
+        1e-12; a new key opens a class. Returns the ids and the indices of
+        the beliefs that opened a class. A belief that differs from its
+        class's first by more than the spread bound raises."""
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        record = np.empty((len(states), 2), dtype=np.int64)
+        record[:, 0] = states
+        record[:, 1] = np.round(probs, CLASS_DECIMALS).view(np.int64)
+        blob, keys, n_old = record.tobytes(), self.keys, len(self.keys)
+        ids = np.array([keys.setdefault(blob[16 * lo:16 * hi], len(keys))
+                        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())],
+                       dtype=np.int64)
+        known, first_seen = np.unique(ids, return_index=True)
+        opened = first_seen[known >= n_old]
+        owner = np.repeat(np.arange(len(lengths)), lengths)
+        fresh = np.zeros(len(lengths), dtype=bool)
+        fresh[opened] = True
+        fresh = fresh[owner]
+        used = int(self.starts[n_old])
+        end = used + int(lengths[opened].sum())
+        self.states, self.probs = _grown(self.states, end), _grown(self.probs, end)
+        self.states[used:end], self.probs[used:end] = states[fresh], probs[fresh]
+        self.starts = _grown(self.starts, len(keys) + 1)
+        self.starts[n_old + 1:len(keys) + 1] = used + np.cumsum(lengths[opened])
+        # every entry against the same entry of its class's first belief
+        first = self.starts[ids[owner]] + np.arange(len(states)) - bounds[owner]
+        spread = float(np.abs(self.probs[first] - probs).max(initial=0.0))
+        if spread > CLASS_SPREAD_TOL:
+            raise PomdpError(f"belief class at depth {self.depth} spreads by {spread:.3e}, "
+                             f"over {CLASS_SPREAD_TOL:.0e}")
+        return ids, opened
+
+    def classes(self, firsts: list[tuple]) -> list[BeliefClass]:
+        """The classes, read-only views of the beliefs, given their first
+        histories. The keys are dropped: no more beliefs can be interned."""
+        n = len(self.keys)
+        del self.keys
+        self.starts = self.starts[:n + 1]
+        self.states = self.states[:self.starts[n]].copy()
+        self.probs = self.probs[:self.starts[n]].copy()
+        self.states.flags.writeable = self.probs.flags.writeable = False
+        bounds = self.starts.tolist()
+        return [BeliefClass(self.states[lo:hi], self.probs[lo:hi], first)
+                for first, lo, hi in zip(firsts, bounds[:-1], bounds[1:])]
+
+
+PUSH_SLICE = 1 << 14   # most push entries (class, s, a, s') one slice of a depth forms
 
 
 def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
@@ -284,77 +424,97 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
 
     Q*(h) depends on h only through its belief and the remaining horizon, so
     the history tree is folded into a DAG of belief classes: the histories of
-    one depth whose beliefs share a support and agree to 1e-12. Each class is
-    expanded and backed up once, and ``node_budget`` counts classes. No
-    history is enumerated: a class's history count is the sum, over the edges
-    that reach it, of its parents' counts. Values at the horizon are zero;
-    each earlier level is the expected immediate reward plus the discounted,
-    observation-weighted optimum of its children.
+    one depth whose beliefs share a support and agree to 1e-12. The solver
+    works one depth at a time, in array passes over the nonzeros of the
+    transition and emission tables. It expands a depth's classes in slices
+    of at most ``PUSH_SLICE`` push entries, forming every child of a slice
+    at once, and interns the children by key; ``node_budget`` counts classes
+    and is checked after each slice, before the depth's classes are built.
+    No history is enumerated: a class's history count is the sum, over the
+    edges that reach it, of its parents' counts. Values at the horizon are
+    zero; each earlier depth is backed up in one pass, as the expected
+    immediate reward plus the discounted, observation-weighted optimum of
+    the children.
     """
     if horizon < 0:
         raise PomdpError(f"horizon must be at least 0, got {horizon}")
     if node_budget < 1:
         raise PomdpError(f"node_budget must be at least 1, got {node_budget}")
-    n_states, n_actions = pomdp.n_states, pomdp.n_actions
-    trans = pomdp.trans.reshape(n_states, -1)
-    classes: list[list[BeliefClass]] = [[]]
-    keys: dict = {}
-    roots: dict[tuple, int] = {}
-    root_probs: dict[tuple, float] = {}
+    tables = _Tables(pomdp)
+    n_actions, n_obs = pomdp.n_actions, pomdp.n_obs
     p0 = pomdp.start @ pomdp.obs0
-    for o in np.flatnonzero(p0 > obs_tol):
-        h = (int(o),)
-        root_probs[h] = float(p0[o])
-        belief = initial_belief(pomdp, int(o))
-        support = np.flatnonzero(belief)
-        probs = belief[support]
-        roots[h] = c = _intern(classes[0], keys, support, probs,
-                               np.round(probs, CLASS_DECIMALS), 0, h)
-        classes[0][c].count += 1
+    root_obs = np.flatnonzero(p0 > obs_tol).tolist()
+    root_probs = {(o,): float(p0[o]) for o in root_obs}
+    beliefs = [initial_belief(pomdp, o) for o in root_obs]
+    supports = [np.flatnonzero(b) for b in beliefs]
+    built = _Level(0)
+    ids, opened = built.intern(
+        np.concatenate([*supports, np.empty(0, dtype=np.int64)]),
+        np.concatenate([*(b[nz] for b, nz in zip(beliefs, supports)), np.empty(0)]),
+        np.array([len(nz) for nz in supports], dtype=np.int64))
+    roots = {(o,): c for o, c in zip(root_obs, ids.tolist())}
+    classes = [built.classes([(root_obs[k],) for k in opened.tolist()])]
+    # history counts as Python integers: they outgrow int64 at long horizons
+    counts = [np.zeros(len(classes[0]), dtype=object)]
+    np.add.at(counts[0], ids, 1)
+    backups = []   # per depth: each class's reward row, and each edge's slot, p, child
 
     for depth in range(horizon):
-        level: list[BeliefClass] = []
-        keys = {}
-        for cls in classes[depth]:
-            pushed = (cls.probs @ trans[cls.support]).reshape(n_actions, n_states)
-            reach = pushed.any(axis=0).nonzero()[0]
-            pushed, emit = pushed[:, reach], pomdp.obs[:, reach]
-            obs_p = np.einsum("at,ato->ao", pushed, emit)
-            # every child (a, o) at once, one row each over the reachable states
-            va, vo = np.nonzero(obs_p > obs_tol)
-            p = obs_p[va, vo]
-            posts = pushed[va] * emit[va, :, vo] / p[:, None]
-            kept = posts != 0
-            support = reach[kept.nonzero()[1]]
-            probs = posts[kept]
-            rounded = np.round(probs, CLASS_DECIMALS)
-            ends = np.cumsum(kept.sum(axis=1)).tolist()
-            start = 0
-            for a, o, p_ao, end in zip(va.tolist(), vo.tolist(), p.tolist(), ends):
-                child = _intern(level, keys, support[start:end], probs[start:end],
-                                rounded[start:end], depth + 1, cls.first + (a, o))
-                level[child].count += cls.count
-                cls.children[a, o] = (p_ao, child)
-                start = end
-            n_classes = sum(map(len, classes)) + len(level)
+        parents, source = classes[depth], built
+        built = _Level(depth + 1)
+        starts = source.starts
+        # push entries before each class, where the depth is cut into slices
+        pushes = np.concatenate(([0], np.cumsum(np.diff(tables.trans[0])[source.states])))
+        pushes = pushes[starts]
+        reward = np.empty((len(parents), n_actions))
+        found, c0 = [], 0
+        while c0 < len(parents):
+            c1 = max(c0 + 1, int(np.searchsorted(pushes, pushes[c0] + PUSH_SLICE,
+                                                 side="right")) - 1)
+            lo, hi = starts[c0], starts[c1]
+            owner = np.repeat(np.arange(c0, c1), np.diff(starts[c0:c1 + 1]))
+            states, probs = source.states[lo:hi], source.probs[lo:hi]
+            reward[c0:c1] = tables.rewards(owner - c0, states, probs, c1 - c0)
+            kids, p, states, probs, lengths = tables.expand(owner, states, probs, obs_tol)
+            ids, opened = built.intern(states, probs, lengths)
+            n_classes = sum(map(len, classes)) + len(built.keys)
             if n_classes > node_budget:
                 raise NodeBudgetError(
                     f"belief-class DAG exceeded the node budget ({node_budget} classes) "
                     f"at depth {depth + 1} with {n_classes} classes")
-        classes.append(level)
+            found.append((kids, p, ids, kids[opened]))
+            c0 = c1
+        kids, p, child, openers = (np.concatenate(col) for col in zip(*found)) if found \
+            else (np.empty(0, dtype=np.int64),) * 4
+        firsts = [parents[c].first + (a, o)
+                  for c, a, o in zip(*(col.tolist() for col in tables.split(openers)))]
+        classes.append(built.classes(firsts))
+        parent, action, o = tables.split(kids)
+        ends = np.searchsorted(parent, np.arange(len(parents) + 1)).tolist()
+        links = list(zip(action.tolist(), o.tolist()))
+        ints = np.array(range(len(classes[-1])), dtype=object)   # shared by a class's edges
+        targets = list(zip(p.tolist(), ints[child].tolist()))
+        for cls, lo, hi in zip(parents, ends[:-1], ends[1:]):
+            cls.children = dict(zip(links[lo:hi], targets[lo:hi]))
+        counts.append(np.zeros(len(classes[-1]), dtype=object))
+        np.add.at(counts[-1], child, counts[depth][parent])
+        backups.append((reward, kids // n_obs, p, child))
 
+    for level, n in zip(classes, counts):
+        for cls, count in zip(level, n.tolist()):
+            cls.count = count
+    values = np.zeros(len(classes[horizon]))
     for depth in range(horizon - 1, -1, -1):
-        below = classes[depth + 1]
-        for cls in classes[depth]:
-            ahead = [0.0] * n_actions
-            for (a, _), (p, child) in cls.children.items():
-                ahead[a] += p * below[child].value
-            cls.q = (cls.probs @ pomdp.reward[cls.support]
-                     + pomdp.discount * np.array(ahead))
-            cls.q.flags.writeable = False
-            cls.value = float(cls.q.max())
-    node_count = sum(cls.count for level in classes for cls in level)
-    return QSolution(horizon, n_states, classes, roots, root_probs, node_count)
+        q, slot, p, child = backups.pop()
+        # the children's discounted, observation-weighted values, added in edge order
+        q += pomdp.discount * np.bincount(slot, weights=p * values[child],
+                                          minlength=q.size).reshape(q.shape)
+        q.flags.writeable = False
+        values = q.max(axis=1)
+        for cls, row, value in zip(classes[depth], q, values.tolist()):
+            cls.q, cls.value = row, value
+    node_count = sum(sum(n.tolist()) for n in counts)
+    return QSolution(horizon, pomdp.n_states, classes, roots, root_probs, node_count)
 
 
 # ---------------------------------------------------------------------------

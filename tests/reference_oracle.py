@@ -1,7 +1,11 @@
-"""Per-history reference for the belief-class oracle in ``equipomdp.pomdp``.
+"""References for the belief-class oracle in ``equipomdp.pomdp``.
 
-Every reachable history is expanded, backed up and checked on its own; the
-tests compare ``exact_q`` and the verify functions against this sweep.
+In ``reference_exact_q`` every reachable history is expanded, backed up and
+checked on its own; the tests compare ``exact_q`` and the verify functions
+against this sweep. ``reference_class_q`` expands and backs up one belief
+class at a time, with one push of its belief per class; ``exact_q``, which
+works a depth at a time over the tables' nonzeros, must give its classes
+bit for bit.
 """
 
 from __future__ import annotations
@@ -11,9 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from equipomdp.pomdp import (
+    CLASS_DECIMALS,
+    CLASS_SPREAD_TOL,
+    BeliefClass,
     GroupActionBinding,
     NodeBudgetError,
     Pomdp,
+    PomdpError,
+    QSolution,
     SymmetryCheckReport,
     belief_update,
     greedy_actions,
@@ -193,3 +202,89 @@ def reference_verify_value_invariance(sol: ReferenceSolution, binding: GroupActi
     passed = max_dev < tolerance and policy_ok and not missing
     return SymmetryCheckReport("value-invariance", passed, max_dev, tolerance, checked,
                                len(missing), missing, witness, policy_ok, policy_witness)
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
+def _intern(level: list[BeliefClass], keys: dict, support: np.ndarray, probs: np.ndarray,
+            rounded: np.ndarray, depth: int, first: tuple) -> int:
+    """Index of the class of the belief ``probs`` on ``support`` in ``level``,
+    keyed by the support and ``rounded`` (the probabilities rounded to
+    1e-12), opening a new class with ``first`` as its first history if none
+    matches; a merge whose beliefs differ by more than the spread bound raises."""
+    key = (support.tobytes(), rounded.tobytes())
+    c = keys.get(key)
+    if c is None:
+        c = keys[key] = len(level)
+        level.append(BeliefClass(_readonly(support), _readonly(probs), first))
+        return c
+    spread = float(np.abs(level[c].probs - probs).max())
+    if spread > CLASS_SPREAD_TOL:
+        raise PomdpError(f"belief class at depth {depth} spreads by {spread:.3e}, "
+                         f"over {CLASS_SPREAD_TOL:.0e}")
+    return c
+
+
+def reference_class_q(pomdp: Pomdp, horizon: int, obs_tol: float = 1e-15) -> QSolution:
+    """The belief-class DAG built one class at a time: each class pushes its
+    belief through the rows of ``trans`` on its support, forms all its
+    children from that push, interns them one by one and is backed up with
+    a Python sum over its children."""
+    n_states, n_actions = pomdp.n_states, pomdp.n_actions
+    trans = pomdp.trans.reshape(n_states, -1)
+    classes: list[list[BeliefClass]] = [[]]
+    keys: dict = {}
+    roots: dict[tuple, int] = {}
+    root_probs: dict[tuple, float] = {}
+    p0 = pomdp.start @ pomdp.obs0
+    for o in np.flatnonzero(p0 > obs_tol):
+        h = (int(o),)
+        root_probs[h] = float(p0[o])
+        belief = initial_belief(pomdp, int(o))
+        support = np.flatnonzero(belief)
+        probs = belief[support]
+        roots[h] = c = _intern(classes[0], keys, support, probs,
+                               np.round(probs, CLASS_DECIMALS), 0, h)
+        classes[0][c].count += 1
+
+    for depth in range(horizon):
+        level: list[BeliefClass] = []
+        keys = {}
+        for cls in classes[depth]:
+            pushed = (cls.probs @ trans[cls.support]).reshape(n_actions, n_states)
+            reach = pushed.any(axis=0).nonzero()[0]
+            pushed, emit = pushed[:, reach], pomdp.obs[:, reach]
+            obs_p = np.einsum("at,ato->ao", pushed, emit)
+            va, vo = np.nonzero(obs_p > obs_tol)
+            p = obs_p[va, vo]
+            posts = pushed[va] * emit[va, :, vo] / p[:, None]
+            kept = posts != 0
+            support = reach[kept.nonzero()[1]]
+            probs = posts[kept]
+            rounded = np.round(probs, CLASS_DECIMALS)
+            ends = np.cumsum(kept.sum(axis=1)).tolist()
+            start = 0
+            for a, o, p_ao, end in zip(va.tolist(), vo.tolist(), p.tolist(), ends):
+                child = _intern(level, keys, support[start:end], probs[start:end],
+                                rounded[start:end], depth + 1, cls.first + (a, o))
+                level[child].count += cls.count
+                cls.children[a, o] = (p_ao, child)
+                start = end
+        classes.append(level)
+
+    for depth in range(horizon - 1, -1, -1):
+        below = classes[depth + 1]
+        for cls in classes[depth]:
+            ahead = [0.0] * n_actions
+            for (a, _), (p, child) in cls.children.items():
+                ahead[a] += p * below[child].value
+            cls.q = (cls.probs @ pomdp.reward[cls.support]
+                     + pomdp.discount * np.array(ahead))
+            cls.q.flags.writeable = False
+            cls.value = float(cls.q.max())
+    node_count = sum(cls.count for level in classes for cls in level)
+    return QSolution(horizon, n_states, classes, roots, root_probs, node_count)

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, export_pomdp
 from equipomdp.groups import CYCLIC, REFLECTION, make_group
+from equipomdp import pomdp as pomdp_module
 from equipomdp.pomdp import (
+    PUSH_SLICE,
     GroupActionBinding,
     ImpossibleObservationError,
     NodeBudgetError,
@@ -28,6 +30,7 @@ from reference_oracle import (
     HistoryMdp,
     act_on_history,
     class_of,
+    reference_class_q,
     reference_exact_q,
     reference_verify_belief_invariance,
     reference_verify_value_invariance,
@@ -240,6 +243,21 @@ def test_exact_q_node_budget():
         exact_q(pomdp, horizon=6, node_budget=100)
 
 
+@pytest.mark.parametrize("make, horizon", [
+    pytest.param(lambda: export_pomdp(CarFlag2dConfig(grid_size=3))[0], 6, id="3x3-h6"),
+    pytest.param(lambda: random_pomdp(np.random.default_rng(12), 4, 3, 4), 3, id="random"),
+])
+def test_node_budget_counts_classes(make, horizon):
+    """The budget is checked per slice but still counts classes: the exact
+    class count passes, and one fewer fails at the deepest depth."""
+    pomdp = make()
+    sol = exact_q(pomdp, horizon)
+    assert exact_q(pomdp, horizon, node_budget=sol.class_count).class_count == sol.class_count
+    with pytest.raises(NodeBudgetError,
+                       match=rf"\({sol.class_count - 1} classes\) at depth {horizon} with \d+ "):
+        exact_q(pomdp, horizon, node_budget=sol.class_count - 1)
+
+
 # ---------------------------------------------------------------------------
 # Symmetry of beliefs and values on randomly generated invariant models.
 # ---------------------------------------------------------------------------
@@ -376,6 +394,65 @@ def test_merged_belief_class_with_spread_is_refused():
     pomdp.validate()
     with pytest.raises(PomdpError, match="belief class at depth 0 spreads by"):
         exact_q(pomdp, horizon=2)
+
+
+def test_merged_belief_class_with_spread_is_refused_below_the_roots():
+    # one root belief [.5, .5]; after the action, observation 0 leaves it as
+    # it is and observation 1 moves it to .5 +- 4e-13: one class key (values
+    # rounded to 1e-12) at depth 1, but 4e-13 apart, over the 1e-13 bound
+    eps = 2e-13
+    pomdp = Pomdp(
+        start=np.array([0.5, 0.5]),
+        trans=np.eye(2)[:, None, :],
+        reward=np.zeros((2, 1)),
+        obs=np.array([[[0.25, 0.25 + eps, 0.5 - eps], [0.25, 0.25 - eps, 0.5 + eps]]]),
+        obs0=np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+        discount=0.9,
+    )
+    pomdp.validate()
+    with pytest.raises(PomdpError, match="belief class at depth 1 spreads by"):
+        exact_q(pomdp, horizon=2)
+
+
+@pytest.mark.parametrize("config, horizon, push_slice", [
+    pytest.param(CarFlag2dConfig(grid_size=3), 6, PUSH_SLICE, id="3x3-h6"),
+    pytest.param(CarFlag2dConfig(grid_size=3, info_offset=1), 6, PUSH_SLICE,
+                 id="3x3-h6-offset"),
+    pytest.param(CarFlag2dConfig(grid_size=5), 4, PUSH_SLICE, id="5x5-h4"),
+    pytest.param(CarFlag1dConfig(half_size=10), 50, PUSH_SLICE, id="1d-half10-h50"),
+    pytest.param(CarFlag2dConfig(grid_size=3, info_offset=1), 6, 1,
+                 id="3x3-h6-offset-one-class-slices"),
+])
+def test_depthwise_solver_matches_per_class_reference_bitwise(monkeypatch, config, horizon,
+                                                              push_slice):
+    """Every class's support, probabilities, first history, count, children
+    (order, probability, child) and Q row are bit for bit those of the
+    one-class-at-a-time reference. On 5x5-h4 the deepest expansion forms
+    40,192 push entries, so that depth spans several slices; with one class
+    per slice, merges reach classes that earlier slices opened."""
+    monkeypatch.setattr(pomdp_module, "PUSH_SLICE", push_slice)
+    pomdp, _, _ = export_pomdp(config)
+    sol = exact_q(pomdp, horizon)
+    expect = reference_class_q(pomdp, horizon)
+    assert (sol.roots, sol.root_probs, sol.node_count) == (
+        expect.roots, expect.root_probs, expect.node_count)
+    assert [len(level) for level in sol.classes] == [len(level) for level in expect.classes]
+    for level, expected in zip(sol.classes, expect.classes):
+        for cls, ref in zip(level, expected):
+            assert cls.support.dtype == ref.support.dtype, ref.first
+            assert cls.support.tobytes() == ref.support.tobytes(), ref.first
+            assert cls.probs.tobytes() == ref.probs.tobytes(), ref.first
+            assert (cls.first, cls.count) == (ref.first, ref.count)
+            assert list(cls.children.items()) == list(ref.children.items()), ref.first
+            assert (cls.q is None) == (ref.q is None), ref.first
+            if ref.q is not None:
+                assert cls.q.tobytes() == ref.q.tobytes(), ref.first
+                assert not cls.q.flags.writeable
+            assert cls.value == ref.value, ref.first
+    if config == CarFlag2dConfig(grid_size=5):
+        pushes = sum(np.count_nonzero(pomdp.trans[cls.support])
+                     for cls in sol.classes[horizon - 1])
+        assert pushes == 40_192 > PUSH_SLICE
 
 
 @pytest.mark.parametrize("config, horizon", [
