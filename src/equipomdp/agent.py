@@ -498,7 +498,7 @@ def play_episodes(actor, env_config, streams, greedy: bool = False):
     live = np.arange(len(envs))
     successes = np.zeros(len(envs), dtype=bool)
     returns = np.zeros(len(envs))
-    actions_taken = [[] for _ in envs]
+    taken = []   # per step, every episode's action, -1 once it has ended
     while live.size:
         scores, memory = step(obs, prev, memory)
         if greedy:
@@ -506,8 +506,8 @@ def play_episodes(actor, env_config, streams, greedy: bool = False):
         else:
             u = np.array([streams[i][1].random() for i in live])[:, None]
             actions = categorical_from_uniform(scores, u)
-        for i, a in zip(live, actions):
-            actions_taken[i].append(int(a))
+        taken.append(np.full(len(envs), -1, dtype=np.int64))
+        taken[-1][live] = actions
         obs, rewards, terminated, truncated = step_envs([envs[i] for i in live], actions)
         returns[live] += rewards
         done = terminated | truncated
@@ -515,7 +515,10 @@ def play_episodes(actor, env_config, streams, greedy: bool = False):
         running = ~done
         live, obs, prev = live[running], obs[running], actions[running]
         memory = tuple(rows[running] for rows in memory)
-    return successes, returns, actions_taken
+    # an episode runs from the first step, so its actions are a prefix of its column
+    taken = np.array(taken)
+    lengths = np.count_nonzero(taken >= 0, axis=0).tolist()
+    return successes, returns, [column[:n].tolist() for column, n in zip(taken.T, lengths)]
 
 
 def evaluate(actor, env_config, episodes: int, rng: np.random.Generator,

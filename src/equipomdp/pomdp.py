@@ -6,14 +6,15 @@ classes, built and backed up one depth at a time by array passes over the
 nonzeros of the transition and emission tables, and yields optimal action
 values against which the symmetry claims (belief invariance, value
 invariance, policy equivariance) are checked exhaustively, for every
-history, by walking classes and their images in lockstep and counting the
-histories each pair stands for.
+history, by pairing classes with their images one depth at a time, in array
+passes, and counting the histories each pair stands for.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,7 +205,8 @@ class BeliefClass:
     number of reachable histories in the class and ``first`` the first of
     them in expansion order, which is lexicographic order of histories.
     ``support``, ``probs`` and ``q`` are read-only views of arrays that the
-    classes of one depth share.
+    classes of one depth share, kept as ``QSolution.entries`` and
+    ``QSolution.q``.
     """
 
     support: np.ndarray   # (k,) int64, ascending
@@ -223,14 +225,18 @@ class BeliefClass:
         return belief
 
 
-def greedy_actions(row: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
-    return tuple(int(a) for a in np.flatnonzero(row >= row.max() - tol))
-
-
 @dataclass
 class QSolution:
     """Optimal action values on the per-depth belief classes of the reachable
-    history tree, linked by their children; histories are only counted."""
+    history tree, linked by their children; histories are only counted.
+
+    Beside the classes it keeps the per-depth arrays that they view and that
+    the symmetry checks read. ``entries[d]`` is ``(starts, states, probs)``:
+    class c's belief is ``states[starts[c]:starts[c + 1]]`` with ``probs``
+    alike. Below the horizon, ``edges[d]`` is ``(keys, p, child)``, one entry
+    per child link in ascending key (class * A + a) * O + o, and ``q[d]`` is
+    the (n, A) array of the classes' Q rows.
+    """
 
     horizon: int
     n_states: int
@@ -238,6 +244,9 @@ class QSolution:
     roots: dict[tuple, int]            # each first observation's history to its class
     root_probs: dict[tuple, float]
     node_count: int                    # reachable histories, summed from class counts
+    entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]]   # per depth
+    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]     # per depth below the horizon
+    q: list[np.ndarray]                                         # per depth below the horizon
 
     @property
     def class_count(self) -> int:
@@ -406,10 +415,11 @@ class _Level:
         histories. The keys are dropped: no more beliefs can be interned."""
         n = len(self.keys)
         del self.keys
-        self.starts = self.starts[:n + 1]
+        self.starts = self.starts[:n + 1].copy()
         self.states = self.states[:self.starts[n]].copy()
         self.probs = self.probs[:self.starts[n]].copy()
-        self.states.flags.writeable = self.probs.flags.writeable = False
+        for array in (self.starts, self.states, self.probs):
+            array.flags.writeable = False
         bounds = self.starts.tolist()
         return [BeliefClass(self.states[lo:hi], self.probs[lo:hi], first)
                 for first, lo, hi in zip(firsts, bounds[:-1], bounds[1:])]
@@ -457,7 +467,8 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
     # history counts as Python integers: they outgrow int64 at long horizons
     counts = [np.zeros(len(classes[0]), dtype=object)]
     np.add.at(counts[0], ids, 1)
-    backups = []   # per depth: each class's reward row, and each edge's slot, p, child
+    entries = [(built.starts, built.states, built.probs)]
+    edges, qs = [], []   # per depth: each edge's key, p, child; each class's reward row
 
     for depth in range(horizon):
         parents, source = classes[depth], built
@@ -489,6 +500,7 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
         firsts = [parents[c].first + (a, o)
                   for c, a, o in zip(*(col.tolist() for col in tables.split(openers)))]
         classes.append(built.classes(firsts))
+        entries.append((built.starts, built.states, built.probs))
         parent, action, o = tables.split(kids)
         ends = np.searchsorted(parent, np.arange(len(parents) + 1)).tolist()
         links = list(zip(action.tolist(), o.tolist()))
@@ -498,23 +510,27 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
             cls.children = dict(zip(links[lo:hi], targets[lo:hi]))
         counts.append(np.zeros(len(classes[-1]), dtype=object))
         np.add.at(counts[-1], child, counts[depth][parent])
-        backups.append((reward, kids // n_obs, p, child))
+        for array in (kids, p, child):
+            array.flags.writeable = False
+        edges.append((kids, p, child))
+        qs.append(reward)
 
     for level, n in zip(classes, counts):
         for cls, count in zip(level, n.tolist()):
             cls.count = count
     values = np.zeros(len(classes[horizon]))
     for depth in range(horizon - 1, -1, -1):
-        q, slot, p, child = backups.pop()
+        q, (kids, p, child) = qs[depth], edges[depth]
         # the children's discounted, observation-weighted values, added in edge order
-        q += pomdp.discount * np.bincount(slot, weights=p * values[child],
+        q += pomdp.discount * np.bincount(kids // n_obs, weights=p * values[child],
                                           minlength=q.size).reshape(q.shape)
         q.flags.writeable = False
         values = q.max(axis=1)
         for cls, row, value in zip(classes[depth], q, values.tolist()):
             cls.q, cls.value = row, value
     node_count = sum(sum(n.tolist()) for n in counts)
-    return QSolution(horizon, pomdp.n_states, classes, roots, root_probs, node_count)
+    return QSolution(horizon, pomdp.n_states, classes, roots, root_probs, node_count,
+                     entries, edges, qs)
 
 
 # ---------------------------------------------------------------------------
@@ -562,83 +578,161 @@ class SymmetryCheckReport:
         return out
 
 
+class _Pairs(NamedTuple):
+    """Pairs (class, image class, g) of one depth, a row each: the class, the
+    image class (-1 when the image is unreachable), the element g, the
+    number of histories the pair holds (Python ints) and the rank of its
+    first history among the depth's, and that history's last step: the row
+    one depth up whose first history it extends (-1 at the roots), the
+    action (-1 at the roots) and the observation."""
+
+    cls: np.ndarray
+    image: np.ndarray
+    g: np.ndarray
+    count: np.ndarray
+    rank: np.ndarray
+    parent: np.ndarray
+    action: np.ndarray
+    obs: np.ndarray
+
+    def take(self, rows) -> _Pairs:
+        return _Pairs(*(column[rows] for column in self))
+
+
+def _merged(found: _Pairs, n_classes: int, n_elements: int) -> _Pairs:
+    """The pairs that ``found`` reaches, one row per (class, image class, g),
+    counts summed, in order of first history and then g, ranks dense.
+
+    ``found`` holds one row per history step that reaches a pair, its
+    ``rank`` an order key of the history; for each g, the rows come in order
+    of that key, so a pair's first row holds its first history."""
+    pair = (found.cls * (n_classes + 1) + found.image + 1) * n_elements + found.g
+    _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
+    count = np.zeros(len(first), dtype=object)
+    np.add.at(count, inverse, found.count)
+    pairs = found.take(first)._replace(count=count)
+    pairs = pairs.take(np.lexsort((pairs.g, pairs.rank)))
+    opens = np.ones(len(first), dtype=bool)
+    np.not_equal(pairs.rank[1:], pairs.rank[:-1], out=opens[1:])
+    return pairs._replace(rank=np.cumsum(opens) - 1)
+
+
+def _history(levels: list[_Pairs], pairs: _Pairs, row: int) -> tuple:
+    """The first history of ``pairs[row]``, the pairs one depth below
+    ``levels``, rebuilt from the back-pointers."""
+    steps = []
+    for above in reversed(levels):
+        steps += [int(pairs.obs[row]), int(pairs.action[row])]
+        row, pairs = int(pairs.parent[row]), above
+    return (int(pairs.obs[row]), *reversed(steps))
+
+
 def _image_pairs(sol: QSolution, binding: GroupActionBinding, max_depth: int):
-    """Pair the classes of histories and of their images, in lockstep from the
-    roots through ``max_depth``, for every non-identity element g.
+    """Pair the classes of histories and of their images, one depth at a time
+    from the roots through ``max_depth``, for every non-identity element g.
 
     A pair (class, image class, g) holds the n histories h of the class whose
-    image gh lies in the image class, or is unreachable (image class None).
-    As g·(h, a, o) = (gh, g·a, g·o), a pair's children are its class's
-    children, each with the image class's child under (g·a, g·o).
+    image gh lies in the image class, or is unreachable (image class -1). As
+    g·(h, a, o) = (gh, g·a, g·o), a pair's children are its class's edges,
+    each with the image class's edge under (g·a, g·o), found by its key in
+    the depth's sorted edge keys. A depth's children are formed at once and
+    merged by (child, image child, g), their history counts summed exactly;
+    a merged pair's first history is the least (parent's first history, a,
+    o) that reaches it.
 
-    Returns ``(levels, checked, missing, witnesses)``. ``levels[d]`` lists
-    ``(g, h, cls, image)`` for the pairs of depth d with reachable images,
-    h being a pair's first history, in order of h and then g: the order in
-    which a sweep over every (history, g) first meets each pair. ``checked``
-    counts (history, g) comparisons and ``missing`` those without an image;
-    ``witnesses`` lists the first ``MISSING_WITNESSES`` pairs without an image
-    as (g, h), shallowest first.
+    Returns ``(levels, checked, missing, witnesses)``. ``levels[d]`` holds
+    the ``_Pairs`` of depth d with reachable images, in order of first
+    history and then g: the order in which a sweep over every (history, g)
+    first meets each pair. ``checked`` counts (history, g) comparisons and
+    ``missing`` those without an image; ``witnesses`` lists the first
+    ``MISSING_WITNESSES`` pairs without an image as (g, h), shallowest first.
     """
-    gs = [g for g in binding.group.elements if g != 0]
-    om = [m.tolist() for m in binding.obs_maps]
-    am = [m.tolist() for m in binding.action_maps]
-    classes = sol.classes[:max_depth + 1]
-    checked = len(gs) * sum(cls.count for level in classes for cls in level)
-    # (class, image class, g) -> [histories, first history]. Expansion order
-    # is lexicographic, and parents are extended in order of their first
-    # history, so the first history to reach a pair is its first.
-    reached: dict[tuple, list] = {}
-    for h, c in sol.roots.items():
-        for g in gs:
-            reached.setdefault((c, sol.roots.get((om[g][h[0]],)), g), [0, h])[0] += 1
+    elements = np.array([g for g in binding.group.elements if g != 0], dtype=np.int64)
+    am, om = binding.action_maps, binding.obs_maps
+    n_actions, n_obs = am.shape[1], om.shape[1]
+    checked = len(elements) * sum(cls.count for level in sol.classes[:max_depth + 1]
+                                  for cls in level)
+    # each root under each g, roots in order of their observation
+    obs = np.repeat(np.array([h[0] for h in sol.roots], dtype=np.int64), len(elements))
+    cls = np.repeat(np.array(list(sol.roots.values()), dtype=np.int64), len(elements))
+    g = np.tile(elements, len(sol.roots))
+    root_of = np.full(n_obs, -1, dtype=np.int64)
+    root_of[obs] = cls
+    none = np.full(len(obs), -1, dtype=np.int64)
+    found = _Pairs(cls, root_of[om[g, obs]], g, np.ones(len(obs), dtype=object), obs,
+                   none, none, obs)
     levels, matched, witnesses = [], 0, []
-    for depth, level in enumerate(classes):
-        pairs, below = [], {}
-        for (c, image, g), (n, h) in sorted(reached.items(),
-                                            key=lambda item: (item[1][1], item[0][2])):
-            if image is None:
-                if len(witnesses) < MISSING_WITNESSES:
-                    witnesses.append((g, h))
-                continue
-            pairs.append((g, h, level[c], level[image]))
-            matched += n
-            if depth < max_depth:
-                kids = level[image].children
-                for (a, o), (_, child) in level[c].children.items():
-                    image_child = kids.get((am[g][a], om[g][o]), (0.0, None))[1]
-                    below.setdefault((child, image_child, g), [0, h + (a, o)])[0] += n
+    for depth in range(max_depth + 1):
+        pairs = _merged(found, len(sol.classes[depth]), binding.group.order)
+        reachable = pairs.image >= 0
+        for row in np.flatnonzero(~reachable)[:MISSING_WITNESSES - len(witnesses)].tolist():
+            witnesses.append((int(pairs.g[row]), _history(levels, pairs, row)))
+        pairs = pairs.take(reachable)
+        matched += sum(pairs.count.tolist())
         levels.append(pairs)
-        reached = below
+        if depth == max_depth:
+            break
+        keys, _, child = sol.edges[depth]
+        ends = np.searchsorted(keys, np.arange(len(sol.classes[depth]) + 1)
+                               * (n_actions * n_obs))
+        edge, row = _spans(ends[pairs.cls], ends[pairs.cls + 1] - ends[pairs.cls])
+        a, o, g = keys[edge] // n_obs % n_actions, keys[edge] % n_obs, pairs.g[row]
+        image_key = (pairs.image[row] * n_actions + am[g, a]) * n_obs + om[g, o]
+        at = np.minimum(np.searchsorted(keys, image_key), len(keys) - 1)
+        found = _Pairs(child[edge], np.where(keys[at] == image_key, child[at], -1), g,
+                       pairs.count[row], (pairs.rank[row] * n_actions + a) * n_obs + o,
+                       row, a, o)
     return levels, checked, checked - matched, witnesses
+
+
+def _first_max(devs: list[np.ndarray]) -> tuple[float, tuple[int, int] | None]:
+    """The largest entry of the arrays and (array, row) of its first
+    occurrence in order; 0.0 and None when no entry is positive."""
+    best, at = 0.0, None
+    for k, dev in enumerate(devs):
+        if len(dev) and dev.max() > best:
+            row = int(np.argmax(dev))
+            best, at = float(dev[row]), (k, row)
+    return best, at
 
 
 def verify_belief_invariance(pomdp: Pomdp, binding: GroupActionBinding, depth: int,
                              tolerance: float = 1e-12,
                              node_budget: int = 2_000_000) -> SymmetryCheckReport:
-    """Check Pr(gs | gh) = Pr(s | h) for every reachable history up to ``depth``."""
+    """Check Pr(gs | gh) = Pr(s | h) for every reachable history up to ``depth``.
+
+    Each depth's pairs are compared at once: the class's probabilities and,
+    negated, the image's, each image state s' = g s taken to s = g^-1 s',
+    are summed per (pair, state) with the class's first, and a pair's
+    deviation is the largest magnitude. The witness is the first largest
+    deviation, shallowest first."""
     if depth < 0:
         raise PomdpError(f"depth must be at least 0, got {depth}")
     binding.validate()
     t0 = time.perf_counter()
     sol = exact_q(pomdp, depth, node_budget=node_budget)
     t1 = time.perf_counter()
-    # state g^-1 s' for each image state s' = g s, so that the image belief
-    # compares in the class's states; the entries missing from one support
-    # are zeros, added to and cleared from a scratch vector per pair
     unmap = np.argsort(binding.state_maps, axis=1)
-    diff = np.zeros(pomdp.n_states)
+    n_states = pomdp.n_states
     levels, checked, missing, witnesses = _image_pairs(sol, binding, depth)
-    max_dev, witness = 0.0, None
-    for pairs in levels:
-        for g, h, cls, image in pairs:
-            mapped = unmap[g][image.support]
-            diff[cls.support] = cls.probs
-            diff[mapped] -= image.probs
-            union = np.concatenate((cls.support, mapped))
-            dev = float(np.abs(diff[union]).max())
-            diff[union] = 0.0
-            if dev > max_dev:
-                max_dev, witness = dev, (g, h, f"belief deviation {dev:.3e}")
+    devs = []
+    for (starts, states, probs), pairs in zip(sol.entries, levels):
+        own, own_row = _spans(starts[pairs.cls], np.diff(starts)[pairs.cls])
+        image, image_row = _spans(starts[pairs.image], np.diff(starts)[pairs.image])
+        order, cell, cells = _groups(np.concatenate((
+            own_row * n_states + states[own],
+            image_row * n_states + unmap[pairs.g[image_row], states[image]])))
+        # a cell holds at most one entry of each side, so it sums to p - p' exactly
+        diff = np.bincount(cell, weights=np.concatenate((probs[own], -probs[image]))[order])
+        dev = np.zeros(len(pairs.cls))
+        np.maximum.at(dev, cells // n_states, np.abs(diff))
+        devs.append(dev)
+    max_dev, at = _first_max(devs)
+    witness = None
+    if at is not None:
+        d, row = at
+        witness = (int(levels[d].g[row]), _history(levels[:d], levels[d], row),
+                   f"belief deviation {max_dev:.3e}")
     passed = max_dev < tolerance and not missing
     return SymmetryCheckReport("belief-invariance", passed, max_dev, tolerance,
                                checked, missing, witnesses, witness,
@@ -651,7 +745,13 @@ def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding, horizon: 
                             node_budget: int = 2_000_000) -> SymmetryCheckReport:
     """Check optimal values satisfy Q(gh, ga) = Q(h, a) and V(gh) = V(h) over the
     whole reachable tree, and that greedy argmax sets correspond under the group.
-    Depths are checked deepest first."""
+
+    Each depth's pairs are compared at once, on the depth's Q array: a
+    pair's deviation is the larger of its largest Q deviation and its V
+    deviation, and its greedy sets (actions within ``policy_tol`` of the
+    row's maximum, as masks) correspond when the class's, mapped by g,
+    equals the image's. Depths are checked deepest first; the witness is the
+    first largest deviation and the policy witness the first mismatch."""
     if horizon < 1:
         raise PomdpError(f"horizon must be at least 1, got {horizon}")
     binding.validate()
@@ -659,30 +759,35 @@ def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding, horizon: 
     sol = exact_q(pomdp, horizon, node_budget=node_budget)
     t1 = time.perf_counter()
     am = binding.action_maps
-    am_rows = am.tolist()
     levels, checked, missing, witnesses = _image_pairs(sol, binding, horizon - 1)
-    max_dev, witness = 0.0, None
-    policy_ok, policy_witness = True, None
-    greedy: dict[int, tuple[int, ...]] = {}   # id(class) -> its greedy set
-
-    def greedy_set(cls: BeliefClass) -> tuple[int, ...]:
-        got = greedy.get(id(cls))
-        if got is None:
-            got = greedy[id(cls)] = greedy_actions(cls.q, policy_tol)
-        return got
-
-    for pairs in reversed(levels):
-        for g, h, cls, image in pairs:
-            qdev = float(np.abs(image.q[am[g]] - cls.q).max())
-            vdev = abs(image.value - cls.value)
-            dev = max(qdev, vdev)
-            if dev > max_dev:
-                max_dev, witness = dev, (
-                    g, h, f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
-            mapped = {am_rows[g][a] for a in greedy_set(cls)}
-            direct = set(greedy_set(image))
-            if mapped != direct and policy_ok:
-                policy_ok, policy_witness = False, (g, h, sorted(mapped), sorted(direct))
+    devs, splits, policy_witness = [], [], None
+    for depth in range(horizon - 1, -1, -1):
+        pairs, q = levels[depth], sol.q[depth]
+        value = q.max(axis=1)
+        actions = am[pairs.g]
+        qdev = np.abs(np.take_along_axis(q[pairs.image], actions, axis=1)
+                      - q[pairs.cls]).max(axis=1)
+        vdev = np.abs(value[pairs.image] - value[pairs.cls])
+        devs.append(np.maximum(qdev, vdev))
+        splits.append((qdev, vdev))
+        greedy = q >= (value - policy_tol)[:, None]
+        mismatch = (greedy[pairs.cls]
+                    != np.take_along_axis(greedy[pairs.image], actions, axis=1)).any(axis=1)
+        if policy_witness is None and mismatch.any():
+            row = int(np.argmax(mismatch))
+            g = int(pairs.g[row])
+            policy_witness = (g, _history(levels[:depth], pairs, row),
+                              sorted(am[g][greedy[pairs.cls[row]]].tolist()),
+                              np.flatnonzero(greedy[pairs.image[row]]).tolist())
+    max_dev, at = _first_max(devs)
+    witness = None
+    if at is not None:
+        k, row = at
+        depth = horizon - 1 - k
+        qdev, vdev = (float(split[row]) for split in splits[k])
+        witness = (int(levels[depth].g[row]), _history(levels[:depth], levels[depth], row),
+                   f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
+    policy_ok = policy_witness is None
     passed = max_dev < tolerance and policy_ok and not missing
     return SymmetryCheckReport("value-invariance", passed, max_dev, tolerance, checked,
                                missing, witnesses, witness, policy_ok, policy_witness,

@@ -5,7 +5,11 @@ checked on its own; the tests compare ``exact_q`` and the verify functions
 against this sweep. ``reference_class_q`` expands and backs up one belief
 class at a time, with one push of its belief per class; ``exact_q``, which
 works a depth at a time over the tables' nonzeros, must give its classes
-bit for bit.
+bit for bit. ``reference_class_verify_belief_invariance`` and
+``reference_class_verify_value_invariance`` walk the pairs (class, image
+class, g) of an ``exact_q`` solution by its children dicts and compare them
+one pair at a time; the verify functions, which pair and compare a depth at
+a time in array passes, must give their reports field by field.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from equipomdp.pomdp import (
     CLASS_DECIMALS,
     CLASS_SPREAD_TOL,
+    MISSING_WITNESSES,
     BeliefClass,
     GroupActionBinding,
     NodeBudgetError,
@@ -25,9 +30,13 @@ from equipomdp.pomdp import (
     QSolution,
     SymmetryCheckReport,
     belief_update,
-    greedy_actions,
+    exact_q,
     initial_belief,
 )
+
+
+def greedy_actions(row: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
+    return tuple(int(a) for a in np.flatnonzero(row >= row.max() - tol))
 
 
 def act_on_history(binding: GroupActionBinding, g: int, h: tuple) -> tuple:
@@ -287,4 +296,129 @@ def reference_class_q(pomdp: Pomdp, horizon: int, obs_tol: float = 1e-15) -> QSo
             cls.q.flags.writeable = False
             cls.value = float(cls.q.max())
     node_count = sum(cls.count for level in classes for cls in level)
-    return QSolution(horizon, n_states, classes, roots, root_probs, node_count)
+    # the per-depth arrays of the solution, gathered from the classes
+    entries = [(np.cumsum([0] + [len(cls.support) for cls in level]),
+                np.concatenate([cls.support for cls in level] + [np.empty(0, dtype=np.int64)]),
+                np.concatenate([cls.probs for cls in level] + [np.empty(0)]))
+               for level in classes]
+    edges, q = [], []
+    for level in classes[:horizon]:
+        links = [((c * n_actions + a) * pomdp.n_obs + o, p, child)
+                 for c, cls in enumerate(level) for (a, o), (p, child) in cls.children.items()]
+        edges.append((np.array([key for key, _, _ in links], dtype=np.int64),
+                      np.array([p for _, p, _ in links], dtype=float),
+                      np.array([child for _, _, child in links], dtype=np.int64)))
+        q.append(np.array([cls.q for cls in level]).reshape(-1, n_actions))
+    return QSolution(horizon, n_states, classes, roots, root_probs, node_count,
+                     entries, edges, q)
+
+
+def _class_image_pairs(sol: QSolution, binding: GroupActionBinding, max_depth: int):
+    """Pair the classes of histories and of their images, in lockstep from the
+    roots through ``max_depth``, for every non-identity element g, one pair
+    at a time over the classes' children dicts.
+
+    Returns ``(levels, checked, missing, witnesses)`` as ``_image_pairs``
+    does, except that ``levels[d]`` lists ``(g, h, cls, image)`` for the
+    pairs of depth d with reachable images, h being a pair's first history.
+    """
+    gs = [g for g in binding.group.elements if g != 0]
+    om = [m.tolist() for m in binding.obs_maps]
+    am = [m.tolist() for m in binding.action_maps]
+    classes = sol.classes[:max_depth + 1]
+    checked = len(gs) * sum(cls.count for level in classes for cls in level)
+    # (class, image class, g) -> [histories, first history]. Expansion order
+    # is lexicographic, and parents are extended in order of their first
+    # history, so the first history to reach a pair is its first.
+    reached: dict[tuple, list] = {}
+    for h, c in sol.roots.items():
+        for g in gs:
+            reached.setdefault((c, sol.roots.get((om[g][h[0]],)), g), [0, h])[0] += 1
+    levels, matched, witnesses = [], 0, []
+    for depth, level in enumerate(classes):
+        pairs, below = [], {}
+        for (c, image, g), (n, h) in sorted(reached.items(),
+                                            key=lambda item: (item[1][1], item[0][2])):
+            if image is None:
+                if len(witnesses) < MISSING_WITNESSES:
+                    witnesses.append((g, h))
+                continue
+            pairs.append((g, h, level[c], level[image]))
+            matched += n
+            if depth < max_depth:
+                kids = level[image].children
+                for (a, o), (_, child) in level[c].children.items():
+                    image_child = kids.get((am[g][a], om[g][o]), (0.0, None))[1]
+                    below.setdefault((child, image_child, g), [0, h + (a, o)])[0] += n
+        levels.append(pairs)
+        reached = below
+    return levels, checked, checked - matched, witnesses
+
+
+def reference_class_verify_belief_invariance(
+        pomdp: Pomdp, binding: GroupActionBinding, depth: int, tolerance: float = 1e-12,
+        node_budget: int = 2_000_000) -> SymmetryCheckReport:
+    """``verify_belief_invariance`` with one comparison per class pair, on a
+    scratch dense vector; timings are left at zero."""
+    binding.validate()
+    sol = exact_q(pomdp, depth, node_budget=node_budget)
+    # state g^-1 s' for each image state s' = g s, so that the image belief
+    # compares in the class's states; the entries missing from one support
+    # are zeros, added to and cleared from a scratch vector per pair
+    unmap = np.argsort(binding.state_maps, axis=1)
+    diff = np.zeros(pomdp.n_states)
+    levels, checked, missing, witnesses = _class_image_pairs(sol, binding, depth)
+    max_dev, witness = 0.0, None
+    for pairs in levels:
+        for g, h, cls, image in pairs:
+            mapped = unmap[g][image.support]
+            diff[cls.support] = cls.probs
+            diff[mapped] -= image.probs
+            union = np.concatenate((cls.support, mapped))
+            dev = float(np.abs(diff[union]).max())
+            diff[union] = 0.0
+            if dev > max_dev:
+                max_dev, witness = dev, (g, h, f"belief deviation {dev:.3e}")
+    passed = max_dev < tolerance and not missing
+    return SymmetryCheckReport("belief-invariance", passed, max_dev, tolerance,
+                               checked, missing, witnesses, witness,
+                               histories=sol.node_count, belief_classes=sol.class_count)
+
+
+def reference_class_verify_value_invariance(
+        pomdp: Pomdp, binding: GroupActionBinding, horizon: int, tolerance: float = 1e-9,
+        policy_tol: float = 1e-9, node_budget: int = 2_000_000) -> SymmetryCheckReport:
+    """``verify_value_invariance`` with one comparison per class pair, deepest
+    first, and each class's greedy set cached by identity; timings are left
+    at zero."""
+    binding.validate()
+    sol = exact_q(pomdp, horizon, node_budget=node_budget)
+    am = binding.action_maps
+    am_rows = am.tolist()
+    levels, checked, missing, witnesses = _class_image_pairs(sol, binding, horizon - 1)
+    max_dev, witness = 0.0, None
+    policy_ok, policy_witness = True, None
+    greedy: dict[int, tuple[int, ...]] = {}   # id(class) -> its greedy set
+
+    def greedy_set(cls: BeliefClass) -> tuple[int, ...]:
+        got = greedy.get(id(cls))
+        if got is None:
+            got = greedy[id(cls)] = greedy_actions(cls.q, policy_tol)
+        return got
+
+    for pairs in reversed(levels):
+        for g, h, cls, image in pairs:
+            qdev = float(np.abs(image.q[am[g]] - cls.q).max())
+            vdev = abs(image.value - cls.value)
+            dev = max(qdev, vdev)
+            if dev > max_dev:
+                max_dev, witness = dev, (
+                    g, h, f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
+            mapped = {am_rows[g][a] for a in greedy_set(cls)}
+            direct = set(greedy_set(image))
+            if mapped != direct and policy_ok:
+                policy_ok, policy_witness = False, (g, h, sorted(mapped), sorted(direct))
+    passed = max_dev < tolerance and policy_ok and not missing
+    return SymmetryCheckReport("value-invariance", passed, max_dev, tolerance, checked,
+                               missing, witnesses, witness, policy_ok, policy_witness,
+                               histories=sol.node_count, belief_classes=sol.class_count)

@@ -1,5 +1,6 @@
 import itertools
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from equipomdp.pomdp import (
     belief_update,
     check_invariance,
     exact_q,
-    greedy_actions,
     initial_belief,
     load_tables,
     save_tables,
@@ -30,7 +30,10 @@ from reference_oracle import (
     HistoryMdp,
     act_on_history,
     class_of,
+    greedy_actions,
     reference_class_q,
+    reference_class_verify_belief_invariance,
+    reference_class_verify_value_invariance,
     reference_exact_q,
     reference_verify_belief_invariance,
     reference_verify_value_invariance,
@@ -552,6 +555,91 @@ def test_belief_check_over_different_supports_reports_the_dense_deviation(swap):
         assert report_fields(report) == report_fields(expect)
         assert report.max_dev == pytest.approx(0.7, abs=1e-12)
         assert report.witness[:2] == (1, (0,))
+
+
+def two_root_flip_toy():
+    """The spread toy's tables with the first observations 5e-14 apart, inside
+    the spread bound: both roots fall in one class, and under the flip
+    (states and observations swapped) each root's image is the other, so
+    both roots reach one pair (class, class, flip)."""
+    delta = 5e-14
+    pomdp = Pomdp(
+        start=np.array([0.5, 0.5]),
+        trans=np.tile(np.eye(2)[:, None, :], (1, 1, 1)),
+        reward=np.array([[1.0], [0.0]]),
+        obs=np.full((1, 2, 2), 0.5),
+        obs0=np.array([[0.5, 0.5], [0.5 + delta, 0.5 - delta]]),
+        discount=0.9,
+    )
+    pomdp.validate()
+    binding = GroupActionBinding(FLIP, np.array([[0, 1], [1, 0]]),
+                                 np.zeros((2, 1), dtype=np.int64), np.array([[0, 1], [1, 0]]))
+    return pomdp, binding
+
+
+def random_instance(seed, group, averaged):
+    rng = np.random.default_rng(seed)
+    pomdp = random_pomdp(rng, 6, group.order, 6, discount=0.9)
+    binding = random_binding(group, rng, 6, group.order, 6)
+    return (group_average(pomdp, binding) if averaged else pomdp), binding
+
+
+def assert_same_report(report, expect):
+    """Every field but the timings equal, ``max_dev`` bit for bit."""
+    for f in fields(report):
+        if f.name in ("solve_s", "check_s"):
+            continue
+        got, want = getattr(report, f.name), getattr(expect, f.name)
+        if f.name == "max_dev":
+            got, want = got.hex(), want.hex()
+        assert got == want, f.name
+
+
+@pytest.mark.parametrize("make, horizon, facts", [
+    pytest.param(lambda: export_pomdp(CarFlag2dConfig(grid_size=3))[:2], 6, None,
+                 id="3x3-h6"),
+    pytest.param(lambda: export_pomdp(CarFlag2dConfig(grid_size=3, info_offset=1))[:2], 6,
+                 lambda value, belief: (value.missing == 65_891 and value.witness
+                                        and value.policy_witness), id="3x3-h6-offset"),
+    pytest.param(lambda: export_pomdp(CarFlag2dConfig(grid_size=5))[:2], 4, None,
+                 id="5x5-h4"),
+    pytest.param(lambda: export_pomdp(CarFlag1dConfig(half_size=10))[:2], 50, None,
+                 id="1d-half10-h50"),
+    pytest.param(lambda: export_pomdp(CarFlag1dConfig(half_size=10, info_offset=3))[:2], 50,
+                 lambda value, belief: value.missing and value.policy_witness,
+                 id="1d-half10-h50-offset3"),
+    pytest.param(lambda: random_instance(13, C4, True), 2,
+                 lambda value, belief: value.passed and belief.passed,
+                 id="random-c4-averaged"),
+    pytest.param(lambda: random_instance(14, C4, False), 2,
+                 lambda value, belief: value.witness and belief.witness, id="random-c4"),
+    pytest.param(lambda: random_instance(15, FLIP, False), 3,
+                 lambda value, belief: value.witness and belief.witness, id="random-flip"),
+    pytest.param(two_root_flip_toy, 2,
+                 lambda value, belief: belief.witness and not belief.missing,
+                 id="two-root-flip-toy"),
+])
+def test_array_checks_match_the_class_pair_reference(make, horizon, facts):
+    """Both verify functions give the reports of the one-pair-at-a-time class
+    walk, field by field: counts, missing images and their witnesses in
+    order, the deviation bit for bit, its witness and the policy witness.
+    ``facts`` of the two reports pins what each instance exercises."""
+    pomdp, binding = make()
+    value = verify_value_invariance(pomdp, binding, horizon)
+    assert_same_report(value, reference_class_verify_value_invariance(pomdp, binding, horizon))
+    belief = verify_belief_invariance(pomdp, binding, horizon)
+    assert_same_report(belief,
+                       reference_class_verify_belief_invariance(pomdp, binding, horizon))
+    assert facts is None or facts(value, belief)
+    if horizon == 50:
+        assert belief.checked > 2 ** 53   # counts past float precision stay exact
+
+
+def test_two_root_flip_toy_roots_share_one_class():
+    pomdp, _ = two_root_flip_toy()
+    sol = exact_q(pomdp, horizon=2)
+    assert list(sol.roots.values()) == [0, 0]
+    assert len(sol.classes[0]) == 1
 
 
 # ---------------------------------------------------------------------------
