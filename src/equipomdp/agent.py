@@ -533,8 +533,8 @@ def evaluate(actor, env_config, episodes: int, rng: np.random.Generator,
 
 
 class OracleQPolicy:
-    """Greedy play from an exact finite-horizon solution, walking its belief
-    classes by (action, observation)."""
+    """Greedy play from an exact finite-horizon solution, following its edges
+    by (previous action, observation) from class to class."""
 
     scores = "Q-values"   # what ``player``'s step returns per row
 
@@ -545,26 +545,24 @@ class OracleQPolicy:
     def player(self, streams):
         """``(step, memory)`` for ``play_episodes``. The memory is each
         episode's (depth, class) after its last step, depth -1 before the
-        first; ``step`` follows each row's observation to its class, from the
-        roots at depth 0 and by (previous action, observation) after that, and
-        returns the classes' Q-value rows."""
+        first; ``step`` finds every row's class at once, among the roots at
+        depth 0 and after that as the child of (class, previous action,
+        observation), and returns the classes' Q-value rows."""
         sol = self.solution
 
         def step(obs, prev, memory):
-            depths, classes = memory[0] + 1, memory[1].copy()
-            for row, depth in enumerate(depths):
-                o = self.maps.obs_id_of_array(obs[row])
-                if depth == 0:
-                    c = sol.roots.get((o,))
-                else:
-                    parent = sol.classes[depth - 1][classes[row]]
-                    c = parent.children.get((int(prev[row]), o), (0.0, None))[1]
-                if c is None or depth >= sol.horizon:
-                    raise AgentError(f"observation {o} at step {depth} is outside the "
-                                     f"tree solved to horizon {sol.horizon}")
-                classes[row] = c
-            q = np.array([sol.classes[d][c].q for d, c in zip(depths, classes)])
-            return q, (depths, classes)
+            depths = memory[0] + 1
+            depth = int(depths[0])   # the rows still running are all one step in
+            o = np.array([self.maps.obs_id_of_array(x) for x in obs], dtype=np.int64)
+            if depth == 0:
+                classes = np.array([sol.roots.get((x,), -1) for x in o.tolist()], dtype=np.int64)
+            else:
+                classes = sol.child_of(depth - 1, memory[1], prev, o)
+            outside = np.flatnonzero((classes < 0) | (depth >= sol.horizon))
+            if outside.size:
+                raise AgentError(f"observation {o[outside[0]]} at step {depth} is outside "
+                                 f"the tree solved to horizon {sol.horizon}")
+            return sol.q[depth][classes], (depths, classes)
 
         n = len(streams)
         return step, (np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=np.int64))

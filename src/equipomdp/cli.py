@@ -308,35 +308,43 @@ def cmd_oracle(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_tables(out_dir / "model.tables", pomdp)
     lines = ["equipomdp-qtable 2", f"horizon {args.horizon}", "discount %.17g" % pomdp.discount]
-    for depth, level in enumerate(solution.classes):
-        for c, cls in enumerate(level):
-            q = "" if cls.q is None else " ".join("%.12g" % v for v in cls.q)
-            lines.append(f"class {depth} {c} {','.join(map(str, cls.first))}|{q}")
-            lines.extend("edge %d %d %d %d %.17g %d" % (depth, c, a, o, p, child)
-                         for (a, o), (p, child) in cls.children.items())
+    for depth, level in enumerate(solution.first_histories()):
+        rows, edges, ends = [""] * len(level), [], [0] * (len(level) + 1)
+        if depth < solution.horizon:
+            rows = [" ".join("%.12g" % v for v in row) for row in solution.q[depth].tolist()]
+            keys, p, child = solution.edges[depth]
+            parent, a, o = solution.split(keys)
+            edges = ["edge %d %d %d %d %.17g %d" % (depth, *edge) for edge in
+                     zip(parent.tolist(), a.tolist(), o.tolist(), p.tolist(), child.tolist())]
+            ends = np.searchsorted(parent, np.arange(len(level) + 1)).tolist()
+        for c, first in enumerate(level):
+            lines.append(f"class {depth} {c} {','.join(map(str, first))}|{rows[c]}")
+            lines.extend(edges[ends[c]:ends[c + 1]])
     ad.write_atomic(out_dir / "qtable.txt", "\n".join(lines) + "\n")
 
     # spot-check sampled classes, their beliefs made dense: each child
     # recomputed with belief_update must match its stored class, and each Q
     # entry the one-step recursion
     rng = np.random.default_rng(0)
-    solved = [(d, cls) for d, level in enumerate(solution.classes[:-1]) for cls in level]
+    solved = [(d, c) for d, q in enumerate(solution.q) for c in range(len(q))]
+    values = [q.max(axis=1) for q in solution.q] + [np.zeros(len(solution.counts[-1]))]
     worst = 0.0
     for i in rng.choice(len(solved), size=min(50, len(solved)), replace=False):
-        depth, cls = solved[int(i)]
-        belief = cls.dense(pomdp.n_states)
+        depth, c = solved[int(i)]
+        belief = solution.belief(depth, c)
         for a in range(pomdp.n_actions):
             probs = (belief @ pomdp.trans[:, a, :]) @ pomdp.obs[a]
+            seen = np.flatnonzero(probs > 1e-15)
+            kids = solution.child_of(depth, c, a, seen)
             ahead = 0.0
-            for o in np.flatnonzero(probs > 1e-15):
-                _, c = cls.children.get((a, int(o)), (0.0, None))
-                if c is not None:   # a dropped observation shows as a residual
-                    child = solution.classes[depth + 1][c]
-                    b = belief_update(pomdp, belief, a, int(o))
-                    worst = max(worst, float(np.max(np.abs(b - child.dense(pomdp.n_states)))))
-                    ahead += probs[o] * child.value
+            for o, child in zip(seen.tolist(), kids.tolist()):
+                if child >= 0:   # a dropped observation shows as a residual
+                    b = belief_update(pomdp, belief, a, o)
+                    dense = solution.belief(depth + 1, child)
+                    worst = max(worst, float(np.max(np.abs(b - dense))))
+                    ahead += probs[o] * values[depth + 1][child]
             expect = float(belief @ pomdp.reward[:, a]) + pomdp.discount * ahead
-            worst = max(worst, abs(expect - cls.q[a]))
+            worst = max(worst, abs(expect - solution.q[depth][c, a]))
     print(f"bellman spot-check max residual: {worst:.3e}")
 
     success, mean_return = agent_mod.evaluate(

@@ -194,75 +194,87 @@ MISSING_WITNESSES = 20     # unreachable images a report lists, shallowest first
 
 
 @dataclass
-class BeliefClass:
-    """The histories of one depth that share a belief: the solver's unit of work.
-
-    The belief is stored sparse: ``support`` lists the states of nonzero
-    probability in ascending order and ``probs`` their probabilities.
-    ``children`` maps an action and an observation id ``(a, o)`` to
-    ``(p, child)``: the observation's probability and the index of the
-    extension's class one depth deeper, in expansion order. ``count`` is the
-    number of reachable histories in the class and ``first`` the first of
-    them in expansion order, which is lexicographic order of histories.
-    ``support``, ``probs`` and ``q`` are read-only views of arrays that the
-    classes of one depth share, kept as ``QSolution.entries`` and
-    ``QSolution.q``.
-    """
-
-    support: np.ndarray   # (k,) int64, ascending
-    probs: np.ndarray     # (k,)
-    first: tuple
-    count: int = 0
-    children: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
-    q: np.ndarray | None = None    # None at the horizon
-    value: float = 0.0
-
-    def dense(self, n_states: int) -> np.ndarray:
-        """The belief as a read-only vector over all ``n_states`` states."""
-        belief = np.zeros(n_states)
-        belief[self.support] = self.probs
-        belief.flags.writeable = False
-        return belief
-
-
-@dataclass
 class QSolution:
     """Optimal action values on the per-depth belief classes of the reachable
-    history tree, linked by their children; histories are only counted.
+    history tree, held as per-depth arrays; histories are only counted.
 
-    Beside the classes it keeps the per-depth arrays that they view and that
-    the symmetry checks read. ``entries[d]`` is ``(starts, states, probs)``:
-    class c's belief is ``states[starts[c]:starts[c + 1]]`` with ``probs``
-    alike. Below the horizon, ``edges[d]`` is ``(keys, p, child)``, one entry
-    per child link in ascending key (class * A + a) * O + o, and ``q[d]`` is
-    the (n, A) array of the classes' Q rows.
+    ``entries[d]`` is ``(starts, states, probs)``: class c's belief is
+    ``states[starts[c]:starts[c + 1]]`` (ascending) with ``probs`` alike.
+    ``counts[d]`` holds each class's number of histories as Python ints.
+    Below the horizon, ``edges[d]`` is ``(keys, p, child)``, one entry per
+    child link in ascending key (class * A + a) * O + o, with the
+    observation's probability and the child's class one depth deeper, and
+    ``q[d]`` is the (n, A) array of the classes' Q rows. Every array is
+    read-only. A class's first history is derived, not stored (see
+    ``first_histories``).
     """
 
     horizon: int
     n_states: int
-    classes: list[list[BeliefClass]]   # per depth
+    n_actions: int
+    n_obs: int
     roots: dict[tuple, int]            # each first observation's history to its class
     root_probs: dict[tuple, float]
     node_count: int                    # reachable histories, summed from class counts
     entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]]   # per depth
+    counts: list[np.ndarray]                                    # per depth
     edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]]     # per depth below the horizon
     q: list[np.ndarray]                                         # per depth below the horizon
 
     @property
     def class_count(self) -> int:
-        return sum(len(level) for level in self.classes)
+        return sum(len(starts) - 1 for starts, _, _ in self.entries)
 
     @property
     def values(self) -> dict[tuple, float]:
         """V* of every root history."""
-        return {h: self.classes[0][c].value for h, c in self.roots.items()}
+        top = self.q[0].max(axis=1).tolist() if self.q else [0.0] * len(self.counts[0])
+        return {h: top[c] for h, c in self.roots.items()}
+
+    def split(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The class, action and observation of each edge key."""
+        return (keys // (self.n_actions * self.n_obs), keys // self.n_obs % self.n_actions,
+                keys % self.n_obs)
+
+    def child_of(self, depth: int, classes: np.ndarray, actions: np.ndarray,
+                 obs: np.ndarray) -> np.ndarray:
+        """The class one depth below that each (class, action, observation)
+        of ``depth`` reaches, -1 where it has no edge."""
+        keys = (classes * self.n_actions + actions) * self.n_obs + obs
+        edge_keys, _, child = self.edges[depth]
+        at = np.searchsorted(edge_keys, keys)   # len(edge_keys) past the last key
+        return np.where(np.append(edge_keys, -1)[at] == keys, np.append(child, -1)[at], -1)
+
+    def first_histories(self) -> list[list[tuple]]:
+        """Each class's first history in expansion order (lexicographic order
+        of histories), per depth; built on each call. A root class's is its
+        least root history; below, the first edge in key order that reaches
+        a class extends its parent's first history by the edge's action and
+        observation."""
+        level = {c: h for h, c in reversed(self.roots.items())}
+        firsts = [[level[c] for c in range(len(level))]]
+        for keys, _, child in self.edges:
+            # classes are numbered as their first edge opens them
+            _, first = np.unique(child, return_index=True)
+            firsts.append([firsts[-1][c] + (a, o) for c, a, o in
+                           zip(*(col.tolist() for col in self.split(keys[first])))])
+        return firsts
+
+    def belief(self, depth: int, c: int) -> np.ndarray:
+        """Class c's belief at ``depth`` as a read-only vector over all states."""
+        starts, states, probs = self.entries[depth]
+        belief = np.zeros(self.n_states)
+        belief[states[starts[c]:starts[c + 1]]] = probs[starts[c]:starts[c + 1]]
+        belief.flags.writeable = False
+        return belief
 
     @property
     def beliefs(self) -> dict[tuple, np.ndarray]:
         """Each class's belief as a dense vector, keyed by the class's first
         history; built on each call."""
-        return {cls.first: cls.dense(self.n_states) for level in self.classes
-                for cls in level}
+        return {first: self.belief(depth, c)
+                for depth, level in enumerate(self.first_histories())
+                for c, first in enumerate(level)}
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,11 +349,6 @@ class _Tables:
         return (kids[kept], obs_p[kept], states, post[nz],
                 np.bincount(child, minlength=int(kept.sum())))
 
-    def split(self, kids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The belief, action and observation of each child key."""
-        n_actions, n_obs = self.shape[1:]
-        return kids // (n_actions * n_obs), kids // n_obs % n_actions, kids % n_obs
-
     def rewards(self, owner: np.ndarray, states: np.ndarray, probs: np.ndarray,
                 n: int) -> np.ndarray:
         """Each of ``n`` beliefs' expected immediate reward per action, summed
@@ -365,8 +372,8 @@ class _Level:
     """The belief classes of one depth while they are interned: each class's
     key, and every class's belief, concatenated in class order in arrays
     that grow by doubling (class c is ``states[starts[c]:starts[c + 1]]``,
-    ``probs`` alike). Once compacted, the depth's classes view these arrays,
-    and the next depth expands from them."""
+    ``probs`` alike). Once compacted, they are the depth's entries in the
+    solution, and the next depth expands from them."""
 
     def __init__(self, depth: int):
         self.depth = depth
@@ -376,12 +383,11 @@ class _Level:
         self.starts = np.zeros(1, dtype=np.int64)
 
     def intern(self, states: np.ndarray, probs: np.ndarray,
-               lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               lengths: np.ndarray) -> np.ndarray:
         """Class ids of the beliefs given as consecutive runs of ``lengths``
         entries, each keyed by its states and its probabilities rounded to
-        1e-12; a new key opens a class. Returns the ids and the indices of
-        the beliefs that opened a class. A belief that differs from its
-        class's first by more than the spread bound raises."""
+        1e-12; a new key opens a class. Returns the ids. A belief that
+        differs from its class's first by more than the spread bound raises."""
         bounds = np.concatenate(([0], np.cumsum(lengths)))
         record = np.empty((len(states), 2), dtype=np.int64)
         record[:, 0] = states
@@ -408,11 +414,11 @@ class _Level:
         if spread > CLASS_SPREAD_TOL:
             raise PomdpError(f"belief class at depth {self.depth} spreads by {spread:.3e}, "
                              f"over {CLASS_SPREAD_TOL:.0e}")
-        return ids, opened
+        return ids
 
-    def classes(self, firsts: list[tuple]) -> list[BeliefClass]:
-        """The classes, read-only views of the beliefs, given their first
-        histories. The keys are dropped: no more beliefs can be interned."""
+    def compact(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The level's ``(starts, states, probs)``, trimmed and read-only. The
+        keys are dropped: no more beliefs can be interned."""
         n = len(self.keys)
         del self.keys
         self.starts = self.starts[:n + 1].copy()
@@ -420,9 +426,7 @@ class _Level:
         self.probs = self.probs[:self.starts[n]].copy()
         for array in (self.starts, self.states, self.probs):
             array.flags.writeable = False
-        bounds = self.starts.tolist()
-        return [BeliefClass(self.states[lo:hi], self.probs[lo:hi], first)
-                for first, lo, hi in zip(firsts, bounds[:-1], bounds[1:])]
+        return self.starts, self.states, self.probs
 
 
 PUSH_SLICE = 1 << 14   # most push entries (class, s, a, s') one slice of a depth forms
@@ -439,7 +443,7 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
     transition and emission tables. It expands a depth's classes in slices
     of at most ``PUSH_SLICE`` push entries, forming every child of a slice
     at once, and interns the children by key; ``node_budget`` counts classes
-    and is checked after each slice, before the depth's classes are built.
+    and is checked after each slice, before the depth's arrays are compacted.
     No history is enumerated: a class's history count is the sum, over the
     edges that reach it, of its parents' counts. Values at the horizon are
     zero; each earlier depth is backed up in one pass, as the expected
@@ -458,67 +462,56 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
     beliefs = [initial_belief(pomdp, o) for o in root_obs]
     supports = [np.flatnonzero(b) for b in beliefs]
     built = _Level(0)
-    ids, opened = built.intern(
+    ids = built.intern(
         np.concatenate([*supports, np.empty(0, dtype=np.int64)]),
         np.concatenate([*(b[nz] for b, nz in zip(beliefs, supports)), np.empty(0)]),
         np.array([len(nz) for nz in supports], dtype=np.int64))
     roots = {(o,): c for o, c in zip(root_obs, ids.tolist())}
-    classes = [built.classes([(root_obs[k],) for k in opened.tolist()])]
+    entries = [built.compact()]
     # history counts as Python integers: they outgrow int64 at long horizons
-    counts = [np.zeros(len(classes[0]), dtype=object)]
+    counts = [np.zeros(len(entries[0][0]) - 1, dtype=object)]
     np.add.at(counts[0], ids, 1)
-    entries = [(built.starts, built.states, built.probs)]
     edges, qs = [], []   # per depth: each edge's key, p, child; each class's reward row
+    solved = len(counts[0])   # classes of the depths already built
 
     for depth in range(horizon):
-        parents, source = classes[depth], built
+        starts, source_states, source_probs = entries[depth]
+        n = len(starts) - 1
         built = _Level(depth + 1)
-        starts = source.starts
         # push entries before each class, where the depth is cut into slices
-        pushes = np.concatenate(([0], np.cumsum(np.diff(tables.trans[0])[source.states])))
+        pushes = np.concatenate(([0], np.cumsum(np.diff(tables.trans[0])[source_states])))
         pushes = pushes[starts]
-        reward = np.empty((len(parents), n_actions))
+        reward = np.empty((n, n_actions))
         found, c0 = [], 0
-        while c0 < len(parents):
+        while c0 < n:
             c1 = max(c0 + 1, int(np.searchsorted(pushes, pushes[c0] + PUSH_SLICE,
                                                  side="right")) - 1)
             lo, hi = starts[c0], starts[c1]
             owner = np.repeat(np.arange(c0, c1), np.diff(starts[c0:c1 + 1]))
-            states, probs = source.states[lo:hi], source.probs[lo:hi]
+            states, probs = source_states[lo:hi], source_probs[lo:hi]
             reward[c0:c1] = tables.rewards(owner - c0, states, probs, c1 - c0)
             kids, p, states, probs, lengths = tables.expand(owner, states, probs, obs_tol)
-            ids, opened = built.intern(states, probs, lengths)
-            n_classes = sum(map(len, classes)) + len(built.keys)
+            ids = built.intern(states, probs, lengths)
+            n_classes = solved + len(built.keys)
             if n_classes > node_budget:
                 raise NodeBudgetError(
                     f"belief-class DAG exceeded the node budget ({node_budget} classes) "
                     f"at depth {depth + 1} with {n_classes} classes")
-            found.append((kids, p, ids, kids[opened]))
+            found.append((kids, p, ids))
             c0 = c1
-        kids, p, child, openers = (np.concatenate(col) for col in zip(*found)) if found \
-            else (np.empty(0, dtype=np.int64),) * 4
-        firsts = [parents[c].first + (a, o)
-                  for c, a, o in zip(*(col.tolist() for col in tables.split(openers)))]
-        classes.append(built.classes(firsts))
-        entries.append((built.starts, built.states, built.probs))
-        parent, action, o = tables.split(kids)
-        ends = np.searchsorted(parent, np.arange(len(parents) + 1)).tolist()
-        links = list(zip(action.tolist(), o.tolist()))
-        ints = np.array(range(len(classes[-1])), dtype=object)   # shared by a class's edges
-        targets = list(zip(p.tolist(), ints[child].tolist()))
-        for cls, lo, hi in zip(parents, ends[:-1], ends[1:]):
-            cls.children = dict(zip(links[lo:hi], targets[lo:hi]))
-        counts.append(np.zeros(len(classes[-1]), dtype=object))
-        np.add.at(counts[-1], child, counts[depth][parent])
-        for array in (kids, p, child):
+        kids, p, child = (np.concatenate(col) for col in zip(*found)) if found \
+            else (np.empty(0, dtype=np.int64),) * 3
+        entries.append(built.compact())
+        counts.append(np.zeros(len(entries[-1][0]) - 1, dtype=object))
+        np.add.at(counts[-1], child, counts[depth][kids // (n_actions * n_obs)])
+        solved += len(counts[-1])
+        for array in (kids, p, child, counts[depth]):
             array.flags.writeable = False
         edges.append((kids, p, child))
         qs.append(reward)
+    counts[horizon].flags.writeable = False
 
-    for level, n in zip(classes, counts):
-        for cls, count in zip(level, n.tolist()):
-            cls.count = count
-    values = np.zeros(len(classes[horizon]))
+    values = np.zeros(len(counts[horizon]))
     for depth in range(horizon - 1, -1, -1):
         q, (kids, p, child) = qs[depth], edges[depth]
         # the children's discounted, observation-weighted values, added in edge order
@@ -526,11 +519,9 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
                                           minlength=q.size).reshape(q.shape)
         q.flags.writeable = False
         values = q.max(axis=1)
-        for cls, row, value in zip(classes[depth], q, values.tolist()):
-            cls.q, cls.value = row, value
     node_count = sum(sum(n.tolist()) for n in counts)
-    return QSolution(horizon, pomdp.n_states, classes, roots, root_probs, node_count,
-                     entries, edges, qs)
+    return QSolution(horizon, pomdp.n_states, n_actions, n_obs, roots, root_probs,
+                     node_count, entries, counts, edges, qs)
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +640,8 @@ def _image_pairs(sol: QSolution, binding: GroupActionBinding, max_depth: int):
     """
     elements = np.array([g for g in binding.group.elements if g != 0], dtype=np.int64)
     am, om = binding.action_maps, binding.obs_maps
-    n_actions, n_obs = am.shape[1], om.shape[1]
-    checked = len(elements) * sum(cls.count for level in sol.classes[:max_depth + 1]
-                                  for cls in level)
+    n_actions, n_obs = sol.n_actions, sol.n_obs
+    checked = len(elements) * sum(sum(n.tolist()) for n in sol.counts[:max_depth + 1])
     # each root under each g, roots in order of their observation
     obs = np.repeat(np.array([h[0] for h in sol.roots], dtype=np.int64), len(elements))
     cls = np.repeat(np.array(list(sol.roots.values()), dtype=np.int64), len(elements))
@@ -663,7 +653,7 @@ def _image_pairs(sol: QSolution, binding: GroupActionBinding, max_depth: int):
                    none, none, obs)
     levels, matched, witnesses = [], 0, []
     for depth in range(max_depth + 1):
-        pairs = _merged(found, len(sol.classes[depth]), binding.group.order)
+        pairs = _merged(found, len(sol.counts[depth]), binding.group.order)
         reachable = pairs.image >= 0
         for row in np.flatnonzero(~reachable)[:MISSING_WITNESSES - len(witnesses)].tolist():
             witnesses.append((int(pairs.g[row]), _history(levels, pairs, row)))
@@ -673,15 +663,13 @@ def _image_pairs(sol: QSolution, binding: GroupActionBinding, max_depth: int):
         if depth == max_depth:
             break
         keys, _, child = sol.edges[depth]
-        ends = np.searchsorted(keys, np.arange(len(sol.classes[depth]) + 1)
+        ends = np.searchsorted(keys, np.arange(len(sol.counts[depth]) + 1)
                                * (n_actions * n_obs))
         edge, row = _spans(ends[pairs.cls], ends[pairs.cls + 1] - ends[pairs.cls])
-        a, o, g = keys[edge] // n_obs % n_actions, keys[edge] % n_obs, pairs.g[row]
-        image_key = (pairs.image[row] * n_actions + am[g, a]) * n_obs + om[g, o]
-        at = np.minimum(np.searchsorted(keys, image_key), len(keys) - 1)
-        found = _Pairs(child[edge], np.where(keys[at] == image_key, child[at], -1), g,
-                       pairs.count[row], (pairs.rank[row] * n_actions + a) * n_obs + o,
-                       row, a, o)
+        (_, a, o), g = sol.split(keys[edge]), pairs.g[row]
+        image = sol.child_of(depth, pairs.image[row], am[g, a], om[g, o])
+        found = _Pairs(child[edge], image, g, pairs.count[row],
+                       (pairs.rank[row] * n_actions + a) * n_obs + o, row, a, o)
     return levels, checked, checked - matched, witnesses
 
 

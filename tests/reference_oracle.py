@@ -7,14 +7,15 @@ class at a time, with one push of its belief per class; ``exact_q``, which
 works a depth at a time over the tables' nonzeros, must give its classes
 bit for bit. ``reference_class_verify_belief_invariance`` and
 ``reference_class_verify_value_invariance`` walk the pairs (class, image
-class, g) of an ``exact_q`` solution by its children dicts and compare them
-one pair at a time; the verify functions, which pair and compare a depth at
-a time in array passes, must give their reports field by field.
+class, g) of an ``exact_q`` solution by children dicts built from its edge
+arrays (``child_dicts``) and compare them one pair at a time; the verify
+functions, which pair and compare a depth at a time in array passes, must
+give their reports field by field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from equipomdp.pomdp import (
     CLASS_DECIMALS,
     CLASS_SPREAD_TOL,
     MISSING_WITNESSES,
-    BeliefClass,
     GroupActionBinding,
     NodeBudgetError,
     Pomdp,
@@ -78,16 +78,35 @@ class HistoryMdp:
         return float(self.obs_probs(h, a)[h2[-1]])
 
 
-def class_of(sol, h: tuple):
-    """The belief class of history ``h`` in an ``exact_q`` solution, found by
-    walking the class DAG by (a, o); None when ``h`` is unreachable."""
+def child_dicts(sol: QSolution) -> list[list[dict]]:
+    """Per depth below the horizon, each class's children in an ``exact_q``
+    solution as ``{(a, o): (p, child)}`` in key order, read from its edges."""
+    out, a_o = [], sol.n_actions * sol.n_obs
+    for (keys, p, child), q in zip(sol.edges, sol.q):
+        level = [{} for _ in range(len(q))]
+        for key, prob, c in zip(keys.tolist(), p.tolist(), child.tolist()):
+            level[key // a_o][key // sol.n_obs % sol.n_actions, key % sol.n_obs] = (prob, c)
+        out.append(level)
+    return out
+
+
+def class_of(sol: QSolution, h: tuple, children: list | None = None):
+    """``(depth, class)`` of history ``h`` in an ``exact_q`` solution, found by
+    walking ``children`` (``child_dicts(sol)`` when not given) by (a, o);
+    None when ``h`` is unreachable."""
+    children = child_dicts(sol) if children is None else children
     c = sol.roots.get(h[:1])
     for depth in range(len(h) // 2):
         if c is None:
             return None
-        edge = sol.classes[depth][c].children.get(h[2 * depth + 1: 2 * depth + 3])
+        edge = children[depth][c].get(h[2 * depth + 1: 2 * depth + 3])
         c = None if edge is None else edge[1]
-    return None if c is None else sol.classes[len(h) // 2][c]
+    return None if c is None else (len(h) // 2, c)
+
+
+def class_value(sol: QSolution, depth: int, c: int) -> float:
+    """V* of class c at ``depth``: its Q row's maximum, 0.0 at the horizon."""
+    return float(sol.q[depth][c].max()) if depth < sol.horizon else 0.0
 
 
 @dataclass
@@ -213,13 +232,38 @@ def reference_verify_value_invariance(sol: ReferenceSolution, binding: GroupActi
                                len(missing), missing, witness, policy_ok, policy_witness)
 
 
+@dataclass
+class RefClass:
+    """One belief class of ``reference_class_q``: the histories of one depth
+    that share a belief, stored sparse (``support`` ascending, ``probs``).
+    ``children`` maps (a, o) to (p, child index one depth deeper) in
+    expansion order; ``count`` is the number of histories and ``first`` the
+    first of them in expansion order."""
+
+    support: np.ndarray
+    probs: np.ndarray
+    first: tuple
+    count: int = 0
+    children: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
+    q: np.ndarray | None = None    # None at the horizon
+    value: float = 0.0
+
+
+@dataclass
+class ClassSolution:
+    classes: list[list[RefClass]]   # per depth
+    roots: dict[tuple, int]
+    root_probs: dict[tuple, float]
+    node_count: int
+
+
 def _readonly(array: np.ndarray) -> np.ndarray:
     array = array.copy()
     array.flags.writeable = False
     return array
 
 
-def _intern(level: list[BeliefClass], keys: dict, support: np.ndarray, probs: np.ndarray,
+def _intern(level: list[RefClass], keys: dict, support: np.ndarray, probs: np.ndarray,
             rounded: np.ndarray, depth: int, first: tuple) -> int:
     """Index of the class of the belief ``probs`` on ``support`` in ``level``,
     keyed by the support and ``rounded`` (the probabilities rounded to
@@ -229,7 +273,7 @@ def _intern(level: list[BeliefClass], keys: dict, support: np.ndarray, probs: np
     c = keys.get(key)
     if c is None:
         c = keys[key] = len(level)
-        level.append(BeliefClass(_readonly(support), _readonly(probs), first))
+        level.append(RefClass(_readonly(support), _readonly(probs), first))
         return c
     spread = float(np.abs(level[c].probs - probs).max())
     if spread > CLASS_SPREAD_TOL:
@@ -238,14 +282,14 @@ def _intern(level: list[BeliefClass], keys: dict, support: np.ndarray, probs: np
     return c
 
 
-def reference_class_q(pomdp: Pomdp, horizon: int, obs_tol: float = 1e-15) -> QSolution:
+def reference_class_q(pomdp: Pomdp, horizon: int, obs_tol: float = 1e-15) -> ClassSolution:
     """The belief-class DAG built one class at a time: each class pushes its
     belief through the rows of ``trans`` on its support, forms all its
     children from that push, interns them one by one and is backed up with
     a Python sum over its children."""
     n_states, n_actions = pomdp.n_states, pomdp.n_actions
     trans = pomdp.trans.reshape(n_states, -1)
-    classes: list[list[BeliefClass]] = [[]]
+    classes: list[list[RefClass]] = [[]]
     keys: dict = {}
     roots: dict[tuple, int] = {}
     root_probs: dict[tuple, float] = {}
@@ -261,7 +305,7 @@ def reference_class_q(pomdp: Pomdp, horizon: int, obs_tol: float = 1e-15) -> QSo
         classes[0][c].count += 1
 
     for depth in range(horizon):
-        level: list[BeliefClass] = []
+        level: list[RefClass] = []
         keys = {}
         for cls in classes[depth]:
             pushed = (cls.probs @ trans[cls.support]).reshape(n_actions, n_states)
@@ -296,37 +340,23 @@ def reference_class_q(pomdp: Pomdp, horizon: int, obs_tol: float = 1e-15) -> QSo
             cls.q.flags.writeable = False
             cls.value = float(cls.q.max())
     node_count = sum(cls.count for level in classes for cls in level)
-    # the per-depth arrays of the solution, gathered from the classes
-    entries = [(np.cumsum([0] + [len(cls.support) for cls in level]),
-                np.concatenate([cls.support for cls in level] + [np.empty(0, dtype=np.int64)]),
-                np.concatenate([cls.probs for cls in level] + [np.empty(0)]))
-               for level in classes]
-    edges, q = [], []
-    for level in classes[:horizon]:
-        links = [((c * n_actions + a) * pomdp.n_obs + o, p, child)
-                 for c, cls in enumerate(level) for (a, o), (p, child) in cls.children.items()]
-        edges.append((np.array([key for key, _, _ in links], dtype=np.int64),
-                      np.array([p for _, p, _ in links], dtype=float),
-                      np.array([child for _, _, child in links], dtype=np.int64)))
-        q.append(np.array([cls.q for cls in level]).reshape(-1, n_actions))
-    return QSolution(horizon, n_states, classes, roots, root_probs, node_count,
-                     entries, edges, q)
+    return ClassSolution(classes, roots, root_probs, node_count)
 
 
 def _class_image_pairs(sol: QSolution, binding: GroupActionBinding, max_depth: int):
     """Pair the classes of histories and of their images, in lockstep from the
     roots through ``max_depth``, for every non-identity element g, one pair
-    at a time over the classes' children dicts.
+    at a time over the classes' children dicts (``child_dicts``).
 
     Returns ``(levels, checked, missing, witnesses)`` as ``_image_pairs``
-    does, except that ``levels[d]`` lists ``(g, h, cls, image)`` for the
+    does, except that ``levels[d]`` lists ``(g, h, c, image)`` for the
     pairs of depth d with reachable images, h being a pair's first history.
     """
     gs = [g for g in binding.group.elements if g != 0]
     om = [m.tolist() for m in binding.obs_maps]
     am = [m.tolist() for m in binding.action_maps]
-    classes = sol.classes[:max_depth + 1]
-    checked = len(gs) * sum(cls.count for level in classes for cls in level)
+    children = child_dicts(sol)
+    checked = len(gs) * sum(sum(n.tolist()) for n in sol.counts[:max_depth + 1])
     # (class, image class, g) -> [histories, first history]. Expansion order
     # is lexicographic, and parents are extended in order of their first
     # history, so the first history to reach a pair is its first.
@@ -335,7 +365,7 @@ def _class_image_pairs(sol: QSolution, binding: GroupActionBinding, max_depth: i
         for g in gs:
             reached.setdefault((c, sol.roots.get((om[g][h[0]],)), g), [0, h])[0] += 1
     levels, matched, witnesses = [], 0, []
-    for depth, level in enumerate(classes):
+    for depth in range(max_depth + 1):
         pairs, below = [], {}
         for (c, image, g), (n, h) in sorted(reached.items(),
                                             key=lambda item: (item[1][1], item[0][2])):
@@ -343,11 +373,11 @@ def _class_image_pairs(sol: QSolution, binding: GroupActionBinding, max_depth: i
                 if len(witnesses) < MISSING_WITNESSES:
                     witnesses.append((g, h))
                 continue
-            pairs.append((g, h, level[c], level[image]))
+            pairs.append((g, h, c, image))
             matched += n
             if depth < max_depth:
-                kids = level[image].children
-                for (a, o), (_, child) in level[c].children.items():
+                kids = children[depth][image]
+                for (a, o), (_, child) in children[depth][c].items():
                     image_child = kids.get((am[g][a], om[g][o]), (0.0, None))[1]
                     below.setdefault((child, image_child, g), [0, h + (a, o)])[0] += n
         levels.append(pairs)
@@ -369,12 +399,13 @@ def reference_class_verify_belief_invariance(
     diff = np.zeros(pomdp.n_states)
     levels, checked, missing, witnesses = _class_image_pairs(sol, binding, depth)
     max_dev, witness = 0.0, None
-    for pairs in levels:
-        for g, h, cls, image in pairs:
-            mapped = unmap[g][image.support]
-            diff[cls.support] = cls.probs
-            diff[mapped] -= image.probs
-            union = np.concatenate((cls.support, mapped))
+    for (starts, states, probs), pairs in zip(sol.entries, levels):
+        for g, h, c, image in pairs:
+            own, other = slice(starts[c], starts[c + 1]), slice(starts[image], starts[image + 1])
+            mapped = unmap[g][states[other]]
+            diff[states[own]] = probs[own]
+            diff[mapped] -= probs[other]
+            union = np.concatenate((states[own], mapped))
             dev = float(np.abs(diff[union]).max())
             diff[union] = 0.0
             if dev > max_dev:
@@ -389,8 +420,8 @@ def reference_class_verify_value_invariance(
         pomdp: Pomdp, binding: GroupActionBinding, horizon: int, tolerance: float = 1e-9,
         policy_tol: float = 1e-9, node_budget: int = 2_000_000) -> SymmetryCheckReport:
     """``verify_value_invariance`` with one comparison per class pair, deepest
-    first, and each class's greedy set cached by identity; timings are left
-    at zero."""
+    first, and each class's greedy set cached by (depth, class); timings are
+    left at zero."""
     binding.validate()
     sol = exact_q(pomdp, horizon, node_budget=node_budget)
     am = binding.action_maps
@@ -398,24 +429,25 @@ def reference_class_verify_value_invariance(
     levels, checked, missing, witnesses = _class_image_pairs(sol, binding, horizon - 1)
     max_dev, witness = 0.0, None
     policy_ok, policy_witness = True, None
-    greedy: dict[int, tuple[int, ...]] = {}   # id(class) -> its greedy set
+    greedy: dict[tuple[int, int], tuple[int, ...]] = {}   # (depth, class) -> greedy set
 
-    def greedy_set(cls: BeliefClass) -> tuple[int, ...]:
-        got = greedy.get(id(cls))
+    def greedy_set(depth: int, c: int) -> tuple[int, ...]:
+        got = greedy.get((depth, c))
         if got is None:
-            got = greedy[id(cls)] = greedy_actions(cls.q, policy_tol)
+            got = greedy[depth, c] = greedy_actions(sol.q[depth][c], policy_tol)
         return got
 
-    for pairs in reversed(levels):
-        for g, h, cls, image in pairs:
-            qdev = float(np.abs(image.q[am[g]] - cls.q).max())
-            vdev = abs(image.value - cls.value)
+    for depth in range(len(levels) - 1, -1, -1):
+        q = sol.q[depth]
+        for g, h, c, image in levels[depth]:
+            qdev = float(np.abs(q[image][am[g]] - q[c]).max())
+            vdev = abs(class_value(sol, depth, image) - class_value(sol, depth, c))
             dev = max(qdev, vdev)
             if dev > max_dev:
                 max_dev, witness = dev, (
                     g, h, f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
-            mapped = {am_rows[g][a] for a in greedy_set(cls)}
-            direct = set(greedy_set(image))
+            mapped = {am_rows[g][a] for a in greedy_set(depth, c)}
+            direct = set(greedy_set(depth, image))
             if mapped != direct and policy_ok:
                 policy_ok, policy_witness = False, (g, h, sorted(mapped), sorted(direct))
     passed = max_dev < tolerance and policy_ok and not missing

@@ -30,6 +30,7 @@ from equipomdp.agent import (
 from equipomdp.autodiff import Adam
 from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, make_env, export_pomdp
 from equipomdp.pomdp import exact_q
+from reference_oracle import child_dicts
 
 CFG_1D = CarFlag1dConfig(half_size=10)
 CFG_2D = CarFlag2dConfig(grid_size=3)
@@ -577,11 +578,12 @@ class PolicyRunner:
 
 class OracleRunner:
     """Sequential reference for ``OracleQPolicy``: walks the solution's belief
-    classes one episode at a time and acts greedily."""
+    classes by their children dicts, one episode at a time, and acts greedily."""
 
     def __init__(self, solution, maps):
         self.solution = solution
         self.maps = maps
+        self.children = child_dicts(solution)
 
     def reset(self):
         self.node = None    # (depth, class, action taken) after the last step
@@ -592,8 +594,8 @@ class OracleRunner:
             depth, c = 0, sol.roots[(o,)]
         else:
             depth, c, a = self.node
-            depth, c = depth + 1, sol.classes[depth][c].children[(a, o)][1]
-        a = int(np.argmax(sol.classes[depth][c].q))
+            depth, c = depth + 1, self.children[depth][c][(a, o)][1]
+        a = int(np.argmax(sol.q[depth][c]))
         self.node = (depth, c, a)
         return a
 

@@ -24,6 +24,7 @@ from equipomdp.pomdp import (
     verify_value_invariance,
 )
 from pomdp_builders import random_pomdp
+from reference_oracle import reference_class_q
 
 
 def run_cli(*argv):
@@ -453,6 +454,31 @@ def test_oracle_smoke(tmp_path, capsys):
     assert all(len(line.split()) == 7 for line in qtable if line.startswith("edge "))
     report = (tmp_path / "o" / "oracle_report.txt").read_text()
     assert "greedy_success_rate=1.0" in report
+
+
+@pytest.mark.parametrize("argv, horizon", [
+    pytest.param(("--env", "carflag2d", "--grid-size", "3"), 6, id="3x3-h6"),
+    pytest.param(("--env", "carflag1d", "--half-size", "10"), 20, id="1d-half10-h20"),
+])
+def test_oracle_qtable_is_the_per_class_reference_text(tmp_path, argv, horizon):
+    """``qtable.txt`` holds, byte for byte, the classes of the one-class-at-a-time
+    solver on the written tables: depth by depth, each class's first history
+    and ``%.12g`` Q row, then its edges in children order. Every sampled
+    class passes the Bellman spot-check with no residual."""
+    out = tmp_path / "o"
+    assert run_cli("oracle", *argv, "--horizon", str(horizon), "--episodes", "5",
+                   "--out", str(out)) == 0
+    pomdp = load_tables(out / "model.tables")
+    lines = ["equipomdp-qtable 2", f"horizon {horizon}", "discount %.17g" % pomdp.discount]
+    for depth, level in enumerate(reference_class_q(pomdp, horizon).classes):
+        for c, cls in enumerate(level):
+            q = "" if cls.q is None else " ".join("%.12g" % v for v in cls.q)
+            lines.append(f"class {depth} {c} {','.join(map(str, cls.first))}|{q}")
+            lines.extend("edge %d %d %d %d %.17g %d" % (depth, c, a, o, p, child)
+                         for (a, o), (p, child) in cls.children.items())
+    assert (out / "qtable.txt").read_text() == "\n".join(lines) + "\n"
+    report = (out / "oracle_report.txt").read_text().splitlines()
+    assert report[1] == "bellman_spot_check=0.000000e+00"
 
 
 def test_oracle_budget_exceeded(tmp_path, capsys):

@@ -29,7 +29,9 @@ from pomdp_builders import group_average, identity_binding, random_binding, rand
 from reference_oracle import (
     HistoryMdp,
     act_on_history,
+    child_dicts,
     class_of,
+    class_value,
     greedy_actions,
     reference_class_q,
     reference_class_verify_belief_invariance,
@@ -214,14 +216,14 @@ def test_history_reward_fully_observable_uses_last_state():
 
 def test_exact_q_zero_horizon():
     sol = exact_q(single_state_pomdp(), horizon=0)
-    assert all(cls.q is None for level in sol.classes for cls in level)
-    assert all(v == 0.0 for v in sol.values.values())
+    assert sol.q == [] and sol.edges == []
+    assert sol.values == {(0,): 0.0}
 
 
 def test_exact_q_geometric_sum():
     sol = exact_q(single_state_pomdp(discount=0.5), horizon=3)
-    root = (0,)
-    assert class_of(sol, root).q[0] == pytest.approx(1.75, abs=1e-12)
+    depth, c = class_of(sol, (0,))
+    assert sol.q[depth][c][0] == pytest.approx(1.75, abs=1e-12)
 
 
 def test_exact_q_bellman_spot_check():
@@ -229,15 +231,17 @@ def test_exact_q_bellman_spot_check():
     pomdp = random_pomdp(rng, 4, 2, 3)
     sol = exact_q(pomdp, horizon=3)
     hm = HistoryMdp(pomdp)
+    children = child_dicts(sol)
     histories = [h for h in reference_exact_q(pomdp, horizon=3).q if len(h) // 2 < 2]
     for h in rng.choice(len(histories), size=min(10, len(histories)), replace=False):
         h = histories[int(h)]
+        depth, c = class_of(sol, h, children)
         for a in range(pomdp.n_actions):
             probs = hm.obs_probs(h, a)
             expect = hm.expected_reward(h, a) + pomdp.discount * sum(
-                probs[o] * class_of(sol, h + (a, int(o))).value
+                probs[o] * class_value(sol, *class_of(sol, h + (a, int(o)), children))
                 for o in np.flatnonzero(probs > 1e-15))
-            assert class_of(sol, h).q[a] == pytest.approx(expect, abs=1e-10)
+            assert sol.q[depth][c][a] == pytest.approx(expect, abs=1e-10)
 
 
 def test_exact_q_node_budget():
@@ -326,24 +330,25 @@ def assert_matches_reference(pomdp, binding, horizon, roundoff=1e-12):
     sol = exact_q(pomdp, horizon)
     assert sol.root_probs == ref.root_probs
     assert sol.node_count == ref.node_count
-    located = {h: class_of(sol, h) for h in ref.beliefs}
-    members: dict[int, list] = {}
-    for h, cls in located.items():
-        assert cls is not None, h
-        members.setdefault(id(cls), []).append(h)
-        if len(h) // 2 == horizon:
-            assert cls.q is None and cls.value == 0.0, h
-    classes = [cls for level in sol.classes for cls in level]
-    assert len(members) == len(classes)
-    for cls in classes:
-        assert (cls.count, cls.first) == (len(members[id(cls)]), members[id(cls)][0])
+    children = child_dicts(sol)
+    located = {h: class_of(sol, h, children) for h in ref.beliefs}
+    members: dict[tuple, list] = {}
+    for h, found in located.items():
+        assert found is not None, h
+        members.setdefault(found, []).append(h)
+        if len(h) // 2 == horizon:   # no Q row at the horizon
+            assert found[0] == len(sol.q) and class_value(sol, *found) == 0.0, h
+    assert len(members) == sol.class_count
+    firsts = sol.first_histories()
+    for (depth, c), hs in members.items():
+        assert (sol.counts[depth][c], firsts[depth][c]) == (len(hs), hs[0])
     for h, row in ref.q.items():
-        cls = located[h]
-        assert np.max(np.abs(cls.q - row)) <= 1e-12, h
-        assert greedy_actions(cls.q) == ref.greedy_set(h), h
+        depth, c = located[h]
+        assert np.max(np.abs(sol.q[depth][c] - row)) <= 1e-12, h
+        assert greedy_actions(sol.q[depth][c]) == ref.greedy_set(h), h
     for h, v in ref.values.items():
-        assert abs(located[h].value - v) <= 1e-12, h
-    assert sol.values == {h: located[h].value for h in ref.root_probs}
+        assert abs(class_value(sol, *located[h]) - v) <= 1e-12, h
+    assert sol.values == {h: class_value(sol, *located[h]) for h in ref.root_probs}
 
     pairs = [(verify_value_invariance(pomdp, binding, horizon),
               reference_verify_value_invariance(ref, binding)),
@@ -439,22 +444,25 @@ def test_depthwise_solver_matches_per_class_reference_bitwise(monkeypatch, confi
     expect = reference_class_q(pomdp, horizon)
     assert (sol.roots, sol.root_probs, sol.node_count) == (
         expect.roots, expect.root_probs, expect.node_count)
-    assert [len(level) for level in sol.classes] == [len(level) for level in expect.classes]
-    for level, expected in zip(sol.classes, expect.classes):
-        for cls, ref in zip(level, expected):
-            assert cls.support.dtype == ref.support.dtype, ref.first
-            assert cls.support.tobytes() == ref.support.tobytes(), ref.first
-            assert cls.probs.tobytes() == ref.probs.tobytes(), ref.first
-            assert (cls.first, cls.count) == (ref.first, ref.count)
-            assert list(cls.children.items()) == list(ref.children.items()), ref.first
-            assert (cls.q is None) == (ref.q is None), ref.first
+    assert [len(n) for n in sol.counts] == [len(level) for level in expect.classes]
+    firsts, children = sol.first_histories(), child_dicts(sol)
+    for depth, expected in enumerate(expect.classes):
+        starts, states, probs = sol.entries[depth]
+        for c, ref in enumerate(expected):
+            support, p = states[starts[c]:starts[c + 1]], probs[starts[c]:starts[c + 1]]
+            assert support.dtype == ref.support.dtype, ref.first
+            assert support.tobytes() == ref.support.tobytes(), ref.first
+            assert p.tobytes() == ref.probs.tobytes(), ref.first
+            assert (firsts[depth][c], sol.counts[depth][c]) == (ref.first, ref.count)
+            assert (depth < len(sol.q)) == (ref.q is not None), ref.first
             if ref.q is not None:
-                assert cls.q.tobytes() == ref.q.tobytes(), ref.first
-                assert not cls.q.flags.writeable
-            assert cls.value == ref.value, ref.first
+                assert list(children[depth][c].items()) == list(ref.children.items()), \
+                    ref.first
+                assert sol.q[depth][c].tobytes() == ref.q.tobytes(), ref.first
+                assert not sol.q[depth].flags.writeable
+            assert class_value(sol, depth, c) == ref.value, ref.first
     if config == CarFlag2dConfig(grid_size=5):
-        pushes = sum(np.count_nonzero(pomdp.trans[cls.support])
-                     for cls in sol.classes[horizon - 1])
+        pushes = np.count_nonzero(pomdp.trans[sol.entries[horizon - 1][1]])
         assert pushes == 40_192 > PUSH_SLICE
 
 
@@ -465,38 +473,49 @@ def test_depthwise_solver_matches_per_class_reference_bitwise(monkeypatch, confi
 def test_belief_classes_store_sparse_read_only_beliefs(config, horizon):
     """Every class holds a sparse belief, and every child formed in bulk is
     bitwise the belief a per-child update of its parent's dense belief gives,
-    in the order that loop meets the children."""
+    in the order that loop meets the children. The solution holds read-only
+    per-depth arrays and no per-class object."""
     pomdp, _, _ = export_pomdp(config)
     sol = exact_q(pomdp, horizon)
     n_states, n_actions = pomdp.n_states, pomdp.n_actions
     trans = pomdp.trans.reshape(n_states, -1)
-    for depth, level in enumerate(sol.classes):
-        for cls in level:
-            if cls.q is not None:
-                belief = cls.dense(n_states)
+    firsts, children = sol.first_histories(), child_dicts(sol)
+    for depth, (starts, states, probs) in enumerate(sol.entries):
+        for c in range(len(starts) - 1):
+            support, p_c = states[starts[c]:starts[c + 1]], probs[starts[c]:starts[c + 1]]
+            if depth < horizon:
+                belief = sol.belief(depth, c)
                 nz = np.flatnonzero(belief)
                 pushed = (belief[nz] @ trans[nz]).reshape(n_actions, n_states)
                 reach = np.flatnonzero(pushed.any(axis=0))
                 obs_p = np.einsum("at,ato->ao", pushed[:, reach], pomdp.obs[:, reach])
                 order = [(a, int(o)) for a in range(n_actions)
                          for o in np.flatnonzero(obs_p[a] > 1e-15)]
-                assert list(cls.children) == order
-                for (a, o), (p, c) in cls.children.items():
+                assert list(children[depth][c]) == order
+                below, kids, kid_probs = sol.entries[depth + 1]
+                for (a, o), (p, child) in children[depth][c].items():
                     assert p == obs_p[a, o]
-                    child = sol.classes[depth + 1][c]
-                    if child.first == cls.first + (a, o):
+                    if firsts[depth + 1][child] == firsts[depth][c] + (a, o):
                         b = pushed[a] * pomdp.obs[a, :, o] / obs_p[a, o]
-                        assert np.array_equal(np.flatnonzero(b), child.support)
-                        assert b[child.support].tobytes() == child.probs.tobytes()
-            assert cls.support.dtype == np.int64
-            assert np.all(np.diff(cls.support) > 0)
-            assert cls.support.shape == cls.probs.shape
-            assert len(cls.support) < pomdp.n_states
-            assert not cls.support.flags.writeable and not cls.probs.flags.writeable
-            assert np.all(cls.probs > 0.0)
-            assert abs(cls.probs.sum() - 1.0) <= 1e-12
-            held = [v for v in vars(cls).values() if isinstance(v, np.ndarray)]
-            assert all(v.size < pomdp.n_states for v in held)
+                        span = slice(below[child], below[child + 1])
+                        assert np.array_equal(np.flatnonzero(b), kids[span])
+                        assert b[kids[span]].tobytes() == kid_probs[span].tobytes()
+            assert support.dtype == np.int64
+            assert np.all(np.diff(support) > 0)
+            assert len(support) < pomdp.n_states
+            assert np.all(p_c > 0.0)
+            assert abs(p_c.sum() - 1.0) <= 1e-12
+        assert starts.dtype == np.int64 and states.shape == probs.shape
+    arrays = [*(a for entry in sol.entries for a in entry), *sol.counts,
+              *(a for edge in sol.edges for a in edge), *sol.q]
+    assert len(arrays) == 4 * (horizon + 1) + 4 * horizon
+    assert not any(a.flags.writeable for a in arrays)
+    for name, value in vars(sol).items():
+        if isinstance(value, list):   # per depth: an array or a tuple of arrays
+            assert all(isinstance(x, np.ndarray) or all(isinstance(y, np.ndarray) for y in x)
+                       for x in value), name
+        else:
+            assert isinstance(value, (int, dict)), name
 
 
 @pytest.mark.parametrize("config, horizon", [
@@ -511,13 +530,16 @@ def test_dense_beliefs_scatter_back_to_the_reference(config, horizon):
     assert len(beliefs) == sol.class_count
     for b in beliefs.values():
         assert b.shape == (pomdp.n_states,) and not b.flags.writeable
+    firsts, children = sol.first_histories(), child_dicts(sol)
     for h, expect in ref.beliefs.items():
-        cls = class_of(sol, h)
-        b = beliefs[cls.first]
-        assert np.array_equal(np.flatnonzero(b), cls.support), h
+        depth, c = class_of(sol, h, children)
+        starts, states, probs = sol.entries[depth]
+        support = states[starts[c]:starts[c + 1]]
+        b = beliefs[firsts[depth][c]]
+        assert np.array_equal(np.flatnonzero(b), support), h
         assert np.max(np.abs(b - expect)) <= 1e-12, h
-        if h == cls.first:
-            assert np.array_equal(b[cls.support], cls.probs), h
+        if h == firsts[depth][c]:
+            assert np.array_equal(b[support], probs[starts[c]:starts[c + 1]]), h
 
 
 @pytest.mark.parametrize("swap", [
@@ -546,8 +568,9 @@ def test_belief_check_over_different_supports_reports_the_dense_deviation(swap):
                                  np.zeros((2, 1), dtype=np.int64),
                                  np.array([[0, 1, 2], [1, 0, 2]]))
     sol = exact_q(pomdp, horizon=1)
-    first, image = (sol.classes[0][sol.roots[(o,)]] for o in (0, 1))
-    supports = [first.support.tolist(), sorted(binding.state_maps[1][image.support].tolist())]
+    starts, states, _ = sol.entries[0]
+    first, image = (states[starts[c]:starts[c + 1]] for c in (sol.roots[(o,)] for o in (0, 1)))
+    supports = [first.tolist(), sorted(binding.state_maps[1][image].tolist())]
     assert supports == ([[0, 1], [1, 3]] if swap else [[0, 2], [0, 1]])
     for depth in (0, 1):
         report = verify_belief_invariance(pomdp, binding, depth)
@@ -639,7 +662,7 @@ def test_two_root_flip_toy_roots_share_one_class():
     pomdp, _ = two_root_flip_toy()
     sol = exact_q(pomdp, horizon=2)
     assert list(sol.roots.values()) == [0, 0]
-    assert len(sol.classes[0]) == 1
+    assert len(sol.counts[0]) == 1
 
 
 # ---------------------------------------------------------------------------
