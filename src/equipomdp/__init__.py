@@ -4,7 +4,7 @@ gridworlds, with exact finite-horizon oracles that verify the symmetry claims.
 
 from .agent import AgentConfig, RecurrentPolicy, evaluate, train
 from .envs import CarFlag1dConfig, CarFlag2dConfig, env_group_binding, export_pomdp, make_env
-from .groups import Group, Representation, make_group
+from .groups import Group, Representation, generate
 from .pomdp import (
     GroupActionBinding,
     Pomdp,
@@ -28,8 +28,8 @@ __all__ = [
     "evaluate",
     "exact_q",
     "export_pomdp",
+    "generate",
     "make_env",
-    "make_group",
     "train",
     "verify_belief_invariance",
     "verify_value_invariance",

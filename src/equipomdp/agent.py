@@ -48,7 +48,7 @@ from .envs import (
     step_envs,
 )
 from .nn import Conv2dStack, EquiConv2d, equi_lstm_cell, initial_state, mlp_head
-from .groups import CYCLIC, direct_sum, make_group, regular_rep, sign_rep, trivial_rep
+from .groups import C1, direct_sum, regular_rep, sign_rep, trivial_rep
 
 
 class AgentError(ValueError):
@@ -127,13 +127,11 @@ class RecurrentPolicy:
         self.lstm_init = agent_config.lstm_init
         # An unconstrained stage is the same layers over the trivial group, on as
         # many trivial channels as the constrained stage's representation has.
-        trivial_group = make_group(CYCLIC, 1)
-
         def plain(rep):
-            return trivial_rep(trivial_group, rep.dim)
+            return trivial_rep(C1, rep.dim)
 
         trunk_equi = variant != "plain"
-        trunk_group, widen = (group, 1) if trunk_equi else (trivial_group, group.order)
+        trunk_group, widen = (group, 1) if trunk_equi else (C1, group.order)
 
         self.feed_prev_action = agent_config.feed_prev_action
         if isinstance(env_config, CarFlag1dConfig):
@@ -157,9 +155,9 @@ class RecurrentPolicy:
                 widths.append(widths[-1])
             widths = widths[:depth]
             self.extractor = Conv2dStack([
-                EquiConv2d(trunk_group, 2 if i == 0 else widths[i - 1] * widen,
-                           "trivial" if i == 0 else "regular", w * widen, 3, rng,
-                           name=f"extract{i}")
+                EquiConv2d(direct_sum([trivial_rep(trunk_group)] * 2) if i == 0 else
+                           direct_sum([regular_rep(trunk_group)] * (widths[i - 1] * widen)),
+                           w * widen, 3, rng, name=f"extract{i}")
                 for i, w in enumerate(widths)])
             rho_x = direct_sum([regular_rep(group)] * widths[-1])
             if self.feed_prev_action:
@@ -185,8 +183,7 @@ class RecurrentPolicy:
         if actor_equi:  # logits permute with the actions: the regular representation
             actor = (self.cell.rho_h, rho_hidden, regular_rep(group))
         else:
-            actor = (plain(self.cell.rho_h), plain(rho_hidden),
-                     trivial_rep(trivial_group, self.n_actions))
+            actor = (plain(self.cell.rho_h), plain(rho_hidden), trivial_rep(C1, self.n_actions))
         critic = (self.cell.rho_h, rho_hidden, trivial_rep(group))
         if not critic_equi:
             critic = tuple(map(plain, critic))
@@ -203,12 +200,7 @@ class RecurrentPolicy:
         trivial group reads as plain units."""
 
         def rep_name(rep):
-            if rep.group.order == 1:
-                return f"{rep.dim} units"
-            counts = {}
-            for comp in rep.components:
-                counts[comp.kind] = counts.get(comp.kind, 0) + 1
-            return " + ".join(f"{n}*{kind}" for kind, n in counts.items())
+            return f"{rep.dim} units" if rep.group.order == 1 else rep.summary
 
         lines = []
         if self.extractor is not None:
@@ -640,8 +632,6 @@ CURVE_HEADER = "step,episodes,success_rate,mean_return,policy_loss,value_loss,en
 class TrainResult:
     rows: list
     curve_path: str | None
-    best_checkpoint: str | None
-    final_checkpoint: str | None
     policy: RecurrentPolicy
     episodes: int
     wall_seconds: float
@@ -712,8 +702,6 @@ def train(env_config, config: AgentConfig, out_dir=None) -> TrainResult:
                             "\n".join([CURVE_HEADER, *map(_curve_line, rows)]) + "\n")
             ad.save_checkpoint(final_path, policy.state_dict())
     return TrainResult(rows, None if curve_path is None else str(curve_path),
-                       None if best_path is None else str(best_path),
-                       None if final_path is None else str(final_path),
                        policy, episodes, time.perf_counter() - t_start)
 
 

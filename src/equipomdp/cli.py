@@ -22,7 +22,9 @@ import numpy as np
 from . import agent as agent_mod
 from . import autodiff as ad
 from .agent import AgentConfig, OracleQPolicy, RecurrentPolicy, run_equivariance_suite
-from .envs import CarFlag1dConfig, CarFlag2dConfig, episode_trace, export_pomdp, make_env
+from .envs import (CarFlag1dConfig, CarFlag2dConfig, env_group_binding, episode_trace,
+                   export_pomdp, make_env)
+from .groups import C4, MIRROR
 from .pomdp import (
     belief_update,
     check_invariance,
@@ -151,7 +153,7 @@ def build_configs(args) -> tuple[object, AgentConfig, dict]:
     except ValueError as e:
         raise UsageError(str(e)) from e
 
-    expected_group = "reflection2" if kind == "carflag1d" else "c4"
+    expected_group = env_group_binding(env_cfg).group.name
     group = run_over.get("group", "auto")
     if group not in ("auto", expected_group):
         raise UsageError(
@@ -413,7 +415,7 @@ def _add_env_flags(p):
     p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--group", default=None,
-                   help="symmetry group override (auto, reflection2, c4)")
+                   help=f"symmetry group override (auto, {MIRROR.name}, {C4.name})")
     p.add_argument("--gamma", dest="discount", metavar="GAMMA", type=float, default=None,
                    help="discount; overrides [agent] discount (default 0.99)")
 

@@ -11,6 +11,9 @@ Each simulator is the only definition of its domain: it exposes its state
 (``state``, ``states``, ``start_states``, ``terminal``) and the observation
 with the hidden goal shown (``revealed``), and ``export_pomdp`` builds the
 exact oracle's tables and group maps by driving it through every state.
+``env_group_binding`` gives each domain its symmetry: the group's element
+matrices map each action's move (``DELTAS_1D``, ``DELTAS_2D``) to another
+action's, and one representation acts on the flattened observation.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .groups import (CYCLIC, REFLECTION, Group, Representation, direct_sum, make_group,
-                     sign_rep, spatial_transform)
+from .groups import C4, MIRROR, Group, Representation, direct_sum, grid_rep, sign_rep
 from .pomdp import GroupActionBinding, Pomdp
 
 
@@ -91,8 +93,12 @@ class CarFlag2dConfig:
         )
 
 
-# CarFlag-2D actions, ordered so a quarter turn counterclockwise advances the
-# index by one: Right -> Up -> Left -> Down.
+# Each action's move as a (row, col) offset; the group bindings map an action
+# to the action whose move is the element matrix times its own. CarFlag-1D's
+# line is one row: Left, Right.
+DELTAS_1D = ((0, -1), (0, 1))
+# CarFlag-2D, ordered so a quarter turn counterclockwise advances the index by
+# one: Right -> Up -> Left -> Down.
 DELTAS_2D = ((0, 1), (-1, 0), (0, -1), (1, 0))
 
 
@@ -157,7 +163,7 @@ class CarFlag1d:
         if action not in (0, 1):
             raise InvalidActionError(f"1D action must be 0 (left) or 1 (right), got {action}")
         c = self.config
-        self.pos = int(min(max(self.pos + (1 if action == 1 else -1), -c.half_size),
+        self.pos = int(min(max(self.pos + DELTAS_1D[action][1], -c.half_size),
                            c.half_size))
         self.steps += 1
         terminated = self.terminal()
@@ -301,29 +307,33 @@ def step_envs(envs, actions):
 @dataclass(frozen=True)
 class EnvSymmetry:
     group: Group
-    action_map: np.ndarray              # (|G|, A)
-    obs_rep: Representation | None      # channel representation of vector obs
-    image_fields: int | None            # trivial channel count for image obs
+    action_map: np.ndarray          # (|G|, A): element g sends action a to action_map[g, a]
+    obs_rep: Representation         # on the flattened observation
 
     def act_on_obs(self, g: int, obs: np.ndarray) -> np.ndarray:
+        """Element ``g``'s image of an observation, or of a stack of them."""
         g = self.group.check_element(g)
-        if self.image_fields is not None:
-            return spatial_transform(self.group, g, obs).copy()
-        sign = (-1.0) ** g
-        return obs * sign
+        flat = obs.reshape(-1, self.obs_rep.dim)
+        out = np.empty_like(flat)
+        out[:, self.obs_rep.perm[g]] = flat * self.obs_rep.sign[g]
+        return out.reshape(obs.shape)
+
+
+def _action_map(group: Group, moves) -> np.ndarray:
+    index = {move: a for a, move in enumerate(moves)}
+    return np.array([[index[tuple(m @ move)] for move in moves] for m in group.mats])
 
 
 def env_group_binding(config) -> EnvSymmetry:
-    """The domain symmetry: mirror flip for 1D, quarter-turn rotations for 2D."""
+    """The domain symmetry: mirror flip for 1D, quarter-turn rotations for 2D.
+    The mirror negates the position and the revealed goal side; a rotation
+    moves the pixels of both image channels."""
     if isinstance(config, CarFlag1dConfig):
-        group = make_group(REFLECTION)
-        action_map = np.array([[0, 1], [1, 0]])  # left <-> right
-        obs_rep = direct_sum([sign_rep(group), sign_rep(group)])
-        return EnvSymmetry(group, action_map, obs_rep, None)
+        return EnvSymmetry(MIRROR, _action_map(MIRROR, DELTAS_1D),
+                           direct_sum([sign_rep(MIRROR)] * 2))
     if isinstance(config, CarFlag2dConfig):
-        group = make_group(CYCLIC, 4)
-        action_map = np.array([[(a + g) % 4 for a in range(4)] for g in range(4)])
-        return EnvSymmetry(group, action_map, None, 2)
+        n = config.grid_size
+        return EnvSymmetry(C4, _action_map(C4, DELTAS_2D), direct_sum([grid_rep(C4, n, n)] * 2))
     raise EnvError(f"unknown env config {type(config).__name__}")
 
 
@@ -339,13 +349,10 @@ def _obs_keys(stack: np.ndarray) -> list[bytes]:
 
 @dataclass
 class ExportMaps:
-    """The ids an export gave to simulator states and observations."""
+    """The ids an export gave to observations. State ids follow the order of
+    the simulator's ``states()``."""
 
-    state_ids: dict             # simulator state tuple -> state id
     obs_ids: dict               # observation key -> observation id
-    obs_arrays: list            # observation id -> observation array
-    state_obs: np.ndarray       # state id -> id of the state's observation
-    terminal: np.ndarray        # state id -> whether the state is absorbing
 
     def obs_id_of_array(self, obs: np.ndarray) -> int:
         o = self.obs_ids.get(_obs_keys([obs])[0])
@@ -417,7 +424,7 @@ def export_pomdp(config, discount: float = 0.99, max_states: int = 200_000):
     binding = GroupActionBinding(sym.group, ids_of_images(revealed_ids, revealed),
                                  sym.action_map, ids_of_images(obs_ids, np.stack(obs_arrays)))
     binding.validate()
-    return pomdp, binding, ExportMaps(state_ids, obs_ids, obs_arrays, state_obs, terminal)
+    return pomdp, binding, ExportMaps(obs_ids)
 
 
 # ---------------------------------------------------------------------------

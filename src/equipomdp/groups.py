@@ -1,28 +1,26 @@
-"""Finite symmetry groups, their matrix representations, and their pixel actions on grids.
+"""Finite symmetry groups as data, and their signed-permutation representations.
 
-Two group families are supported: planar rotations by multiples of 2*pi/n
-(``cyclic``, order n) and the left-right mirror flip (``reflection``, order 2).
-Elements are integers 0..order-1 with 0 the identity; both families compose
-additively modulo the order.
+A group is its elements' 2x2 integer matrices, acting on (row, col) offsets,
+and its Cayley table. ``generate`` closes a few generators breadth first from
+the identity, so element 0 is the identity and element g of a cyclic group is
+the g-th power of its generator: g quarter turns of ``C4``, as
+``np.rot90(k=g)``. A representation is one signed permutation of its channels
+per element, ``rho(g) e_j = sign[g, j] e_{perm[g, j]}``: a regular
+representation permutes by the rows of the Cayley table, a grid
+representation moves pixels as the element matrices move offsets from the
+grid's centre, and the sign representation sends every generator to -1.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-
-CYCLIC = "cyclic"
-REFLECTION = "reflection"
 
 
 class GroupError(ValueError):
     """Invalid group construction or usage."""
-
-
-class InvalidOrderError(GroupError):
-    pass
 
 
 class UnknownElementError(GroupError):
@@ -37,12 +35,19 @@ class UnsupportedSpatialActionError(GroupError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Group:
-    kind: str
-    order: int
+    """A finite group of 2x2 integer matrices; two groups are equal only if
+    they are the same object."""
 
-    identity = 0
+    name: str
+    mats: np.ndarray     # (order, 2, 2) int: element g acting on (row, col) offsets
+    table: np.ndarray    # (order, order) int: table[g, h] is the element g h
+    parity: np.ndarray   # (order,) int: length mod 2 of g's shortest word in the generators
+
+    @property
+    def order(self) -> int:
+        return len(self.mats)
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -50,171 +55,117 @@ class Group:
 
     def check_element(self, g: int) -> int:
         if not isinstance(g, (int, np.integer)) or not 0 <= g < self.order:
-            raise UnknownElementError(f"{g!r} is not an element of {self}")
+            raise UnknownElementError(f"{g!r} is not an element of {self.name}")
         return int(g)
 
     def compose(self, a: int, b: int) -> int:
-        self.check_element(a)
-        self.check_element(b)
-        return (a + b) % self.order
+        return int(self.table[self.check_element(a), self.check_element(b)])
 
 
-def make_group(kind: str, n: int | None = None) -> Group:
-    """Construct a finite group: ``cyclic`` of order n or the order-2 ``reflection``."""
-    if kind == CYCLIC:
-        if n is None or int(n) < 1:
-            raise InvalidOrderError(f"cyclic group needs order >= 1, got {n!r}")
-        return Group(CYCLIC, int(n))
-    if kind == REFLECTION:
-        if n not in (None, 2):
-            raise InvalidOrderError(f"reflection group has order 2, got {n!r}")
-        return Group(REFLECTION, 2)
-    raise GroupError(f"unknown group kind {kind!r}")
+def generate(name: str, *generators) -> Group:
+    """The finite group that the 2x2 integer matrices ``generators`` generate,
+    its elements in breadth-first order from the identity."""
+    gens = [np.array(m, dtype=np.int64) for m in generators]
+    mats, parity = [np.eye(2, dtype=np.int64)], [0]
+    index = {mats[0].tobytes(): 0}
+    i = 0
+    while i < len(mats):
+        for gen in gens:
+            m = mats[i] @ gen
+            if index.setdefault(m.tobytes(), len(mats)) == len(mats):
+                mats.append(m)
+                parity.append(1 - parity[i])
+        i += 1
+    table = np.array([[index[(a @ b).tobytes()] for b in mats] for a in mats])
+    return Group(name, np.array(mats), table, np.array(parity))
 
 
-# ---------------------------------------------------------------------------
-# Spatial (pixel-wise) action on square grids.
-# ---------------------------------------------------------------------------
+C1 = generate("c1")
+MIRROR = generate("reflection2", ((1, 0), (0, -1)))   # flips columns
+C4 = generate("c4", ((0, -1), (1, 0)))                 # counterclockwise quarter turn
 
-def _rot_quarters(group: Group, g: int) -> int:
-    # Exact index permutations exist only when the rotation angle is a
-    # multiple of 90 degrees, i.e. the order divides 4.
-    if group.order not in (1, 2, 4):
+
+def pixel_permutation(group: Group, g: int, h: int, w: int) -> np.ndarray:
+    """Flat index permutation ``p`` of an h x w grid with image.flat[i] ==
+    x.flat[p[i]]: element g moves the pixel at offset q from the grid's
+    centre to offset ``mats[g] @ q``. Refused unless that maps the grid onto
+    itself, as a turn that swaps the axes of a non-square grid does not."""
+    rows, cols = np.divmod(np.arange(h * w), w)
+    # offsets doubled, so that the centre of an even side is an integer too
+    q = np.stack([2 * rows - (h - 1), 2 * cols - (w - 1)])
+    moved = group.mats[group.check_element(g)] @ q
+    if set(zip(*moved.tolist())) != set(zip(*q.tolist())):
         raise UnsupportedSpatialActionError(
-            f"cyclic order {group.order} has no exact grid rotation"
-        )
-    return g * (4 // group.order)
-
-
-def spatial_transform(group: Group, g: int, values: np.ndarray) -> np.ndarray:
-    """Apply element ``g``'s pixel permutation to the last two axes of ``values``."""
-    g = group.check_element(g)
-    if g == 0:
-        return values
-    h, w = values.shape[-2], values.shape[-1]
-    if group.kind == CYCLIC:
-        if h != w:
-            raise UnsupportedSpatialActionError(
-                f"rotation needs a square grid, got {h}x{w}"
-            )
-        return np.rot90(values, _rot_quarters(group, g), axes=(-2, -1))
-    return np.flip(values, axis=-1)
-
-
-def spatial_permutation(group: Group, g: int, h: int, w: int) -> np.ndarray:
-    """Flat index permutation ``p`` with transformed.flat[i] == x.flat[p[i]]."""
-    idx = np.arange(h * w).reshape(h, w)
-    return spatial_transform(group, g, idx).ravel()
+            f"element {g} of {group.name} does not map the {h}x{w} grid onto itself")
+    r, c = moved
+    return np.argsort((r + h - 1) // 2 * w + (c + w - 1) // 2)
 
 
 # ---------------------------------------------------------------------------
 # Representations.
 # ---------------------------------------------------------------------------
 
-TRIVIAL = "trivial"
-STANDARD = "standard"
-SIGN = "sign"
-REGULAR = "regular"
-GRID = "grid"
-SUM = "sum"
-
-# Permutation-type representations: pointwise nonlinearities commute with them.
-GROUP_SAFE_POINTWISE_KINDS = frozenset({TRIVIAL, REGULAR, GRID})
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
-    """A matrix-valued homomorphism from a finite group into GL(dim)."""
+    """A homomorphism from a finite group to signed permutations of ``dim``
+    channels: rho(g) e_j = sign[g, j] e_{perm[g, j]}."""
 
     group: Group
-    kind: str
-    dim: int
-    parts: tuple["Representation", ...] = ()
-    grid_shape: tuple[int, int] | None = None
-
-    def matrix(self, g: int) -> np.ndarray:
-        g = self.group.check_element(g)
-        return _rep_matrix_cached(self, g)
+    perm: np.ndarray            # (order, dim) int
+    sign: np.ndarray            # (order, dim) float, each entry +1 or -1
+    label: tuple[str, ...]      # one name per direct summand, for messages
 
     @property
-    def components(self) -> tuple["Representation", ...]:
-        return self.parts if self.kind == SUM else (self,)
+    def dim(self) -> int:
+        return self.perm.shape[1]
+
+    @property
+    def summary(self) -> str:
+        """The summands counted by name, in order of first appearance."""
+        return " + ".join(f"{n}*{name}" for name, n in Counter(self.label).items())
 
 
-@lru_cache(maxsize=None)
-def _rep_matrix_cached(rep: Representation, g: int) -> np.ndarray:
-    group = rep.group
-    if rep.kind == TRIVIAL:
-        m = np.eye(rep.dim)
-    elif rep.kind == STANDARD:
-        theta = 2.0 * np.pi * g / group.order
-        c, s = np.cos(theta), np.sin(theta)
-        m = np.array([[c, -s], [s, c]])
-    elif rep.kind == SIGN:
-        m = np.array([[(-1.0) ** g]])
-    elif rep.kind == REGULAR:
-        n = group.order
-        m = np.zeros((n, n))
-        m[(np.arange(n) + g) % n, np.arange(n)] = 1.0
-    elif rep.kind == GRID:
-        h, w = rep.grid_shape
-        perm = spatial_permutation(group, g, h, w)
-        m = np.zeros((rep.dim, rep.dim))
-        m[np.arange(rep.dim), perm] = 1.0
-    elif rep.kind == SUM:
-        blocks = [part.matrix(g) for part in rep.parts]
-        m = np.zeros((rep.dim, rep.dim))
-        at = 0
-        for b in blocks:
-            d = b.shape[0]
-            m[at : at + d, at : at + d] = b
-            at += d
-    else:
-        raise GroupError(f"unknown representation kind {rep.kind!r}")
-    m.setflags(write=False)
-    return m
+def _rep(group: Group, perm, sign, name: str) -> Representation:
+    return Representation(group, np.asarray(perm, dtype=np.int64),
+                          np.asarray(sign, dtype=np.float64), (name,))
 
 
 def trivial_rep(group: Group, dim: int = 1) -> Representation:
     """``dim`` invariant channels: every group element acts as the identity."""
-    return Representation(group, TRIVIAL, dim)
-
-
-def standard_rep(group: Group) -> Representation:
-    if group.kind != CYCLIC:
-        raise GroupError("standard representation is defined for rotation groups only")
-    return Representation(group, STANDARD, 2)
+    return _rep(group, np.tile(np.arange(dim), (group.order, 1)),
+                np.ones((group.order, dim)), "trivial")
 
 
 def sign_rep(group: Group) -> Representation:
-    if group.order != 2:
-        raise GroupError("sign representation needs a group of order 2")
-    return Representation(group, SIGN, 1)
+    """One channel that every generator negates."""
+    sign = np.where(group.parity == 1, -1.0, 1.0)
+    if not np.array_equal(sign[group.table], np.outer(sign, sign)):
+        raise GroupError(f"{group.name} has no sign representation that negates "
+                         "every generator")
+    return _rep(group, np.zeros((group.order, 1)), sign[:, None], "sign")
 
 
 def regular_rep(group: Group) -> Representation:
-    return Representation(group, REGULAR, group.order)
+    """One channel per element, permuted by left multiplication."""
+    return _rep(group, group.table, np.ones(group.table.shape), "regular")
 
 
 def grid_rep(group: Group, h: int, w: int) -> Representation:
-    if group.kind == CYCLIC and group.order > 1 and h != w:
-        raise UnsupportedSpatialActionError("grid rotation needs a square grid")
-    if group.kind == CYCLIC:
-        _rot_quarters(group, 0)  # validates the order
-    return Representation(group, GRID, h * w, grid_shape=(h, w))
+    """The pixels of an h x w grid, moved as the element matrices move offsets."""
+    perm = [np.argsort(pixel_permutation(group, g, h, w)) for g in group.elements]
+    return _rep(group, perm, np.ones((group.order, h * w)), "grid")
 
 
 def direct_sum(reps) -> Representation:
-    """Block-diagonal sum; nested sums are flattened into one component list."""
-    parts: list[Representation] = []
-    for rep in reps:
-        parts.extend(rep.components)
-    if not parts:
+    """Block-diagonal sum, the summands' channels in order."""
+    reps = list(reps)
+    if not reps:
         raise GroupError("empty direct sum")
-    group = parts[0].group
-    for rep in parts:
-        if rep.group != group:
-            raise GroupMismatchError("direct sum components must share one group")
-    if len(parts) == 1:
-        return parts[0]
-    return Representation(group, SUM, sum(p.dim for p in parts), parts=tuple(parts))
+    group = reps[0].group
+    if any(rep.group != group for rep in reps):
+        raise GroupMismatchError("direct sum components must share one group")
+    offsets = np.cumsum([0] + [rep.dim for rep in reps[:-1]])
+    return Representation(group,
+                          np.concatenate([r.perm + at for r, at in zip(reps, offsets)], axis=1),
+                          np.concatenate([r.sign for r in reps], axis=1),
+                          sum((r.label for r in reps), ()))

@@ -1,19 +1,19 @@
 """Symmetry-constrained network layers.
 
 Every constrained weight and bias shares parameters over the orbits of the
-group on its index pairs (Ravanbakhsh, Schneider & Poczos 2017): with
-signed-permutation representations, W commutes with the group exactly when
-it is ``sign * theta[idx]``, one parameter per orbit, so any theta keeps a
-layer equivariant. A group convolution ties its kernel as a map from
-``rho_in`` tensor the kernel grid (the G-CNN kernel tying of Cohen & Welling
-2016). The recurrent cell fuses all four gate pre-activations into one such
-map and keeps every gated signal on permutation channels, where
+group on its index pairs (Ravanbakhsh, Schneider & Poczos 2017): every
+representation gives each element a signed permutation (``perm``, ``sign``),
+so W commutes with the group exactly when it is ``sign * theta[idx]``, one
+parameter per orbit, and any theta keeps a layer equivariant. A group
+convolution ties its kernel as a map from ``rho_in`` tensor the kernel grid
+(the G-CNN kernel tying of Cohen & Welling 2016). The recurrent cell fuses all four gate pre-activations into one such
+map and keeps every gated signal on channels without sign flips, where
 pointwise sigmoid/tanh and Hadamard products are safe.
 
 There is no separate unconstrained layer: over the order-1 group every orbit
 is a single entry, so the tying is the identity and every weight entry is a
 free parameter. Unconstrained networks are these same layers over
-``make_group(CYCLIC, 1)`` on trivial channels.
+``groups.C1`` on trivial channels.
 
 Every layer has one forward path. ``realize_t`` builds the layer's dense
 weights from its parameters as graph tensors, and ``forward_t`` applies them
@@ -30,22 +30,17 @@ is the independent reference the tests check the tying against.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .groups import (
-    CYCLIC,
-    GROUP_SAFE_POINTWISE_KINDS,
-    Group,
     GroupError,
     GroupMismatchError,
     Representation,
-    UnsupportedSpatialActionError,
     direct_sum,
     grid_rep,
+    pixel_permutation,
     regular_rep,
     trivial_rep,
 )
@@ -58,33 +53,6 @@ class RepresentationMismatchError(GroupError):
 # ---------------------------------------------------------------------------
 # Weight tying over group orbits.
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _component_permutation(comp: Representation, g: int):
-    """(perm, sign) with comp(g) e_j = sign[j] e_perm[j], read-only."""
-    m = comp.matrix(g)
-    perm = np.argmax(m != 0, axis=0)
-    sign = m[perm, np.arange(comp.dim)]
-    if np.count_nonzero(m) != comp.dim or np.any(np.abs(sign) != 1.0):
-        raise RepresentationMismatchError(
-            f"the {comp.kind!r} representation is not a signed permutation, "
-            "so its equivariant maps cannot be tied over orbits")
-    perm.setflags(write=False)
-    sign.setflags(write=False)
-    return perm, sign
-
-
-def _signed_permutation(rep: Representation, g: int):
-    """(perm, sign) of a direct sum, assembled from its components so that no
-    dense matrix of the whole sum is built."""
-    perms, signs, at = [], [], 0
-    for comp in rep.components:
-        p, s = _component_permutation(comp, g)
-        perms.append(p + at)
-        signs.append(s)
-        at += comp.dim
-    return np.concatenate(perms), np.concatenate(signs)
-
 
 def tied_weight_indices(rho_in, rho_out: Representation):
     """Orbit tying of the maps from ``rho_in`` to ``rho_out`` that commute with G.
@@ -120,9 +88,8 @@ def orbit_tying(rho_in, rho_out: Representation):
         # W[g.j] = s_g(j) W[j]: the action of rho_out tensor rho_in on flat indices
         perm, s = np.zeros(1, dtype=np.int64), np.ones(1)
         for r in factors:
-            p, sr = _signed_permutation(r, g)
-            perm = (perm[:, None] * r.dim + p).ravel()
-            s = np.outer(s, sr).ravel()
+            perm = (perm[:, None] * r.dim + r.perm[g]).ravel()
+            s = np.outer(s, r.sign[g]).ravel()
         lower = perm < least
         clash = ~lower & (clash | ((perm == least) & (s != sign)))
         least = np.where(lower, perm, least)
@@ -144,11 +111,11 @@ def tied(theta: Tensor, idx: np.ndarray, sign: np.ndarray) -> Tensor:
 
 
 def _assert_pointwise_safe(rep: Representation):
-    for comp in rep.components:
-        if comp.kind not in GROUP_SAFE_POINTWISE_KINDS:
-            raise RepresentationMismatchError(
-                f"pointwise nonlinearity is not equivariant on a {comp.kind!r} field"
-            )
+    """Pointwise nonlinearities commute with permutations, not with sign flips."""
+    if np.any(rep.sign != 1.0):
+        raise RepresentationMismatchError(
+            f"pointwise nonlinearity is not equivariant on a {rep.summary} field, which "
+            "flips signs")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +153,7 @@ class EquiLinear:
         if x.value.shape[-1] != self.in_dim:
             raise RepresentationMismatchError(
                 f"{self.name}: input has {x.value.shape[-1]} channels, "
-                f"rho_in {self.rho_in.kind}/{self.in_dim} expected")
+                f"rho_in {self.rho_in.summary} ({self.in_dim}) expected")
         wt, b = realized
         return ad.add(ad.matmul(x, wt), b)
 
@@ -198,18 +165,15 @@ class EquiLinear:
 class EquiConv2d:
     """Unpadded group convolution whose kernel is an equivariant map from
     ``rho_in`` tensor ``grid_rep(group, k, k)`` to ``rho_out``, tied as in
-    EquiLinear. Input channels are ``in_fields`` copies of the trivial or
-    regular representation; output channels always carry regular fields.
+    EquiLinear. Output channels carry ``out_fields`` regular fields.
     """
 
-    def __init__(self, group: Group, in_fields: int, in_kind: str, out_fields: int,
-                 ksize: int, rng: np.random.Generator, name: str = "equi_conv"):
-        if in_kind not in ("trivial", "regular"):
-            raise RepresentationMismatchError(f"unsupported conv input kind {in_kind!r}")
+    def __init__(self, rho_in: Representation, out_fields: int, ksize: int,
+                 rng: np.random.Generator, name: str = "equi_conv"):
+        group = rho_in.group
         self.group = group
         self.name = name
-        comp_in = trivial_rep(group) if in_kind == "trivial" else regular_rep(group)
-        self.rho_in = direct_sum([comp_in] * in_fields)
+        self.rho_in = rho_in
         self.rho_out = direct_sum([regular_rep(group)] * out_fields)
         self.in_channels = self.rho_in.dim
         self.out_channels = self.rho_out.dim
@@ -232,9 +196,9 @@ class EquiConv2d:
 
     def forward_t(self, x: Tensor, realized) -> Tensor:
         h, w = x.value.shape[-2:]
-        if self.group.kind == CYCLIC and self.group.order > 1 and h != w:
-            raise UnsupportedSpatialActionError(
-                f"rotation-equivariant conv needs square input, got {h}x{w}")
+        if h != w:  # every element must act on the input grid
+            for g in self.group.elements:
+                pixel_permutation(self.group, g, h, w)
         k, b = realized
         y = ad.conv2d(x, k)
         return ad.add(y, ad.reshape(b, (self.out_channels, 1, 1)))
@@ -277,7 +241,7 @@ class LstmCell:
         if x.shape[-1] != self.rho_x.dim:
             raise RepresentationMismatchError(
                 f"{self.linear.name}: input has {x.shape[-1]} channels, "
-                f"{self.rho_x.dim} expected (rho_x {self.rho_x.kind})")
+                f"{self.rho_x.dim} expected (rho_x {self.rho_x.summary})")
         wt, b = realized
         return ad.lstm_cell(x, h, c, wt.value, b.value, self.single_candidate_tanh)[:2]
 

@@ -1,41 +1,21 @@
 """Null-space reference for the weight tying in ``equipomdp.nn``.
 
 ``solve_intertwiner_basis`` spans every equivariant map between two
-representations by solving rho_out(g) B = B rho_in(g) for a null space. No
-layer uses it; the tests check that the tied layers span the same spaces.
-It is the only user of scipy, which is why it lives with the tests.
+representations by solving rho_out(g) B = B rho_in(g) for a null space of
+their dense matrices, one pair of channel orbits at a time. No layer uses
+it; the tests check that the tied layers span the same spaces. It is the
+only user of scipy, which is why it lives with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import null_space
 
 from equipomdp.groups import GroupMismatchError, Representation
-
-
-@lru_cache(maxsize=None)
-def _leaf_intertwiner(rin: Representation, rout: Representation) -> np.ndarray:
-    """Orthonormal basis (k, dout, din) of maps B with rout(g) B = B rin(g)."""
-    din, dout = rin.dim, rout.dim
-    rows = []
-    for g in rin.group.elements:
-        if g == 0:
-            continue
-        rows.append(
-            np.kron(rout.matrix(g), np.eye(din))
-            - np.kron(np.eye(dout), rin.matrix(g).T)
-        )
-    if rows:
-        ns = null_space(np.vstack(rows))
-        mats = ns.T.reshape(-1, dout, din).copy()
-    else:  # order-1 group: unconstrained
-        mats = np.eye(dout * din).reshape(dout * din, dout, din)
-    mats.setflags(write=False)
-    return mats
+from feature_fields import rep_matrix
 
 
 @dataclass(frozen=True)
@@ -51,26 +31,47 @@ class IntertwinerBasis:
     def max_constraint_residual(self) -> float:
         worst = 0.0
         for g in self.rho_in.group.elements:
-            ro, ri = self.rho_out.matrix(g), self.rho_in.matrix(g)
+            ro, ri = rep_matrix(self.rho_out, g), rep_matrix(self.rho_in, g)
             for b in self.mats:
                 worst = max(worst, float(np.max(np.abs(ro @ b - b @ ri))))
         return worst
 
 
+def _orbit_blocks(rep: Representation):
+    """``rep`` as the direct sum of its restrictions to the orbits of its
+    channels: (channels, dense matrix per element) of each orbit. The orbit
+    of channel j is {perm[g, j]}, so its least channel is a column minimum."""
+    least = rep.perm.min(axis=0)
+    dense = [rep_matrix(rep, g) for g in rep.group.elements]
+    blocks = []
+    for first in np.unique(least):
+        chans = np.flatnonzero(least == first)
+        blocks.append((chans, [m[np.ix_(chans, chans)] for m in dense]))
+    return blocks
+
+
+def _block_basis(mats_in, mats_out) -> np.ndarray:
+    """Orthonormal basis (k, dout, din) of the maps B with out(g) B = B in(g)."""
+    din, dout = len(mats_in[0]), len(mats_out[0])
+    rows = [np.kron(mo, np.eye(din)) - np.kron(np.eye(dout), mi.T)
+            for mi, mo in zip(mats_in[1:], mats_out[1:])]  # element 0 is the identity
+    if not rows:  # order-1 group: unconstrained
+        return np.eye(dout * din).reshape(dout * din, dout, din)
+    return null_space(np.vstack(rows)).T.reshape(-1, dout, din)
+
+
 def solve_intertwiner_basis(rho_in: Representation, rho_out: Representation) -> IntertwinerBasis:
-    """Full equivariant-map basis, assembled blockwise over direct-sum components."""
+    """Orthonormal basis (count, dout, din) of the maps B with
+    rho_out(g) B = B rho_in(g) for every element g, assembled block by block
+    over the orbits of the input and output channels."""
     if rho_in.group != rho_out.group:
         raise GroupMismatchError("representations live on different groups")
-    mats = []
-    off_out = 0
-    for co in rho_out.components:
-        off_in = 0
-        for ci in rho_in.components:
-            for b in _leaf_intertwiner(ci, co):
+    mats, blocks_in = [], _orbit_blocks(rho_in)
+    for chans_out, mats_out in _orbit_blocks(rho_out):
+        for chans_in, mats_in in blocks_in:
+            for b in _block_basis(mats_in, mats_out):
                 m = np.zeros((rho_out.dim, rho_in.dim))
-                m[off_out : off_out + co.dim, off_in : off_in + ci.dim] = b
+                m[np.ix_(chans_out, chans_in)] = b
                 mats.append(m)
-            off_in += ci.dim
-        off_out += co.dim
     arr = np.array(mats) if mats else np.zeros((0, rho_out.dim, rho_in.dim))
     return IntertwinerBasis(rho_in, rho_out, arr)

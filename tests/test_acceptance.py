@@ -29,21 +29,18 @@ from equipomdp.agent import (
 )
 from equipomdp.envs import CarFlag2d, CarFlag2dConfig, export_pomdp
 from equipomdp.groups import (
-    CYCLIC,
-    REFLECTION,
+    C4,
+    MIRROR as FLIP,
     direct_sum,
     grid_rep,
-    make_group,
     regular_rep,
     sign_rep,
-    standard_rep,
     trivial_rep,
 )
 from equipomdp.pomdp import exact_q, verify_belief_invariance, verify_value_invariance
+from export_maps import export_with_maps
+from feature_fields import C2, rep_matrix
 from reference_basis import solve_intertwiner_basis
-
-C4 = make_group(CYCLIC, 4)
-FLIP = make_group(REFLECTION)
 
 
 _emit = print
@@ -72,22 +69,23 @@ def test_criterion_01_representation_algebra():
     t0 = time.perf_counter()
     worst = 0.0
     for group in (C4, FLIP):
-        reps = [trivial_rep(group), regular_rep(group), grid_rep(group, 3, 3),
-                direct_sum([trivial_rep(group), regular_rep(group)])]
-        if group.kind == CYCLIC:
-            reps.append(standard_rep(group))
-        if group.order == 2:
-            reps.append(sign_rep(group))
-        for rep in reps:
-            eye = np.eye(rep.dim)
-            worst = max(worst, float(np.max(np.abs(rep.matrix(0) - eye))))
+        # every representation the package builds, and the element matrices
+        # themselves: C4's standard representation
+        families = [(lambda g, rep=rep: rep_matrix(rep, g)) for rep in (
+            trivial_rep(group), regular_rep(group), grid_rep(group, 3, 3), sign_rep(group),
+            direct_sum([trivial_rep(group), regular_rep(group)]))]
+        if group is C4:
+            families.append(lambda g: group.mats[g].astype(float))
+        for matrix in families:
+            eye = np.eye(len(matrix(0)))
+            worst = max(worst, float(np.max(np.abs(matrix(0) - eye))))
             for a in group.elements:
-                ma = rep.matrix(a)
-                inv = rep.matrix((-a) % group.order)  # elements compose additively
+                ma = matrix(a)
+                inv = matrix(int(np.flatnonzero(group.table[a] == 0)[0]))
                 worst = max(worst, float(np.max(np.abs(ma @ inv - eye))))
                 for b in group.elements:
-                    prod = rep.matrix(group.compose(a, b))
-                    worst = max(worst, float(np.max(np.abs(prod - ma @ rep.matrix(b)))))
+                    prod = matrix(group.compose(a, b))
+                    worst = max(worst, float(np.max(np.abs(prod - ma @ matrix(b)))))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0
     announce(1, "representation-algebra", ok,
@@ -111,17 +109,16 @@ def _rref_rank(mat, tol=1e-9):
 
 
 def _constraints(rin, rout):
-    rows = [np.kron(rout.matrix(g), np.eye(rin.dim))
-            - np.kron(np.eye(rout.dim), rin.matrix(g).T)
+    rows = [np.kron(rep_matrix(rout, g), np.eye(rin.dim))
+            - np.kron(np.eye(rout.dim), rep_matrix(rin, g).T)
             for g in rin.group.elements if g != 0]
     return np.vstack(rows)
 
 
 def test_criterion_02_intertwiner_bases():
-    c2 = make_group(CYCLIC, 2)
     cases = [
         (regular_rep(C4), regular_rep(C4), 4),
-        (sign_rep(c2), trivial_rep(c2), 0),
+        (sign_rep(C2), trivial_rep(C2), 0),
         (sign_rep(FLIP), regular_rep(FLIP), 1),
         (direct_sum([trivial_rep(C4), regular_rep(C4)]), regular_rep(C4), 1 + 4),
     ]
@@ -132,7 +129,7 @@ def test_criterion_02_intertwiner_bases():
         nullity = rin.dim * rout.dim - _rref_rank(_constraints(rin, rout))
         worst_resid = max(worst_resid, basis.max_constraint_residual())
         ok = ok and basis.count == expected == nullity
-        details.append(f"{rin.kind}->{rout.kind}:{basis.count}")
+        details.append(f"{rin.summary}->{rout.summary}:{basis.count}")
     ok = ok and worst_resid < 1e-10
     announce(2, "intertwiner-bases", ok,
              f"counts {' '.join(details)}, max residual {worst_resid:.2e}")
@@ -193,7 +190,7 @@ def test_criterion_06_value_invariance_horizon6():
 
 def test_criterion_07_oracle_vs_simulator():
     cfg = CarFlag2dConfig(grid_size=3)
-    pomdp, binding, maps = export_pomdp(cfg, discount=0.99)
+    pomdp, binding, maps = export_with_maps(cfg, discount=0.99)
     rng = np.random.default_rng(2024)
     mismatches = 0
     for episode in range(1000):

@@ -21,6 +21,7 @@ from equipomdp.pomdp import (
     verify_belief_invariance,
     verify_value_invariance,
 )
+from export_maps import export_with_maps
 from reference_oracle import HistoryMdp, act_on_history
 
 RIGHT, UP, LEFT, DOWN = range(4)
@@ -323,7 +324,7 @@ def test_export_2d_invariance_pass_and_offset_fail():
 def test_export_1d_invariance_pass_and_offset_fail():
     pomdp, binding, _ = export_pomdp(CarFlag1dConfig(half_size=5))
     assert check_invariance(pomdp, binding).passed
-    pomdp_off, binding_off, maps_off = export_pomdp(CarFlag1dConfig(half_size=5, info_offset=2))
+    pomdp_off, binding_off, maps_off = export_with_maps(CarFlag1dConfig(half_size=5, info_offset=2))
     report = check_invariance(pomdp_off, binding_off)
     assert not report.passed
     # the observation table breaks exactly at the shifted information cell
@@ -345,7 +346,7 @@ EXHAUSTIVE_EXPORTS = [
 def test_export_tables_match_simulator_exhaustively(cfg):
     """Every (state, action) entry agrees with one simulator step from that
     state, and every group map agrees with ``act_on_obs``."""
-    pomdp, binding, maps = export_pomdp(cfg)
+    pomdp, binding, maps = export_with_maps(cfg)
     sym = env_group_binding(cfg)
     env = make_env(cfg, np.random.default_rng(0))
     states = env.states()
@@ -385,7 +386,7 @@ def test_export_tables_match_simulator_exhaustively(cfg):
 
 def test_export_matches_simulator_traces():
     cfg = CarFlag2dConfig(grid_size=3)
-    pomdp, binding, maps = export_pomdp(cfg)
+    pomdp, binding, maps = export_with_maps(cfg)
     rng = np.random.default_rng(123)
     for episode in range(300):
         env = CarFlag2d(cfg, np.random.default_rng(1000 + episode))
@@ -408,7 +409,7 @@ def test_export_matches_simulator_traces():
 
 def test_export_1d_matches_simulator_traces():
     cfg = CarFlag1dConfig(half_size=5)
-    pomdp, binding, maps = export_pomdp(cfg)
+    pomdp, binding, maps = export_with_maps(cfg)
     rng = np.random.default_rng(321)
     for episode in range(200):
         env = CarFlag1d(cfg, np.random.default_rng(500 + episode))
@@ -430,7 +431,7 @@ def test_export_1d_matches_simulator_traces():
 
 def test_start_distribution_matches_reset_frequencies():
     cfg = CarFlag2dConfig(grid_size=3)
-    pomdp, _, maps = export_pomdp(cfg)
+    pomdp, _, maps = export_with_maps(cfg)
     env = CarFlag2d(cfg, np.random.default_rng(77))
     counts = np.zeros(pomdp.n_states)
     trials = 20_000
@@ -448,7 +449,7 @@ def test_start_distribution_matches_reset_frequencies():
 
 def test_belief_collapses_after_visiting_info_cell():
     cfg = CarFlag2dConfig(grid_size=3)
-    pomdp, binding, maps = export_pomdp(cfg)
+    pomdp, binding, maps = export_with_maps(cfg)
     hm = HistoryMdp(pomdp)
     env = CarFlag2d(cfg, np.random.default_rng(4))
     env.state = ((1, 0), (2, 2))

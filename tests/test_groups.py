@@ -3,83 +3,73 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equipomdp.groups import (
-    CYCLIC,
-    REFLECTION,
+    C1,
+    C4,
+    MIRROR as FLIP,
     GroupError,
     GroupMismatchError,
-    InvalidOrderError,
     UnknownElementError,
     UnsupportedSpatialActionError,
     direct_sum,
     grid_rep,
-    make_group,
+    pixel_permutation,
     regular_rep,
     sign_rep,
-    spatial_permutation,
-    standard_rep,
     trivial_rep,
 )
-from feature_fields import FeatureField, act_on_field
+from feature_fields import C2, CYCLIC_BY_ORDER, FeatureField, act_on_field, rep_matrix
 
-C4 = make_group(CYCLIC, 4)
-C2 = make_group(CYCLIC, 2)
-FLIP = make_group(REFLECTION)
+GROUPS = (C1, FLIP, C4, C2)
 
 
 def all_test_reps(group):
-    reps = [trivial_rep(group), regular_rep(group)]
-    if group.kind == CYCLIC:
-        reps.append(standard_rep(group))
-    if group.order == 2:
-        reps.append(sign_rep(group))
-    if group.order in (1, 2, 4):
-        reps.append(grid_rep(group, 3, 3))
-    reps.append(direct_sum([trivial_rep(group), regular_rep(group)]))
-    return reps
+    return [trivial_rep(group), trivial_rep(group, 3), regular_rep(group), sign_rep(group),
+            grid_rep(group, 3, 3), direct_sum([trivial_rep(group), regular_rep(group)])]
+
+
+def inverse(group, g):
+    return int(np.flatnonzero(group.table[g] == 0)[0])
 
 
 def test_make_group_c4():
-    g = make_group(CYCLIC, 4)
-    assert g.order == 4
-    assert g.elements == (0, 1, 2, 3)
-    assert g.identity == 0
+    assert C4.name == "c4"
+    assert C4.order == 4
+    assert C4.elements == (0, 1, 2, 3)
+    for g in C4.elements:  # element g is g quarter turns
+        assert np.array_equal(C4.mats[g], np.linalg.matrix_power(C4.mats[1], g))
 
 
 def test_make_group_trivial():
-    g = make_group(CYCLIC, 1)
-    assert g.order == 1
-    assert g.elements == (0,)
+    assert C1.order == 1
+    assert C1.elements == (0,)
+    assert np.array_equal(C1.mats[0], np.eye(2))
 
 
-def test_c8_composition_closed_brute_force():
-    g = make_group(CYCLIC, 8)
-    elems = set(g.elements)
-    for a in g.elements:
-        for b in g.elements:
-            assert g.compose(a, b) in elems
-    # identity and inverses
-    for a in g.elements:
-        assert g.compose(a, 0) == a
-        assert g.compose((-a) % g.order, a) == 0
-    # associativity, exhaustively
-    for a in g.elements:
-        for b in g.elements:
-            for c in g.elements:
-                assert g.compose(g.compose(a, b), c) == g.compose(a, g.compose(b, c))
+def test_cayley_table_is_a_group():
+    for group in GROUPS:
+        elems = set(group.elements)
+        for a in group.elements:
+            assert {group.compose(a, b) for b in group.elements} == elems  # a Latin square
+            assert group.compose(a, 0) == group.compose(0, a) == a
+            assert group.compose(inverse(group, a), a) == 0
+        for a in group.elements:
+            for b in group.elements:
+                for c in group.elements:
+                    assert (group.compose(group.compose(a, b), c)
+                            == group.compose(a, group.compose(b, c)))
 
 
-def test_make_group_invalid_order():
-    with pytest.raises(InvalidOrderError):
-        make_group(CYCLIC, 0)
-    with pytest.raises(InvalidOrderError):
-        make_group(REFLECTION, 3)
-    with pytest.raises(GroupError):
-        make_group("dihedral", 4)
+def test_table_multiplies_the_element_matrices():
+    for group in GROUPS:
+        assert np.array_equal(group.mats[0], np.eye(2))
+        for g in group.elements:
+            for h in group.elements:
+                assert np.array_equal(group.mats[group.table[g, h]],
+                                      group.mats[g] @ group.mats[h])
 
 
 def test_regular_rep_c4_generator_is_cyclic_shift():
-    rep = regular_rep(C4)
-    m = rep.matrix(1)
+    m = rep_matrix(regular_rep(C4), 1)
     expected = np.zeros((4, 4))
     for i in range(4):
         expected[(i + 1) % 4, i] = 1.0
@@ -87,39 +77,55 @@ def test_regular_rep_c4_generator_is_cyclic_shift():
 
 
 def test_rep_matrix_identity_is_identity():
-    for group in (C4, C2, FLIP):
+    for group in GROUPS:
         for rep in all_test_reps(group):
-            assert np.allclose(rep.matrix(0), np.eye(rep.dim), atol=0)
+            assert np.array_equal(rep_matrix(rep, 0), np.eye(rep.dim))
 
 
 def test_standard_rep_quarter_turn():
-    m = standard_rep(C4).matrix(1)
-    assert np.allclose(m, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
+    # C4's element matrices are its standard representation on (row, col)
+    assert np.array_equal(C4.mats[1], [[0, -1], [1, 0]])
 
 
 def test_rep_matrix_unknown_element():
     with pytest.raises(UnknownElementError):
-        regular_rep(C4).matrix(4)
+        rep_matrix(regular_rep(C4), 4)
     with pytest.raises(UnknownElementError):
-        regular_rep(C4).matrix(-1)
+        rep_matrix(regular_rep(C4), -1)
+    with pytest.raises(UnknownElementError):
+        C4.compose(0, 4)
 
 
 def test_homomorphism_and_inverse_all_reps():
-    for group in (C4, C2, FLIP, make_group(CYCLIC, 1)):
+    for group in GROUPS:
         for rep in all_test_reps(group):
             for a in group.elements:
-                ma = rep.matrix(a)
-                inv = rep.matrix((-a) % group.order)  # elements compose additively
+                ma = rep_matrix(rep, a)
+                inv = rep_matrix(rep, inverse(group, a))
                 assert np.max(np.abs(ma @ inv - np.eye(rep.dim))) < 1e-12
                 for b in group.elements:
-                    prod = rep.matrix(group.compose(a, b))
-                    assert np.max(np.abs(prod - ma @ rep.matrix(b))) < 1e-12
+                    prod = rep_matrix(rep, group.compose(a, b))
+                    assert np.max(np.abs(prod - ma @ rep_matrix(rep, b))) < 1e-12
+                    # the same law on the arrays: rho(a) rho(b) e_j
+                    ab = group.table[a, b]
+                    pb = rep.perm[b]
+                    assert np.array_equal(rep.perm[ab], rep.perm[a][pb])
+                    assert np.array_equal(rep.sign[ab], rep.sign[b] * rep.sign[a][pb])
+
+
+def test_sign_rep_negates_every_generator():
+    # the half turn has determinant +1, yet C2's sign representation flips it
+    assert np.array_equal(sign_rep(C2).sign[:, 0], [1.0, -1.0])
+    assert np.array_equal(sign_rep(FLIP).sign[:, 0], [1.0, -1.0])
+    assert np.array_equal(sign_rep(C4).sign[:, 0], [1.0, -1.0, 1.0, -1.0])
+    with pytest.raises(GroupError):  # a generator of odd order cannot map to -1
+        sign_rep(CYCLIC_BY_ORDER[3])
 
 
 def test_direct_sum_sign_block():
     rep = direct_sum([trivial_rep(FLIP), sign_rep(FLIP)])
     assert rep.dim == 2
-    assert np.array_equal(rep.matrix(1), np.diag([1.0, -1.0]))
+    assert np.array_equal(rep_matrix(rep, 1), np.diag([1.0, -1.0]))
 
 
 def test_direct_sum_empty_is_error():
@@ -135,10 +141,11 @@ def test_direct_sum_group_mismatch():
 def test_direct_sum_regular_regular():
     rep = direct_sum([regular_rep(C4), regular_rep(C4)])
     assert rep.dim == 8
-    m = rep.matrix(1)
-    assert np.array_equal(m[:4, :4], regular_rep(C4).matrix(1))
-    assert np.array_equal(m[4:, 4:], regular_rep(C4).matrix(1))
+    m = rep_matrix(rep, 1)
+    assert np.array_equal(m[:4, :4], rep_matrix(regular_rep(C4), 1))
+    assert np.array_equal(m[4:, 4:], rep_matrix(regular_rep(C4), 1))
     assert np.count_nonzero(m[:4, 4:]) == 0
+    assert rep.summary == "2*regular"
 
 
 def test_act_on_field_pixel_rotation_keeps_values():
@@ -166,6 +173,8 @@ def test_act_on_field_nonsquare_rotation_rejected():
     field = FeatureField(trivial_rep(C4), np.zeros((1, 2, 3)), spatial=(2, 3))
     with pytest.raises(UnsupportedSpatialActionError):
         act_on_field(1, field)
+    with pytest.raises(UnsupportedSpatialActionError):
+        grid_rep(C4, 2, 3)
 
 
 def test_flip_acts_on_columns():
@@ -177,14 +186,13 @@ def test_flip_acts_on_columns():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from([("cyclic", 4), ("cyclic", 2), ("reflection", 2)]),
+    group=st.sampled_from([C4, C2, FLIP]),
     g=st.integers(0, 3),
     h=st.integers(0, 3),
     seed=st.integers(0, 10_000),
     grid=st.booleans(),
 )
-def test_action_composition_property(kind, g, h, seed, grid):
-    group = make_group(*kind)
+def test_action_composition_property(group, g, h, seed, grid):
     g %= group.order
     h %= group.order
     rng = np.random.default_rng(seed)
@@ -198,18 +206,18 @@ def test_action_composition_property(kind, g, h, seed, grid):
     assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", sorted(CYCLIC_BY_ORDER))
 def test_regular_rep_is_permutation_and_order_n(n):
-    group = make_group(CYCLIC, n)
+    group = CYCLIC_BY_ORDER[n]
     rep = regular_rep(group)
     rng = np.random.default_rng(n)
     v = rng.normal(size=n)
     for g in group.elements:
-        m = rep.matrix(g)
+        m = rep_matrix(rep, g)
         assert np.array_equal(np.sort(np.abs(m), axis=0)[-1], np.ones(n))
         assert np.array_equal(m.sum(axis=0), np.ones(n))
         assert np.array_equal(m.sum(axis=1), np.ones(n))
-    shift = rep.matrix(1 % n)
+    shift = rep_matrix(rep, 1 % n)
     out = v.copy()
     for _ in range(n):
         out = shift @ out
@@ -217,21 +225,25 @@ def test_regular_rep_is_permutation_and_order_n(n):
 
 
 def test_grid_rep_matches_spatial_transform():
-    for group in (C4, FLIP):
-        rep = grid_rep(group, 3, 3)
-        x = np.random.default_rng(1).normal(size=(3, 3))
-        for g in group.elements:
-            via_matrix = (rep.matrix(g) @ x.ravel()).reshape(3, 3)
-            field = FeatureField(trivial_rep(group), x[None], spatial=(3, 3))
-            via_field = act_on_field(g, field).values[0]
-            assert np.array_equal(via_matrix, via_field)
+    for size in (3, 5, 7):
+        x = np.random.default_rng(size).normal(size=(size, size))
+        for group, image in ((C4, lambda g: np.rot90(x, g)),
+                             (FLIP, lambda g: np.flip(x, -1) if g else x)):
+            rep = grid_rep(group, size, size)
+            for g in group.elements:
+                assert np.array_equal(x.ravel()[pixel_permutation(group, g, size, size)],
+                                      image(g).ravel())
+                assert np.array_equal(rep_matrix(rep, g) @ x.ravel(), image(g).ravel())
 
 
 def test_spatial_permutation_roundtrip():
-    perm = spatial_permutation(C4, 1, 3, 3)
+    perm = pixel_permutation(C4, 1, 3, 3)
     x = np.arange(9)
     once = x[perm]
     assert np.array_equal(once.reshape(3, 3), np.rot90(x.reshape(3, 3)))
+    # the mirror keeps the axes, so it acts on any rectangle
+    assert np.array_equal(x[:6][pixel_permutation(FLIP, 1, 2, 3)],
+                          np.flip(x[:6].reshape(2, 3), -1).ravel())
 
 
 def test_feature_field_shape_validation():

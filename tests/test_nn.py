@@ -1,5 +1,3 @@
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
@@ -9,15 +7,14 @@ from equipomdp.agent import AgentConfig, RecurrentPolicy
 from equipomdp.autodiff import Tensor
 from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig
 from equipomdp.groups import (
-    CYCLIC,
-    REFLECTION,
+    C1,
+    C4,
+    MIRROR as FLIP,
     Representation,
     direct_sum,
     grid_rep,
-    make_group,
     regular_rep,
     sign_rep,
-    standard_rep,
     trivial_rep,
 )
 from equipomdp.nn import (
@@ -28,13 +25,8 @@ from equipomdp.nn import (
     initial_state,
     mlp_head,
 )
-from feature_fields import FeatureField, act_on_field
+from feature_fields import C2, CYCLIC_BY_ORDER, FeatureField, act_on_field, rep_matrix
 from reference_basis import solve_intertwiner_basis
-
-C1 = make_group(CYCLIC, 1)
-C4 = make_group(CYCLIC, 4)
-C2 = make_group(CYCLIC, 2)
-FLIP = make_group(REFLECTION)
 
 
 def brute_force_rank(mat, tol=1e-9):
@@ -63,32 +55,17 @@ def constraint_matrix(rin, rout):
     for g in rin.group.elements:
         if g == 0:
             continue
-        rows.append(np.kron(rout.matrix(g), np.eye(rin.dim))
-                    - np.kron(np.eye(rout.dim), rin.matrix(g).T))
+        rows.append(np.kron(rep_matrix(rout, g), np.eye(rin.dim))
+                    - np.kron(np.eye(rout.dim), rep_matrix(rin, g).T))
     return np.vstack(rows) if rows else np.zeros((1, rin.dim * rout.dim))
 
 
-@dataclass(frozen=True)
-class KronRep:
-    """The tensor product a x b as one block, for the reference solver."""
-    a: Representation
-    b: Representation
-    kind = "kron"
-
-    @property
-    def group(self):
-        return self.a.group
-
-    @property
-    def dim(self):
-        return self.a.dim * self.b.dim
-
-    @property
-    def components(self):
-        return (self,)
-
-    def matrix(self, g):
-        return np.kron(self.a.matrix(g), self.b.matrix(g))
+def kron_rep(a: Representation, b: Representation) -> Representation:
+    """The tensor product a x b (a's index slowest), for the reference solver."""
+    perm = a.perm[:, :, None] * b.dim + b.perm[:, None, :]
+    sign = a.sign[:, :, None] * b.sign[:, None, :]
+    return Representation(a.group, perm.reshape(len(perm), -1),
+                          sign.reshape(len(sign), -1), ("kron",))
 
 
 def field_forward(layer, field):
@@ -136,7 +113,7 @@ def test_basis_regular_to_regular_c4_is_circulant_space():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_basis_count_regular_regular_equals_order(n):
-    group = make_group(CYCLIC, n)
+    group = CYCLIC_BY_ORDER[n]
     basis = solve_intertwiner_basis(regular_rep(group), regular_rep(group))
     assert basis.count == n
     m = constraint_matrix(regular_rep(group), regular_rep(group))
@@ -272,7 +249,7 @@ def test_tied_layers_match_the_reference_solver(env_cfg, feed_prev_action):
         weight = layer.kernel if conv else layer.weight
         rho_in = layer.rho_in
         if conv:
-            rho_in = KronRep(rho_in, grid_rep(rho_in.group, 3, 3))
+            rho_in = kron_rep(rho_in, grid_rep(rho_in.group, 3, 3))
         for theta, rin in ((weight, rho_in), (layer.bias, trivial_rep(rho_in.group))):
             basis = solve_intertwiner_basis(rin, layer.rho_out)
             assert theta.value.size == basis.count > 0
@@ -290,8 +267,8 @@ def test_tied_layers_match_the_reference_solver(env_cfg, feed_prev_action):
             flat = mats.reshape(len(mats), -1)
             assert np.linalg.matrix_rank(flat) == basis.count
             worst = max(float(np.max(np.abs(
-                np.einsum("uv,kvw->kuw", layer.rho_out.matrix(g), mats)
-                - mats @ rin.matrix(g)))) for g in rin.group.elements)
+                np.einsum("uv,kvw->kuw", rep_matrix(layer.rho_out, g), mats)
+                - mats @ rep_matrix(rin, g)))) for g in rin.group.elements)
             assert worst < 1e-12
 
 
@@ -305,21 +282,13 @@ def test_stabiliser_sign_flip_leaves_no_parameter():
                           np.zeros((1, 1)))
 
 
-def test_non_monomial_rep_is_rejected():
-    c3 = make_group(CYCLIC, 3)
-    with pytest.raises(RepresentationMismatchError, match="standard"):
-        nn.tied_weight_indices(standard_rep(c3), regular_rep(c3))
-    with pytest.raises(RepresentationMismatchError, match="standard"):
-        EquiLinear(regular_rep(c3), direct_sum([trivial_rep(c3), standard_rep(c3)]),
-                   np.random.default_rng(0))
-
-
 # ---------------------------------------------------------------------------
 # EquiConv2d.
 # ---------------------------------------------------------------------------
 
 def rand_conv(rng, group, in_fields, in_kind, out_fields, ksize):
-    conv = EquiConv2d(group, in_fields, in_kind, out_fields, ksize, rng)
+    field = {"trivial": trivial_rep, "regular": regular_rep}[in_kind](group)
+    conv = EquiConv2d(direct_sum([field] * in_fields), out_fields, ksize, rng)
     conv.kernel.value = rng.normal(size=conv.kernel.value.shape)
     conv.bias.value = rng.normal(size=conv.bias.value.shape)
     return conv
@@ -378,7 +347,7 @@ def test_conv_rejects_nonsquare_rotation_input():
     with pytest.raises(UnsupportedSpatialActionError):
         conv.forward_t(Tensor(np.zeros((1, 1, 4, 5))), conv.realize_t())
     with pytest.raises(UnsupportedSpatialActionError):  # no exact grid rotation
-        EquiConv2d(make_group(CYCLIC, 3), 1, "trivial", 1, 3, rng)
+        EquiConv2d(trivial_rep(CYCLIC_BY_ORDER[3]), 1, 3, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +501,7 @@ def test_uniform_logits_fixed_under_every_permutation():
     logits = np.full(4, 0.37)
     rep = regular_rep(C4)
     for g in C4.elements:
-        assert np.array_equal(rep.matrix(g) @ logits, logits)
+        assert np.array_equal(rep_matrix(rep, g) @ logits, logits)
 
 
 def test_head_rejects_wrong_rep():
@@ -588,7 +557,7 @@ def test_gradients_flow_through_equi_linear():
 
 def test_gradients_flow_through_equi_conv():
     rng = np.random.default_rng(26)
-    conv = EquiConv2d(C4, 1, "trivial", 1, 3, rng)
+    conv = EquiConv2d(trivial_rep(C4), 1, 3, rng)
     x = Tensor(rng.normal(size=(2, 1, 4, 4)))
 
     def loss():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, export_pomdp
-from equipomdp.groups import CYCLIC, REFLECTION, make_group
+from equipomdp.groups import C1, C4, MIRROR as FLIP
 from equipomdp import pomdp as pomdp_module
 from equipomdp.pomdp import (
     PUSH_SLICE,
@@ -40,9 +40,6 @@ from reference_oracle import (
     reference_verify_belief_invariance,
     reference_verify_value_invariance,
 )
-
-C4 = make_group(CYCLIC, 4)
-FLIP = make_group(REFLECTION)
 
 
 def single_state_pomdp(discount=0.5):
@@ -83,7 +80,7 @@ def test_act_on_history_inverse_roundtrip():
     binding = random_binding(C4, rng, 6, 4, 8)
     h = (5, 2, 7, 0, 3)
     for g in C4.elements:
-        ginv = (-g) % C4.order  # elements compose additively
+        ginv = (-g) % C4.order  # element g is g quarter turns
         assert act_on_history(binding, g, act_on_history(binding, ginv, h)) == h
 
 
@@ -102,7 +99,7 @@ def test_binding_validation_catches_bad_composition():
 
 def test_identity_binding_always_passes():
     pomdp = random_pomdp(np.random.default_rng(1), 4, 2, 3)
-    binding = identity_binding(make_group(CYCLIC, 1), 4, 2, 3)
+    binding = identity_binding(C1, 4, 2, 3)
     report = check_invariance(pomdp, binding)
     assert report.passed
     assert report.max_dev == 0.0
@@ -287,7 +284,7 @@ def test_invariant_pomdp_has_invariant_beliefs_and_values(seed):
 
 def test_identity_group_value_check_is_exact():
     pomdp = random_pomdp(np.random.default_rng(8), 4, 2, 3)
-    binding = identity_binding(make_group(CYCLIC, 1), 4, 2, 3)
+    binding = identity_binding(C1, 4, 2, 3)
     report = verify_value_invariance(pomdp, binding, horizon=2)
     assert report.passed
     assert report.max_dev == 0.0
