@@ -423,7 +423,7 @@ def export_pomdp(config, discount: float = 0.99, max_states: int = 200_000):
     revealed_ids = {key: s for s, key in enumerate(_obs_keys(revealed))}
     binding = GroupActionBinding(sym.group, ids_of_images(revealed_ids, revealed),
                                  sym.action_map, ids_of_images(obs_ids, np.stack(obs_arrays)))
-    binding.validate()
+    binding.validate(pomdp)
     return pomdp, binding, ExportMaps(obs_ids)
 
 

@@ -58,9 +58,6 @@ class Group:
             raise UnknownElementError(f"{g!r} is not an element of {self.name}")
         return int(g)
 
-    def compose(self, a: int, b: int) -> int:
-        return int(self.table[self.check_element(a), self.check_element(b)])
-
 
 def generate(name: str, *generators) -> Group:
     """The finite group that the 2x2 integer matrices ``generators`` generate,

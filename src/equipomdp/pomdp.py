@@ -90,22 +90,34 @@ class GroupActionBinding:
     action_maps: np.ndarray  # (|G|, A) int
     obs_maps: np.ndarray     # (|G|, O) int
 
-    def validate(self) -> None:
-        for name, maps in (("state", self.state_maps), ("action", self.action_maps),
-                           ("obs", self.obs_maps)):
-            if maps.shape[0] != self.group.order:
+    def validate(self, pomdp: Pomdp) -> None:
+        """Check that each element's maps permute the POMDP's states, actions
+        and observations, the identity's being the identity, and that the
+        maps compose as the group does. Every map is checked for being a
+        bijection before any composition is."""
+        checked = (("state", self.state_maps, pomdp.n_states, "states"),
+                   ("action", self.action_maps, pomdp.n_actions, "actions"),
+                   ("obs", self.obs_maps, pomdp.n_obs, "observations"))
+        for name, maps, n, what in checked:
+            if maps.ndim != 2 or maps.shape[0] != self.group.order:
                 raise PomdpError(f"{name} maps must have one row per group element")
-            n = maps.shape[1]
+            if maps.shape[1] != n:
+                raise PomdpError(f"{name} maps have {maps.shape[1]} columns, but the "
+                                 f"POMDP has {n} {what}")
+            if not np.issubdtype(maps.dtype, np.integer):
+                raise PomdpError(f"{name} maps must be integers, got {maps.dtype}")
             if not np.array_equal(maps[0], np.arange(n)):
                 raise PomdpError(f"{name} map for the identity is not the identity")
-            for g in self.group.elements:
-                if not np.array_equal(np.sort(maps[g]), np.arange(n)):
-                    raise PomdpError(f"{name} map for element {g} is not a bijection")
-                for h in self.group.elements:
-                    gh = self.group.compose(g, h)
-                    if not np.array_equal(maps[gh], maps[g][maps[h]]):
-                        raise PomdpError(
-                            f"{name} maps break composition at ({g}, {h})")
+            broken = (np.sort(maps, axis=1) != np.arange(n)).any(axis=1)
+            if broken.any():
+                raise PomdpError(
+                    f"{name} map for element {int(np.argmax(broken))} is not a bijection")
+        for name, maps, _, _ in checked:
+            # [g, h] compares the map of g h with the map of g after that of h
+            broken = (maps[self.group.table] != maps[:, maps]).any(axis=2)
+            if broken.any():
+                g, h = np.unravel_index(int(np.argmax(broken)), broken.shape)
+                raise PomdpError(f"{name} maps break composition at ({g}, {h})")
 
 
 def format_history(h: tuple) -> str:
@@ -134,7 +146,7 @@ class InvarianceReport:
 def check_invariance(pomdp: Pomdp, binding: GroupActionBinding, atol: float = 1e-12,
                      max_listed: int = 50) -> InvarianceReport:
     """Exhaustively compare every table entry against its group image."""
-    binding.validate()
+    binding.validate(pomdp)
     violations: dict[str, list] = {"trans": [], "reward": [], "obs": [], "start": [], "obs0": []}
     max_dev = 0.0
 
@@ -301,6 +313,8 @@ class _Tables:
     Row s of ``trans`` runs over the columns a * S + s' (a push entry), and
     row a * S + s' of ``obs`` over observations; row r's columns and values
     are ``cols[at[r]:at[r + 1]]`` and ``vals[at[r]:at[r + 1]]``, ascending.
+    Each table is scanned once, flat, in C order (``-0.0`` counts as zero),
+    and each flat index is split into its row and column.
     """
 
     def __init__(self, pomdp: Pomdp):
@@ -312,8 +326,10 @@ class _Tables:
 
     @staticmethod
     def _rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows, cols = np.nonzero(table)
-        return np.searchsorted(rows, np.arange(len(table) + 1)), cols, table[rows, cols]
+        flat = table.ravel()
+        at = np.flatnonzero(flat != 0)
+        rows, cols = np.divmod(at, table.shape[1])
+        return np.searchsorted(rows, np.arange(len(table) + 1)), cols, flat[at]
 
     def expand(self, owner: np.ndarray, states: np.ndarray, probs: np.ndarray,
                obs_tol: float):
@@ -386,8 +402,11 @@ class _Level:
                lengths: np.ndarray) -> np.ndarray:
         """Class ids of the beliefs given as consecutive runs of ``lengths``
         entries, each keyed by its states and its probabilities rounded to
-        1e-12; a new key opens a class. Returns the ids. A belief that
-        differs from its class's first by more than the spread bound raises."""
+        1e-12; a new key opens a class, numbered next. Returns the ids. The
+        beliefs that open classes are those whose id exceeds every id before
+        them (and every old class's); their entries are appended. A slice
+        may open none, or hold no beliefs at all. A belief that differs from
+        its class's first by more than the spread bound raises."""
         bounds = np.concatenate(([0], np.cumsum(lengths)))
         record = np.empty((len(states), 2), dtype=np.int64)
         record[:, 0] = states
@@ -396,8 +415,8 @@ class _Level:
         ids = np.array([keys.setdefault(blob[16 * lo:16 * hi], len(keys))
                         for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())],
                        dtype=np.int64)
-        known, first_seen = np.unique(ids, return_index=True)
-        opened = first_seen[known >= n_old]
+        opened = np.flatnonzero(
+            ids > np.maximum.accumulate(np.concatenate(([n_old - 1], ids)))[:-1])
         owner = np.repeat(np.arange(len(lengths)), lengths)
         fresh = np.zeros(len(lengths), dtype=bool)
         fresh[opened] = True
@@ -696,7 +715,7 @@ def verify_belief_invariance(pomdp: Pomdp, binding: GroupActionBinding, depth: i
     deviation, shallowest first."""
     if depth < 0:
         raise PomdpError(f"depth must be at least 0, got {depth}")
-    binding.validate()
+    binding.validate(pomdp)
     t0 = time.perf_counter()
     sol = exact_q(pomdp, depth, node_budget=node_budget)
     t1 = time.perf_counter()
@@ -742,7 +761,7 @@ def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding, horizon: 
     first largest deviation and the policy witness the first mismatch."""
     if horizon < 1:
         raise PomdpError(f"horizon must be at least 1, got {horizon}")
-    binding.validate()
+    binding.validate(pomdp)
     t0 = time.perf_counter()
     sol = exact_q(pomdp, horizon, node_budget=node_budget)
     t1 = time.perf_counter()
@@ -791,13 +810,17 @@ TABLE_MAGIC = "pomdp-tables 1"
 
 
 def save_tables(path, pomdp: Pomdp) -> None:
-    """One line per nonzero table entry, preceded by sizes and discount."""
+    """One line per nonzero table entry, in C order of each table (``-0.0``
+    is skipped), preceded by sizes and discount."""
     lines = [TABLE_MAGIC, f"sizes {pomdp.n_states} {pomdp.n_actions} {pomdp.n_obs}",
              "discount %.17g" % pomdp.discount]
     for tag, table in (("b0", pomdp.start), ("O0", pomdp.obs0), ("T", pomdp.trans),
                        ("R", pomdp.reward), ("O", pomdp.obs)):
-        lines.extend(" ".join([tag, *map(str, idx), "%.17g" % v])
-                     for idx, v in np.ndenumerate(table) if v)
+        flat = table.ravel()
+        at = np.flatnonzero(flat != 0)
+        lines.extend(" ".join([tag, *map(str, idx), "%.17g" % v]) for *idx, v in
+                     zip(*(i.tolist() for i in np.unravel_index(at, table.shape)),
+                         flat[at].tolist()))
     write_atomic(path, "\n".join(lines) + "\n")
 
 

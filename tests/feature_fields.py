@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from equipomdp.groups import C1, C4, GroupError, Representation, generate, pixel_permutation
+from equipomdp.groups import (C1, C4, Group, GroupError, Representation, generate,
+                              pixel_permutation)
 
 C2 = generate("c2", ((-1, 0), (0, -1)))  # the half turn
 # Cyclic groups by order. The three-fold and six-fold rotations are the
@@ -14,6 +15,11 @@ C2 = generate("c2", ((-1, 0), (0, -1)))  # the half turn
 # has order 5 or 8.
 CYCLIC_BY_ORDER = {1: C1, 2: C2, 3: generate("c3", ((0, -1), (1, -1))), 4: C4,
                    6: generate("c6", ((1, -1), (1, 0)))}
+
+
+def compose(group: Group, a: int, b: int) -> int:
+    """The element a b, read from the Cayley table."""
+    return int(group.table[group.check_element(a), group.check_element(b)])
 
 
 def rep_matrix(rep: Representation, g: int) -> np.ndarray:

@@ -55,7 +55,7 @@ def random_binding(group: Group, rng: np.random.Generator, n_states: int,
 
 def group_average(pomdp: Pomdp, binding: GroupActionBinding) -> Pomdp:
     """Average every table over the group orbit; the result is exactly invariant."""
-    binding.validate()
+    binding.validate(pomdp)
     n = binding.group.order
     trans = np.zeros_like(pomdp.trans)
     reward = np.zeros_like(pomdp.reward)

@@ -175,11 +175,12 @@ def reference_exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
     return ReferenceSolution(q, beliefs, values, root_probs, node_count)
 
 
-def reference_verify_belief_invariance(sol: ReferenceSolution, binding: GroupActionBinding,
+def reference_verify_belief_invariance(pomdp: Pomdp, sol: ReferenceSolution,
+                                       binding: GroupActionBinding,
                                        tolerance: float = 1e-12) -> SymmetryCheckReport:
     """Every (history, g) in expansion order; ``missing_witnesses`` lists
     every (g, h) whose image is unreachable."""
-    binding.validate()
+    binding.validate(pomdp)
     max_dev, witness, missing, checked = 0.0, None, [], 0
     for h, b in sol.beliefs.items():
         for g in binding.group.elements:
@@ -199,12 +200,12 @@ def reference_verify_belief_invariance(sol: ReferenceSolution, binding: GroupAct
                                checked, len(missing), missing, witness)
 
 
-def reference_verify_value_invariance(sol: ReferenceSolution, binding: GroupActionBinding,
-                                      tolerance: float = 1e-9,
+def reference_verify_value_invariance(pomdp: Pomdp, sol: ReferenceSolution,
+                                      binding: GroupActionBinding, tolerance: float = 1e-9,
                                       policy_tol: float = 1e-9) -> SymmetryCheckReport:
     """Every (history, g), deepest first as the backup stored them;
     ``missing_witnesses`` lists every (g, h) whose image is unreachable."""
-    binding.validate()
+    binding.validate(pomdp)
     max_dev, witness, missing, checked = 0.0, None, [], 0
     policy_ok, policy_witness = True, None
     for h, row in sol.q.items():
@@ -390,7 +391,7 @@ def reference_class_verify_belief_invariance(
         node_budget: int = 2_000_000) -> SymmetryCheckReport:
     """``verify_belief_invariance`` with one comparison per class pair, on a
     scratch dense vector; timings are left at zero."""
-    binding.validate()
+    binding.validate(pomdp)
     sol = exact_q(pomdp, depth, node_budget=node_budget)
     # state g^-1 s' for each image state s' = g s, so that the image belief
     # compares in the class's states; the entries missing from one support
@@ -422,7 +423,7 @@ def reference_class_verify_value_invariance(
     """``verify_value_invariance`` with one comparison per class pair, deepest
     first, and each class's greedy set cached by (depth, class); timings are
     left at zero."""
-    binding.validate()
+    binding.validate(pomdp)
     sol = exact_q(pomdp, horizon, node_budget=node_budget)
     am = binding.action_maps
     am_rows = am.tolist()

@@ -39,7 +39,7 @@ from equipomdp.groups import (
 )
 from equipomdp.pomdp import exact_q, verify_belief_invariance, verify_value_invariance
 from export_maps import export_with_maps
-from feature_fields import C2, rep_matrix
+from feature_fields import C2, compose, rep_matrix
 from reference_basis import solve_intertwiner_basis
 
 
@@ -84,7 +84,7 @@ def test_criterion_01_representation_algebra():
                 inv = matrix(int(np.flatnonzero(group.table[a] == 0)[0]))
                 worst = max(worst, float(np.max(np.abs(ma @ inv - eye))))
                 for b in group.elements:
-                    prod = matrix(group.compose(a, b))
+                    prod = matrix(compose(group, a, b))
                     worst = max(worst, float(np.max(np.abs(prod - ma @ matrix(b)))))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 from dataclasses import fields
@@ -11,6 +12,7 @@ from equipomdp.groups import C1, C4, MIRROR as FLIP
 from equipomdp import pomdp as pomdp_module
 from equipomdp.pomdp import (
     PUSH_SLICE,
+    TABLE_MAGIC,
     GroupActionBinding,
     ImpossibleObservationError,
     NodeBudgetError,
@@ -90,7 +92,66 @@ def test_binding_validation_catches_bad_composition():
     maps[1] = np.array([1, 2, 0])  # order 3 permutation cannot represent order 2
     binding = GroupActionBinding(FLIP, maps, maps.copy(), maps.copy())
     with pytest.raises(PomdpError):
-        binding.validate()
+        binding.validate(random_pomdp(np.random.default_rng(0), 3, 3, 3))
+
+
+@pytest.mark.parametrize("kind, g, column, value, message", [
+    pytest.param("state", 2, 0, 10**6, "state map for element 2 is not a bijection",
+                 id="entry-out-of-range"),
+    pytest.param("state", 3, 0, -1, "state map for element 3 is not a bijection",
+                 id="negative-entry"),
+    pytest.param("obs", 1, 0, 2, "obs map for element 1 is not a bijection",
+                 id="repeated-entry"),
+    pytest.param("action", 0, 0, 1, "action map for the identity is not the identity",
+                 id="identity-moved"),
+    pytest.param("state", 1, None, 2, "state maps break composition at (1, 1)",
+                 id="rows-swapped"),
+])
+def test_binding_validation_names_the_bad_map(kind, g, column, value, message):
+    """An entry out of range or a repeated one is named as the element whose
+    map is not a bijection, before any composition is checked; a map that is
+    a bijection but composes wrongly names the first (g, h) in row-major
+    order. Element g of the 3x3 binding is g quarter turns."""
+    pomdp, binding, _ = export_pomdp(CarFlag2dConfig(grid_size=3))
+    maps = getattr(binding, f"{kind}_maps").copy()
+    if column is None:
+        maps[[g, value]] = maps[[value, g]]
+    else:
+        maps[g, column] = value
+    bad = dataclasses.replace(binding, **{f"{kind}_maps": maps})
+    with pytest.raises(PomdpError, match=re.escape(message)):
+        bad.validate(pomdp)
+
+
+def test_binding_from_another_instance_is_refused():
+    pomdp, _, _ = export_pomdp(CarFlag2dConfig(grid_size=3))
+    _, binding, _ = export_pomdp(CarFlag2dConfig(grid_size=5))
+    message = re.escape("state maps have 625 columns, but the POMDP has 81 states")
+    for check in (lambda: check_invariance(pomdp, binding),
+                  lambda: verify_belief_invariance(pomdp, binding, 2),
+                  lambda: verify_value_invariance(pomdp, binding, 2)):
+        with pytest.raises(PomdpError, match=message):
+            check()
+
+
+def test_binding_validation_refuses_maps_that_are_not_integers():
+    pomdp, binding, _ = export_pomdp(CarFlag2dConfig(grid_size=3))
+    bad = dataclasses.replace(binding, obs_maps=binding.obs_maps.astype(float))
+    with pytest.raises(PomdpError, match="obs maps must be integers, got float64"):
+        bad.validate(pomdp)
+
+
+@pytest.mark.parametrize("kind, what", [
+    ("state", "states"), ("action", "actions"), ("obs", "observations")])
+def test_binding_validation_refuses_a_map_of_the_wrong_width(kind, what):
+    pomdp, binding, _ = export_pomdp(CarFlag2dConfig(grid_size=3))
+    maps = getattr(binding, f"{kind}_maps")
+    n = maps.shape[1]
+    for wrong in (maps[:, :-1], np.column_stack((maps, np.full(len(maps), n)))):
+        bad = dataclasses.replace(binding, **{f"{kind}_maps": wrong})
+        with pytest.raises(PomdpError, match=re.escape(
+                f"{kind} maps have {wrong.shape[1]} columns, but the POMDP has {n} {what}")):
+            bad.validate(pomdp)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +409,9 @@ def assert_matches_reference(pomdp, binding, horizon, roundoff=1e-12):
     assert sol.values == {h: class_value(sol, *located[h]) for h in ref.root_probs}
 
     pairs = [(verify_value_invariance(pomdp, binding, horizon),
-              reference_verify_value_invariance(ref, binding)),
+              reference_verify_value_invariance(pomdp, ref, binding)),
              (verify_belief_invariance(pomdp, binding, horizon),
-              reference_verify_belief_invariance(ref, binding))]
+              reference_verify_belief_invariance(pomdp, ref, binding))]
     for report, expect in pairs:
         assert (report.passed, report.checked, report.missing, report.policy_witness) == (
             expect.passed, expect.checked, expect.missing, expect.policy_witness)
@@ -463,6 +524,74 @@ def test_depthwise_solver_matches_per_class_reference_bitwise(monkeypatch, confi
         assert pushes == 40_192 > PUSH_SLICE
 
 
+def nonzero_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row scan as ``np.nonzero`` over the 2-D table gives it, kept as
+    the reference for the flat scan."""
+    rows, cols = np.nonzero(table)
+    return np.searchsorted(rows, np.arange(len(table) + 1)), cols, table[rows, cols]
+
+
+def random_rows_tables():
+    rng = np.random.default_rng(12)
+    tables = []
+    for shape in ((7, 13), (1, 5), (9, 1), (6, 40)):
+        table = rng.random(shape) * (rng.random(shape) < 0.4)
+        picks = rng.integers(0, table.size, 6)
+        table.flat[picks[:2]] = -0.0
+        table.flat[picks[2:4]] = 5e-324          # the least subnormal
+        table.flat[picks[4:]] = -2.5e-310
+        table[rng.integers(0, shape[0])] = 0.0    # a row without nonzeros
+        tables.append(table)
+    tables.append(np.zeros((4, 3)))
+    return tables
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(CarFlag2dConfig(grid_size=3), id="3x3"),
+    pytest.param(CarFlag2dConfig(grid_size=5), id="5x5"),
+    pytest.param(None, id="random-tables"),
+])
+def test_flat_row_scan_matches_the_2d_nonzero_scan(config):
+    """Rows, columns, values and row offsets are bit for bit those of
+    ``np.nonzero``, in the same order and dtype; -0.0 counts as zero and
+    subnormals as nonzero."""
+    if config is None:
+        scans = [(pomdp_module._Tables._rows(table), table) for table in random_rows_tables()]
+    else:
+        pomdp, _, _ = export_pomdp(config)
+        n_pushed = pomdp.n_actions * pomdp.n_states
+        built = pomdp_module._Tables(pomdp)
+        scans = [(built.trans, pomdp.trans.reshape(pomdp.n_states, n_pushed)),
+                 (built.obs, pomdp.obs.reshape(n_pushed, pomdp.n_obs))]
+    for got, table in scans:
+        for a, b in zip(got, nonzero_rows(table)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_intern_opens_classes_only_for_new_keys():
+    """Slices that open classes, one that opens none and one with no
+    children: ids follow first occurrence, and only opened classes append
+    their beliefs."""
+    beliefs = [([0, 2], [0.25, 0.75]), ([1], [1.0]), ([0, 1, 2], [0.5, 0.25, 0.25]),
+               ([2], [1.0])]
+
+    def run(picks):
+        chosen = [beliefs[i] for i in picks]
+        return (np.array([x for states, _ in chosen for x in states], dtype=np.int64),
+                np.array([x for _, probs in chosen for x in probs]),
+                np.array([len(states) for states, _ in chosen], dtype=np.int64))
+
+    level = pomdp_module._Level(1)
+    for picks, expect in (([0, 1, 0], [0, 1, 0]), ([], []), ([1, 0, 1], [1, 0, 1]),
+                          ([2, 0, 2, 3, 1], [2, 0, 2, 3, 1]), ([], [])):
+        ids = level.intern(*run(picks))
+        assert ids.dtype == np.int64 and ids.tolist() == expect
+    starts, states, probs = level.compact()
+    whole = run(range(len(beliefs)))
+    assert states.tobytes() == whole[0].tobytes() and probs.tobytes() == whole[1].tobytes()
+    assert starts.tolist() == [0, 2, 3, 6, 7]
+
+
 @pytest.mark.parametrize("config, horizon", [
     pytest.param(CarFlag2dConfig(grid_size=3), 6, id="3x3-h6"),
     pytest.param(CarFlag2dConfig(grid_size=5), 4, id="5x5-h4"),
@@ -571,7 +700,8 @@ def test_belief_check_over_different_supports_reports_the_dense_deviation(swap):
     assert supports == ([[0, 1], [1, 3]] if swap else [[0, 2], [0, 1]])
     for depth in (0, 1):
         report = verify_belief_invariance(pomdp, binding, depth)
-        expect = reference_verify_belief_invariance(reference_exact_q(pomdp, depth), binding)
+        expect = reference_verify_belief_invariance(
+            pomdp, reference_exact_q(pomdp, depth), binding)
         assert report_fields(report) == report_fields(expect)
         assert report.max_dev == pytest.approx(0.7, abs=1e-12)
         assert report.witness[:2] == (1, (0,))
@@ -665,6 +795,36 @@ def test_two_root_flip_toy_roots_share_one_class():
 # ---------------------------------------------------------------------------
 # Table files.
 # ---------------------------------------------------------------------------
+
+def ndenumerate_table_text(pomdp: Pomdp) -> str:
+    """The table file as the entry-by-entry writer formed it, kept as the
+    reference for ``save_tables``."""
+    lines = [TABLE_MAGIC, f"sizes {pomdp.n_states} {pomdp.n_actions} {pomdp.n_obs}",
+             "discount %.17g" % pomdp.discount]
+    for tag, table in (("b0", pomdp.start), ("O0", pomdp.obs0), ("T", pomdp.trans),
+                       ("R", pomdp.reward), ("O", pomdp.obs)):
+        lines.extend(" ".join([tag, *map(str, idx), "%.17g" % v])
+                     for idx, v in np.ndenumerate(table) if v)
+    return "\n".join(lines) + "\n"
+
+
+def test_save_tables_writes_the_entry_by_entry_bytes(tmp_path):
+    """Only nonzeros are written, in C order; -0.0 is skipped and the least
+    subnormal kept."""
+    dense = random_pomdp(np.random.default_rng(13), 5, 3, 4, discount=0.87)
+    dense.trans[1, 2, 3] = dense.obs[2, 4, 0] = dense.start[3] = -0.0
+    dense.trans[0, 0, 4] = dense.reward[2, 1] = dense.obs0[1, 2] = 5e-324
+    dense.reward[0, 0] = -0.0
+    exported, _, _ = export_pomdp(CarFlag2dConfig(grid_size=3))
+    for pomdp in (dense, exported):
+        path = tmp_path / "model.tables"
+        save_tables(path, pomdp)
+        assert path.read_bytes() == ndenumerate_table_text(pomdp).encode()
+    lines = ndenumerate_table_text(dense).splitlines()
+    assert sum(line.endswith(" 4.9406564584124654e-324") for line in lines) == 3
+    assert not any(line.startswith(("b0 3 ", "T 1 2 3 ", "R 0 0 ", "O 2 4 0 "))
+                   for line in lines)
+
 
 def test_table_roundtrip(tmp_path):
     pomdp = random_pomdp(np.random.default_rng(10), 5, 3, 4, discount=0.87)
