@@ -306,6 +306,37 @@ def cmd_oracle(args) -> int:
         raise UsageError(f"--episodes must be at least 1, got {args.episodes}")
     pomdp, binding, maps = export_pomdp(env_cfg, discount=agent_cfg.discount)
     solution = exact_q(pomdp, horizon=args.horizon, node_budget=args.node_budget)
+
+    # spot-check sampled classes, their beliefs made dense: each child
+    # recomputed with belief_update must match its stored class, and each Q
+    # entry the one-step recursion
+    rng = np.random.default_rng(0)
+    solved = [(d, c) for d, q in enumerate(solution.q) for c in range(len(q))]
+    values = [q.max(axis=1) for q in solution.q] + [np.zeros(len(solution.counts[-1]))]
+    worst = 0.0
+    for i in rng.choice(len(solved), size=min(50, len(solved)), replace=False):
+        depth, c = solved[int(i)]
+        belief = solution.belief(depth, c)
+        for a in range(pomdp.n_actions):
+            probs = pomdp.push(belief, a) @ pomdp.emission(a)
+            seen = np.flatnonzero(probs > 1e-15)
+            kids = solution.child_of(depth, c, a, seen)
+            ahead = 0.0
+            for o, child in zip(seen.tolist(), kids.tolist()):
+                if child >= 0:   # a dropped observation shows as a residual
+                    b = belief_update(pomdp, belief, a, o)
+                    dense = solution.belief(depth + 1, child)
+                    worst = max(worst, float(np.max(np.abs(b - dense))))
+                    ahead += probs[o] * values[depth + 1][child]
+            expect = float(belief @ pomdp.reward[:, a]) + pomdp.discount * ahead
+            worst = max(worst, abs(expect - solution.q[depth][c, a]))
+    print(f"bellman spot-check max residual: {worst:.3e}")
+
+    success, mean_return = agent_mod.evaluate(
+        OracleQPolicy(solution, maps), env_cfg, args.episodes,
+        np.random.default_rng((args.seed or 0, 77)), greedy=True)
+
+    # every check and the greedy play passed: only now are the files written
     out_dir = Path(args.out or "oracle-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     save_tables(out_dir / "model.tables", pomdp)
@@ -323,35 +354,6 @@ def cmd_oracle(args) -> int:
             lines.append(f"class {depth} {c} {','.join(map(str, first))}|{rows[c]}")
             lines.extend(edges[ends[c]:ends[c + 1]])
     ad.write_atomic(out_dir / "qtable.txt", "\n".join(lines) + "\n")
-
-    # spot-check sampled classes, their beliefs made dense: each child
-    # recomputed with belief_update must match its stored class, and each Q
-    # entry the one-step recursion
-    rng = np.random.default_rng(0)
-    solved = [(d, c) for d, q in enumerate(solution.q) for c in range(len(q))]
-    values = [q.max(axis=1) for q in solution.q] + [np.zeros(len(solution.counts[-1]))]
-    worst = 0.0
-    for i in rng.choice(len(solved), size=min(50, len(solved)), replace=False):
-        depth, c = solved[int(i)]
-        belief = solution.belief(depth, c)
-        for a in range(pomdp.n_actions):
-            probs = (belief @ pomdp.trans[:, a, :]) @ pomdp.obs[a]
-            seen = np.flatnonzero(probs > 1e-15)
-            kids = solution.child_of(depth, c, a, seen)
-            ahead = 0.0
-            for o, child in zip(seen.tolist(), kids.tolist()):
-                if child >= 0:   # a dropped observation shows as a residual
-                    b = belief_update(pomdp, belief, a, o)
-                    dense = solution.belief(depth + 1, child)
-                    worst = max(worst, float(np.max(np.abs(b - dense))))
-                    ahead += probs[o] * values[depth + 1][child]
-            expect = float(belief @ pomdp.reward[:, a]) + pomdp.discount * ahead
-            worst = max(worst, abs(expect - solution.q[depth][c, a]))
-    print(f"bellman spot-check max residual: {worst:.3e}")
-
-    success, mean_return = agent_mod.evaluate(
-        OracleQPolicy(solution, maps), env_cfg, args.episodes,
-        np.random.default_rng((args.seed or 0, 77)), greedy=True)
     ad.write_atomic(out_dir / "oracle_report.txt",
                     f"nodes={solution.node_count} classes={solution.class_count} "
                     f"horizon={args.horizon}\n"

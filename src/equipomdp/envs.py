@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .groups import C4, MIRROR, Group, Representation, direct_sum, grid_rep, sign_rep
-from .pomdp import GroupActionBinding, Pomdp
+from .pomdp import GroupActionBinding, Pomdp, SparseRows
 
 
 class EnvError(ValueError):
@@ -368,7 +368,9 @@ def export_pomdp(config, discount: float = 0.99, max_states: int = 200_000):
     its own ``step`` and ``observe``, and every group map from
     ``EnvSymmetry``, so the tables and the simulator are one definition of
     the domain. Terminal states become absorbing with zero reward, so
-    finite-horizon sweeps see exactly the episodic semantics. Observation ids
+    finite-horizon sweeps see exactly the episodic semantics. The simulators
+    are deterministic, so each (s, a) block of a ``trans`` row and each
+    ``obs`` row holds one entry, written as it is met. Observation ids
     are interned in order of first appearance, each together with its group
     images, so they cover what ``observe`` emits and stay closed under the
     group even where the information region breaks the symmetry.
@@ -380,22 +382,22 @@ def export_pomdp(config, discount: float = 0.99, max_states: int = 200_000):
     if n_states > max_states:
         raise EnvError(f"export needs {n_states} states, over the budget {max_states}")
     state_ids = {st: s for s, st in enumerate(states)}
-    trans = np.zeros((n_states, n_actions, n_states))
+    # each (s, a)'s one next state, as its column a * S + s' of row s
+    columns = np.arange(n_actions) * n_states
+    trans_cols = np.empty((n_states, n_actions), dtype=np.int64)
     reward = np.zeros((n_states, n_actions))
-    terminal = np.zeros(n_states, dtype=bool)
     observed, revealed = [], []
     for s, st in enumerate(states):
         env.state = st
         observed.append(env.observe())
         revealed.append(env.revealed())
-        terminal[s] = env.terminal()
-        if terminal[s]:
-            trans[s, :, s] = 1.0
+        if env.terminal():
+            trans_cols[s] = columns + s
             continue
         for a in range(n_actions):
             env.state = st
             reward[s, a] = env.step(a)[1]
-            trans[s, a, state_ids[env.state]] = 1.0
+            trans_cols[s, a] = columns[a] + state_ids[env.state]
     observed, revealed = np.stack(observed), np.stack(revealed)
 
     orbits = [sym.act_on_obs(g, observed) + 0.0 for g in sym.group.elements]
@@ -408,7 +410,11 @@ def export_pomdp(config, discount: float = 0.99, max_states: int = 200_000):
     state_obs = np.array([obs_ids[key] for key in _obs_keys(observed)])
     obs0 = np.zeros((n_states, len(obs_arrays)))
     obs0[np.arange(n_states), state_obs] = 1.0
-    obs = np.repeat(obs0[None], n_actions, axis=0)
+    # one entry per row: row s of trans per action, row a * S + s' of obs
+    trans = SparseRows(np.arange(n_states + 1) * n_actions, trans_cols.ravel(),
+                       np.ones(n_states * n_actions))
+    obs = SparseRows(np.arange(n_states * n_actions + 1), np.tile(state_obs, n_actions),
+                     np.ones(n_states * n_actions))
     start = np.zeros(n_states)
     start[[state_ids[st] for st in env.start_states()]] = 1.0
     start /= start.sum()

@@ -34,51 +34,144 @@ class NodeBudgetError(PomdpError):
     pass
 
 
+class SparseRows(NamedTuple):
+    """A table's nonzeros by row: row r's columns, ascending, are
+    ``cols[at[r]:at[r + 1]]`` and its values ``vals[at[r]:at[r + 1]]``."""
+
+    at: np.ndarray     # (rows + 1,) int offsets
+    cols: np.ndarray   # int
+    vals: np.ndarray   # float
+
+    @property
+    def nbytes(self) -> int:
+        return self.at.nbytes + self.cols.nbytes + self.vals.nbytes
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(len(self.at) - 1), np.diff(self.at))
+
+
 @dataclass
 class Pomdp:
     """Finite POMDP tables.
 
-    ``trans[s, a, s']`` and ``obs[a, s', o]`` are row-stochastic; ``obs0`` is
-    the emission table for the very first observation, before any action.
+    ``trans`` and ``obs`` hold only their nonzeros, by row (``SparseRows``):
+    row s of ``trans`` runs over the columns a * S + s', the probability of
+    reaching s' by action a from s, and row a * S + s' of ``obs`` over the
+    observations emitted on reaching s' by a. Each (s, a) block of a
+    ``trans`` row and each ``obs`` row sums to 1. ``obs0`` (S, O) is the
+    emission table for the very first observation, before any action;
+    ``start``, ``reward`` and ``obs0`` are dense. No (S, A, S) array is held.
     """
 
     start: np.ndarray      # (S,)
-    trans: np.ndarray      # (S, A, S)
+    trans: SparseRows      # S rows over A * S columns
     reward: np.ndarray     # (S, A)
-    obs: np.ndarray        # (A, S, O)
+    obs: SparseRows        # A * S rows over O columns
     obs0: np.ndarray       # (S, O)
     discount: float = 0.99
 
     @property
     def n_states(self) -> int:
-        return self.trans.shape[0]
+        return self.reward.shape[0]
 
     @property
     def n_actions(self) -> int:
-        return self.trans.shape[1]
+        return self.reward.shape[1]
 
     @property
     def n_obs(self) -> int:
-        return self.obs.shape[2]
+        return self.obs0.shape[1]
 
     def validate(self, atol: float = 1e-12) -> None:
+        """Check the shapes, the row layout of ``trans`` and ``obs`` (integer
+        offsets from 0 to the stored entries, never decreasing; integer
+        columns in range, ascending within a row) and that every
+        distribution is nonnegative and sums to 1 within ``atol``. An error
+        names the first bad row."""
+        if self.reward.ndim != 2 or self.obs0.ndim != 2:
+            raise PomdpError("reward and obs0 must be 2-D tables")
         s, a, o = self.n_states, self.n_actions, self.n_obs
-        if self.trans.shape != (s, a, s) or self.reward.shape != (s, a):
-            raise PomdpError("transition/reward table shapes disagree")
-        if self.obs.shape != (a, s, o) or self.obs0.shape != (s, o):
-            raise PomdpError("observation table shapes disagree")
         if self.start.shape != (s,):
             raise PomdpError("start distribution shape disagrees")
+        if self.obs0.shape[0] != s:
+            raise PomdpError("observation table shapes disagree")
         if not 0.0 <= self.discount < 1.0:
             raise PomdpError(f"discount must be in [0, 1), got {self.discount}")
-        for name, table in (("start", self.start[None]),
-                            ("trans", self.trans.reshape(-1, s)),
-                            ("obs", self.obs.reshape(-1, o)),
-                            ("obs0", self.obs0)):
-            if np.any(table < -atol):
-                raise PomdpError(f"{name} has negative entries")
-            if np.max(np.abs(table.sum(axis=-1) - 1.0)) > atol:
-                raise PomdpError(f"{name} rows do not sum to 1")
+
+        def trans_row(r):
+            return f"row (s={r})"
+
+        def obs_row(r):
+            return f"row (a={r // s}, s'={r % s})"
+
+        for name, table, n_rows, rows_what, width, cols_what, label in (
+                ("trans", self.trans, s, "states", a * s, "(action, state) columns",
+                 trans_row),
+                ("obs", self.obs, a * s, "(action, state) rows", o, "observations", obs_row)):
+            at, cols, vals = table
+            if len(at) != n_rows + 1:
+                raise PomdpError(f"{name} has {len(at) - 1} rows, but the POMDP has "
+                                 f"{n_rows} {rows_what}")
+            if not all(np.issubdtype(x.dtype, np.integer) for x in (at, cols)):
+                raise PomdpError(f"{name} row offsets and columns must be integers")
+            if at[0] != 0 or at[-1] != len(cols) or len(cols) != len(vals):
+                raise PomdpError(f"{name} row offsets run from {at[0]} to {at[-1]}, but "
+                                 f"{len(cols)} columns and {len(vals)} values are stored")
+            bad = np.flatnonzero(np.diff(at) < 0)
+            if len(bad):
+                raise PomdpError(f"{name} row offsets decrease at {label(int(bad[0]))}")
+            rows = table.rows()
+            for bad, what in ((np.flatnonzero((cols < 0) | (cols >= width)),
+                               f"outside {width} {cols_what}"),
+                              (np.flatnonzero((np.diff(cols) <= 0) & (np.diff(rows) == 0)) + 1,
+                               "out of order")):
+                if len(bad):
+                    raise PomdpError(f"{name} {label(int(rows[bad[0]]))} has column "
+                                     f"{cols[bad[0]]} {what}")
+        rows = self.trans.rows()
+        _check_distributions("trans", rows * a + self.trans.cols // s, self.trans.vals, s * a,
+                             lambda r: f"row (s={r // a}, a={r % a})", atol)
+        _check_distributions("obs", self.obs.rows(), self.obs.vals, a * s, obs_row, atol)
+        _check_distributions("start", np.zeros(s, dtype=np.int64), self.start, 1,
+                             lambda r: "distribution", atol)
+        _check_distributions("obs0", np.repeat(np.arange(s), o), self.obs0.ravel(), s,
+                             trans_row, atol)
+
+    def push(self, belief: np.ndarray, a: int) -> np.ndarray:
+        """The distribution over next states after action ``a`` from
+        ``belief``, each state's rows summed in order of the states."""
+        at, cols, vals = self.trans
+        support = np.flatnonzero(belief)
+        idx, entry = _spans(at[support], at[support + 1] - at[support])
+        on = cols[idx] // self.n_states == a
+        return np.bincount(cols[idx][on] - a * self.n_states,
+                           weights=belief[support][entry][on] * vals[idx][on],
+                           minlength=self.n_states)
+
+    def emission(self, a: int) -> np.ndarray:
+        """Action ``a``'s block of ``obs`` as a dense (S, O) array."""
+        at, cols, vals = self.obs
+        at = at[a * self.n_states:(a + 1) * self.n_states + 1]
+        block = np.zeros((self.n_states, self.n_obs))
+        block[np.repeat(np.arange(self.n_states), np.diff(at)),
+              cols[at[0]:at[-1]]] = vals[at[0]:at[-1]]
+        return block
+
+
+def _check_distributions(name: str, keys: np.ndarray, vals: np.ndarray, n: int, label,
+                         atol: float) -> None:
+    """The entries ``vals`` grouped by ``keys`` into ``n`` distributions must
+    be nonnegative and sum to 1 within ``atol``; the first bad one is named
+    by ``label`` of its key."""
+    bad = np.flatnonzero(~(vals >= -atol))
+    if len(bad):
+        raise PomdpError(f"{name} {label(int(keys[bad[0]]))} has a negative entry "
+                         f"{float(vals[bad[0]])!r}")
+    sums = np.bincount(keys, weights=vals, minlength=n)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= atol))
+    if len(bad):
+        raise PomdpError(f"{name} {label(int(bad[0]))} sums to {float(sums[bad[0]])!r}")
 
 
 @dataclass
@@ -143,31 +236,69 @@ class InvarianceReport:
         return out
 
 
+def _table_entries(pomdp: Pomdp) -> dict[str, tuple]:
+    """Each table's dense shape, and its nonzeros as ascending flat indices
+    into that shape (C order) with their values: ``trans`` indexed (s, a,
+    s'), ``obs`` (a, s', o). ``-0.0`` counts as zero."""
+    s, a, o = pomdp.n_states, pomdp.n_actions, pomdp.n_obs
+    out = {}
+    for name, shape in (("trans", (s, a, s)), ("reward", (s, a)), ("obs", (a, s, o)),
+                        ("start", (s,)), ("obs0", (s, o))):
+        table = getattr(pomdp, name)
+        if isinstance(table, SparseRows):   # a row's columns run over the last axes
+            keys = table.rows() * (np.prod(shape) // (len(table.at) - 1)) + table.cols
+            vals = table.vals
+        else:
+            vals = table.ravel()
+            keys = np.arange(len(vals))
+        out[name] = shape, keys[vals != 0], vals[vals != 0]
+    return out
+
+
 def check_invariance(pomdp: Pomdp, binding: GroupActionBinding, atol: float = 1e-12,
                      max_listed: int = 50) -> InvarianceReport:
-    """Exhaustively compare every table entry against its group image."""
+    """Exhaustively compare every table entry against its group image.
+
+    The image of a table under g holds at each position p the entry at g p,
+    so the two can differ only where the table or its image is nonzero:
+    each table is compared on the union of its nonzero positions and their
+    g^-1 images, in C order of the dense index, with at most
+    ``max_listed`` violations listed per table and element."""
     binding.validate(pomdp)
     violations: dict[str, list] = {"trans": [], "reward": [], "obs": [], "start": [], "obs0": []}
     max_dev = 0.0
+    forward = {"state": binding.state_maps, "action": binding.action_maps,
+               "obs": binding.obs_maps}
+    inverse = {kind: np.argsort(maps, axis=1) for kind, maps in forward.items()}
+    axes = {"trans": ("state", "action", "state"), "reward": ("state", "action"),
+            "obs": ("action", "state", "obs"), "start": ("state",), "obs0": ("state", "obs")}
+    entries = _table_entries(pomdp)
 
-    def scan(cond, mapped, original, g):
-        nonlocal max_dev
-        diff = np.abs(mapped - original)
-        max_dev = max(max_dev, float(diff.max()))
-        if float(diff.max()) > atol:
-            for key in np.argwhere(diff > atol)[:max_listed]:
-                idx = tuple(int(i) for i in key)
-                violations[cond].append(((g, *idx), float(mapped[idx]), float(original[idx])))
+    def value(cond, at):   # the table's entries at flat indices ``at``
+        table = getattr(pomdp, cond)
+        if not isinstance(table, SparseRows):
+            return table.ravel()[at]
+        _, keys, vals = entries[cond]
+        k = np.searchsorted(keys, at)   # len(keys) past the last key
+        return np.where(np.append(keys, -1)[k] == at, np.append(vals, 0.0)[k], 0.0)
+
+    def image(cond, at, maps, g):   # flat indices ``at`` moved by element g's maps
+        shape = entries[cond][0]
+        return np.ravel_multi_index(tuple(maps[kind][g][i] for kind, i in
+                                          zip(axes[cond], np.unravel_index(at, shape))), shape)
 
     for g in binding.group.elements:
         if g == 0:
             continue
-        sm, am, om = binding.state_maps[g], binding.action_maps[g], binding.obs_maps[g]
-        scan("trans", pomdp.trans[np.ix_(sm, am, sm)], pomdp.trans, g)
-        scan("reward", pomdp.reward[np.ix_(sm, am)], pomdp.reward, g)
-        scan("obs", pomdp.obs[np.ix_(am, sm, om)], pomdp.obs, g)
-        scan("start", pomdp.start[sm], pomdp.start, g)
-        scan("obs0", pomdp.obs0[np.ix_(sm, om)], pomdp.obs0, g)
+        for cond in violations:
+            shape, keys, _ = entries[cond]
+            at = np.union1d(keys, image(cond, keys, inverse, g))
+            mapped, original = value(cond, image(cond, at, forward, g)), value(cond, at)
+            diff = np.abs(mapped - original)
+            max_dev = max(max_dev, float(diff.max(initial=0.0)))
+            for k in np.flatnonzero(diff > atol)[:max_listed].tolist():
+                key = tuple(int(i) for i in np.unravel_index(at[k], shape))
+                violations[cond].append(((g, *key), float(mapped[k]), float(original[k])))
 
     passed = all(not v for v in violations.values())
     return InvarianceReport(passed, max_dev, violations)
@@ -187,8 +318,7 @@ def initial_belief(pomdp: Pomdp, o0: int) -> np.ndarray:
 
 def belief_update(pomdp: Pomdp, belief: np.ndarray, a: int, o: int) -> np.ndarray:
     """Posterior over next states after taking ``a`` and observing ``o``."""
-    pushed = belief @ pomdp.trans[:, a, :]
-    raw = pushed * pomdp.obs[a, :, o]
+    raw = pomdp.push(belief, a) * pomdp.emission(a)[:, o]
     total = raw.sum()
     if total <= 0.0:
         raise ImpossibleObservationError(
@@ -307,72 +437,49 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, np.cumsum(opens) - 1, keys[opens]
 
 
-class _Tables:
-    """The nonzeros of a POMDP's transition and emission tables, by row.
+def _expand(pomdp: Pomdp, owner: np.ndarray, states: np.ndarray, probs: np.ndarray,
+            obs_tol: float):
+    """The children of the beliefs whose entries are ``(states, probs)``,
+    entry i belonging to belief ``owner[i]``, ascending, formed from the
+    rows of ``trans`` and ``obs``.
 
-    Row s of ``trans`` runs over the columns a * S + s' (a push entry), and
-    row a * S + s' of ``obs`` over observations; row r's columns and values
-    are ``cols[at[r]:at[r + 1]]`` and ``vals[at[r]:at[r + 1]]``, ascending.
-    Each table is scanned once, flat, in C order (``-0.0`` counts as zero),
-    and each flat index is split into its row and column.
+    Every (belief, a, s') mass, (belief, a, o) probability and posterior is
+    formed at once. ``np.bincount`` adds in input order and the stable sort
+    keeps each group's states ascending, so every sum runs in the order of
+    the states, as a push of one belief at a time sums. Returns each child's
+    key (belief * A + a) * O + o and probability, children in key order,
+    and the children's posteriors as their nonzero ``states`` (ascending
+    within a child) with their ``probs`` and each child's ``lengths``.
     """
+    n_states, n_actions, n_obs = pomdp.n_states, pomdp.n_actions, pomdp.n_obs
+    at, cols, vals = pomdp.trans
+    idx, entry = _spans(at[states], at[states + 1] - at[states])
+    order, group, pushed = _groups(owner[entry] * (n_actions * n_states) + cols[idx])
+    mass = np.bincount(group, weights=(probs[entry] * vals[idx])[order])
+    at, cols, vals = pomdp.obs
+    row = pushed % (n_actions * n_states)
+    idx, entry = _spans(at[row], at[row + 1] - at[row])
+    order, group, kids = _groups(pushed[entry] // n_states * n_obs + cols[idx])
+    joint = (mass[entry] * vals[idx])[order]
+    obs_p = np.bincount(group, weights=joint)
+    kept = obs_p > obs_tol
+    on = kept[group]
+    post = joint[on] / obs_p[group[on]]
+    nz = post != 0
+    child = (np.cumsum(kept) - 1)[group[on][nz]]
+    states = (pushed[entry] % n_states)[order][on][nz]
+    return (kids[kept], obs_p[kept], states, post[nz],
+            np.bincount(child, minlength=int(kept.sum())))
 
-    def __init__(self, pomdp: Pomdp):
-        self.shape = pomdp.n_states, pomdp.n_actions, pomdp.n_obs
-        self.reward = pomdp.reward
-        n_pushed = pomdp.n_actions * pomdp.n_states
-        self.trans = self._rows(pomdp.trans.reshape(pomdp.n_states, n_pushed))
-        self.obs = self._rows(pomdp.obs.reshape(n_pushed, pomdp.n_obs))
 
-    @staticmethod
-    def _rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        flat = table.ravel()
-        at = np.flatnonzero(flat != 0)
-        rows, cols = np.divmod(at, table.shape[1])
-        return np.searchsorted(rows, np.arange(len(table) + 1)), cols, flat[at]
-
-    def expand(self, owner: np.ndarray, states: np.ndarray, probs: np.ndarray,
-               obs_tol: float):
-        """The children of the beliefs whose entries are ``(states, probs)``,
-        entry i belonging to belief ``owner[i]``, ascending.
-
-        Every (belief, a, s') mass, (belief, a, o) probability and posterior
-        is formed at once. ``np.bincount`` adds in input order and the stable
-        sort keeps each group's states ascending, so every sum runs in the
-        order of the states, as a push of one belief at a time sums. Returns
-        each child's key (belief * A + a) * O + o and probability, children
-        in key order, and the children's posteriors as their nonzero
-        ``states`` (ascending within a child) with their ``probs`` and each
-        child's ``lengths``.
-        """
-        n_states, n_actions, n_obs = self.shape
-        at, cols, vals = self.trans
-        idx, entry = _spans(at[states], at[states + 1] - at[states])
-        order, group, pushed = _groups(owner[entry] * (n_actions * n_states) + cols[idx])
-        mass = np.bincount(group, weights=(probs[entry] * vals[idx])[order])
-        at, cols, vals = self.obs
-        row = pushed % (n_actions * n_states)
-        idx, entry = _spans(at[row], at[row + 1] - at[row])
-        order, group, kids = _groups(pushed[entry] // n_states * n_obs + cols[idx])
-        joint = (mass[entry] * vals[idx])[order]
-        obs_p = np.bincount(group, weights=joint)
-        kept = obs_p > obs_tol
-        on = kept[group]
-        post = joint[on] / obs_p[group[on]]
-        nz = post != 0
-        child = (np.cumsum(kept) - 1)[group[on][nz]]
-        states = (pushed[entry] % n_states)[order][on][nz]
-        return (kids[kept], obs_p[kept], states, post[nz],
-                np.bincount(child, minlength=int(kept.sum())))
-
-    def rewards(self, owner: np.ndarray, states: np.ndarray, probs: np.ndarray,
-                n: int) -> np.ndarray:
-        """Each of ``n`` beliefs' expected immediate reward per action, summed
-        in order of the states."""
-        n_actions = self.shape[1]
-        slots = owner[:, None] * n_actions + np.arange(n_actions)
-        return np.bincount(slots.ravel(), weights=(probs[:, None] * self.reward[states]).ravel(),
-                           minlength=n * n_actions).reshape(n, n_actions)
+def _rewards(pomdp: Pomdp, owner: np.ndarray, states: np.ndarray, probs: np.ndarray,
+             n: int) -> np.ndarray:
+    """Each of ``n`` beliefs' expected immediate reward per action, summed in
+    order of the states."""
+    n_actions = pomdp.n_actions
+    slots = owner[:, None] * n_actions + np.arange(n_actions)
+    return np.bincount(slots.ravel(), weights=(probs[:, None] * pomdp.reward[states]).ravel(),
+                       minlength=n * n_actions).reshape(n, n_actions)
 
 
 def _grown(array: np.ndarray, size: int) -> np.ndarray:
@@ -473,7 +580,6 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
         raise PomdpError(f"horizon must be at least 0, got {horizon}")
     if node_budget < 1:
         raise PomdpError(f"node_budget must be at least 1, got {node_budget}")
-    tables = _Tables(pomdp)
     n_actions, n_obs = pomdp.n_actions, pomdp.n_obs
     p0 = pomdp.start @ pomdp.obs0
     root_obs = np.flatnonzero(p0 > obs_tol).tolist()
@@ -498,7 +604,7 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
         n = len(starts) - 1
         built = _Level(depth + 1)
         # push entries before each class, where the depth is cut into slices
-        pushes = np.concatenate(([0], np.cumsum(np.diff(tables.trans[0])[source_states])))
+        pushes = np.concatenate(([0], np.cumsum(np.diff(pomdp.trans.at)[source_states])))
         pushes = pushes[starts]
         reward = np.empty((n, n_actions))
         found, c0 = [], 0
@@ -508,8 +614,8 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
             lo, hi = starts[c0], starts[c1]
             owner = np.repeat(np.arange(c0, c1), np.diff(starts[c0:c1 + 1]))
             states, probs = source_states[lo:hi], source_probs[lo:hi]
-            reward[c0:c1] = tables.rewards(owner - c0, states, probs, c1 - c0)
-            kids, p, states, probs, lengths = tables.expand(owner, states, probs, obs_tol)
+            reward[c0:c1] = _rewards(pomdp, owner - c0, states, probs, c1 - c0)
+            kids, p, states, probs, lengths = _expand(pomdp, owner, states, probs, obs_tol)
             ids = built.intern(states, probs, lengths)
             n_classes = solved + len(built.keys)
             if n_classes > node_budget:
@@ -810,65 +916,15 @@ TABLE_MAGIC = "pomdp-tables 1"
 
 
 def save_tables(path, pomdp: Pomdp) -> None:
-    """One line per nonzero table entry, in C order of each table (``-0.0``
-    is skipped), preceded by sizes and discount."""
+    """One line per nonzero table entry, in C order of each table's dense
+    index (``trans`` indexed (s, a, s'), ``obs`` (a, s', o); ``-0.0`` is
+    skipped), preceded by sizes and discount."""
     lines = [TABLE_MAGIC, f"sizes {pomdp.n_states} {pomdp.n_actions} {pomdp.n_obs}",
              "discount %.17g" % pomdp.discount]
-    for tag, table in (("b0", pomdp.start), ("O0", pomdp.obs0), ("T", pomdp.trans),
-                       ("R", pomdp.reward), ("O", pomdp.obs)):
-        flat = table.ravel()
-        at = np.flatnonzero(flat != 0)
+    entries = _table_entries(pomdp)
+    for tag, name in (("b0", "start"), ("O0", "obs0"), ("T", "trans"), ("R", "reward"),
+                      ("O", "obs")):
+        shape, keys, vals = entries[name]
         lines.extend(" ".join([tag, *map(str, idx), "%.17g" % v]) for *idx, v in
-                     zip(*(i.tolist() for i in np.unravel_index(at, table.shape)),
-                         flat[at].tolist()))
+                     zip(*(i.tolist() for i in np.unravel_index(keys, shape)), vals.tolist()))
     write_atomic(path, "\n".join(lines) + "\n")
-
-
-def _header_fields(line: str, lineno: int, tag: str, count: int) -> list[str]:
-    fields = line.split()
-    if not fields or fields[0] != tag or len(fields) != count + 1:
-        raise PomdpError(f"line {lineno}: expected {tag!r} and {count} value(s), "
-                         f"got {line.strip()!r}")
-    return fields[1:]
-
-
-def load_tables(path) -> Pomdp:
-    with open(path) as f:
-        if f.readline().rstrip("\n") != TABLE_MAGIC:
-            raise PomdpError("not a pomdp table file")
-        sizes = _header_fields(f.readline(), 2, "sizes", 3)
-        try:
-            s, a, o = (int(x) for x in sizes)
-        except ValueError:
-            raise PomdpError("line 2: sizes has a malformed number") from None
-        if min(s, a, o) <= 0:
-            raise PomdpError(f"line 2: sizes must be positive, got {s} {a} {o}")
-        (discount,) = _header_fields(f.readline(), 3, "discount", 1)
-        try:
-            discount = float(discount)
-        except ValueError:
-            raise PomdpError("line 3: discount has a malformed number") from None
-        pomdp = Pomdp(
-            start=np.zeros(s), trans=np.zeros((s, a, s)), reward=np.zeros((s, a)),
-            obs=np.zeros((a, s, o)), obs0=np.zeros((s, o)), discount=discount)
-        tables = {"b0": pomdp.start, "O0": pomdp.obs0, "T": pomdp.trans,
-                  "R": pomdp.reward, "O": pomdp.obs}
-        for lineno, line in enumerate(f, start=4):
-            fields = line.split()
-            tag = fields[0] if fields else ""
-            table = tables.get(tag)
-            if table is None:
-                raise PomdpError(f"line {lineno}: unknown table line tag {tag!r}")
-            if len(fields) != table.ndim + 2:
-                raise PomdpError(f"line {lineno}: {tag} needs {table.ndim} indices and a "
-                                 f"value, got {len(fields) - 1} fields")
-            try:
-                idx, value = tuple(int(x) for x in fields[1:-1]), float(fields[-1])
-            except ValueError:
-                raise PomdpError(f"line {lineno}: {tag} has a malformed number") from None
-            if not all(0 <= i < n for i, n in zip(idx, table.shape)):
-                raise PomdpError(f"line {lineno}: {tag} index {idx} outside the table "
-                                 f"shape {table.shape}")
-            table[idx] = value
-    pomdp.validate(atol=1e-9)
-    return pomdp

@@ -1,5 +1,9 @@
 """References for the belief-class oracle in ``equipomdp.pomdp``.
 
+``reference_check_invariance`` compares every entry of the dense tables
+with its group image; ``check_invariance``, which compares only where a
+table or its image is nonzero, must give its reports field by field.
+
 In ``reference_exact_q`` every reachable history is expanded, backed up and
 checked on its own; the tests compare ``exact_q`` and the verify functions
 against this sweep. ``reference_class_q`` expands and backs up one belief
@@ -31,8 +35,43 @@ from equipomdp.pomdp import (
     SymmetryCheckReport,
     belief_update,
     exact_q,
+    InvarianceReport,
     initial_belief,
 )
+from pomdp_builders import dense_obs, dense_trans
+
+
+def reference_check_invariance(pomdp: Pomdp, binding: GroupActionBinding,
+                               atol: float = 1e-12, max_listed: int = 50) -> InvarianceReport:
+    """``check_invariance`` over the dense tables: every entry of every table
+    against its group image, violations listed in C order, at most
+    ``max_listed`` per table and element."""
+    binding.validate(pomdp)
+    violations: dict[str, list] = {"trans": [], "reward": [], "obs": [], "start": [], "obs0": []}
+    max_dev = 0.0
+    trans, obs = dense_trans(pomdp), dense_obs(pomdp)
+
+    def scan(cond, mapped, original, g):
+        nonlocal max_dev
+        diff = np.abs(mapped - original)
+        max_dev = max(max_dev, float(diff.max()))
+        if float(diff.max()) > atol:
+            for key in np.argwhere(diff > atol)[:max_listed]:
+                idx = tuple(int(i) for i in key)
+                violations[cond].append(((g, *idx), float(mapped[idx]), float(original[idx])))
+
+    for g in binding.group.elements:
+        if g == 0:
+            continue
+        sm, am, om = binding.state_maps[g], binding.action_maps[g], binding.obs_maps[g]
+        scan("trans", trans[np.ix_(sm, am, sm)], trans, g)
+        scan("reward", pomdp.reward[np.ix_(sm, am)], pomdp.reward, g)
+        scan("obs", obs[np.ix_(am, sm, om)], obs, g)
+        scan("start", pomdp.start[sm], pomdp.start, g)
+        scan("obs0", pomdp.obs0[np.ix_(sm, om)], pomdp.obs0, g)
+
+    passed = all(not v for v in violations.values())
+    return InvarianceReport(passed, max_dev, violations)
 
 
 def greedy_actions(row: np.ndarray, tol: float = 1e-9) -> tuple[int, ...]:
@@ -52,6 +91,7 @@ class HistoryMdp:
 
     def __init__(self, pomdp: Pomdp):
         self.pomdp = pomdp
+        self.trans, self.obs = dense_trans(pomdp), dense_obs(pomdp)
         self._beliefs: dict[tuple, np.ndarray] = {}
 
     def belief(self, h: tuple) -> np.ndarray:
@@ -69,8 +109,8 @@ class HistoryMdp:
         return float(self.belief(h) @ self.pomdp.reward[:, a])
 
     def obs_probs(self, h: tuple, a: int) -> np.ndarray:
-        pushed = self.belief(h) @ self.pomdp.trans[:, a, :]
-        return pushed @ self.pomdp.obs[a]
+        pushed = self.belief(h) @ self.trans[:, a, :]
+        return pushed @ self.obs[a]
 
     def transition(self, h: tuple, a: int, h2: tuple) -> float:
         if len(h2) != len(h) + 2 or h2[: len(h)] != h or h2[-2] != a:
@@ -126,6 +166,7 @@ def reference_exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
     roots: list[tuple] = []
     root_probs: dict[tuple, float] = {}
     beliefs: dict[tuple, np.ndarray] = {}
+    trans, obs = dense_trans(pomdp), dense_obs(pomdp)
     p0 = pomdp.start @ pomdp.obs0
     for o in np.flatnonzero(p0 > obs_tol):
         h = (int(o),)
@@ -141,8 +182,8 @@ def reference_exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
         nxt: list[tuple] = []
         for h in level:
             b = beliefs[h]
-            pushed = np.einsum("s,sat->at", b, pomdp.trans)
-            obs_p = np.einsum("at,ato->ao", pushed, pomdp.obs)
+            pushed = np.einsum("s,sat->at", b, trans)
+            obs_p = np.einsum("at,ato->ao", pushed, obs)
             per_action = []
             for a in range(pomdp.n_actions):
                 ids = np.flatnonzero(obs_p[a] > obs_tol)
@@ -150,7 +191,7 @@ def reference_exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
                 per_action.append((ids, probs))
                 for o, p in zip(ids, probs):
                     h2 = h + (a, int(o))
-                    beliefs[h2] = pushed[a] * pomdp.obs[a, :, o] / p
+                    beliefs[h2] = pushed[a] * obs[a, :, o] / p
                     nxt.append(h2)
             children[h] = per_action
             node_count += sum(len(ids) for ids, _ in per_action)
@@ -289,7 +330,7 @@ def reference_class_q(pomdp: Pomdp, horizon: int, obs_tol: float = 1e-15) -> Cla
     children from that push, interns them one by one and is backed up with
     a Python sum over its children."""
     n_states, n_actions = pomdp.n_states, pomdp.n_actions
-    trans = pomdp.trans.reshape(n_states, -1)
+    trans, obs = dense_trans(pomdp).reshape(n_states, -1), dense_obs(pomdp)
     classes: list[list[RefClass]] = [[]]
     keys: dict = {}
     roots: dict[tuple, int] = {}
@@ -311,7 +352,7 @@ def reference_class_q(pomdp: Pomdp, horizon: int, obs_tol: float = 1e-15) -> Cla
         for cls in classes[depth]:
             pushed = (cls.probs @ trans[cls.support]).reshape(n_actions, n_states)
             reach = pushed.any(axis=0).nonzero()[0]
-            pushed, emit = pushed[:, reach], pomdp.obs[:, reach]
+            pushed, emit = pushed[:, reach], obs[:, reach]
             obs_p = np.einsum("at,ato->ao", pushed, emit)
             va, vo = np.nonzero(obs_p > obs_tol)
             p = obs_p[va, vo]

@@ -40,6 +40,7 @@ from equipomdp.groups import (
 from equipomdp.pomdp import exact_q, verify_belief_invariance, verify_value_invariance
 from export_maps import export_with_maps
 from feature_fields import C2, compose, rep_matrix
+from pomdp_builders import dense_trans
 from reference_basis import solve_intertwiner_basis
 
 
@@ -191,6 +192,7 @@ def test_criterion_06_value_invariance_horizon6():
 def test_criterion_07_oracle_vs_simulator():
     cfg = CarFlag2dConfig(grid_size=3)
     pomdp, binding, maps = export_with_maps(cfg, discount=0.99)
+    trans = dense_trans(pomdp)
     rng = np.random.default_rng(2024)
     mismatches = 0
     for episode in range(1000):
@@ -203,8 +205,8 @@ def test_criterion_07_oracle_vs_simulator():
         for _ in range(50):
             a = int(rng.integers(4))
             obs, reward, term, trunc = env.step(a)
-            s2 = int(np.argmax(pomdp.trans[s, a]))
-            same = (pomdp.trans[s, a, s2] == 1.0
+            s2 = int(np.argmax(trans[s, a]))
+            same = (trans[s, a, s2] == 1.0
                     and reward == pomdp.reward[s, a]
                     and maps.obs_id_of_array(obs) == maps.state_obs[s2]
                     and term == maps.terminal[s2])

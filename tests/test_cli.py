@@ -18,12 +18,11 @@ from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, export_pomdp
 from equipomdp.pomdp import (
     PomdpError,
     exact_q,
-    load_tables,
     save_tables,
     verify_belief_invariance,
     verify_value_invariance,
 )
-from pomdp_builders import random_pomdp
+from pomdp_builders import load_tables, random_pomdp
 from reference_oracle import reference_class_q
 
 
@@ -479,6 +478,19 @@ def test_oracle_qtable_is_the_per_class_reference_text(tmp_path, argv, horizon):
     assert (out / "qtable.txt").read_text() == "\n".join(lines) + "\n"
     report = (out / "oracle_report.txt").read_text().splitlines()
     assert report[1] == "bellman_spot_check=0.000000e+00"
+
+
+def test_oracle_writes_no_file_when_the_greedy_play_fails(tmp_path, capsys):
+    """A horizon shorter than the greedy episodes fails in the play, after
+    the solve and the spot-check; no file is written before all three
+    pass."""
+    out = tmp_path / "o"
+    code = run_cli("oracle", "--env", "carflag2d", "--grid-size", "5", "--horizon", "3",
+                   "--out", str(out))
+    assert code == 1
+    assert ("observation 11 at step 3 is outside the tree solved to horizon 3"
+            in capsys.readouterr().err)
+    assert not list(out.rglob("*"))
 
 
 def test_oracle_budget_exceeded(tmp_path, capsys):

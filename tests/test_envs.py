@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from equipomdp.pomdp import (
     verify_value_invariance,
 )
 from export_maps import export_with_maps
+from pomdp_builders import dense_obs, dense_trans
 from reference_oracle import HistoryMdp, act_on_history
 
 RIGHT, UP, LEFT, DOWN = range(4)
@@ -307,8 +310,50 @@ def test_1d_simulator_symmetry_and_where_offset_breaks_it():
 
 def test_export_2d_is_deterministic_tables():
     pomdp, binding, maps = export_pomdp(CarFlag2dConfig(grid_size=3))
-    assert np.array_equal(np.sort(pomdp.trans, axis=-1)[:, :, -1], np.ones((81, 4)))
-    assert np.array_equal(pomdp.trans.sum(axis=-1), np.ones((81, 4)))
+    trans = dense_trans(pomdp)
+    assert np.array_equal(np.sort(trans, axis=-1)[:, :, -1], np.ones((81, 4)))
+    assert np.array_equal(trans.sum(axis=-1), np.ones((81, 4)))
+
+
+def test_7x7_export_holds_no_dense_table():
+    """CarFlag-2D 7x7 exports its transition and emission tables as rows of
+    nonzeros: together under 1 MB, where the dense (S, A, S) and (A, S, O)
+    pair would take about 188 MB, and the export's allocations peak under
+    64 MB (a dense (S, A, S) table alone is 184 MB). 200 sampled (s, a)
+    rows agree with the simulator's ``step`` and ``observe``."""
+    cfg = CarFlag2dConfig(grid_size=7)
+    tracemalloc.start()
+    try:
+        pomdp, _, export = export_pomdp(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_states, n_actions = pomdp.n_states, pomdp.n_actions
+    assert (n_states, n_actions) == (2401, 4)
+    assert pomdp.trans.nbytes + pomdp.obs.nbytes < 2 ** 20
+    assert peak < 64 * 2 ** 20
+    env = make_env(cfg, np.random.default_rng(0))
+    states = env.states()
+    state_ids = {st: s for s, st in enumerate(states)}
+    rng = np.random.default_rng(7)
+    for s, a in zip(rng.integers(0, n_states, 200).tolist(),
+                    rng.integers(0, n_actions, 200).tolist()):
+        at = pomdp.trans.at
+        cols, vals = pomdp.trans.cols[at[s]:at[s + 1]], pomdp.trans.vals[at[s]:at[s + 1]]
+        assert cols.tolist() == sorted(cols.tolist()) and len(cols) == n_actions
+        env.state = states[s]
+        if env.terminal():
+            s2, reward = s, 0.0
+        else:
+            obs, reward, _, _ = env.step(a)
+            s2 = state_ids[env.state]
+        assert (cols[a], vals[a], pomdp.reward[s, a]) == (a * n_states + s2, 1.0, reward)
+        env.state = states[s2]
+        row = a * n_states + s2
+        at = pomdp.obs.at
+        assert pomdp.obs.cols[at[row]:at[row + 1]].tolist() == [
+            export.obs_id_of_array(env.observe())]
+        assert pomdp.obs.vals[at[row]:at[row + 1]].tolist() == [1.0]
 
 
 def test_export_2d_invariance_pass_and_offset_fail():
@@ -347,6 +392,7 @@ def test_export_tables_match_simulator_exhaustively(cfg):
     """Every (state, action) entry agrees with one simulator step from that
     state, and every group map agrees with ``act_on_obs``."""
     pomdp, binding, maps = export_with_maps(cfg)
+    trans, emit = dense_trans(pomdp), dense_obs(pomdp)
     sym = env_group_binding(cfg)
     env = make_env(cfg, np.random.default_rng(0))
     states = env.states()
@@ -357,11 +403,11 @@ def test_export_tables_match_simulator_exhaustively(cfg):
         o = maps.state_obs[s]
         env.state = st
         assert np.array_equal(maps.obs_arrays[o], env.observe())
-        assert pomdp.obs0[s, o] == 1.0 and np.all(pomdp.obs[:, s, o] == 1.0)
+        assert pomdp.obs0[s, o] == 1.0 and np.all(emit[:, s, o] == 1.0)
         assert maps.terminal[s] == env.terminal()
         for a in range(pomdp.n_actions):
-            s2 = int(np.argmax(pomdp.trans[s, a]))
-            assert pomdp.trans[s, a, s2] == 1.0
+            s2 = int(np.argmax(trans[s, a]))
+            assert trans[s, a, s2] == 1.0
             if maps.terminal[s]:  # absorbing with zero reward
                 assert s2 == s and pomdp.reward[s, a] == 0.0
                 continue
@@ -387,6 +433,7 @@ def test_export_tables_match_simulator_exhaustively(cfg):
 def test_export_matches_simulator_traces():
     cfg = CarFlag2dConfig(grid_size=3)
     pomdp, binding, maps = export_with_maps(cfg)
+    trans = dense_trans(pomdp)
     rng = np.random.default_rng(123)
     for episode in range(300):
         env = CarFlag2d(cfg, np.random.default_rng(1000 + episode))
@@ -397,8 +444,8 @@ def test_export_matches_simulator_traces():
         for _ in range(20):
             a = int(rng.integers(4))
             obs, reward, term, trunc = env.step(a)
-            s2 = int(np.argmax(pomdp.trans[s, a]))
-            assert pomdp.trans[s, a, s2] == 1.0
+            s2 = int(np.argmax(trans[s, a]))
+            assert trans[s, a, s2] == 1.0
             assert reward == pomdp.reward[s, a]
             assert maps.obs_id_of_array(obs) == maps.state_obs[s2]
             assert term == maps.terminal[s2]
@@ -410,6 +457,7 @@ def test_export_matches_simulator_traces():
 def test_export_1d_matches_simulator_traces():
     cfg = CarFlag1dConfig(half_size=5)
     pomdp, binding, maps = export_with_maps(cfg)
+    trans = dense_trans(pomdp)
     rng = np.random.default_rng(321)
     for episode in range(200):
         env = CarFlag1d(cfg, np.random.default_rng(500 + episode))
@@ -420,7 +468,7 @@ def test_export_1d_matches_simulator_traces():
         for _ in range(30):
             a = int(rng.integers(2))
             obs, reward, term, trunc = env.step(a)
-            s2 = int(np.argmax(pomdp.trans[s, a]))
+            s2 = int(np.argmax(trans[s, a]))
             assert reward == pomdp.reward[s, a]
             assert maps.obs_id_of_array(obs) == maps.state_obs[s2]
             assert term == maps.terminal[s2]

@@ -21,13 +21,23 @@ from equipomdp.pomdp import (
     belief_update,
     check_invariance,
     exact_q,
+    SparseRows,
     initial_belief,
-    load_tables,
     save_tables,
     verify_belief_invariance,
     verify_value_invariance,
 )
-from pomdp_builders import group_average, identity_binding, random_binding, random_pomdp
+from pomdp_builders import (
+    dense_obs,
+    dense_trans,
+    from_dense,
+    group_average,
+    identity_binding,
+    load_tables,
+    random_binding,
+    random_pomdp,
+    sparse_rows,
+)
 from reference_oracle import (
     HistoryMdp,
     act_on_history,
@@ -38,6 +48,7 @@ from reference_oracle import (
     reference_class_q,
     reference_class_verify_belief_invariance,
     reference_class_verify_value_invariance,
+    reference_check_invariance,
     reference_exact_q,
     reference_verify_belief_invariance,
     reference_verify_value_invariance,
@@ -45,7 +56,7 @@ from reference_oracle import (
 
 
 def single_state_pomdp(discount=0.5):
-    return Pomdp(
+    return from_dense(
         start=np.array([1.0]),
         trans=np.ones((1, 1, 1)),
         reward=np.ones((1, 1)),
@@ -64,7 +75,7 @@ def two_state_chain():
     obs[0, 0, 0] = 1.0
     obs[0, 1, 1] = 1.0
     obs0 = np.eye(2)
-    return Pomdp(np.array([1.0, 0.0]), trans, np.zeros((2, 1)), obs, obs0, 0.9)
+    return from_dense(np.array([1.0, 0.0]), trans, np.zeros((2, 1)), obs, obs0, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +189,60 @@ def test_group_averaged_pomdp_is_invariant():
     assert any(raw_report.violations.values())
 
 
+def thinned(pomdp: Pomdp, rng: np.random.Generator) -> Pomdp:
+    """``pomdp`` with about half of each table's entries zeroed (one entry
+    per row kept) and the rows renormalized: tables whose nonzeros and
+    their images only partly overlap."""
+    def thin(table):
+        table = table * (rng.random(table.shape) < 0.5)
+        flat = table.reshape(-1, table.shape[-1])
+        empty = ~flat.any(axis=1)
+        flat[empty, rng.integers(0, flat.shape[1], int(empty.sum()))] = 1.0
+        return table / table.sum(axis=-1, keepdims=True)
+
+    return from_dense(thin(pomdp.start), thin(dense_trans(pomdp)),
+                      pomdp.reward * (rng.random(pomdp.reward.shape) < 0.5),
+                      thin(dense_obs(pomdp)), thin(pomdp.obs0), pomdp.discount)
+
+
+def invariance_cases():
+    for seed in range(4):
+        group = C4 if seed % 2 == 0 else FLIP
+        rng = np.random.default_rng(100 + seed)
+        pomdp = random_pomdp(rng, 8, group.order, 6)
+        binding = random_binding(group, rng, 8, group.order, 6)
+        yield pytest.param(pomdp, binding, 50, id=f"random-{seed}")
+        yield pytest.param(group_average(pomdp, binding), binding, 50,
+                           id=f"random-{seed}-averaged")
+        sparse = thinned(pomdp, rng)
+        yield pytest.param(sparse, binding, 50, id=f"random-{seed}-thinned")
+        yield pytest.param(group_average(sparse, binding), binding, 50,
+                           id=f"random-{seed}-thinned-averaged")
+    for name, config in (("3x3", CarFlag2dConfig(grid_size=3)),
+                         ("3x3-offset", CarFlag2dConfig(grid_size=3, info_offset=1)),
+                         ("1d-offset3", CarFlag1dConfig(half_size=10, info_offset=3))):
+        yield pytest.param(*export_pomdp(config)[:2], 50, id=name)
+    rng = np.random.default_rng(104)
+    yield pytest.param(random_pomdp(rng, 8, 4, 6), random_binding(C4, rng, 8, 4, 6), 3,
+                       id="random-over-max-listed")
+
+
+@pytest.mark.parametrize("pomdp, binding, max_listed", invariance_cases())
+def test_check_invariance_matches_the_dense_reference(pomdp, binding, max_listed):
+    """``passed``, ``max_dev`` bit for bit and every violation list, in
+    order, equal those of the entry-by-entry comparison of the dense tables."""
+    report = check_invariance(pomdp, binding, max_listed=max_listed)
+    expect = reference_check_invariance(pomdp, binding, max_listed=max_listed)
+    assert report.passed == expect.passed
+    assert report.max_dev.hex() == expect.max_dev.hex()
+    assert report.violations == expect.violations
+    assert report.lines() == expect.lines()
+    if max_listed == 3:   # some (table, g) has more violations than are listed
+        every = reference_check_invariance(pomdp, binding, max_listed=10 ** 9)
+        assert len(every.violations["trans"]) > len(report.violations["trans"]) \
+            == 3 * (binding.group.order - 1)
+
+
 # ---------------------------------------------------------------------------
 # Beliefs.
 # ---------------------------------------------------------------------------
@@ -193,11 +258,11 @@ def test_belief_deterministic_chain_is_point_mass():
 def test_belief_uninformative_obs_is_pushforward():
     rng = np.random.default_rng(3)
     pomdp = random_pomdp(rng, 5, 2, 3)
-    pomdp.obs[:] = 1.0 / 3.0
+    pomdp.obs = sparse_rows(np.full((10, 3), 1.0 / 3.0))
     b = rng.random(5)
     b /= b.sum()
     out = belief_update(pomdp, b, 1, 2)
-    assert np.allclose(out, b @ pomdp.trans[:, 1, :], atol=1e-12)
+    assert np.allclose(out, b @ dense_trans(pomdp)[:, 1, :], atol=1e-12)
 
 
 def test_belief_zero_probability_observation_raises():
@@ -212,12 +277,13 @@ def test_belief_zero_probability_observation_raises():
 def joint_belief_by_enumeration(pomdp, h):
     """Belief over the final state from the full joint over state sequences."""
     steps = len(h) // 2
+    trans, obs = dense_trans(pomdp), dense_obs(pomdp)
     mass = np.zeros(pomdp.n_states)
     for seq in itertools.product(range(pomdp.n_states), repeat=steps + 1):
         p = pomdp.start[seq[0]] * pomdp.obs0[seq[0], h[0]]
         for t in range(steps):
             a, o = h[2 * t + 1], h[2 * t + 2]
-            p *= pomdp.trans[seq[t], a, seq[t + 1]] * pomdp.obs[a, seq[t + 1], o]
+            p *= trans[seq[t], a, seq[t + 1]] * obs[a, seq[t + 1], o]
         mass[seq[-1]] += p
     return mass / mass.sum()
 
@@ -256,7 +322,7 @@ def test_history_reward_fully_observable_uses_last_state():
     rng = np.random.default_rng(5)
     n = 3
     pomdp = random_pomdp(rng, n, 2, n)
-    pomdp.obs = np.tile(np.eye(n), (2, 1, 1))  # observation identifies the state
+    pomdp.obs = sparse_rows(np.tile(np.eye(n), (2, 1)))  # observation identifies the state
     pomdp.obs0 = np.eye(n)
     hm = HistoryMdp(pomdp)
     h = (2,)
@@ -449,7 +515,7 @@ def test_merged_belief_class_with_spread_is_refused():
     # the two first observations give beliefs 0.5 -+ 2e-13: one class key
     # (values rounded to 1e-12) but 4e-13 apart, over the 1e-13 spread bound
     delta = 4e-13
-    pomdp = Pomdp(
+    pomdp = from_dense(
         start=np.array([0.5, 0.5]),
         trans=np.tile(np.eye(2)[:, None, :], (1, 1, 1)),
         reward=np.zeros((2, 1)),
@@ -467,7 +533,7 @@ def test_merged_belief_class_with_spread_is_refused_below_the_roots():
     # it is and observation 1 moves it to .5 +- 4e-13: one class key (values
     # rounded to 1e-12) at depth 1, but 4e-13 apart, over the 1e-13 bound
     eps = 2e-13
-    pomdp = Pomdp(
+    pomdp = from_dense(
         start=np.array([0.5, 0.5]),
         trans=np.eye(2)[:, None, :],
         reward=np.zeros((2, 1)),
@@ -520,13 +586,13 @@ def test_depthwise_solver_matches_per_class_reference_bitwise(monkeypatch, confi
                 assert not sol.q[depth].flags.writeable
             assert class_value(sol, depth, c) == ref.value, ref.first
     if config == CarFlag2dConfig(grid_size=5):
-        pushes = np.count_nonzero(pomdp.trans[sol.entries[horizon - 1][1]])
+        pushes = np.count_nonzero(dense_trans(pomdp)[sol.entries[horizon - 1][1]])
         assert pushes == 40_192 > PUSH_SLICE
 
 
 def nonzero_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The row scan as ``np.nonzero`` over the 2-D table gives it, kept as
-    the reference for the flat scan."""
+    the reference for the flat scan and for the rows an export writes."""
     rows, cols = np.nonzero(table)
     return np.searchsorted(rows, np.arange(len(table) + 1)), cols, table[rows, cols]
 
@@ -554,16 +620,17 @@ def random_rows_tables():
 def test_flat_row_scan_matches_the_2d_nonzero_scan(config):
     """Rows, columns, values and row offsets are bit for bit those of
     ``np.nonzero``, in the same order and dtype; -0.0 counts as zero and
-    subnormals as nonzero."""
+    subnormals as nonzero. An export's rows are those of the flat scan of
+    their dense view."""
     if config is None:
-        scans = [(pomdp_module._Tables._rows(table), table) for table in random_rows_tables()]
+        scans = [(sparse_rows(table), table) for table in random_rows_tables()]
     else:
         pomdp, _, _ = export_pomdp(config)
         n_pushed = pomdp.n_actions * pomdp.n_states
-        built = pomdp_module._Tables(pomdp)
-        scans = [(built.trans, pomdp.trans.reshape(pomdp.n_states, n_pushed)),
-                 (built.obs, pomdp.obs.reshape(n_pushed, pomdp.n_obs))]
+        scans = [(pomdp.trans, dense_trans(pomdp).reshape(pomdp.n_states, n_pushed)),
+                 (pomdp.obs, dense_obs(pomdp).reshape(n_pushed, pomdp.n_obs))]
     for got, table in scans:
+        assert isinstance(got, SparseRows)
         for a, b in zip(got, nonzero_rows(table)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -604,7 +671,7 @@ def test_belief_classes_store_sparse_read_only_beliefs(config, horizon):
     pomdp, _, _ = export_pomdp(config)
     sol = exact_q(pomdp, horizon)
     n_states, n_actions = pomdp.n_states, pomdp.n_actions
-    trans = pomdp.trans.reshape(n_states, -1)
+    trans, obs = dense_trans(pomdp).reshape(n_states, -1), dense_obs(pomdp)
     firsts, children = sol.first_histories(), child_dicts(sol)
     for depth, (starts, states, probs) in enumerate(sol.entries):
         for c in range(len(starts) - 1):
@@ -614,7 +681,7 @@ def test_belief_classes_store_sparse_read_only_beliefs(config, horizon):
                 nz = np.flatnonzero(belief)
                 pushed = (belief[nz] @ trans[nz]).reshape(n_actions, n_states)
                 reach = np.flatnonzero(pushed.any(axis=0))
-                obs_p = np.einsum("at,ato->ao", pushed[:, reach], pomdp.obs[:, reach])
+                obs_p = np.einsum("at,ato->ao", pushed[:, reach], obs[:, reach])
                 order = [(a, int(o)) for a in range(n_actions)
                          for o in np.flatnonzero(obs_p[a] > 1e-15)]
                 assert list(children[depth][c]) == order
@@ -622,7 +689,7 @@ def test_belief_classes_store_sparse_read_only_beliefs(config, horizon):
                 for (a, o), (p, child) in children[depth][c].items():
                     assert p == obs_p[a, o]
                     if firsts[depth + 1][child] == firsts[depth][c] + (a, o):
-                        b = pushed[a] * pomdp.obs[a, :, o] / obs_p[a, o]
+                        b = pushed[a] * obs[a, :, o] / obs_p[a, o]
                         span = slice(below[child], below[child + 1])
                         assert np.array_equal(np.flatnonzero(b), kids[span])
                         assert b[kids[span]].tobytes() == kid_probs[span].tobytes()
@@ -681,7 +748,7 @@ def test_belief_check_over_different_supports_reports_the_dense_deviation(swap):
     # on the class's side, or on the image's once the two observations swap.
     obs0 = np.array([[0.3, 0.15, 0.55], [0.0, 0.85, 0.15], [0.7, 0.0, 0.3],
                      [0.0, 0.0, 1.0]])
-    pomdp = Pomdp(
+    pomdp = from_dense(
         start=np.full(4, 0.25),
         trans=np.eye(4)[:, None, :],
         reward=np.zeros((4, 1)),
@@ -713,7 +780,7 @@ def two_root_flip_toy():
     (states and observations swapped) each root's image is the other, so
     both roots reach one pair (class, class, flip)."""
     delta = 5e-14
-    pomdp = Pomdp(
+    pomdp = from_dense(
         start=np.array([0.5, 0.5]),
         trans=np.tile(np.eye(2)[:, None, :], (1, 1, 1)),
         reward=np.array([[1.0], [0.0]]),
@@ -797,23 +864,33 @@ def test_two_root_flip_toy_roots_share_one_class():
 # ---------------------------------------------------------------------------
 
 def ndenumerate_table_text(pomdp: Pomdp) -> str:
-    """The table file as the entry-by-entry writer formed it, kept as the
-    reference for ``save_tables``."""
+    """The table file as the entry-by-entry writer formed it over the dense
+    tables, kept as the reference for ``save_tables``."""
     lines = [TABLE_MAGIC, f"sizes {pomdp.n_states} {pomdp.n_actions} {pomdp.n_obs}",
              "discount %.17g" % pomdp.discount]
-    for tag, table in (("b0", pomdp.start), ("O0", pomdp.obs0), ("T", pomdp.trans),
-                       ("R", pomdp.reward), ("O", pomdp.obs)):
+    for tag, table in (("b0", pomdp.start), ("O0", pomdp.obs0), ("T", dense_trans(pomdp)),
+                       ("R", pomdp.reward), ("O", dense_obs(pomdp))):
         lines.extend(" ".join([tag, *map(str, idx), "%.17g" % v])
                      for idx, v in np.ndenumerate(table) if v)
     return "\n".join(lines) + "\n"
 
 
+def set_entry(rows: SparseRows, r: int, c: int, value: float) -> None:
+    """Overwrite the stored entry at row r, column c."""
+    k = rows.at[r] + int(np.searchsorted(rows.cols[rows.at[r]:rows.at[r + 1]], c))
+    assert rows.cols[k] == c
+    rows.vals[k] = value
+
+
 def test_save_tables_writes_the_entry_by_entry_bytes(tmp_path):
-    """Only nonzeros are written, in C order; -0.0 is skipped and the least
-    subnormal kept."""
+    """Only nonzeros are written, in C order of the dense index; a stored
+    -0.0 is skipped and the least subnormal kept."""
     dense = random_pomdp(np.random.default_rng(13), 5, 3, 4, discount=0.87)
-    dense.trans[1, 2, 3] = dense.obs[2, 4, 0] = dense.start[3] = -0.0
-    dense.trans[0, 0, 4] = dense.reward[2, 1] = dense.obs0[1, 2] = 5e-324
+    set_entry(dense.trans, 1, 2 * 5 + 3, -0.0)
+    set_entry(dense.obs, 2 * 5 + 4, 0, -0.0)
+    set_entry(dense.trans, 0, 4, 5e-324)
+    dense.start[3] = -0.0
+    dense.reward[2, 1] = dense.obs0[1, 2] = 5e-324
     dense.reward[0, 0] = -0.0
     exported, _, _ = export_pomdp(CarFlag2dConfig(grid_size=3))
     for pomdp in (dense, exported):
@@ -827,16 +904,19 @@ def test_save_tables_writes_the_entry_by_entry_bytes(tmp_path):
 
 
 def test_table_roundtrip(tmp_path):
-    pomdp = random_pomdp(np.random.default_rng(10), 5, 3, 4, discount=0.87)
-    path = tmp_path / "model.tables"
-    save_tables(path, pomdp)
-    loaded = load_tables(path)
-    assert np.array_equal(loaded.start, pomdp.start)
-    assert np.array_equal(loaded.trans, pomdp.trans)
-    assert np.array_equal(loaded.reward, pomdp.reward)
-    assert np.array_equal(loaded.obs, pomdp.obs)
-    assert np.array_equal(loaded.obs0, pomdp.obs0)
-    assert loaded.discount == pomdp.discount
+    """A file reads back to the tables written, rows and all, for a dense
+    random model and an export."""
+    exported, _, _ = export_pomdp(CarFlag2dConfig(grid_size=3, info_offset=1), discount=0.9)
+    for pomdp in (random_pomdp(np.random.default_rng(10), 5, 3, 4, discount=0.87), exported):
+        path = tmp_path / "model.tables"
+        save_tables(path, pomdp)
+        loaded = load_tables(path)
+        for got, want in ((loaded.trans, pomdp.trans), (loaded.obs, pomdp.obs)):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for name in ("start", "reward", "obs0"):
+            assert getattr(loaded, name).tobytes() == getattr(pomdp, name).tobytes()
+        assert loaded.discount == pomdp.discount
 
 
 @pytest.mark.parametrize("lineno, bad_line, replace, message", [
@@ -878,6 +958,67 @@ def test_load_tables_names_the_bad_line(tmp_path, lineno, bad_line, replace, mes
 
 def test_validate_rejects_bad_tables():
     pomdp = single_state_pomdp()
-    pomdp.trans = np.full((1, 1, 1), 0.5)
+    pomdp.trans = pomdp.trans._replace(vals=np.full(1, 0.5))
     with pytest.raises(PomdpError):
         pomdp.validate()
+
+
+def rows_with(rows: SparseRows, **changes) -> SparseRows:
+    """A copy of ``rows`` whose arrays are changed by the callables given."""
+    return SparseRows(*(changes[name](getattr(rows, name).copy()) if name in changes
+                        else getattr(rows, name) for name in SparseRows._fields))
+
+
+def setting(index, value):
+    def change(array):
+        array[index] = value
+        return array
+    return change
+
+
+@pytest.mark.parametrize("table, change, message", [
+    pytest.param("trans", dict(vals=setting(13, 0.97)),
+                 "trans row (s=3, a=1) sums to 0.97", id="trans-sum"),
+    pytest.param("obs", dict(cols=setting(2 * 9 + 7, 51)),
+                 "obs row (a=2, s'=7) has column 51 outside 49 observations",
+                 id="obs-column-out-of-range"),
+    pytest.param("trans", dict(cols=setting(5, -1)),
+                 "trans row (s=1) has column -1 outside 36 (action, state) columns",
+                 id="trans-column-negative"),
+    pytest.param("obs", dict(vals=setting(4, -0.25)),
+                 "obs row (a=0, s'=4) has a negative entry -0.25", id="obs-negative"),
+    pytest.param("obs", dict(vals=setting(30, 0.5)),
+                 "obs row (a=3, s'=3) sums to 0.5", id="obs-sum"),
+    pytest.param("trans", dict(cols=setting([4, 5], [10, 8])),
+                 "trans row (s=1) has column 8 out of order", id="trans-columns-out-of-order"),
+    pytest.param("trans", dict(at=setting(4, 24)),
+                 "trans row offsets decrease at row (s=4)", id="trans-offsets-decrease"),
+    pytest.param("obs", dict(at=setting(-1, 35)),
+                 "obs row offsets run from 0 to 35, but 36 columns and 36 values are stored",
+                 id="obs-offsets-short"),
+    pytest.param("trans", dict(at=lambda at: at[:-1]),
+                 "trans has 8 rows, but the POMDP has 9 states", id="trans-row-count"),
+    pytest.param("obs", dict(cols=lambda cols: cols.astype(float)),
+                 "obs row offsets and columns must be integers", id="obs-float-columns"),
+])
+def test_validate_names_the_bad_row(table, change, message):
+    """Each broken row layout or distribution is named by its first bad row.
+    In the toy export, stored entry 4 s + a of ``trans`` is (s, a)'s one
+    next state, and stored entry 9 a + s' of ``obs`` is row (a, s')'s one
+    observation."""
+    pomdp = toy_export()
+    pomdp.validate()
+    setattr(pomdp, table, rows_with(getattr(pomdp, table), **change))
+    with pytest.raises(PomdpError, match=re.escape(message)):
+        pomdp.validate()
+
+
+def toy_export() -> Pomdp:
+    """A 9-state, 4-action POMDP with one nonzero per (s, a) and per (a, s'),
+    on 49 observations, laid out as an export lays out its rows."""
+    rng = np.random.default_rng(20)
+    trans = np.zeros((9, 4, 9))
+    trans[np.arange(9)[:, None], np.arange(4), rng.integers(0, 9, (9, 4))] = 1.0
+    obs = np.zeros((4, 9, 49))
+    obs[np.arange(4)[:, None], np.arange(9), rng.integers(0, 49, (4, 9))] = 1.0
+    return from_dense(np.full(9, 1 / 9), trans, rng.normal(size=(9, 4)), obs, obs[0], 0.9)

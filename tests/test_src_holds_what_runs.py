@@ -28,7 +28,6 @@ EXEMPT = {
     "autodiff.primitive_gradcheck_battery":
         "the finite-difference battery behind `verify gradcheck`",
     "autodiff.tsum": "the battery's scalar loss",
-    "pomdp.load_tables": "validates the model.tables file that `oracle` writes",
 }
 
 
