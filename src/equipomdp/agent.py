@@ -42,7 +42,6 @@ from .envs import (
     CarFlag1dConfig,
     CarFlag2dConfig,
     EnvError,
-    VectorEnv,
     env_group_binding,
     make_env,
     step_envs,
@@ -81,7 +80,6 @@ class AgentConfig:
     lstm_fields: int = 16
     head_fields: int = 16
     conv_fields: tuple = (4, 8)
-    lstm_single_tanh: bool = False
     feed_prev_action: bool = False
 
     def __post_init__(self):
@@ -169,8 +167,7 @@ class RecurrentPolicy:
         rho_h = direct_sum([regular_rep(group)] * agent_config.lstm_fields)
         if not trunk_equi:
             rho_x, rho_h = plain(rho_x), plain(rho_h)
-        self.cell = equi_lstm_cell(rho_x, rho_h, rng, name="lstm",
-                                   single_candidate_tanh=agent_config.lstm_single_tanh)
+        self.cell = equi_lstm_cell(rho_x, rho_h, rng, name="lstm")
         self.hidden_dim = self.cell.hidden_dim
 
         actor_equi = variant in ("equi", "equi-actor-only")
@@ -337,22 +334,28 @@ class RolloutBatch:
         return self.rewards.size
 
 
-def start_carry(policy: RecurrentPolicy, venv: VectorEnv,
+def start_carry(policy: RecurrentPolicy, env_config, n_envs: int,
+                seed_seq: np.random.SeedSequence,
                 state_rng: np.random.Generator | None = None) -> dict:
-    obs = venv.reset_all()
-    h, c = policy.initial_state(len(venv), state_rng)
-    prev = np.full(len(venv), -1, dtype=np.int64)
-    return {"obs": obs, "h": h, "c": c, "prev": prev, "state_rng": state_rng}
+    """What collection carries from one segment to the next: ``n_envs`` envs,
+    each on its own generator from a child of ``seed_seq``, freshly reset, and
+    their observations, recurrent state and previous actions."""
+    envs = [make_env(env_config, np.random.default_rng(s)) for s in seed_seq.spawn(n_envs)]
+    obs = np.stack([env.reset() for env in envs])
+    h, c = policy.initial_state(n_envs, state_rng)
+    prev = np.full(n_envs, -1, dtype=np.int64)
+    return {"envs": envs, "obs": obs, "h": h, "c": c, "prev": prev, "state_rng": state_rng}
 
 
-def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
-                     rng: np.random.Generator, carry: dict) -> RolloutBatch:
-    """Advance every env ``n_steps`` steps, sampling from the actor, and keep
-    the segment's graph for the update: each step's input tensor (the trunk's
-    graph on 2D) and the cell's T steps as one ``autodiff.LstmSegment`` node,
-    whose stacked outputs are ``batch.hidden``, with the critic run on them."""
-    b = len(venv)
-    obs, prev = carry["obs"], carry["prev"]
+def collect_rollouts(policy: RecurrentPolicy, carry: dict, n_steps: int,
+                     rng: np.random.Generator) -> RolloutBatch:
+    """Advance every env of the carry ``n_steps`` steps, sampling from the
+    actor, and keep the segment's graph for the update: each step's input
+    tensor (the trunk's graph on 2D) and the cell's T steps as one
+    ``autodiff.LstmSegment`` node, whose stacked outputs are ``batch.hidden``,
+    with the critic run on them."""
+    envs, obs, prev = carry["envs"], carry["obs"], carry["prev"]
+    b = len(envs)
     state_rng = carry.get("state_rng")
     batch = RolloutBatch(
         actions=np.zeros((n_steps, b), dtype=np.int64),
@@ -371,7 +374,7 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
         actions = sample_categorical(policy.logits_t(ad.constant(h), realized).value, rng)
         batch.actions[t] = prev = actions
         obs, batch.rewards[t], batch.terminated[t], batch.truncated[t] = step_envs(
-            venv.envs, actions)
+            envs, actions)
         done_rows = np.flatnonzero(batch.terminated[t] | batch.truncated[t])
         if done_rows.size:
             trunc_rows = np.flatnonzero(batch.truncated[t])
@@ -384,7 +387,7 @@ def collect_rollouts(policy: RecurrentPolicy, venv: VectorEnv, n_steps: int,
             # finished rows restart from a fresh state
             fresh = [policy.initial_state(1, state_rng) for _ in done_rows]
             for i in done_rows:
-                obs[i] = venv.envs[i].reset()
+                obs[i] = envs[i].reset()
             prev[done_rows] = -1
             h, c = segment.reset(done_rows, *(np.concatenate(rows) for rows in zip(*fresh)))
         batch.episodes_finished += done_rows.size
@@ -467,7 +470,8 @@ def a2c_update(policy: RecurrentPolicy, opt: Adam, batch: RolloutBatch,
 def episode_streams(rng: np.random.Generator, episodes: int):
     """One (env, action, state) generator triple per episode, spawned from
     ``rng``'s seed sequence: episode i's streams depend on i alone."""
-    return [ep.spawn(3) for ep in rng.spawn(episodes)]
+    return [[np.random.default_rng(s) for s in ep.spawn(3)]
+            for ep in rng.bit_generator.seed_seq.spawn(episodes)]
 
 
 def play_episodes(actor, env_config, streams, greedy: bool = False):
@@ -478,8 +482,11 @@ def play_episodes(actor, env_config, streams, greedy: bool = False):
     ``step(obs, prev, memory) -> (scores, memory)`` call over the episodes
     still running, whose rows drop out as they end. Returns per-episode success
     flags (terminal with positive reward), undiscounted returns and actions.
-    Each episode draws only from its own streams, so its outcome does not
-    depend on which episodes run beside it."""
+    Each episode draws only from its own streams, so its random draws do not
+    depend on which episodes run beside it. Its scores can: BLAS may round a
+    row's matrix products differently in calls of different row counts (by
+    about 1e-16 on the networks' logits), so at a near-tie a greedy action
+    can depend on how many episodes are still running."""
     if not greedy and actor.scores != "logits":
         raise AgentError(f"cannot sample actions from {actor.scores}; "
                          f"play {type(actor).__name__} with greedy=True")
@@ -652,8 +659,7 @@ def train(env_config, config: AgentConfig, out_dir=None) -> TrainResult:
 
     policy = RecurrentPolicy(env_config, config, rng_params)
     opt = Adam(policy.parameters(), config.learning_rate)
-    venv = VectorEnv(env_config, config.n_envs, env_ss)
-    carry = start_carry(policy, venv, state_rng)
+    carry = start_carry(policy, env_config, config.n_envs, env_ss, state_rng)
 
     rows = []
     stats = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0}
@@ -687,7 +693,7 @@ def train(env_config, config: AgentConfig, out_dir=None) -> TrainResult:
 
     try:
         while steps_done < config.total_steps:
-            batch = collect_rollouts(policy, venv, config.n_steps, rng_sample, carry)
+            batch = collect_rollouts(policy, carry, config.n_steps, rng_sample)
             stats = a2c_update(policy, opt, batch, config)
             steps_done += batch.n_transitions
             episodes += batch.episodes_finished
@@ -740,9 +746,8 @@ def segment_loss_gradcheck(policy: RecurrentPolicy, env_config, config: AgentCon
     perturbed collection samples other actions than the first."""
 
     def collect():
-        venv = VectorEnv(env_config, config.n_envs, np.random.SeedSequence(env_seed))
-        return collect_rollouts(policy, venv, config.n_steps,
-                                np.random.default_rng(sample_seed), start_carry(policy, venv))
+        carry = start_carry(policy, env_config, config.n_envs, np.random.SeedSequence(env_seed))
+        return collect_rollouts(policy, carry, config.n_steps, np.random.default_rng(sample_seed))
 
     first = collect()
     returns, advantages = compute_returns(first, config.discount)

@@ -291,15 +291,14 @@ def conv2d(x: Tensor, k: Tensor) -> Tensor:
     return Tensor(val, (x, k), bwd)
 
 
-def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, wt: np.ndarray, b: np.ndarray,
-              single_candidate_tanh: bool = False):
+def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, wt: np.ndarray, b: np.ndarray):
     """One LSTM step on arrays: returns h', c' and the step's intermediates,
     which ``LstmSegment`` keeps for its backward pass.
 
     ``x`` (dx), ``h`` and ``c`` (H) carry an optional leading batch axis; ``wt``
     (dx + H, 4H) and ``b`` (4H) map ``[x | h]`` to the gate pre-activations,
     stacked [input; forget; output; candidate]. The candidate passes tanh at the
-    gate and, unless ``single_candidate_tanh``, again inside the cell update.
+    gate and again inside the cell update.
     """
     H = h.shape[-1]
     if (x.ndim not in (1, 2) or h.shape != c.shape or x.shape[:-1] != h.shape[:-1]
@@ -311,7 +310,7 @@ def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, wt: np.ndarray, b: np
     ifo = _sigmoid(z[..., : 3 * H])
     i, f, o = ifo[..., :H], ifo[..., H : 2 * H], ifo[..., 2 * H :]
     gate = np.tanh(z[..., 3 * H :])
-    cand = gate if single_candidate_tanh else np.tanh(gate)
+    cand = np.tanh(gate)
     c2 = f * c + i * cand
     tc = np.tanh(c2)
     return o * tc, c2, (xh, c, i, f, o, gate, cand, tc)
@@ -329,9 +328,8 @@ class LstmSegment:
     row i at step t, and its parents are the T inputs (last step first),
     ``wt`` and ``b``."""
 
-    def __init__(self, wt: Tensor, b: Tensor, single_candidate_tanh: bool = False):
+    def __init__(self, wt: Tensor, b: Tensor):
         self.wt, self.b = wt, b
-        self.single_candidate_tanh = single_candidate_tanh
         self.inputs: list[Tensor] = []
         self.outputs: list[np.ndarray] = []
         self.caches: list[tuple] = []
@@ -344,8 +342,7 @@ class LstmSegment:
         state to carry on with when rows restart."""
         if x.value.ndim != 2:
             raise ShapeError(f"an LSTM segment steps (B, dx) input rows, got {x.value.shape}")
-        h2, c2, cache = lstm_cell(x.value, h, c, self.wt.value, self.b.value,
-                                  self.single_candidate_tanh)
+        h2, c2, cache = lstm_cell(x.value, h, c, self.wt.value, self.b.value)
         self.inputs.append(x)
         self.outputs.append(h2)
         self.caches.append(cache)
@@ -363,7 +360,7 @@ class LstmSegment:
 
     def node(self) -> Tensor:
         inputs, caches, resets = tuple(self.inputs), self.caches, self.resets
-        wt, b, single = self.wt, self.b, self.single_candidate_tanh
+        wt, b = self.wt, self.b
         n_steps, H = len(caches), self.outputs[0].shape[-1]
         dx = wt.value.shape[0] - H
 
@@ -382,9 +379,7 @@ class LstmSegment:
                 gc = gh * o * (1.0 - tc * tc)
                 if dc is not None:
                     gc = dc + gc
-                dcand = gc * i
-                if not single:
-                    dcand = dcand * (1.0 - cand * cand)
+                dcand = gc * i * (1.0 - cand * cand)
                 dz = np.concatenate([gc * cand * i * (1.0 - i), gc * cv * f * (1.0 - f),
                                      gh * tc * o * (1.0 - o), dcand * (1.0 - gate * gate)],
                                     axis=-1)
@@ -640,18 +635,17 @@ def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
     # three steps of a batch of two, row 0 restarting after the second step
     h0, c0, fresh = (rng.normal(size=(2, 4)) for _ in range(3))
     weights = Tensor(rng.normal(size=(6, 4)))
-    for name, single in (("lstm_segment", False), ("lstm_segment_single_tanh", True)):
-        xs = [parameter(rng.normal(size=(2, 3)), f"x{t}") for t in range(3)]
-        wt, b = parameter(rng.normal(size=(7, 16)), "wt"), parameter(rng.normal(size=16), "b")
+    xs = [parameter(rng.normal(size=(2, 3)), f"x{t}") for t in range(3)]
+    wt, b = parameter(rng.normal(size=(7, 16)), "wt"), parameter(rng.normal(size=16), "b")
 
-        def build():
-            seg = LstmSegment(wt, b, single)
-            h, c = h0, c0
-            for t, x in enumerate(xs):
-                h, c = seg.step(x, h, c)
-                if t == 1:
-                    h, c = seg.reset([0], fresh[:1], fresh[1:])
-            return tsum(hadamard(seg.node(), weights))
+    def build():
+        seg = LstmSegment(wt, b)
+        h, c = h0, c0
+        for t, x in enumerate(xs):
+            h, c = seg.step(x, h, c)
+            if t == 1:
+                h, c = seg.reset([0], fresh[:1], fresh[1:])
+        return tsum(hadamard(seg.node(), weights))
 
-        out[name] = gradcheck(build, [*xs, wt, b])
+    out["lstm_segment"] = gradcheck(build, [*xs, wt, b])
     return out

@@ -65,7 +65,7 @@ AGENT_KEYS = {
     "entropy_coef": float, "grad_clip": float, "total_steps": int,
     "eval_interval": int, "eval_episodes": int, "eval_greedy": bool,
     "lstm_fields": int, "head_fields": int, "conv_fields": str,
-    "lstm_single_tanh": bool, "feed_prev_action": bool,
+    "feed_prev_action": bool,
 }
 RUN_KEYS = {"seed": int, "out": str, "group": str}
 # [env] keys of one domain that the other refuses, by env kind
@@ -179,9 +179,7 @@ def write_manifest(path, env_cfg, agent_cfg: AgentConfig, run: dict,
     kind = "carflag1d" if isinstance(env_cfg, CarFlag1dConfig) else "carflag2d"
     env_items = {"kind": kind}
     for key, value in asdict(env_cfg).items():
-        out_key = "offset" if key == "info_offset" else key
-        if out_key in ENV_KEYS:
-            env_items[out_key] = str(value)
+        env_items["offset" if key == "info_offset" else key] = str(value)
     parser["env"] = env_items
     agent_items = {}
     for key, value in asdict(agent_cfg).items():
@@ -441,8 +439,6 @@ def _add_agent_flags(p):
     p.add_argument("--head-fields", dest="head_fields", type=int, default=None)
     p.add_argument("--conv-fields", dest="conv_fields", default=None,
                    help="comma-separated field counts per conv layer")
-    p.add_argument("--lstm-single-tanh", dest="lstm_single_tanh", action="store_true",
-                   default=None)
     p.add_argument("--feed-prev-action", dest="feed_prev_action", action="store_true",
                    default=None)
 

@@ -43,14 +43,21 @@ class InvalidActionError(EnvError):
 # Configs.
 # ---------------------------------------------------------------------------
 
+# The domains' fixed rewards: CarFlag-1D pays STEP_REWARD per step that ends
+# off the flags and GOAL_REWARD or RED_REWARD at the green or red flag;
+# CarFlag-2D pays GOAL_REWARD on reaching the goal and nothing otherwise.
+STEP_REWARD = -0.01
+GOAL_REWARD = 1.0
+RED_REWARD = -1.0
+# CarFlag-2D starts the agent at least this Manhattan distance from the goal.
+MIN_START_DISTANCE = 2
+
+
 @dataclass(frozen=True)
 class CarFlag1dConfig:
     half_size: int = 25            # flags sit at +-half_size, so they are 2*half_size apart
     info_offset: int = 0           # information cell position; 0 is the symmetric case
     max_steps: int = 50
-    step_reward: float = -0.01
-    goal_reward: float = 1.0
-    red_reward: float = -1.0
 
     def __post_init__(self):
         if self.half_size < 2:
@@ -67,8 +74,6 @@ class CarFlag2dConfig:
     info_offset: int = 0           # centered information region shifted along columns
     info_region_size: int = 1      # odd side length of the information square
     max_steps: int = 50
-    goal_reward: float = 1.0
-    min_start_distance: int = 2
 
     def __post_init__(self):
         n = self.grid_size
@@ -116,6 +121,9 @@ class CarFlag1d:
         self.goal_side = 1
         self.steps = 0
         self.done = True
+        # interior cells only: starting on a flag would terminate before any action
+        self._starts = tuple(p for p in range(-config.half_size + 1, config.half_size)
+                             if p != config.info_offset)
 
     @property
     def state(self) -> tuple[int, int]:
@@ -132,14 +140,8 @@ class CarFlag1d:
         h = self.config.half_size
         return [(p, side) for p in range(-h, h + 1) for side in (-1, 1)]
 
-    def valid_start_positions(self) -> list[int]:
-        c = self.config
-        # interior cells only: starting on a flag would terminate before any action
-        return [p for p in range(-c.half_size + 1, c.half_size)
-                if p != c.info_offset]
-
     def start_states(self) -> list[tuple[int, int]]:
-        return [(p, side) for p in self.valid_start_positions() for side in (-1, 1)]
+        return [(p, side) for p in self._starts for side in (-1, 1)]
 
     def terminal(self) -> bool:
         return abs(self.pos) == self.config.half_size
@@ -153,7 +155,7 @@ class CarFlag1d:
         return np.array([float(self.pos), float(self.goal_side)])
 
     def reset(self) -> np.ndarray:
-        self.state = (int(self.rng.choice(self.valid_start_positions())),
+        self.state = (self._starts[int(self.rng.integers(len(self._starts)))],
                       1 if self.rng.random() < 0.5 else -1)
         return self.observe()
 
@@ -168,11 +170,11 @@ class CarFlag1d:
         self.steps += 1
         terminated = self.terminal()
         if not terminated:
-            reward = c.step_reward
+            reward = STEP_REWARD
         elif self.pos == c.half_size * self.goal_side:
-            reward = c.goal_reward
+            reward = GOAL_REWARD
         else:
-            reward = c.red_reward
+            reward = RED_REWARD
         truncated = not terminated and self.steps >= c.max_steps
         self.done = terminated or truncated
         return self.observe(), reward, terminated, truncated
@@ -191,7 +193,7 @@ def _start_pairs(config: CarFlag2dConfig) -> tuple:
         (a, g)
         for a in cells if a not in info
         for g in cells if g not in info
-        if abs(a[0] - g[0]) + abs(a[1] - g[1]) >= config.min_start_distance
+        if abs(a[0] - g[0]) + abs(a[1] - g[1]) >= MIN_START_DISTANCE
     )
     if not pairs:
         raise PlacementError("no valid (agent, goal) start pair")
@@ -263,7 +265,7 @@ class CarFlag2d:
         self.agent = (r, col)  # position unchanged when stepping out of the world
         self.steps += 1
         terminated = self.terminal()
-        reward = self.config.goal_reward if terminated else 0.0
+        reward = GOAL_REWARD if terminated else 0.0
         truncated = not terminated and self.steps >= self.config.max_steps
         self.done = terminated or truncated
         return self.observe(), reward, terminated, truncated
@@ -275,20 +277,6 @@ def make_env(config, rng: np.random.Generator):
     if isinstance(config, CarFlag2dConfig):
         return CarFlag2d(config, rng)
     raise EnvError(f"unknown env config {type(config).__name__}")
-
-
-class VectorEnv:
-    """Independent env instances, each on its own RNG stream."""
-
-    def __init__(self, config, n_envs: int, seed_seq: np.random.SeedSequence):
-        streams = seed_seq.spawn(n_envs)
-        self.envs = [make_env(config, np.random.default_rng(s)) for s in streams]
-
-    def __len__(self):
-        return len(self.envs)
-
-    def reset_all(self) -> np.ndarray:
-        return np.stack([e.reset() for e in self.envs])
 
 
 def step_envs(envs, actions):

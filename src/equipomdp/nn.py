@@ -217,18 +217,15 @@ class LstmCell:
     backpropagation through time.
 
     Gate pre-activations are stacked as [input; forget; output; candidate].
-    By default the candidate passes tanh both at the gate and again inside the
-    cell update; ``single_candidate_tanh`` collapses that to the usual single
-    application.
+    The candidate passes tanh both at the gate and again inside the cell
+    update.
     """
 
-    def __init__(self, linear: EquiLinear, rho_x: Representation, rho_h: Representation,
-                 single_candidate_tanh: bool = False):
+    def __init__(self, linear: EquiLinear, rho_x: Representation, rho_h: Representation):
         self.linear = linear
         self.rho_x = rho_x
         self.rho_h = rho_h
         self.hidden_dim = rho_h.dim
-        self.single_candidate_tanh = single_candidate_tanh
 
     def parameters(self):
         return self.linear.parameters()
@@ -243,22 +240,21 @@ class LstmCell:
                 f"{self.linear.name}: input has {x.shape[-1]} channels, "
                 f"{self.rho_x.dim} expected (rho_x {self.rho_x.summary})")
         wt, b = realized
-        return ad.lstm_cell(x, h, c, wt.value, b.value, self.single_candidate_tanh)[:2]
+        return ad.lstm_cell(x, h, c, wt.value, b.value)[:2]
 
     def segment(self, realized) -> ad.LstmSegment:
         """A run of steps under the realized weights, to become one graph node."""
         wt, b = realized
-        return ad.LstmSegment(wt, b, self.single_candidate_tanh)
+        return ad.LstmSegment(wt, b)
 
 
 def equi_lstm_cell(rho_x: Representation, rho_h: Representation,
-                   rng: np.random.Generator, name: str = "lstm",
-                   single_candidate_tanh: bool = False) -> LstmCell:
+                   rng: np.random.Generator, name: str = "lstm") -> LstmCell:
     """Equivariant cell: permutation-type state ``rho_h`` (regular fields, or
     plain units over the trivial group), fused constrained gate map."""
     _assert_pointwise_safe(rho_h)
     linear = EquiLinear(direct_sum([rho_x, rho_h]), direct_sum([rho_h] * 4), rng, name=name)
-    return LstmCell(linear, rho_x, rho_h, single_candidate_tanh=single_candidate_tanh)
+    return LstmCell(linear, rho_x, rho_h)
 
 
 def initial_state(cell: LstmCell, batch: int | None = None, mode: str = "zero",

@@ -14,7 +14,6 @@ from equipomdp import autodiff as ad
 from equipomdp.agent import (
     OracleQPolicy,
     RecurrentPolicy,
-    VectorEnv,
     a2c_loss_gradcheck,
     a2c_update,
     benchmark_agent_config,
@@ -254,12 +253,11 @@ def test_criterion_09_equivariance_after_training():
     env_cfg = benchmark_env_config()
     cfg = benchmark_agent_config("equi", seed=0, total_steps=0)
     policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
-    venv = VectorEnv(env_cfg, cfg.n_envs, np.random.SeedSequence(1))
     opt = ad.Adam(policy.parameters(), cfg.learning_rate)
-    carry = start_carry(policy, venv)
+    carry = start_carry(policy, env_cfg, cfg.n_envs, np.random.SeedSequence(1))
     rng = np.random.default_rng(2)
     for _ in range(60):
-        batch = collect_rollouts(policy, venv, cfg.n_steps, rng, carry)
+        batch = collect_rollouts(policy, carry, cfg.n_steps, rng)
         a2c_update(policy, opt, batch, cfg)
     actor, critic = equivariance_residuals(policy, histories=10, max_len=50,
                                            rng=np.random.default_rng(3))

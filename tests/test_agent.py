@@ -10,7 +10,6 @@ from equipomdp.agent import (
     OracleQPolicy,
     RecurrentPolicy,
     RolloutBatch,
-    VectorEnv,
     collect_rollouts,
     compute_returns,
     a2c_update,
@@ -76,9 +75,8 @@ def collect_once(env_cfg=CFG_1D, seed=0, n_steps=5, observations=None, **kw):
     policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(seed))
     if observations is not None:
         record_step_observations(policy, observations)
-    venv = VectorEnv(env_cfg, cfg.n_envs, np.random.SeedSequence(seed))
-    carry = start_carry(policy, venv)
-    batch = collect_rollouts(policy, venv, n_steps, np.random.default_rng(seed + 1), carry)
+    carry = start_carry(policy, env_cfg, cfg.n_envs, np.random.SeedSequence(seed))
+    batch = collect_rollouts(policy, carry, n_steps, np.random.default_rng(seed + 1))
     return policy, batch, cfg
 
 
@@ -182,9 +180,8 @@ def test_collect_batch_shape():
     policy = RecurrentPolicy(CFG_1D, cfg, np.random.default_rng(0))
     observations = []
     record_step_observations(policy, observations)
-    venv = VectorEnv(CFG_1D, 16, np.random.SeedSequence(0))
-    carry = start_carry(policy, venv)
-    batch = collect_rollouts(policy, venv, 5, np.random.default_rng(1), carry)
+    carry = start_carry(policy, CFG_1D, 16, np.random.SeedSequence(0))
+    batch = collect_rollouts(policy, carry, 5, np.random.default_rng(1))
     assert batch.n_transitions == 80
     assert batch.actions.shape == (5, 16)
     assert np.array(observations).shape == (5, 16, 2)
@@ -210,9 +207,8 @@ def test_collect_resets_state_rows_at_episode_end():
         policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
         observations = []
         record_step_observations(policy, observations)
-        venv = VectorEnv(env_cfg, 4, np.random.SeedSequence(2))
-        carry = start_carry(policy, venv)
-        batch = collect_rollouts(policy, venv, 20, np.random.default_rng(3), carry)
+        carry = start_carry(policy, env_cfg, 4, np.random.SeedSequence(2))
+        batch = collect_rollouts(policy, carry, 20, np.random.default_rng(3))
         n_steps, b = batch.actions.shape
         hidden = batch.hidden.value.reshape(n_steps, b, -1)
         ts, bs = np.nonzero((batch.terminated | batch.truncated)[:-1])
@@ -235,9 +231,8 @@ def test_collect_bookkeeping_at_truncations_and_segment_end(env_cfg):
     segment-end bootstrap is the critic one step past the returned carry."""
     cfg = small_agent_config(n_envs=4, feed_prev_action=True)
     policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
-    venv = VectorEnv(env_cfg, 4, np.random.SeedSequence(5))
-    carry = start_carry(policy, venv)
-    batch = collect_rollouts(policy, venv, 10, np.random.default_rng(6), carry)
+    carry = start_carry(policy, env_cfg, 4, np.random.SeedSequence(5))
+    batch = collect_rollouts(policy, carry, 10, np.random.default_rng(6))
     trunc = batch.truncated
     assert trunc.any() and not trunc.all()
     assert np.all(batch.trunc_bootstrap[~trunc] == 0.0)
@@ -282,14 +277,13 @@ def test_collection_matches_update_forward_exactly(env_cfg, kw):
     episode resets inside them."""
     cfg = small_agent_config(**kw)
     policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
-    venv = VectorEnv(env_cfg, cfg.n_envs, np.random.SeedSequence(1))
     state_rng = np.random.default_rng(2) if cfg.lstm_init == "random" else None
-    carry = start_carry(policy, venv, state_rng)
+    carry = start_carry(policy, env_cfg, cfg.n_envs, np.random.SeedSequence(1), state_rng)
     opt = Adam(policy.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(3)
     resets = 0
     for _ in range(4):
-        batch = collect_rollouts(policy, venv, 8, rng, carry)
+        batch = collect_rollouts(policy, carry, 8, rng)
         resets += int((batch.terminated | batch.truncated)[:-1].sum())
         returns, advantages = compute_returns(batch, cfg.discount)
         _, stats = segment_loss(policy, batch, cfg, returns, advantages)
@@ -441,12 +435,11 @@ def test_equivariance_survives_many_updates():
     env_cfg = CFG_1D
     cfg = small_agent_config(n_envs=4)
     policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(20))
-    venv = VectorEnv(env_cfg, 4, np.random.SeedSequence(21))
     opt = Adam(policy.parameters(), 1e-3)
-    carry = start_carry(policy, venv)
+    carry = start_carry(policy, env_cfg, 4, np.random.SeedSequence(21))
     rng = np.random.default_rng(22)
     for _ in range(25):
-        batch = collect_rollouts(policy, venv, 5, rng, carry)
+        batch = collect_rollouts(policy, carry, 5, rng)
         a2c_update(policy, opt, batch, cfg)
     a, c = equivariance_residuals(policy, histories=5, max_len=20,
                                   rng=np.random.default_rng(23))
@@ -738,6 +731,19 @@ def test_batched_evaluation_matches_each_episode_run_alone(env_cfg, greedy, lstm
     assert len(set(map(len, actions))) > 1   # rows drop out of the batch at different steps
     assert evaluate(policy, env_cfg, n, np.random.default_rng(24), greedy=greedy) == (
         successes.mean(), returns.mean())
+
+
+def test_episode_streams_are_the_spawned_generators():
+    """Episode i's (env, action, state) streams are the generators that
+    ``rng.spawn(episodes)[i].spawn(3)`` gives, drawn for draw."""
+    got = episode_streams(np.random.default_rng(26), 5)
+    want = [ep.spawn(3) for ep in np.random.default_rng(26).spawn(5)]
+    assert len(got) == len(want)
+    for streams, ref in zip(got, want):
+        assert len(streams) == len(ref) == 3
+        for g, r in zip(streams, ref):
+            assert g.bit_generator.state == r.bit_generator.state
+            assert np.array_equal(g.random(8), r.random(8))
 
 
 def test_sample_categorical_distribution():

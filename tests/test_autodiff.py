@@ -210,7 +210,7 @@ def test_three_layer_network_gradcheck():
     assert gradcheck(loss, [w1, w2, w3, b1]) < 1e-4
 
 
-def unfused_lstm_step(x, h, c, wt, b, single_candidate_tanh):
+def unfused_lstm_step(x, h, c, wt, b):
     """The LSTM step as a composition of primitives: the reference for the
     steps of ``ad.LstmSegment``."""
     H = h.value.shape[-1]
@@ -220,15 +220,13 @@ def unfused_lstm_step(x, h, c, wt, b, single_candidate_tanh):
     f = slice_last(ifo, H, 2 * H)
     o = slice_last(ifo, 2 * H, 3 * H)
     g = tanh(slice_last(gates, 3 * H, 4 * H))
-    cand = g if single_candidate_tanh else tanh(g)
-    c2 = ad.add(ad.hadamard(f, c), ad.hadamard(i, cand))
+    c2 = ad.add(ad.hadamard(f, c), ad.hadamard(i, tanh(g)))  # tanh twice on the candidate
     h2 = ad.hadamard(o, tanh(c2))
     return ad.concat([h2, c2], axis=-1)
 
 
-@pytest.mark.parametrize("single", [False, True], ids=["double-tanh", "single-tanh"])
-@pytest.mark.parametrize("batch", [1, 5], ids=["one-row", "batched"])
-def test_lstm_step_matches_unfused_reference(single, batch):
+@pytest.mark.parametrize("batch", [1, 5], ids=["one-row-double-tanh", "batched-double-tanh"])
+def test_lstm_step_matches_unfused_reference(batch):
     """A three-step ``LstmSegment`` node, row 0 restarting after the second
     step, matches the unfused per-step composition whose restart is
     keep-mask and injected-row ops, in value and in every gradient."""
@@ -242,7 +240,7 @@ def test_lstm_step_matches_unfused_reference(single, batch):
     weights = Tensor(rng.normal(size=(n_steps * batch, H)))
 
     def fused(xs, wt, b):
-        seg = ad.LstmSegment(wt, b, single)
+        seg = ad.LstmSegment(wt, b)
         h, c = h0, c0
         for t, x in enumerate(xs):
             h, c = seg.step(x, h, c)
@@ -254,7 +252,7 @@ def test_lstm_step_matches_unfused_reference(single, batch):
         h, c = Tensor(h0), Tensor(c0)
         hs = []
         for t, x in enumerate(xs):
-            hc = unfused_lstm_step(x, h, c, wt, b, single)
+            hc = unfused_lstm_step(x, h, c, wt, b)
             h, c = slice_last(hc, 0, H), slice_last(hc, H, 2 * H)
             hs.append(h)
             if t == 1:
@@ -277,9 +275,7 @@ def test_lstm_step_matches_unfused_reference(single, batch):
 
 
 def test_lstm_segment_is_in_the_gradcheck_battery():
-    battery = ad.primitive_gradcheck_battery(seed=0)
-    for name in ("lstm_segment", "lstm_segment_single_tanh"):
-        assert battery[name] < 1e-4
+    assert ad.primitive_gradcheck_battery(seed=0)["lstm_segment"] < 1e-4
 
 
 def test_conv2d_is_in_the_gradcheck_battery():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from equipomdp import cli
+from equipomdp.agent import AgentConfig
 from equipomdp.cli import (
     UsageError,
     build_configs,
@@ -112,6 +114,43 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg.write_text("[physics]\ngravity = 10\n")
     with pytest.raises(UsageError):
         load_config_file(cfg)
+
+
+def test_every_setting_has_one_config_key_and_one_train_flag():
+    """The settings cannot drift apart: every ``AgentConfig`` field but the
+    seed (a [run] key) is an [agent] key and the reverse, every env config
+    field is an [env] key, and ``train`` has a flag whose ``dest`` is each."""
+    agent_fields = {f.name for f in dataclasses.fields(AgentConfig)} - {"seed"}
+    assert agent_fields == set(cli.AGENT_KEYS)
+    env_fields = {"offset" if f.name == "info_offset" else f.name
+                  for cfg in (CarFlag1dConfig, CarFlag2dConfig)
+                  for f in dataclasses.fields(cfg)}
+    assert env_fields | {"kind"} == set(cli.ENV_KEYS)
+    train = build_parser()._subparsers._group_actions[0].choices["train"]
+    dests = {action.dest for action in train._actions}
+    assert set(cli.AGENT_KEYS) | set(cli.ENV_KEYS) | set(cli.RUN_KEYS) <= dests
+
+
+def test_removed_single_tanh_switch_is_refused(tmp_path, capsys):
+    """The cell has one candidate formula: the flag is unknown to ``train``,
+    and a config file or a manifest setting the old key is refused by name."""
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("train", "--env", "carflag1d", "--steps", "0", "--lstm-single-tanh")
+    assert exit_info.value.code == 2
+    assert "--lstm-single-tanh" in capsys.readouterr().err
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[env]\nkind = carflag1d\n[agent]\nlstm_single_tanh = False\n")
+    with pytest.raises(UsageError, match="lstm_single_tanh"):
+        load_config_file(cfg)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--steps", "0", "--out", str(out)) == 2
+    assert "'lstm_single_tanh' in section [agent]" in capsys.readouterr().err
+    assert not out.exists()
+    # a manifest written before the switch went lists it
+    out.mkdir()
+    (out / "manifest.ini").write_text(cfg.read_text())
+    assert run_cli("eval", "--run", str(out)) == 2
+    assert "lstm_single_tanh" in capsys.readouterr().err
 
 
 def test_missing_env_is_usage_error():

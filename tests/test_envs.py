@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from equipomdp.agent import AgentConfig, RecurrentPolicy, start_carry
 from equipomdp.envs import (
     CarFlag1d,
     CarFlag1dConfig,
@@ -11,7 +12,6 @@ from equipomdp.envs import (
     EnvError,
     InvalidActionError,
     PlacementError,
-    VectorEnv,
     env_group_binding,
     episode_trace,
     export_pomdp,
@@ -89,6 +89,17 @@ def test_1d_step_reward_and_info_observation():
     assert obs[0] == 0.0 and obs[1] == -1.0
     obs, *_ = env.step(A_RIGHT)
     assert obs[1] == 0.0  # side hidden away from the info cell
+
+
+def test_1d_reset_draws_as_a_choice_over_the_interior_cells():
+    """A reset's start position is the draw ``rng.choice`` makes over the
+    interior cells other than the information cell, then a fair side."""
+    env = env1d(seed=3, half_size=6, info_offset=2)
+    ref = np.random.default_rng(3)
+    interior = [p for p in range(-5, 6) if p != 2]
+    for _ in range(1000):
+        env.reset()
+        assert env.state == (int(ref.choice(interior)), 1 if ref.random() < 0.5 else -1)
 
 
 def test_1d_truncates_after_max_steps():
@@ -181,18 +192,21 @@ def test_episode_determinism_given_seed_and_actions():
 
 
 def test_vector_env_streams_are_independent_and_reproducible():
+    """Collection's envs, as ``start_carry`` builds them from a seed sequence,
+    and ``step_envs`` stepping them."""
     cfg = CarFlag1dConfig(half_size=10)
-    v1, v2, alone = (VectorEnv(cfg, 4, np.random.SeedSequence(7)) for _ in range(3))
-    obs = v1.reset_all()
-    assert np.array_equal(obs, v2.reset_all())
-    alone.reset_all()
+    policy = RecurrentPolicy(cfg, AgentConfig(lstm_fields=1, head_fields=1),
+                             np.random.default_rng(0))
+    c1, c2, alone = (start_carry(policy, cfg, 4, np.random.SeedSequence(7)) for _ in range(3))
+    obs = c1["obs"]
+    assert np.array_equal(obs, c2["obs"])
     assert len({tuple(row) for row in obs}) > 1  # streams differ per index
     for actions in ([0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]):
-        stepped = step_envs(v1.envs, actions)
+        stepped = step_envs(c1["envs"], actions)
         # the same as a second copy, and as each env stepped on its own
-        for got, want in zip(stepped, step_envs(v2.envs, actions)):
+        for got, want in zip(stepped, step_envs(c2["envs"], actions)):
             assert np.array_equal(got, want)
-        one_by_one = [env.step(a) for env, a in zip(alone.envs, actions)]
+        one_by_one = [env.step(a) for env, a in zip(alone["envs"], actions)]
         for got, want in zip(stepped, zip(*one_by_one)):
             assert np.array_equal(got, np.array(want))
         assert stepped[1].dtype == np.float64 and stepped[2].dtype == bool

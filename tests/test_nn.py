@@ -354,8 +354,8 @@ def test_conv_rejects_nonsquare_rotation_input():
 # LSTM cell.
 # ---------------------------------------------------------------------------
 
-def rand_cell(rng, group, rho_x, hidden_fields, **kw):
-    cell = equi_lstm_cell(rho_x, direct_sum([regular_rep(group)] * hidden_fields), rng, **kw)
+def rand_cell(rng, group, rho_x, hidden_fields):
+    cell = equi_lstm_cell(rho_x, direct_sum([regular_rep(group)] * hidden_fields), rng)
     for p in cell.parameters():
         p.value = rng.normal(size=p.value.shape)
     return cell
@@ -407,18 +407,6 @@ def test_lstm_matches_plain_reference_with_realized_weights():
     h2 = o * np.tanh(c2)
     got_h, got_c = cell.step(x, h, c, cell.realize_t())
     assert np.allclose(got_h, h2, atol=1e-12)
-    assert np.allclose(got_c, c2, atol=1e-12)
-
-
-def test_lstm_single_tanh_toggle():
-    rng = np.random.default_rng(15)
-    cell = rand_cell(rng, C4, regular_rep(C4), 2, single_candidate_tanh=True)
-    w, b = dense_weight(cell.linear)
-    x, h, c = rng.normal(size=4), rng.normal(size=8), rng.normal(size=8)
-    gates = w @ np.concatenate([x, h]) + b
-    sig = lambda z: 1.0 / (1.0 + np.exp(-z))
-    c2 = sig(gates[8:16]) * c + sig(gates[0:8]) * np.tanh(gates[24:32])
-    _, got_c = cell.step(x, h, c, cell.realize_t())
     assert np.allclose(got_c, c2, atol=1e-12)
 
 
