@@ -59,12 +59,13 @@ class NonFiniteLossError(AgentError):
 
 
 VARIANTS = ("equi", "plain", "equi-actor-only", "equi-critic-only")
+LSTM_INITS = ("zero", "random")   # the recurrent state's start; random breaks equivariance
 
 
 @dataclass(frozen=True)
 class AgentConfig:
     variant: str = "equi"
-    lstm_init: str = "zero"          # zero | random (random breaks equivariance)
+    lstm_init: str = "zero"          # one of LSTM_INITS
     n_envs: int = 16
     n_steps: int = 5
     discount: float = 0.99
@@ -96,8 +97,8 @@ class AgentConfig:
                 raise AgentError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.value_coef, self.entropy_coef, self.grad_clip) < 0:
             raise AgentError("loss coefficients must be nonnegative")
-        if self.lstm_init not in ("zero", "random"):
-            raise AgentError("lstm_init must be 'zero' or 'random'")
+        if self.lstm_init not in LSTM_INITS:
+            raise AgentError(f"lstm_init must be one of {LSTM_INITS}, got {self.lstm_init!r}")
         for name in ("n_envs", "n_steps", "eval_interval", "eval_episodes",
                      "lstm_fields", "head_fields"):
             if getattr(self, name) < 1:
@@ -117,8 +118,6 @@ class RecurrentPolicy:
     scores = "logits"   # what ``player``'s step returns per row
 
     def __init__(self, env_config, agent_config: AgentConfig, rng: np.random.Generator):
-        self.env_config = env_config
-        self.config = agent_config
         self.sym = env_group_binding(env_config)
         group = self.sym.group
         variant = agent_config.variant
@@ -168,7 +167,6 @@ class RecurrentPolicy:
         if not trunk_equi:
             rho_x, rho_h = plain(rho_x), plain(rho_h)
         self.cell = equi_lstm_cell(rho_x, rho_h, rng, name="lstm")
-        self.hidden_dim = self.cell.hidden_dim
 
         actor_equi = variant in ("equi", "equi-actor-only")
         critic_equi = variant in ("equi", "equi-critic-only")
@@ -604,19 +602,25 @@ def equivariance_residuals(policy: RecurrentPolicy, histories: int, max_len: int
     return worst_actor, worst_critic
 
 
+# The suite's random networks: small, and alternating between the domains.
+SUITE_ENVS = (CarFlag1dConfig(half_size=10), CarFlag2dConfig(grid_size=3))
+SUITE_WIDTHS = {"lstm_fields": 3, "head_fields": 3, "conv_fields": (2,)}
+
+
 def run_equivariance_suite(networks: int = 100, histories: int = 10, max_len: int = 50,
-                           seed: int = 0, lstm_init: str = "zero",
-                           grid_size: int = 3, lstm_fields: int = 3,
-                           head_fields: int = 3, conv_fields: tuple = (2,)):
-    """Random equivariant networks on both domains; returns the worst residuals."""
+                           seed: int = 0, lstm_init: str = "zero"):
+    """Random equivariant networks on both domains; returns the worst residuals.
+    A suite of no network, no history or empty histories is refused, as it
+    would check nothing."""
+    for name, count in (("networks", networks), ("histories", histories),
+                        ("max_len", max_len)):
+        if count < 1:
+            raise AgentError(f"{name} must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     worst = {"actor": 0.0, "critic": 0.0}
-    configs = [CarFlag1dConfig(half_size=10), CarFlag2dConfig(grid_size=grid_size)]
     for i in range(networks):
-        env_cfg = configs[i % len(configs)]
-        agent_cfg = AgentConfig(variant="equi", lstm_init=lstm_init,
-                                lstm_fields=lstm_fields, head_fields=head_fields,
-                                conv_fields=conv_fields)
+        env_cfg = SUITE_ENVS[i % len(SUITE_ENVS)]
+        agent_cfg = AgentConfig(variant="equi", lstm_init=lstm_init, **SUITE_WIDTHS)
         net_rng = np.random.default_rng(np.random.SeedSequence((seed, 7, i)))
         policy = RecurrentPolicy(env_cfg, agent_cfg, net_rng)
         state_rng = np.random.default_rng(np.random.SeedSequence((seed, 11, i)))

@@ -480,30 +480,34 @@ def clip_grad_norm(params, max_norm: float) -> float:
     return norm
 
 
+# Adam's moment decay rates and the denominator's guard (Kingma & Ba's values)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self):
-        self.t += 1
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
+        """One update of every parameter that has a gradient. Every gradient is
+        checked first, so a refused step moves no value, moment or count."""
+        live = [(i, p) for i, p in enumerate(self.params) if p.grad is not None]
+        for _, p in live:
             _check_finite(p)
+        self.t += 1
+        for i, p in live:
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            mhat = self.m[i] / (1 - self.beta1 ** self.t)
-            vhat = self.v[i] / (1 - self.beta2 ** self.t)
-            p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
+            mhat = self.m[i] / (1 - ADAM_BETA1 ** self.t)
+            vhat = self.v[i] / (1 - ADAM_BETA2 ** self.t)
+            p.value -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -568,30 +572,33 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 # Finite-difference gradient checking.
 # ---------------------------------------------------------------------------
 
-def finite_difference_grad(build_loss, param: Tensor, eps: float = 1e-5) -> np.ndarray:
+FD_STEP = 1e-5   # the central differences' step on each parameter entry
+
+
+def finite_difference_grad(build_loss, param: Tensor) -> np.ndarray:
     """Central-difference gradient of ``build_loss()`` w.r.t. one parameter."""
     grad = np.zeros_like(param.value)
     flat = param.value.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         keep = flat[i]
-        flat[i] = keep + eps
+        flat[i] = keep + FD_STEP
         hi = float(build_loss().value)
-        flat[i] = keep - eps
+        flat[i] = keep - FD_STEP
         lo = float(build_loss().value)
         flat[i] = keep
-        gflat[i] = (hi - lo) / (2 * eps)
+        gflat[i] = (hi - lo) / (2 * FD_STEP)
     return grad
 
 
-def gradcheck(build_loss, params, eps: float = 1e-5) -> float:
+def gradcheck(build_loss, params) -> float:
     """Max relative error between backprop and central finite differences."""
     loss = build_loss()
     backward(loss)
     analytic = [None if p.grad is None else p.grad.copy() for p in params]
     worst = 0.0
     for p, g_ad in zip(params, analytic):
-        g_fd = finite_difference_grad(build_loss, p, eps)
+        g_fd = finite_difference_grad(build_loss, p)
         if g_ad is None:
             g_ad = np.zeros_like(g_fd)
         err = float(np.max(np.abs(g_ad - g_fd))) if g_fd.size else 0.0

@@ -14,7 +14,8 @@ import io
 import os
 import sys
 import time
-from dataclasses import asdict
+import typing
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from .envs import (CarFlag1dConfig, CarFlag2dConfig, env_group_binding, episode_
                    export_pomdp, make_env)
 from .groups import C4, MIRROR
 from .pomdp import (
+    NODE_BUDGET,
+    OBS_TOL,
     belief_update,
     check_invariance,
     exact_q,
@@ -36,10 +39,9 @@ from .pomdp import (
 
 RUN_ROOT_ENV = "EQUIPOMDP_RUN_ROOT"
 
-# Pinned acceptance tolerances for the verification suites.
+# Pinned acceptance tolerances of the network suites (pomdp's verify functions
+# hold BELIEF_TOL and VALUE_TOL).
 EQUIVARIANCE_TOL = 1e-8
-BELIEF_TOL = 1e-12
-VALUE_TOL = 1e-9
 GRADCHECK_TOL = 1e-4
 
 
@@ -48,36 +50,43 @@ class UsageError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config file handling.
+# Settings: every field of the config dataclasses is an INI key and a flag.
 # ---------------------------------------------------------------------------
 
-ENV_KEYS = {
-    "kind": str,
-    "half_size": int,
-    "grid_size": int,
-    "offset": int,
-    "info_region_size": int,
-    "max_steps": int,
-}
-AGENT_KEYS = {
-    "variant": str, "lstm_init": str, "n_envs": int, "n_steps": int,
-    "discount": float, "learning_rate": float, "value_coef": float,
-    "entropy_coef": float, "grad_clip": float, "total_steps": int,
-    "eval_interval": int, "eval_episodes": int, "eval_greedy": bool,
-    "lstm_fields": int, "head_fields": int, "conv_fields": str,
-    "feed_prev_action": bool,
-}
-RUN_KEYS = {"seed": int, "out": str, "group": str}
-# [env] keys of one domain that the other refuses, by env kind
-OTHER_DOMAIN_KEYS = {"carflag1d": ("grid_size", "info_region_size"),
-                     "carflag2d": ("half_size",)}
+DOMAINS = {"carflag1d": CarFlag1dConfig, "carflag2d": CarFlag2dConfig}
+
+# The exceptions to "field, key, --flag and dest share one name": flag names,
+# keys, choices and help, each keyed by the config key (the flag's dest).
+FLAGS = {"kind": "--env", "variant": "--agent", "total_steps": "--steps",
+         "learning_rate": "--lr", "discount": "--gamma"}
+KEYS = {"info_offset": "offset"}
+CHOICES = {"kind": list(DOMAINS), "variant": list(agent_mod.VARIANTS),
+           "lstm_init": list(agent_mod.LSTM_INITS)}
+HELP = {"offset": "information-region offset; nonzero breaks the symmetry",
+        "total_steps": "total env steps",
+        "conv_fields": "comma-separated field counts per conv layer",
+        "discount": "discount; overrides [agent] discount (default 0.99)"}
+
+
+def _keys(config_class) -> dict:
+    """Each field of a config dataclass as its config key and its annotated type."""
+    hints = typing.get_type_hints(config_class)
+    return {KEYS.get(f.name, f.name): hints[f.name] for f in fields(config_class)}
+
+
+ENV_SCHEMA = {"kind": str, **{key: want for domain in DOMAINS.values()
+                               for key, want in _keys(domain).items()}}
+AGENT_SCHEMA = _keys(AgentConfig)
+# the seed is a [run] key beside the run's own: its directory and group check
+RUN_SCHEMA = {"seed": AGENT_SCHEMA.pop("seed"), "out": str, "group": str}
 # [architecture] is informational output in manifests: layer list with
 # representation annotations; its keys are not read back.
-SECTIONS = {"env": ENV_KEYS, "agent": AGENT_KEYS, "run": RUN_KEYS,
+SECTIONS = {"env": ENV_SCHEMA, "agent": AGENT_SCHEMA, "run": RUN_SCHEMA,
             "architecture": None}
 
 
 def _coerce(key: str, raw: str, want):
+    """A setting's text as its type; a tuple is a comma list of integers."""
     if want is bool:
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
@@ -86,9 +95,17 @@ def _coerce(key: str, raw: str, want):
             return False
         raise UsageError(f"cannot parse boolean {key}={raw!r}")
     try:
+        if want is tuple:
+            return tuple(int(x) for x in raw.split(",") if x.strip())
         return want(raw)
     except ValueError as e:
-        raise UsageError(f"cannot parse {key}={raw!r} as {want.__name__}") from e
+        what = "a comma list of integers" if want is tuple else want.__name__
+        raise UsageError(f"cannot parse {key}={raw!r} as {what}") from e
+
+
+def _text(value) -> str:
+    """A setting as the config file writes it."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def load_config_file(path) -> dict:
@@ -110,44 +127,35 @@ def load_config_file(path) -> dict:
     return out
 
 
-def _parse_conv_fields(raw) -> tuple:
-    if isinstance(raw, tuple):
-        return raw
-    try:
-        return tuple(int(x) for x in str(raw).split(",") if x.strip())
-    except ValueError as e:
-        raise UsageError(f"cannot parse conv_fields={raw!r}") from e
-
-
 def build_configs(args) -> tuple[object, AgentConfig, dict]:
     """Merge defaults, config file, and flags (flags win) into typed configs.
-    Each flag's ``dest`` is its config key."""
-    file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {
-        "env": {}, "agent": {}, "run": {}}
-    env_over, agent_over, run_over = (dict(file_cfg[s]) for s in ("env", "agent", "run"))
-    for over, keys in ((env_over, ENV_KEYS), (agent_over, AGENT_KEYS), (run_over, RUN_KEYS)):
-        for key in keys:
+    Each flag's ``dest`` is its config key, and a flag's text is parsed as the
+    config file's is."""
+    config = getattr(args, "config", None)
+    over = load_config_file(config) if config else {section: {} for section in SECTIONS}
+    for section, schema in SECTIONS.items():
+        for key, want in (schema or {}).items():
             value = getattr(args, key, None)
             if value is not None:
-                over[key] = value
+                over[section][key] = _coerce(key, value, want) if isinstance(value, str) else value
+    env_over, agent_over, run_over = over["env"], over["agent"], over["run"]
 
     kind = env_over.pop("kind", None)
     if kind is None:
         raise UsageError("no environment selected; pass --env or set [env] kind")
-    if kind not in OTHER_DOMAIN_KEYS:
-        raise UsageError(f"unknown env kind {kind!r} (carflag1d or carflag2d)")
-    for key in OTHER_DOMAIN_KEYS[kind]:
-        if key in env_over:
+    if kind not in DOMAINS:
+        raise UsageError(f"unknown env kind {kind!r} ({' or '.join(DOMAINS)})")
+    own = _keys(DOMAINS[kind])
+    for key in env_over:
+        if key not in own:
             raise UsageError(f"[env] {key} is not a setting of {kind}")
-    env_over = {("info_offset" if k == "offset" else k): v for k, v in env_over.items()}
+    names = {key: name for name, key in KEYS.items()}
     try:
-        env_cfg = (CarFlag1dConfig if kind == "carflag1d" else CarFlag2dConfig)(**env_over)
+        env_cfg = DOMAINS[kind](**{names.get(k, k): v for k, v in env_over.items()})
     except ValueError as e:
         raise UsageError(str(e)) from e
 
     seed = run_over.get("seed", 0)
-    if "conv_fields" in agent_over:
-        agent_over["conv_fields"] = _parse_conv_fields(agent_over["conv_fields"])
     try:
         agent_cfg = AgentConfig(seed=seed, **agent_over)
     except ValueError as e:
@@ -164,6 +172,10 @@ def build_configs(args) -> tuple[object, AgentConfig, dict]:
     return env_cfg, agent_cfg, run_over
 
 
+def _kind(env_cfg) -> str:
+    return next(kind for kind, domain in DOMAINS.items() if isinstance(env_cfg, domain))
+
+
 def default_out_dir(kind: str, agent_cfg: AgentConfig) -> Path:
     root = Path(os.environ.get(RUN_ROOT_ENV, "runs"))
     return root / f"{kind}-{agent_cfg.variant}-s{agent_cfg.seed}"
@@ -176,19 +188,9 @@ def default_out_dir(kind: str, agent_cfg: AgentConfig) -> Path:
 def write_manifest(path, env_cfg, agent_cfg: AgentConfig, run: dict,
                    architecture: list[str] | None = None) -> None:
     parser = configparser.ConfigParser()
-    kind = "carflag1d" if isinstance(env_cfg, CarFlag1dConfig) else "carflag2d"
-    env_items = {"kind": kind}
-    for key, value in asdict(env_cfg).items():
-        env_items["offset" if key == "info_offset" else key] = str(value)
-    parser["env"] = env_items
-    agent_items = {}
-    for key, value in asdict(agent_cfg).items():
-        if key == "seed":
-            continue
-        if key == "conv_fields":
-            value = ",".join(str(v) for v in value)
-        agent_items[key] = str(value)
-    parser["agent"] = agent_items
+    parser["env"] = {"kind": _kind(env_cfg), **{KEYS.get(k, k): _text(v)
+                                                for k, v in asdict(env_cfg).items()}}
+    parser["agent"] = {k: _text(v) for k, v in asdict(agent_cfg).items() if k != "seed"}
     parser["run"] = {k: str(v) for k, v in run.items()}
     if architecture:
         parser["architecture"] = {f"layer{i}": line
@@ -208,8 +210,7 @@ def read_manifest(path):
 
 def cmd_train(args) -> int:
     env_cfg, agent_cfg, run = build_configs(args)
-    kind = "carflag1d" if isinstance(env_cfg, CarFlag1dConfig) else "carflag2d"
-    out_dir = Path(run.get("out") or default_out_dir(kind, agent_cfg))
+    out_dir = Path(run.get("out") or default_out_dir(_kind(env_cfg), agent_cfg))
     out_dir.mkdir(parents=True, exist_ok=True)
     run["out"] = str(out_dir)
     probe = RecurrentPolicy(env_cfg, agent_cfg, np.random.default_rng(0))
@@ -273,11 +274,9 @@ def cmd_verify(args) -> int:
         if suite == "invariance":
             report = check_invariance(pomdp, binding)
         elif suite == "belief":
-            report = verify_belief_invariance(pomdp, binding, depth=args.depth,
-                                              tolerance=BELIEF_TOL)
+            report = verify_belief_invariance(pomdp, binding, depth=args.depth)
         else:
-            report = verify_value_invariance(pomdp, binding, horizon=args.horizon,
-                                             tolerance=VALUE_TOL)
+            report = verify_value_invariance(pomdp, binding, horizon=args.horizon)
         for line in report.lines()[:40]:   # symmetry reports list at most 20 witnesses
             print(line)
         passed = report.passed
@@ -317,7 +316,7 @@ def cmd_oracle(args) -> int:
         belief = solution.belief(depth, c)
         for a in range(pomdp.n_actions):
             probs = pomdp.push(belief, a) @ pomdp.emission(a)
-            seen = np.flatnonzero(probs > 1e-15)
+            seen = np.flatnonzero(probs > OBS_TOL)
             kids = solution.child_of(depth, c, a, seen)
             ahead = 0.0
             for o, child in zip(seen.tolist(), kids.tolist()):
@@ -404,43 +403,31 @@ def cmd_plotdata(args) -> int:
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
+def _add_flags(p, keys):
+    """One flag per config key, from its type and the exception tables: a
+    bool is a switch, a number is parsed by argparse, and any other text is
+    parsed by ``build_configs``."""
+    types = {**ENV_SCHEMA, **AGENT_SCHEMA, **RUN_SCHEMA}
+    for key in keys:
+        flag = FLAGS.get(key, "--" + key.replace("_", "-"))
+        extra = {}
+        if types[key] is bool:
+            extra["action"] = "store_true"
+        elif key in CHOICES:
+            extra["choices"] = CHOICES[key]
+        elif types[key] in (int, float):
+            extra["type"] = types[key]
+        if key in FLAGS and key not in CHOICES:   # --gamma GAMMA, not --gamma DISCOUNT
+            extra["metavar"] = flag[2:].upper()
+        p.add_argument(flag, dest=key, default=None, help=HELP.get(key), **extra)
+
+
 def _add_env_flags(p):
-    p.add_argument("--env", dest="kind", choices=["carflag1d", "carflag2d"], default=None)
+    """The flags of every command that builds its env from the settings."""
+    _add_flags(p, [*ENV_SCHEMA, "seed", "discount"])
     p.add_argument("--config", default=None, help="INI config file")
-    p.add_argument("--half-size", dest="half_size", type=int, default=None)
-    p.add_argument("--grid-size", dest="grid_size", type=int, default=None)
-    p.add_argument("--offset", type=int, default=None,
-                   help="information-region offset; nonzero breaks the symmetry")
-    p.add_argument("--info-region-size", dest="info_region_size", type=int, default=None)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--group", default=None,
                    help=f"symmetry group override (auto, {MIRROR.name}, {C4.name})")
-    p.add_argument("--gamma", dest="discount", metavar="GAMMA", type=float, default=None,
-                   help="discount; overrides [agent] discount (default 0.99)")
-
-
-def _add_agent_flags(p):
-    p.add_argument("--agent", dest="variant", choices=list(agent_mod.VARIANTS), default=None)
-    p.add_argument("--lstm-init", dest="lstm_init", choices=["zero", "random"],
-                   default=None)
-    p.add_argument("--steps", dest="total_steps", metavar="STEPS", type=int, default=None,
-                   help="total env steps")
-    p.add_argument("--n-envs", dest="n_envs", type=int, default=None)
-    p.add_argument("--n-steps", dest="n_steps", type=int, default=None)
-    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=None)
-    p.add_argument("--value-coef", dest="value_coef", type=float, default=None)
-    p.add_argument("--entropy-coef", dest="entropy_coef", type=float, default=None)
-    p.add_argument("--grad-clip", dest="grad_clip", type=float, default=None)
-    p.add_argument("--eval-interval", dest="eval_interval", type=int, default=None)
-    p.add_argument("--eval-episodes", dest="eval_episodes", type=int, default=None)
-    p.add_argument("--eval-greedy", dest="eval_greedy", action="store_true", default=None)
-    p.add_argument("--lstm-fields", dest="lstm_fields", type=int, default=None)
-    p.add_argument("--head-fields", dest="head_fields", type=int, default=None)
-    p.add_argument("--conv-fields", dest="conv_fields", default=None,
-                   help="comma-separated field counts per conv layer")
-    p.add_argument("--feed-prev-action", dest="feed_prev_action", action="store_true",
-                   default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an agent and write curve/checkpoints")
     _add_env_flags(p)
-    _add_agent_flags(p)
+    _add_flags(p, [key for key in AGENT_SCHEMA if key != "discount"])
     p.add_argument("--out", default=None, help=f"run directory (default under "
                    f"${RUN_ROOT_ENV} or ./runs)")
     p.set_defaults(func=cmd_train)
@@ -475,8 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--networks", type=int, default=100)
     p.add_argument("--histories", type=int, default=10)
     p.add_argument("--max-len", dest="max_len", type=int, default=50)
-    p.add_argument("--lstm-init", dest="lstm_init", choices=["zero", "random"],
-                   default=None)
+    _add_flags(p, ["lstm_init"])
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="solve an exported instance exactly and "
@@ -484,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_env_flags(p)
     p.add_argument("--horizon", type=int, default=6)
     p.add_argument("--episodes", type=int, default=200)
-    p.add_argument("--node-budget", dest="node_budget", type=int, default=2_000_000,
+    p.add_argument("--node-budget", dest="node_budget", type=int, default=NODE_BUDGET,
                    help="most belief classes to solve before giving up")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)

@@ -349,7 +349,10 @@ class ExportMaps:
         return o
 
 
-def export_pomdp(config, discount: float = 0.99, max_states: int = 200_000):
+EXPORT_STATES = 200_000   # most states an export enumerates
+
+
+def export_pomdp(config, discount: float = 0.99):
     """Explicit (tables, symmetry binding, index maps) of a simulator.
 
     Every table entry comes from placing the simulator in a state and calling
@@ -367,8 +370,8 @@ def export_pomdp(config, discount: float = 0.99, max_states: int = 200_000):
     sym = env_group_binding(config)
     states = env.states()
     n_states, n_actions = len(states), env.n_actions
-    if n_states > max_states:
-        raise EnvError(f"export needs {n_states} states, over the budget {max_states}")
+    if n_states > EXPORT_STATES:
+        raise EnvError(f"export needs {n_states} states, over the budget {EXPORT_STATES}")
     state_ids = {st: s for s, st in enumerate(states)}
     # each (s, a)'s one next state, as its column a * S + s' of row s
     columns = np.arange(n_actions) * n_states

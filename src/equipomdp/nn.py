@@ -63,25 +63,11 @@ def tied_weight_indices(rho_in, rho_out: Representation):
     for every ``theta`` of length ``count``. Parameters are numbered by their
     orbit's smallest flat index; an orbit whose stabiliser flips the sign has
     sign 0 and no parameter. Over the order-1 group every orbit is one entry,
-    so the tying is the identity, returned without working out the orbits.
+    so the tying is the identity.
     """
-    if rho_out.group.order > 1:
-        return orbit_tying(rho_in, rho_out)
-    n = int(np.prod([r.dim for r in _tensor_factors(rho_in, rho_out)]))
-    shape = (rho_out.dim, n // rho_out.dim)
-    return np.arange(n).reshape(shape), np.ones(shape), n
-
-
-def _tensor_factors(rho_in, rho_out: Representation):
     factors = [rho_out, *(rho_in if isinstance(rho_in, (list, tuple)) else [rho_in])]
     if any(r.group != rho_out.group for r in factors):
         raise GroupMismatchError("input/output representations on different groups")
-    return factors
-
-
-def orbit_tying(rho_in, rho_out: Representation):
-    """``tied_weight_indices`` worked out orbit by orbit, for any group."""
-    factors = _tensor_factors(rho_in, rho_out)
     n = int(np.prod([r.dim for r in factors]))
     least, sign, clash = np.arange(n), np.ones(n), np.zeros(n, dtype=bool)
     for g in rho_out.group.elements:
@@ -133,7 +119,6 @@ class EquiLinear:
         self.rho_out = rho_out
         self.name = name
         self.in_dim = rho_in.dim
-        self.out_dim = rho_out.dim
         idx, sign, count = tied_weight_indices(rho_in, rho_out)
         self._w_tie = (idx.T.copy(), sign.T.copy())  # the forward computes x @ W^T
         b_idx, b_sign, b_count = tied_weight_indices(trivial_rep(rho_out.group), rho_out)

@@ -34,6 +34,9 @@ class NodeBudgetError(PomdpError):
     pass
 
 
+SUM_TOL = 1e-12   # how far a table's distribution may sum from 1
+
+
 class SparseRows(NamedTuple):
     """A table's nonzeros by row: row r's columns, ascending, are
     ``cols[at[r]:at[r + 1]]`` and its values ``vals[at[r]:at[r + 1]]``."""
@@ -83,12 +86,12 @@ class Pomdp:
     def n_obs(self) -> int:
         return self.obs0.shape[1]
 
-    def validate(self, atol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Check the shapes, the row layout of ``trans`` and ``obs`` (integer
         offsets from 0 to the stored entries, never decreasing; integer
         columns in range, ascending within a row) and that every
-        distribution is nonnegative and sums to 1 within ``atol``. An error
-        names the first bad row."""
+        distribution is nonnegative and sums to 1 within ``SUM_TOL``. An
+        error names the first bad row."""
         if self.reward.ndim != 2 or self.obs0.ndim != 2:
             raise PomdpError("reward and obs0 must be 2-D tables")
         s, a, o = self.n_states, self.n_actions, self.n_obs
@@ -131,12 +134,12 @@ class Pomdp:
                                      f"{cols[bad[0]]} {what}")
         rows = self.trans.rows()
         _check_distributions("trans", rows * a + self.trans.cols // s, self.trans.vals, s * a,
-                             lambda r: f"row (s={r // a}, a={r % a})", atol)
-        _check_distributions("obs", self.obs.rows(), self.obs.vals, a * s, obs_row, atol)
+                             lambda r: f"row (s={r // a}, a={r % a})")
+        _check_distributions("obs", self.obs.rows(), self.obs.vals, a * s, obs_row)
         _check_distributions("start", np.zeros(s, dtype=np.int64), self.start, 1,
-                             lambda r: "distribution", atol)
+                             lambda r: "distribution")
         _check_distributions("obs0", np.repeat(np.arange(s), o), self.obs0.ravel(), s,
-                             trans_row, atol)
+                             trans_row)
 
     def push(self, belief: np.ndarray, a: int) -> np.ndarray:
         """The distribution over next states after action ``a`` from
@@ -159,17 +162,17 @@ class Pomdp:
         return block
 
 
-def _check_distributions(name: str, keys: np.ndarray, vals: np.ndarray, n: int, label,
-                         atol: float) -> None:
+def _check_distributions(name: str, keys: np.ndarray, vals: np.ndarray, n: int,
+                         label) -> None:
     """The entries ``vals`` grouped by ``keys`` into ``n`` distributions must
-    be nonnegative and sum to 1 within ``atol``; the first bad one is named
-    by ``label`` of its key."""
-    bad = np.flatnonzero(~(vals >= -atol))
+    be nonnegative and sum to 1 within ``SUM_TOL``; the first bad one is
+    named by ``label`` of its key."""
+    bad = np.flatnonzero(~(vals >= -SUM_TOL))
     if len(bad):
         raise PomdpError(f"{name} {label(int(keys[bad[0]]))} has a negative entry "
                          f"{float(vals[bad[0]])!r}")
     sums = np.bincount(keys, weights=vals, minlength=n)
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= atol))
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= SUM_TOL))
     if len(bad):
         raise PomdpError(f"{name} {label(int(bad[0]))} sums to {float(sums[bad[0]])!r}")
 
@@ -255,15 +258,19 @@ def _table_entries(pomdp: Pomdp) -> dict[str, tuple]:
     return out
 
 
-def check_invariance(pomdp: Pomdp, binding: GroupActionBinding, atol: float = 1e-12,
-                     max_listed: int = 50) -> InvarianceReport:
+INVARIANCE_TOL = 1e-12   # largest difference between a table entry and its image
+LISTED_VIOLATIONS = 50   # most violations a report lists per table and element
+
+
+def check_invariance(pomdp: Pomdp, binding: GroupActionBinding) -> InvarianceReport:
     """Exhaustively compare every table entry against its group image.
 
     The image of a table under g holds at each position p the entry at g p,
     so the two can differ only where the table or its image is nonzero:
     each table is compared on the union of its nonzero positions and their
     g^-1 images, in C order of the dense index, with at most
-    ``max_listed`` violations listed per table and element."""
+    ``LISTED_VIOLATIONS`` violations above ``INVARIANCE_TOL`` listed per
+    table and element."""
     binding.validate(pomdp)
     violations: dict[str, list] = {"trans": [], "reward": [], "obs": [], "start": [], "obs0": []}
     max_dev = 0.0
@@ -296,7 +303,7 @@ def check_invariance(pomdp: Pomdp, binding: GroupActionBinding, atol: float = 1e
             mapped, original = value(cond, image(cond, at, forward, g)), value(cond, at)
             diff = np.abs(mapped - original)
             max_dev = max(max_dev, float(diff.max(initial=0.0)))
-            for k in np.flatnonzero(diff > atol)[:max_listed].tolist():
+            for k in np.flatnonzero(diff > INVARIANCE_TOL)[:LISTED_VIOLATIONS].tolist():
                 key = tuple(int(i) for i in np.unravel_index(at[k], shape))
                 violations[cond].append(((g, *key), float(mapped[k]), float(original[k])))
 
@@ -330,6 +337,8 @@ def belief_update(pomdp: Pomdp, belief: np.ndarray, a: int, o: int) -> np.ndarra
 # Exact finite-horizon solving over the belief-class DAG.
 # ---------------------------------------------------------------------------
 
+OBS_TOL = 1e-15            # an observation at most this likely is not followed
+NODE_BUDGET = 2_000_000    # most belief classes a solve builds by default
 CLASS_DECIMALS = 12        # beliefs are keyed by support and values rounded to 1e-12
 CLASS_SPREAD_TOL = 1e-13   # largest distance allowed between beliefs merged into a class
 MISSING_WITNESSES = 20     # unreachable images a report lists, shallowest first
@@ -437,8 +446,7 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, np.cumsum(opens) - 1, keys[opens]
 
 
-def _expand(pomdp: Pomdp, owner: np.ndarray, states: np.ndarray, probs: np.ndarray,
-            obs_tol: float):
+def _expand(pomdp: Pomdp, owner: np.ndarray, states: np.ndarray, probs: np.ndarray):
     """The children of the beliefs whose entries are ``(states, probs)``,
     entry i belonging to belief ``owner[i]``, ascending, formed from the
     rows of ``trans`` and ``obs``.
@@ -462,7 +470,7 @@ def _expand(pomdp: Pomdp, owner: np.ndarray, states: np.ndarray, probs: np.ndarr
     order, group, kids = _groups(pushed[entry] // n_states * n_obs + cols[idx])
     joint = (mass[entry] * vals[idx])[order]
     obs_p = np.bincount(group, weights=joint)
-    kept = obs_p > obs_tol
+    kept = obs_p > OBS_TOL
     on = kept[group]
     post = joint[on] / obs_p[group[on]]
     nz = post != 0
@@ -558,8 +566,7 @@ class _Level:
 PUSH_SLICE = 1 << 14   # most push entries (class, s, a, s') one slice of a depth forms
 
 
-def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
-            obs_tol: float = 1e-15) -> QSolution:
+def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = NODE_BUDGET) -> QSolution:
     """Optimal action values for every reachable history shorter than the horizon.
 
     Q*(h) depends on h only through its belief and the remaining horizon, so
@@ -582,7 +589,7 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
         raise PomdpError(f"node_budget must be at least 1, got {node_budget}")
     n_actions, n_obs = pomdp.n_actions, pomdp.n_obs
     p0 = pomdp.start @ pomdp.obs0
-    root_obs = np.flatnonzero(p0 > obs_tol).tolist()
+    root_obs = np.flatnonzero(p0 > OBS_TOL).tolist()
     root_probs = {(o,): float(p0[o]) for o in root_obs}
     beliefs = [initial_belief(pomdp, o) for o in root_obs]
     supports = [np.flatnonzero(b) for b in beliefs]
@@ -615,7 +622,7 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = 2_000_000,
             owner = np.repeat(np.arange(c0, c1), np.diff(starts[c0:c1 + 1]))
             states, probs = source_states[lo:hi], source_probs[lo:hi]
             reward[c0:c1] = _rewards(pomdp, owner - c0, states, probs, c1 - c0)
-            kids, p, states, probs, lengths = _expand(pomdp, owner, states, probs, obs_tol)
+            kids, p, states, probs, lengths = _expand(pomdp, owner, states, probs)
             ids = built.intern(states, probs, lengths)
             n_classes = solved + len(built.keys)
             if n_classes > node_budget:
@@ -809,9 +816,12 @@ def _first_max(devs: list[np.ndarray]) -> tuple[float, tuple[int, int] | None]:
     return best, at
 
 
-def verify_belief_invariance(pomdp: Pomdp, binding: GroupActionBinding, depth: int,
-                             tolerance: float = 1e-12,
-                             node_budget: int = 2_000_000) -> SymmetryCheckReport:
+BELIEF_TOL = 1e-12   # pinned tolerance of Lemma 1's belief invariance
+VALUE_TOL = 1e-9     # pinned tolerance of Theorem 1's value invariance and greedy sets
+
+
+def verify_belief_invariance(pomdp: Pomdp, binding: GroupActionBinding,
+                             depth: int) -> SymmetryCheckReport:
     """Check Pr(gs | gh) = Pr(s | h) for every reachable history up to ``depth``.
 
     Each depth's pairs are compared at once: the class's probabilities and,
@@ -823,7 +833,7 @@ def verify_belief_invariance(pomdp: Pomdp, binding: GroupActionBinding, depth: i
         raise PomdpError(f"depth must be at least 0, got {depth}")
     binding.validate(pomdp)
     t0 = time.perf_counter()
-    sol = exact_q(pomdp, depth, node_budget=node_budget)
+    sol = exact_q(pomdp, depth)
     t1 = time.perf_counter()
     unmap = np.argsort(binding.state_maps, axis=1)
     n_states = pomdp.n_states
@@ -846,22 +856,21 @@ def verify_belief_invariance(pomdp: Pomdp, binding: GroupActionBinding, depth: i
         d, row = at
         witness = (int(levels[d].g[row]), _history(levels[:d], levels[d], row),
                    f"belief deviation {max_dev:.3e}")
-    passed = max_dev < tolerance and not missing
-    return SymmetryCheckReport("belief-invariance", passed, max_dev, tolerance,
+    passed = max_dev < BELIEF_TOL and not missing
+    return SymmetryCheckReport("belief-invariance", passed, max_dev, BELIEF_TOL,
                                checked, missing, witnesses, witness,
                                histories=sol.node_count, belief_classes=sol.class_count,
                                solve_s=t1 - t0, check_s=time.perf_counter() - t1)
 
 
-def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding, horizon: int,
-                            tolerance: float = 1e-9, policy_tol: float = 1e-9,
-                            node_budget: int = 2_000_000) -> SymmetryCheckReport:
+def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding,
+                            horizon: int) -> SymmetryCheckReport:
     """Check optimal values satisfy Q(gh, ga) = Q(h, a) and V(gh) = V(h) over the
     whole reachable tree, and that greedy argmax sets correspond under the group.
 
     Each depth's pairs are compared at once, on the depth's Q array: a
     pair's deviation is the larger of its largest Q deviation and its V
-    deviation, and its greedy sets (actions within ``policy_tol`` of the
+    deviation, and its greedy sets (actions within ``VALUE_TOL`` of the
     row's maximum, as masks) correspond when the class's, mapped by g,
     equals the image's. Depths are checked deepest first; the witness is the
     first largest deviation and the policy witness the first mismatch."""
@@ -869,7 +878,7 @@ def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding, horizon: 
         raise PomdpError(f"horizon must be at least 1, got {horizon}")
     binding.validate(pomdp)
     t0 = time.perf_counter()
-    sol = exact_q(pomdp, horizon, node_budget=node_budget)
+    sol = exact_q(pomdp, horizon)
     t1 = time.perf_counter()
     am = binding.action_maps
     levels, checked, missing, witnesses = _image_pairs(sol, binding, horizon - 1)
@@ -883,7 +892,7 @@ def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding, horizon: 
         vdev = np.abs(value[pairs.image] - value[pairs.cls])
         devs.append(np.maximum(qdev, vdev))
         splits.append((qdev, vdev))
-        greedy = q >= (value - policy_tol)[:, None]
+        greedy = q >= (value - VALUE_TOL)[:, None]
         mismatch = (greedy[pairs.cls]
                     != np.take_along_axis(greedy[pairs.image], actions, axis=1)).any(axis=1)
         if policy_witness is None and mismatch.any():
@@ -901,8 +910,8 @@ def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding, horizon: 
         witness = (int(levels[depth].g[row]), _history(levels[:depth], levels[depth], row),
                    f"Q deviation {qdev:.3e}, V deviation {vdev:.3e}")
     policy_ok = policy_witness is None
-    passed = max_dev < tolerance and policy_ok and not missing
-    return SymmetryCheckReport("value-invariance", passed, max_dev, tolerance, checked,
+    passed = max_dev < VALUE_TOL and policy_ok and not missing
+    return SymmetryCheckReport("value-invariance", passed, max_dev, VALUE_TOL, checked,
                                missing, witnesses, witness, policy_ok, policy_witness,
                                histories=sol.node_count, belief_classes=sol.class_count,
                                solve_s=t1 - t0, check_s=time.perf_counter() - t1)

@@ -110,7 +110,7 @@ def group_average(pomdp: Pomdp, binding: GroupActionBinding) -> Pomdp:
         obs0 += pomdp.obs0[np.ix_(sm, om)]
         start += pomdp.start[sm]
     out = from_dense(start / n, trans / n, reward / n, obs / n, obs0 / n, pomdp.discount)
-    out.validate(atol=1e-9)
+    out.validate()
     return out
 
 
@@ -174,5 +174,5 @@ def load_tables(path) -> Pomdp:
 
     pomdp = Pomdp(dense("b0"), rows("T", s, a * s), dense("R"), rows("O", a * s, o),
                   dense("O0"), discount)
-    pomdp.validate(atol=1e-9)
+    pomdp.validate()
     return pomdp

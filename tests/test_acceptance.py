@@ -161,7 +161,7 @@ def test_criterion_04_gradient_correctness():
 def test_criterion_05_belief_invariance_depth5():
     t0 = time.perf_counter()
     pomdp, binding, _ = export_pomdp(CarFlag2dConfig(grid_size=3), discount=0.99)
-    report = verify_belief_invariance(pomdp, binding, depth=5, tolerance=1e-12)
+    report = verify_belief_invariance(pomdp, binding, depth=5)
     elapsed = time.perf_counter() - t0
     ok = report.passed and elapsed < 60.0
     announce(5, "belief-invariance-3x3", ok,
@@ -172,11 +172,10 @@ def test_criterion_05_belief_invariance_depth5():
 def test_criterion_06_value_invariance_horizon6():
     t0 = time.perf_counter()
     pomdp, binding, _ = export_pomdp(CarFlag2dConfig(grid_size=3), discount=0.99)
-    report = verify_value_invariance(pomdp, binding, horizon=6, tolerance=1e-9)
+    report = verify_value_invariance(pomdp, binding, horizon=6)
     pomdp_off, binding_off, _ = export_pomdp(
         CarFlag2dConfig(grid_size=3, info_offset=1), discount=0.99)
-    report_off = verify_value_invariance(pomdp_off, binding_off, horizon=6,
-                                         tolerance=1e-9)
+    report_off = verify_value_invariance(pomdp_off, binding_off, horizon=6)
     elapsed = time.perf_counter() - t0
     witnessed = (not report_off.passed) and (
         report_off.witness is not None or report_off.missing)

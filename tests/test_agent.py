@@ -824,10 +824,11 @@ def test_checkpoint_shape_mismatch_names_both_shapes(tmp_path):
     policy = make_policy(CFG_1D, seed=21, variant="plain")
     old = policy.state_dict()
     for layer in [policy.cell.linear, *policy.actor.layers, *policy.critic.layers]:
-        old[layer.weight.name] = layer.weight.value.reshape(layer.out_dim, layer.in_dim)
+        old[layer.weight.name] = layer.weight.value.reshape(layer.rho_out.dim, layer.in_dim)
     path = tmp_path / "old.ckpt"
     ad.save_checkpoint(path, old)
-    rows, cols = 4 * policy.hidden_dim, policy.cell.rho_x.dim + policy.hidden_dim
+    hidden = policy.cell.hidden_dim
+    rows, cols = 4 * hidden, policy.cell.rho_x.dim + hidden
     with pytest.raises(AgentError, match=r"lstm\.w: expected \(%d,\), found \(%d, %d\)"
                        % (rows * cols, rows, cols)):
         policy.load_state(ad.load_checkpoint(path))

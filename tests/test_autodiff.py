@@ -342,11 +342,12 @@ def test_shape_errors():
 
 
 def test_adam_first_step_matches_hand_computation():
-    lr, b1, b2, eps, g = 0.1, 0.9, 0.999, 1e-8, 0.5
+    lr, b1, b2, eps, g = 0.1, ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPS, 0.5
+    assert (b1, b2, eps) == (0.9, 0.999, 1e-8)
     p = parameter(0.0, "p")
     loss = ad.scale(p, g)
     backward(loss)
-    Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps).step()
+    Adam([p], lr=lr).step()
     m_hat = ((1 - b1) * g) / (1 - b1)
     v_hat = ((1 - b2) * g * g) / (1 - b2)
     expected = -lr * m_hat / (np.sqrt(v_hat) + eps)
@@ -360,6 +361,23 @@ def test_non_finite_gradient_reports_parameter_name():
     p.grad[0] = np.nan
     with pytest.raises(NonFiniteGradientError, match="theta"):
         Adam([p], lr=0.1).step()
+
+
+def test_refused_adam_step_changes_nothing():
+    """A non-finite gradient anywhere refuses the whole step before any
+    parameter, moment or step count moves, so no half-stepped policy is left."""
+    a, b = parameter(np.array([1.0]), "a"), parameter(np.array([2.0]), "b")
+    opt = Adam([a, b], lr=0.1)
+    a.grad, b.grad = np.array([0.5]), np.array([np.nan])
+    with pytest.raises(NonFiniteGradientError, match="'b'"):
+        opt.step()
+    assert (a.value.tolist(), b.value.tolist()) == ([1.0], [2.0])
+    assert opt.t == 0
+    assert [m.tolist() for m in opt.m] == [[0.0], [0.0]]
+    assert [v.tolist() for v in opt.v] == [[0.0], [0.0]]
+    b.grad = np.array([-0.5])   # the same step, now finite, moves both
+    opt.step()
+    assert opt.t == 1 and a.value[0] < 1.0 < 2.0 < b.value[0]
 
 
 def test_clip_grad_norm():

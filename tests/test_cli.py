@@ -121,14 +121,75 @@ def test_every_setting_has_one_config_key_and_one_train_flag():
     seed (a [run] key) is an [agent] key and the reverse, every env config
     field is an [env] key, and ``train`` has a flag whose ``dest`` is each."""
     agent_fields = {f.name for f in dataclasses.fields(AgentConfig)} - {"seed"}
-    assert agent_fields == set(cli.AGENT_KEYS)
+    assert agent_fields == set(cli.AGENT_SCHEMA)
     env_fields = {"offset" if f.name == "info_offset" else f.name
                   for cfg in (CarFlag1dConfig, CarFlag2dConfig)
                   for f in dataclasses.fields(cfg)}
-    assert env_fields | {"kind"} == set(cli.ENV_KEYS)
+    assert env_fields | {"kind"} == set(cli.ENV_SCHEMA)
     train = build_parser()._subparsers._group_actions[0].choices["train"]
     dests = {action.dest for action in train._actions}
-    assert set(cli.AGENT_KEYS) | set(cli.ENV_KEYS) | set(cli.RUN_KEYS) <= dests
+    assert set(cli.AGENT_SCHEMA) | set(cli.ENV_SCHEMA) | set(cli.RUN_SCHEMA) <= dests
+
+
+@pytest.mark.parametrize("kind, argv, field, value", [pytest.param(*case, id=case[2]) for case in [
+    ("carflag1d", ("--half-size", "7"), "half_size", 7),
+    ("carflag1d", ("--offset", "-2"), "info_offset", -2),
+    ("carflag2d", ("--info-region-size", "3"), "info_region_size", 3),
+    ("carflag2d", ("--max-steps", "9"), "max_steps", 9),
+    ("carflag1d", ("--agent", "equi-critic-only"), "variant", "equi-critic-only"),
+    ("carflag1d", ("--lstm-init", "random"), "lstm_init", "random"),
+    ("carflag1d", ("--steps", "12"), "total_steps", 12),
+    ("carflag1d", ("--lr", "0.125"), "learning_rate", 0.125),
+    ("carflag1d", ("--gamma", "0.5"), "discount", 0.5),
+    ("carflag1d", ("--grad-clip", "2"), "grad_clip", 2.0),
+    ("carflag1d", ("--eval-greedy",), "eval_greedy", True),
+    ("carflag1d", ("--feed-prev-action",), "feed_prev_action", True),
+    ("carflag2d", ("--conv-fields", "3,5"), "conv_fields", (3, 5)),
+    ("carflag1d", ("--seed", "4"), "seed", 4),
+]])
+def test_each_flag_sets_its_field_with_the_field_type(kind, argv, field, value):
+    """Each flag reaches its config field, parsed to the field's annotated
+    type (``--grad-clip 2`` is the float 2.0, a switch is True)."""
+    env_cfg, agent_cfg, _ = build_configs(build_parser().parse_args(
+        ["train", "--env", kind, *argv]))
+    got = getattr(agent_cfg if hasattr(agent_cfg, field) else env_cfg, field)
+    assert got == value and type(got) is type(value)
+
+
+def test_manifest_text_is_pinned(tmp_path):
+    """The exact manifest bytes of one config per domain: key order, the
+    ``offset`` key of ``info_offset``, ``conv_fields`` as a comma list and
+    booleans as Python writes them. Each manifest reads back to its configs."""
+    cases = [
+        (CarFlag1dConfig(half_size=5, info_offset=-2),
+         AgentConfig(variant="plain", seed=3, eval_greedy=True, conv_fields=(2, 4)),
+         {"out": "runs/a", "seed": 3, "group": "reflection2"}, None,
+         "[env]\nkind = carflag1d\nhalf_size = 5\noffset = -2\nmax_steps = 50\n\n"),
+        (CarFlag2dConfig(grid_size=5, info_offset=1, info_region_size=3),
+         AgentConfig(seed=0, feed_prev_action=True, lstm_init="random", conv_fields=(3,)),
+         {"out": "runs/b", "seed": 0, "group": "c4"},
+         ["conv3x3 a -> b (relu)", "lstm c -> d"],
+         "[env]\nkind = carflag2d\ngrid_size = 5\noffset = 1\ninfo_region_size = 3\n"
+         "max_steps = 50\n\n"),
+    ]
+    agent_text = ("[agent]\nvariant = {}\nlstm_init = {}\nn_envs = 16\nn_steps = 5\n"
+                  "discount = 0.99\nlearning_rate = 0.0003\nvalue_coef = 0.5\n"
+                  "entropy_coef = 0.01\ngrad_clip = 0.5\ntotal_steps = 100000\n"
+                  "eval_interval = 5000\neval_episodes = 40\neval_greedy = {}\n"
+                  "lstm_fields = 16\nhead_fields = 16\nconv_fields = {}\n"
+                  "feed_prev_action = {}\n\n")
+    expected = [
+        agent_text.format("plain", "zero", "True", "2,4", "False")
+        + "[run]\nout = runs/a\nseed = 3\ngroup = reflection2\n\n",
+        agent_text.format("equi", "random", "False", "3", "True")
+        + "[run]\nout = runs/b\nseed = 0\ngroup = c4\n\n"
+        + "[architecture]\nlayer0 = conv3x3 a -> b (relu)\nlayer1 = lstm c -> d\n\n",
+    ]
+    for (env_cfg, agent_cfg, run, architecture, env_text), rest in zip(cases, expected):
+        path = tmp_path / "manifest.ini"
+        write_manifest(path, env_cfg, agent_cfg, run, architecture=architecture)
+        assert path.read_text() == env_text + rest
+        assert read_manifest(path) == (env_cfg, agent_cfg, run)
 
 
 def test_removed_single_tanh_switch_is_refused(tmp_path, capsys):
@@ -433,6 +494,19 @@ def test_verify_equivariance_random_init_fails(capsys):
                    "--max-len", "10", "--lstm-init", "random")
     assert code == 1
     assert "passed=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, name", [
+    ("--networks", "networks"), ("--histories", "histories"), ("--max-len", "max_len")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_equivariance_refuses_a_check_of_nothing(capsys, flag, name, value):
+    """No network, no history or empty histories would check nothing: the
+    suite refuses the value by name and exits 1 rather than pass."""
+    argv = {"--networks": "2", "--histories": "1", "--max-len": "3", flag: value}
+    code = run_cli("verify", "equivariance", *(x for kv in argv.items() for x in kv))
+    out, err = capsys.readouterr()
+    assert code == 1 and "passed=" not in out
+    assert f"{name} must be at least 1, got {value}" in err
 
 
 def test_verify_gradcheck(capsys):

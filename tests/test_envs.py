@@ -548,19 +548,19 @@ def test_history_transform_matches_rotated_scenario():
 
 def test_belief_invariance_on_3x3():
     pomdp, binding, _ = export_pomdp(CarFlag2dConfig(grid_size=3))
-    report = verify_belief_invariance(pomdp, binding, depth=3, tolerance=1e-12)
+    report = verify_belief_invariance(pomdp, binding, depth=3)
     assert report.passed, report.lines()
 
 
 def test_value_invariance_on_3x3_short_horizon():
     pomdp, binding, _ = export_pomdp(CarFlag2dConfig(grid_size=3))
-    report = verify_value_invariance(pomdp, binding, horizon=4, tolerance=1e-9)
+    report = verify_value_invariance(pomdp, binding, horizon=4)
     assert report.passed, report.lines()
 
 
 def test_value_invariance_detects_offset_asymmetry():
     pomdp, binding, _ = export_pomdp(CarFlag2dConfig(grid_size=3, info_offset=1))
-    report = verify_value_invariance(pomdp, binding, horizon=4, tolerance=1e-9)
+    report = verify_value_invariance(pomdp, binding, horizon=4)
     assert not report.passed
     assert report.max_dev > 1e-9 or report.missing
     assert report.witness is not None or report.missing
@@ -572,7 +572,7 @@ def test_value_invariance_on_1d_at_full_episode_horizon(offset):
     6e16 histories, checked through about 2.9k belief classes."""
     cfg = CarFlag1dConfig(half_size=10, info_offset=offset)
     pomdp, binding, _ = export_pomdp(cfg)
-    report = verify_value_invariance(pomdp, binding, horizon=cfg.max_steps, tolerance=1e-9)
+    report = verify_value_invariance(pomdp, binding, horizon=cfg.max_steps)
     assert report.histories > 10**16 and report.belief_classes < 3000
     if offset == 0:
         assert report.passed and report.policy_consistent, report.lines()

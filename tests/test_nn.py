@@ -142,19 +142,17 @@ def test_invariant_vectors_of_regular_rep():
 
 
 def test_trivial_group_tying_is_the_identity():
-    # over C1 every orbit is one entry: each weight is its own free parameter.
-    # tied_weight_indices returns that identity directly; the general orbit
-    # path must work it out to the same arrays
+    # over C1 every orbit is one entry: each weight is its own free parameter,
+    # and the orbit tying works that identity out with no shortcut
     for rho_in, dout, din in [
         (trivial_rep(C1, 35), 128, 35),
         ([trivial_rep(C1, 8), grid_rep(C1, 3, 3)], 32, 8 * 9),  # a 3x3 conv kernel
     ]:
         identity = (np.arange(dout * din).reshape(dout, din), np.ones((dout, din)), dout * din)
-        for tying in (nn.orbit_tying, nn.tied_weight_indices):
-            idx, sign, count = tying(rho_in, trivial_rep(C1, dout))
-            assert idx.dtype == identity[0].dtype and np.array_equal(idx, identity[0])
-            assert np.array_equal(sign, identity[1])
-            assert count == identity[2]
+        idx, sign, count = nn.tied_weight_indices(rho_in, trivial_rep(C1, dout))
+        assert idx.dtype == identity[0].dtype and np.array_equal(idx, identity[0])
+        assert np.array_equal(sign, identity[1])
+        assert count == identity[2]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, export_pomdp
 from equipomdp.groups import C1, C4, MIRROR as FLIP
 from equipomdp import pomdp as pomdp_module
 from equipomdp.pomdp import (
+    LISTED_VIOLATIONS,
     PUSH_SLICE,
     TABLE_MAGIC,
     GroupActionBinding,
@@ -211,36 +212,37 @@ def invariance_cases():
         rng = np.random.default_rng(100 + seed)
         pomdp = random_pomdp(rng, 8, group.order, 6)
         binding = random_binding(group, rng, 8, group.order, 6)
-        yield pytest.param(pomdp, binding, 50, id=f"random-{seed}")
-        yield pytest.param(group_average(pomdp, binding), binding, 50,
+        yield pytest.param(pomdp, binding, False, id=f"random-{seed}")
+        yield pytest.param(group_average(pomdp, binding), binding, False,
                            id=f"random-{seed}-averaged")
         sparse = thinned(pomdp, rng)
-        yield pytest.param(sparse, binding, 50, id=f"random-{seed}-thinned")
-        yield pytest.param(group_average(sparse, binding), binding, 50,
+        yield pytest.param(sparse, binding, False, id=f"random-{seed}-thinned")
+        yield pytest.param(group_average(sparse, binding), binding, False,
                            id=f"random-{seed}-thinned-averaged")
     for name, config in (("3x3", CarFlag2dConfig(grid_size=3)),
                          ("3x3-offset", CarFlag2dConfig(grid_size=3, info_offset=1)),
                          ("1d-offset3", CarFlag1dConfig(half_size=10, info_offset=3))):
-        yield pytest.param(*export_pomdp(config)[:2], 50, id=name)
+        yield pytest.param(*export_pomdp(config)[:2], False, id=name)
     rng = np.random.default_rng(104)
-    yield pytest.param(random_pomdp(rng, 8, 4, 6), random_binding(C4, rng, 8, 4, 6), 3,
+    yield pytest.param(random_pomdp(rng, 8, 4, 6), random_binding(C4, rng, 8, 4, 6), True,
                        id="random-over-max-listed")
 
 
-@pytest.mark.parametrize("pomdp, binding, max_listed", invariance_cases())
-def test_check_invariance_matches_the_dense_reference(pomdp, binding, max_listed):
+@pytest.mark.parametrize("pomdp, binding, over_cap", invariance_cases())
+def test_check_invariance_matches_the_dense_reference(pomdp, binding, over_cap):
     """``passed``, ``max_dev`` bit for bit and every violation list, in
-    order, equal those of the entry-by-entry comparison of the dense tables."""
-    report = check_invariance(pomdp, binding, max_listed=max_listed)
-    expect = reference_check_invariance(pomdp, binding, max_listed=max_listed)
+    order, equal those of the entry-by-entry comparison of the dense tables,
+    each list cut at ``LISTED_VIOLATIONS``."""
+    report = check_invariance(pomdp, binding)
+    expect = reference_check_invariance(pomdp, binding, max_listed=LISTED_VIOLATIONS)
     assert report.passed == expect.passed
     assert report.max_dev.hex() == expect.max_dev.hex()
     assert report.violations == expect.violations
     assert report.lines() == expect.lines()
-    if max_listed == 3:   # some (table, g) has more violations than are listed
+    if over_cap:   # every (trans, g) has more violations than are listed
         every = reference_check_invariance(pomdp, binding, max_listed=10 ** 9)
         assert len(every.violations["trans"]) > len(report.violations["trans"]) \
-            == 3 * (binding.group.order - 1)
+            == LISTED_VIOLATIONS * (binding.group.order - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +403,10 @@ def test_invariant_pomdp_has_invariant_beliefs_and_values(seed):
     pomdp = random_pomdp(rng, 6, group.order, 6, discount=0.9)
     binding = random_binding(group, rng, 6, group.order, 6)
     averaged = group_average(pomdp, binding)
-    assert check_invariance(averaged, binding, atol=1e-12).passed
-    belief_report = verify_belief_invariance(averaged, binding, depth=2, tolerance=1e-12)
+    assert check_invariance(averaged, binding).passed
+    belief_report = verify_belief_invariance(averaged, binding, depth=2)
     assert belief_report.passed, belief_report.lines()
-    value_report = verify_value_invariance(averaged, binding, horizon=2, tolerance=1e-9)
+    value_report = verify_value_invariance(averaged, binding, horizon=2)
     assert value_report.passed, value_report.lines()
     assert_matches_reference(averaged, binding, horizon=2)
 

@@ -1,19 +1,36 @@
 """Guard: ``src/equipomdp`` holds only what the program runs.
 
-Every module-level definition (function, class or assigned name), every
-method and every annotated field of a ``@dataclass`` must be used by name
-somewhere the program reaches: in ``src`` outside the definition itself, in
-``scripts/`` or in ``perfbench/``. A use is a name, an attribute or a string
-naming it (the benchmark patches functions by name); an import or an
-``__all__`` entry is not a use. A field is read as an attribute or named by
-a string, so a bare name (a local that shares the field's name) does not use
-it. A use from inside another definition counts only if that definition is
-used in turn, so a group of definitions that only reach each other is found
-whole. Test-only helpers belong under ``tests/``; ``EXEMPT`` names the few
-kept in ``src`` on purpose.
+The program is ``src`` itself, ``scripts/`` and ``perfbench/``; tests are
+not part of it. Three checks:
+
+- Every module-level definition (function, class or assigned name), every
+  method and every annotated field of a ``@dataclass`` is used by name in
+  the program, outside the definition itself. A use is a name, an attribute
+  or a string naming it (the benchmark patches functions by name); an
+  import or an ``__all__`` entry is not a use. A field is read as an
+  attribute or named by a string, so a bare name (a local that shares the
+  field's name) does not use it. A use from inside another definition
+  counts only if that definition is used in turn, so a group of definitions
+  that only reach each other is found whole.
+- Every attribute a method assigns on ``self`` is read in the program.
+- Every parameter with a default is passed by some program call outside its
+  function: by position, by keyword or through ``**``; a ``*`` argument is
+  taken to fill required parameters only. A class call passes to
+  ``__init__``, and import aliases (``main as cli_main``) resolve. A
+  parameter that only forwards the caller's own default counts only if that
+  default is passed in turn. A method call on an object of unknown class
+  reaches the one src method of that name, and none when several classes
+  share the name. An option no caller sets is a constant.
+
+A use is matched to its owner where the code names it: ``self.X`` inside
+class C uses only C's own X, and ``module.X`` only that module's X, so a
+numpy attribute never keeps a method of the same name alive. Other
+attribute uses match by name. Test-only helpers belong under ``tests/``;
+``EXEMPT`` names the few kept in ``src`` on purpose.
 """
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,17 +41,50 @@ SRC = ROOT / "src" / "equipomdp"
 # named where it is used, or go.
 IMPLICIT = {"__init__", "__post_init__", "__repr__", "__len__"}
 
-EXEMPT = {
-    "autodiff.primitive_gradcheck_battery":
-        "the finite-difference battery behind `verify gradcheck`",
-    "autodiff.tsum": "the battery's scalar loss",
-}
+# Definitions kept in src without a program use, each with its reason. None
+# is needed today: `verify gradcheck` reaches the battery and its loss.
+EXEMPT: dict[str, str] = {}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(isinstance(d, ast.Name) and d.id == "dataclass"
                or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
                for d in node.decorator_list)
+
+
+class _File:
+    """One program file: its tree, its module name (src modules only) and
+    what its import statements bind: src modules, src names and other
+    modules."""
+
+    def __init__(self, path: Path, module: str | None):
+        self.tree = ast.parse(path.read_text())
+        self.module = module
+        self.modules: dict[str, str | None] = {}    # alias -> src module, None if outside
+        self.names: dict[str, tuple[str, str]] = {}  # alias -> (src module, name)
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    self.modules[a.asname or a.name.split(".")[0]] = None
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                src = node.level > 0 or base == "equipomdp" or base.startswith("equipomdp.")
+                for a in node.names:
+                    alias = a.asname or a.name
+                    if not src:
+                        self.modules[alias] = None
+                    elif base in ("", "equipomdp"):     # ``from . import autodiff``
+                        self.modules[alias] = a.name
+                    else:                               # ``from .envs import make_env``
+                        self.names[alias] = base.split(".")[-1], a.name
+
+
+@lru_cache(maxsize=None)
+def _files() -> tuple[_File, ...]:
+    files = [_File(path, path.stem) for path in sorted(SRC.glob("*.py"))]
+    for folder in ("scripts", "perfbench"):
+        files += [_File(path, None) for path in sorted((ROOT / folder).glob("*.py"))]
+    return tuple(files)
 
 
 def _definitions(tree: ast.Module, module: str):
@@ -56,30 +106,50 @@ def _definitions(tree: ast.Module, module: str):
                     yield f"{module}.{t.id}", t.id, node
 
 
-def _names_used(node: ast.AST):
-    """Names that ``node`` reads, each as (name, bare): a bare name, or an
-    attribute or identifier string."""
+def _owner(file: _File, cls: str | None, node: ast.Attribute) -> str | None:
+    """The key of the definition ``node`` names when the code makes its owner
+    known: '' for a module outside src, else None."""
+    if not isinstance(node.value, ast.Name):
+        return None
+    base = node.value.id
+    if base == "self" and cls is not None:
+        return f"{file.module}.{cls}.{node.attr}"
+    if base in file.modules:
+        module = file.modules[base]
+        return "" if module is None else f"{module}.{node.attr}"
+    return None
+
+
+def _names_used(file: _File, node: ast.AST, cls: str | None = None):
+    """Names that ``node`` reads, each as (name, bare, owner): a bare name, or
+    an attribute or identifier string; ``owner`` is the key of the one
+    definition an attribute can name, or None when any of that name may."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-            yield sub.id, True
+            yield sub.id, True, None
         elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
-            yield sub.attr, False
+            owner = _owner(file, cls, sub)
+            if owner != "":
+                yield sub.attr, False, owner
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
                 and sub.value.isidentifier():
-            yield sub.value, False
+            yield sub.value, False, None
 
 
 def _scan():
     """Every src definition as key -> (name, whether it is a dataclass field),
-    and each use of a name as (name, bare, user): the user is the key of the
-    src definition the use sits in, or None for a use outside every
+    and each use of a name as (name, bare, owner, user): the user is the key
+    of the src definition the use sits in, or None for a use outside every
     definition (module-level code, scripts, the benchmark)."""
     defs, uses = {}, []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for file in _files():
+        if file.module is None:
+            uses.extend((*n, None) for n in _names_used(file, file.tree))
+            continue
         owned = set()
-        for key, name, node in _definitions(tree, path.stem):
+        for key, name, node in _definitions(file.tree, file.module):
             defs[key] = name, isinstance(node, ast.AnnAssign)
+            cls = key.split(".")[1] if key.count(".") == 2 else None
             if isinstance(node, ast.ClassDef):  # the class body outside its members
                 body = [n for n in node.body
                         if not isinstance(n, (ast.FunctionDef, ast.AnnAssign))]
@@ -87,17 +157,14 @@ def _scan():
             else:
                 parts = [node]
             for part in parts:
-                uses.extend((*n, key) for n in _names_used(part))
+                uses.extend((*n, key) for n in _names_used(file, part, cls))
             owned.add(id(node))
-        for node in tree.body:
+        for node in file.tree.body:
             exports = isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
             if id(node) in owned or exports or isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
-            uses.extend((*n, None) for n in _names_used(node))
-    for folder in ("scripts", "perfbench"):
-        for path in sorted((ROOT / folder).glob("*.py")):
-            uses.extend((*n, None) for n in _names_used(ast.parse(path.read_text())))
+            uses.extend((*n, None) for n in _names_used(file, node))
     return defs, uses
 
 
@@ -107,12 +174,12 @@ def unused_definitions() -> list[str]:
     grew = True
     while grew:
         users = {}
-        for name, bare, user in uses:
+        for name, bare, owner, user in uses:
             if user is None or user in live:
-                users.setdefault((name, bare), set()).add(user)
+                users.setdefault(owner or (name, bare), set()).add(user)
         grew = False
         for key, (name, field) in defs.items():
-            found = users.get((name, False), set())
+            found = users.get((name, False), set()) | users.get(key, set())
             if not field:
                 found = found | users.get((name, True), set())
             if key not in live and found - {key}:
@@ -121,9 +188,151 @@ def unused_definitions() -> list[str]:
     return sorted(set(defs) - live)
 
 
+def _classes():
+    """(file, class node) of every src class."""
+    for file in _files():
+        if file.module is not None:
+            for node in file.tree.body:
+                if isinstance(node, ast.ClassDef):
+                    yield file, node
+
+
+def unread_self_attributes() -> list[str]:
+    """``Class.attr`` of each attribute a method assigns on ``self`` that no
+    program code reads."""
+    assigned, read = set(), set()
+    for file, cls in _classes():
+        for sub in ast.walk(cls):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) \
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                assigned.add((f"{file.module}.{cls.name}.{sub.attr}", sub.attr))
+    for file in _files():
+        scopes = [(file.tree, None)]
+        if file.module is not None:
+            scopes = [(node, node.name if isinstance(node, ast.ClassDef) else None)
+                      for node in file.tree.body]
+        for node, cls in scopes:
+            read.update(owner or name for name, bare, owner in _names_used(file, node, cls)
+                        if not bare)
+    return sorted(key for key, name in assigned if key not in read and name not in read)
+
+
+def _params(fn: ast.FunctionDef):
+    """The parameters a call can pass, in order, and those with a default."""
+    args = fn.args
+    ordered = [a.arg for a in (*args.posonlyargs, *args.args)]
+    defaulted = ordered[len(ordered) - len(args.defaults):] if args.defaults else []
+    kwonly = [a.arg for a in args.kwonlyargs]
+    defaulted += [a for a, d in zip(kwonly, args.kw_defaults) if d is not None]
+    return ordered, ordered + kwonly, defaulted
+
+
+def _functions():
+    """key -> (FunctionDef, whether a call binds its first parameter) of every
+    src module function and method, a class's call reaching its ``__init__``."""
+    out = {f"{file.module}.{node.name}": (node, False) for file in _files()
+           if file.module is not None for node in file.tree.body
+           if isinstance(node, ast.FunctionDef)}
+    for file, cls in _classes():
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                method = "" if item.name == "__init__" else f".{item.name}"
+                out[f"{file.module}.{cls.name}{method}"] = item, True
+    return out
+
+
+def _targets(file: _File, cls: str | None, func: ast.expr, functions: dict) -> list[str]:
+    """The keys of the src functions a call of ``func`` may reach."""
+    if isinstance(func, ast.Name):
+        if func.id in file.names:
+            module, name = file.names[func.id]
+            key = f"{module}.{name}"
+        else:
+            key = f"{file.module}.{func.id}" if file.module else None
+        return [key] if key in functions else []
+    if isinstance(func, ast.Attribute):
+        owner = _owner(file, cls, func)
+        if owner is not None:
+            return [owner] if owner in functions else []
+        methods = [key for key, (_, bound) in functions.items()
+                   if bound and key.endswith(f".{func.attr}") and key.count(".") == 2]
+        return methods if len(methods) == 1 else []
+    return []
+
+
+def _calls(node: ast.AST, file: _File, cls: str | None, enclosing: list, functions: dict):
+    """(target key, parameter, source) of each argument a call under ``node``
+    passes to a src function; the source is the enclosing function's
+    defaulted parameter an argument forwards, else None."""
+    if isinstance(node, ast.ClassDef):
+        cls = node.name
+    if isinstance(node, ast.FunctionDef):
+        enclosing = [*enclosing, node]
+    if isinstance(node, ast.Call):
+        for key in _targets(file, cls, node.func, functions):
+            fn, bound = functions[key]
+            if any(fn is outer for outer in enclosing):   # a function's own calls
+                continue
+            ordered, names, _ = _params(fn)
+            ordered = ordered[1:] if bound else ordered
+            passed = []
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):   # taken to fill required parameters
+                    break
+                if i < len(ordered):
+                    passed.append((ordered[i], arg))
+            for kw in node.keywords:
+                passed += [(kw.arg, kw.value)] if kw.arg else [(p, None) for p in names]
+            for param, arg in passed:
+                yield key, param, _forwarded(arg, enclosing, functions)
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, file, cls, enclosing, functions)
+
+
+def _forwarded(arg, enclosing: list, functions: dict):
+    """(function key, parameter) when ``arg`` is the innermost enclosing
+    function's parameter of that name and that parameter has a default."""
+    if not isinstance(arg, ast.Name):
+        return None
+    for fn in reversed(enclosing):
+        _, names, defaulted = _params(fn)
+        if arg.id in names:
+            if arg.id not in defaulted:
+                return None
+            return next(((key, arg.id) for key, (f, _) in functions.items() if f is fn), None)
+    return None
+
+
+def unpassed_defaults() -> list[str]:
+    """``function(parameter)`` of each defaulted parameter no program call
+    passes."""
+    functions = _functions()
+    calls = [call for file in _files() for call in _calls(file.tree, file, None, [], functions)]
+    passed, grew = set(), True
+    while grew:
+        grew = False
+        for key, param, source in calls:
+            if (key, param) not in passed and (source is None or source in passed):
+                passed.add((key, param))
+                grew = True
+    return sorted(f"{key}({param})" for key, (fn, _) in functions.items()
+                  for param in _params(fn)[2] if (key, param) not in passed)
+
+
 def test_every_src_definition_is_used_by_the_program():
     unused = unused_definitions()
     assert not unused, f"{len(unused)} src definitions the program never uses: {unused}"
+
+
+def test_every_attribute_set_on_self_is_read_by_the_program():
+    unread = unread_self_attributes()
+    assert not unread, f"{len(unread)} attributes the program never reads: {unread}"
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    unpassed = unpassed_defaults()
+    assert not unpassed, (f"{len(unpassed)} options no program call sets; make each a "
+                          f"module constant: {unpassed}")
 
 
 def test_every_exemption_names_a_src_definition():
