@@ -7,6 +7,9 @@ or anything computed from constants alone) keeps neither. ``backward`` replays
 the nodes that require a gradient in reverse topological order, so gradients
 reach only the nodes that lead to a parameter, and each closure computes only
 the gradients of the parents that require one. Everything runs in float64.
+
+Each network layer is one node (``affine``, ``conv2d``, ``LstmSegment``), and
+``Adam`` steps every parameter entry as one flat vector.
 """
 
 from __future__ import annotations
@@ -115,37 +118,30 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(val, (a, b), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ShapeError(f"matmul supports 2D operands, got {av.shape}@{bv.shape}")
-    if av.shape[-1] != bv.shape[0]:
-        raise ShapeError(f"matmul: {av.shape} @ {bv.shape}")
-    val = av @ bv
+def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """``x @ w + b`` for (N, din) rows, a (din, dout) weight and a (dout) bias,
+    and its relu if ``relu``, as one node."""
+    xv, wv, bv = x.value, w.value, b.value
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise ShapeError(f"affine: {xv.shape} @ {wv.shape} + {bv.shape}")
+    val = xv @ wv
+    val += bv
+    if relu:
+        np.maximum(val, 0.0, out=val)
 
     def bwd(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = g @ bv.T
-        if b.requires_grad:
-            gb = av.T @ g
-        return ga, gb
+        if relu:
+            g = g * (val > 0)   # the output is positive exactly where the pre-activation is
+        return (g @ wv.T if x.requires_grad else None,
+                xv.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
 
-    return Tensor(val, (a, b), bwd)
+    return Tensor(val, (x, w, b), bwd)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def relu(a: Tensor) -> Tensor:
-    val = np.maximum(a.value, 0.0)
-
-    def bwd(g):
-        return (g * (a.value > 0),)
-
-    return Tensor(val, (a,), bwd)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -251,44 +247,49 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return windows.reshape(kh * kw * c, -1)
 
 
-def conv2d(x: Tensor, k: Tensor) -> Tensor:
-    """Unpadded cross-correlation of (B,C,H,W) with kernels (F,C,kh,kw) ->
-    (B,F,H-kh+1,W-kw+1).
+def conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
+    """Unpadded cross-correlation of (B,C,H,W) with kernels (F,C,kh,kw), plus
+    bias (F), through relu -> (B,F,H-kh+1,W-kw+1), as one node.
 
     Lowered to one matmul each way over the (kh*kw*C, H'*W'*B) patch matrix
     (im2col); the input gradient folds the patch gradient back with one
     slice-add per kernel offset (col2im). The batch axis is innermost in both,
     so each slice-add runs over contiguous runs of W'*B entries. The forward
     product takes (H'*W'*B, kh*kw*C) patch rows to (H'*W'*B, F) rows, and the
-    output is a (B,F,H',W') view of it."""
-    xv, kv = x.value, k.value
-    if xv.ndim != 4 or kv.ndim != 4 or xv.shape[1] != kv.shape[1]:
-        raise ShapeError(f"conv2d: input {xv.shape}, kernel {kv.shape}")
+    output is laid out as those rows, a (B,F,H',W') view of them."""
+    xv, kv, bv = x.value, k.value, b.value
+    if (xv.ndim != 4 or kv.ndim != 4 or xv.shape[1] != kv.shape[1]
+            or bv.shape != kv.shape[:1]):
+        raise ShapeError(f"conv2d: input {xv.shape}, kernel {kv.shape}, bias {bv.shape}")
     n_out, n_in, kh, kw = kv.shape
     if xv.shape[2] < kh or xv.shape[3] < kw:
         raise ShapeError(f"conv2d: input {xv.shape} smaller than kernel {kv.shape}")
-    b, _, hi, wi = xv.shape
+    nb, _, hi, wi = xv.shape
     ho, wo = hi - kh + 1, wi - kw + 1
     kmat_t = np.ascontiguousarray(kv.transpose(2, 3, 1, 0).reshape(-1, n_out))
-    val = (_im2col(xv, kh, kw).T @ kmat_t).reshape(ho, wo, b, n_out).transpose(2, 3, 0, 1)
+    val = (_im2col(xv, kh, kw).T @ kmat_t).reshape(ho, wo, nb, n_out).transpose(2, 3, 0, 1)
+    val = val + bv.reshape(n_out, 1, 1)
+    np.maximum(val, 0.0, out=val)
 
     def bwd(g):
-        g2 = g.transpose(2, 3, 0, 1).reshape(-1, n_out)
+        g = g * (val > 0)   # the output is positive exactly where the pre-activation is
+        gb = g.sum(axis=0).sum(axis=(1, 2)) if b.requires_grad else None
         gk = gx = None
+        g2 = g.transpose(2, 3, 0, 1).reshape(-1, n_out)
         if k.requires_grad:
             # rebuilt, not kept from the forward pass: holding every layer's patch
             # matrix until backward raises the update's peak memory
             gk = (_im2col(xv, kh, kw) @ g2).reshape(kh, kw, n_in, n_out).transpose(3, 2, 0, 1)
         if x.requires_grad:
-            gcols = (kmat_t @ g2.T).reshape(kh, kw, n_in, ho, wo, b)
-            gx = np.zeros((n_in, hi, wi, b))
+            gcols = (kmat_t @ g2.T).reshape(kh, kw, n_in, ho, wo, nb)
+            gx = np.zeros((n_in, hi, wi, nb))
             for u in range(kh):
                 for v in range(kw):
                     gx[:, u : u + ho, v : v + wo] += gcols[u, v]
             gx = gx.transpose(3, 0, 1, 2)
-        return gx, gk
+        return gx, gk, gb
 
-    return Tensor(val, (x, k), bwd)
+    return Tensor(val, (x, k, b), bwd)
 
 
 def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, wt: np.ndarray, b: np.ndarray):
@@ -460,11 +461,6 @@ def backward(loss: Tensor) -> None:
 # Optimizers.
 # ---------------------------------------------------------------------------
 
-def _check_finite(p: Tensor):
-    if p.grad is not None and not np.all(np.isfinite(p.grad)):
-        raise NonFiniteGradientError(f"non-finite gradient on parameter {p.name!r}")
-
-
 def clip_grad_norm(params, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
     total = 0.0
@@ -487,27 +483,49 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
+    """Adam over every parameter entry as one vector: the moments are one flat
+    buffer each, and ``m[i]``, ``v[i]`` view parameter i's slice of them."""
+
     def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        sizes = [p.value.size for p in self.params]
+        self._m, self._v = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+        cuts = np.cumsum(sizes, dtype=np.int64)[:-1]
+        self.m, self.v = ([piece.reshape(p.value.shape)
+                           for piece, p in zip(np.split(flat, cuts), self.params)]
+                          for flat in (self._m, self._v))
 
     def step(self):
-        """One update of every parameter that has a gradient. Every gradient is
-        checked first, so a refused step moves no value, moment or count."""
-        live = [(i, p) for i, p in enumerate(self.params) if p.grad is not None]
-        for _, p in live:
-            _check_finite(p)
+        """One update of every parameter that has a gradient; one without keeps
+        its value and moments. Every gradient is checked first, so a refused
+        step moves no value, moment or count."""
+        live = [i for i, p in enumerate(self.params) if p.grad is not None]
+        empty = [self._m[:0]]   # what the concatenations hold with no live parameter
+        g = np.concatenate([self.params[i].grad.ravel() for i in live] + empty)
+        if not np.isfinite(g).all():
+            bad = next(self.params[i] for i in live if not np.isfinite(self.params[i].grad).all())
+            raise NonFiniteGradientError(f"non-finite gradient on parameter {bad.name!r}")
         self.t += 1
-        for i, p in live:
-            g = p.grad
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
-            mhat = self.m[i] / (1 - ADAM_BETA1 ** self.t)
-            vhat = self.v[i] / (1 - ADAM_BETA2 ** self.t)
-            p.value -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        # the whole buffers in place; with a parameter left out, the live
+        # parameters' pieces, gathered here and written back below
+        whole = len(live) == len(self.params)
+        m, v = (self._m, self._v) if whole else (
+            np.concatenate([s[i].ravel() for i in live] + empty) for s in (self.m, self.v))
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        mhat = m / (1 - ADAM_BETA1 ** self.t)
+        vhat = v / (1 - ADAM_BETA2 ** self.t)
+        step = self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        cuts = np.cumsum([self.params[i].value.size for i in live], dtype=np.int64)[:-1]
+        for i, piece in zip(live, np.split(step, cuts)):
+            self.params[i].value -= piece.reshape(self.params[i].value.shape)
+        if not whole:
+            for i, m_i, v_i in zip(live, np.split(m, cuts), np.split(v, cuts)):
+                self.m[i].flat, self.v[i].flat = m_i, v_i
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +632,19 @@ def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
     v4 = rng.normal(size=4)
     img = rng.normal(size=(2, 3, 5, 5))
     ker = rng.normal(size=(4, 3, 3, 3))
+    # biases of +-100 hold each relu input far from the kink: every output
+    # column or channel is all on or all off
+    off = Tensor(np.array([100.0, -100.0, 100.0, -100.0]))
     idx = np.array([2, 0, 3])
     flat_idx = rng.integers(0, 12, size=20)
     cases = {
         "add": (lambda p: tsum(add(p, Tensor(v4))), (3, 4)),
         "scale": (lambda p: tsum(scale(p, -2.5)), (3, 4)),
         "hadamard": (lambda p: tsum(hadamard(p, Tensor(np.abs(v4) + 0.5))), (3, 4)),
-        "matmul": (lambda p: tsum(matmul(p, Tensor(m))), (2, 3)),
-        "relu": (lambda p: tsum(relu(p)), (3, 4)),
+        "affine": (lambda p: tsum(affine(p, Tensor(m), Tensor(v4), False)), (2, 3)),
+        "affine_relu": (lambda p: tsum(affine(p, Tensor(m), off, True)), (2, 3)),
+        "affine_weight": (lambda p: tsum(affine(Tensor(m.T), p, off, True)), (3, 4)),
+        "affine_bias": (lambda p: tsum(affine(Tensor(m.T), Tensor(m), add(p, off), True)), (4,)),
         "exp": (lambda p: tsum(exp(p)), (3, 4)),
         "log_softmax": (lambda p: tsum(hadamard(log_softmax(p), Tensor(m))), (3, 4)),
         "gather_rows": (lambda p: tsum(gather_rows(p, idx)), (3, 4)),
@@ -631,12 +654,12 @@ def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
         "sum": (lambda p: tsum(hadamard(p, p)), (3, 4)),
         "sum_axis": (lambda p: tsum(exp(sum_axis(p, -1))), (3, 4)),
         "mean": (lambda p: mean(exp(p)), (3, 4)),
-        "conv2d": (lambda p: tsum(conv2d(p, Tensor(ker))), (2, 3, 5, 5)),
-        "conv2d_kernel": (lambda p: tsum(conv2d(Tensor(img), p)), (4, 3, 3, 3)),
+        "conv2d": (lambda p: tsum(conv2d(p, Tensor(ker), off)), (2, 3, 5, 5)),
+        "conv2d_kernel": (lambda p: tsum(conv2d(Tensor(img), p, off)), (4, 3, 3, 3)),
+        "conv2d_bias": (lambda p: tsum(conv2d(Tensor(img), Tensor(ker), add(p, off))), (4,)),
     }
     out = {}
     for name, (build, shape) in cases.items():
-        # offsets keep relu inputs away from the kink
         p = parameter(rng.normal(size=shape) * 0.5 + 0.3, "p")
         out[name] = gradcheck(lambda: build(p), [p])
     # three steps of a batch of two, row 0 restarting after the second step

@@ -17,12 +17,14 @@ free parameter. Unconstrained networks are these same layers over
 
 Every layer has one forward path. ``realize_t`` builds the layer's dense
 weights from its parameters as graph tensors, and ``forward_t`` applies them
-on ``autodiff`` tensors; every caller realizes once and passes the result in,
-so one realization serves all the steps run under fixed parameters. Callers that only need values
-(evaluation, equivariance checks) read ``.value`` off the output and drop the
-graph; rollout collection keeps it for the update. The recurrent cell steps on
-arrays instead, and a collected segment of its steps enters the graph as one
-``autodiff.LstmSegment`` node.
+on ``autodiff`` tensors as one graph node: ``autodiff.affine`` for a linear
+layer (with the relu between head layers), ``autodiff.conv2d`` with its bias
+and relu for a convolution. Every caller realizes once and passes the result
+in, so one realization serves all the steps run under fixed parameters.
+Callers that only need values (evaluation, equivariance checks) read
+``.value`` off the output and drop the graph; rollout collection keeps it for
+the update. The recurrent cell steps on arrays instead, and a collected
+segment of its steps enters the graph as one ``autodiff.LstmSegment`` node.
 
 ``tests/reference_basis.py`` spans the same spaces by a null-space solve; it
 is the independent reference the tests check the tying against.
@@ -134,13 +136,14 @@ class EquiLinear:
         """Weight (transposed) and bias as graph tensors, gathered from the parameters."""
         return tied(self.weight, *self._w_tie), tied(self.bias, *self._b_tie)
 
-    def forward_t(self, x: Tensor, realized) -> Tensor:
+    def forward_t(self, x: Tensor, realized, relu: bool) -> Tensor:
+        """``x W^T + b`` on (N, in_dim) rows, through relu if ``relu``."""
         if x.value.shape[-1] != self.in_dim:
             raise RepresentationMismatchError(
                 f"{self.name}: input has {x.value.shape[-1]} channels, "
                 f"rho_in {self.rho_in.summary} ({self.in_dim}) expected")
         wt, b = realized
-        return ad.add(ad.matmul(x, wt), b)
+        return ad.affine(x, wt, b, relu)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +153,8 @@ class EquiLinear:
 class EquiConv2d:
     """Unpadded group convolution whose kernel is an equivariant map from
     ``rho_in`` tensor ``grid_rep(group, k, k)`` to ``rho_out``, tied as in
-    EquiLinear. Output channels carry ``out_fields`` regular fields.
+    EquiLinear, followed by relu. Output channels carry ``out_fields``
+    regular fields.
     """
 
     def __init__(self, rho_in: Representation, out_fields: int, ksize: int,
@@ -185,8 +189,7 @@ class EquiConv2d:
             for g in self.group.elements:
                 pixel_permutation(self.group, g, h, w)
         k, b = realized
-        y = ad.conv2d(x, k)
-        return ad.add(y, ad.reshape(b, (self.out_channels, 1, 1)))
+        return ad.conv2d(x, k, b)
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +245,16 @@ def equi_lstm_cell(rho_x: Representation, rho_h: Representation,
     return LstmCell(linear, rho_x, rho_h)
 
 
-def initial_state(cell: LstmCell, batch: int | None = None, mode: str = "zero",
-                  rng: np.random.Generator | None = None):
-    """Fresh (h, c) rows, shaped (batch, H) or (H,) without a batch. ``zero`` is
-    invariant under every group element; ``random`` draws Gaussians and
-    deliberately breaks that invariance."""
-    shape = (cell.hidden_dim,) if batch is None else (batch, cell.hidden_dim)
-    if mode == "zero":
+def initial_state(cell: LstmCell, batch: int, mode: str, rng: np.random.Generator | None):
+    """Fresh (h, c) rows, shaped (batch, H). ``mode`` is one of
+    ``agent.LSTM_INITS``: ``zero`` is invariant under every group element;
+    ``random`` draws Gaussians and deliberately breaks that invariance."""
+    shape = (batch, cell.hidden_dim)
+    if mode != "random":
         return np.zeros(shape), np.zeros(shape)
-    if mode == "random":
-        if rng is None:
-            raise ValueError("random initial state needs an rng")
-        return rng.standard_normal(shape), rng.standard_normal(shape)
-    raise ValueError(f"unknown initial-state mode {mode!r}")
+    if rng is None:
+        raise ValueError("random initial state needs an rng")
+    return rng.standard_normal(shape), rng.standard_normal(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +277,7 @@ class Mlp:
 
     def forward_t(self, x: Tensor, realized) -> Tensor:
         for i, (l, r) in enumerate(zip(self.layers, realized)):
-            x = l.forward_t(x, r)
-            if i < len(self.layers) - 1:
-                x = ad.relu(x)
+            x = l.forward_t(x, r, relu=i < len(self.layers) - 1)
         return x
 
 
@@ -310,5 +308,5 @@ class Conv2dStack:
 
     def forward_t(self, x: Tensor, realized) -> Tensor:
         for l, r in zip(self.layers, realized):
-            x = ad.relu(l.forward_t(x, r))
+            x = l.forward_t(x, r)
         return x

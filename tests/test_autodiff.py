@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from equipomdp import autodiff as ad
+from equipomdp.agent import AgentConfig, RecurrentPolicy
 from equipomdp.autodiff import (
     Adam,
     NonFiniteGradientError,
@@ -15,10 +16,35 @@ from equipomdp.autodiff import (
     parameter,
     save_checkpoint,
 )
+from equipomdp.envs import CarFlag2dConfig
 
 
-# Primitives that only the tests compose: the unfused LSTM reference below,
-# and the smooth losses of a few gradient checks.
+# Primitives that only the tests compose: the unfused LSTM and layer
+# references below, and the smooth losses of a few gradient checks.
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    av, bv = a.value, b.value
+    if av.ndim != 2 or bv.ndim != 2:
+        raise ad.ShapeError(f"matmul supports 2D operands, got {av.shape}@{bv.shape}")
+    if av.shape[-1] != bv.shape[0]:
+        raise ad.ShapeError(f"matmul: {av.shape} @ {bv.shape}")
+    val = av @ bv
+
+    def bwd(g):
+        return (g @ bv.T if a.requires_grad else None,
+                av.T @ g if b.requires_grad else None)
+
+    return Tensor(val, (a, b), bwd)
+
+
+def relu(a: Tensor) -> Tensor:
+    val = np.maximum(a.value, 0.0)
+
+    def bwd(g):
+        return (g * (a.value > 0),)
+
+    return Tensor(val, (a,), bwd)
+
 
 def sigmoid(a: Tensor) -> Tensor:
     val = ad._sigmoid(a.value)
@@ -130,17 +156,20 @@ def _primitive_cases():
     v3 = rng.normal(size=3)
     img = rng.normal(size=(2, 3, 5, 5))
     ker = rng.normal(size=(4, 3, 3, 3))
+    # biases of +-100 hold the conv's relu inputs over 30 standard deviations
+    # from the kink: each channel is all on or all off
+    signs = Tensor(np.array([100.0, -100.0, 100.0, -100.0]))
     idx = np.array([2, 0, 3])
     flat_idx = rng.integers(0, 12, size=20)
     cases = {
         "add_broadcast": (lambda p: ad.tsum(ad.add(p, Tensor(v4))), (3, 4)),
         "scale": (lambda p: ad.tsum(ad.scale(p, -2.5)), (3, 4)),
         "hadamard_broadcast": (lambda p: ad.tsum(ad.hadamard(p, Tensor(np.abs(v4) + 0.5))), (3, 4)),
-        "matmul_mm": (lambda p: ad.tsum(ad.matmul(p, Tensor(m))), (2, 3)),
+        "matmul_mm": (lambda p: ad.tsum(matmul(p, Tensor(m))), (2, 3)),
         # vectors enter matmul as one-column or one-row matrices
-        "matmul_mv": (lambda p: ad.tsum(ad.matmul(p, Tensor(v4[:, None]))), (3, 4)),
-        "matmul_vm": (lambda p: ad.tsum(ad.matmul(p, Tensor(m))), (1, 3)),
-        "matmul_dot": (lambda p: ad.tsum(ad.matmul(p, Tensor(v3[:, None]))), (1, 3)),
+        "matmul_mv": (lambda p: ad.tsum(matmul(p, Tensor(v4[:, None]))), (3, 4)),
+        "matmul_vm": (lambda p: ad.tsum(matmul(p, Tensor(m))), (1, 3)),
+        "matmul_dot": (lambda p: ad.tsum(matmul(p, Tensor(v3[:, None]))), (1, 3)),
         "sigmoid": (lambda p: ad.tsum(sigmoid(p)), (3, 4)),
         "tanh": (lambda p: ad.tsum(tanh(p)), (3, 4)),
         "exp": (lambda p: ad.tsum(ad.exp(p)), (3, 4)),
@@ -150,12 +179,12 @@ def _primitive_cases():
         "concat": (lambda p: ad.tsum(ad.concat([p, tanh(p)], axis=-1)), (3, 4)),
         "slice_last": (lambda p: ad.tsum(slice_last(p, 1, 3)), (3, 4)),
         "reshape": (lambda p: ad.tsum(ad.hadamard(ad.reshape(p, (2, 6)), Tensor(np.ones((2, 6))) )), (3, 4)),
-        "transpose": (lambda p: ad.tsum(ad.matmul(transpose(p, (1, 0)), Tensor(v3[:, None]))),
+        "transpose": (lambda p: ad.tsum(matmul(transpose(p, (1, 0)), Tensor(v3[:, None]))),
                       (3, 4)),
         "sum_axis": (lambda p: ad.tsum(tanh(ad.sum_axis(p, -1))), (3, 4)),
         "mean": (lambda p: ad.mean(tanh(p)), (3, 4)),
-        "conv2d_valid": (lambda p: ad.tsum(ad.conv2d(p, Tensor(ker))), (2, 3, 5, 5)),
-        "conv2d_kernel": (lambda p: ad.tsum(ad.conv2d(Tensor(img), p)), (4, 3, 3, 3)),
+        "conv2d_valid": (lambda p: ad.tsum(ad.conv2d(p, Tensor(ker), signs)), (2, 3, 5, 5)),
+        "conv2d_kernel": (lambda p: ad.tsum(ad.conv2d(Tensor(img), p, signs)), (4, 3, 3, 3)),
     }
     return cases
 
@@ -191,7 +220,7 @@ def test_gather_backward_matches_unbuffered_scatter():
 
 def test_relu_gradient_away_from_kink():
     p = parameter(np.array([-2.0, -0.7, 0.4, 1.9]), "p")
-    assert gradcheck(lambda: ad.tsum(ad.relu(p)), [p]) < 1e-4
+    assert gradcheck(lambda: ad.tsum(relu(p)), [p]) < 1e-4
 
 
 def test_three_layer_network_gradcheck():
@@ -203,9 +232,9 @@ def test_three_layer_network_gradcheck():
     x = Tensor(rng.normal(size=(7, 5)))
 
     def loss():
-        h1 = tanh(ad.add(ad.matmul(x, w1), b1))
-        h2 = sigmoid(ad.matmul(h1, w2))
-        return ad.mean(ad.matmul(h2, w3))
+        h1 = tanh(ad.add(matmul(x, w1), b1))
+        h2 = sigmoid(matmul(h1, w2))
+        return ad.mean(matmul(h2, w3))
 
     assert gradcheck(loss, [w1, w2, w3, b1]) < 1e-4
 
@@ -214,7 +243,7 @@ def unfused_lstm_step(x, h, c, wt, b):
     """The LSTM step as a composition of primitives: the reference for the
     steps of ``ad.LstmSegment``."""
     H = h.value.shape[-1]
-    gates = ad.add(ad.matmul(ad.concat([x, h], axis=-1), wt), b)
+    gates = ad.add(matmul(ad.concat([x, h], axis=-1), wt), b)
     ifo = sigmoid(slice_last(gates, 0, 3 * H))
     i = slice_last(ifo, 0, H)
     f = slice_last(ifo, H, 2 * H)
@@ -279,25 +308,32 @@ def test_lstm_segment_is_in_the_gradcheck_battery():
 
 
 def test_conv2d_is_in_the_gradcheck_battery():
+    """The fused layers are checked in each operand; ``matmul`` and ``relu``
+    are test references, not program primitives."""
     battery = ad.primitive_gradcheck_battery(seed=0)
-    for name in ("conv2d", "conv2d_kernel"):
+    for name in ("conv2d", "conv2d_kernel", "conv2d_bias",
+                 "affine", "affine_relu", "affine_weight", "affine_bias"):
         assert battery[name] < 1e-4
+    assert not {"matmul", "relu"} & set(battery)
+    assert not hasattr(ad, "matmul") and not hasattr(ad, "relu")
 
 
-def einsum_conv2d(x, k, g):
-    """The einsum formulation of conv2d: output, kernel gradient and input
-    gradient (one contraction per kernel offset) for output cotangent ``g``.
-    The reference for ``ad.conv2d``."""
+def einsum_conv2d(x, k, b, g):
+    """The einsum formulation of conv2d with bias and relu: output, kernel
+    gradient, input gradient (one contraction per kernel offset) and bias
+    gradient for output cotangent ``g``. The reference for ``ad.conv2d``."""
     kh, kw = k.shape[2:]
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    out = np.einsum("bchwuv,fcuv->bfhw", windows, k, optimize=True)
+    pre = np.einsum("bchwuv,fcuv->bfhw", windows, k, optimize=True) + b[:, None, None]
+    out = np.maximum(pre, 0.0)
+    g = g * (pre > 0)
     gk = np.einsum("bchwuv,bfhw->fcuv", windows, g, optimize=True)
     gx = np.zeros_like(x)
     for u in range(kh):
         for v in range(kw):
             gx[:, :, u : u + g.shape[2], v : v + g.shape[3]] += np.einsum(
                 "bfhw,fc->bchw", g, k[:, :, u, v], optimize=True)
-    return out, gk, gx
+    return out, gk, gx, g.sum(axis=(0, 2, 3))
 
 
 # the three layers of the 7x7 agent's trunk, on one step's 16 rows and on one
@@ -310,30 +346,115 @@ _SEVEN_BY_SEVEN = [((2, 7, 7), (16, 2, 3, 3)), ((16, 5, 5), (32, 16, 3, 3)),
     ((rows, *x), k) for rows in (16, 80) for x, k in _SEVEN_BY_SEVEN
 ], ids=[f"7x7-layer{i}-{rows}rows" for rows in (16, 80) for i in range(3)])
 def test_conv2d_matches_einsum_reference(x_shape, k_shape):
-    """The im2col conv2d gives the einsum formulation's output and both
+    """The im2col conv2d gives the einsum formulation's output and all three
     gradients to 1e-12."""
     rng = np.random.default_rng(23)
     x, k = parameter(rng.normal(size=x_shape), "x"), parameter(rng.normal(size=k_shape), "k")
-    out = ad.conv2d(x, k)
+    b = parameter(rng.normal(size=k_shape[0]), "b")
+    out = ad.conv2d(x, k, b)
     g = rng.normal(size=out.value.shape)
     backward(ad.tsum(ad.hadamard(out, Tensor(g))))
-    ref, ref_gk, ref_gx = einsum_conv2d(x.value, k.value, g)
+    ref, ref_gk, ref_gx, ref_gb = einsum_conv2d(x.value, k.value, b.value, g)
     assert out.value.shape == ref.shape and x.grad.shape == x_shape
+    assert 0 < np.count_nonzero(ref) < ref.size   # the relu masks some entries
     assert np.max(np.abs(out.value - ref)) <= 1e-12
     assert np.max(np.abs(k.grad - ref_gk)) <= 1e-12
     assert np.max(np.abs(x.grad - ref_gx)) <= 1e-12
+    assert np.max(np.abs(b.grad - ref_gb)) <= 1e-12
+
+
+def unfused_conv2d(x: Tensor, k: Tensor) -> Tensor:
+    """The bias-free im2col convolution that, followed by ``ad.add`` of the
+    reshaped bias and by ``relu``, made a conv layer before ``ad.conv2d``
+    fused the three: the unfused reference for it."""
+    xv, kv = x.value, k.value
+    n_out, n_in, kh, kw = kv.shape
+    nb, _, hi, wi = xv.shape
+    ho, wo = hi - kh + 1, wi - kw + 1
+    kmat_t = np.ascontiguousarray(kv.transpose(2, 3, 1, 0).reshape(-1, n_out))
+    val = (ad._im2col(xv, kh, kw).T @ kmat_t).reshape(ho, wo, nb, n_out).transpose(2, 3, 0, 1)
+
+    def bwd(g):
+        g2 = g.transpose(2, 3, 0, 1).reshape(-1, n_out)
+        gk = (ad._im2col(xv, kh, kw) @ g2).reshape(kh, kw, n_in, n_out).transpose(3, 2, 0, 1)
+        gcols = (kmat_t @ g2.T).reshape(kh, kw, n_in, ho, wo, nb)
+        gx = np.zeros((n_in, hi, wi, nb))
+        for u in range(kh):
+            for v in range(kw):
+                gx[:, u : u + ho, v : v + wo] += gcols[u, v]
+        return gx.transpose(3, 0, 1, 2), gk
+
+    return Tensor(val, (x, k), bwd)
+
+
+def assert_fused_matches_unfused(fused, unfused, values, seed):
+    """Value and every operand's gradient, bit for bit, under one random
+    cotangent; returns the fused value."""
+    results = []
+    for build in (fused, unfused):
+        ops = [parameter(v, name) for v, name in zip(values, "xwb")]
+        out = build(*ops)
+        cot = Tensor(np.random.default_rng(seed).normal(size=out.value.shape))
+        backward(ad.tsum(ad.hadamard(out, cot)))
+        results.append([out.value, *(p.grad for p in ops)])
+    for name, got, ref in zip(("value", "x", "w", "b"), *results):
+        assert got.shape == ref.shape and np.array_equal(got, ref), name
+    return results[0][0]
+
+
+# the 1D benchmark agent's head layers (24 regular mirror fields: 48 units,
+# two actions, one value) on one step's 16 rows and on one T=20 segment's 320
+_ONE_D_HEADS = [(48, 48), (48, 2), (48, 1)]
+
+
+@pytest.mark.parametrize("use_relu", [False, True], ids=["linear", "relu"])
+@pytest.mark.parametrize("rows,din,dout", [
+    (rows, *layer) for rows in (16, 320) for layer in _ONE_D_HEADS
+], ids=[f"1d-head-{din}x{dout}-{rows}rows" for rows in (16, 320) for din, dout in _ONE_D_HEADS])
+def test_affine_matches_unfused_layer_bitwise(rows, din, dout, use_relu):
+    """``ad.affine`` gives the value and the input, weight and bias gradients
+    of ``matmul``, ``add`` and (if asked) ``relu`` composed, bit for bit."""
+    rng = np.random.default_rng(31)
+    values = (rng.normal(size=(rows, din)), rng.normal(size=(din, dout)), rng.normal(size=dout))
+
+    def unfused(x, w, b):
+        out = ad.add(matmul(x, w), b)
+        return relu(out) if use_relu else out
+
+    out = assert_fused_matches_unfused(
+        lambda x, w, b: ad.affine(x, w, b, use_relu), unfused, values, seed=32)
+    assert (np.count_nonzero(out) < out.size) == use_relu
+
+
+@pytest.mark.parametrize("x_shape,k_shape", [
+    ((rows, *x), k) for rows in (16, 80) for x, k in _SEVEN_BY_SEVEN
+], ids=[f"7x7-layer{i}-{rows}rows" for rows in (16, 80) for i in range(3)])
+def test_conv2d_matches_unfused_layer_bitwise(x_shape, k_shape):
+    """``ad.conv2d`` gives the value and the input, kernel and bias gradients
+    of the bias-free convolution, ``add`` of the reshaped bias and ``relu``
+    composed, bit for bit."""
+    rng = np.random.default_rng(33)
+    values = (rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0]))
+
+    def unfused(x, k, b):
+        return relu(ad.add(unfused_conv2d(x, k), ad.reshape(b, (k_shape[0], 1, 1))))
+
+    out = assert_fused_matches_unfused(ad.conv2d, unfused, values, seed=34)
+    assert 0 < np.count_nonzero(out) < out.size
 
 
 def test_shape_errors():
-    with pytest.raises(ad.ShapeError):
-        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-    for a, b in (((2, 3), (3,)), ((3,), (3, 2)), ((3,), (3,))):  # operands are 2D
+    # affine takes (N, din) rows, a (din, dout) weight and a (dout) bias
+    for x, w, b in (((2, 3), (2, 3), (3,)), ((3,), (3, 2), (2,)), ((2, 3), (3,), ()),
+                    ((2, 3), (3, 2), (3,)), ((2, 3), (3, 2), (1, 2))):
         with pytest.raises(ad.ShapeError):
-            ad.matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
+            ad.affine(Tensor(np.ones(x)), Tensor(np.ones(w)), Tensor(np.ones(b)), False)
     with pytest.raises(ad.ShapeError):
         ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
-    with pytest.raises(ad.ShapeError):
-        ad.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 5, 3, 3))))
+    for x, k, b in (((1, 2, 4, 4), (3, 5, 3, 3), (3,)), ((1, 2, 4, 4), (3, 2, 3, 3), (2,)),
+                    ((1, 2, 2, 4), (3, 2, 3, 3), (3,))):
+        with pytest.raises(ad.ShapeError):
+            ad.conv2d(Tensor(np.ones(x)), Tensor(np.ones(k)), Tensor(np.ones(b)))
     with pytest.raises(ad.ShapeError):  # weight rows must match [x | h]
         ad.lstm_cell(np.ones(3), np.ones(4), np.ones(4), np.ones((8, 16)), np.ones(16))
     with pytest.raises(ad.ShapeError):  # a segment steps batched rows
@@ -380,6 +501,58 @@ def test_refused_adam_step_changes_nothing():
     assert opt.t == 1 and a.value[0] < 1.0 < 2.0 < b.value[0]
 
 
+class ReferenceAdam:
+    """Adam one parameter at a time, each with its own moment arrays: the
+    reference for the flat ``ad.Adam``."""
+
+    def __init__(self, params, lr: float):
+        self.params = list(params)
+        self.lr = lr
+        self.t = 0
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                continue
+            g = p.grad
+            self.m[i] = ad.ADAM_BETA1 * self.m[i] + (1 - ad.ADAM_BETA1) * g
+            self.v[i] = ad.ADAM_BETA2 * self.v[i] + (1 - ad.ADAM_BETA2) * g * g
+            mhat = self.m[i] / (1 - ad.ADAM_BETA1 ** self.t)
+            vhat = self.v[i] / (1 - ad.ADAM_BETA2 ** self.t)
+            p.value -= self.lr * mhat / (np.sqrt(vhat) + ad.ADAM_EPS)
+
+
+def test_flat_adam_matches_per_parameter_reference_bitwise():
+    """Over 20 steps on the 7x7 policy's parameters, two of them leaving
+    some parameters without a gradient, ``Adam`` moves every value and
+    moment exactly as the per-parameter reference does. Its moments are
+    views of one buffer each."""
+    config = AgentConfig(variant="equi")
+    params = RecurrentPolicy(CarFlag2dConfig(grid_size=7), config,
+                             np.random.default_rng(0)).parameters()
+    ref = [parameter(p.value.copy(), p.name) for p in params]
+    opt, ref_opt = Adam(params, config.learning_rate), ReferenceAdam(ref, config.learning_rate)
+    assert len(params) > 10
+    for moments in (opt.m, opt.v):
+        assert all(m.base is moments[0].base is not None for m in moments)
+    rng = np.random.default_rng(35)
+    for t in range(20):
+        for i, (p, q) in enumerate(zip(params, ref)):
+            skip = t in (4, 11) and i % 3 == t % 3
+            g = None if skip else rng.normal(size=p.value.shape) * 10.0 ** rng.uniform(-4, 1)
+            p.grad, q.grad = g, None if g is None else g.copy()
+        opt.step()
+        ref_opt.step()
+        assert opt.t == ref_opt.t == t + 1
+        for i, (p, q) in enumerate(zip(params, ref)):
+            assert np.array_equal(p.value, q.value), (t, p.name)
+            assert np.array_equal(opt.m[i], ref_opt.m[i]), (t, p.name)
+            assert np.array_equal(opt.v[i], ref_opt.v[i]), (t, p.name)
+
+
 def test_clip_grad_norm():
     p = parameter(np.zeros(3), "p")
     p.grad = np.array([3.0, 4.0, 0.0])
@@ -393,7 +566,7 @@ def test_determinism_bitwise():
         rng = np.random.default_rng(42)
         w = parameter(rng.normal(size=(4, 4)), "w")
         x = Tensor(rng.normal(size=(2, 4)))
-        loss = ad.mean(tanh(ad.matmul(x, w)))
+        loss = ad.mean(tanh(matmul(x, w)))
         backward(loss)
         return loss.value.copy(), w.grad.copy()
 

@@ -70,8 +70,9 @@ def kron_rep(a: Representation, b: Representation) -> Representation:
 
 def field_forward(layer, field):
     """A layer, head or group convolution applied to one field through forward_t,
-    as a batch of one row."""
-    out = layer.forward_t(Tensor(field.values[None]), layer.realize_t()).value[0]
+    as a batch of one row; a single linear layer runs without relu."""
+    relu = (False,) if isinstance(layer, EquiLinear) else ()
+    out = layer.forward_t(Tensor(field.values[None]), layer.realize_t(), *relu).value[0]
     return FeatureField(layer.rho_out, out, None if field.spatial is None else out.shape[-2:])
 
 
@@ -222,8 +223,10 @@ def test_equi_linear_matches_dense_with_realized_weight():
     w, b = dense_weight(layer)
     for _ in range(5):
         x = rng.normal(size=rin.dim)
-        assert np.array_equal(layer.forward_t(Tensor(x[None]), layer.realize_t()).value[0],
+        assert np.array_equal(layer.forward_t(Tensor(x[None]), layer.realize_t(), False).value[0],
                               w @ x + b)
+        assert np.array_equal(layer.forward_t(Tensor(x[None]), layer.realize_t(), True).value[0],
+                              np.maximum(w @ x + b, 0.0))
 
 
 @pytest.mark.parametrize("feed_prev_action", [False, True])
@@ -276,7 +279,8 @@ def test_stabiliser_sign_flip_leaves_no_parameter():
     assert count == 0 and np.array_equal(sign, np.zeros((1, 1)))
     layer = EquiLinear(sign_rep(FLIP), trivial_rep(FLIP), np.random.default_rng(5))
     assert layer.weight.value.shape == (0,)
-    assert np.array_equal(layer.forward_t(Tensor(np.array([[3.0]])), layer.realize_t()).value,
+    assert np.array_equal(layer.forward_t(Tensor(np.array([[3.0]])), layer.realize_t(),
+                                          False).value,
                           np.zeros((1, 1)))
 
 
@@ -334,7 +338,7 @@ def test_conv_1x1_reduces_to_equi_linear_per_pixel():
     x = rng.normal(size=(conv.in_channels, 4, 4))
     y = conv.forward_t(Tensor(x[None]), (kernel, bias)).value[0]
     pixels = x.reshape(conv.in_channels, -1).T  # one row per pixel
-    per_pixel = linear.forward_t(Tensor(pixels), linear.realize_t()).value
+    per_pixel = linear.forward_t(Tensor(pixels), linear.realize_t(), True).value  # conv has relu
     assert np.array_equal(y.reshape(conv.out_channels, -1).T, per_pixel)
 
 
@@ -364,7 +368,7 @@ def test_lstm_zero_input_zero_state_zero_bias_gives_zero():
     cell = equi_lstm_cell(regular_rep(C4), direct_sum([regular_rep(C4)] * 2), rng)
     for p in cell.parameters():
         p.value[:] = 0.0
-    h, c = initial_state(cell, mode="zero")
+    h, c = (s[0] for s in initial_state(cell, 1, "zero", None))
     out, new_c = cell_step(cell, FeatureField(cell.rho_x, np.zeros(4)),
                            FeatureField(cell.rho_h, h), FeatureField(cell.rho_h, c))
     assert np.array_equal(out.values, np.zeros(8))
@@ -411,7 +415,7 @@ def test_lstm_matches_plain_reference_with_realized_weights():
 def test_lstm_rep_mismatch():
     rng = np.random.default_rng(16)
     cell = rand_cell(rng, C4, regular_rep(C4), 2)
-    h, c = initial_state(cell, mode="zero")
+    h, c = (s[0] for s in initial_state(cell, 1, "zero", None))
     bad = FeatureField(trivial_rep(C4), np.zeros(1))
     with pytest.raises(RepresentationMismatchError):
         cell_step(cell, bad, FeatureField(cell.rho_h, h), FeatureField(cell.rho_h, c))
@@ -420,7 +424,7 @@ def test_lstm_rep_mismatch():
 def test_initial_state_zero_is_invariant():
     rng = np.random.default_rng(18)
     cell = rand_cell(rng, C4, regular_rep(C4), 3)
-    h, c = (FeatureField(cell.rho_h, v) for v in initial_state(cell, mode="zero"))
+    h, c = (FeatureField(cell.rho_h, v[0]) for v in initial_state(cell, 1, "zero", None))
     for g in C4.elements:
         assert np.array_equal(act_on_field(g, h).values, h.values)
         assert np.array_equal(act_on_field(g, c).values, c.values)
@@ -429,12 +433,13 @@ def test_initial_state_zero_is_invariant():
 def test_initial_state_random_is_seeded_and_nonzero():
     rng = np.random.default_rng(19)
     cell = rand_cell(rng, C4, regular_rep(C4), 3)
-    h1, c1 = initial_state(cell, None, "random", np.random.default_rng(5))
-    h2, c2 = initial_state(cell, None, "random", np.random.default_rng(5))
+    h1, c1 = initial_state(cell, 3, "random", np.random.default_rng(5))
+    h2, c2 = initial_state(cell, 3, "random", np.random.default_rng(5))
+    assert h1.shape == c1.shape == (3, cell.hidden_dim)
     assert np.array_equal(h1, h2) and np.array_equal(c1, c2)
-    assert np.any(h1 != 0.0)
+    assert np.all(h1 != 0.0) and np.any(h1[0] != h1[1])
     with pytest.raises(ValueError):
-        initial_state(cell, None, "random")
+        initial_state(cell, 3, "random", None)
 
 
 def test_hadamard_of_regular_fields_is_equivariant():
@@ -516,7 +521,8 @@ def test_layer_equivariance_battery():
             rep_in, spatial = conv.rho_in, (6, 6)
         else:
             cell = rand_cell(rng, C4, regular_rep(C4), 2)
-            h, c = (FeatureField(cell.rho_h, v) for v in initial_state(cell, mode="zero"))
+            h, c = (FeatureField(cell.rho_h, v[0])
+                    for v in initial_state(cell, 1, "zero", None))
             apply = lambda f: cell_step(cell, f, h, c)[0]
             rep_in, spatial = regular_rep(C4), None
         for _ in range(10):
@@ -536,7 +542,7 @@ def test_gradients_flow_through_equi_linear():
     x = Tensor(rng.normal(size=(3, 4)))
 
     def loss():
-        return ad.mean(ad.exp(layer.forward_t(x, layer.realize_t())))
+        return ad.mean(ad.exp(layer.forward_t(x, layer.realize_t(), False)))
 
     assert ad.gradcheck(loss, layer.parameters()) < 1e-4
 
