@@ -18,6 +18,7 @@ action's, and one representation acts on the flattened observation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +38,18 @@ class PlacementError(EnvError):
 
 class InvalidActionError(EnvError):
     pass
+
+
+def _action_index(action, n_actions: int, rule: str) -> int:
+    """``action`` as an int in ``range(n_actions)``. Anything else, a float or a
+    string included, raises ``InvalidActionError`` naming it after ``rule``."""
+    try:
+        a = operator.index(action)
+    except TypeError:
+        a = -1
+    if not 0 <= a < n_actions:
+        raise InvalidActionError(f"{rule}, got {action!r}")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +175,7 @@ class CarFlag1d:
     def step(self, action: int):
         if self.done:
             raise EnvError("episode is finished; call reset")
-        if action not in (0, 1):
-            raise InvalidActionError(f"1D action must be 0 (left) or 1 (right), got {action}")
+        action = _action_index(action, 2, "1D action must be 0 (left) or 1 (right)")
         c = self.config
         self.pos = int(min(max(self.pos + DELTAS_1D[action][1], -c.half_size),
                            c.half_size))
@@ -256,10 +268,9 @@ class CarFlag2d:
     def step(self, action: int):
         if self.done:
             raise EnvError("episode is finished; call reset")
-        if not 0 <= int(action) < 4:
-            raise InvalidActionError(f"2D action must be in 0..3, got {action}")
+        action = _action_index(action, 4, "2D action must be in 0..3")
         n = self.config.grid_size
-        dr, dc = DELTAS_2D[int(action)]
+        dr, dc = DELTAS_2D[action]
         r = min(max(self.agent[0] + dr, 0), n - 1)
         col = min(max(self.agent[1] + dc, 0), n - 1)
         self.agent = (r, col)  # position unchanged when stepping out of the world

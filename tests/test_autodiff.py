@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -192,7 +194,7 @@ def _primitive_cases():
 @pytest.mark.parametrize("name", sorted(_primitive_cases().keys()))
 def test_primitive_gradients_match_finite_differences(name):
     build, shape = _primitive_cases()[name]
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     # keep relu-free cases smooth; values chosen away from kinks anyway
     p = parameter(rng.normal(size=shape) * 0.5 + 0.1, "p")
     assert gradcheck(lambda: build(p), [p]) < 1e-4

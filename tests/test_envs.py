@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -118,10 +119,24 @@ def test_1d_truncates_after_max_steps():
 
 
 def test_1d_invalid_action():
-    env = env1d()
-    env.reset()
-    with pytest.raises(InvalidActionError):
-        env.step(2)
+    """Both simulators refuse an action out of range or not an integer, name
+    it, and leave the episode where it was; a numpy integer in range steps as
+    the int would."""
+    for make, n_actions in ((env1d, 2), (env2d, 4)):
+        for bad in (n_actions, -1, 1.0, 1.5, "1", None, np.float64(0.0)):
+            env = make()
+            env.reset()
+            before = env.state
+            with pytest.raises(InvalidActionError, match=re.escape(repr(bad))):
+                env.step(bad)
+            assert env.state == before and env.steps == 0
+        for a in range(n_actions):
+            plain, numpy_int = make(seed=a), make(seed=a)
+            plain.reset()
+            numpy_int.reset()
+            out, out_np = plain.step(a), numpy_int.step(np.int64(a))
+            assert plain.state == numpy_int.state
+            assert np.array_equal(out[0], out_np[0]) and out[1:] == out_np[1:]
 
 
 def test_1d_border_clamp():
