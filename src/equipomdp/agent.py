@@ -286,7 +286,9 @@ class RecurrentPolicy:
         each episode's initial state drawn from its own state stream, and
         ``step(obs, prev, (h, c))`` returning the actor logits and (h', c')."""
         realized = self.realize()
-        states = [self.initial_state(1, state_rng) for _, _, state_rng in streams]
+        random_init = self.lstm_init == "random"   # the zero state draws nothing
+        states = [self.initial_state(1, np.random.default_rng(state_seq) if random_init else None)
+                  for _, _, state_seq in streams]
 
         def step(obs, prev, memory):
             h, c = self.step_values(obs, *memory, realized, prev)
@@ -466,10 +468,13 @@ def a2c_update(policy: RecurrentPolicy, opt: Adam, batch: RolloutBatch,
 # ---------------------------------------------------------------------------
 
 def episode_streams(rng: np.random.Generator, episodes: int):
-    """One (env, action, state) generator triple per episode, spawned from
-    ``rng``'s seed sequence: episode i's streams depend on i alone."""
-    return [[np.random.default_rng(s) for s in ep.spawn(3)]
-            for ep in rng.bit_generator.seed_seq.spawn(episodes)]
+    """One (env, action, state) seed-sequence triple per episode, spawned from
+    ``rng``'s seed sequence: episode i's streams depend on i alone. A stream
+    becomes a generator only where it is drawn from: ``play_episodes`` builds
+    the env stream's, and the action stream's when it samples;
+    ``RecurrentPolicy.player`` builds the state stream's under a random
+    initial state."""
+    return [ep.spawn(3) for ep in rng.bit_generator.seed_seq.spawn(episodes)]
 
 
 def play_episodes(actor, env_config, streams, greedy: bool = False):
@@ -489,7 +494,8 @@ def play_episodes(actor, env_config, streams, greedy: bool = False):
         raise AgentError(f"cannot sample actions from {actor.scores}; "
                          f"play {type(actor).__name__} with greedy=True")
     step, memory = actor.player(streams)
-    envs = [make_env(env_config, env_rng) for env_rng, _, _ in streams]
+    envs = [make_env(env_config, np.random.default_rng(env_seq)) for env_seq, _, _ in streams]
+    act_rngs = None if greedy else [np.random.default_rng(act_seq) for _, act_seq, _ in streams]
     obs = np.stack([env.reset() for env in envs])
     prev = np.full(len(envs), -1, dtype=np.int64)
     live = np.arange(len(envs))
@@ -501,7 +507,7 @@ def play_episodes(actor, env_config, streams, greedy: bool = False):
         if greedy:
             actions = np.argmax(scores, axis=-1)
         else:
-            u = np.array([streams[i][1].random() for i in live])[:, None]
+            u = np.array([act_rngs[i].random() for i in live])[:, None]
             actions = categorical_from_uniform(scores, u)
         taken.append(np.full(len(envs), -1, dtype=np.int64))
         taken[-1][live] = actions

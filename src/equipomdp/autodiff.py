@@ -52,8 +52,10 @@ class Tensor:
         self.value = value
         self.grad = None
         self.name = name
-        if any(p.requires_grad for p in parents):
-            self.requires_grad, self.parents, self.bwd = True, parents, bwd
+        for p in parents:   # a plain loop: no generator per node
+            if p.requires_grad:
+                self.requires_grad, self.parents, self.bwd = True, parents, bwd
+                break
         else:
             self.requires_grad, self.parents, self.bwd = requires_grad, (), None
 
@@ -140,8 +142,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below, with one division:
+    the numerators share the denominator 1 + e^-|x|."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -307,7 +311,8 @@ def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, wt: np.ndarray, b: np
         raise ShapeError(f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape}, "
                          f"weight {wt.shape}, bias {b.shape}")
     xh = np.concatenate([x, h], axis=-1)
-    z = xh @ wt + b
+    z = xh @ wt
+    z += b
     ifo = _sigmoid(z[..., : 3 * H])
     i, f, o = ifo[..., :H], ifo[..., H : 2 * H], ifo[..., 2 * H :]
     gate = np.tanh(z[..., 3 * H :])

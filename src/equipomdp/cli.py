@@ -245,7 +245,7 @@ def cmd_eval(args) -> int:
         streams = agent_mod.episode_streams(np.random.default_rng((seed, 57)), 1)
         _, _, (actions,) = agent_mod.play_episodes(policy, env_cfg, streams, args.greedy)
         # replay the actions on a fresh env drawn from the same env stream
-        env_rng, _, _ = agent_mod.episode_streams(np.random.default_rng((seed, 57)), 1)[0]
+        env_rng = np.random.default_rng(streams[0][0])
         lines = episode_trace(make_env(env_cfg, env_rng), actions)
         ad.write_atomic(args.dump_trace, "\n".join(lines) + "\n")
         print(f"trace written to {args.dump_trace}")

@@ -124,6 +124,20 @@ DELTAS_2D = ((0, 1), (-1, 0), (0, -1), (1, 0))
 # Simulators.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _obs_table(config) -> dict:
+    """The observations of a config, keyed by what they show (1D: position and
+    shown goal side; 2D: agent and shown goal cell), each one read-only array
+    built on first use and shared by every env of that config, so ``observe``,
+    ``reset`` and ``step`` build no array."""
+    return {}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class CarFlag1d:
     n_actions = 2
 
@@ -137,6 +151,7 @@ class CarFlag1d:
         # interior cells only: starting on a flag would terminate before any action
         self._starts = tuple(p for p in range(-config.half_size + 1, config.half_size)
                              if p != config.info_offset)
+        self._obs = _obs_table(config)
 
     @property
     def state(self) -> tuple[int, int]:
@@ -160,8 +175,11 @@ class CarFlag1d:
         return abs(self.pos) == self.config.half_size
 
     def observe(self) -> np.ndarray:
-        side = self.goal_side if self.pos == self.config.info_offset else 0
-        return np.array([float(self.pos), float(side)])
+        key = (self.pos, self.goal_side if self.pos == self.config.info_offset else 0)
+        obs = self._obs.get(key)
+        if obs is None:
+            obs = self._obs[key] = _read_only(np.array([float(key[0]), float(key[1])]))
+        return obs
 
     def revealed(self) -> np.ndarray:
         """The observation with the goal side shown wherever the car stands."""
@@ -224,6 +242,7 @@ class CarFlag2d:
         self.done = True
         self._info = config.info_cells()
         self._starts = _start_pairs(config)
+        self._obs = _obs_table(config)
 
     @property
     def state(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -246,20 +265,25 @@ class CarFlag2d:
     def terminal(self) -> bool:
         return self.agent == self.goal
 
-    def _image(self, show_goal: bool) -> np.ndarray:
+    def _image(self, agent, goal) -> np.ndarray:
+        """Channel 0 marks the agent, channel 1 the goal unless it is None."""
         n = self.config.grid_size
         out = np.zeros((2, n, n))
-        out[0][self.agent] = 1.0
-        if show_goal:
-            out[1][self.goal] = 1.0
+        out[0][agent] = 1.0
+        if goal is not None:
+            out[1][goal] = 1.0
         return out
 
     def observe(self) -> np.ndarray:
-        return self._image(self.agent in self._info)
+        key = (self.agent, self.goal if self.agent in self._info else None)
+        obs = self._obs.get(key)
+        if obs is None:
+            obs = self._obs[key] = _read_only(self._image(*key))
+        return obs
 
     def revealed(self) -> np.ndarray:
         """The observation with the goal shown wherever the agent stands."""
-        return self._image(True)
+        return self._image(self.agent, self.goal)
 
     def reset(self) -> np.ndarray:
         self.state = self._starts[int(self.rng.integers(len(self._starts)))]
@@ -292,9 +316,11 @@ def make_env(config, rng: np.random.Generator):
 
 def step_envs(envs, actions):
     """Step each env once with its action, through the env's own ``step``.
-    Returns the stacked observations, rewards, terminated and truncated flags."""
-    obs, rewards, terminated, truncated = zip(*(env.step(int(a))
-                                                for env, a in zip(envs, actions)))
+    Each action reaches its env as the Python number ``tolist`` gives, so a
+    float is refused there, not truncated. Returns the stacked observations,
+    rewards, terminated and truncated flags."""
+    obs, rewards, terminated, truncated = zip(*(
+        env.step(a) for env, a in zip(envs, np.asarray(actions).tolist())))
     return (np.array(obs), np.array(rewards), np.array(terminated, dtype=bool),
             np.array(truncated, dtype=bool))
 

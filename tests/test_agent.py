@@ -660,8 +660,9 @@ def test_batched_oracle_matches_each_episode_run_alone(env_cfg, horizon):
     successes, returns, actions = play_episodes(
         OracleQPolicy(solution, maps), env_cfg,
         episode_streams(np.random.default_rng(25), n), greedy=True)
-    for i, (env_rng, act_rng, _) in enumerate(episode_streams(np.random.default_rng(25), n)):
-        alone = play_alone(OracleRunner(solution, maps), env_cfg, env_rng, act_rng)
+    for i, (env_seq, act_seq, _) in enumerate(episode_streams(np.random.default_rng(25), n)):
+        alone = play_alone(OracleRunner(solution, maps), env_cfg,
+                           np.random.default_rng(env_seq), np.random.default_rng(act_seq))
         assert (bool(successes[i]), float(returns[i]), actions[i]) == alone, i
     assert len(set(map(len, actions))) > 1   # rows drop out of the batch at different steps
 
@@ -723,10 +724,11 @@ def test_batched_evaluation_matches_each_episode_run_alone(env_cfg, greedy, lstm
     n = 12
     successes, returns, actions = play_episodes(
         policy, env_cfg, episode_streams(np.random.default_rng(24), n), greedy)
-    for i, (env_rng, act_rng, state_rng) in enumerate(
+    for i, (env_seq, act_seq, state_seq) in enumerate(
             episode_streams(np.random.default_rng(24), n)):
-        runner = PolicyRunner(policy, greedy=greedy, state_rng=state_rng)
-        alone = play_alone(runner, env_cfg, env_rng, act_rng)
+        runner = PolicyRunner(policy, greedy=greedy, state_rng=np.random.default_rng(state_seq))
+        alone = play_alone(runner, env_cfg, np.random.default_rng(env_seq),
+                           np.random.default_rng(act_seq))
         assert (bool(successes[i]), float(returns[i]), actions[i]) == alone, i
     assert len(set(map(len, actions))) > 1   # rows drop out of the batch at different steps
     assert evaluate(policy, env_cfg, n, np.random.default_rng(24), greedy=greedy) == (
@@ -734,14 +736,19 @@ def test_batched_evaluation_matches_each_episode_run_alone(env_cfg, greedy, lstm
 
 
 def test_episode_streams_are_the_spawned_generators():
-    """Episode i's (env, action, state) streams are the generators that
-    ``rng.spawn(episodes)[i].spawn(3)`` gives, drawn for draw."""
-    got = episode_streams(np.random.default_rng(26), 5)
+    """Episode i's (env, action, state) streams are the seed sequences whose
+    generators are the ones ``rng.spawn(episodes)[i].spawn(3)`` gives, drawn
+    for draw, and the root's spawn counter advances by ``episodes``."""
+    rng = np.random.default_rng(26)
+    got = episode_streams(rng, 5)
     want = [ep.spawn(3) for ep in np.random.default_rng(26).spawn(5)]
+    assert rng.bit_generator.seed_seq.n_children_spawned == 5
     assert len(got) == len(want)
     for streams, ref in zip(got, want):
         assert len(streams) == len(ref) == 3
-        for g, r in zip(streams, ref):
+        for seq, r in zip(streams, ref):
+            assert isinstance(seq, np.random.SeedSequence)
+            g = np.random.default_rng(seq)
             assert g.bit_generator.state == r.bit_generator.state
             assert np.array_equal(g.random(8), r.random(8))
 

@@ -48,8 +48,15 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(val, (a,), bwd)
 
 
+def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function written out: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, each branch with its own division."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    val = ad._sigmoid(a.value)
+    val = two_branch_sigmoid(a.value)
 
     def bwd(g):
         return (g * val * (1.0 - val),)
@@ -95,6 +102,31 @@ def test_hadamard_values():
 
 def test_sigmoid_at_zero():
     assert sigmoid(Tensor(0.0)).value == 0.5
+
+
+def test_sigmoid_is_the_two_branch_form_bit_for_bit():
+    """``_sigmoid``'s one shared division rounds exactly as the two-branch
+    form, at the edges (signed zeros, infinities, subnormal-adjacent and
+    overflowing magnitudes) and on a wide spread of gate values."""
+    edges = np.array([0.0, 1e-300, 745.0, 800.0, np.inf])
+    edges = np.concatenate([edges, -edges])
+    spread = 30.0 * np.random.default_rng(26).standard_normal(10_000)
+    for x in (edges, spread):
+        assert ad._sigmoid(x).tobytes() == two_branch_sigmoid(x).tobytes()
+
+
+@pytest.mark.parametrize("H", [48, 32], ids=["equi-H48", "plain-H32"])
+def test_lstm_cell_equals_the_unfused_step_bit_for_bit(H):
+    """At the 1D benchmark's shapes (16 rows, an input of 3 and H = 48 or 32)
+    ``lstm_cell``'s in-place bias and fused sigmoid give the h' and c' of the
+    step composed from separate primitives, bit for bit."""
+    rng = np.random.default_rng(H)
+    x, h, c = rng.normal(size=(16, 3)), rng.normal(size=(16, H)), rng.normal(size=(16, H))
+    wt, b = rng.normal(size=(3 + H, 4 * H)), rng.normal(size=4 * H)
+    h2, c2, _ = ad.lstm_cell(x, h, c, wt, b)
+    hc = unfused_lstm_step(*(Tensor(v) for v in (x, h, c, wt, b))).value
+    assert h2.tobytes() == np.ascontiguousarray(hc[:, :H]).tobytes()
+    assert c2.tobytes() == np.ascontiguousarray(hc[:, H:]).tobytes()
 
 
 def test_tanh_gradient_at_zero():

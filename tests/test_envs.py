@@ -139,6 +139,20 @@ def test_1d_invalid_action():
             assert np.array_equal(out[0], out_np[0]) and out[1:] == out_np[1:]
 
 
+def test_step_envs_refuses_non_integer_actions():
+    """``step_envs`` hands each env the Python number of its action, so a
+    float is refused by name like ``env.step(0.7)``, not truncated, and an
+    integer out of range is refused too; the env stays where it was."""
+    for make, n_actions in ((env1d, 2), (env2d, 4)):
+        for bad in (np.array([0.7]), np.array([1.9]), np.array([n_actions])):
+            env = make()
+            env.reset()
+            before = env.state
+            with pytest.raises(InvalidActionError, match=re.escape(repr(bad.tolist()[0]))):
+                step_envs([env], bad)
+            assert env.state == before and env.steps == 0
+
+
 def test_1d_border_clamp():
     cfg = CarFlag1dConfig(half_size=5)
     env = CarFlag1d(cfg, np.random.default_rng(0))
@@ -225,6 +239,61 @@ def test_vector_env_streams_are_independent_and_reproducible():
         for got, want in zip(stepped, zip(*one_by_one)):
             assert np.array_equal(got, np.array(want))
         assert stepped[1].dtype == np.float64 and stepped[2].dtype == bool
+
+
+def parent_observation(env):
+    """The observation array built afresh from the env's state, as the
+    simulators built it before they shared one array per observation."""
+    if isinstance(env, CarFlag1d):
+        side = env.goal_side if env.pos == env.config.info_offset else 0
+        return np.array([float(env.pos), float(side)])
+    n = env.config.grid_size
+    out = np.zeros((2, n, n))
+    out[0][env.agent] = 1.0
+    if env.agent in env.config.info_cells():
+        out[1][env.goal] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    CarFlag1dConfig(half_size=10),
+    CarFlag1dConfig(half_size=10, info_offset=3),
+    CarFlag2dConfig(grid_size=3),
+    CarFlag2dConfig(grid_size=3, info_offset=1),
+    CarFlag2dConfig(grid_size=5, info_offset=1),
+    CarFlag2dConfig(grid_size=5, info_region_size=3),
+    CarFlag2dConfig(grid_size=5, info_offset=1, info_region_size=3),
+], ids=["1d-h10", "1d-h10-offset3", "3x3", "3x3-offset1", "5x5-offset1", "5x5-region3",
+        "5x5-offset1-region3"])
+def test_observations_are_shared_read_only_arrays(cfg):
+    """In every state, ``observe`` returns the array built afresh from the
+    state, bit for bit, read-only and shared: states with the same
+    observation, in any env of the config, return the same object, and no
+    later ``step`` or ``reset`` changes an array returned earlier."""
+    env, other = make_env(cfg, np.random.default_rng(0)), make_env(cfg, np.random.default_rng(1))
+    shared, returned = {}, []
+    for st in env.states():
+        env.state = other.state = st
+        obs, want = env.observe(), parent_observation(env)
+        assert obs.dtype == want.dtype and obs.shape == want.shape
+        assert obs.tobytes() == want.tobytes(), st
+        assert not obs.flags.writeable
+        assert other.observe() is obs
+        assert shared.setdefault(want.tobytes(), obs) is obs, st
+        returned.append((obs, want))
+    assert len(shared) < len(returned)   # some states share an observation
+    with pytest.raises(ValueError, match="read-only"):
+        returned[0][0][...] = 7.0
+    for _ in range(20):
+        obs = env.reset()
+        assert obs is shared[parent_observation(env).tobytes()]
+        while True:
+            obs, _, term, trunc = env.step(int(env.rng.integers(env.n_actions)))
+            assert obs is shared[parent_observation(env).tobytes()]
+            if term or trunc:
+                break
+    for obs, want in returned:
+        assert obs.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
