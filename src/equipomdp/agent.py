@@ -17,7 +17,7 @@ time needs; episode resets replace state rows between steps. At segment end
 the T steps become one ``autodiff.LstmSegment`` node whose value stacks the
 cell outputs into (T*B, H) rows, and the critic runs on them once. The update
 takes that graph as it stands: it applies the actor head to the stacked rows,
-builds the three loss terms and backpropagates through time into the weights
+adds the loss as one node and backpropagates through time into the weights
 collection used, with no second forward. Evaluation, the bootstrap values and
 the equivariance checks step the same cell arithmetic on arrays
 (``step_values``) and keep only values. Every time step is one batched call
@@ -423,29 +423,15 @@ def segment_loss(policy: RecurrentPolicy, batch: RolloutBatch, config: AgentConf
                  returns: np.ndarray, advantages: np.ndarray):
     """Build the A2C loss on collection's graph (backprop through time).
 
-    Only the actor head and the loss terms are new nodes: they run once, on
-    the (T*B, H) stack of the cell's outputs, with the weights collection
+    Only the actor head and the loss are new nodes: they run once, on the
+    (T*B, H) stack of the cell's outputs, with the weights collection
     realized, and the value loss reads the critic collection ran on them."""
     if batch.hidden is None:
         raise AgentError("this batch has no graph to differentiate: an update already "
                          "used it and freed it, so collect a new segment")
-    logp = ad.log_softmax(policy.logits_t(batch.hidden, batch.realized))
-    lp_taken = ad.gather_rows(logp, batch.actions.reshape(-1))
-    policy_loss = ad.scale(ad.mean(ad.hadamard(ad.constant(advantages.reshape(-1)),
-                                               lp_taken)), -1.0)
-    diff = ad.add(ad.constant(returns.reshape(-1)), ad.scale(batch.values_t, -1.0))
-    value_loss = ad.mean(ad.hadamard(diff, diff))
-    entropy = ad.mean(ad.scale(ad.sum_axis(ad.hadamard(ad.exp(logp), logp), -1), -1.0))
-    loss = ad.add(policy_loss,
-                  ad.add(ad.scale(value_loss, config.value_coef),
-                         ad.scale(entropy, -config.entropy_coef)))
-    stats = {
-        "loss": float(loss.value),
-        "policy_loss": float(policy_loss.value),
-        "value_loss": float(value_loss.value),
-        "entropy": float(entropy.value),
-    }
-    return loss, stats
+    return ad.a2c_loss(policy.logits_t(batch.hidden, batch.realized), batch.values_t,
+                       batch.actions.reshape(-1), advantages.reshape(-1), returns.reshape(-1),
+                       config.value_coef, config.entropy_coef)
 
 
 def a2c_update(policy: RecurrentPolicy, opt: Adam, batch: RolloutBatch,

@@ -8,8 +8,10 @@ the nodes that require a gradient in reverse topological order, so gradients
 reach only the nodes that lead to a parameter, and each closure computes only
 the gradients of the parents that require one. Everything runs in float64.
 
-Each network layer is one node (``affine``, ``conv2d``, ``LstmSegment``), and
-``Adam`` steps every parameter entry as one flat vector.
+The graph is the network and its loss: each tied weight (``tied``), layer
+(``affine``, ``conv2d``, ``LstmSegment``) and the A2C loss (``a2c_loss``) is
+one node, joined by ``concat`` and ``reshape``; ``tsum`` is the gradient
+checks' scalar reduction. ``Adam`` steps every parameter entry as one vector.
 """
 
 from __future__ import annotations
@@ -72,52 +74,21 @@ def constant(value) -> Tensor:
     return Tensor(value)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # Primitives.
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        val = a.value + b.value
-    except ValueError as e:
-        raise ShapeError(f"add: {a.value.shape} vs {b.value.shape}") from e
+def tied(theta: Tensor, idx: np.ndarray, sign: np.ndarray) -> Tensor:
+    """The weight ``sign * theta[idx]`` tied from a parameter vector, as one
+    node. An entry of sign 0 has no parameter and indexes 0, so an empty theta
+    gives zeros and gets an empty gradient."""
+    n = theta.value.size
+    val = sign * theta.value[idx] if n else np.zeros(idx.shape)
 
     def bwd(g):
-        return (_unbroadcast(g, a.value.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.value.shape) if b.requires_grad else None)
+        return (np.bincount(idx.ravel(), weights=(g * sign).ravel(), minlength=n)[:n],)
 
-    return Tensor(val, (a, b), bwd)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    def bwd(g):
-        return (s * g,)
-
-    return Tensor(a.value * s, (a,), bwd)
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        val = a.value * b.value
-    except ValueError as e:
-        raise ShapeError(f"hadamard: {a.value.shape} vs {b.value.shape}") from e
-
-    def bwd(g):
-        return (_unbroadcast(g * b.value, a.value.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.value, b.value.shape) if b.requires_grad else None)
-
-    return Tensor(val, (a, b), bwd)
+    return Tensor(val, (theta,), bwd)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
@@ -148,55 +119,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def exp(a: Tensor) -> Tensor:
-    val = np.exp(a.value)
-
-    def bwd(g):
-        return (g * val,)
-
-    return Tensor(val, (a,), bwd)
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    """Log-softmax over the last axis."""
-    x = a.value
-    shifted = x - x.max(axis=-1, keepdims=True)
-    val = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-    def bwd(g):
-        return (g - np.exp(val) * g.sum(axis=-1, keepdims=True),)
-
-    return Tensor(val, (a,), bwd)
-
-
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Pick one entry per row of a 2D tensor: out[i] = a[i, idx[i]]."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.value.ndim != 2 or idx.ndim != 1 or idx.shape[0] != a.value.shape[0]:
-        raise ShapeError(f"gather_rows: {a.value.shape} with index {idx.shape}")
-    rows = np.arange(a.value.shape[0])
-    val = a.value[rows, idx]
-
-    def bwd(g):
-        ga = np.zeros_like(a.value)
-        ga[rows, idx] = g  # one entry per row, so no index repeats
-        return (ga,)
-
-    return Tensor(val, (a,), bwd)
-
-
-def take(a: Tensor, flat_idx: np.ndarray) -> Tensor:
-    """Gather entries of ``a`` (flattened) at the given index array."""
-    flat_idx = np.asarray(flat_idx, dtype=np.int64)
-    val = a.value.reshape(-1)[flat_idx]
-
-    def bwd(g):
-        return (np.bincount(flat_idx.ravel(), weights=g.ravel(),
-                            minlength=a.value.size).reshape(a.value.shape),)
-
-    return Tensor(val, (a,), bwd)
-
-
 def concat(tensors, axis: int = -1) -> Tensor:
     tensors = tuple(tensors)
     val = np.concatenate([t.value for t in tensors], axis=axis)
@@ -223,22 +145,6 @@ def tsum(a: Tensor) -> Tensor:
         return (g * np.ones_like(a.value),)
 
     return Tensor(a.value.sum(), (a,), bwd)
-
-
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    def bwd(g):
-        return (np.expand_dims(g, axis),)
-
-    return Tensor(a.value.sum(axis=axis), (a,), bwd)
-
-
-def mean(a: Tensor) -> Tensor:
-    n = a.value.size
-
-    def bwd(g):
-        return (g * np.ones_like(a.value) / n,)
-
-    return Tensor(a.value.mean(), (a,), bwd)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -415,6 +321,45 @@ class LstmSegment:
         return Tensor(np.concatenate(self.outputs), (*inputs[::-1], wt, b), bwd)
 
 
+def a2c_loss(logits: Tensor, values: Tensor, actions: np.ndarray, advantages: np.ndarray,
+             returns: np.ndarray, value_coef: float, entropy_coef: float):
+    """The A2C loss ``policy_loss + value_coef * value_loss - entropy_coef *
+    entropy`` over N rows as one node, and the four as floats. ``logits``
+    (N, A) and ``values`` (N) are tensors; ``actions``, ``advantages`` and
+    ``returns`` (N) are constants. With logp the log-softmax of the logits and
+    p = exp(logp), the terms are -mean(advantages * logp[taken]),
+    mean((returns - values)^2) and mean(-sum_a p * logp)."""
+    lv, vv = logits.value, values.value
+    n = lv.shape[0]
+    if lv.ndim != 2 or any(a.shape != (n,) for a in (vv, actions, advantages, returns)):
+        raise ShapeError(f"a2c_loss: logits {lv.shape}, values {vv.shape}, actions {actions.shape},"
+                         f" advantages {advantages.shape}, returns {returns.shape}")
+    rows = np.arange(n)
+    shifted = lv - lv.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    p, diff = np.exp(logp), returns - vv
+    stats = {"policy_loss": float(-(advantages * logp[rows, actions]).mean()),
+             "value_loss": float((diff * diff).mean()),
+             "entropy": float((-(p * logp).sum(axis=-1)).mean())}
+    stats = {"loss": stats["policy_loss"] + (stats["value_loss"] * value_coef
+                                             + stats["entropy"] * -entropy_coef), **stats}
+
+    def bwd(g):
+        glogits = None
+        if logits.requires_grad:
+            # the order of the three log-prob terms fixes the last bits: the
+            # policy term at the taken actions, then the entropy's two
+            ec = g * entropy_coef / n
+            glogp = np.zeros_like(logp)
+            glogp[rows, actions] = -g / n * advantages
+            glogp += ec * p
+            glogp += ec * logp * p
+            glogits = glogp - p * glogp.sum(axis=-1, keepdims=True)
+        return glogits, g * value_coef / n * diff * -2.0 if values.requires_grad else None
+
+    return Tensor(stats["loss"], (logits, values), bwd), stats
+
+
 # ---------------------------------------------------------------------------
 # Backward pass.
 # ---------------------------------------------------------------------------
@@ -424,9 +369,10 @@ def backward(loss: Tensor) -> None:
     parameters it depends on to the gradient of ``loss``.
 
     Only nodes that require a gradient get one: a constant keeps ``.grad``
-    None, and so does a parameter the loss does not depend on. A node's
-    gradient is allocated at its first contribution, with the node value's
-    memory layout, and later contributions are added to it."""
+    None, and a node the loss does not reach keeps what it had (``Adam.step``
+    clears each gradient it applies). A node's gradient is allocated at its
+    first contribution, with the node value's memory layout, and later
+    contributions are added to it."""
     if loss.value.size != 1:
         raise RankError(f"loss must be scalar, got shape {loss.value.shape}")
     topo: list[Tensor] = []
@@ -488,49 +434,40 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam over every parameter entry as one vector: the moments are one flat
-    buffer each, and ``m[i]``, ``v[i]`` view parameter i's slice of them."""
+    """Adam over every parameter entry as one vector: the moments ``m`` and
+    ``v`` are one flat buffer each, the parameters' entries in order."""
 
     def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
         self.t = 0
         sizes = [p.value.size for p in self.params]
-        self._m, self._v = np.zeros(sum(sizes)), np.zeros(sum(sizes))
-        cuts = np.cumsum(sizes, dtype=np.int64)[:-1]
-        self.m, self.v = ([piece.reshape(p.value.shape)
-                           for piece, p in zip(np.split(flat, cuts), self.params)]
-                          for flat in (self._m, self._v))
+        self.m, self.v = np.zeros(sum(sizes)), np.zeros(sum(sizes))
+        self._cuts = np.cumsum(sizes, dtype=np.int64)[:-1]
 
     def step(self):
-        """One update of every parameter that has a gradient; one without keeps
-        its value and moments. Every gradient is checked first, so a refused
-        step moves no value, moment or count."""
-        live = [i for i, p in enumerate(self.params) if p.grad is not None]
-        empty = [self._m[:0]]   # what the concatenations hold with no live parameter
-        g = np.concatenate([self.params[i].grad.ravel() for i in live] + empty)
+        """One update of every parameter from its gradient, which it clears:
+        a gradient is applied once. A missing or non-finite gradient is refused
+        by its parameter's name before any value, moment or count moves."""
+        for p in self.params:
+            if p.grad is None:
+                raise AutodiffError(f"no gradient on parameter {p.name!r}: "
+                                    "the loss does not reach it")
+        g = np.concatenate([p.grad.ravel() for p in self.params])
         if not np.isfinite(g).all():
-            bad = next(self.params[i] for i in live if not np.isfinite(self.params[i].grad).all())
+            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise NonFiniteGradientError(f"non-finite gradient on parameter {bad.name!r}")
         self.t += 1
-        # the whole buffers in place; with a parameter left out, the live
-        # parameters' pieces, gathered here and written back below
-        whole = len(live) == len(self.params)
-        m, v = (self._m, self._v) if whole else (
-            np.concatenate([s[i].ravel() for i in live] + empty) for s in (self.m, self.v))
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * g * g
-        mhat = m / (1 - ADAM_BETA1 ** self.t)
-        vhat = v / (1 - ADAM_BETA2 ** self.t)
+        self.m *= ADAM_BETA1
+        self.m += (1 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1 - ADAM_BETA2) * g * g
+        mhat = self.m / (1 - ADAM_BETA1 ** self.t)
+        vhat = self.v / (1 - ADAM_BETA2 ** self.t)
         step = self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        cuts = np.cumsum([self.params[i].value.size for i in live], dtype=np.int64)[:-1]
-        for i, piece in zip(live, np.split(step, cuts)):
-            self.params[i].value -= piece.reshape(self.params[i].value.shape)
-        if not whole:
-            for i, m_i, v_i in zip(live, np.split(m, cuts), np.split(v, cuts)):
-                self.m[i].flat, self.v[i].flat = m_i, v_i
+        for p, piece in zip(self.params, np.split(step, self._cuts)):
+            p.value -= piece.reshape(p.value.shape)
+            p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +524,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 raise AutodiffError(
                     f"checkpoint parameter {name!r}: expected {int(np.prod(shape))} "
                     f"values for shape {shape}, found {values.size} (truncated file?)")
+            if name in out:
+                raise AutodiffError(f"checkpoint parameter {name!r} is listed twice")
+            if not np.isfinite(values).all():
+                raise AutodiffError(f"checkpoint parameter {name!r}: non-finite value")
             out[name] = values.reshape(shape)
     return out
 
@@ -616,8 +557,9 @@ def finite_difference_grad(build_loss, param: Tensor) -> np.ndarray:
 
 def gradcheck(build_loss, params) -> float:
     """Max relative error between backprop and central finite differences."""
-    loss = build_loss()
-    backward(loss)
+    for p in params:   # one the loss does not reach must not keep an earlier gradient
+        p.grad = None
+    backward(build_loss())
     analytic = [None if p.grad is None else p.grad.copy() for p in params]
     worst = 0.0
     for p, g_ad in zip(params, analytic):
@@ -631,45 +573,44 @@ def gradcheck(build_loss, params) -> float:
 
 
 def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
-    """Finite-difference check of every primitive; returns per-primitive errors."""
+    """Finite-difference check of every primitive in each operand that takes a
+    gradient; returns each case's error."""
     rng = np.random.default_rng(seed)
-    m = rng.normal(size=(3, 4))
-    v4 = rng.normal(size=4)
-    img = rng.normal(size=(2, 3, 5, 5))
-    ker = rng.normal(size=(4, 3, 3, 3))
+    m, v4 = rng.normal(size=(3, 4)), rng.normal(size=4)
+    img, ker = rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(4, 3, 3, 3))
+    mix = rng.normal(size=(8, 1))
+    idx, sign = rng.integers(0, 5, size=(4, 3)), rng.choice([-1.0, 0.0, 1.0], size=(4, 3))
+    logits, values, returns, advantages = (rng.normal(size=s) for s in ((6, 3), 6, 6, 6))
+    loss_args = (rng.integers(0, 3, size=6), advantages, returns, 0.5, 0.3)
     # biases of +-100 hold each relu input far from the kink: every output
-    # column or channel is all on or all off
-    off = Tensor(np.array([100.0, -100.0, 100.0, -100.0]))
-    idx = np.array([2, 0, 3])
-    flat_idx = rng.integers(0, 12, size=20)
+    # column or channel is all on or all off (the bias cases start there)
+    off = np.array([100.0, -100.0, 100.0, -100.0])
+
+    def weighed(x: Tensor) -> Tensor:   # a sum of rows with random weights
+        return tsum(affine(x, Tensor(mix[: x.value.shape[1]]), Tensor(np.zeros(1)), False))
+
     cases = {
-        "add": (lambda p: tsum(add(p, Tensor(v4))), (3, 4)),
-        "scale": (lambda p: tsum(scale(p, -2.5)), (3, 4)),
-        "hadamard": (lambda p: tsum(hadamard(p, Tensor(np.abs(v4) + 0.5))), (3, 4)),
+        "tied": (lambda p: weighed(tied(p, idx, sign)), (5,)),
         "affine": (lambda p: tsum(affine(p, Tensor(m), Tensor(v4), False)), (2, 3)),
-        "affine_relu": (lambda p: tsum(affine(p, Tensor(m), off, True)), (2, 3)),
-        "affine_weight": (lambda p: tsum(affine(Tensor(m.T), p, off, True)), (3, 4)),
-        "affine_bias": (lambda p: tsum(affine(Tensor(m.T), Tensor(m), add(p, off), True)), (4,)),
-        "exp": (lambda p: tsum(exp(p)), (3, 4)),
-        "log_softmax": (lambda p: tsum(hadamard(log_softmax(p), Tensor(m))), (3, 4)),
-        "gather_rows": (lambda p: tsum(gather_rows(p, idx)), (3, 4)),
-        "take": (lambda p: tsum(take(p, flat_idx)), (3, 4)),
-        "concat": (lambda p: tsum(concat([p, exp(p)], axis=-1)), (3, 4)),
-        "reshape": (lambda p: tsum(exp(reshape(p, (2, 6)))), (3, 4)),
-        "sum": (lambda p: tsum(hadamard(p, p)), (3, 4)),
-        "sum_axis": (lambda p: tsum(exp(sum_axis(p, -1))), (3, 4)),
-        "mean": (lambda p: mean(exp(p)), (3, 4)),
-        "conv2d": (lambda p: tsum(conv2d(p, Tensor(ker), off)), (2, 3, 5, 5)),
-        "conv2d_kernel": (lambda p: tsum(conv2d(Tensor(img), p, off)), (4, 3, 3, 3)),
-        "conv2d_bias": (lambda p: tsum(conv2d(Tensor(img), Tensor(ker), add(p, off))), (4,)),
+        "affine_relu": (lambda p: tsum(affine(p, Tensor(m), Tensor(off), True)), (2, 3)),
+        "affine_weight": (lambda p: tsum(affine(Tensor(m.T), p, Tensor(off), True)), (3, 4)),
+        "affine_bias": (lambda p: tsum(affine(Tensor(m.T), Tensor(m), p, True)), (4,)),
+        "concat": (lambda p: weighed(concat([p, p], axis=-1)), (3, 4)),
+        "reshape": (lambda p: weighed(reshape(p, (2, 6))), (3, 4)),
+        "tsum": (tsum, (3, 4)),
+        "conv2d": (lambda p: tsum(conv2d(p, Tensor(ker), Tensor(off))), (2, 3, 5, 5)),
+        "conv2d_kernel": (lambda p: tsum(conv2d(Tensor(img), p, Tensor(off))), (4, 3, 3, 3)),
+        "conv2d_bias": (lambda p: tsum(conv2d(Tensor(img), Tensor(ker), p)), (4,)),
+        "a2c_loss": (lambda p: a2c_loss(p, Tensor(values), *loss_args)[0], (6, 3)),
+        "a2c_loss_values": (lambda p: a2c_loss(Tensor(logits), p, *loss_args)[0], (6,)),
     }
     out = {}
+    shifts = {"affine_bias": off, "conv2d_bias": off}
     for name, (build, shape) in cases.items():
-        p = parameter(rng.normal(size=shape) * 0.5 + 0.3, "p")
+        p = parameter(rng.normal(size=shape) * 0.5 + 0.3 + shifts.get(name, 0.0), "p")
         out[name] = gradcheck(lambda: build(p), [p])
     # three steps of a batch of two, row 0 restarting after the second step
     h0, c0, fresh = (rng.normal(size=(2, 4)) for _ in range(3))
-    weights = Tensor(rng.normal(size=(6, 4)))
     xs = [parameter(rng.normal(size=(2, 3)), f"x{t}") for t in range(3)]
     wt, b = parameter(rng.normal(size=(7, 16)), "wt"), parameter(rng.normal(size=16), "b")
 
@@ -680,7 +621,7 @@ def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
             h, c = seg.step(x, h, c)
             if t == 1:
                 h, c = seg.reset([0], fresh[:1], fresh[1:])
-        return tsum(hadamard(seg.node(), weights))
+        return weighed(seg.node())
 
     out["lstm_segment"] = gradcheck(build, [*xs, wt, b])
     return out

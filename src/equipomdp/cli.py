@@ -286,7 +286,7 @@ def cmd_verify(args) -> int:
         worst = max(max(battery.values()), loss_err)
         for name in sorted(battery):
             print(f"gradcheck {name}: {battery[name]:.3e}")
-        print(f"gradcheck a2c_loss: {loss_err:.3e}")
+        print(f"gradcheck segment_loss: {loss_err:.3e}")
         passed = worst < GRADCHECK_TOL
         print(f"RESULT gradcheck passed={passed} max_rel_err={worst:.3e} "
               f"tolerance={GRADCHECK_TOL:.1e}")

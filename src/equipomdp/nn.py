@@ -16,11 +16,12 @@ free parameter. Unconstrained networks are these same layers over
 ``groups.C1`` on trivial channels.
 
 Every layer has one forward path. ``realize_t`` builds the layer's dense
-weights from its parameters as graph tensors, and ``forward_t`` applies them
-on ``autodiff`` tensors as one graph node: ``autodiff.affine`` for a linear
-layer (with the relu between head layers), ``autodiff.conv2d`` with its bias
-and relu for a convolution. Every caller realizes once and passes the result
-in, so one realization serves all the steps run under fixed parameters.
+weights from its parameters as graph tensors, one ``autodiff.tied`` node
+each, and ``forward_t`` applies them on ``autodiff`` tensors as one graph
+node: ``autodiff.affine`` for a linear layer (with the relu between head
+layers), ``autodiff.conv2d`` with its bias and relu for a convolution. Every
+caller realizes once and passes the result in, so one realization serves all
+the steps run under fixed parameters.
 Callers that only need values (evaluation, equivariance checks) read
 ``.value`` off the output and drop the graph; rollout collection keeps it for
 the update. The recurrent cell steps on arrays instead, and a collected
@@ -90,14 +91,6 @@ def tied_weight_indices(rho_in, rho_out: Representation):
     return idx.reshape(shape), sign.reshape(shape), len(reps)
 
 
-def tied(theta: Tensor, idx: np.ndarray, sign: np.ndarray) -> Tensor:
-    """The tied weight ``sign * theta[idx]``, shaped like ``idx``."""
-    if theta.value.size == 0:
-        return ad.constant(np.zeros(idx.shape))
-    w = ad.take(theta, idx)
-    return w if np.all(sign == 1.0) else ad.hadamard(w, ad.constant(sign))
-
-
 def _assert_pointwise_safe(rep: Representation):
     """Pointwise nonlinearities commute with permutations, not with sign flips."""
     if np.any(rep.sign != 1.0):
@@ -134,7 +127,7 @@ class EquiLinear:
 
     def realize_t(self):
         """Weight (transposed) and bias as graph tensors, gathered from the parameters."""
-        return tied(self.weight, *self._w_tie), tied(self.bias, *self._b_tie)
+        return ad.tied(self.weight, *self._w_tie), ad.tied(self.bias, *self._b_tie)
 
     def forward_t(self, x: Tensor, realized, relu: bool) -> Tensor:
         """``x W^T + b`` on (N, in_dim) rows, through relu if ``relu``."""
@@ -181,7 +174,7 @@ class EquiConv2d:
         return [self.kernel, self.bias]
 
     def realize_t(self):
-        return tied(self.kernel, *self._k_tie), tied(self.bias, *self._b_tie)
+        return ad.tied(self.kernel, *self._k_tie), ad.tied(self.bias, *self._b_tie)
 
     def forward_t(self, x: Tensor, realized) -> Tensor:
         h, w = x.value.shape[-2:]

@@ -14,6 +14,7 @@ from equipomdp.agent import (
     compute_returns,
     a2c_update,
     benchmark_agent_config,
+    benchmark_env_config,
     episode_streams,
     equivariance_residuals,
     evaluate,
@@ -346,13 +347,57 @@ def graph_nodes(loss):
     return list(seen.values())
 
 
+def primitive(node) -> str:
+    """The autodiff function that made a node, read off its backward closure."""
+    return node.bwd.__qualname__.split(".<locals>")[0]
+
+
+# the program's primitives: its layers, the tied weight and the loss
+PRIMITIVES = {"tied", "affine", "conv2d", "LstmSegment.node", "concat", "reshape", "a2c_loss"}
+# a battery case named otherwise than its primitive
+CASE_PRIMITIVES = {"lstm_segment": "LstmSegment.node"}
+
+
+def case_primitive(case: str) -> str:
+    """The autodiff function a gradcheck battery case checks: the case's name
+    or its longest ``_``-separated prefix that autodiff defines."""
+    if case in CASE_PRIMITIVES:
+        return CASE_PRIMITIVES[case]
+    parts = case.split("_")
+    return next(("_".join(parts[:k]) for k in range(len(parts), 0, -1)
+                 if callable(getattr(ad, "_".join(parts[:k]), None))), case)
+
+
+def test_every_primitive_of_an_update_has_a_gradcheck_case():
+    """Every node of one update's loss graph, on 1D ``equi`` and ``plain`` at
+    the benchmark configs and on 2D 5x5 with previous actions fed, comes from
+    a primitive the gradcheck battery checks; and every battery case checks a
+    function autodiff still defines. The battery covers the program's
+    primitives and ``tsum``, its scalar reduction."""
+    checked = {case: case_primitive(case) for case in ad.primitive_gradcheck_battery(seed=0)}
+    for case, name in checked.items():
+        owner, _, attr = name.rpartition(".")
+        assert callable(getattr(getattr(ad, owner) if owner else ad, attr, None)), case
+    assert set(checked.values()) == PRIMITIVES | {"tsum"}
+    setups = [(benchmark_env_config(), benchmark_agent_config(v, 0)) for v in ("equi", "plain")]
+    setups.append((CarFlag2dConfig(grid_size=5), AgentConfig(feed_prev_action=True)))
+    for env_cfg, cfg in setups:
+        policy = RecurrentPolicy(env_cfg, cfg, np.random.default_rng(0))
+        carry = start_carry(policy, env_cfg, cfg.n_envs, np.random.SeedSequence(0))
+        batch = collect_rollouts(policy, carry, cfg.n_steps, np.random.default_rng(1))
+        loss, _ = segment_loss(policy, batch, cfg, *compute_returns(batch, cfg.discount))
+        used = {primitive(n) for n in graph_nodes(loss) if n.bwd is not None}
+        assert used <= set(checked.values()), (env_cfg, cfg.variant)
+
+
 @pytest.mark.parametrize("env_cfg,conv_layers", [
     (CFG_1D, 0), (CarFlag2dConfig(grid_size=5), 2),
 ], ids=["1d", "2d-5x5"])
 def test_update_differentiates_collections_graph(env_cfg, conv_layers, monkeypatch):
     """The loss reaches exactly one LSTM segment node, with one input per
     collected step, and on 2D one ``conv2d`` node per step and layer, all
-    built during collection: the update runs no second forward."""
+    built during collection: the update runs no second forward. The loss is
+    one ``a2c_loss`` node, and no node is an elementwise primitive."""
     built = {"segment": [], "conv2d": []}
 
     def recorded(make, nodes):
@@ -378,6 +423,9 @@ def test_update_differentiates_collections_graph(env_cfg, conv_layers, monkeypat
         assert {id(n) for n in hit} <= collected[name], name
         if name == "segment":   # the step inputs, then the weight and the bias
             assert len(hit[0].parents) == n_steps + 2
+    made = [primitive(n) for n in nodes if n.bwd is not None]
+    assert primitive(loss) == "a2c_loss" and made.count("a2c_loss") == 1
+    assert set(made) <= PRIMITIVES
 
 
 def test_backward_prunes_constants_without_changing_parameter_gradients(monkeypatch):

@@ -19,10 +19,13 @@ from equipomdp.autodiff import (
     save_checkpoint,
 )
 from equipomdp.envs import CarFlag2dConfig
+from reference_ops import (add, composed_a2c_loss, exp, gather_rows, hadamard, log_softmax,
+                           mean, scale, sum_axis, take)
 
 
-# Primitives that only the tests compose: the unfused LSTM and layer
-# references below, and the smooth losses of a few gradient checks.
+# More primitives that only the tests compose (``reference_ops`` holds the
+# rest): the unfused LSTM and layer references below, and the smooth losses
+# of a few gradient checks.
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.value, b.value
@@ -96,7 +99,7 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def test_hadamard_values():
-    out = ad.hadamard(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
+    out = hadamard(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
     assert np.array_equal(out.value, [3.0, 8.0])
 
 
@@ -138,20 +141,41 @@ def test_tanh_gradient_at_zero():
 
 def test_square_gradient():
     x = parameter(3.0, "x")
-    loss = ad.hadamard(x, x)
+    loss = hadamard(x, x)
     backward(loss)
     assert x.grad == pytest.approx(6.0)
 
 
 def test_disconnected_parameter_gets_zero_gradient():
+    """A parameter the loss does not reach gets no gradient, and ``Adam``
+    refuses the step by that parameter's name before anything moves."""
     x = parameter(3.0, "x")
     unused = parameter(1.0, "unused")
-    loss = ad.hadamard(x, x)
+    loss = hadamard(x, x)
     backward(loss)
     assert unused.grad is None  # untouched by this graph
     opt = Adam([x, unused], lr=0.1)
-    opt.step()  # must tolerate the missing gradient
-    assert unused.value == 1.0 and x.value != 3.0
+    with pytest.raises(ad.AutodiffError, match="'unused'"):
+        opt.step()
+    assert (x.value, unused.value, opt.t) == (3.0, 1.0, 0)
+    assert not opt.m.any() and not opt.v.any()
+
+
+def test_adam_applies_each_gradient_once():
+    """``Adam.step`` clears every gradient it applies, so a parameter that a
+    later loss does not reach cannot be stepped again by a stale gradient:
+    that step is refused by name."""
+    x, y = parameter(3.0, "x"), parameter(2.0, "y")
+    opt = Adam([x, y], lr=0.1)
+    backward(hadamard(x, y))
+    opt.step()
+    assert x.grad is None and y.grad is None
+    x_after, y_after = x.value.copy(), y.value.copy()
+    backward(hadamard(x, x))   # y is not on this loss's graph
+    assert y.grad is None
+    with pytest.raises(ad.AutodiffError, match="'y'"):
+        opt.step()
+    assert (x.value, y.value, opt.t) == (x_after, y_after, 1)
 
 
 def test_constants_get_no_gradient():
@@ -162,7 +186,7 @@ def test_constants_get_no_gradient():
     d = tanh(c)
     assert not d.requires_grad and d.parents == () and d.bwd is None
     x = parameter(np.arange(3.0), "x")
-    y = ad.hadamard(x, d)
+    y = hadamard(x, d)
     backward(ad.tsum(y))
     assert y.requires_grad and np.array_equal(y.grad, np.ones(3))
     assert c.grad is None and d.grad is None
@@ -177,8 +201,8 @@ def test_non_scalar_loss_raises():
 
 def test_reused_node_accumulates_gradient():
     x = parameter(2.0, "x")
-    y = ad.add(x, x)  # y = 2x
-    loss = ad.hadamard(y, y)  # (2x)^2 -> d/dx = 8x = 16
+    y = add(x, x)  # y = 2x
+    loss = hadamard(y, y)  # (2x)^2 -> d/dx = 8x = 16
     backward(loss)
     assert x.grad == pytest.approx(16.0)
 
@@ -196,9 +220,9 @@ def _primitive_cases():
     idx = np.array([2, 0, 3])
     flat_idx = rng.integers(0, 12, size=20)
     cases = {
-        "add_broadcast": (lambda p: ad.tsum(ad.add(p, Tensor(v4))), (3, 4)),
-        "scale": (lambda p: ad.tsum(ad.scale(p, -2.5)), (3, 4)),
-        "hadamard_broadcast": (lambda p: ad.tsum(ad.hadamard(p, Tensor(np.abs(v4) + 0.5))), (3, 4)),
+        "add_broadcast": (lambda p: ad.tsum(add(p, Tensor(v4))), (3, 4)),
+        "scale": (lambda p: ad.tsum(scale(p, -2.5)), (3, 4)),
+        "hadamard_broadcast": (lambda p: ad.tsum(hadamard(p, Tensor(np.abs(v4) + 0.5))), (3, 4)),
         "matmul_mm": (lambda p: ad.tsum(matmul(p, Tensor(m))), (2, 3)),
         # vectors enter matmul as one-column or one-row matrices
         "matmul_mv": (lambda p: ad.tsum(matmul(p, Tensor(v4[:, None]))), (3, 4)),
@@ -206,17 +230,18 @@ def _primitive_cases():
         "matmul_dot": (lambda p: ad.tsum(matmul(p, Tensor(v3[:, None]))), (1, 3)),
         "sigmoid": (lambda p: ad.tsum(sigmoid(p)), (3, 4)),
         "tanh": (lambda p: ad.tsum(tanh(p)), (3, 4)),
-        "exp": (lambda p: ad.tsum(ad.exp(p)), (3, 4)),
-        "log_softmax": (lambda p: ad.tsum(ad.hadamard(ad.log_softmax(p), Tensor(m))), (3, 4)),
-        "gather_rows": (lambda p: ad.tsum(ad.gather_rows(p, idx)), (3, 4)),
-        "take": (lambda p: ad.tsum(ad.take(p, flat_idx)), (3, 4)),
+        "exp": (lambda p: ad.tsum(exp(p)), (3, 4)),
+        "log_softmax": (lambda p: ad.tsum(hadamard(log_softmax(p), Tensor(m))), (3, 4)),
+        "gather_rows": (lambda p: ad.tsum(gather_rows(p, idx)), (3, 4)),
+        "take": (lambda p: ad.tsum(take(p, flat_idx)), (3, 4)),
         "concat": (lambda p: ad.tsum(ad.concat([p, tanh(p)], axis=-1)), (3, 4)),
         "slice_last": (lambda p: ad.tsum(slice_last(p, 1, 3)), (3, 4)),
-        "reshape": (lambda p: ad.tsum(ad.hadamard(ad.reshape(p, (2, 6)), Tensor(np.ones((2, 6))) )), (3, 4)),
+        "reshape": (lambda p: ad.tsum(hadamard(ad.reshape(p, (2, 6)), Tensor(np.ones((2, 6))))),
+                    (3, 4)),
         "transpose": (lambda p: ad.tsum(matmul(transpose(p, (1, 0)), Tensor(v3[:, None]))),
                       (3, 4)),
-        "sum_axis": (lambda p: ad.tsum(tanh(ad.sum_axis(p, -1))), (3, 4)),
-        "mean": (lambda p: ad.mean(tanh(p)), (3, 4)),
+        "sum_axis": (lambda p: ad.tsum(tanh(sum_axis(p, -1))), (3, 4)),
+        "mean": (lambda p: mean(tanh(p)), (3, 4)),
         "conv2d_valid": (lambda p: ad.tsum(ad.conv2d(p, Tensor(ker), signs)), (2, 3, 5, 5)),
         "conv2d_kernel": (lambda p: ad.tsum(ad.conv2d(Tensor(img), p, signs)), (4, 3, 3, 3)),
     }
@@ -233,20 +258,27 @@ def test_primitive_gradients_match_finite_differences(name):
 
 
 def test_gather_backward_matches_unbuffered_scatter():
-    """``take`` and ``gather_rows`` scatter their gradient exactly as the
-    reference ``np.add.at`` loop would, repeated indices included."""
+    """``ad.tied``, ``take`` and ``gather_rows`` scatter their gradient
+    exactly as the reference ``np.add.at`` loop would, repeated indices
+    included."""
     rng = np.random.default_rng(3)
     flat_idx = rng.integers(0, 12, size=(40, 5))
     g = rng.normal(size=(40, 5))
+    sign = rng.choice([-1.0, 0.0, 1.0], size=(40, 5))
+    theta = parameter(np.zeros(12), "theta")
+    backward(ad.tsum(hadamard(ad.tied(theta, flat_idx, sign), Tensor(g))))
+    ref = np.zeros(12)
+    np.add.at(ref, flat_idx.ravel(), (g * sign).ravel())
+    assert np.array_equal(theta.grad, ref)
     x = parameter(np.zeros((3, 4)), "x")
-    backward(ad.tsum(ad.hadamard(ad.take(x, flat_idx), Tensor(g))))
+    backward(ad.tsum(hadamard(take(x, flat_idx), Tensor(g))))
     ref = np.zeros(12)
     np.add.at(ref, flat_idx.ravel(), g.ravel())
     assert np.array_equal(x.grad, ref.reshape(3, 4))
     rows = rng.integers(0, 4, size=3)
     gr = rng.normal(size=3)
     y = parameter(np.zeros((3, 4)), "y")
-    backward(ad.tsum(ad.hadamard(ad.gather_rows(y, rows), Tensor(gr))))
+    backward(ad.tsum(hadamard(gather_rows(y, rows), Tensor(gr))))
     ref = np.zeros((3, 4))
     np.add.at(ref, (np.arange(3), rows), gr)
     assert np.array_equal(y.grad, ref)
@@ -266,9 +298,9 @@ def test_three_layer_network_gradcheck():
     x = Tensor(rng.normal(size=(7, 5)))
 
     def loss():
-        h1 = tanh(ad.add(matmul(x, w1), b1))
+        h1 = tanh(add(matmul(x, w1), b1))
         h2 = sigmoid(matmul(h1, w2))
-        return ad.mean(matmul(h2, w3))
+        return mean(matmul(h2, w3))
 
     assert gradcheck(loss, [w1, w2, w3, b1]) < 1e-4
 
@@ -277,14 +309,14 @@ def unfused_lstm_step(x, h, c, wt, b):
     """The LSTM step as a composition of primitives: the reference for the
     steps of ``ad.LstmSegment``."""
     H = h.value.shape[-1]
-    gates = ad.add(matmul(ad.concat([x, h], axis=-1), wt), b)
+    gates = add(matmul(ad.concat([x, h], axis=-1), wt), b)
     ifo = sigmoid(slice_last(gates, 0, 3 * H))
     i = slice_last(ifo, 0, H)
     f = slice_last(ifo, H, 2 * H)
     o = slice_last(ifo, 2 * H, 3 * H)
     g = tanh(slice_last(gates, 3 * H, 4 * H))
-    c2 = ad.add(ad.hadamard(f, c), ad.hadamard(i, tanh(g)))  # tanh twice on the candidate
-    h2 = ad.hadamard(o, tanh(c2))
+    c2 = add(hadamard(f, c), hadamard(i, tanh(g)))  # tanh twice on the candidate
+    h2 = hadamard(o, tanh(c2))
     return ad.concat([h2, c2], axis=-1)
 
 
@@ -319,8 +351,8 @@ def test_lstm_step_matches_unfused_reference(batch):
             h, c = slice_last(hc, 0, H), slice_last(hc, H, 2 * H)
             hs.append(h)
             if t == 1:
-                h = ad.add(ad.hadamard(h, Tensor(keep)), Tensor((1.0 - keep) * fresh_h))
-                c = ad.add(ad.hadamard(c, Tensor(keep)), Tensor((1.0 - keep) * fresh_c))
+                h = add(hadamard(h, Tensor(keep)), Tensor((1.0 - keep) * fresh_h))
+                c = add(hadamard(c, Tensor(keep)), Tensor((1.0 - keep) * fresh_c))
         return ad.concat(hs, axis=0)
 
     results = []
@@ -328,7 +360,7 @@ def test_lstm_step_matches_unfused_reference(batch):
         ins = [parameter(v, f"x{t}") for t, v in enumerate(x_values)]
         ins += [parameter(wt_value, "wt"), parameter(b_value, "b")]
         out = build(ins[:n_steps], *ins[n_steps:])
-        backward(ad.tsum(ad.hadamard(out, weights)))
+        backward(ad.tsum(hadamard(out, weights)))
         results.append((out.value, [p.grad for p in ins]))
     (fused_value, fused_grads), (ref, ref_grads) = results
     assert fused_value.shape == ref.shape == (n_steps * batch, H)
@@ -341,15 +373,43 @@ def test_lstm_segment_is_in_the_gradcheck_battery():
     assert ad.primitive_gradcheck_battery(seed=0)["lstm_segment"] < 1e-4
 
 
+# what the fused nodes replaced: test references now, not program primitives
+REFERENCE_ONLY = ("matmul", "relu", "add", "scale", "hadamard", "exp", "log_softmax",
+                  "gather_rows", "take", "sum_axis", "mean", "_unbroadcast")
+
+
 def test_conv2d_is_in_the_gradcheck_battery():
-    """The fused layers are checked in each operand; ``matmul`` and ``relu``
-    are test references, not program primitives."""
+    """The fused nodes are checked in each operand that takes a gradient;
+    the primitives they replaced are test references, not program ones."""
     battery = ad.primitive_gradcheck_battery(seed=0)
-    for name in ("conv2d", "conv2d_kernel", "conv2d_bias",
-                 "affine", "affine_relu", "affine_weight", "affine_bias"):
+    for name in ("conv2d", "conv2d_kernel", "conv2d_bias", "affine", "affine_relu",
+                 "affine_weight", "affine_bias", "tied", "a2c_loss", "a2c_loss_values"):
         assert battery[name] < 1e-4
-    assert not {"matmul", "relu"} & set(battery)
-    assert not hasattr(ad, "matmul") and not hasattr(ad, "relu")
+    assert not set(REFERENCE_ONLY) & set(battery)
+    assert not [name for name in REFERENCE_ONLY if hasattr(ad, name)]
+
+
+@pytest.mark.parametrize("coefs", [(0.5, 0.01), (0.0, 0.01), (0.5, 0.0)],
+                         ids=["defaults", "value_coef-0", "entropy_coef-0"])
+@pytest.mark.parametrize("rows,n_actions", [(20 * 16, 2), (5 * 16, 4)],
+                         ids=["1d-T20-B16-A2", "2d-T5-B16-A4"])
+def test_a2c_loss_matches_the_composed_chain_bitwise(rows, n_actions, coefs):
+    """``ad.a2c_loss`` gives the loss, its four stats and the logits' and
+    values' gradients of the chain of small primitives it replaced, bit for
+    bit, at the package's coefficients and with either term switched off."""
+    rng = np.random.default_rng(36)
+    logits0, values0 = 2.0 * rng.normal(size=(rows, n_actions)), rng.normal(size=rows)
+    actions = rng.integers(0, n_actions, size=rows)
+    advantages, returns = rng.normal(size=rows), rng.normal(size=rows)
+    results = []
+    for loss_fn in (ad.a2c_loss, composed_a2c_loss):
+        logits, values = parameter(logits0, "logits"), parameter(values0, "values")
+        loss, stats = loss_fn(logits, values, actions, advantages, returns, *coefs)
+        backward(loss)
+        results.append((loss.value.tobytes(), {k: v.hex() for k, v in stats.items()},
+                        logits.grad.tobytes(), values.grad.tobytes()))
+    assert results[0] == results[1]
+    assert len(results[0][1]) == 4
 
 
 def einsum_conv2d(x, k, b, g):
@@ -387,7 +447,7 @@ def test_conv2d_matches_einsum_reference(x_shape, k_shape):
     b = parameter(rng.normal(size=k_shape[0]), "b")
     out = ad.conv2d(x, k, b)
     g = rng.normal(size=out.value.shape)
-    backward(ad.tsum(ad.hadamard(out, Tensor(g))))
+    backward(ad.tsum(hadamard(out, Tensor(g))))
     ref, ref_gk, ref_gx, ref_gb = einsum_conv2d(x.value, k.value, b.value, g)
     assert out.value.shape == ref.shape and x.grad.shape == x_shape
     assert 0 < np.count_nonzero(ref) < ref.size   # the relu masks some entries
@@ -398,7 +458,7 @@ def test_conv2d_matches_einsum_reference(x_shape, k_shape):
 
 
 def unfused_conv2d(x: Tensor, k: Tensor) -> Tensor:
-    """The bias-free im2col convolution that, followed by ``ad.add`` of the
+    """The bias-free im2col convolution that, followed by ``add`` of the
     reshaped bias and by ``relu``, made a conv layer before ``ad.conv2d``
     fused the three: the unfused reference for it."""
     xv, kv = x.value, k.value
@@ -429,7 +489,7 @@ def assert_fused_matches_unfused(fused, unfused, values, seed):
         ops = [parameter(v, name) for v, name in zip(values, "xwb")]
         out = build(*ops)
         cot = Tensor(np.random.default_rng(seed).normal(size=out.value.shape))
-        backward(ad.tsum(ad.hadamard(out, cot)))
+        backward(ad.tsum(hadamard(out, cot)))
         results.append([out.value, *(p.grad for p in ops)])
     for name, got, ref in zip(("value", "x", "w", "b"), *results):
         assert got.shape == ref.shape and np.array_equal(got, ref), name
@@ -452,7 +512,7 @@ def test_affine_matches_unfused_layer_bitwise(rows, din, dout, use_relu):
     values = (rng.normal(size=(rows, din)), rng.normal(size=(din, dout)), rng.normal(size=dout))
 
     def unfused(x, w, b):
-        out = ad.add(matmul(x, w), b)
+        out = add(matmul(x, w), b)
         return relu(out) if use_relu else out
 
     out = assert_fused_matches_unfused(
@@ -471,7 +531,7 @@ def test_conv2d_matches_unfused_layer_bitwise(x_shape, k_shape):
     values = (rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0]))
 
     def unfused(x, k, b):
-        return relu(ad.add(unfused_conv2d(x, k), ad.reshape(b, (k_shape[0], 1, 1))))
+        return relu(add(unfused_conv2d(x, k), ad.reshape(b, (k_shape[0], 1, 1))))
 
     out = assert_fused_matches_unfused(ad.conv2d, unfused, values, seed=34)
     assert 0 < np.count_nonzero(out) < out.size
@@ -483,8 +543,12 @@ def test_shape_errors():
                     ((2, 3), (3, 2), (3,)), ((2, 3), (3, 2), (1, 2))):
         with pytest.raises(ad.ShapeError):
             ad.affine(Tensor(np.ones(x)), Tensor(np.ones(w)), Tensor(np.ones(b)), False)
-    with pytest.raises(ad.ShapeError):
-        ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((4,))))
+    ints = np.zeros(4, dtype=np.int64)
+    for logits, values, rest in (((4, 2), (4, 1), (4,)), ((4,), (4,), (4,)),
+                                 ((4, 2), (4,), (3,))):
+        with pytest.raises(ad.ShapeError):
+            ad.a2c_loss(Tensor(np.ones(logits)), Tensor(np.ones(values)), ints[: rest[0]],
+                        np.ones(rest), np.ones(4), 0.5, 0.01)
     for x, k, b in (((1, 2, 4, 4), (3, 5, 3, 3), (3,)), ((1, 2, 4, 4), (3, 2, 3, 3), (2,)),
                     ((1, 2, 2, 4), (3, 2, 3, 3), (3,))):
         with pytest.raises(ad.ShapeError):
@@ -500,7 +564,7 @@ def test_adam_first_step_matches_hand_computation():
     lr, b1, b2, eps, g = 0.1, ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPS, 0.5
     assert (b1, b2, eps) == (0.9, 0.999, 1e-8)
     p = parameter(0.0, "p")
-    loss = ad.scale(p, g)
+    loss = scale(p, g)
     backward(loss)
     Adam([p], lr=lr).step()
     m_hat = ((1 - b1) * g) / (1 - b1)
@@ -528,8 +592,7 @@ def test_refused_adam_step_changes_nothing():
         opt.step()
     assert (a.value.tolist(), b.value.tolist()) == ([1.0], [2.0])
     assert opt.t == 0
-    assert [m.tolist() for m in opt.m] == [[0.0], [0.0]]
-    assert [v.tolist() for v in opt.v] == [[0.0], [0.0]]
+    assert opt.m.tolist() == opt.v.tolist() == [0.0, 0.0]
     b.grad = np.array([-0.5])   # the same step, now finite, moves both
     opt.step()
     assert opt.t == 1 and a.value[0] < 1.0 < 2.0 < b.value[0]
@@ -549,8 +612,6 @@ class ReferenceAdam:
     def step(self):
         self.t += 1
         for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
             g = p.grad
             self.m[i] = ad.ADAM_BETA1 * self.m[i] + (1 - ad.ADAM_BETA1) * g
             self.v[i] = ad.ADAM_BETA2 * self.v[i] + (1 - ad.ADAM_BETA2) * g * g
@@ -560,31 +621,37 @@ class ReferenceAdam:
 
 
 def test_flat_adam_matches_per_parameter_reference_bitwise():
-    """Over 20 steps on the 7x7 policy's parameters, two of them leaving
-    some parameters without a gradient, ``Adam`` moves every value and
-    moment exactly as the per-parameter reference does. Its moments are
-    views of one buffer each."""
+    """Over 20 steps on the 7x7 policy's parameters, ``Adam`` moves every
+    value and moment exactly as the per-parameter reference does and clears
+    every gradient. Two more steps leave some parameters without a gradient,
+    and each is refused, naming the first of them, with nothing moved."""
     config = AgentConfig(variant="equi")
     params = RecurrentPolicy(CarFlag2dConfig(grid_size=7), config,
                              np.random.default_rng(0)).parameters()
     ref = [parameter(p.value.copy(), p.name) for p in params]
     opt, ref_opt = Adam(params, config.learning_rate), ReferenceAdam(ref, config.learning_rate)
     assert len(params) > 10
-    for moments in (opt.m, opt.v):
-        assert all(m.base is moments[0].base is not None for m in moments)
     rng = np.random.default_rng(35)
     for t in range(20):
-        for i, (p, q) in enumerate(zip(params, ref)):
-            skip = t in (4, 11) and i % 3 == t % 3
-            g = None if skip else rng.normal(size=p.value.shape) * 10.0 ** rng.uniform(-4, 1)
-            p.grad, q.grad = g, None if g is None else g.copy()
+        if t in (4, 11):   # a step with some gradients missing is refused whole
+            before = [p.value.copy() for p in params], opt.m.copy(), opt.v.copy()
+            for i, p in enumerate(params):
+                p.grad = None if i % 3 == t % 3 else np.ones(p.value.shape)
+            with pytest.raises(ad.AutodiffError, match=repr(params[t % 3].name)):
+                opt.step()
+            assert all(np.array_equal(p.value, v) for p, v in zip(params, before[0]))
+            assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
+        for p, q in zip(params, ref):
+            g = rng.normal(size=p.value.shape) * 10.0 ** rng.uniform(-4, 1)
+            p.grad, q.grad = g, g.copy()
         opt.step()
         ref_opt.step()
         assert opt.t == ref_opt.t == t + 1
-        for i, (p, q) in enumerate(zip(params, ref)):
+        assert all(p.grad is None for p in params)
+        for p, q in zip(params, ref):
             assert np.array_equal(p.value, q.value), (t, p.name)
-            assert np.array_equal(opt.m[i], ref_opt.m[i]), (t, p.name)
-            assert np.array_equal(opt.v[i], ref_opt.v[i]), (t, p.name)
+        for flat, moments in ((opt.m, ref_opt.m), (opt.v, ref_opt.v)):
+            assert np.array_equal(flat, np.concatenate([m.ravel() for m in moments])), t
 
 
 def test_clip_grad_norm():
@@ -600,7 +667,7 @@ def test_determinism_bitwise():
         rng = np.random.default_rng(42)
         w = parameter(rng.normal(size=(4, 4)), "w")
         x = Tensor(rng.normal(size=(2, 4)))
-        loss = ad.mean(tanh(matmul(x, w)))
+        loss = mean(tanh(matmul(x, w)))
         backward(loss)
         return loss.value.copy(), w.grad.copy()
 
@@ -659,7 +726,31 @@ def test_checkpoint_truncated_or_malformed_names_the_parameter(tmp_path):
             load_checkpoint(path)
 
 
+def test_checkpoint_refuses_a_repeated_parameter_or_a_non_finite_value(tmp_path):
+    """A parameter listed twice, or one holding nan or inf, is refused by name
+    instead of loading the last block or the non-finite value as it is."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.array([0.5, -0.5]), "b": np.array([1.0])})
+    text = path.read_text()
+    path.write_text(text + "param w 1 2\n0.25 0.75\n")
+    with pytest.raises(ad.AutodiffError, match="'w' is listed twice"):
+        load_checkpoint(path)
+    for bad in ("nan inf", "0.5 -inf", "nan 1"):
+        path.write_text(text.replace("0.5 -0.5", bad))
+        with pytest.raises(ad.AutodiffError, match="'w': non-finite"):
+            load_checkpoint(path)
+
+
+def test_gradcheck_ignores_a_gradient_left_by_an_earlier_backward():
+    """A parameter the checked loss does not reach has gradient 0, whatever
+    an earlier backward left on it."""
+    x, y = parameter(np.array([3.0]), "x"), parameter(np.array([2.0]), "y")
+    backward(ad.tsum(hadamard(x, y)))
+    assert y.grad is not None
+    assert gradcheck(lambda: ad.tsum(hadamard(x, x)), [x, y]) < 1e-8
+
+
 def test_finite_difference_helper_quadratic():
     p = parameter(np.array([2.0, -1.0]), "p")
-    g = finite_difference_grad(lambda: ad.tsum(ad.hadamard(p, p)), p)
+    g = finite_difference_grad(lambda: ad.tsum(hadamard(p, p)), p)
     assert np.allclose(g, 2 * p.value, atol=1e-6)

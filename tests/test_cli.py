@@ -512,7 +512,9 @@ def test_verify_equivariance_refuses_a_check_of_nothing(capsys, flag, name, valu
 def test_verify_gradcheck(capsys):
     code = run_cli("verify", "gradcheck")
     assert code == 0
-    assert "a2c_loss" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    for case in ("a2c_loss", "tied", "segment_loss"):   # the fused nodes and the agent's loss
+        assert f"gradcheck {case}: " in out, case
 
 
 def test_verify_unknown_suite(capsys):

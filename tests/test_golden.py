@@ -14,10 +14,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from equipomdp import autodiff as ad
 from equipomdp.agent import (AgentConfig, RecurrentPolicy, benchmark_agent_config,
                              benchmark_env_config)
 from equipomdp.envs import CarFlag2dConfig, env_group_binding, make_env
 from equipomdp.nn import EquiConv2d
+from reference_ops import composed_tied, hadamard
 
 ENVS = {"1d": benchmark_env_config(), "2d": CarFlag2dConfig(grid_size=7)}
 
@@ -34,13 +36,27 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
-def policy_digests(policy: RecurrentPolicy) -> dict[str, str]:
+def policy_ties(policy: RecurrentPolicy):
+    """Each layer's parameters with their (idx, sign) tyings: (layer,
+    [(weight, tie), (bias, tie)])."""
     layers = [*([] if policy.extractor is None else policy.extractor.layers),
               policy.cell.linear, *policy.actor.layers, *policy.critic.layers]
+    return [(layer, list(zip(layer.parameters(), (
+        layer._k_tie if isinstance(layer, EquiConv2d) else layer._w_tie, layer._b_tie))))
+        for layer in layers]
+
+
+def make_policy(key) -> RecurrentPolicy:
+    env, setup, variant = key
+    cfg = (benchmark_agent_config(variant, 0) if setup == "benchmark"
+           else AgentConfig(variant=variant))
+    return RecurrentPolicy(ENVS[env], cfg, np.random.default_rng(0))
+
+
+def policy_digests(policy: RecurrentPolicy) -> dict[str, str]:
     ties = []
-    for layer in layers:
-        w_tie = layer._k_tie if isinstance(layer, EquiConv2d) else layer._w_tie
-        ties += [*w_tie, *layer._b_tie]
+    for layer, tied in policy_ties(policy):
+        ties += [*tied[0][1], *tied[1][1]]
         ties += [np.array([p.value.size for p in layer.parameters()])]
     state = policy.state_dict()
     return {"tying": digest(*ties),
@@ -94,11 +110,24 @@ GOLDEN_POLICIES = {
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_POLICIES), ids="-".join)
 def test_policy_tying_parameters_and_layers_are_pinned(key):
-    env, setup, variant = key
-    cfg = (benchmark_agent_config(variant, 0) if setup == "benchmark"
-           else AgentConfig(variant=variant))
-    policy = RecurrentPolicy(ENVS[env], cfg, np.random.default_rng(0))
-    assert policy_digests(policy) == GOLDEN_POLICIES[key]
+    assert policy_digests(make_policy(key)) == GOLDEN_POLICIES[key]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_POLICIES), ids="-".join)
+def test_tied_weights_equal_take_times_sign_bitwise(key):
+    """On every weight and bias of the golden policies, ``ad.tied`` gives the
+    value of ``take`` times the sign, and its parameter's gradient under a
+    random cotangent, bit for bit."""
+    rng = np.random.default_rng(37)
+    for layer, tied in policy_ties(make_policy(key)):
+        for theta, (idx, sign) in tied:
+            cot = ad.Tensor(rng.normal(size=idx.shape))
+            got = []
+            for tie in (ad.tied, composed_tied):
+                out = tie(theta, idx, sign)
+                ad.backward(ad.tsum(hadamard(out, cot)))
+                got.append((out.value.tobytes(), theta.grad.tobytes()))
+            assert got[0] == got[1], theta.name
 
 
 GOLDEN_BINDINGS = {

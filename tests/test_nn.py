@@ -27,6 +27,7 @@ from equipomdp.nn import (
 )
 from feature_fields import C2, CYCLIC_BY_ORDER, FeatureField, act_on_field, rep_matrix
 from reference_basis import solve_intertwiner_basis
+from reference_ops import composed_tied, exp, mean
 
 
 def brute_force_rank(mat, tol=1e-9):
@@ -279,9 +280,15 @@ def test_stabiliser_sign_flip_leaves_no_parameter():
     assert count == 0 and np.array_equal(sign, np.zeros((1, 1)))
     layer = EquiLinear(sign_rep(FLIP), trivial_rep(FLIP), np.random.default_rng(5))
     assert layer.weight.value.shape == (0,)
-    assert np.array_equal(layer.forward_t(Tensor(np.array([[3.0]])), layer.realize_t(),
-                                          False).value,
-                          np.zeros((1, 1)))
+    realized = layer.realize_t()
+    out = layer.forward_t(Tensor(np.array([[3.0]])), realized, False)
+    assert np.array_equal(out.value, np.zeros((1, 1)))
+    # the tied weight is the zero of the take-times-sign reference, and the
+    # empty parameter gets an empty gradient
+    reference = composed_tied(layer.weight, *layer._w_tie)
+    assert realized[0].value.tobytes() == reference.value.tobytes()
+    ad.backward(ad.tsum(out))
+    assert layer.weight.grad.shape == (0,) and layer.bias.grad.shape == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +549,7 @@ def test_gradients_flow_through_equi_linear():
     x = Tensor(rng.normal(size=(3, 4)))
 
     def loss():
-        return ad.mean(ad.exp(layer.forward_t(x, layer.realize_t(), False)))
+        return mean(exp(layer.forward_t(x, layer.realize_t(), False)))
 
     assert ad.gradcheck(loss, layer.parameters()) < 1e-4
 
@@ -553,6 +560,6 @@ def test_gradients_flow_through_equi_conv():
     x = Tensor(rng.normal(size=(2, 1, 4, 4)))
 
     def loss():
-        return ad.mean(ad.exp(conv.forward_t(x, conv.realize_t())))
+        return mean(exp(conv.forward_t(x, conv.realize_t())))
 
     assert ad.gradcheck(loss, conv.parameters()) < 1e-4
