@@ -44,6 +44,8 @@ from .envs import (
     EnvError,
     env_group_binding,
     make_env,
+    require_integer,
+    require_integer_fields,
     step_envs,
 )
 from .nn import Conv2dStack, EquiConv2d, equi_lstm_cell, initial_state, mlp_head
@@ -84,6 +86,9 @@ class AgentConfig:
     feed_prev_action: bool = False
 
     def __post_init__(self):
+        require_integer_fields(self, AgentError)
+        for i, width in enumerate(self.conv_fields):
+            require_integer(f"conv_fields[{i}]", width, AgentError)
         if self.variant not in VARIANTS:
             raise AgentError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         if not 0.0 <= self.discount < 1.0:

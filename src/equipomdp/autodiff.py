@@ -10,8 +10,10 @@ the gradients of the parents that require one. Everything runs in float64.
 
 The graph is the network and its loss: each tied weight (``tied``), layer
 (``affine``, ``conv2d``, ``LstmSegment``) and the A2C loss (``a2c_loss``) is
-one node, joined by ``concat`` and ``reshape``; ``tsum`` is the gradient
-checks' scalar reduction. ``Adam`` steps every parameter entry as one vector.
+one node, joined by ``concat`` and ``reshape``; ``transpose`` lays each tied
+convolution kernel out in the order ``conv2d`` multiplies by, once per
+realization, and ``tsum`` is the gradient checks' scalar reduction. ``Adam``
+steps every parameter entry as one vector.
 """
 
 from __future__ import annotations
@@ -147,39 +149,81 @@ def tsum(a: Tensor) -> Tensor:
     return Tensor(a.value.sum(), (a,), bwd)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Patch matrix of input (B,C,H,W): row (u,v,c), column (h,w,b) holds
-    x[b, c, h+u, w+v]; one copy from a read-only window view."""
+def transpose(a: Tensor, axes) -> Tensor:
+    """``a`` with its axes permuted by ``axes``, laid out contiguously in the
+    new order; the gradient is permuted back."""
+    back = tuple(int(i) for i in np.argsort(axes))
+    val = np.ascontiguousarray(a.value.transpose(axes))
+
+    def bwd(g):
+        return (g.transpose(back),)
+
+    return Tensor(val, (a,), bwd)
+
+
+def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Read-only window view of input (B,C,H,W): entry (u,v,c,h,w,b) is
+    x[b, c, h+u, w+v]. Its (kh*kw*C, H'*W'*B) reshape, one copy, is the patch
+    matrix: row (u,v,c), column (h,w,b)."""
     b, c, hi, wi = x.shape
     sb, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x, (kh, kw, c, hi - kh + 1, wi - kw + 1, b), (sh, sw, sc, sh, sw, sb), writeable=False)
-    return windows.reshape(kh * kw * c, -1)
+
+
+# col2im scatter indices by backward shape (B, C, H, W, kh, kw), at most
+# COL2IM_CACHE_ENTRIES of them: the oldest goes first
+COL2IM_CACHE_ENTRIES = 8
+_col2im_cache = {}
+
+
+def _col2im_index(shape: tuple) -> np.ndarray:
+    """For patch entry (u,v,c,h,w,b) in row-major order, the flat position of
+    input entry x[b, c, h+u, w+v] in a (C,H,W,B) array: ``np.bincount`` over
+    it adds each input position's patch entries in (u,v) order."""
+    idx = _col2im_cache.get(shape)
+    if idx is None:
+        nb, n_in, hi, wi, kh, kw = shape
+        ho, wo = hi - kh + 1, wi - kw + 1
+        pos = np.arange(n_in * hi * wi * nb).reshape(n_in, hi, wi, nb)
+        idx = np.stack([pos[:, u : u + ho, v : v + wo]
+                        for u in range(kh) for v in range(kw)]).ravel()
+        idx.flags.writeable = False
+        if len(_col2im_cache) >= COL2IM_CACHE_ENTRIES:
+            del _col2im_cache[next(iter(_col2im_cache))]
+        _col2im_cache[shape] = idx
+    return idx
 
 
 def conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
-    """Unpadded cross-correlation of (B,C,H,W) with kernels (F,C,kh,kw), plus
-    bias (F), through relu -> (B,F,H-kh+1,W-kw+1), as one node.
+    """Unpadded cross-correlation of (B,C,H,W) with a kernel in product order
+    (kh,kw,C,F), plus bias (F), through relu -> (B,F,H-kh+1,W-kw+1), as one
+    node.
 
     Lowered to one matmul each way over the (kh*kw*C, H'*W'*B) patch matrix
-    (im2col); the input gradient folds the patch gradient back with one
-    slice-add per kernel offset (col2im). The batch axis is innermost in both,
-    so each slice-add runs over contiguous runs of W'*B entries. The forward
-    product takes (H'*W'*B, kh*kw*C) patch rows to (H'*W'*B, F) rows, and the
-    output is laid out as those rows, a (B,F,H',W') view of them."""
+    (im2col), copied from one window view of the input, with the batch axis
+    innermost. The kernel's (kh*kw*C, F) matrix is a reshape of it, and its
+    gradient comes out in the same order. The forward product takes
+    (H'*W'*B, kh*kw*C) patch rows to (H'*W'*B, F) rows; the bias and relu are
+    applied to those rows in place, and the output is a (B,F,H',W') view of
+    them. The input gradient folds the patch gradient back (col2im) with one
+    ``np.bincount`` over a scatter index cached per shape, which adds each
+    input position's terms in kernel-offset order."""
     xv, kv, bv = x.value, k.value, b.value
-    if (xv.ndim != 4 or kv.ndim != 4 or xv.shape[1] != kv.shape[1]
-            or bv.shape != kv.shape[:1]):
+    if (xv.ndim != 4 or kv.ndim != 4 or xv.shape[1] != kv.shape[2]
+            or bv.shape != kv.shape[3:]):
         raise ShapeError(f"conv2d: input {xv.shape}, kernel {kv.shape}, bias {bv.shape}")
-    n_out, n_in, kh, kw = kv.shape
+    kh, kw, n_in, n_out = kv.shape
     if xv.shape[2] < kh or xv.shape[3] < kw:
         raise ShapeError(f"conv2d: input {xv.shape} smaller than kernel {kv.shape}")
     nb, _, hi, wi = xv.shape
     ho, wo = hi - kh + 1, wi - kw + 1
-    kmat_t = np.ascontiguousarray(kv.transpose(2, 3, 1, 0).reshape(-1, n_out))
-    val = (_im2col(xv, kh, kw).T @ kmat_t).reshape(ho, wo, nb, n_out).transpose(2, 3, 0, 1)
-    val = val + bv.reshape(n_out, 1, 1)
-    np.maximum(val, 0.0, out=val)
+    kmat = kv.reshape(-1, n_out)
+    windows = _windows(xv, kh, kw)
+    rows = windows.reshape(kh * kw * n_in, -1).T @ kmat
+    rows += bv
+    np.maximum(rows, 0.0, out=rows)
+    val = rows.reshape(ho, wo, nb, n_out).transpose(2, 3, 0, 1)
 
     def bwd(g):
         g = g * (val > 0)   # the output is positive exactly where the pre-activation is
@@ -187,16 +231,15 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
         gk = gx = None
         g2 = g.transpose(2, 3, 0, 1).reshape(-1, n_out)
         if k.requires_grad:
-            # rebuilt, not kept from the forward pass: holding every layer's patch
-            # matrix until backward raises the update's peak memory
-            gk = (_im2col(xv, kh, kw) @ g2).reshape(kh, kw, n_in, n_out).transpose(3, 2, 0, 1)
+            # the patch matrix is copied again from the window view, not kept
+            # from the forward pass: holding every layer's patch matrix until
+            # backward raises the update's peak memory
+            gk = (windows.reshape(kh * kw * n_in, -1) @ g2).reshape(kv.shape)
         if x.requires_grad:
-            gcols = (kmat_t @ g2.T).reshape(kh, kw, n_in, ho, wo, nb)
-            gx = np.zeros((n_in, hi, wi, nb))
-            for u in range(kh):
-                for v in range(kw):
-                    gx[:, u : u + ho, v : v + wo] += gcols[u, v]
-            gx = gx.transpose(3, 0, 1, 2)
+            gcols = kmat @ g2.T
+            gx = np.bincount(_col2im_index((nb, n_in, hi, wi, kh, kw)), weights=gcols.ravel(),
+                             minlength=n_in * hi * wi * nb)
+            gx = gx.reshape(n_in, hi, wi, nb).transpose(3, 0, 1, 2)
         return gx, gk, gb
 
     return Tensor(val, (x, k, b), bwd)
@@ -577,7 +620,7 @@ def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
     gradient; returns each case's error."""
     rng = np.random.default_rng(seed)
     m, v4 = rng.normal(size=(3, 4)), rng.normal(size=4)
-    img, ker = rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(4, 3, 3, 3))
+    img, ker = rng.normal(size=(2, 3, 5, 5)), rng.normal(size=(3, 3, 3, 4))
     mix = rng.normal(size=(8, 1))
     idx, sign = rng.integers(0, 5, size=(4, 3)), rng.choice([-1.0, 0.0, 1.0], size=(4, 3))
     logits, values, returns, advantages = (rng.normal(size=s) for s in ((6, 3), 6, 6, 6))
@@ -597,9 +640,10 @@ def primitive_gradcheck_battery(seed: int = 0) -> dict[str, float]:
         "affine_bias": (lambda p: tsum(affine(Tensor(m.T), Tensor(m), p, True)), (4,)),
         "concat": (lambda p: weighed(concat([p, p], axis=-1)), (3, 4)),
         "reshape": (lambda p: weighed(reshape(p, (2, 6))), (3, 4)),
+        "transpose": (lambda p: weighed(reshape(transpose(p, (2, 0, 1)), (6, 4))), (2, 3, 4)),
         "tsum": (tsum, (3, 4)),
         "conv2d": (lambda p: tsum(conv2d(p, Tensor(ker), Tensor(off))), (2, 3, 5, 5)),
-        "conv2d_kernel": (lambda p: tsum(conv2d(Tensor(img), p, Tensor(off))), (4, 3, 3, 3)),
+        "conv2d_kernel": (lambda p: tsum(conv2d(Tensor(img), p, Tensor(off))), (3, 3, 3, 4)),
         "conv2d_bias": (lambda p: tsum(conv2d(Tensor(img), Tensor(ker), p)), (4,)),
         "a2c_loss": (lambda p: a2c_loss(p, Tensor(values), *loss_args)[0], (6, 3)),
         "a2c_loss_values": (lambda p: a2c_loss(Tensor(logits), p, *loss_args)[0], (6,)),

@@ -14,8 +14,7 @@ import io
 import os
 import sys
 import time
-import typing
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import agent as agent_mod
 from . import autodiff as ad
 from .agent import AgentConfig, OracleQPolicy, RecurrentPolicy, run_equivariance_suite
 from .envs import (CarFlag1dConfig, CarFlag2dConfig, env_group_binding, episode_trace,
-                   export_pomdp, make_env)
+                   export_pomdp, field_types, make_env)
 from .groups import C4, MIRROR
 from .pomdp import (
     NODE_BUDGET,
@@ -70,8 +69,7 @@ HELP = {"offset": "information-region offset; nonzero breaks the symmetry",
 
 def _keys(config_class) -> dict:
     """Each field of a config dataclass as its config key and its annotated type."""
-    hints = typing.get_type_hints(config_class)
-    return {KEYS.get(f.name, f.name): hints[f.name] for f in fields(config_class)}
+    return {KEYS.get(name, name): want for name, want in field_types(config_class)}
 
 
 ENV_SCHEMA = {"kind": str, **{key: want for domain in DOMAINS.values()

@@ -18,7 +18,9 @@ action's, and one representation acts on the flattened observation.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
+import typing
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,6 +58,28 @@ def _action_index(action, n_actions: int, rule: str) -> int:
 # Configs.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def field_types(config_class) -> tuple[tuple[str, type], ...]:
+    """Each field of a config dataclass and its annotated type, in field order."""
+    hints = typing.get_type_hints(config_class)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(config_class))
+
+
+def require_integer(name: str, value, error: type[Exception]) -> None:
+    """Raise ``error`` naming the setting ``name`` unless ``value`` is an
+    integer: a bool, a float (2.0 included) or a string is refused, a numpy
+    integer accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def require_integer_fields(config, error: type[Exception]) -> None:
+    """``require_integer`` on every ``int``-annotated field of a config."""
+    for name, want in field_types(type(config)):
+        if want is int:
+            require_integer(name, getattr(config, name), error)
+
+
 # The domains' fixed rewards: CarFlag-1D pays STEP_REWARD per step that ends
 # off the flags and GOAL_REWARD or RED_REWARD at the green or red flag;
 # CarFlag-2D pays GOAL_REWARD on reaching the goal and nothing otherwise.
@@ -73,6 +97,7 @@ class CarFlag1dConfig:
     max_steps: int = 50
 
     def __post_init__(self):
+        require_integer_fields(self, EnvError)
         if self.half_size < 2:
             raise PlacementError("half_size must be at least 2")
         if abs(self.info_offset) >= self.half_size:
@@ -89,6 +114,7 @@ class CarFlag2dConfig:
     max_steps: int = 50
 
     def __post_init__(self):
+        require_integer_fields(self, EnvError)
         n = self.grid_size
         if n < 3 or n % 2 == 0:
             raise PlacementError("grid_size must be odd and at least 3")
@@ -466,14 +492,17 @@ def export_pomdp(config, discount: float = 0.99):
 # ---------------------------------------------------------------------------
 
 def episode_trace(env, actions) -> list[str]:
-    """Text trace of one episode driven by a fixed action sequence."""
-    obs = env.reset()
-    lines = [f"reset obs={np.array2string(obs.ravel(), precision=3)}"]
+    """Text trace of one episode driven by a fixed action sequence, one line
+    per step: an observation never wraps, however many values it has."""
+
+    def text(obs):
+        return np.array2string(obs.ravel(), precision=3, max_line_width=np.inf)
+
+    lines = [f"reset obs={text(env.reset())}"]
     for t, a in enumerate(actions):
         obs, reward, term, trunc = env.step(a)
         lines.append(
-            f"t={t} a={a} r={reward:.4g} term={term} trunc={trunc} "
-            f"obs={np.array2string(obs.ravel(), precision=3)}")
+            f"t={t} a={a} r={reward:.4g} term={term} trunc={trunc} obs={text(obs)}")
         if term or trunc:
             break
     return lines

@@ -17,11 +17,12 @@ free parameter. Unconstrained networks are these same layers over
 
 Every layer has one forward path. ``realize_t`` builds the layer's dense
 weights from its parameters as graph tensors, one ``autodiff.tied`` node
-each, and ``forward_t`` applies them on ``autodiff`` tensors as one graph
-node: ``autodiff.affine`` for a linear layer (with the relu between head
-layers), ``autodiff.conv2d`` with its bias and relu for a convolution. Every
-caller realizes once and passes the result in, so one realization serves all
-the steps run under fixed parameters.
+each (a convolution kernel then passes one ``autodiff.transpose`` into the
+order its product reads), and ``forward_t`` applies them on ``autodiff``
+tensors as one graph node: ``autodiff.affine`` for a linear layer (with the
+relu between head layers), ``autodiff.conv2d`` with its bias and relu for a
+convolution. Every caller realizes once and passes the result in, so one
+realization serves all the steps run under fixed parameters.
 Callers that only need values (evaluation, equivariance checks) read
 ``.value`` off the output and drop the graph; rollout collection keeps it for
 the update. The recurrent cell steps on arrays instead, and a collected
@@ -174,7 +175,12 @@ class EquiConv2d:
         return [self.kernel, self.bias]
 
     def realize_t(self):
-        return ad.tied(self.kernel, *self._k_tie), ad.tied(self.bias, *self._b_tie)
+        """Kernel and bias as graph tensors. The kernel is tied in (F, C, kh, kw)
+        order and transposed once to the (kh, kw, C, F) order ``conv2d``
+        multiplies by, so that no call re-lays it out and each call's kernel
+        gradient adds up contiguously until one transpose takes the sum back."""
+        kernel = ad.transpose(ad.tied(self.kernel, *self._k_tie), (2, 3, 1, 0))
+        return kernel, ad.tied(self.bias, *self._b_tie)
 
     def forward_t(self, x: Tensor, realized) -> Tensor:
         h, w = x.value.shape[-2:]

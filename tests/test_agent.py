@@ -325,7 +325,10 @@ def test_zero_advantage_zero_value_error_leaves_only_entropy_gradient():
         assert np.max(np.abs(p.grad)) < 1e-12, p.name
 
 
-@pytest.mark.parametrize("env_cfg", [CFG_1D, CFG_2D], ids=["carflag1d", "carflag2d"])
+# on 5x5 the second conv layer reads the first one's output: the check then
+# differentiates a conv input, which the 3x3 agent's one layer never does
+@pytest.mark.parametrize("env_cfg", [CFG_1D, CFG_2D, CarFlag2dConfig(grid_size=5)],
+                         ids=["carflag1d", "carflag2d", "carflag2d-5x5"])
 @pytest.mark.parametrize("variant", ["equi", "plain"])
 def test_a2c_loss_matches_finite_differences(env_cfg, variant):
     # every loss evaluation collects the segment again, through the graph
@@ -352,8 +355,10 @@ def primitive(node) -> str:
     return node.bwd.__qualname__.split(".<locals>")[0]
 
 
-# the program's primitives: its layers, the tied weight and the loss
-PRIMITIVES = {"tied", "affine", "conv2d", "LstmSegment.node", "concat", "reshape", "a2c_loss"}
+# the program's primitives: its layers, the tied weight, the kernel's transpose
+# and the loss
+PRIMITIVES = {"tied", "transpose", "affine", "conv2d", "LstmSegment.node", "concat", "reshape",
+              "a2c_loss"}
 # a battery case named otherwise than its primitive
 CASE_PRIMITIVES = {"lstm_segment": "LstmSegment.node"}
 
@@ -847,6 +852,44 @@ def test_train_2d_is_bit_deterministic(tmp_path):
     train(env_cfg, cfg, tmp_path / "b")
     assert (tmp_path / "a" / "curve.csv").read_bytes() == (tmp_path / "b" / "curve.csv").read_bytes()
     assert (tmp_path / "a" / "final.ckpt").read_bytes() == (tmp_path / "b" / "final.ckpt").read_bytes()
+
+
+def test_realizing_again_after_an_in_place_parameter_change_reads_the_new_values():
+    """Re-realized after its parameters are overwritten in place, a 2D policy
+    gives the output of a fresh policy built with those values, bit for bit:
+    no realized weight outlives the parameter values it was built from."""
+    env_cfg = CarFlag2dConfig(grid_size=7)
+    policy, fresh = (make_policy(env_cfg, seed=s, conv_fields=(2, 3)) for s in (21, 22))
+    obs = make_env(env_cfg, np.random.default_rng(23)).reset()[None]
+    h, c = policy.initial_state(1)
+
+    def outputs(pol):
+        realized = pol.realize()
+        h2 = ad.constant(pol.step_values(obs, h, c, realized)[0])
+        return pol.logits_t(h2, realized).value, pol.values_t(h2, realized).value
+
+    before = outputs(policy)
+    for p, q in zip(policy.parameters(), fresh.parameters()):
+        p.value[...] = q.value
+    after, want = outputs(policy), outputs(fresh)
+    assert not np.array_equal(before[0], want[0])
+    assert all(np.array_equal(a, w) for a, w in zip(after, want))
+
+
+def test_col2im_index_cache_holds_only_the_training_backward_shapes(tmp_path, monkeypatch):
+    """After a 2D run whose evaluation plays fewer episodes than training
+    steps envs, the scatter-index cache holds one entry per conv layer whose
+    input takes a gradient, at the training batch: evaluation, which shrinks
+    its batch as episodes end, adds none."""
+    monkeypatch.setattr(ad, "_col2im_cache", {})
+    cfg = small_agent_config(conv_fields=(2, 3), total_steps=200, eval_interval=100,
+                             eval_episodes=3)
+    env_cfg = CarFlag2dConfig(grid_size=7)
+    train(env_cfg, cfg, tmp_path / "run")
+    layers = make_policy(env_cfg, conv_fields=(2, 3)).extractor.layers
+    sides = range(env_cfg.grid_size - 2, 0, -2)   # each layer's input side after the first
+    assert set(ad._col2im_cache) == {(cfg.n_envs, layer.in_channels, side, side, 3, 3)
+                                     for layer, side in zip(layers[1:], sides)}
 
 
 def test_steps_to_threshold():

@@ -88,16 +88,6 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     return Tensor(val, (a,), bwd)
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-
-    def bwd(g):
-        return (g.transpose(inv),)
-
-    return Tensor(a.value.transpose(axes), (a,), bwd)
-
-
 def test_hadamard_values():
     out = hadamard(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
     assert np.array_equal(out.value, [3.0, 8.0])
@@ -213,7 +203,7 @@ def _primitive_cases():
     v4 = rng.normal(size=4)
     v3 = rng.normal(size=3)
     img = rng.normal(size=(2, 3, 5, 5))
-    ker = rng.normal(size=(4, 3, 3, 3))
+    ker = rng.normal(size=(3, 3, 3, 4))   # (kh, kw, C, F): the order conv2d multiplies by
     # biases of +-100 hold the conv's relu inputs over 30 standard deviations
     # from the kink: each channel is all on or all off
     signs = Tensor(np.array([100.0, -100.0, 100.0, -100.0]))
@@ -238,12 +228,12 @@ def _primitive_cases():
         "slice_last": (lambda p: ad.tsum(slice_last(p, 1, 3)), (3, 4)),
         "reshape": (lambda p: ad.tsum(hadamard(ad.reshape(p, (2, 6)), Tensor(np.ones((2, 6))))),
                     (3, 4)),
-        "transpose": (lambda p: ad.tsum(matmul(transpose(p, (1, 0)), Tensor(v3[:, None]))),
+        "transpose": (lambda p: ad.tsum(matmul(ad.transpose(p, (1, 0)), Tensor(v3[:, None]))),
                       (3, 4)),
         "sum_axis": (lambda p: ad.tsum(tanh(sum_axis(p, -1))), (3, 4)),
         "mean": (lambda p: mean(tanh(p)), (3, 4)),
         "conv2d_valid": (lambda p: ad.tsum(ad.conv2d(p, Tensor(ker), signs)), (2, 3, 5, 5)),
-        "conv2d_kernel": (lambda p: ad.tsum(ad.conv2d(Tensor(img), p, signs)), (4, 3, 3, 3)),
+        "conv2d_kernel": (lambda p: ad.tsum(ad.conv2d(Tensor(img), p, signs)), (3, 3, 3, 4)),
     }
     return cases
 
@@ -430,6 +420,15 @@ def einsum_conv2d(x, k, b, g):
     return out, gk, gx, g.sum(axis=(0, 2, 3))
 
 
+# conv2d takes its kernel in (kh, kw, C, F) order; the tests, like EquiConv2d,
+# hold it in (F, C, kh, kw) order and transpose it on the way in
+PRODUCT_ORDER = (2, 3, 1, 0)
+
+
+def fused_conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
+    return ad.conv2d(x, ad.transpose(k, PRODUCT_ORDER), b)
+
+
 # the three layers of the 7x7 agent's trunk, on one step's 16 rows and on one
 # T=5 segment's 80 rows
 _SEVEN_BY_SEVEN = [((2, 7, 7), (16, 2, 3, 3)), ((16, 5, 5), (32, 16, 3, 3)),
@@ -445,7 +444,7 @@ def test_conv2d_matches_einsum_reference(x_shape, k_shape):
     rng = np.random.default_rng(23)
     x, k = parameter(rng.normal(size=x_shape), "x"), parameter(rng.normal(size=k_shape), "k")
     b = parameter(rng.normal(size=k_shape[0]), "b")
-    out = ad.conv2d(x, k, b)
+    out = fused_conv2d(x, k, b)
     g = rng.normal(size=out.value.shape)
     backward(ad.tsum(hadamard(out, Tensor(g))))
     ref, ref_gk, ref_gx, ref_gb = einsum_conv2d(x.value, k.value, b.value, g)
@@ -466,11 +465,15 @@ def unfused_conv2d(x: Tensor, k: Tensor) -> Tensor:
     nb, _, hi, wi = xv.shape
     ho, wo = hi - kh + 1, wi - kw + 1
     kmat_t = np.ascontiguousarray(kv.transpose(2, 3, 1, 0).reshape(-1, n_out))
-    val = (ad._im2col(xv, kh, kw).T @ kmat_t).reshape(ho, wo, nb, n_out).transpose(2, 3, 0, 1)
+
+    def im2col():
+        return ad._windows(xv, kh, kw).reshape(kh * kw * n_in, -1)
+
+    val = (im2col().T @ kmat_t).reshape(ho, wo, nb, n_out).transpose(2, 3, 0, 1)
 
     def bwd(g):
         g2 = g.transpose(2, 3, 0, 1).reshape(-1, n_out)
-        gk = (ad._im2col(xv, kh, kw) @ g2).reshape(kh, kw, n_in, n_out).transpose(3, 2, 0, 1)
+        gk = (im2col() @ g2).reshape(kh, kw, n_in, n_out).transpose(3, 2, 0, 1)
         gcols = (kmat_t @ g2.T).reshape(kh, kw, n_in, ho, wo, nb)
         gx = np.zeros((n_in, hi, wi, nb))
         for u in range(kh):
@@ -479,6 +482,11 @@ def unfused_conv2d(x: Tensor, k: Tensor) -> Tensor:
         return gx.transpose(3, 0, 1, 2), gk
 
     return Tensor(val, (x, k), bwd)
+
+
+def unfused_conv_layer(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
+    """``unfused_conv2d``, ``add`` of the reshaped bias, then ``relu``."""
+    return relu(add(unfused_conv2d(x, k), ad.reshape(b, (k.value.shape[0], 1, 1))))
 
 
 def assert_fused_matches_unfused(fused, unfused, values, seed):
@@ -529,12 +537,51 @@ def test_conv2d_matches_unfused_layer_bitwise(x_shape, k_shape):
     composed, bit for bit."""
     rng = np.random.default_rng(33)
     values = (rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=k_shape[0]))
-
-    def unfused(x, k, b):
-        return relu(add(unfused_conv2d(x, k), ad.reshape(b, (k_shape[0], 1, 1))))
-
-    out = assert_fused_matches_unfused(ad.conv2d, unfused, values, seed=34)
+    out = assert_fused_matches_unfused(fused_conv2d, unfused_conv_layer, values, seed=34)
     assert 0 < np.count_nonzero(out) < out.size
+
+
+# (input channels, side, [output channels per layer]): the 7x7 agent's trunk,
+# and an off-benchmark stack of odd widths
+_TRUNKS = {"7x7-trunk": (2, 7, [16, 32, 32]), "6x6-C3-F5": (3, 6, [5, 5])}
+
+
+@pytest.mark.parametrize("trunk,rows", [
+    *(("7x7-trunk", rows) for rows in (1, 16, 40, 80)), ("6x6-C3-F5", 7),
+], ids=[*(f"7x7-trunk-{rows}rows" for rows in (1, 16, 40, 80)), "6x6-C3-F5-7rows"])
+def test_conv2d_stack_matches_unfused_chain_bitwise(trunk, rows):
+    """A stack of ``ad.conv2d`` layers, each reading the previous layer's output
+    view, gives the value and the gradients of the input and of every kernel
+    and bias of the unfused chain (the slice-add col2im), bit for bit."""
+    n_in, side, widths = _TRUNKS[trunk]
+    rng = np.random.default_rng(37)
+    values = [rng.normal(size=(rows, n_in, side, side))]
+    for c, f in zip([n_in, *widths], widths):
+        values += [rng.normal(size=(f, c, 3, 3)) / np.sqrt(9 * c), 0.1 * rng.normal(size=f)]
+    results = []
+    for layer in (fused_conv2d, unfused_conv_layer):
+        ops = [parameter(v, f"p{i}") for i, v in enumerate(values)]
+        out = ops[0]
+        for k, b in zip(ops[1::2], ops[2::2]):
+            out = layer(out, k, b)
+        cot = Tensor(np.random.default_rng(38).normal(size=out.value.shape))
+        backward(ad.tsum(hadamard(out, cot)))
+        results.append([out.value, *(p.grad for p in ops)])
+    assert 0 < np.count_nonzero(results[0][0]) < results[0][0].size
+    for i, (got, ref) in enumerate(zip(*results)):
+        assert got.shape == ref.shape and np.array_equal(got, ref), i
+
+
+def test_col2im_index_cache_keeps_the_latest_shapes_up_to_its_bound(monkeypatch):
+    """Each backward shape gets one scatter index, reused while it is held;
+    past ``COL2IM_CACHE_ENTRIES`` shapes the oldest goes first."""
+    monkeypatch.setattr(ad, "_col2im_cache", {})
+    shapes = [(rows, 2, 5, 5) for rows in range(1, ad.COL2IM_CACHE_ENTRIES + 3)]
+    k, b = Tensor(np.ones((3, 3, 2, 2))), Tensor(np.zeros(2))
+    for shape in [*shapes, shapes[-1]]:
+        backward(ad.tsum(ad.conv2d(parameter(np.ones(shape), "x"), k, b)))
+    held = [(rows, c, h, w, 3, 3) for rows, c, h, w in shapes[-ad.COL2IM_CACHE_ENTRIES:]]
+    assert list(ad._col2im_cache) == held
 
 
 def test_shape_errors():
@@ -549,8 +596,9 @@ def test_shape_errors():
         with pytest.raises(ad.ShapeError):
             ad.a2c_loss(Tensor(np.ones(logits)), Tensor(np.ones(values)), ints[: rest[0]],
                         np.ones(rest), np.ones(4), 0.5, 0.01)
-    for x, k, b in (((1, 2, 4, 4), (3, 5, 3, 3), (3,)), ((1, 2, 4, 4), (3, 2, 3, 3), (2,)),
-                    ((1, 2, 2, 4), (3, 2, 3, 3), (3,))):
+    # conv2d takes a (B, C, H, W) input and a (kh, kw, C, F) kernel
+    for x, k, b in (((1, 2, 4, 4), (3, 3, 5, 3), (3,)), ((1, 2, 4, 4), (3, 3, 2, 3), (2,)),
+                    ((1, 2, 2, 4), (3, 3, 2, 3), (3,))):
         with pytest.raises(ad.ShapeError):
             ad.conv2d(Tensor(np.ones(x)), Tensor(np.ones(k)), Tensor(np.ones(b)))
     with pytest.raises(ad.ShapeError):  # weight rows must match [x | h]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from equipomdp import cli
-from equipomdp.agent import AgentConfig
+from equipomdp.agent import AgentConfig, AgentError
 from equipomdp.cli import (
     UsageError,
     build_configs,
@@ -16,7 +16,7 @@ from equipomdp.cli import (
     read_manifest,
     write_manifest,
 )
-from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, export_pomdp
+from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, EnvError, export_pomdp, field_types
 from equipomdp.pomdp import (
     PomdpError,
     exact_q,
@@ -281,12 +281,39 @@ def test_bad_float_setting_exits_2_naming_the_field(capsys, flag, value, field):
     assert field in capsys.readouterr().err
 
 
+# each config and the error its checks raise
+CONFIG_ERRORS = {AgentConfig: AgentError, CarFlag1dConfig: EnvError, CarFlag2dConfig: EnvError}
+# every int-annotated field of the three, and the integer entries of conv_fields
+INTEGER_SETTINGS = [(config, name) for config in CONFIG_ERRORS
+                    for name, want in field_types(config) if want is int]
+INTEGER_SETTINGS.append((AgentConfig, "conv_fields"))
+
+
+@pytest.mark.parametrize("config,name", INTEGER_SETTINGS,
+                         ids=[f"{c.__name__}.{n}" for c, n in INTEGER_SETTINGS])
+def test_integer_setting_refuses_a_non_integer_by_name(config, name):
+    """Built from Python, an integer setting refuses a bool, a float (an
+    integral one too) and a string, naming the field; a numpy integer is
+    accepted."""
+    default = getattr(config(), name)
+    entry = isinstance(default, tuple)   # conv_fields: check its first entry
+    first = default[0] if entry else default
+
+    def with_value(v):
+        return {name: (v, *default[1:]) if entry else v}
+
+    for bad in (True, float(first), first + 0.5, str(first)):
+        with pytest.raises(CONFIG_ERRORS[config], match=re.escape(name)):
+            config(**with_value(bad))
+    assert getattr(config(**with_value(np.int64(first))), name) == default
+
+
 # ---------------------------------------------------------------------------
 # train / eval / plotdata.
 # ---------------------------------------------------------------------------
 
-def train_args(tmp_path, seed, extra=()):
-    return ["train", "--env", "carflag1d", "--half-size", "5", "--agent", "equi",
+def train_args(tmp_path, seed, extra=(), env=("carflag1d", "--half-size", "5")):
+    return ["train", "--env", *env, "--agent", "equi",
             "--steps", "400", "--eval-interval", "200", "--eval-episodes", "2",
             "--lstm-fields", "2", "--head-fields", "2",
             "--seed", str(seed), "--out", str(tmp_path / f"run{seed}"), *extra]
@@ -330,19 +357,24 @@ def test_eval_from_manifest(tmp_path, capsys):
 
 
 def test_eval_dump_trace_is_one_whole_reproducible_episode(tmp_path, capsys):
-    run_cli(*train_args(tmp_path, 4))
-    traces = []
-    for name in ("a.txt", "b.txt"):
-        assert run_cli("eval", "--run", str(tmp_path / "run4"), "--episodes", "2",
-                       "--seed", "6", "--dump-trace", str(tmp_path / name)) == 0
-        assert f"trace written to {tmp_path / name}" in capsys.readouterr().out
-        traces.append((tmp_path / name).read_bytes())
-    assert traces[0] == traces[1]
-    lines = traces[0].decode().splitlines()
-    assert lines[0].startswith("reset obs=")
-    assert all(line.startswith(f"t={t} ") for t, line in enumerate(lines[1:]))
-    assert "term=True" in lines[-1] or "trunc=True" in lines[-1]
-    assert not any("term=True" in line or "trunc=True" in line for line in lines[1:-1])
+    """One line per step, on 1D and on a 5x5 run alike: a 5x5 observation
+    holds 50 values, more than fit on a default numpy line."""
+    for domain, extra, env in (("1d", (), ("carflag1d", "--half-size", "5")),
+                               ("2d", ("--conv-fields", "2"), ("carflag2d", "--grid-size", "5"))):
+        root = tmp_path / domain
+        assert run_cli(*train_args(root, 4, extra, env)) == 0, domain
+        traces = []
+        for name in ("a.txt", "b.txt"):
+            assert run_cli("eval", "--run", str(root / "run4"), "--episodes", "2",
+                           "--seed", "6", "--dump-trace", str(root / name)) == 0
+            assert f"trace written to {root / name}" in capsys.readouterr().out
+            traces.append((root / name).read_bytes())
+        assert traces[0] == traces[1], domain
+        lines = traces[0].decode().splitlines()
+        assert lines[0].startswith("reset obs="), domain
+        assert all(line.startswith(f"t={t} ") for t, line in enumerate(lines[1:])), domain
+        assert "term=True" in lines[-1] or "trunc=True" in lines[-1]
+        assert not any("term=True" in line or "trunc=True" in line for line in lines[1:-1])
 
 
 def test_plotdata_single_and_multiple(tmp_path, capsys):
