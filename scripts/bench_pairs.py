@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs between two checkouts, summarised for a claim.
 
-Runs ``perfbench/run.py`` end to end (``--trace 0``) in a parent checkout and
-in a change checkout, one after the other, PAIRS times; even pairs run the
-parent first, odd pairs the change. For each end-to-end metric it reports
-both sides' runs, medians and quartiles, how many pairs the change won and
-the parent's interquartile range, and whether the runs show a gain: the
-change wins at least nine tenths of the pairs (ties count for neither side)
-and the medians differ, in the metric's better direction, by more than the
-parent's interquartile range. It also reports each run's failed checks and
-whether all runs, on both sides, print one fingerprint for each chunk.
+Runs the benchmark command of BENCHMARK.json end to end (``--trace 0``, for
+its ``run_seconds``) in a parent checkout and in a change checkout, one after
+the other, PAIRS times; even pairs run the parent first, odd pairs the
+change. For each end-to-end metric it reports both sides' runs, medians and
+quartiles, how many pairs the change won and the parent's interquartile
+range, and whether the runs show a gain: at least ten pairs, no more failed
+checks in the change's runs than in the parent's, the change wins at least
+nine tenths of the pairs (ties count for neither side) and the medians
+differ, in the metric's better direction, by more than the parent's
+interquartile range. It also reports each run's failed checks and whether
+all runs, on both sides, print one fingerprint for each chunk.
 
 Usage (each checkout a separate copy of the repository):
     python3 scripts/bench_pairs.py PARENT CHANGE --workload train-2d --seed 0 \
-        --pairs 10 --seconds 30 [--out pairs.json]
+        --pairs 10 [--out pairs.json]
 
 The JSON summary goes to ``--out`` (or standard output); one line per run and
 a verdict per metric go to standard error as the runs finish.
@@ -29,12 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9   # the share of pairs the change must win to show a gain
+MIN_PAIRS = 10    # the fewest pairs that can show a gain
 
 
-def summarize(parent, change, better: str) -> dict:
+def summarize(parent, change, better: str, parent_failed=(), change_failed=()) -> dict:
     """The pairs' figures for one metric: ``parent[i]`` and ``change[i]`` are
-    pair i's runs, ``better`` is ``"higher"`` or ``"lower"``. Quartiles are
+    pair i's runs, ``better`` is ``"higher"`` or ``"lower"``, and the failed
+    lists hold each side's per-run counts of failed checks. Quartiles are
     numpy's linear percentiles 25 and 75."""
     if better not in ("higher", "lower"):
         raise ValueError(f"better must be 'higher' or 'lower', got {better!r}")
@@ -54,7 +59,8 @@ def summarize(parent, change, better: str) -> dict:
         "relative_change": (c_med - p_med) / p_med if p_med else None,
         "change_better_pairs": wins,
         "parent_iqr": iqr,
-        "gain_shown": wins >= WIN_SHARE * len(p) and sign * (c_med - p_med) > iqr,
+        "gain_shown": (len(p) >= MIN_PAIRS and sum(change_failed) <= sum(parent_failed)
+                       and wins >= WIN_SHARE * len(p) and sign * (c_med - p_med) > iqr),
     }
 
 
@@ -81,13 +87,12 @@ def fingerprints_agree(lines) -> bool:
     return True
 
 
-def run_once(checkout: Path, args) -> dict:
+def run_once(checkout: Path, spec: dict, args) -> dict:
     """One end-to-end run in ``checkout``: its metrics, failed checks and
     FINGERPRINT line."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
-           str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=args.seconds * 10 + 600)
+    cmd = [*spec["command"], "--workload", args.workload, "--seed", str(args.seed),
+           "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
     lines = proc.stdout.strip().splitlines()
     try:
         report = json.loads(lines[-1])
@@ -100,21 +105,20 @@ def run_once(checkout: Path, args) -> dict:
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True, choices=("train-1d", "train-2d", "oracle"))
+    ap.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=30)
+    ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.seconds < 1:
-        ap.error("--pairs and --seconds must be positive")
+    if args.pairs < 1:
+        ap.error("--pairs must be positive")
     for checkout in (args.parent, args.change):
-        if not (checkout / "perfbench" / "run.py").is_file():
-            ap.error(f"{checkout} holds no perfbench/run.py")
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+        if not (checkout / "BENCHMARK.json").is_file():
+            ap.error(f"{checkout} holds no BENCHMARK.json")
     better = {e["name"]: e["better"] for e in spec["end_to_end"]}
 
     runs = []
@@ -122,21 +126,22 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"pair": i, "first": order[0]}
         for side in order:
-            pair[side] = run_once(getattr(args, side), args)
+            pair[side] = run_once(getattr(args, side), spec, args)
             m = pair[side]["metrics"]
             print(f"pair {i} {side}: " + " ".join(f"{k}={m[k]:.6g}" for k in better),
                   file=sys.stderr, flush=True)
         runs.append(pair)
 
+    failed = {side: [r[side]["failed"] for r in runs] for side in ("parent", "change")}
     metrics = {name: summarize([r["parent"]["metrics"][name] for r in runs],
-                               [r["change"]["metrics"][name] for r in runs], direction)
+                               [r["change"]["metrics"][name] for r in runs], direction,
+                               failed["parent"], failed["change"])
                for name, direction in better.items()}
     fingerprints = [r[side]["fingerprint"] for r in runs for side in ("parent", "change")]
     out = {
-        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+        "workload": args.workload, "seed": args.seed, "seconds": spec["run_seconds"],
         "pairs": args.pairs, "order": "even pairs parent first, odd pairs change first",
-        "runs": runs, "metrics": metrics,
-        "failed": {side: [r[side]["failed"] for r in runs] for side in ("parent", "change")},
+        "runs": runs, "metrics": metrics, "failed": failed,
         "fingerprints_equal": fingerprints_agree(fingerprints),
         "verdicts": [verdict(name, s) for name, s in metrics.items()],
     }

@@ -19,6 +19,7 @@ steps every parameter entry as one vector.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,34 +172,30 @@ def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
         x, (kh, kw, c, hi - kh + 1, wi - kw + 1, b), (sh, sw, sc, sh, sw, sb), writeable=False)
 
 
-# col2im scatter indices by backward shape (B, C, H, W, kh, kw), at most
-# COL2IM_CACHE_ENTRIES of them: the oldest goes first
-COL2IM_CACHE_ENTRIES = 8
-_col2im_cache = {}
-
-
+# at most this many backward shapes (B, C, H, W, kh, kw); training uses one
+# per conv layer whose input takes a gradient
+@lru_cache(maxsize=8)
 def _col2im_index(shape: tuple) -> np.ndarray:
     """For patch entry (u,v,c,h,w,b) in row-major order, the flat position of
     input entry x[b, c, h+u, w+v] in a (C,H,W,B) array: ``np.bincount`` over
     it adds each input position's patch entries in (u,v) order."""
-    idx = _col2im_cache.get(shape)
-    if idx is None:
-        nb, n_in, hi, wi, kh, kw = shape
-        ho, wo = hi - kh + 1, wi - kw + 1
-        pos = np.arange(n_in * hi * wi * nb).reshape(n_in, hi, wi, nb)
-        idx = np.stack([pos[:, u : u + ho, v : v + wo]
-                        for u in range(kh) for v in range(kw)]).ravel()
-        idx.flags.writeable = False
-        if len(_col2im_cache) >= COL2IM_CACHE_ENTRIES:
-            del _col2im_cache[next(iter(_col2im_cache))]
-        _col2im_cache[shape] = idx
+    nb, n_in, hi, wi, kh, kw = shape
+    ho, wo = hi - kh + 1, wi - kw + 1
+    pos = np.arange(n_in * hi * wi * nb).reshape(n_in, hi, wi, nb)
+    idx = np.stack([pos[:, u : u + ho, v : v + wo] for u in range(kh) for v in range(kw)]).ravel()
+    idx.flags.writeable = False
     return idx
+
+
+# the axes that take a kernel in (F, C, kh, kw) order to the product order
+# (kh, kw, C, F) that ``conv2d`` takes
+CONV_KERNEL_AXES = (2, 3, 1, 0)
 
 
 def conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
     """Unpadded cross-correlation of (B,C,H,W) with a kernel in product order
     (kh,kw,C,F), plus bias (F), through relu -> (B,F,H-kh+1,W-kw+1), as one
-    node.
+    node. ``CONV_KERNEL_AXES`` takes an (F,C,kh,kw) kernel to that order.
 
     Lowered to one matmul each way over the (kh*kw*C, H'*W'*B) patch matrix
     (im2col), copied from one window view of the input, with the batch axis

@@ -179,7 +179,7 @@ class EquiConv2d:
         order and transposed once to the (kh, kw, C, F) order ``conv2d``
         multiplies by, so that no call re-lays it out and each call's kernel
         gradient adds up contiguously until one transpose takes the sum back."""
-        kernel = ad.transpose(ad.tied(self.kernel, *self._k_tie), (2, 3, 1, 0))
+        kernel = ad.transpose(ad.tied(self.kernel, *self._k_tie), ad.CONV_KERNEL_AXES)
         return kernel, ad.tied(self.bias, *self._b_tie)
 
     def forward_t(self, x: Tensor, realized) -> Tensor:

@@ -876,20 +876,23 @@ def test_realizing_again_after_an_in_place_parameter_change_reads_the_new_values
     assert all(np.array_equal(a, w) for a, w in zip(after, want))
 
 
-def test_col2im_index_cache_holds_only_the_training_backward_shapes(tmp_path, monkeypatch):
+def test_col2im_index_cache_holds_only_the_training_backward_shapes(tmp_path):
     """After a 2D run whose evaluation plays fewer episodes than training
     steps envs, the scatter-index cache holds one entry per conv layer whose
     input takes a gradient, at the training batch: evaluation, which shrinks
     its batch as episodes end, adds none."""
-    monkeypatch.setattr(ad, "_col2im_cache", {})
+    ad._col2im_index.cache_clear()
     cfg = small_agent_config(conv_fields=(2, 3), total_steps=200, eval_interval=100,
                              eval_episodes=3)
     env_cfg = CarFlag2dConfig(grid_size=7)
     train(env_cfg, cfg, tmp_path / "run")
     layers = make_policy(env_cfg, conv_fields=(2, 3)).extractor.layers
     sides = range(env_cfg.grid_size - 2, 0, -2)   # each layer's input side after the first
-    assert set(ad._col2im_cache) == {(cfg.n_envs, layer.in_channels, side, side, 3, 3)
-                                     for layer, side in zip(layers[1:], sides)}
+    held = ad._col2im_index.cache_info()
+    assert held.currsize == len(layers) - 1
+    for layer, side in zip(layers[1:], sides):   # each a hit: the shape is held
+        ad._col2im_index((cfg.n_envs, layer.in_channels, side, side, 3, 3))
+    assert ad._col2im_index.cache_info().hits == held.hits + len(layers) - 1
 
 
 def test_steps_to_threshold():

@@ -422,11 +422,8 @@ def einsum_conv2d(x, k, b, g):
 
 # conv2d takes its kernel in (kh, kw, C, F) order; the tests, like EquiConv2d,
 # hold it in (F, C, kh, kw) order and transpose it on the way in
-PRODUCT_ORDER = (2, 3, 1, 0)
-
-
 def fused_conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
-    return ad.conv2d(x, ad.transpose(k, PRODUCT_ORDER), b)
+    return ad.conv2d(x, ad.transpose(k, ad.CONV_KERNEL_AXES), b)
 
 
 # the three layers of the 7x7 agent's trunk, on one step's 16 rows and on one
@@ -464,7 +461,7 @@ def unfused_conv2d(x: Tensor, k: Tensor) -> Tensor:
     n_out, n_in, kh, kw = kv.shape
     nb, _, hi, wi = xv.shape
     ho, wo = hi - kh + 1, wi - kw + 1
-    kmat_t = np.ascontiguousarray(kv.transpose(2, 3, 1, 0).reshape(-1, n_out))
+    kmat_t = np.ascontiguousarray(kv.transpose(ad.CONV_KERNEL_AXES).reshape(-1, n_out))
 
     def im2col():
         return ad._windows(xv, kh, kw).reshape(kh * kw * n_in, -1)
@@ -473,7 +470,8 @@ def unfused_conv2d(x: Tensor, k: Tensor) -> Tensor:
 
     def bwd(g):
         g2 = g.transpose(2, 3, 0, 1).reshape(-1, n_out)
-        gk = (im2col() @ g2).reshape(kh, kw, n_in, n_out).transpose(3, 2, 0, 1)
+        gk = (im2col() @ g2).reshape(kh, kw, n_in, n_out).transpose(
+                np.argsort(ad.CONV_KERNEL_AXES))
         gcols = (kmat_t @ g2.T).reshape(kh, kw, n_in, ho, wo, nb)
         gx = np.zeros((n_in, hi, wi, nb))
         for u in range(kh):
@@ -572,16 +570,21 @@ def test_conv2d_stack_matches_unfused_chain_bitwise(trunk, rows):
         assert got.shape == ref.shape and np.array_equal(got, ref), i
 
 
-def test_col2im_index_cache_keeps_the_latest_shapes_up_to_its_bound(monkeypatch):
+def test_col2im_index_cache_keeps_the_latest_shapes_up_to_its_bound():
     """Each backward shape gets one scatter index, reused while it is held;
-    past ``COL2IM_CACHE_ENTRIES`` shapes the oldest goes first."""
-    monkeypatch.setattr(ad, "_col2im_cache", {})
-    shapes = [(rows, 2, 5, 5) for rows in range(1, ad.COL2IM_CACHE_ENTRIES + 3)]
+    past the cache's bound of shapes the least recently used goes first."""
+    ad._col2im_index.cache_clear()
+    bound = ad._col2im_index.cache_info().maxsize
+    shapes = [(rows, 2, 5, 5) for rows in range(1, bound + 3)]
     k, b = Tensor(np.ones((3, 3, 2, 2))), Tensor(np.zeros(2))
     for shape in [*shapes, shapes[-1]]:
         backward(ad.tsum(ad.conv2d(parameter(np.ones(shape), "x"), k, b)))
-    held = [(rows, c, h, w, 3, 3) for rows, c, h, w in shapes[-ad.COL2IM_CACHE_ENTRIES:]]
-    assert list(ad._col2im_cache) == held
+    info = ad._col2im_index.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, len(shapes), bound)
+    ad._col2im_index(shapes[-1] + (3, 3))
+    ad._col2im_index(shapes[0] + (3, 3))
+    info = ad._col2im_index.cache_info()
+    assert (info.hits, info.misses) == (2, len(shapes) + 1)
 
 
 def test_shape_errors():

@@ -37,6 +37,21 @@ def test_a_median_gap_inside_the_parent_spread_shows_no_gain():
     assert s["change_better_pairs"] == 10 and not s["gain_shown"]
 
 
+def test_fewer_than_ten_pairs_show_no_gain():
+    change = [p + 6.0 for p in PARENT]
+    s = bench_pairs.summarize(PARENT[:9], change[:9], "higher")
+    assert s["change_better_pairs"] == 9 and not s["gain_shown"]
+    assert not bench_pairs.summarize(PARENT[:3], change[:3], "higher")["gain_shown"]
+
+
+def test_more_failed_checks_than_the_parent_show_no_gain():
+    change = [p + 6.0 for p in PARENT]
+    none, one = [0] * 10, [0] * 9 + [1]
+    assert not bench_pairs.summarize(PARENT, change, "higher", none, one)["gain_shown"]
+    assert bench_pairs.summarize(PARENT, change, "higher", one, one)["gain_shown"]
+    assert bench_pairs.summarize(PARENT, change, "higher", one, none)["gain_shown"]
+
+
 def test_lower_is_better_counts_a_fall_as_a_win():
     change = [p - 6.0 for p in PARENT]
     assert bench_pairs.summarize(PARENT, change, "lower")["gain_shown"]

@@ -265,8 +265,8 @@ def test_tied_layers_match_the_reference_solver(env_cfg, feed_prev_action):
                     mats.append(b[:, None])
                 else:
                     # a realized kernel is in (kh, kw, C, F) order; rho_in is C, kh, kw
-                    mats.append(w.transpose(3, 2, 0, 1).reshape(w.shape[3], -1) if conv
-                                else w.T)
+                    mats.append(w.transpose(np.argsort(ad.CONV_KERNEL_AXES))
+                                .reshape(w.shape[3], -1) if conv else w.T)
             mats = np.array(mats)
             flat = mats.reshape(len(mats), -1)
             assert np.linalg.matrix_rank(flat) == basis.count
@@ -342,7 +342,7 @@ def test_conv_1x1_reduces_to_equi_linear_per_pixel():
     linear.bias.value = conv.bias.value.copy()
     kernel, bias = conv.realize_t()
     w, b = dense_weight(linear)
-    assert np.array_equal(kernel.value[0, 0].T, w)   # a realized kernel is (kh, kw, C, F)
+    assert np.array_equal(kernel.value.transpose(np.argsort(ad.CONV_KERNEL_AXES))[:, :, 0, 0], w)
     assert np.array_equal(bias.value, b)
     x = rng.normal(size=(conv.in_channels, 4, 4))
     y = conv.forward_t(Tensor(x[None]), (kernel, bias)).value[0]
