@@ -10,8 +10,10 @@ range, and whether the runs show a gain: at least ten pairs, no more failed
 checks in the change's runs than in the parent's, the change wins at least
 nine tenths of the pairs (ties count for neither side) and the medians
 differ, in the metric's better direction, by more than the parent's
-interquartile range. It also reports each run's failed checks and whether
-all runs, on both sides, print one fingerprint for each chunk.
+interquartile range. For each metric it also states whether the change
+stays within the metric's ``bound`` in BENCHMARK.json (``regression``). It
+also reports each run's failed checks and whether all runs, on both sides,
+print one fingerprint for each chunk.
 
 Usage (each checkout a separate copy of the repository):
     python3 scripts/bench_pairs.py PARENT CHANGE --workload train-2d --seed 0 \
@@ -64,12 +66,30 @@ def summarize(parent, change, better: str, parent_failed=(), change_failed=()) -
     }
 
 
+def regression(parent, change, better: str, bound: float) -> str:
+    """The no-regression verdict for one metric, ``bound`` being the share
+    of the parent's median by which it may worsen: ``"regressed"`` when the
+    change's median is worse than the parent's by more than that,
+    ``"unresolved"`` when the parent's interquartile range exceeds that
+    share of its median and not every change run beats every parent run,
+    and ``"within bound"`` otherwise."""
+    p, c = np.asarray(parent, dtype=float), np.asarray(change, dtype=float)
+    sign = 1.0 if better == "higher" else -1.0
+    p_q1, p_med, p_q3 = np.percentile(p, [25, 50, 75])
+    allowed = bound * abs(p_med)
+    if sign * (np.median(c) - p_med) < -allowed:
+        return "regressed"
+    if p_q3 - p_q1 > allowed and not np.min(sign * c) > np.max(sign * p):
+        return "unresolved"
+    return "within bound"
+
+
 def verdict(name: str, s: dict) -> str:
     rel = "" if s["relative_change"] is None else f" ({100 * s['relative_change']:+.1f}%)"
     shown = "gain shown" if s["gain_shown"] else "no gain shown"
     return (f"{name}: change won {s['change_better_pairs']}/{len(s['parent'])} pairs, median "
             f"{s['median']['parent']:.6g} -> {s['median']['change']:.6g}{rel}, parent IQR "
-            f"{s['parent_iqr']:.3g}: {shown}")
+            f"{s['parent_iqr']:.3g}: {shown}, {s['regression']}")
 
 
 def fingerprints_agree(lines) -> bool:
@@ -120,6 +140,7 @@ def main(argv=None) -> int:
         if not (checkout / "BENCHMARK.json").is_file():
             ap.error(f"{checkout} holds no BENCHMARK.json")
     better = {e["name"]: e["better"] for e in spec["end_to_end"]}
+    bound = {e["name"]: e["bound"] for e in spec["end_to_end"]}
 
     runs = []
     for i in range(args.pairs):
@@ -133,10 +154,11 @@ def main(argv=None) -> int:
         runs.append(pair)
 
     failed = {side: [r[side]["failed"] for r in runs] for side in ("parent", "change")}
-    metrics = {name: summarize([r["parent"]["metrics"][name] for r in runs],
-                               [r["change"]["metrics"][name] for r in runs], direction,
-                               failed["parent"], failed["change"])
-               for name, direction in better.items()}
+    metrics = {}
+    for name, direction in better.items():
+        parent, change = ([r[side]["metrics"][name] for r in runs] for side in ("parent", "change"))
+        metrics[name] = summarize(parent, change, direction, failed["parent"], failed["change"])
+        metrics[name]["regression"] = regression(parent, change, direction, bound[name])
     fingerprints = [r[side]["fingerprint"] for r in runs for side in ("parent", "change")]
     out = {
         "workload": args.workload, "seed": args.seed, "seconds": spec["run_seconds"],

@@ -146,6 +146,7 @@ class RecurrentPolicy:
                 # the previous action enters as one signed component: the mirror
                 # swaps left/right, so the encoding must flip sign with it
                 rho_x = direct_sum([rho_x, sign_rep(group)])
+            self._prev_codes = np.array([[0.0], [-1.0], [1.0]])
         elif isinstance(env_config, CarFlag2dConfig):
             self.n_actions = 4
             n = env_config.grid_size
@@ -165,6 +166,7 @@ class RecurrentPolicy:
             if self.feed_prev_action:
                 # one-hot previous action permutes with the rotation: regular field
                 rho_x = direct_sum([rho_x, regular_rep(group)])
+            self._prev_codes = np.vstack([np.zeros(4), np.eye(4)])
         else:
             raise EnvError(f"unknown env config {type(env_config).__name__}")
 
@@ -243,14 +245,11 @@ class RecurrentPolicy:
         return obs * self._scale if self._scale is not None else obs
 
     def encode_prev_action(self, prev: np.ndarray) -> np.ndarray:
-        """Encode previous actions; -1 marks an episode start (zero vector)."""
-        prev = np.asarray(prev, dtype=np.int64)
-        if self.n_actions == 2:
-            return np.where(prev < 0, 0.0, 2.0 * prev - 1.0)[:, None]
-        out = np.zeros((prev.shape[0], self.n_actions))
-        live = prev >= 0
-        out[np.nonzero(live)[0], prev[live]] = 1.0
-        return out
+        """Rows encoding the previous actions ``prev`` (an integer array), -1
+        marking an episode start: row ``prev + 1`` of a table with a zero row
+        first, then one row per action. On 1D an action is one signed
+        component (-1 left, +1 right); on 2D it is one-hot."""
+        return self._prev_codes[prev + 1]
 
     def realize(self):
         out = {"cell": self.cell.realize_t(),
@@ -304,11 +303,13 @@ class RecurrentPolicy:
 
 def categorical_from_uniform(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per row of ``logits``, given one uniform per row in ``u``
-    (shaped (rows, 1))."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+    (shaped (rows, 1)): the number of cumulative softmax probabilities below
+    u, capped at the last action. The reductions are the ufunc calls that
+    ``ndarray.max``, ``ndarray.sum`` and ``np.cumsum`` make."""
+    z = logits - np.maximum.reduce(logits, -1, keepdims=True)
     p = np.exp(z)
-    p /= p.sum(axis=-1, keepdims=True)
-    return np.minimum((np.cumsum(p, axis=-1) < u).sum(axis=-1), logits.shape[-1] - 1)
+    p /= np.add.reduce(p, -1, keepdims=True)
+    return np.minimum(np.add.reduce(np.add.accumulate(p, -1) < u, -1), logits.shape[-1] - 1)
 
 
 def sample_categorical(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -519,6 +520,7 @@ def evaluate(actor, env_config, episodes: int, rng: np.random.Generator,
              greedy: bool = False):
     """Success rate and mean undiscounted return over ``episodes`` episodes,
     played as one batch on per-episode streams spawned from ``rng``."""
+    require_integer("episodes", episodes, AgentError)
     if episodes < 1:
         raise AgentError(f"evaluation needs at least 1 episode, got {episodes}")
     successes, returns, _ = play_episodes(actor, env_config,
@@ -611,6 +613,7 @@ def run_equivariance_suite(networks: int = 100, histories: int = 10, max_len: in
     would check nothing."""
     for name, count in (("networks", networks), ("histories", histories),
                         ("max_len", max_len)):
+        require_integer(name, count, AgentError)
         if count < 1:
             raise AgentError(f"{name} must be at least 1, got {count}")
     rng = np.random.default_rng(seed)

@@ -14,6 +14,13 @@ one node, joined by ``concat`` and ``reshape``; ``transpose`` lays each tied
 convolution kernel out in the order ``conv2d`` multiplies by, once per
 realization, and ``tsum`` is the gradient checks' scalar reduction. ``Adam``
 steps every parameter entry as one vector.
+
+The per-step and per-update array code keeps to two habits. A reduction
+calls its ufunc (``np.add.reduce``, ``np.maximum.reduce``), the call that
+``ndarray.sum`` and ``ndarray.max`` make after their Python wrappers, so
+the arithmetic is theirs with fewer frames. Temporaries stay contiguous: on
+16-row blocks a ufunc loop over a strided view costs more than the fresh
+array it would save.
 """
 
 from __future__ import annotations
@@ -110,16 +117,24 @@ def affine(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
             g = g * (val > 0)   # the output is positive exactly where the pre-activation is
         return (g @ wv.T if x.requires_grad else None,
                 xv.T @ g if w.requires_grad else None,
-                g.sum(axis=0) if b.requires_grad else None)
+                np.add.reduce(g, 0) if b.requires_grad else None)
 
     return Tensor(val, (x, w, b), bwd)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below, with one division:
-    the numerators share the denominator 1 + e^-|x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    the numerators share the denominator 1 + e^-|x|. With e = e^-|x| in
+    [0, 1], the numerator ``maximum(e, x >= 0)`` is 1 where x >= 0 and e
+    elsewhere, as ``where(x >= 0, 1, e)``, and a NaN passes through both the
+    same way; e^-|x| is formed in one buffer of its own."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, x >= 0)
+    e += 1.0
+    num /= e
+    return num
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -224,7 +239,7 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         g = g * (val > 0)   # the output is positive exactly where the pre-activation is
-        gb = g.sum(axis=0).sum(axis=(1, 2)) if b.requires_grad else None
+        gb = np.add.reduce(np.add.reduce(g, 0), (1, 2)) if b.requires_grad else None
         gk = gx = None
         g2 = g.transpose(2, 3, 0, 1).reshape(-1, n_out)
         if k.requires_grad:
@@ -350,9 +365,9 @@ class LstmSegment:
                         gw += xh.T @ dz
                 if b.requires_grad:
                     if gb is None:
-                        gb = dz.sum(axis=0)
+                        gb = np.add.reduce(dz, 0)
                     else:
-                        gb += dz.sum(axis=0)
+                        gb += np.add.reduce(dz, 0)
             return (*gxs[::-1], gw, gb)
 
         # the inputs enter last step first, so that backward reaches their
@@ -375,12 +390,13 @@ def a2c_loss(logits: Tensor, values: Tensor, actions: np.ndarray, advantages: np
         raise ShapeError(f"a2c_loss: logits {lv.shape}, values {vv.shape}, actions {actions.shape},"
                          f" advantages {advantages.shape}, returns {returns.shape}")
     rows = np.arange(n)
-    shifted = lv - lv.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = lv - np.maximum.reduce(lv, -1, keepdims=True)
+    logp = shifted - np.log(np.add.reduce(np.exp(shifted), -1, keepdims=True))
     p, diff = np.exp(logp), returns - vv
-    stats = {"policy_loss": float(-(advantages * logp[rows, actions]).mean()),
-             "value_loss": float((diff * diff).mean()),
-             "entropy": float((-(p * logp).sum(axis=-1)).mean())}
+    # a mean is the sum over the count, as ``ndarray.mean`` forms it in float64
+    stats = {"policy_loss": float(-(np.add.reduce(advantages * logp[rows, actions]) / n)),
+             "value_loss": float(np.add.reduce(diff * diff) / n),
+             "entropy": float(np.add.reduce(-np.add.reduce(p * logp, -1)) / n)}
     stats = {"loss": stats["policy_loss"] + (stats["value_loss"] * value_coef
                                              + stats["entropy"] * -entropy_coef), **stats}
 
@@ -394,7 +410,7 @@ def a2c_loss(logits: Tensor, values: Tensor, actions: np.ndarray, advantages: np
             glogp[rows, actions] = -g / n * advantages
             glogp += ec * p
             glogp += ec * logp * p
-            glogits = glogp - p * glogp.sum(axis=-1, keepdims=True)
+            glogits = glogp - p * np.add.reduce(glogp, -1, keepdims=True)
         return glogits, g * value_coef / n * diff * -2.0 if values.requires_grad else None
 
     return Tensor(stats["loss"], (logits, values), bwd), stats
@@ -457,7 +473,7 @@ def clip_grad_norm(params, max_norm: float) -> float:
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            total += float(np.add.reduce(p.grad * p.grad, None))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / (norm + 1e-12)
@@ -494,7 +510,7 @@ class Adam:
                 raise AutodiffError(f"no gradient on parameter {p.name!r}: "
                                     "the loss does not reach it")
         g = np.concatenate([p.grad.ravel() for p in self.params])
-        if not np.isfinite(g).all():
+        if not np.logical_and.reduce(np.isfinite(g)):
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise NonFiniteGradientError(f"non-finite gradient on parameter {bad.name!r}")
         self.t += 1

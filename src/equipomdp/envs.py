@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .groups import C4, MIRROR, Group, Representation, direct_sum, grid_rep, sign_rep
-from .pomdp import GroupActionBinding, Pomdp, SparseRows
+from .pomdp import GroupActionBinding, Pomdp, SparseRows, require_integer
 
 
 class EnvError(ValueError):
@@ -63,14 +63,6 @@ def field_types(config_class) -> tuple[tuple[str, type], ...]:
     """Each field of a config dataclass and its annotated type, in field order."""
     hints = typing.get_type_hints(config_class)
     return tuple((f.name, hints[f.name]) for f in dataclasses.fields(config_class))
-
-
-def require_integer(name: str, value, error: type[Exception]) -> None:
-    """Raise ``error`` naming the setting ``name`` unless ``value`` is an
-    integer: a bool, a float (2.0 included) or a string is refused, a numpy
-    integer accepted."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
 
 
 def require_integer_fields(config, error: type[Exception]) -> None:

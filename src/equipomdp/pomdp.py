@@ -34,6 +34,14 @@ class NodeBudgetError(PomdpError):
     pass
 
 
+def require_integer(name: str, value, error: type[Exception]) -> None:
+    """Raise ``error`` naming the setting ``name`` unless ``value`` is an
+    integer: a bool, a float (2.0 included) or a string is refused, a numpy
+    integer accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 SUM_TOL = 1e-12   # how far a table's distribution may sum from 1
 
 
@@ -583,6 +591,8 @@ def exact_q(pomdp: Pomdp, horizon: int, node_budget: int = NODE_BUDGET) -> QSolu
     immediate reward plus the discounted, observation-weighted optimum of
     the children.
     """
+    require_integer("horizon", horizon, PomdpError)
+    require_integer("node_budget", node_budget, PomdpError)
     if horizon < 0:
         raise PomdpError(f"horizon must be at least 0, got {horizon}")
     if node_budget < 1:
@@ -829,6 +839,7 @@ def verify_belief_invariance(pomdp: Pomdp, binding: GroupActionBinding,
     are summed per (pair, state) with the class's first, and a pair's
     deviation is the largest magnitude. The witness is the first largest
     deviation, shallowest first."""
+    require_integer("depth", depth, PomdpError)
     if depth < 0:
         raise PomdpError(f"depth must be at least 0, got {depth}")
     binding.validate(pomdp)
@@ -874,6 +885,7 @@ def verify_value_invariance(pomdp: Pomdp, binding: GroupActionBinding,
     row's maximum, as masks) correspond when the class's, mapped by g,
     equals the image's. Depths are checked deepest first; the witness is the
     first largest deviation and the policy witness the first mismatch."""
+    require_integer("horizon", horizon, PomdpError)
     if horizon < 1:
         raise PomdpError(f"horizon must be at least 1, got {horizon}")
     binding.validate(pomdp)

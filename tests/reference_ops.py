@@ -6,7 +6,10 @@ are what those nodes fused: ``composed_tied`` is the tied weight as ``take``
 times the sign, and ``composed_a2c_loss`` is the A2C loss as the chain of
 small nodes it was built from. They are the references the fused nodes are
 checked against, bit for bit, and they serve the smooth losses of a few
-gradient checks.
+gradient checks. ``method_categorical_from_uniform`` and
+``branch_encode_prev_action`` are the agent's sampling and previous-action
+encoding written with numpy's method calls and per-domain branches, the
+references for the ufunc calls and table lookup that replaced them.
 """
 
 import numpy as np
@@ -145,3 +148,24 @@ def composed_a2c_loss(logits: Tensor, values: Tensor, actions, advantages, retur
     stats = {"loss": float(loss.value), "policy_loss": float(policy_loss.value),
              "value_loss": float(value_loss.value), "entropy": float(entropy.value)}
     return loss, stats
+
+
+def method_categorical_from_uniform(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``agent.categorical_from_uniform`` through ``ndarray.max``,
+    ``ndarray.sum`` and ``np.cumsum``."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=-1, keepdims=True)
+    return np.minimum((np.cumsum(p, axis=-1) < u).sum(axis=-1), logits.shape[-1] - 1)
+
+
+def branch_encode_prev_action(prev: np.ndarray, n_actions: int) -> np.ndarray:
+    """``RecurrentPolicy.encode_prev_action`` as one branch per domain: a
+    signed scalar for two actions, one-hot otherwise, zero rows for -1."""
+    prev = np.asarray(prev, dtype=np.int64)
+    if n_actions == 2:
+        return np.where(prev < 0, 0.0, 2.0 * prev - 1.0)[:, None]
+    out = np.zeros((prev.shape[0], n_actions))
+    live = prev >= 0
+    out[np.nonzero(live)[0], prev[live]] = 1.0
+    return out

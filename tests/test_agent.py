@@ -20,6 +20,7 @@ from equipomdp.agent import (
     evaluate,
     play_episodes,
     run_equivariance_suite,
+    categorical_from_uniform,
     sample_categorical,
     segment_loss,
     segment_loss_gradcheck,
@@ -31,6 +32,7 @@ from equipomdp.autodiff import Adam
 from equipomdp.envs import CarFlag1dConfig, CarFlag2dConfig, make_env, export_pomdp
 from equipomdp.pomdp import exact_q
 from reference_oracle import child_dicts
+from reference_ops import branch_encode_prev_action, method_categorical_from_uniform
 
 CFG_1D = CarFlag1dConfig(half_size=10)
 CFG_2D = CarFlag2dConfig(grid_size=3)
@@ -812,6 +814,42 @@ def test_sample_categorical_distribution():
     actions = sample_categorical(logits, rng)
     freq = np.bincount(actions, minlength=3) / len(actions)
     assert np.max(np.abs(freq - [0.7, 0.2, 0.1])) < 0.02
+
+
+@pytest.mark.parametrize("n_actions", [2, 4])
+def test_sampling_is_the_method_call_form_bit_for_bit(n_actions):
+    """``categorical_from_uniform``'s ufunc calls draw what the method-call
+    form draws, on spread logits, tied logits and logits of +-700, with the
+    uniform at each cumulative probability exactly, at the ends of [0, 1)
+    and in between."""
+    rng = np.random.default_rng(n_actions)
+    tied = np.zeros((3, n_actions))
+    tied[1, :2] = 5.0
+    tied[2, 1:] = -2.0
+    logits = np.concatenate([3.0 * rng.normal(size=(32, n_actions)), tied,
+                             rng.choice([-700.0, 700.0], size=(8, n_actions))])
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    cums = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
+    uniforms = [cums[:, [j]] for j in range(n_actions)]
+    uniforms += [np.zeros((len(logits), 1)), np.full((len(logits), 1), np.nextafter(1.0, 0.0)),
+                 rng.random((len(logits), 1))]
+    for u in uniforms:
+        got = categorical_from_uniform(logits, u)
+        want = method_categorical_from_uniform(logits, u)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("env_cfg", [CFG_1D, CFG_2D], ids=["A=2", "A=4"])
+def test_prev_action_encoding_is_the_branch_form_bit_for_bit(env_cfg):
+    """The table lookup encodes every previous action, -1 included, as the
+    per-domain branches did: a signed scalar on 1D, one-hot on 2D."""
+    policy = make_policy(env_cfg, feed_prev_action=True)
+    prev = np.arange(-1, policy.n_actions)
+    prev = np.concatenate([prev, prev[::-1]])
+    got = policy.encode_prev_action(prev)
+    want = branch_encode_prev_action(prev, policy.n_actions)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -100,11 +100,15 @@ def test_sigmoid_at_zero():
 def test_sigmoid_is_the_two_branch_form_bit_for_bit():
     """``_sigmoid``'s one shared division rounds exactly as the two-branch
     form, at the edges (signed zeros, infinities, subnormal-adjacent and
-    overflowing magnitudes) and on a wide spread of gate values."""
-    edges = np.array([0.0, 1e-300, 745.0, 800.0, np.inf])
+    overflowing magnitudes, NaN) and on a wide spread of gate values, also
+    on the strided (16, 144) gate block of a (16, 192) array that
+    ``lstm_cell`` passes."""
+    edges = np.array([0.0, 1e-300, 745.0, 800.0, np.inf, np.nan])
     edges = np.concatenate([edges, -edges])
     spread = 30.0 * np.random.default_rng(26).standard_normal(10_000)
-    for x in (edges, spread):
+    gates = (30.0 * np.random.default_rng(27).standard_normal((16, 192)))[:, :144]
+    assert not gates.flags.c_contiguous
+    for x in (edges, spread, gates):
         assert ad._sigmoid(x).tobytes() == two_branch_sigmoid(x).tobytes()
 
 

@@ -72,3 +72,41 @@ def test_fingerprints_agree_on_shared_keys_only():
     assert bench_pairs.fingerprints_agree([a, b, a])
     assert not bench_pairs.fingerprints_agree([a, "FINGERPRINT train-2d seed=0 equi/1=cc"])
     assert not bench_pairs.fingerprints_agree([a, ""])
+
+
+# setup_s-like runs (lower is better, bound 0.25): a tight parent, median 0.115
+TIGHT = [0.110, 0.112, 0.114, 0.115, 0.115, 0.116, 0.117, 0.118, 0.120, 0.112]
+# a parent as wide as fresh-interpreter probes read: IQR 0.045 over median 0.13
+WIDE = [0.092, 0.100, 0.110, 0.120, 0.125, 0.135, 0.150, 0.160, 0.165, 0.170]
+
+
+def test_a_change_inside_the_bound_is_within_bound():
+    change = [t * 1.2 for t in TIGHT]   # 20% slower against a 25% bound
+    assert bench_pairs.regression(TIGHT, change, "lower", 0.25) == "within bound"
+    assert bench_pairs.regression(PARENT, [p * 0.98 for p in PARENT], "higher",
+                                  0.25) == "within bound"
+
+
+def test_a_median_worse_by_more_than_the_bound_is_regressed():
+    change = [t * 1.3 for t in TIGHT]
+    assert bench_pairs.regression(TIGHT, change, "lower", 0.25) == "regressed"
+    # the bound is a share of the parent's median: 47.4 -> 50 MB passes 5%, 50.5 does not
+    rss = [47.3, 47.4, 47.4, 47.5, 47.4]
+    assert bench_pairs.regression(rss, [49.5] * 5, "lower", 0.05) == "within bound"
+    assert bench_pairs.regression(rss, [50.5] * 5, "lower", 0.05) == "regressed"
+    assert bench_pairs.regression(PARENT, [p * 0.7 for p in PARENT], "higher",
+                                  0.25) == "regressed"
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    assert bench_pairs.regression(WIDE, WIDE, "lower", 0.25) == "unresolved"
+    assert bench_pairs.regression(WIDE, WIDE, "lower", 0.5) == "within bound"
+
+
+def test_a_change_that_beats_every_parent_run_is_resolved_despite_the_spread():
+    beats = [min(WIDE) - 0.001 * i for i in range(1, 11)]
+    assert bench_pairs.regression(WIDE, beats, "lower", 0.25) == "within bound"
+    # one change run level with the parent's best is not beating it
+    assert bench_pairs.regression(WIDE, beats[:-1] + [min(WIDE)], "lower",
+                                  0.25) == "unresolved"
+    assert bench_pairs.regression(WIDE, beats, "higher", 0.25) == "regressed"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from equipomdp import cli
-from equipomdp.agent import AgentConfig, AgentError
+from equipomdp.agent import (AgentConfig, AgentError, RecurrentPolicy, evaluate,
+                             run_equivariance_suite)
 from equipomdp.cli import (
     UsageError,
     build_configs,
@@ -306,6 +307,39 @@ def test_integer_setting_refuses_a_non_integer_by_name(config, name):
         with pytest.raises(CONFIG_ERRORS[config], match=re.escape(name)):
             config(**with_value(bad))
     assert getattr(config(**with_value(np.int64(first))), name) == default
+
+
+# each count argument of a public call, the error it raises and the call
+# with that argument set
+COUNT_ARGUMENTS = {
+    "exact_q.horizon": ("horizon", PomdpError, lambda m, b, p, v: exact_q(m, v)),
+    "exact_q.node_budget": ("node_budget", PomdpError,
+                            lambda m, b, p, v: exact_q(m, 2, node_budget=v)),
+    "verify_value_invariance.horizon": ("horizon", PomdpError,
+                                        lambda m, b, p, v: verify_value_invariance(m, b, v)),
+    "verify_belief_invariance.depth": ("depth", PomdpError,
+                                       lambda m, b, p, v: verify_belief_invariance(m, b, v)),
+    "evaluate.episodes": ("episodes", AgentError, lambda m, b, p, v: evaluate(
+        p, CarFlag1dConfig(half_size=3), v, np.random.default_rng(0))),
+    **{f"run_equivariance_suite.{name}": (name, AgentError, lambda m, b, p, v, name=name:
+                                          run_equivariance_suite(**{"networks": 1, "histories": 1,
+                                                                    "max_len": 1, name: v}))
+       for name in ("networks", "histories", "max_len")},
+}
+
+
+@pytest.mark.parametrize("case", list(COUNT_ARGUMENTS))
+def test_count_argument_refuses_a_non_integer_by_name(case):
+    """A count argument refuses a bool, a float (an integral one too) and a
+    string with the module's own error, naming the argument, before any
+    work: ``exact_q(model, True)`` does not solve to horizon True."""
+    name, error, call = COUNT_ARGUMENTS[case]
+    model, binding, _ = export_pomdp(CarFlag2dConfig(grid_size=3))
+    policy = RecurrentPolicy(CarFlag1dConfig(half_size=3), AgentConfig(lstm_fields=1,
+                             head_fields=1), np.random.default_rng(0))
+    for bad in (True, 2.0, 2.5, 1e6, "2"):
+        with pytest.raises(error, match=rf"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            call(model, binding, policy, bad)
 
 
 # ---------------------------------------------------------------------------
